@@ -50,7 +50,6 @@ from .split_strategies import (
     distributed_weight_estimate,
     local_rnm_split,
     noisy_counts_split,
-    single_machine_rnm_split,
 )
 
 __version__ = "0.1.0"

@@ -178,8 +178,9 @@ def load_csv(path, schema: DataSchema) -> LabeledDataset:
 
     Categorical features one-hot expand (one 0/1 column per declared value);
     labels map to indices into the declared label set; row order is kept.
-    Any missing column, unparseable cell, out-of-range value, or undeclared
-    category fails with the offending row number.
+    Any missing column, row of the wrong width, unparseable cell,
+    out-of-range value, or undeclared category fails with the offending row
+    number.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -200,6 +201,10 @@ def load_csv(path, schema: DataSchema) -> LabeledDataset:
         rows, labels = [], []
         label_index = {v: i for i, v in enumerate(schema.label_values)}
         for row_number, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}:{row_number}: expected {len(header)} columns, got {len(row)}"
+                )
             encoded = []
             for feat in schema.features:
                 cell = row[positions[feat.name]]

@@ -2,10 +2,16 @@
 distributed LocalRNM, plus the simulated entity/coordinator message layer and
 the distributed weight and label-count queries.
 
-Entities are stateless data holders: every query recomputes leaf membership
-from the leaf path, draws noise from the entity's own stream, and records its
-budget charge against the entity's ledger scope. The coordinator only ever
-sees noisy aggregates.
+Each entity draws noise from its own stream and records its budget charge
+against its own ledger scope; the coordinator only ever sees noisy
+aggregates. An entity's only state besides its shard is a cache of the rows
+of its live leaves, keyed by the public leaf path. The children of a split
+are cut from the parent's cached rows with one evaluate and the parent is
+evicted; any other miss replays the path from the root. The cache releases
+nothing: it never leaves the entity, and every answer, noise draw and charge
+is what a stateless replay would give. In the learner's query order the live
+leaves partition the shard, so the cache holds each shard row at most once,
+for as long as the entity lives (one learner run).
 """
 
 from __future__ import annotations
@@ -26,7 +32,13 @@ from .dp_core import (
     report_noisy_max,
     sample_laplace,
 )
-from .tree_learning import Criterion, LabeledDataset, gain_from_counts, split_count_tables
+from .tree_learning import (
+    BinnedFeatures,
+    Criterion,
+    LabeledDataset,
+    gain_from_counts,
+    split_count_tables,
+)
 
 MIN_LEAF_ROWS = 3  # sensitivity bounds assume 1/m <= 1/e, i.e. m >= 3
 
@@ -77,36 +89,6 @@ def rnm_score_sensitivity(criterion: Criterion, m: int) -> float:
     raise InvalidParameterError(f"unknown criterion {criterion!r}")
 
 
-def single_machine_rnm_split(
-    leaf_data: LabeledDataset,
-    alpha,
-    delta,
-    criterion: Criterion,
-    splits,
-    rng: RandomSource,
-    ledger: PrivacyLedger,
-    scope: Scope,
-):
-    """Report Noisy Max over the exact gains of every candidate split.
-
-    Returns (chosen split, its noisy gain) and charges the full alpha at the
-    given scope. delta is not consumed: RNM is pure alpha-DP and delta enters
-    only the utility analysis.
-    """
-    del delta
-    if alpha <= 0:
-        raise InvalidParameterError(f"alpha must be positive, got {alpha}")
-    m = leaf_data.n
-    sensitivity = rnm_score_sensitivity(criterion, m)
-    gains = gain_from_counts(
-        split_count_tables(leaf_data.features, leaf_data.labels, leaf_data.n_classes, splits),
-        criterion,
-    )
-    index, noisy_gain = report_noisy_max(gains, sensitivity, float(alpha), rng)
-    ledger.charge(scope, alpha)
-    return splits[index], noisy_gain
-
-
 # ---------------------------------------------------------------------------
 # Entities and the coordinator/entity message boundary
 # ---------------------------------------------------------------------------
@@ -141,12 +123,28 @@ class Entity:
         self.rng = rng
         self.splits = splits  # public, shared splitting class
         self.criterion = criterion
+        self.binned = BinnedFeatures(shard, splits)
+        self._rows: dict = {}  # live leaf path -> its shard rows
 
     def leaf_rows(self, path) -> np.ndarray:
+        """Shard rows that follow `path`, a (split, side) sequence."""
+        path = tuple(path)
+        rows = self._rows.get(path)
+        if rows is not None:
+            return rows
+        parent = path[:-1]
+        if path and parent in self._rows:
+            split, _ = path[-1]
+            parent_rows = self._rows.pop(parent)
+            sides = split.evaluate(self.shard.features, parent_rows)
+            for side in (0, 1):
+                self._rows[parent + ((split, side),)] = parent_rows[sides == side]
+            return self._rows[path]
         rows = np.arange(self.shard.n)
         for split, side in path:
             sides = split.evaluate(self.shard.features, rows)
             rows = rows[sides == side]
+        self._rows[path] = rows
         return rows
 
     def _scope(self, purpose: str, query: Query) -> Scope:
@@ -175,9 +173,7 @@ class Entity:
 
         if query.kind == "joint_histogram":
             candidates = query.params["splits"]
-            tables = split_count_tables(
-                self.shard.features[rows], self.shard.labels[rows], self.shard.n_classes, candidates
-            )
+            tables = split_count_tables(self.binned, rows, candidates)
             # Per-cell Lap(3|H'|/alpha): cells of one histogram partition the
             # shard (parallel), histograms compose sequentially, so the |H'|
             # histograms cost alpha/3 in total.
@@ -196,12 +192,7 @@ class Entity:
                 return Response(self.entity_id, query.nonce, {"hid": hid, "fallback": True})
             # RNM over the full splitting class on this shard's leaf rows;
             # only the winning index is published, the noisy score is dropped.
-            gains = gain_from_counts(
-                split_count_tables(
-                    self.shard.features[rows], self.shard.labels[rows], self.shard.n_classes, self.splits
-                ),
-                self.criterion,
-            )
+            gains = gain_from_counts(split_count_tables(self.binned, rows, self.splits), self.criterion)
             sensitivity = rnm_score_sensitivity(self.criterion, rows.size)
             hid, _ = report_noisy_max(gains, sensitivity, float(query.budget), self.rng)
             ledger.charge(self._scope("split", query), query.budget)
@@ -416,22 +407,31 @@ def distributed_label_counts(
 
 
 class SingleMachineRNMSplitter:
-    """RNM over the exact gains of the full splitting class; single machine."""
+    """Report Noisy Max over the exact gains of the full splitting class, on
+    one machine.
+
+    split() returns (chosen split, its noisy gain) and charges the full alpha
+    under the global scope. delta is not consumed: RNM is pure alpha-DP and
+    delta enters only the utility analysis.
+    """
 
     name = "single-rnm"
     distributed = False
 
     def __init__(self, dataset: LabeledDataset, splits, criterion: Criterion):
-        self.dataset = dataset
         self.splits = splits
         self.criterion = criterion
+        self.binned = BinnedFeatures(dataset, splits)
 
     def split(self, leaf: LeafRef, alpha, delta, rng: RandomSource, ledger: PrivacyLedger):
-        leaf_data = self.dataset.subset(leaf.indices)
-        scope = Scope(None, "split", depth=leaf.budget_depth, leaf=leaf.leaf_id)
-        return single_machine_rnm_split(
-            leaf_data, alpha, delta, self.criterion, self.splits, rng, ledger, scope
-        )
+        del delta
+        if alpha <= 0:
+            raise InvalidParameterError(f"alpha must be positive, got {alpha}")
+        sensitivity = rnm_score_sensitivity(self.criterion, leaf.indices.size)
+        gains = gain_from_counts(split_count_tables(self.binned, leaf.indices, self.splits), self.criterion)
+        index, noisy_gain = report_noisy_max(gains, sensitivity, float(alpha), rng)
+        ledger.charge(Scope(None, "split", depth=leaf.budget_depth, leaf=leaf.leaf_id), alpha)
+        return self.splits[index], noisy_gain
 
 
 class NoisyCountsSplitter:

@@ -1,6 +1,7 @@
 """Non-private decision tree core: splitting criteria, split gain, the
-potential upper bound, tree construction/routing/prediction, and the greedy
-top-down baseline learner.
+binned count-table kernel shared by every learner, the potential upper bound,
+tree construction/routing/prediction, and the greedy top-down baseline
+learner.
 
 The baseline learner shares its control flow (priority queue, gain pruning,
 optional weight filter) with the private learner so that zero-noise runs of
@@ -123,6 +124,10 @@ class LabeledDataset:
             raise InvalidParameterError("features must be a 2-d matrix")
         if self.labels.shape != (self.features.shape[0],):
             raise InvalidParameterError("labels must have one entry per feature row")
+        if not np.isfinite(self.features).all():
+            # A NaN compares false against every threshold, so no split
+            # could route and count it consistently.
+            raise InvalidParameterError("features must be finite")
         if self.n_classes < 1:
             raise InvalidParameterError("n_classes must be >= 1")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
@@ -233,38 +238,63 @@ def split_gain(counts: LeafCounts, criterion: Criterion) -> float:
 # ---------------------------------------------------------------------------
 
 
-def split_count_tables(X: np.ndarray, labels: np.ndarray, n_classes: int, splits) -> np.ndarray:
-    """Joint count tables, shape (len(splits), n_classes, 2), for one leaf.
+class BinnedFeatures:
+    """Every distinct split column of a dataset, cut once against the sorted
+    distinct thresholds that the splitting class tests on it.
 
-    Splits sharing a column are evaluated with a single sort and cumulative
-    label counts, so a T-threshold feature costs O(n log n + T) instead of
-    O(T n).
+    A value x in a column with sorted thresholds t_0 < ... < t_{T-1} gets the
+    code j = #{t_i < x}, so x <= t_j exactly when code <= j: the left side of
+    the j-th threshold is bins 0..j. Thresholds are public and fixed before
+    any data is read, so the binning can be done once per dataset. Codes use
+    the smallest unsigned dtype that holds T.
     """
-    tables = np.zeros((len(splits), n_classes, 2))
-    if len(labels) == 0:
-        return tables
+
+    def __init__(self, dataset: LabeledDataset, splits):
+        self.labels = dataset.labels
+        self.n_classes = dataset.n_classes
+        by_column: dict = {}
+        for split in splits:
+            by_column.setdefault(split.column_key(), []).append(split)
+        self.columns: dict = {}  # column key -> (sorted distinct thresholds, codes)
+        for key, group in by_column.items():
+            grid = np.unique([split.threshold for split in group])
+            if not np.isfinite(grid).all():
+                raise InvalidParameterError(f"split thresholds on column {key} must be finite")
+            codes = np.searchsorted(grid, group[0].column(dataset.features), side="left")
+            self.columns[key] = (grid, codes.astype(np.min_scalar_type(grid.size)))
+
+
+def split_count_tables(binned: BinnedFeatures, rows, splits) -> np.ndarray:
+    """Joint count tables, shape (len(splits), n_classes, 2), over the given
+    rows of a binned dataset.
+
+    Splits sharing a column share one bincount over (code, label) pairs and
+    one cumulative sum over the bins, so a T-threshold column costs
+    O(len(rows) + T K). A split that is not in the binned class raises
+    InvalidParameterError rather than being counted against the wrong bins.
+    """
+    k = binned.n_classes
+    tables = np.zeros((len(splits), k, 2))
     groups: dict = {}
     for i, split in enumerate(splits):
         groups.setdefault(split.column_key(), []).append(i)
+    labels = binned.labels[rows]
     for key, idx in groups.items():
-        col = splits[idx[0]].column(X)
-        order = np.argsort(col, kind="stable")
-        sorted_col = col[order]
-        one_hot = np.zeros((len(labels), n_classes))
-        one_hot[np.arange(len(labels)), labels[order]] = 1.0
-        cum = np.vstack([np.zeros(n_classes), np.cumsum(one_hot, axis=0)])
-        total = cum[-1]
-        thresholds = np.array([splits[i].threshold for i in idx])
-        pos = np.searchsorted(sorted_col, thresholds, side="right")
+        if key not in binned.columns:
+            raise InvalidParameterError(f"no binned column {key} for split {splits[idx[0]]}")
+        grid, codes = binned.columns[key]
+        wanted = np.array([splits[i].threshold for i in idx])
+        pos = np.minimum(np.searchsorted(grid, wanted), grid.size - 1)
+        if not np.array_equal(grid[pos], wanted):
+            raise InvalidParameterError(f"a split threshold on column {key} is not in the binned class")
+        if labels.size == 0:
+            continue
+        counts = np.bincount(codes[rows].astype(np.intp) * k + labels, minlength=(grid.size + 1) * k)
+        cum = np.cumsum(counts.reshape(grid.size + 1, k), axis=0)
         left = cum[pos]
         tables[idx, :, 0] = left
-        tables[idx, :, 1] = total[None, :] - left
+        tables[idx, :, 1] = cum[-1] - left
     return tables
-
-
-def split_gains(X: np.ndarray, labels: np.ndarray, n_classes: int, splits, criterion: Criterion) -> np.ndarray:
-    """Exact gain J(leaf, h) for every candidate split at one leaf."""
-    return gain_from_counts(split_count_tables(X, labels, n_classes, splits), criterion)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +389,11 @@ class DecisionTree:
         return out
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        leaf_ids = self.assign(X)
-        label_of = {}
+        label_of = np.full(self._next_id, -1, dtype=np.int64)  # indexed by node id
         for leaf in self.leaves():
-            if leaf.label is None:
-                label_of[leaf.node_id] = -1
-            else:
+            if leaf.label is not None:
                 label_of[leaf.node_id] = leaf.label
-        labels = np.array([label_of[i] for i in leaf_ids], dtype=np.int64)
+        labels = label_of[self.assign(X)]
         if labels.size and labels.min() < 0:
             raise UnlabeledTreeError("prediction reached an unlabeled leaf")
         return labels
@@ -503,12 +530,13 @@ def topdown_nonprivate(
     if dataset.n == 0:
         raise InvalidParameterError("cannot learn from an empty dataset")
 
-    X, y, k = dataset.features, dataset.labels, dataset.n_classes
+    X, k = dataset.features, dataset.n_classes
+    binned = BinnedFeatures(dataset, splits)
     tree = DecisionTree()
     members = {tree.root.node_id: np.arange(dataset.n)}
     queue = MaxQueue()
 
-    gains = split_gains(X, y, k, splits, criterion)
+    gains = gain_from_counts(split_count_tables(binned, members[tree.root.node_id], splits), criterion)
     best = int(np.argmax(gains))
     if 1.0 >= min_weight and gains[best] > min_gain:
         queue.push(float(gains[best]), (tree.root, splits[best]))
@@ -523,7 +551,7 @@ def topdown_nonprivate(
         for child, child_rows in ((left, rows[sides == 0]), (right, rows[sides == 1])):
             members[child.node_id] = child_rows
             weight = child_rows.size / dataset.n
-            gains = split_gains(X[child_rows], y[child_rows], k, splits, criterion)
+            gains = gain_from_counts(split_count_tables(binned, child_rows, splits), criterion)
             best = int(np.argmax(gains))
             if weight >= min_weight and gains[best] > min_gain:
                 queue.push(weight * float(gains[best]), (child, splits[best]))

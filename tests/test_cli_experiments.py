@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +279,17 @@ class TestCli:
         config_path.write_text(json.dumps(broken))
         result = CliRunner().invoke(main, ["train", "--config", str(config_path)])
         assert result.exit_code == 3
+
+    def test_short_csv_row_exit_code(self, workspace, tmp_path):
+        _, config, _ = workspace
+        csv_path = tmp_path / "short.csv"
+        lines = Path(config["data"]["csv"]).read_text().splitlines()
+        csv_path.write_text("\n".join(lines[:3] + [lines[3].rsplit(",", 1)[0]]) + "\n")
+        config_path = tmp_path / "short.json"
+        config_path.write_text(json.dumps({**config, "data": {**config["data"], "csv": str(csv_path)}}))
+        result = CliRunner().invoke(main, ["train", "--config", str(config_path)])
+        assert result.exit_code == 3
+        assert "expected" in result.output and "columns" in result.output
 
     def test_console_entry_point(self):
         proc = subprocess.run(

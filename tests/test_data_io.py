@@ -92,6 +92,9 @@ class TestLoadCsv:
             ("250,red,no", "outside declared range"),
             ("30,green,no", "not a declared value"),
             ("30,red,maybe", "not in declared label set"),
+            ("30,red", "expected 3 columns, got 2"),
+            ("30,red,no,extra", "expected 3 columns, got 4"),
+            ("", "expected 3 columns, got 0"),
         ],
     )
     def test_bad_rows_fail_with_row_number(self, tmp_path, small_schema, row, fragment):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dptree.dp_core import (
     DegenerateLeafError,
@@ -14,6 +16,7 @@ from dptree.dp_core import (
     zero_noise,
 )
 from dptree.split_strategies import (
+    Entity,
     EntityPool,
     LeafRef,
     LocalRNMSplitter,
@@ -27,9 +30,16 @@ from dptree.split_strategies import (
     noisy_counts_cell_scale,
     noisy_counts_split,
     rnm_score_sensitivity,
-    single_machine_rnm_split,
 )
-from dptree.tree_learning import Criterion, LabeledDataset, SplitFunction, split_gains
+from dptree.dp_topdown import DPTopDownConfig, dp_topdown
+from dptree.tree_learning import (
+    BinnedFeatures,
+    Criterion,
+    LabeledDataset,
+    SplitFunction,
+    gain_from_counts,
+    split_count_tables,
+)
 
 
 def grid_splits(d=2, count=7):
@@ -49,6 +59,18 @@ def planted_dataset(rng, n=2000):
 def shard(dataset, k, seed):
     assign = np.asarray(RandomSource(seed).integers(0, k, size=dataset.n))
     return [dataset.subset(np.flatnonzero(assign == i)) for i in range(k)]
+
+
+def exact_gains(dataset, splits, criterion=Criterion.ENTROPY):
+    tables = split_count_tables(BinnedFeatures(dataset, splits), np.arange(dataset.n), splits)
+    return gain_from_counts(tables, criterion)
+
+
+def rnm_root_split(dataset, alpha, splits, rng, ledger):
+    """SingleMachineRNMSplitter at the root, charged under depth 1."""
+    splitter = SingleMachineRNMSplitter(dataset, splits, Criterion.ENTROPY)
+    root = LeafRef(0, 0, 1, indices=np.arange(dataset.n))
+    return splitter.split(root, alpha, 0.01, rng, ledger)
 
 
 def make_pool(dataset, k, splits, seed=0, transport=None):
@@ -90,15 +112,13 @@ class TestSingleMachineRNM:
         splits = grid_splits()
         ledger = PrivacyLedger(1.0)
         with zero_noise():
-            chosen, gain = single_machine_rnm_split(
-                ds, 0.5, 0.01, Criterion.ENTROPY, splits, RandomSource(2), ledger,
-                Scope(None, "split", depth=1, leaf=0),
-            )
-        gains = split_gains(ds.features, ds.labels, 2, splits, Criterion.ENTROPY)
+            chosen, gain = rnm_root_split(ds, 0.5, splits, RandomSource(2), ledger)
+        gains = exact_gains(ds, splits)
         best = int(np.argmax(gains))
         assert chosen == splits[best]
         assert gain == pytest.approx(float(gains[best]), rel=1e-12)
         assert ledger.effective_cost() == Fraction(1, 2)
+        assert [entry.scope for entry in ledger.entries] == [Scope(None, "split", depth=1, leaf=0)]
 
     def test_perfect_split_found_reliably(self):
         rng = RandomSource(3)
@@ -111,12 +131,10 @@ class TestSingleMachineRNM:
         ]
         hits = 0
         mech_rng = RandomSource(4)
+        splitter = SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY)
+        root = LeafRef(0, 0, 1, indices=np.arange(n))
         for _ in range(300):
-            ledger = PrivacyLedger(1.0)
-            chosen, _ = single_machine_rnm_split(
-                ds, 1.0, 0.01, Criterion.ENTROPY, splits, mech_rng, ledger,
-                Scope(None, "split", depth=1, leaf=0),
-            )
+            chosen, _ = splitter.split(root, 1.0, 0.01, mech_rng, PrivacyLedger(1.0))
             hits += chosen.feature == 0
         assert hits == 300  # noise scale ~0.0033 vs gain gap ~1
 
@@ -124,10 +142,7 @@ class TestSingleMachineRNM:
         ds = LabeledDataset(np.zeros((2, 1)), np.array([0, 1]), 2)
         ledger = PrivacyLedger(1.0)
         with pytest.raises(DegenerateLeafError):
-            single_machine_rnm_split(
-                ds, 1.0, 0.01, Criterion.ENTROPY, [SplitFunction(threshold=0.5, feature=0)],
-                RandomSource(0), ledger, Scope(None, "split", depth=1, leaf=0),
-            )
+            rnm_root_split(ds, 1.0, [SplitFunction(threshold=0.5, feature=0)], RandomSource(0), ledger)
         assert len(ledger.entries) == 0
 
 
@@ -142,10 +157,7 @@ class TestNoisyCounts:
             dist_h, dist_j = noisy_counts_split(
                 pool, (), 1.0, 0.01, Criterion.ENTROPY, splits, ledger, depth=1, leaf_id=0
             )
-            single_h, single_j = single_machine_rnm_split(
-                ds, 1.0, 0.01, Criterion.ENTROPY, splits, RandomSource(0), PrivacyLedger(1.0),
-                Scope(None, "split", depth=1, leaf=0),
-            )
+            single_h, single_j = rnm_root_split(ds, 1.0, splits, RandomSource(0), PrivacyLedger(1.0))
         assert dist_h == single_h
         assert dist_j == pytest.approx(single_j, rel=1e-12)
 
@@ -231,10 +243,7 @@ class TestLocalRNM:
         with zero_noise():
             local = local_rnm_split(pool, (), 1.0, 0.01, Criterion.ENTROPY, splits,
                                     PrivacyLedger(1.0), depth=1, leaf_id=0)
-            single = single_machine_rnm_split(
-                ds, 1.0, 0.01, Criterion.ENTROPY, splits, RandomSource(0), PrivacyLedger(1.0),
-                Scope(None, "split", depth=1, leaf=0),
-            )
+            single = rnm_root_split(ds, 1.0, splits, RandomSource(0), PrivacyLedger(1.0))
         assert local[0] == single[0]
         assert local[1] == pytest.approx(single[1], rel=1e-12)
 
@@ -250,9 +259,8 @@ class TestLocalRNM:
             # brute force: per-shard best splits, evaluated on union counts
             locals_best = []
             for piece in shards:
-                gains = split_gains(piece.features, piece.labels, 2, splits, Criterion.ENTROPY)
-                locals_best.append(splits[int(np.argmax(gains))])
-            union_gains = split_gains(ds.features, ds.labels, 2, locals_best, Criterion.ENTROPY)
+                locals_best.append(splits[int(np.argmax(exact_gains(piece, splits)))])
+            union_gains = exact_gains(ds, locals_best)
             best = int(np.argmax(union_gains))
             assert chosen == locals_best[best]
             assert gain == pytest.approx(float(union_gains[best]), rel=1e-12)
@@ -414,3 +422,71 @@ class TestMessageAudit:
         kinds = {(r["direction"], r["kind"]) for r in transport.log}
         assert kinds == {("query", "leaf_count"), ("response", "leaf_count")}
         assert all(r["budget"] == 0.25 for r in transport.log)
+
+
+def replayed_rows(shard, path):
+    """Stateless oracle: follow the path from the root over every shard row."""
+    rows = np.arange(shard.n)
+    for split, side in path:
+        rows = rows[split.evaluate(shard.features, rows) == side]
+    return rows
+
+
+class TestEntityRowCache:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_cached_rows_equal_root_replay(self, data):
+        splits = grid_splits(d=2, count=3)
+        n = data.draw(st.integers(0, 60))
+        ds = planted_dataset(RandomSource(data.draw(st.integers(0, 9))), n=n)
+        # A random tree: every node's path; children follow their parent.
+        paths = [()]
+        for _ in range(data.draw(st.integers(0, 6))):
+            parent = data.draw(st.sampled_from(paths))
+            split = data.draw(st.sampled_from(splits))
+            paths += [parent + ((split, 0),), parent + ((split, 1),)]
+        queries = data.draw(st.lists(st.sampled_from(paths), max_size=25))
+        entity = Entity(0, ds, RandomSource(0), splits, Criterion.ENTROPY)
+        for path in queries:
+            assert np.array_equal(entity.leaf_rows(path), replayed_rows(ds, path))
+
+    def test_evicted_parent_requeried(self):
+        splits = grid_splits(d=2, count=3)
+        ds = planted_dataset(RandomSource(2), n=200)
+        entity = Entity(0, ds, RandomSource(0), splits, Criterion.ENTROPY)
+        left, right = ((splits[1], 0),), ((splits[1], 1),)
+        for path in ((), left, (), right, left + ((splits[4], 1),), left, ()):
+            assert np.array_equal(entity.leaf_rows(path), replayed_rows(ds, path))
+
+    def test_learner_query_order_caches_each_row_once(self):
+        ds, splits = planted_dataset(RandomSource(3), n=3000), grid_splits()
+        pool = make_pool(ds, 3, splits, seed=3)
+        config = DPTopDownConfig(alpha=8.0, max_nodes=12, seed=3)
+        tree, _, _ = dp_topdown(pool, config, LocalRNMSplitter(pool, splits, Criterion.ENTROPY),
+                                RandomSource(3))
+        assert tree.internal_count >= 3
+        for entity in pool.entities:
+            cached = np.concatenate(list(entity._rows.values()))
+            assert np.array_equal(np.sort(cached), np.arange(entity.shard.n))
+
+    @pytest.mark.parametrize("maker", [NoisyCountsSplitter, LocalRNMSplitter])
+    def test_learner_run_identical_to_stateless_entities(self, maker):
+        class StatelessEntity(Entity):
+            def leaf_rows(self, path):
+                return replayed_rows(self.shard, path)
+
+        ds, splits = planted_dataset(RandomSource(4), n=2500), grid_splits()
+        runs = []
+        for entity_class in (Entity, StatelessEntity):
+            transport = LocalTransport(record_payloads=True)
+            pool = EntityPool(
+                [entity_class(i, piece, RandomSource(4, ("entity", i)), splits, Criterion.ENTROPY)
+                 for i, piece in enumerate(shard(ds, 4, 4))],
+                transport,
+            )
+            config = DPTopDownConfig(alpha=4.0, max_nodes=16, seed=4)
+            tree, ledger, _ = dp_topdown(pool, config, maker(pool, splits, Criterion.ENTROPY),
+                                         RandomSource(4))
+            runs.append((tree.to_json(), ledger.entries, transport.log))
+        assert runs[0] == runs[1]
+        assert len(runs[0][2]) > 100

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dptree.dp_core import InvalidParameterError, RandomSource
 from dptree.tree_learning import (
+    BinnedFeatures,
     Criterion,
     DecisionTree,
     LabeledDataset,
@@ -20,7 +23,6 @@ from dptree.tree_learning import (
     potential,
     split_count_tables,
     split_gain,
-    split_gains,
     topdown_nonprivate,
     tree_error,
 )
@@ -138,7 +140,7 @@ class TestSplitTables:
             SplitFunction(threshold=0.4, block=(0, 2)),
             SplitFunction(threshold=0.6, block=(0, 1)),
         ]
-        tables = split_count_tables(ds.features, ds.labels, 3, splits)
+        tables = split_count_tables(BinnedFeatures(ds, splits), np.arange(ds.n), splits)
         for i, split in enumerate(splits):
             sides = split.evaluate(ds.features)
             expected = LeafCounts.from_split(ds.labels, sides, 3).cells
@@ -148,7 +150,8 @@ class TestSplitTables:
         rng = RandomSource(9)
         ds = random_dataset(rng, n=150)
         splits = grid_splits()
-        gains = split_gains(ds.features, ds.labels, 2, splits, Criterion.GINI)
+        tables = split_count_tables(BinnedFeatures(ds, splits), np.arange(ds.n), splits)
+        gains = gain_from_counts(tables, Criterion.GINI)
         for i, split in enumerate(splits):
             counts = LeafCounts.from_split(ds.labels, split.evaluate(ds.features), 2)
             assert gains[i] == pytest.approx(split_gain(counts, Criterion.GINI), rel=1e-12)
@@ -326,3 +329,89 @@ class TestMaxQueue:
                     priority = float(rng.integers(0, 10))
                     queue.push(priority, step)
                     live.append(priority)
+
+
+GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def binned_cases(draw):
+    """A dataset with continuous columns and one 0/1 column, a candidate
+    list drawn with repeats from a splitting class of threshold, one-hot and
+    block-average splits, and a random (possibly empty) row subset."""
+    n = draw(st.integers(0, 40))
+    n_classes = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    on_grid = st.sampled_from(GRID)
+    off_grid = st.floats(-0.5, 1.5, allow_nan=False, width=32)
+    values = draw(st.lists(st.one_of(on_grid, off_grid), min_size=n * d, max_size=n * d))
+    hot = draw(st.lists(st.sampled_from((0.0, 1.0)), min_size=n, max_size=n))
+    X = np.column_stack([np.array(values, dtype=float).reshape(n, d), np.array(hot)])
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)), dtype=int)
+    thresholds = st.one_of(on_grid, st.floats(-0.5, 1.5, allow_nan=False))
+    splits = [SplitFunction(threshold=t, feature=j)
+              for j in range(d) for t in draw(st.lists(thresholds, min_size=1, max_size=6))]
+    splits.append(SplitFunction(threshold=0.5, feature=d))
+    blocks = draw(st.lists(st.lists(st.integers(0, d), min_size=1, max_size=3, unique=True),
+                           max_size=2))
+    splits += [SplitFunction(threshold=t, block=tuple(block))
+               for block in blocks for t in draw(st.lists(thresholds, min_size=1, max_size=3))]
+    candidates = draw(st.lists(st.sampled_from(splits), min_size=1, max_size=12))
+    rows = np.array(draw(st.lists(st.integers(0, max(n - 1, 0)), unique=True, max_size=n)),
+                    dtype=np.intp)
+    return LabeledDataset(X, y, n_classes), splits, candidates, rows
+
+
+class TestBinnedKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(binned_cases())
+    def test_equals_per_split_oracle(self, case):
+        ds, splits, candidates, rows = case
+        tables = split_count_tables(BinnedFeatures(ds, splits), rows, candidates)
+        assert tables.shape == (len(candidates), ds.n_classes, 2)
+        for table, split in zip(tables, candidates):
+            sides = split.evaluate(ds.features, rows)
+            expected = LeafCounts.from_split(ds.labels[rows], sides, ds.n_classes).cells
+            assert np.array_equal(table, expected)
+
+    def test_smallest_code_dtype(self):
+        ds = random_dataset(RandomSource(3), n=50, d=2)
+        splits = [SplitFunction(threshold=r / 300, feature=0) for r in range(255)]
+        splits += [SplitFunction(threshold=r / 300, feature=1) for r in range(256)]
+        binned = BinnedFeatures(ds, splits)
+        assert binned.columns[("f", 0)][1].dtype == np.uint8
+        assert binned.columns[("f", 1)][1].dtype == np.uint16
+
+    @pytest.mark.parametrize("stranger", [
+        SplitFunction(threshold=0.3, feature=0),  # off the binned grid
+        SplitFunction(threshold=0.5, feature=2),  # column never binned
+        SplitFunction(threshold=0.5, block=(0, 1)),
+    ])
+    def test_split_outside_binned_class_rejected(self, stranger):
+        ds = random_dataset(RandomSource(4), n=30, d=3)
+        splits = grid_splits(d=2, count=3)
+        binned = BinnedFeatures(ds, splits)
+        for rows in (np.arange(ds.n), np.arange(0)):
+            with pytest.raises(InvalidParameterError):
+                split_count_tables(binned, rows, splits[:2] + [stranger])
+
+
+    def test_non_finite_threshold_rejected(self):
+        ds = random_dataset(RandomSource(5), n=20, d=2)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            BinnedFeatures(ds, grid_splits(d=2, count=2) + [SplitFunction(threshold=math.nan, feature=1)])
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = np.array([[0.2, 0.4], [0.6, bad]])
+        with pytest.raises(InvalidParameterError, match="finite"):
+            LabeledDataset(X, np.array([0, 1]), 2)
+
+
+def test_predict_matches_route():
+    ds = random_dataset(RandomSource(13), n=400, d=2)
+    tree = topdown_nonprivate(ds, grid_splits(), 6, Criterion.GINI, min_gain=-1.0)
+    expected = [tree.route(x).label for x in ds.features]
+    assert tree.predict(ds.features).tolist() == expected
