@@ -13,7 +13,6 @@ from .dp_core import (
     laplace_tail_threshold,
     report_noisy_max,
     sample_laplace,
-    set_zero_noise,
     zero_noise,
 )
 from .tree_learning import (
@@ -31,6 +30,7 @@ from .tree_learning import (
 from .dp_topdown import (
     DPTopDownConfig,
     DecaySchedule,
+    LeafRef,
     RunStats,
     UniformSchedule,
     budget_at_depth,
@@ -42,12 +42,9 @@ from .dp_topdown import (
 from .split_strategies import (
     Entity,
     EntityPool,
-    LeafRef,
     LocalRNMSplitter,
     NoisyCountsSplitter,
     SingleMachineRNMSplitter,
-    distributed_label_counts,
-    distributed_weight_estimate,
     local_rnm_split,
     noisy_counts_split,
 )

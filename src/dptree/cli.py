@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 import click
 
-from .dp_core import BudgetExceededError, InvalidParameterError, set_zero_noise
+from .dp_core import BudgetExceededError, InvalidParameterError, zero_noise
 from .data_io import DataError
 from .dp_topdown import schedule_from_name
 from .experiments import (
@@ -62,21 +62,17 @@ def main():
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--zero-noise", is_flag=True, help="Exact mechanisms; budget still charged.")
+@click.option("--zero-noise", "exact", is_flag=True, help="Exact mechanisms; budget still charged.")
 @click.option("--seed", type=int, default=None, help="Override the config's base seed.")
-def train(config_path, zero_noise, seed):
+def train(config_path, exact, seed):
     """Run a single seeded training cycle on the first grid point."""
 
     def body():
         config = load_experiment_config(config_path)
         if seed is not None:
             config.seed = seed
-        if zero_noise or config.zero_noise:
-            set_zero_noise(True)
-        try:
+        with zero_noise(exact or config.zero_noise):
             row = run_single(config, 0, 0, 0, 0)
-        finally:
-            set_zero_noise(False)
         click.echo(json.dumps(asdict(row), sort_keys=True))
 
     _guarded(body)

@@ -305,7 +305,8 @@ class PartitionSpec:
 
     uniform-random assigns rows i.i.d. (shard-size variance is intended);
     by-column groups rows by a column's value, distributing the distinct
-    values round-robin; explicit reads a (row index, entity id) CSV.
+    values round-robin; explicit reads a (row index, entity id) CSV that
+    assigns every row exactly once.
     """
 
     k: int
@@ -352,6 +353,8 @@ def partition_assignment(dataset: LabeledDataset, spec: PartitionSpec, rng: Rand
                 raise DataError(f"{spec.assignment_path}:{record_number}: expected 'row,entity'")
             if not 0 <= index < dataset.n or not 0 <= entity < spec.k:
                 raise DataError(f"{spec.assignment_path}:{record_number}: out-of-range assignment")
+            if assignment[index] >= 0:
+                raise DataError(f"{spec.assignment_path}:{record_number}: row {index} is assigned twice")
             assignment[index] = entity
     if (assignment < 0).any():
         raise DataError(f"{spec.assignment_path}: not every row was assigned")

@@ -51,24 +51,21 @@ def zero_noise_enabled() -> bool:
     return getattr(_zero_noise, "on", False)
 
 
-def set_zero_noise(enabled: bool) -> None:
-    """Globally switch every mechanism to return its exact value.
+@contextmanager
+def zero_noise(enabled: bool = True):
+    """Switch every mechanism on this thread to return its exact value for
+    the duration of the block, then restore the previous setting.
 
     Budget charges are unaffected, so ledger behaviour is identical to a
     noised run. Intended for exact-equivalence tests against the non-private
     baseline.
     """
-    _zero_noise.on = bool(enabled)
-
-
-@contextmanager
-def zero_noise(enabled: bool = True):
     previous = zero_noise_enabled()
-    set_zero_noise(enabled)
+    _zero_noise.on = bool(enabled)
     try:
         yield
     finally:
-        set_zero_noise(previous)
+        _zero_noise.on = previous
 
 
 # ---------------------------------------------------------------------------

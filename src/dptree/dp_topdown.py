@@ -1,22 +1,30 @@
-"""The differentially private top-down learner: budget schedules, the private
-greedy loop over a max-priority queue, noisy weight estimation, and private
-leaf labeling.
+"""The differentially private top-down learner (DP-TopDown): budget
+schedules, the greedy loop over a max-priority queue, and the two mechanisms
+that run on exact counts (noisy weight estimation and RNM leaf labeling).
 
-The loop mirrors the non-private baseline exactly; under zero-noise mode its
-output tree is node-identical to `topdown_nonprivate` run with the same node
-cap, gain threshold, and weight filter.
+The loop is one code path for every PrivateSplit strategy. It handles leaves
+only through `LeafRef`s, which carry the public (split, side) path from the
+root, and asks the strategy each private question about a leaf:
+
+- `split(leaf, alpha, ledger)`: the chosen split and its released gain,
+  raising DegenerateLeafError when the leaf is too small to score;
+- `weight(leaf, alpha_leaf, ledger)`: the noisy fraction of rows in the leaf;
+- `label(leaf, budget, ledger)`: the leaf's private majority label;
+- `total_size`: the public row count |S|.
+
+Strategies read their own rows, draw their own noise and record their own
+charges. The loop mirrors the non-private baseline exactly; under zero-noise
+mode its output tree is node-identical to `topdown_nonprivate` run with the
+same node cap, gain threshold, and weight filter.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .dp_core import (
-    GLOBAL_SCOPE,
     DegenerateLeafError,
     InvalidParameterError,
     PrivacyLedger,
@@ -25,13 +33,26 @@ from .dp_core import (
     report_noisy_max,
     sample_laplace,
 )
-from .split_strategies import (
-    EntityPool,
-    LeafRef,
-    distributed_label_counts,
-    distributed_weight_estimate,
-)
-from .tree_learning import Criterion, DecisionTree, LabeledDataset, MaxQueue
+from .tree_learning import Criterion, DecisionTree, MaxQueue
+
+
+@dataclass(frozen=True)
+class LeafRef:
+    """Coordinator-side handle on one leaf during tree construction.
+
+    `path` is the (split, side) sequence from the root: public, and all that
+    a strategy needs to find the leaf's rows.
+    """
+
+    leaf_id: int
+    depth: int
+    path: tuple = ()
+
+    @property
+    def budget_depth(self) -> int:
+        """Depth the leaf's charges are budgeted under; the root's split is
+        funded by depth 1."""
+        return max(self.depth, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +129,11 @@ class DPTopDownConfig:
     alpha: float
     max_nodes: int
     error: float = 0.1
-    delta: float = 0.1
     leaf_privacy_fraction: float = 0.5
     schedule: object = None
     criterion: Criterion = Criterion.ENTROPY
     min_gain: float = 0.01
     strict_ledger: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -123,8 +142,6 @@ class DPTopDownConfig:
             raise InvalidParameterError(f"max_nodes must be >= 1, got {self.max_nodes}")
         if not 0.0 < self.error <= 1.0:
             raise InvalidParameterError(f"error must lie in (0, 1], got {self.error}")
-        if not 0.0 < self.delta <= 1.0:
-            raise InvalidParameterError(f"delta must lie in (0, 1], got {self.delta}")
         if not 0.0 < self.leaf_privacy_fraction < 1.0:
             raise InvalidParameterError(
                 f"leaf_privacy_fraction must lie in (0, 1), got {self.leaf_privacy_fraction}"
@@ -139,10 +156,6 @@ class DPTopDownConfig:
     @property
     def leaf_budget(self) -> Fraction:
         return Fraction(self.leaf_privacy_fraction) * Fraction(self.alpha)
-
-    @property
-    def split_delta(self) -> float:
-        return self.delta / (2 * (2 * self.max_nodes + 1))
 
 
 @dataclass
@@ -160,20 +173,11 @@ class RunStats:
     within_budget: bool = True
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "depth": self.depth,
-                "internal_nodes": self.internal_nodes,
-                "iterations": self.iterations,
-                "popped_priorities": self.popped_priorities,
-                "ledger_effective_cost": self.ledger_effective_cost,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
-# Weight estimation and leaf labeling
+# Mechanisms on exact counts
 # ---------------------------------------------------------------------------
 
 
@@ -201,6 +205,15 @@ def estimate_weight(
     return leaf_count / total_n + float(noise)
 
 
+def rnm_label(counts, budget, rng: RandomSource, ledger: PrivacyLedger, scope: Scope) -> int:
+    """Private majority label: RNM over exact per-label counts (sensitivity 1)
+    with the full leaf budget. Leaves partition the data, so these charges
+    compose in parallel. Ties and empty leaves resolve to the lowest label."""
+    index, _ = report_noisy_max(counts, 1.0, float(budget), rng)
+    ledger.charge(scope, budget)
+    return index
+
+
 def leaf_paths(tree: DecisionTree) -> dict:
     """(split, side) path from the root for every leaf, keyed by node id."""
     paths = {}
@@ -215,45 +228,15 @@ def leaf_paths(tree: DecisionTree) -> dict:
     return paths
 
 
-def label_leaves(
-    tree: DecisionTree,
-    source,
-    leaf_budget,
-    rng: RandomSource,
-    ledger: PrivacyLedger,
-    members: dict | None = None,
-) -> DecisionTree:
-    """Privately label every leaf with (noisy) majority vote.
-
-    Single machine: RNM over the per-label counts with the full leaf budget;
-    leaves partition the data, so the charges compose in parallel.
-    Distributed: each entity publishes noisy per-label counts, the coordinator
-    sums and takes the argmax. Ties and empty leaves resolve to the lowest
-    label index.
-    """
+def label_leaves(tree: DecisionTree, strategy, leaf_budget, ledger: PrivacyLedger) -> DecisionTree:
+    """Privately label every leaf through `strategy.label` with the leaf budget."""
     leaf_budget = Fraction(leaf_budget)
     if leaf_budget <= 0:
         raise InvalidParameterError("leaf budget must be positive")
-    if isinstance(source, EntityPool):
-        paths = leaf_paths(tree)
-        for leaf in tree.leaves():
-            totals = distributed_label_counts(
-                source, paths[leaf.node_id], leaf_budget, ledger, leaf_id=leaf.node_id
-            )
-            leaf.label = int(np.argmax(totals))
-        return tree
-
-    dataset: LabeledDataset = source
-    if members is None:
-        leaf_ids = tree.assign(dataset.features)
-        members = {
-            leaf.node_id: np.flatnonzero(leaf_ids == leaf.node_id) for leaf in tree.leaves()
-        }
+    paths = leaf_paths(tree)
     for leaf in tree.leaves():
-        counts = dataset.label_counts(members.get(leaf.node_id, np.array([], dtype=int)))
-        index, _ = report_noisy_max(counts, 1.0, float(leaf_budget), rng)
-        ledger.charge(Scope(GLOBAL_SCOPE, "label", leaf=leaf.node_id), leaf_budget)
-        leaf.label = index
+        ref = LeafRef(leaf.node_id, leaf.depth, paths[leaf.node_id])
+        leaf.label = strategy.label(ref, leaf_budget, ledger)
     return tree
 
 
@@ -262,19 +245,13 @@ def label_leaves(
 # ---------------------------------------------------------------------------
 
 
-def dp_topdown(source, config: DPTopDownConfig, splitter, rng: RandomSource):
-    """Private top-down tree learning.
+def dp_topdown(strategy, config: DPTopDownConfig):
+    """Private top-down tree learning through one PrivateSplit strategy.
 
-    source is either a LabeledDataset (single machine) or an EntityPool
-    (distributed); the splitter must match. Returns (tree, ledger, stats).
-    An exhausted queue before max_nodes splits is normal termination.
+    Returns (tree, ledger, stats). An exhausted queue before max_nodes
+    splits is normal termination.
     """
-    distributed = isinstance(source, EntityPool)
-    if getattr(splitter, "distributed", distributed) != distributed:
-        raise InvalidParameterError(
-            "splitter does not match the data source shape (single vs distributed)"
-        )
-    total_n = source.total_size if distributed else source.n
+    total_n = strategy.total_size
     if total_n <= 0:
         raise InvalidParameterError("cannot learn from an empty data source")
 
@@ -282,32 +259,13 @@ def dp_topdown(source, config: DPTopDownConfig, splitter, rng: RandomSource):
     stats = RunStats()
     tree = DecisionTree()
     queue = MaxQueue()
-    members: dict = {}
-    weight_rng = rng.substream("weight")
-    label_rng = rng.substream("label")
-    split_rng = rng.substream("split")
-
-    def make_ref(node, indices, path) -> LeafRef:
-        if distributed:
-            return LeafRef(node.node_id, node.depth, max(node.depth, 1), path=path)
-        members[node.node_id] = indices
-        return LeafRef(node.node_id, node.depth, max(node.depth, 1), indices=indices, path=path)
-
-    def noisy_weight(ref: LeafRef, alpha_leaf) -> float:
-        if distributed:
-            return distributed_weight_estimate(
-                source, ref.path, alpha_leaf, total_n, ledger,
-                depth=ref.budget_depth, leaf_id=ref.leaf_id,
-            )
-        scope = Scope(GLOBAL_SCOPE, "weight", depth=ref.budget_depth, leaf=ref.leaf_id)
-        return estimate_weight(ref.indices.size, total_n, alpha_leaf, weight_rng, ledger, scope)
 
     # Root: PrivateSplit with the full depth-1 allowance and no weight
     # estimate; its children at depth 1 are funded by the same B(1).
-    root_ref = make_ref(tree.root, None if distributed else np.arange(total_n), ())
+    root_ref = LeafRef(tree.root.node_id, tree.root.depth)
     root_alpha = config.split_budget * config.schedule.at_depth(1)
     try:
-        best_split, priority = splitter.split(root_ref, root_alpha, config.split_delta, split_rng, ledger)
+        best_split, priority = strategy.split(root_ref, root_alpha, ledger)
         if priority > config.min_gain:
             queue.push(priority, (tree.root, root_ref, best_split))
             stats.pushed_weights.append(1.0)
@@ -323,21 +281,12 @@ def dp_topdown(source, config: DPTopDownConfig, splitter, rng: RandomSource):
         stats.popped_priorities.append(priority)
 
         left, right = tree.split_leaf(leaf_node, chosen)
-        if distributed:
-            child_rows = (None, None)
-        else:
-            rows = members.pop(ref.leaf_id)
-            sides = chosen.evaluate(source.features, rows)
-            child_rows = (rows[sides == 0], rows[sides == 1])
-
         for side, child in ((0, left), (1, right)):
-            child_ref = make_ref(child, child_rows[side], ref.path + ((chosen, side),))
+            child_ref = LeafRef(child.node_id, child.depth, ref.path + ((chosen, side),))
             alpha_leaf = config.split_budget * config.schedule.at_depth(child_ref.budget_depth)
-            weight = noisy_weight(child_ref, alpha_leaf)
+            weight = strategy.weight(child_ref, alpha_leaf, ledger)
             try:
-                child_split, child_gain = splitter.split(
-                    child_ref, alpha_leaf / 2, config.split_delta, split_rng, ledger
-                )
+                child_split, child_gain = strategy.split(child_ref, alpha_leaf / 2, ledger)
             except DegenerateLeafError:
                 stats.degenerate_splits += 1
                 continue
@@ -345,12 +294,11 @@ def dp_topdown(source, config: DPTopDownConfig, splitter, rng: RandomSource):
                 queue.push(weight * child_gain, (child, child_ref, child_split))
                 stats.pushed_weights.append(weight)
 
-    label_leaves(tree, source, config.leaf_budget, label_rng, ledger,
-                 members=members if not distributed else None)
+    label_leaves(tree, strategy, config.leaf_budget, ledger)
 
     stats.depth = tree.depth
     stats.internal_nodes = tree.internal_count
-    stats.random_local_candidates = getattr(splitter, "random_local_candidates", 0)
+    stats.random_local_candidates = getattr(strategy, "random_local_candidates", 0)
     stats.ledger_effective_cost = float(ledger.effective_cost())
     stats.within_budget = ledger.within_budget()
     assert stats.depth <= stats.internal_nodes <= config.max_nodes

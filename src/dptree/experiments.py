@@ -15,12 +15,13 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dp_core import RandomSource
+from .dp_core import RandomSource, zero_noise
 from .data_io import (
     DataError,
     PartitionSpec,
@@ -68,7 +69,6 @@ class ExperimentConfig:
     entities: int = 4
     max_nodes: int = 512
     error: float = 0.1
-    delta: float = 0.1
     criterion: str = "entropy"
     schedule: str = "decay"
     min_gain: float = 0.01
@@ -118,7 +118,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             entities=int(doc.get("entities", 4)),
             max_nodes=int(doc.get("max_nodes", 512)),
             error=float(doc.get("error", 0.1)),
-            delta=float(doc.get("delta", 0.1)),
             criterion=doc.get("criterion", "entropy"),
             schedule=doc.get("schedule", "decay"),
             min_gain=float(doc.get("min_gain", 0.01)),
@@ -232,22 +231,19 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
             alpha=alpha,
             max_nodes=config.max_nodes,
             error=config.error,
-            delta=config.delta,
             leaf_privacy_fraction=lpf,
             schedule=schedule_from_name(config.schedule, config.max_nodes),
             criterion=criterion,
             min_gain=config.min_gain,
-            seed=seed,
         )
         if config.algorithm == "single-rnm":
-            source = train
-            splitter = SingleMachineRNMSplitter(train, splits, criterion)
+            strategy = SingleMachineRNMSplitter(train, splits, criterion, source_rng.substream("mechanisms"))
         else:
             shards = partition(train, PartitionSpec(config.entities), source_rng.substream("partition"))
-            source = EntityPool.from_shards(shards, source_rng.substream("entities"), splits, criterion)
+            pool = EntityPool.from_shards(shards, source_rng.substream("entities"), splits, criterion)
             maker = NoisyCountsSplitter if config.algorithm == "noisy-counts" else LocalRNMSplitter
-            splitter = maker(source, splits, criterion)
-        tree, ledger, stats = dp_topdown(source, dp_config, splitter, source_rng.substream("mechanisms"))
+            strategy = maker(pool, splits, criterion)
+        tree, ledger, stats = dp_topdown(strategy, dp_config)
         ledger_cost = stats.ledger_effective_cost
         depth, nodes = stats.depth, stats.internal_nodes
     wall_ms = (time.perf_counter() - started) * 1000.0
@@ -269,13 +265,9 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
 
 
 def _cell_worker(args):
-    config_doc, indices = args
-    config = config_from_dict(config_doc)
-    if config.zero_noise:
-        from .dp_core import set_zero_noise
-
-        set_zero_noise(True)
-    return run_single(config, *indices)
+    config, indices = args
+    with zero_noise(config.zero_noise):
+        return run_single(config, *indices)
 
 
 def resolve_output_path(path) -> Path:
@@ -299,7 +291,8 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
 
     Rows appear in deterministic grid order regardless of worker count, and
     each row is flushed as written, so an interrupted sweep can resume by
-    skipping the rows already on disk.
+    skipping the rows already on disk. Workers get the config itself, and
+    each run takes its zero-noise setting from it.
     """
     out_path = resolve_output_path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -311,64 +304,31 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
 
     done = 0
     if resume and out_path.exists():
-        with open(out_path, "r", encoding="utf-8") as fh:
-            existing = [line for line in fh.read().splitlines() if line.strip()]
-        if existing and existing[0] != CSV_HEADER:
+        text = out_path.read_text(encoding="utf-8")
+        header = text.partition("\n")[0]
+        if header != CSV_HEADER and not CSV_HEADER.startswith(text):
             raise DataError(f"{out_path}: existing file has a different header")
-        done = max(0, len(existing) - 1)
+        # A last row without its newline was torn by an interrupted write:
+        # cut it off so that the resumed rows start on a line of their own.
+        complete = text[: text.rfind("\n") + 1]
+        if complete != text:
+            os.truncate(out_path, len(complete.encode("utf-8")))
+        done = max(0, len([line for line in complete.splitlines() if line.strip()]) - 1)
     pending = tasks[done:]
 
     mode = "a" if resume and done else "w"
     workers = worker_count()
-    with open(out_path, mode, encoding="utf-8", newline="") as fh:
+    with open(out_path, mode, encoding="utf-8", newline="") as fh, ExitStack() as stack:
         if mode == "w":
             fh.write(CSV_HEADER + "\n")
             fh.flush()
-        if workers == 1:
-            if config.zero_noise:
-                from .dp_core import set_zero_noise
-
-                set_zero_noise(True)
-            try:
-                for indices in pending:
-                    fh.write(run_single(config, *indices).to_csv() + "\n")
-                    fh.flush()
-            finally:
-                if config.zero_noise:
-                    set_zero_noise(False)
-        else:
-            doc = _config_to_dict(config)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for row in pool.map(_cell_worker, [(doc, indices) for indices in pending]):
-                    fh.write(row.to_csv() + "\n")
-                    fh.flush()
+        mapper = map
+        if workers > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for row in mapper(_cell_worker, [(config, indices) for indices in pending]):
+            fh.write(row.to_csv() + "\n")
+            fh.flush()
     return out_path
-
-
-def _config_to_dict(config: ExperimentConfig) -> dict:
-    data = (
-        {"csv": config.csv_path, "ratio": list(config.ratio), "split_seed": config.split_seed}
-        if config.csv_path is not None
-        else {"train": config.train_path, "test": config.test_path}
-    )
-    return {
-        "schema": config.schema_path,
-        "data": data,
-        "algorithm": config.algorithm,
-        "alphas": config.alphas,
-        "lpfs": config.lpfs,
-        "train_fractions": config.train_fractions,
-        "entities": config.entities,
-        "max_nodes": config.max_nodes,
-        "error": config.error,
-        "delta": config.delta,
-        "criterion": config.criterion,
-        "schedule": config.schedule,
-        "min_gain": config.min_gain,
-        "runs": config.runs,
-        "seed": config.seed,
-        "zero_noise": config.zero_noise,
-    }
 
 
 def summarize(csv_path) -> dict:

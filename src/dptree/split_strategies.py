@@ -1,6 +1,15 @@
-"""PrivateSplit strategies: single-machine RNM, distributed NoisyCounts, and
-distributed LocalRNM, plus the simulated entity/coordinator message layer and
-the distributed weight and label-count queries.
+"""PrivateSplit strategies for the DP-TopDown loop: single-machine RNM,
+distributed NoisyCounts and distributed LocalRNM, plus the simulated
+entity/coordinator message layer they share.
+
+Each strategy answers the loop's private queries about a leaf, named by its
+public path (see `dp_topdown`): `split`, `weight`, `label` and
+`total_size`. The single machine is one `Entity` under the global ledger
+scope that answers from its exact rows: RNM for splits and labels, the
+Laplace weight estimate for weights, each drawn from its own substream. The
+two distributed strategies query k entities through the transport and share
+`weight` (summed noisy counts) and `label` (argmax of summed noisy label
+counts); they differ only in `split`.
 
 Each entity draws noise from its own stream and records its budget charge
 against its own ledger scope; the coordinator only ever sees noisy
@@ -23,6 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dp_core import (
+    GLOBAL_SCOPE,
     DegenerateLeafError,
     InvalidParameterError,
     ProtocolError,
@@ -32,6 +42,7 @@ from .dp_core import (
     report_noisy_max,
     sample_laplace,
 )
+from .dp_topdown import LeafRef, estimate_weight, rnm_label
 from .tree_learning import (
     BinnedFeatures,
     Criterion,
@@ -41,23 +52,6 @@ from .tree_learning import (
 )
 
 MIN_LEAF_ROWS = 3  # sensitivity bounds assume 1/m <= 1/e, i.e. m >= 3
-
-
-@dataclass
-class LeafRef:
-    """Coordinator-side handle on one leaf during tree construction.
-
-    `indices` binds the leaf to rows of a single-machine dataset; `path` is
-    the (split, side) sequence from the root, which is what distributed
-    entities use to recompute membership locally. `budget_depth` is the depth
-    the charge is budgeted under; the root's split is funded by depth 1.
-    """
-
-    leaf_id: int
-    depth: int
-    budget_depth: int
-    indices: np.ndarray | None = None
-    path: tuple = ()
 
 
 def noisy_counts_cell_scale(n_candidates: int, budget) -> float:
@@ -101,22 +95,21 @@ class Query:
     budget: Fraction
     depth: int | None
     leaf_id: int | None
-    nonce: int
     params: dict = field(default_factory=dict)
 
 
 @dataclass
 class Response:
     entity_id: int
-    nonce: int
     payload: dict
 
 
 class Entity:
     """One data holder: a disjoint shard, its own noise stream, and charges
-    recorded under its own ledger scope. Only ever reads its own shard."""
+    recorded under its own ledger scope. Only ever reads its own shard. The
+    single machine is one entity with id GLOBAL_SCOPE."""
 
-    def __init__(self, entity_id: int, shard: LabeledDataset, rng: RandomSource,
+    def __init__(self, entity_id: int | None, shard: LabeledDataset, rng: RandomSource,
                  splits, criterion: Criterion):
         self.entity_id = entity_id
         self.shard = shard
@@ -147,6 +140,14 @@ class Entity:
         self._rows[path] = rows
         return rows
 
+    def rnm_split(self, rows, budget, rng: RandomSource):
+        """Report Noisy Max over the exact gains of the full splitting class
+        on `rows`: (index, noisy gain). Raises DegenerateLeafError on fewer
+        than MIN_LEAF_ROWS rows."""
+        sensitivity = rnm_score_sensitivity(self.criterion, rows.size)
+        gains = gain_from_counts(split_count_tables(self.binned, rows, self.splits), self.criterion)
+        return report_noisy_max(gains, sensitivity, float(budget), rng)
+
     def _scope(self, purpose: str, query: Query) -> Scope:
         return Scope(self.entity_id, purpose, depth=query.depth, leaf=query.leaf_id)
 
@@ -156,7 +157,7 @@ class Entity:
             # Count sensitivity 1 at budget alpha_leaf/2 -> Lap(2/alpha_leaf).
             noisy = float(rows.size) + sample_laplace(1.0 / float(query.budget), self.rng)
             ledger.charge(self._scope("weight", query), query.budget)
-            return Response(self.entity_id, query.nonce, {"count": noisy})
+            return Response(self.entity_id, {"count": noisy})
 
         if query.kind == "label_counts":
             k = self.shard.n_classes
@@ -169,7 +170,7 @@ class Entity:
             per_label = query.budget / (2 * k)
             for _ in range(k):
                 ledger.charge(self._scope("label", query), per_label)
-            return Response(self.entity_id, query.nonce, {"counts": noisy})
+            return Response(self.entity_id, {"counts": noisy})
 
         if query.kind == "joint_histogram":
             candidates = query.params["splits"]
@@ -180,7 +181,7 @@ class Entity:
             scale = noisy_counts_cell_scale(len(candidates), query.budget)
             noisy = tables + sample_laplace(scale, self.rng, size=tables.shape)
             ledger.charge(self._scope("split", query), query.budget / 3)
-            return Response(self.entity_id, query.nonce, {"cells": noisy})
+            return Response(self.entity_id, {"cells": noisy})
 
         if query.kind == "local_best_split":
             if rows.size < MIN_LEAF_ROWS:
@@ -189,14 +190,11 @@ class Entity:
                 # data-dependent, so the budget is charged regardless.
                 hid = int(self.rng.integers(0, len(self.splits)))
                 ledger.charge(self._scope("split", query), query.budget)
-                return Response(self.entity_id, query.nonce, {"hid": hid, "fallback": True})
-            # RNM over the full splitting class on this shard's leaf rows;
-            # only the winning index is published, the noisy score is dropped.
-            gains = gain_from_counts(split_count_tables(self.binned, rows, self.splits), self.criterion)
-            sensitivity = rnm_score_sensitivity(self.criterion, rows.size)
-            hid, _ = report_noisy_max(gains, sensitivity, float(query.budget), self.rng)
+                return Response(self.entity_id, {"hid": hid, "fallback": True})
+            # Only the winning index is published, the noisy score is dropped.
+            hid, _ = self.rnm_split(rows, query.budget, self.rng)
             ledger.charge(self._scope("split", query), query.budget)
-            return Response(self.entity_id, query.nonce, {"hid": hid, "fallback": False})
+            return Response(self.entity_id, {"hid": hid, "fallback": False})
 
         raise InvalidParameterError(f"unknown query kind {query.kind!r}")
 
@@ -262,7 +260,6 @@ class EntityPool:
             raise InvalidParameterError("need at least one entity")
         self.entities = sorted(entities, key=lambda e: e.entity_id)
         self.transport = transport if transport is not None else LocalTransport()
-        self._nonce = 0
 
     @classmethod
     def from_shards(cls, shards, rng: RandomSource, splits, criterion: Criterion,
@@ -286,16 +283,11 @@ class EntityPool:
     def n_classes(self) -> int:
         return self.entities[0].shard.n_classes
 
-    def next_nonce(self) -> int:
-        self._nonce += 1
-        return self._nonce
-
     def ask_all(self, ledger: PrivacyLedger, kind: str, path, budget, depth, leaf_id,
                 **params) -> list[Response]:
         responses = []
         for entity in self.entities:
-            query = Query(kind, tuple(path), Fraction(budget), depth, leaf_id,
-                          self.next_nonce(), dict(params))
+            query = Query(kind, tuple(path), Fraction(budget), depth, leaf_id, dict(params))
             responses.append(self.transport.send(entity, query, ledger))
         return responses
 
@@ -305,30 +297,20 @@ class EntityPool:
 # ---------------------------------------------------------------------------
 
 
-def noisy_counts_split(
-    pool: EntityPool,
-    path,
-    alpha,
-    delta,
-    criterion: Criterion,
-    candidates,
-    ledger: PrivacyLedger,
-    depth: int | None = None,
-    leaf_id: int | None = None,
-):
+def noisy_counts_split(pool: EntityPool, leaf: LeafRef, alpha, criterion: Criterion, candidates,
+                       ledger: PrivacyLedger):
     """Each entity publishes per-split noisy joint histograms; the coordinator
     sums them, sanitizes, and picks the split with the largest estimated gain.
 
     Charges at most alpha per entity (alpha/3 under the joint-histogram-only
     accounting). Ties break to the lowest candidate index.
     """
-    del delta
     if alpha <= 0:
         raise InvalidParameterError(f"alpha must be positive, got {alpha}")
     if len(candidates) == 0:
         raise InvalidParameterError("candidate split set must be nonempty")
-    responses = pool.ask_all(ledger, "joint_histogram", path, alpha, depth, leaf_id,
-                             splits=list(candidates))
+    responses = pool.ask_all(ledger, "joint_histogram", leaf.path, alpha, leaf.budget_depth,
+                             leaf.leaf_id, splits=list(candidates))
     aggregated = np.sum([resp.payload["cells"] for resp in responses], axis=0)
     sanitized = np.clip(aggregated, 0.0, None)
     gains = gain_from_counts(sanitized, criterion)
@@ -336,18 +318,8 @@ def noisy_counts_split(
     return candidates[index], float(gains[index])
 
 
-def local_rnm_split(
-    pool: EntityPool,
-    path,
-    alpha,
-    delta,
-    criterion: Criterion,
-    splits,
-    ledger: PrivacyLedger,
-    depth: int | None = None,
-    leaf_id: int | None = None,
-    stats=None,
-):
+def local_rnm_split(pool: EntityPool, leaf: LeafRef, alpha, criterion: Criterion, splits,
+                    ledger: PrivacyLedger, stats=None):
     """Two-phase distributed split selection.
 
     Phase 1: each entity spends alpha/2 running RNM over the full splitting
@@ -358,112 +330,105 @@ def local_rnm_split(
     if alpha <= 0:
         raise InvalidParameterError(f"alpha must be positive, got {alpha}")
     half = Fraction(alpha) / 2
-    responses = pool.ask_all(ledger, "local_best_split", path, half, depth, leaf_id)
+    responses = pool.ask_all(ledger, "local_best_split", leaf.path, half, leaf.budget_depth,
+                             leaf.leaf_id)
     candidates = []
     for resp in responses:
         candidates.append(splits[resp.payload["hid"]])
         if resp.payload["fallback"] and stats is not None:
             stats.random_local_candidates += 1
     assert len(candidates) == pool.k
-    return noisy_counts_split(pool, path, half, delta, criterion, candidates, ledger,
-                              depth=depth, leaf_id=leaf_id)
-
-
-def distributed_weight_estimate(
-    pool: EntityPool,
-    path,
-    alpha_leaf,
-    total_n: int,
-    ledger: PrivacyLedger,
-    depth: int | None = None,
-    leaf_id: int | None = None,
-) -> float:
-    """Noisy leaf weight from per-entity noisy counts (budget alpha_leaf/2
-    each, parallel across entities), summed and divided by the public |S|."""
-    if total_n <= 0:
-        raise InvalidParameterError("total dataset size must be positive")
-    half = Fraction(alpha_leaf) / 2
-    responses = pool.ask_all(ledger, "leaf_count", path, half, depth, leaf_id)
-    return float(sum(resp.payload["count"] for resp in responses)) / total_n
-
-
-def distributed_label_counts(
-    pool: EntityPool,
-    path,
-    budget,
-    ledger: PrivacyLedger,
-    leaf_id: int | None = None,
-) -> np.ndarray:
-    """Summed per-entity noisy label counts for one leaf."""
-    if budget <= 0:
-        raise InvalidParameterError(f"budget must be positive, got {budget}")
-    responses = pool.ask_all(ledger, "label_counts", path, Fraction(budget), None, leaf_id)
-    return np.sum([resp.payload["counts"] for resp in responses], axis=0)
+    return noisy_counts_split(pool, leaf, half, criterion, candidates, ledger)
 
 
 # ---------------------------------------------------------------------------
-# Strategy objects satisfying the PrivateSplitter contract
+# Strategies: the learner's private queries about one leaf
 # ---------------------------------------------------------------------------
 
 
 class SingleMachineRNMSplitter:
-    """Report Noisy Max over the exact gains of the full splitting class, on
-    one machine.
+    """All data on one machine: a single entity under the global ledger scope.
 
-    split() returns (chosen split, its noisy gain) and charges the full alpha
-    under the global scope. delta is not consumed: RNM is pure alpha-DP and
-    delta enters only the utility analysis.
+    split() runs Report Noisy Max over the exact gains of the full splitting
+    class, returns (chosen split, its noisy gain) and charges the full alpha;
+    a leaf with fewer than MIN_LEAF_ROWS rows raises DegenerateLeafError
+    without a charge. weight() and label() run `estimate_weight` and
+    `rnm_label` on the leaf's exact counts. Splits, weights and labels each
+    draw from their own substream of `rng`.
     """
 
     name = "single-rnm"
-    distributed = False
 
-    def __init__(self, dataset: LabeledDataset, splits, criterion: Criterion):
+    def __init__(self, dataset: LabeledDataset, splits, criterion: Criterion, rng: RandomSource):
+        self.entity = Entity(GLOBAL_SCOPE, dataset, rng, splits, criterion)
         self.splits = splits
-        self.criterion = criterion
-        self.binned = BinnedFeatures(dataset, splits)
+        self._split_rng = rng.substream("split")
+        self._weight_rng = rng.substream("weight")
+        self._label_rng = rng.substream("label")
 
-    def split(self, leaf: LeafRef, alpha, delta, rng: RandomSource, ledger: PrivacyLedger):
-        del delta
+    @property
+    def total_size(self) -> int:
+        return self.entity.shard.n
+
+    def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
         if alpha <= 0:
             raise InvalidParameterError(f"alpha must be positive, got {alpha}")
-        sensitivity = rnm_score_sensitivity(self.criterion, leaf.indices.size)
-        gains = gain_from_counts(split_count_tables(self.binned, leaf.indices, self.splits), self.criterion)
-        index, noisy_gain = report_noisy_max(gains, sensitivity, float(alpha), rng)
-        ledger.charge(Scope(None, "split", depth=leaf.budget_depth, leaf=leaf.leaf_id), alpha)
+        index, noisy_gain = self.entity.rnm_split(self.entity.leaf_rows(leaf.path), alpha, self._split_rng)
+        ledger.charge(Scope(GLOBAL_SCOPE, "split", depth=leaf.budget_depth, leaf=leaf.leaf_id), alpha)
         return self.splits[index], noisy_gain
 
+    def weight(self, leaf: LeafRef, alpha_leaf, ledger: PrivacyLedger) -> float:
+        scope = Scope(GLOBAL_SCOPE, "weight", depth=leaf.budget_depth, leaf=leaf.leaf_id)
+        rows = self.entity.leaf_rows(leaf.path)
+        return estimate_weight(rows.size, self.total_size, alpha_leaf, self._weight_rng, ledger, scope)
 
-class NoisyCountsSplitter:
+    def label(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> int:
+        counts = self.entity.shard.label_counts(self.entity.leaf_rows(leaf.path))
+        scope = Scope(GLOBAL_SCOPE, "label", leaf=leaf.leaf_id)
+        return rnm_label(counts, budget, self._label_rng, ledger, scope)
+
+
+class DistributedStrategy:
+    """Weights and labels from the k entities of a pool. Subclasses add the
+    split query; the coordinator only ever sees noisy aggregates."""
+
+    def __init__(self, pool: EntityPool, splits, criterion: Criterion):
+        self.pool = pool
+        self.splits = splits
+        self.criterion = criterion
+
+    @property
+    def total_size(self) -> int:
+        return self.pool.total_size
+
+    def weight(self, leaf: LeafRef, alpha_leaf, ledger: PrivacyLedger) -> float:
+        """Per-entity noisy counts (budget alpha_leaf/2 each, parallel across
+        entities), summed and divided by the public |S|."""
+        responses = self.pool.ask_all(ledger, "leaf_count", leaf.path, Fraction(alpha_leaf) / 2,
+                                      leaf.budget_depth, leaf.leaf_id)
+        return float(sum(resp.payload["count"] for resp in responses)) / self.total_size
+
+    def label(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> int:
+        """Argmax of the summed per-entity noisy label counts; ties and empty
+        leaves resolve to the lowest label index."""
+        responses = self.pool.ask_all(ledger, "label_counts", leaf.path, budget, None, leaf.leaf_id)
+        return int(np.argmax(np.sum([resp.payload["counts"] for resp in responses], axis=0)))
+
+
+class NoisyCountsSplitter(DistributedStrategy):
     name = "noisy-counts"
-    distributed = True
 
-    def __init__(self, pool: EntityPool, splits, criterion: Criterion):
-        self.pool = pool
-        self.splits = splits
-        self.criterion = criterion
-
-    def split(self, leaf: LeafRef, alpha, delta, rng: RandomSource, ledger: PrivacyLedger):
-        del rng  # entity streams supply the noise
-        return noisy_counts_split(
-            self.pool, leaf.path, alpha, delta, self.criterion, self.splits, ledger,
-            depth=leaf.budget_depth, leaf_id=leaf.leaf_id,
-        )
+    def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
+        return noisy_counts_split(self.pool, leaf, alpha, self.criterion, self.splits, ledger)
 
 
-class LocalRNMSplitter:
+class LocalRNMSplitter(DistributedStrategy):
     name = "local-rnm"
-    distributed = True
 
     def __init__(self, pool: EntityPool, splits, criterion: Criterion):
-        self.pool = pool
-        self.splits = splits
-        self.criterion = criterion
+        super().__init__(pool, splits, criterion)
         self.random_local_candidates = 0
 
-    def split(self, leaf: LeafRef, alpha, delta, rng: RandomSource, ledger: PrivacyLedger):
-        del rng
-        return local_rnm_split(
-            self.pool, leaf.path, alpha, delta, self.criterion, self.splits, ledger,
-            depth=leaf.budget_depth, leaf_id=leaf.leaf_id, stats=self,
-        )
+    def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
+        return local_rnm_split(self.pool, leaf, alpha, self.criterion, self.splits, ledger,
+                               stats=self)

@@ -156,6 +156,10 @@ class SplitFunction:
     Tests either one feature (threshold split) or the mean of a feature block
     (block-average split). `hid` is the index in the splitting class H it was
     generated from; it is bookkeeping only and excluded from equality.
+
+    Splits key the leaf-row caches through (split, side) paths, so the hash
+    is computed once; pickling rebuilds it, since hash(None) varies between
+    processes.
     """
 
     threshold: float
@@ -168,6 +172,13 @@ class SplitFunction:
             raise InvalidParameterError("exactly one of feature/block must be set")
         if self.block is not None and len(self.block) == 0:
             raise InvalidParameterError("block must be nonempty")
+        object.__setattr__(self, "_hash", hash((self.threshold, self.feature, self.block)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return SplitFunction, (self.threshold, self.feature, self.block, self.hid)
 
     def column(self, X: np.ndarray, rows=None) -> np.ndarray:
         if self.feature is not None:

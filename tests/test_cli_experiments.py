@@ -158,6 +158,17 @@ class TestSweep:
         resumed = run_sweep(cfg, partial_path, resume=True).read_text()
         assert strip_wall(resumed) == strip_wall(full)
 
+    def test_resume_truncates_torn_row(self, workspace):
+        tmp_path, config, _ = workspace
+        cfg = config_from_dict(config)
+        full = run_sweep(cfg, tmp_path / "full.csv").read_text()
+        lines = full.splitlines()
+        torn_path = tmp_path / "torn.csv"
+        # Header, 3 rows, then half of the next row without its newline.
+        torn_path.write_text("\n".join(lines[:4]) + "\n" + lines[4][: len(lines[4]) // 2])
+        resumed = run_sweep(cfg, torn_path, resume=True).read_text()
+        assert strip_wall(resumed) == strip_wall(full)
+
     def test_ledger_cost_audit_across_sweep(self, workspace):
         tmp_path, config, _ = workspace
         cfg = config_from_dict(config)
@@ -167,11 +178,19 @@ class TestSweep:
 
     def test_workers_env_parallel_matches_serial(self, workspace, monkeypatch):
         tmp_path, config, _ = workspace
-        cfg = config_from_dict(config)
-        serial = run_sweep(cfg, tmp_path / "serial.csv").read_text()
-        monkeypatch.setenv("DPTREE_WORKERS", "2")
-        parallel = run_sweep(cfg, tmp_path / "parallel.csv").read_text()
-        assert strip_wall(serial) == strip_wall(parallel)
+        outputs = {}
+        for exact in (False, True):
+            cfg = config_from_dict({**config, "zero_noise": exact})
+            monkeypatch.setenv("DPTREE_WORKERS", "1")
+            serial = run_sweep(cfg, tmp_path / f"serial-{exact}.csv").read_text()
+            monkeypatch.setenv("DPTREE_WORKERS", "2")
+            parallel = run_sweep(cfg, tmp_path / f"parallel-{exact}.csv").read_text()
+            assert strip_wall(serial) == strip_wall(parallel)
+            outputs[exact] = strip_wall(serial)
+        # Zero noise reached every run: exact RNM repeats across the runs of a cell.
+        assert outputs[False] != outputs[True]
+        runs = [line.split(",") for line in outputs[True][1:]]
+        assert len({(r[1], r[6], r[7], r[8], r[9]) for r in runs}) == len(config["alphas"])
 
 
 class TestSummarize:

@@ -243,6 +243,14 @@ class TestPartition:
             partition_assignment(ds, PartitionSpec(2, mode="explicit", assignment_path=str(path)),
                                  RandomSource(0))
 
+    def test_explicit_duplicate_row_rejected(self, tmp_path):
+        ds, _, _ = synthetic_tree_dataset(3, RandomSource(7))
+        path = tmp_path / "assign.csv"
+        write_lines(path, ["0,0", "1,1", "2,0", "1,0"])
+        with pytest.raises(DataError, match=r"assign\.csv:4: row 1 is assigned twice"):
+            partition_assignment(ds, PartitionSpec(2, mode="explicit", assignment_path=str(path)),
+                                 RandomSource(0))
+
 
 class TestTrainTestSplit:
     def test_nine_to_one(self):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from dptree.data_io import build_splitting_class, synthetic_tree_dataset
 from dptree.dp_topdown import (
     DPTopDownConfig,
     DecaySchedule,
+    RunStats,
     UniformSchedule,
     budget_at_depth,
     dp_topdown,
@@ -38,10 +40,17 @@ def make_dataset(seed=21, n=4000, depth=2):
     return ds, build_splitting_class(schema)
 
 
+def single_machine(ds, splits, seed):
+    return SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY, RandomSource(seed))
+
+
 def make_pool(ds, k, splits, seed=0):
     assign = np.asarray(RandomSource(seed, ("part",)).integers(0, k, size=ds.n))
     shards = [ds.subset(np.flatnonzero(assign == i)) for i in range(k)]
     return EntityPool.from_shards(shards, RandomSource(seed, ("pool",)), splits, Criterion.ENTROPY)
+
+
+ONE_SPLIT = [SplitFunction(threshold=0.5, feature=0, hid=0)]
 
 
 class TestBudgetSchedules:
@@ -107,37 +116,38 @@ class TestLabelLeaves:
         ds = LabeledDataset(np.zeros((100, 1)), np.array([0] * 70 + [1] * 30), 2)
         tree = DecisionTree()
         with zero_noise():
-            label_leaves(tree, ds, 0.5, RandomSource(0), PrivacyLedger(1.0))
+            label_leaves(tree, single_machine(ds, ONE_SPLIT, 0), 0.5, PrivacyLedger(1.0))
         assert tree.root.label == 0
 
     def test_lopsided_counts_labeled_reliably(self):
         ds = LabeledDataset(np.zeros((1000, 1)), np.zeros(1000, dtype=int), 2)
-        rng = RandomSource(1)
+        strategy = single_machine(ds, ONE_SPLIT, 1)
         hits = 0
         for _ in range(10_000):
             tree = DecisionTree()
-            label_leaves(tree, ds, 0.5, rng, PrivacyLedger(1.0))
+            label_leaves(tree, strategy, 0.5, PrivacyLedger(1.0))
             hits += tree.root.label == 0
         assert hits >= 9_990  # noise scale 4 against a gap of 1000
 
     def test_distributed_sums_counts(self):
-        splits = [SplitFunction(threshold=0.5, feature=0, hid=0)]
         shards = [
             LabeledDataset(np.zeros((15, 1)), np.array([0] * 10 + [1] * 5), 2)
             for _ in range(4)
         ]
-        pool = EntityPool.from_shards(shards, RandomSource(3), splits, Criterion.ENTROPY)
+        pool = EntityPool.from_shards(shards, RandomSource(3), ONE_SPLIT, Criterion.ENTROPY)
         tree = DecisionTree()
         with zero_noise():
-            label_leaves(tree, pool, 0.5, RandomSource(4), PrivacyLedger(1.0))
+            label_leaves(tree, NoisyCountsSplitter(pool, ONE_SPLIT, Criterion.ENTROPY), 0.5,
+                         PrivacyLedger(1.0))
         assert tree.root.label == 0
 
     def test_empty_leaf_gets_lowest_label_in_zero_noise(self):
         ds = LabeledDataset(np.full((10, 1), 0.9), np.ones(10, dtype=int), 3)
+        split = SplitFunction(threshold=0.95, feature=0)
         tree = DecisionTree()
-        tree.split_leaf(tree.root, SplitFunction(threshold=0.95, feature=0))
+        tree.split_leaf(tree.root, split)
         with zero_noise():
-            label_leaves(tree, ds, 0.5, RandomSource(5), PrivacyLedger(1.0))
+            label_leaves(tree, single_machine(ds, [split], 5), 0.5, PrivacyLedger(1.0))
         left, right = tree.root.left, tree.root.right
         assert left.label == 1  # all rows (0.9 <= 0.95)
         assert right.label == 0  # empty, ties to lowest index
@@ -151,17 +161,11 @@ class TestDPTopDown:
             ds, splits, 8, Criterion.ENTROPY, min_gain=0.01, min_weight=config.error / 8
         ).to_json()
         with zero_noise():
-            single, _, _ = dp_topdown(
-                ds, config, SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY), RandomSource(1)
-            )
+            single, _, _ = dp_topdown(single_machine(ds, splits, 1), config)
             pool = make_pool(ds, 4, splits)
-            counts, _, _ = dp_topdown(
-                pool, config, NoisyCountsSplitter(pool, splits, Criterion.ENTROPY), RandomSource(2)
-            )
+            counts, _, _ = dp_topdown(NoisyCountsSplitter(pool, splits, Criterion.ENTROPY), config)
             pool1 = EntityPool.from_shards([ds], RandomSource(3), splits, Criterion.ENTROPY)
-            local, _, _ = dp_topdown(
-                pool1, config, LocalRNMSplitter(pool1, splits, Criterion.ENTROPY), RandomSource(4)
-            )
+            local, _, _ = dp_topdown(LocalRNMSplitter(pool1, splits, Criterion.ENTROPY), config)
         assert single.to_json() == baseline
         assert counts.to_json() == baseline
         assert local.to_json() == baseline
@@ -174,26 +178,20 @@ class TestDPTopDown:
             alpha=1.0, max_nodes=8, leaf_privacy_fraction=lpf,
             schedule=schedule_from_name(schedule_name, 8),
         )
-        _, ledger, stats = dp_topdown(
-            ds, config, SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY), RandomSource(11)
-        )
+        _, ledger, stats = dp_topdown(single_machine(ds, splits, 11), config)
         assert ledger.effective_cost() <= ledger.alpha
         assert stats.within_budget
 
     def test_strict_mode_never_raises_on_schedule(self):
         ds, splits = make_dataset(seed=8, n=2000)
         config = DPTopDownConfig(alpha=0.5, max_nodes=6, strict_ledger=True)
-        tree, ledger, _ = dp_topdown(
-            ds, config, SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY), RandomSource(12)
-        )
+        tree, ledger, _ = dp_topdown(single_machine(ds, splits, 12), config)
         assert ledger.effective_cost() <= ledger.alpha
 
     def test_depth_charges_bounded_by_schedule(self):
         ds, splits = make_dataset(seed=9, n=3000)
         config = DPTopDownConfig(alpha=2.0, max_nodes=8)
-        _, ledger, _ = dp_topdown(
-            ds, config, SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY), RandomSource(13)
-        )
+        _, ledger, _ = dp_topdown(single_machine(ds, splits, 13), config)
         per_depth_leaf: dict = {}
         for entry in ledger.entries:
             if entry.scope.purpose == "label":
@@ -208,9 +206,7 @@ class TestDPTopDown:
         splits = [SplitFunction(threshold=0.5, feature=0, hid=0)]
         config = DPTopDownConfig(alpha=100.0, max_nodes=8)
         with zero_noise():
-            tree, _, stats = dp_topdown(
-                ds, config, SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY), RandomSource(2)
-            )
+            tree, _, stats = dp_topdown(single_machine(ds, splits, 2), config)
         assert tree.internal_count == 0
         assert stats.iterations == 0
         assert tree.root.label == 0
@@ -218,23 +214,18 @@ class TestDPTopDown:
     def test_stats_recorded_and_serialized(self):
         ds, splits = make_dataset(seed=10, n=3000)
         config = DPTopDownConfig(alpha=4.0, max_nodes=8)
-        tree, ledger, stats = dp_topdown(
-            ds, config, SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY), RandomSource(14)
-        )
+        tree, ledger, stats = dp_topdown(single_machine(ds, splits, 14), config)
         assert stats.depth <= stats.internal_nodes <= 8
         assert stats.iterations == len(stats.popped_priorities)
         doc = json.loads(stats.to_json())
-        assert set(doc) == {
-            "depth", "internal_nodes", "iterations", "popped_priorities", "ledger_effective_cost",
-        }
+        assert set(doc) == {f.name for f in fields(RunStats)}
+        assert RunStats(**doc) == stats
         assert doc["ledger_effective_cost"] == pytest.approx(float(ledger.effective_cost()))
 
     def test_pushed_weights_respect_filter(self):
         ds, splits = make_dataset(seed=11, n=5000)
         config = DPTopDownConfig(alpha=2.0, max_nodes=8, error=0.2)
-        _, _, stats = dp_topdown(
-            ds, config, SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY), RandomSource(15)
-        )
+        _, _, stats = dp_topdown(single_machine(ds, splits, 15), config)
         floor = config.error / config.max_nodes
         assert all(w >= floor for w in stats.pushed_weights)
 
@@ -242,8 +233,7 @@ class TestDPTopDown:
         ds, splits = make_dataset(seed=12, n=2500)
         config = DPTopDownConfig(alpha=1.0, max_nodes=8)
         trees = [
-            dp_topdown(ds, config, SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY),
-                       RandomSource(99))[0].to_json()
+            dp_topdown(single_machine(ds, splits, 99), config)[0].to_json()
             for _ in range(2)
         ]
         assert trees[0] == trees[1]
@@ -253,28 +243,15 @@ class TestDPTopDown:
         for maker in (NoisyCountsSplitter, LocalRNMSplitter):
             pool = make_pool(ds, 4, splits, seed=5)
             config = DPTopDownConfig(alpha=1.0, max_nodes=6)
-            _, ledger, stats = dp_topdown(
-                pool, config, maker(pool, splits, Criterion.ENTROPY), RandomSource(16)
-            )
+            _, ledger, stats = dp_topdown(maker(pool, splits, Criterion.ENTROPY), config)
             assert ledger.effective_cost() <= ledger.alpha
-
-    def test_splitter_source_mismatch_rejected(self):
-        ds, splits = make_dataset(seed=14, n=500)
-        pool = make_pool(ds, 2, splits)
-        config = DPTopDownConfig(alpha=1.0, max_nodes=4)
-        with pytest.raises(InvalidParameterError):
-            dp_topdown(pool, config, SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY),
-                       RandomSource(17))
 
     def test_noisy_run_recovers_planted_tree_at_high_alpha(self):
         ds, splits = make_dataset(seed=15, n=50_000)
         config = DPTopDownConfig(alpha=16.0, max_nodes=8)
         errors = []
         for run in range(5):
-            tree, _, _ = dp_topdown(
-                ds, config, SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY),
-                RandomSource(run),
-            )
+            tree, _, _ = dp_topdown(single_machine(ds, splits, run), config)
             errors.append(tree_error(tree, ds))
         assert np.mean(errors) <= 0.02
 
@@ -296,15 +273,10 @@ class TestConfigValidation:
             {"alpha": 0.0, "max_nodes": 4},
             {"alpha": 1.0, "max_nodes": 0},
             {"alpha": 1.0, "max_nodes": 4, "error": 0.0},
-            {"alpha": 1.0, "max_nodes": 4, "delta": 1.5},
             {"alpha": 1.0, "max_nodes": 4, "leaf_privacy_fraction": 1.0},
         ):
             with pytest.raises(InvalidParameterError):
                 DPTopDownConfig(**kwargs)
-
-    def test_split_delta_matches_call_count_bound(self):
-        config = DPTopDownConfig(alpha=1.0, max_nodes=16, delta=0.2)
-        assert config.split_delta == pytest.approx(0.2 / (2 * 33))
 
     def test_budget_split_by_lpf(self):
         config = DPTopDownConfig(alpha=2.0, max_nodes=4, leaf_privacy_fraction=0.25)

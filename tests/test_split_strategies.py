@@ -18,20 +18,17 @@ from dptree.dp_core import (
 from dptree.split_strategies import (
     Entity,
     EntityPool,
-    LeafRef,
     LocalRNMSplitter,
     LocalTransport,
     NoisyCountsSplitter,
     SingleMachineRNMSplitter,
-    distributed_label_counts,
     distributed_label_scale,
-    distributed_weight_estimate,
     local_rnm_split,
     noisy_counts_cell_scale,
     noisy_counts_split,
     rnm_score_sensitivity,
 )
-from dptree.dp_topdown import DPTopDownConfig, dp_topdown
+from dptree.dp_topdown import DPTopDownConfig, LeafRef, dp_topdown
 from dptree.tree_learning import (
     BinnedFeatures,
     Criterion,
@@ -66,11 +63,12 @@ def exact_gains(dataset, splits, criterion=Criterion.ENTROPY):
     return gain_from_counts(tables, criterion)
 
 
+ROOT = LeafRef(0, 0)  # charged under depth 1
+
+
 def rnm_root_split(dataset, alpha, splits, rng, ledger):
-    """SingleMachineRNMSplitter at the root, charged under depth 1."""
-    splitter = SingleMachineRNMSplitter(dataset, splits, Criterion.ENTROPY)
-    root = LeafRef(0, 0, 1, indices=np.arange(dataset.n))
-    return splitter.split(root, alpha, 0.01, rng, ledger)
+    """SingleMachineRNMSplitter at the root."""
+    return SingleMachineRNMSplitter(dataset, splits, Criterion.ENTROPY, rng).split(ROOT, alpha, ledger)
 
 
 def make_pool(dataset, k, splits, seed=0, transport=None):
@@ -130,11 +128,9 @@ class TestSingleMachineRNM:
             SplitFunction(threshold=t, feature=1) for t in (0.2, 0.4, 0.6, 0.8)
         ]
         hits = 0
-        mech_rng = RandomSource(4)
-        splitter = SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY)
-        root = LeafRef(0, 0, 1, indices=np.arange(n))
+        splitter = SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY, RandomSource(4))
         for _ in range(300):
-            chosen, _ = splitter.split(root, 1.0, 0.01, mech_rng, PrivacyLedger(1.0))
+            chosen, _ = splitter.split(ROOT, 1.0, PrivacyLedger(1.0))
             hits += chosen.feature == 0
         assert hits == 300  # noise scale ~0.0033 vs gain gap ~1
 
@@ -154,9 +150,7 @@ class TestNoisyCounts:
         pool = make_pool(ds, k, splits, seed=k)
         ledger = PrivacyLedger(1.0)
         with zero_noise():
-            dist_h, dist_j = noisy_counts_split(
-                pool, (), 1.0, 0.01, Criterion.ENTROPY, splits, ledger, depth=1, leaf_id=0
-            )
+            dist_h, dist_j = noisy_counts_split(pool, ROOT, 1.0, Criterion.ENTROPY, splits, ledger)
             single_h, single_j = rnm_root_split(ds, 1.0, splits, RandomSource(0), PrivacyLedger(1.0))
         assert dist_h == single_h
         assert dist_j == pytest.approx(single_j, rel=1e-12)
@@ -169,8 +163,7 @@ class TestNoisyCounts:
             for seed in range(6):
                 pool = make_pool(ds, 4, splits, seed=seed)
                 results.append(
-                    noisy_counts_split(pool, (), 1.0, 0.01, Criterion.ENTROPY, splits,
-                                       PrivacyLedger(1.0), depth=1, leaf_id=0)
+                    noisy_counts_split(pool, ROOT, 1.0, Criterion.ENTROPY, splits, PrivacyLedger(1.0))
                 )
         assert all(r == results[0] for r in results)
 
@@ -179,8 +172,7 @@ class TestNoisyCounts:
         splits = grid_splits()
         pool = make_pool(ds, 4, splits)
         ledger = PrivacyLedger(1.0)
-        noisy_counts_split(pool, (), Fraction(3, 4), 0.01, Criterion.ENTROPY, splits, ledger,
-                           depth=1, leaf_id=0)
+        noisy_counts_split(pool, ROOT, Fraction(3, 4), Criterion.ENTROPY, splits, ledger)
         per_entity = {}
         for entry in ledger.entries:
             per_entity[entry.scope.entity] = per_entity.get(entry.scope.entity, 0) + entry.budget
@@ -219,8 +211,8 @@ class TestNoisyCounts:
         hits = 0
         trials = 60
         for _ in range(trials):
-            chosen, _ = noisy_counts_split(pool, (), 4.0, 0.1, Criterion.ENTROPY, splits,
-                                           PrivacyLedger(4.0), depth=1, leaf_id=0)
+            chosen, _ = noisy_counts_split(pool, ROOT, 4.0, Criterion.ENTROPY, splits,
+                                           PrivacyLedger(4.0))
             hits += chosen.feature == 0
         assert hits >= 0.95 * trials
 
@@ -231,8 +223,7 @@ class TestNoisyCounts:
         pool = make_pool(ds, 3, splits, transport=transport)
         transport.failed.add(1)
         with pytest.raises(ProtocolError):
-            noisy_counts_split(pool, (), 1.0, 0.01, Criterion.ENTROPY, splits,
-                               PrivacyLedger(1.0), depth=1, leaf_id=0)
+            noisy_counts_split(pool, ROOT, 1.0, Criterion.ENTROPY, splits, PrivacyLedger(1.0))
 
 
 class TestLocalRNM:
@@ -241,8 +232,7 @@ class TestLocalRNM:
         splits = grid_splits()
         pool = EntityPool.from_shards([ds], RandomSource(1), splits, Criterion.ENTROPY)
         with zero_noise():
-            local = local_rnm_split(pool, (), 1.0, 0.01, Criterion.ENTROPY, splits,
-                                    PrivacyLedger(1.0), depth=1, leaf_id=0)
+            local = local_rnm_split(pool, ROOT, 1.0, Criterion.ENTROPY, splits, PrivacyLedger(1.0))
             single = rnm_root_split(ds, 1.0, splits, RandomSource(0), PrivacyLedger(1.0))
         assert local[0] == single[0]
         assert local[1] == pytest.approx(single[1], rel=1e-12)
@@ -254,8 +244,8 @@ class TestLocalRNM:
             shards = shard(ds, 4, seed)
             pool = EntityPool.from_shards(shards, RandomSource(seed), splits, Criterion.ENTROPY)
             with zero_noise():
-                chosen, gain = local_rnm_split(pool, (), 1.0, 0.01, Criterion.ENTROPY, splits,
-                                               PrivacyLedger(1.0), depth=1, leaf_id=0)
+                chosen, gain = local_rnm_split(pool, ROOT, 1.0, Criterion.ENTROPY, splits,
+                                               PrivacyLedger(1.0))
             # brute force: per-shard best splits, evaluated on union counts
             locals_best = []
             for piece in shards:
@@ -271,8 +261,7 @@ class TestLocalRNM:
         transport = LocalTransport()
         pool = make_pool(ds, 4, splits, transport=transport)
         with zero_noise():
-            local_rnm_split(pool, (), 1.0, 0.01, Criterion.ENTROPY, splits,
-                            PrivacyLedger(1.0), depth=1, leaf_id=0)
+            local_rnm_split(pool, ROOT, 1.0, Criterion.ENTROPY, splits, PrivacyLedger(1.0))
         histogram_queries = [
             r for r in transport.log if r["direction"] == "query" and r["kind"] == "joint_histogram"
         ]
@@ -284,7 +273,7 @@ class TestLocalRNM:
         splits = grid_splits()
         pool = make_pool(ds, 4, splits)
         ledger = PrivacyLedger(1.0)
-        local_rnm_split(pool, (), 1.0, 0.01, Criterion.ENTROPY, splits, ledger, depth=1, leaf_id=0)
+        local_rnm_split(pool, ROOT, 1.0, Criterion.ENTROPY, splits, ledger)
         per_entity = {}
         for entry in ledger.entries:
             per_entity[entry.scope.entity] = per_entity.get(entry.scope.entity, 0) + entry.budget
@@ -302,8 +291,7 @@ class TestLocalRNM:
 
         stats = Stats()
         ledger = PrivacyLedger(1.0)
-        local_rnm_split(pool, (), 1.0, 0.01, Criterion.ENTROPY, splits, ledger,
-                        depth=1, leaf_id=0, stats=stats)
+        local_rnm_split(pool, ROOT, 1.0, Criterion.ENTROPY, splits, ledger, stats=stats)
         assert stats.random_local_candidates == 1
         # fallback still charges the phase-1 budget
         tiny_charges = [e.budget for e in ledger.entries if e.scope.entity == 1]
@@ -312,31 +300,32 @@ class TestLocalRNM:
 
 class TestDistributedQueries:
     def test_weight_zero_noise_exact(self):
-        splits = grid_splits(d=1, count=1)
+        splits = grid_splits(d=1, count=1)  # x <= 0.5 goes left
         shards = []
-        for size, seed in ((10, 1), (20, 2), (30, 3), (40, 4)):
-            rng = RandomSource(seed, ("w",))
-            shards.append(LabeledDataset(rng.uniform(size=(size, 1)), np.zeros(size, dtype=int), 2))
+        for size in (12, 20, 28, 40):
+            # A quarter of each shard lies left of the split.
+            features = np.where(np.arange(size) < size // 4, 0.25, 0.75)[:, None]
+            shards.append(LabeledDataset(features, np.zeros(size, dtype=int), 2))
         pool = EntityPool.from_shards(shards, RandomSource(5), splits, Criterion.ENTROPY)
+        left = LeafRef(1, 1, ((splits[0], 0),))
         with zero_noise():
-            weight = distributed_weight_estimate(pool, (), 0.5, 400, PrivacyLedger(1.0),
-                                                 depth=1, leaf_id=0)
+            weight = NoisyCountsSplitter(pool, splits, Criterion.ENTROPY).weight(
+                left, 0.5, PrivacyLedger(1.0))
         assert weight == pytest.approx(0.25)
 
     def test_weight_noise_std_and_bias(self):
         splits = grid_splits(d=1, count=1)
-        empty = LabeledDataset(np.empty((0, 1)), np.empty(0, dtype=int), 2)
-        pool = EntityPool.from_shards([empty] * 4, RandomSource(6), splits, Criterion.ENTROPY)
+        piece = LabeledDataset(np.zeros((250, 1)), np.zeros(250, dtype=int), 2)
+        pool = EntityPool.from_shards([piece] * 4, RandomSource(6), splits, Criterion.ENTROPY)
+        strategy = NoisyCountsSplitter(pool, splits, Criterion.ENTROPY)
         n, alpha_leaf, trials = 1000, 0.5, 30_000
         estimates = np.array([
-            distributed_weight_estimate(pool, (), alpha_leaf, n, PrivacyLedger(1e6),
-                                        depth=1, leaf_id=0)
-            for _ in range(trials)
+            strategy.weight(ROOT, alpha_leaf, PrivacyLedger(1e6)) for _ in range(trials)
         ])
-        counts = estimates * n
+        noise = estimates * n - n
         expected_std = math.sqrt(4 * 2 * (2 / alpha_leaf) ** 2)
-        assert np.std(counts) == pytest.approx(expected_std, rel=0.05)
-        assert abs(np.mean(counts)) <= 3 * expected_std / math.sqrt(trials)
+        assert np.std(noise) == pytest.approx(expected_std, rel=0.05)
+        assert abs(np.mean(noise)) <= 3 * expected_std / math.sqrt(trials)
 
     def test_label_counts_zero_noise_and_majority(self):
         splits = grid_splits(d=1, count=1)
@@ -347,8 +336,12 @@ class TestDistributedQueries:
             shards.append(LabeledDataset(rng.uniform(size=(15, 1)), labels, 2))
         pool = EntityPool.from_shards(shards, RandomSource(9), splits, Criterion.ENTROPY)
         with zero_noise():
-            totals = distributed_label_counts(pool, (), 0.5, PrivacyLedger(1.0), leaf_id=0)
+            responses = pool.ask_all(PrivacyLedger(1.0), "label_counts", (), Fraction(1, 2), None, 0)
+            label = LocalRNMSplitter(pool, splits, Criterion.ENTROPY).label(
+                ROOT, Fraction(1, 2), PrivacyLedger(1.0))
+        totals = np.sum([resp.payload["counts"] for resp in responses], axis=0)
         assert totals.tolist() == [40.0, 20.0]
+        assert label == 0
 
     def test_label_counts_majority_reliable_with_budget(self):
         splits = grid_splits(d=1, count=1)
@@ -358,10 +351,10 @@ class TestDistributedQueries:
             labels = np.array([0] * 10 + [1] * 5)
             shards.append(LabeledDataset(rng.uniform(size=(15, 1)), labels, 2))
         pool = EntityPool.from_shards(shards, RandomSource(10), splits, Criterion.ENTROPY)
+        strategy = NoisyCountsSplitter(pool, splits, Criterion.ENTROPY)
         hits = 0
         for _ in range(1000):
-            totals = distributed_label_counts(pool, (), 8.0, PrivacyLedger(8.0), leaf_id=0)
-            hits += int(np.argmax(totals)) == 0
+            hits += strategy.label(ROOT, Fraction(8), PrivacyLedger(8.0)) == 0
         assert hits >= 990
 
     def test_label_charge_is_half_budget_per_leaf(self):
@@ -370,7 +363,7 @@ class TestDistributedQueries:
                             np.asarray(RandomSource(2).integers(0, 2, size=20)), 2)
         pool = make_pool(ds, 2, splits)
         ledger = PrivacyLedger(1.0)
-        distributed_label_counts(pool, (), Fraction(1, 2), ledger, leaf_id=7)
+        NoisyCountsSplitter(pool, splits, Criterion.ENTROPY).label(LeafRef(7, 0), Fraction(1, 2), ledger)
         assert ledger.effective_cost() == Fraction(1, 4)
 
 
@@ -381,12 +374,11 @@ class TestMessageAudit:
         transport = LocalTransport(record_payloads=True)
         pool = make_pool(ds, 3, splits, transport=transport)
         ledger = PrivacyLedger(4.0)
-        noisy_counts_split(pool, (), 1.0, 0.01, Criterion.ENTROPY, splits, ledger,
-                           depth=1, leaf_id=0)
-        local_rnm_split(pool, (), 1.0, 0.01, Criterion.ENTROPY, splits, ledger,
-                        depth=1, leaf_id=1)
-        distributed_weight_estimate(pool, (), 0.5, ds.n, ledger, depth=1, leaf_id=0)
-        distributed_label_counts(pool, (), 0.5, ledger, leaf_id=0)
+        strategy = LocalRNMSplitter(pool, splits, Criterion.ENTROPY)
+        NoisyCountsSplitter(pool, splits, Criterion.ENTROPY).split(ROOT, 1.0, ledger)
+        strategy.split(LeafRef(1, 1), 1.0, ledger)
+        strategy.weight(ROOT, 0.5, ledger)
+        strategy.label(ROOT, Fraction(1, 2), ledger)
         shard_sizes = {entity.shard.n for entity in pool.entities}
         for record in transport.log:
             if record["direction"] != "response":
@@ -418,7 +410,7 @@ class TestMessageAudit:
         splits = grid_splits()
         transport = LocalTransport()
         pool = make_pool(ds, 2, splits, transport=transport)
-        distributed_weight_estimate(pool, (), 0.5, ds.n, PrivacyLedger(1.0), depth=1, leaf_id=0)
+        NoisyCountsSplitter(pool, splits, Criterion.ENTROPY).weight(ROOT, 0.5, PrivacyLedger(1.0))
         kinds = {(r["direction"], r["kind"]) for r in transport.log}
         assert kinds == {("query", "leaf_count"), ("response", "leaf_count")}
         assert all(r["budget"] == 0.25 for r in transport.log)
@@ -461,13 +453,15 @@ class TestEntityRowCache:
     def test_learner_query_order_caches_each_row_once(self):
         ds, splits = planted_dataset(RandomSource(3), n=3000), grid_splits()
         pool = make_pool(ds, 3, splits, seed=3)
-        config = DPTopDownConfig(alpha=8.0, max_nodes=12, seed=3)
-        tree, _, _ = dp_topdown(pool, config, LocalRNMSplitter(pool, splits, Criterion.ENTROPY),
-                                RandomSource(3))
-        assert tree.internal_count >= 3
-        for entity in pool.entities:
-            cached = np.concatenate(list(entity._rows.values()))
-            assert np.array_equal(np.sort(cached), np.arange(entity.shard.n))
+        single = SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY, RandomSource(3))
+        config = DPTopDownConfig(alpha=8.0, max_nodes=12)
+        for strategy, entities in ((LocalRNMSplitter(pool, splits, Criterion.ENTROPY), pool.entities),
+                                   (single, [single.entity])):
+            tree, _, _ = dp_topdown(strategy, config)
+            assert tree.internal_count >= 3
+            for entity in entities:
+                cached = np.concatenate(list(entity._rows.values()))
+                assert np.array_equal(np.sort(cached), np.arange(entity.shard.n))
 
     @pytest.mark.parametrize("maker", [NoisyCountsSplitter, LocalRNMSplitter])
     def test_learner_run_identical_to_stateless_entities(self, maker):
@@ -484,9 +478,8 @@ class TestEntityRowCache:
                  for i, piece in enumerate(shard(ds, 4, 4))],
                 transport,
             )
-            config = DPTopDownConfig(alpha=4.0, max_nodes=16, seed=4)
-            tree, ledger, _ = dp_topdown(pool, config, maker(pool, splits, Criterion.ENTROPY),
-                                         RandomSource(4))
+            config = DPTopDownConfig(alpha=4.0, max_nodes=16)
+            tree, ledger, _ = dp_topdown(maker(pool, splits, Criterion.ENTROPY), config)
             runs.append((tree.to_json(), ledger.entries, transport.log))
         assert runs[0] == runs[1]
         assert len(runs[0][2]) > 100

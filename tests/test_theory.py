@@ -186,6 +186,22 @@ class TestDatasetRequirement:
         assert breakdown.split_term == pytest.approx(split, rel=1e-12)
         assert theorem2_dataset_requirement(params, "rnm", 50) == 211591309208640
 
+    def test_split_delta_matches_call_count_bound(self):
+        # Each of the at most 2M + 1 split calls gets delta / (2 (2M + 1)).
+        params = WeakLearningParams(
+            gamma=0.25, error=0.1, delta=0.2, max_nodes=16, alpha=1.0, entities=4,
+            schedule=UniformSchedule(16),
+        )
+        zeta = theorem_zeta(params)
+        alpha_leaf = 0.5 * (1 / 16)
+        split_delta = 0.2 / (2 * 33)
+        for splitter, bound in (
+            ("rnm", rnm_sample_bound(zeta, alpha_leaf / 2, split_delta, 50)),
+            ("noisy-counts", noisycounts_sample_bound(zeta, alpha_leaf / 2, split_delta, 4, 50)),
+        ):
+            breakdown = dataset_requirement_breakdown(params, splitter, 50)
+            assert breakdown.split_term == pytest.approx((2 * 16 / 0.1) * bound, rel=1e-12)
+
     def test_requirement_is_max_of_exposed_terms(self):
         for splitter, k in (("rnm", 1), ("noisy-counts", 4)):
             params = self.golden_params(k)

@@ -1,5 +1,10 @@
+import dataclasses
 import json
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -207,6 +212,29 @@ class TestTreeStructure:
             leaf.label = 0
         doc = tree.to_json()
         assert DecisionTree.from_json(doc).to_json() == doc
+
+
+class TestSplitHash:
+    @staticmethod
+    def splits():
+        return [SplitFunction(0.25, feature=1, hid=4), SplitFunction(0.5, block=(0, 2), hid=9)]
+
+    def test_equal_splits_hash_equal_whatever_their_hid(self):
+        for split in self.splits():
+            twin = dataclasses.replace(split, hid=None)
+            assert twin == split and hash(twin) == hash(split)
+            assert {((split, 0), (split, 1)): "leaf"}[((twin, 0), (twin, 1))] == "leaf"
+
+    def test_hash_survives_pickling_across_processes(self):
+        # hash(None) differs between processes, so a pickled hash would go stale.
+        code = ("import pickle, sys; from dptree.tree_learning import SplitFunction; "
+                f"sys.stdout.write(pickle.dumps({self.splits()!r}).hex())")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        for loaded, fresh in zip(pickle.loads(bytes.fromhex(done.stdout)), self.splits(), strict=True):
+            assert loaded == fresh and loaded.hid == fresh.hid
+            assert hash(loaded) == hash(fresh)
+            assert hash(pickle.loads(pickle.dumps(fresh))) == hash(fresh)
 
 
 class TestPotential:
