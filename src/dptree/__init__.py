@@ -9,8 +9,6 @@ from .dp_core import (
     ProtocolError,
     RandomSource,
     Scope,
-    laplace_mechanism,
-    laplace_tail_threshold,
     report_noisy_max,
     sample_laplace,
     zero_noise,
@@ -19,11 +17,8 @@ from .tree_learning import (
     Criterion,
     DecisionTree,
     LabeledDataset,
-    LeafCounts,
     SplitFunction,
-    criterion_value,
     potential,
-    split_gain,
     topdown_nonprivate,
     tree_error,
 )
@@ -33,7 +28,6 @@ from .dp_topdown import (
     LeafRef,
     RunStats,
     UniformSchedule,
-    budget_at_depth,
     dp_topdown,
     estimate_weight,
     label_leaves,

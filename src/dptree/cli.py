@@ -123,36 +123,47 @@ def theory(subcommand, params_json):
             params = json.loads(params_json)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--params is not valid JSON: {exc}")
+        if not isinstance(params, dict):
+            raise ConfigError(f"--params must be a JSON object, got {type(params).__name__}")
+
+        def param(name, cast, default=None):
+            value = params.get(name, default)
+            if value is None:
+                raise ConfigError(f"missing parameter {name!r}")
+            try:
+                return cast(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"parameter {name!r} has a bad value {value!r}")
+
         if subcommand == "sensitivity":
-            value = sensitivity_bound(Criterion.from_name(params["criterion"]), int(params["m"]))
+            value = sensitivity_bound(Criterion.from_name(param("criterion", str)), param("m", int))
         elif subcommand == "rnm-bound":
             value = rnm_sample_bound(
-                float(params["zeta"]), float(params["alpha"]), float(params["delta"]),
-                int(params["h_size"]),
+                param("zeta", float), param("alpha", float), param("delta", float),
+                param("h_size", int),
             )
         elif subcommand == "noisycounts-bound":
             value = noisycounts_sample_bound(
-                float(params["zeta"]), float(params["alpha"]), float(params["delta"]),
-                int(params["k"]), int(params["h_size"]),
+                param("zeta", float), param("alpha", float), param("delta", float),
+                param("k", int), param("h_size", int),
             )
         elif subcommand == "recurrence":
             value = boosting_recurrence(
-                float(params["error"]), float(params["gamma"]),
-                slowdown=float(params.get("slowdown", 4)),
+                param("error", float), param("gamma", float), slowdown=param("slowdown", float, 4),
             )
         else:
-            max_nodes = int(params["max_nodes"])
+            max_nodes = param("max_nodes", int)
             wl = WeakLearningParams(
-                gamma=float(params["gamma"]),
-                error=float(params["error"]),
-                delta=float(params["delta"]),
+                gamma=param("gamma", float),
+                error=param("error", float),
+                delta=param("delta", float),
                 max_nodes=max_nodes,
-                alpha=float(params["alpha"]),
-                entities=int(params.get("entities", 1)),
-                schedule=schedule_from_name(params.get("schedule", "uniform"), max_nodes),
+                alpha=param("alpha", float),
+                entities=param("entities", int, 1),
+                schedule=schedule_from_name(param("schedule", str, "uniform"), max_nodes),
             )
             breakdown = dataset_requirement_breakdown(
-                wl, params.get("splitter", "rnm"), int(params["h_size"])
+                wl, param("splitter", str, "rnm"), param("h_size", int)
             )
             click.echo(json.dumps({
                 "inputs": params,
@@ -164,13 +175,7 @@ def theory(subcommand, params_json):
             return
         click.echo(json.dumps({"inputs": params, "value": value}, sort_keys=True))
 
-    def wrapped():
-        try:
-            body()
-        except KeyError as missing:
-            raise ConfigError(f"missing parameter {missing}")
-
-    _guarded(wrapped)
+    _guarded(body)
 
 
 if __name__ == "__main__":

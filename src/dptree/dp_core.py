@@ -1,9 +1,10 @@
-"""Core differential privacy machinery: Laplace sampling, the Laplace
-mechanism, Report Noisy Max, tail bounds, and a composition-aware budget
-ledger.
+"""Core differential privacy machinery: seeded noise streams, Laplace
+sampling (`sample_laplace`), Report Noisy Max, the zero-noise debug switch,
+and a composition-aware budget ledger.
 
-All mechanisms are pure given an explicit :class:`RandomSource` and charge
-nothing themselves; callers record charges against a :class:`PrivacyLedger`.
+Both mechanisms are pure given an explicit :class:`RandomSource` and charge
+nothing themselves. The learners add `sample_laplace` noise to their exact
+counts directly and record every charge against a :class:`PrivacyLedger`.
 """
 
 from __future__ import annotations
@@ -123,49 +124,19 @@ class RandomSource:
 # ---------------------------------------------------------------------------
 
 
-def _check_scale(scale: float) -> float:
-    scale = float(scale)
-    if not math.isfinite(scale) or scale <= 0.0:
-        raise InvalidParameterError(f"Laplace scale must be positive and finite, got {scale}")
-    return scale
-
-
 def sample_laplace(scale: float, rng: RandomSource, size=None):
     """Draw from Lap(0, scale) by inverting the CDF on a uniform draw.
 
     Inverse-CDF sampling keeps the draw count deterministic per stream (no
     rejection loops). Under zero-noise mode the draw is skipped entirely.
     """
-    scale = _check_scale(scale)
+    scale = float(scale)
+    if not math.isfinite(scale) or scale <= 0.0:
+        raise InvalidParameterError(f"Laplace scale must be positive and finite, got {scale}")
     if zero_noise_enabled():
         return 0.0 if size is None else np.zeros(size)
     u = rng.uniform(size) - 0.5
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-
-
-def laplace_mechanism(true_value: float, sensitivity: float, budget: float, rng: RandomSource) -> float:
-    """Release true_value + Lap(sensitivity / budget).
-
-    Charges nothing itself; the caller records budget spent in its ledger.
-    """
-    if sensitivity <= 0:
-        raise InvalidParameterError(f"sensitivity must be positive, got {sensitivity}")
-    if budget <= 0:
-        raise InvalidParameterError(f"budget must be positive, got {budget}")
-    return float(true_value) + float(sample_laplace(float(sensitivity) / float(budget), rng))
-
-
-def laplace_tail_threshold(scale: float, delta: float, k: int = 1) -> float:
-    """Magnitude that k i.i.d. Lap(scale) draws all stay below w.p. >= 1-delta.
-
-    For k=1 the bound is tight: Pr(|Y| >= ln(1/delta) * scale) = delta.
-    """
-    scale = _check_scale(scale)
-    if not (0.0 < delta < 1.0):
-        raise InvalidParameterError(f"delta must lie in (0, 1), got {delta}")
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
-    return math.log(k / delta) * scale
 
 
 def report_noisy_max(scores, sensitivity: float, budget: float, rng: RandomSource):
@@ -229,8 +200,8 @@ class PrivacyLedger:
     """
 
     def __init__(self, alpha, strict: bool = False):
-        if alpha <= 0:
-            raise InvalidParameterError(f"total budget alpha must be positive, got {alpha}")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise InvalidParameterError(f"total budget alpha must be positive and finite, got {alpha}")
         self.alpha = Fraction(alpha)
         self.strict = strict
         self.entries: list[LedgerEntry] = []
@@ -291,11 +262,3 @@ class PrivacyLedger:
 
     def within_budget(self) -> bool:
         return self.effective_cost() <= self.alpha
-
-    def report(self) -> dict:
-        return {
-            "alpha": float(self.alpha),
-            "effective_cost": float(self.effective_cost()),
-            "within_budget": self.within_budget(),
-            "entries": len(self.entries),
-        }

@@ -21,6 +21,7 @@ same node cap, gain threshold, and weight filter.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from .dp_core import (
     report_noisy_max,
     sample_laplace,
 )
-from .tree_learning import Criterion, DecisionTree, MaxQueue
+from .tree_learning import DecisionTree, MaxQueue
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,6 @@ class UniformSchedule:
 
     max_nodes: int
 
-    name = "uniform"
-
     def at_depth(self, depth: int) -> Fraction:
         if not 1 <= depth <= self.max_nodes:
             raise InvalidParameterError(
@@ -78,15 +77,10 @@ class UniformSchedule:
     def min_budget(self, max_nodes: int) -> Fraction:
         return Fraction(1, self.max_nodes)
 
-    def total(self, max_nodes: int) -> Fraction:
-        return Fraction(min(max_nodes, self.max_nodes), self.max_nodes)
-
 
 @dataclass(frozen=True)
 class DecaySchedule:
     """B(d) = 2^-d: early splits, which matter most, get the larger share."""
-
-    name = "decay"
 
     def at_depth(self, depth: int) -> Fraction:
         if depth < 1:
@@ -96,9 +90,6 @@ class DecaySchedule:
     def min_budget(self, max_nodes: int) -> Fraction:
         return Fraction(1, 2**max_nodes)
 
-    def total(self, max_nodes: int) -> Fraction:
-        return 1 - Fraction(1, 2**max_nodes)
-
 
 def schedule_from_name(name: str, max_nodes: int):
     if name == "uniform":
@@ -106,10 +97,6 @@ def schedule_from_name(name: str, max_nodes: int):
     if name == "decay":
         return DecaySchedule()
     raise InvalidParameterError(f"unknown budget schedule {name!r}")
-
-
-def budget_at_depth(schedule, depth: int) -> Fraction:
-    return schedule.at_depth(depth)
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +118,12 @@ class DPTopDownConfig:
     error: float = 0.1
     leaf_privacy_fraction: float = 0.5
     schedule: object = None
-    criterion: Criterion = Criterion.ENTROPY
     min_gain: float = 0.01
     strict_ledger: bool = False
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise InvalidParameterError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise InvalidParameterError(f"alpha must be positive and finite, got {self.alpha}")
         if self.max_nodes < 1:
             raise InvalidParameterError(f"max_nodes must be >= 1, got {self.max_nodes}")
         if not 0.0 < self.error <= 1.0:

@@ -83,6 +83,14 @@ class ExperimentConfig:
             raise ConfigError("alphas, lpfs, and train_fractions must be nonempty")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        if self.max_nodes < 1:
+            raise ConfigError(f"max_nodes must be >= 1, got {self.max_nodes}")
+        if self.split_seed < 0:
+            raise ConfigError(f"data.split_seed must be >= 0, got {self.split_seed}")
+        if len(self.ratio) != 2 or not all(
+            isinstance(part, int) and not isinstance(part, bool) for part in self.ratio
+        ):
+            raise ConfigError(f"data.ratio must be two integers, got {list(self.ratio)}")
         if (self.csv_path is None) == (self.train_path is None):
             raise ConfigError("provide either data.csv (+ratio) or data.train/data.test")
         if self.train_path is not None and self.test_path is None:
@@ -101,32 +109,78 @@ class ExperimentConfig:
         ]
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _floats(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return [float(item) for item in value]
+
+
+# Config key -> (ExperimentConfig field, cast of its JSON value). Absent keys
+# are not passed, so the field defaults of ExperimentConfig are the only ones.
+# The "data" section goes through _DATA_KEYS in turn.
+_CONFIG_KEYS = {
+    "schema": ("schema_path", _text),
+    "data": ("data", lambda section: section),
+    "algorithm": ("algorithm", _text),
+    "alphas": ("alphas", _floats),
+    "lpfs": ("lpfs", _floats),
+    "train_fractions": ("train_fractions", _floats),
+    "entities": ("entities", int),
+    "max_nodes": ("max_nodes", int),
+    "error": ("error", float),
+    "criterion": ("criterion", _text),
+    "schedule": ("schedule", _text),
+    "min_gain": ("min_gain", float),
+    "runs": ("runs", int),
+    "seed": ("seed", int),
+    "zero_noise": ("zero_noise", _flag),
+}
+_DATA_KEYS = {
+    "train": ("train_path", _text),
+    "test": ("test_path", _text),
+    "csv": ("csv_path", _text),
+    "ratio": ("ratio", tuple),
+    "split_seed": ("split_seed", int),
+}
+
+
+def _cast_keys(doc, keys: dict, prefix: str) -> dict:
+    """ExperimentConfig fields from one JSON object; an unknown key or a
+    value its cast rejects raises ConfigError naming the key."""
+    if not isinstance(doc, dict):
+        where = prefix.rstrip(".") or "config"
+        raise ConfigError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    fields = {}
+    for key, value in doc.items():
+        if key not in keys:
+            raise ConfigError(f"unknown config key {prefix}{key!r}")
+        name, cast = keys[key]
+        try:
+            fields[name] = cast(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"config key {prefix}{key!r} has a bad value: {exc}")
+    return fields
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    data = doc.get("data", {})
-    try:
-        return ExperimentConfig(
-            schema_path=doc["schema"],
-            train_path=data.get("train"),
-            test_path=data.get("test"),
-            csv_path=data.get("csv"),
-            ratio=tuple(data.get("ratio", (9, 1))),
-            split_seed=int(data.get("split_seed", 0)),
-            algorithm=doc.get("algorithm", "single-rnm"),
-            alphas=[float(a) for a in doc.get("alphas", DEFAULT_ALPHAS)],
-            lpfs=[float(v) for v in doc.get("lpfs", [0.5])],
-            train_fractions=[float(v) for v in doc.get("train_fractions", [1.0])],
-            entities=int(doc.get("entities", 4)),
-            max_nodes=int(doc.get("max_nodes", 512)),
-            error=float(doc.get("error", 0.1)),
-            criterion=doc.get("criterion", "entropy"),
-            schedule=doc.get("schedule", "decay"),
-            min_gain=float(doc.get("min_gain", 0.01)),
-            runs=int(doc.get("runs", 100)),
-            seed=int(doc.get("seed", 0)),
-            zero_noise=bool(doc.get("zero_noise", False)),
-        )
-    except KeyError as missing:
-        raise ConfigError(f"config is missing required key {missing}")
+    """ExperimentConfig from a parsed JSON config, or ConfigError."""
+    fields = _cast_keys(doc, _CONFIG_KEYS, "")
+    fields.update(_cast_keys(fields.pop("data", {}), _DATA_KEYS, "data."))
+    if "schema_path" not in fields:
+        raise ConfigError("config is missing required key 'schema'")
+    return ExperimentConfig(**fields)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -179,15 +233,20 @@ class ResultRow:
         )
 
 
+# The data of the most recent data key only: a sweep reads one dataset for all
+# its runs, and holding every dataset a process ever read would grow without
+# bound.
 _data_cache: dict = {}
 
 
 def prepare_data(config: ExperimentConfig):
-    """(train, test, schema, splitting class), cached per config paths."""
+    """(train, test, schema, splitting class), cached for the latest config
+    paths."""
     key = (config.schema_path, config.train_path, config.test_path, config.csv_path,
            config.ratio, config.split_seed)
     if key in _data_cache:
         return _data_cache[key]
+    _data_cache.clear()
     schema = load_schema(config.schema_path)
     if config.csv_path is not None:
         full = load_csv(config.csv_path, schema)
@@ -233,7 +292,6 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
             error=config.error,
             leaf_privacy_fraction=lpf,
             schedule=schedule_from_name(config.schedule, config.max_nodes),
-            criterion=criterion,
             min_gain=config.min_gain,
         )
         if config.algorithm == "single-rnm":
@@ -242,7 +300,7 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
             shards = partition(train, PartitionSpec(config.entities), source_rng.substream("partition"))
             pool = EntityPool.from_shards(shards, source_rng.substream("entities"), splits, criterion)
             maker = NoisyCountsSplitter if config.algorithm == "noisy-counts" else LocalRNMSplitter
-            strategy = maker(pool, splits, criterion)
+            strategy = maker(pool)
         tree, ledger, stats = dp_topdown(strategy, dp_config)
         ledger_cost = stats.ledger_effective_cost
         depth, nodes = stats.depth, stats.internal_nodes

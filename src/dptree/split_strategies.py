@@ -260,6 +260,13 @@ class EntityPool:
             raise InvalidParameterError("need at least one entity")
         self.entities = sorted(entities, key=lambda e: e.entity_id)
         self.transport = transport if transport is not None else LocalTransport()
+        # Entities answer split ids into the splitting class they hold, so
+        # the pool's strategies read theirs from the entities.
+        self.splits = self.entities[0].splits
+        self.criterion = self.entities[0].criterion
+        if any(e.splits != self.splits or e.criterion is not self.criterion for e in self.entities):
+            raise InvalidParameterError(
+                "entities of one pool must share the splitting class and criterion")
 
     @classmethod
     def from_shards(cls, shards, rng: RandomSource, splits, criterion: Criterion,
@@ -279,10 +286,6 @@ class EntityPool:
         # Shard sizes are treated as public metadata.
         return sum(entity.shard.n for entity in self.entities)
 
-    @property
-    def n_classes(self) -> int:
-        return self.entities[0].shard.n_classes
-
     def ask_all(self, ledger: PrivacyLedger, kind: str, path, budget, depth, leaf_id,
                 **params) -> list[Response]:
         responses = []
@@ -297,8 +300,7 @@ class EntityPool:
 # ---------------------------------------------------------------------------
 
 
-def noisy_counts_split(pool: EntityPool, leaf: LeafRef, alpha, criterion: Criterion, candidates,
-                       ledger: PrivacyLedger):
+def noisy_counts_split(pool: EntityPool, leaf: LeafRef, alpha, candidates, ledger: PrivacyLedger):
     """Each entity publishes per-split noisy joint histograms; the coordinator
     sums them, sanitizes, and picks the split with the largest estimated gain.
 
@@ -313,13 +315,12 @@ def noisy_counts_split(pool: EntityPool, leaf: LeafRef, alpha, criterion: Criter
                              leaf.leaf_id, splits=list(candidates))
     aggregated = np.sum([resp.payload["cells"] for resp in responses], axis=0)
     sanitized = np.clip(aggregated, 0.0, None)
-    gains = gain_from_counts(sanitized, criterion)
+    gains = gain_from_counts(sanitized, pool.criterion)
     index = int(np.argmax(gains))
     return candidates[index], float(gains[index])
 
 
-def local_rnm_split(pool: EntityPool, leaf: LeafRef, alpha, criterion: Criterion, splits,
-                    ledger: PrivacyLedger, stats=None):
+def local_rnm_split(pool: EntityPool, leaf: LeafRef, alpha, ledger: PrivacyLedger, stats=None):
     """Two-phase distributed split selection.
 
     Phase 1: each entity spends alpha/2 running RNM over the full splitting
@@ -334,11 +335,11 @@ def local_rnm_split(pool: EntityPool, leaf: LeafRef, alpha, criterion: Criterion
                              leaf.leaf_id)
     candidates = []
     for resp in responses:
-        candidates.append(splits[resp.payload["hid"]])
+        candidates.append(pool.splits[resp.payload["hid"]])
         if resp.payload["fallback"] and stats is not None:
             stats.random_local_candidates += 1
     assert len(candidates) == pool.k
-    return noisy_counts_split(pool, leaf, half, criterion, candidates, ledger)
+    return noisy_counts_split(pool, leaf, half, candidates, ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +358,8 @@ class SingleMachineRNMSplitter:
     draw from their own substream of `rng`.
     """
 
-    name = "single-rnm"
-
     def __init__(self, dataset: LabeledDataset, splits, criterion: Criterion, rng: RandomSource):
         self.entity = Entity(GLOBAL_SCOPE, dataset, rng, splits, criterion)
-        self.splits = splits
         self._split_rng = rng.substream("split")
         self._weight_rng = rng.substream("weight")
         self._label_rng = rng.substream("label")
@@ -375,7 +373,7 @@ class SingleMachineRNMSplitter:
             raise InvalidParameterError(f"alpha must be positive, got {alpha}")
         index, noisy_gain = self.entity.rnm_split(self.entity.leaf_rows(leaf.path), alpha, self._split_rng)
         ledger.charge(Scope(GLOBAL_SCOPE, "split", depth=leaf.budget_depth, leaf=leaf.leaf_id), alpha)
-        return self.splits[index], noisy_gain
+        return self.entity.splits[index], noisy_gain
 
     def weight(self, leaf: LeafRef, alpha_leaf, ledger: PrivacyLedger) -> float:
         scope = Scope(GLOBAL_SCOPE, "weight", depth=leaf.budget_depth, leaf=leaf.leaf_id)
@@ -390,12 +388,11 @@ class SingleMachineRNMSplitter:
 
 class DistributedStrategy:
     """Weights and labels from the k entities of a pool. Subclasses add the
-    split query; the coordinator only ever sees noisy aggregates."""
+    split query over the pool's splitting class and criterion; the
+    coordinator only ever sees noisy aggregates."""
 
-    def __init__(self, pool: EntityPool, splits, criterion: Criterion):
+    def __init__(self, pool: EntityPool):
         self.pool = pool
-        self.splits = splits
-        self.criterion = criterion
 
     @property
     def total_size(self) -> int:
@@ -416,19 +413,14 @@ class DistributedStrategy:
 
 
 class NoisyCountsSplitter(DistributedStrategy):
-    name = "noisy-counts"
-
     def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
-        return noisy_counts_split(self.pool, leaf, alpha, self.criterion, self.splits, ledger)
+        return noisy_counts_split(self.pool, leaf, alpha, self.pool.splits, ledger)
 
 
 class LocalRNMSplitter(DistributedStrategy):
-    name = "local-rnm"
-
-    def __init__(self, pool: EntityPool, splits, criterion: Criterion):
-        super().__init__(pool, splits, criterion)
+    def __init__(self, pool: EntityPool):
+        super().__init__(pool)
         self.random_local_candidates = 0
 
     def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
-        return local_rnm_split(self.pool, leaf, alpha, self.criterion, self.splits, ledger,
-                               stats=self)
+        return local_rnm_split(self.pool, leaf, alpha, ledger, stats=self)

@@ -262,6 +262,3 @@ def dataset_requirement_breakdown(
     split = (2.0 * m / params.error) * n_split
     return DatasetRequirement(weight_term=weight, leaf_term=leaf, split_term=split)
 
-
-def theorem2_dataset_requirement(params: WeakLearningParams, splitter: str, h_size: int) -> int:
-    return dataset_requirement_breakdown(params, splitter, h_size).required

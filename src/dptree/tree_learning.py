@@ -1,5 +1,7 @@
-"""Non-private decision tree core: splitting criteria, split gain, the
-binned count-table kernel shared by every learner, the potential upper bound,
+"""Non-private decision tree core: the splitting criteria of label
+distributions (`distribution_value`), the split gain of whole stacks of
+count tables (`gain_from_counts`), the binned count-table kernel
+(`split_count_tables`) shared by every learner, the potential upper bound,
 tree construction/routing/prediction, and the greedy top-down baseline
 learner.
 
@@ -68,15 +70,6 @@ def distribution_value(criterion: Criterion, p: np.ndarray) -> np.ndarray:
     raise InvalidParameterError(f"unknown criterion {criterion!r}")
 
 
-def criterion_value(criterion: Criterion, q) -> float:
-    """Criterion value at a binary class-1 fraction q in [0, 1]."""
-    q = float(q)
-    if not (-1e-9 <= q <= 1.0 + 1e-9):
-        raise InvalidParameterError(f"q must lie in [0, 1], got {q}")
-    q = min(max(q, 0.0), 1.0)
-    return float(distribution_value(criterion, np.array([1.0 - q, q])))
-
-
 def gain_from_counts(cells: np.ndarray, criterion: Criterion) -> np.ndarray:
     """Split gain J from joint label-by-side count tables, shape (..., K, 2).
 
@@ -137,10 +130,6 @@ class LabeledDataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
     def subset(self, indices) -> "LabeledDataset":
         return LabeledDataset(self.features[indices], self.labels[indices], self.n_classes, self.schema)
 
@@ -194,54 +183,6 @@ class SplitFunction:
 
     def column_key(self):
         return ("f", self.feature) if self.feature is not None else ("b", self.block)
-
-
-@dataclass
-class LeafCounts:
-    """Joint label-by-side counts for one candidate split at one leaf.
-
-    Cells have shape (n_classes, 2) and may be real-valued once noised.
-    Marginals are always derived by summation so that sanitized tables stay
-    internally consistent.
-    """
-
-    cells: np.ndarray
-
-    def __post_init__(self):
-        self.cells = np.asarray(self.cells, dtype=float)
-        if self.cells.ndim != 2 or self.cells.shape[1] != 2:
-            raise InvalidParameterError("cells must have shape (n_classes, 2)")
-
-    @classmethod
-    def from_split(cls, labels: np.ndarray, sides: np.ndarray, n_classes: int) -> "LeafCounts":
-        cells = np.zeros((n_classes, 2))
-        np.add.at(cells, (labels, sides), 1.0)
-        return cls(cells)
-
-    @property
-    def total(self) -> float:
-        return float(self.cells.sum())
-
-    @property
-    def label_totals(self) -> np.ndarray:
-        return self.cells.sum(axis=1)
-
-    @property
-    def side_totals(self) -> np.ndarray:
-        return self.cells.sum(axis=0)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.total <= 0.0
-
-    def sanitized(self) -> "LeafCounts":
-        """Clamp noised cells to >= 0; marginals are recomputed by summation."""
-        return LeafCounts(np.clip(self.cells, 0.0, None))
-
-
-def split_gain(counts: LeafCounts, criterion: Criterion) -> float:
-    """Split gain J for one count table; degenerate (all-zero) tables give 0."""
-    return float(gain_from_counts(counts.cells, criterion))
 
 
 # ---------------------------------------------------------------------------

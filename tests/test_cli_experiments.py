@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dptree import experiments
 from dptree.cli import main
 from dptree.data_io import save_schema, synthetic_tree_dataset, write_csv
 from dptree.dp_core import RandomSource
@@ -18,6 +19,7 @@ from dptree.experiments import (
     config_from_dict,
     derive_seed,
     load_experiment_config,
+    prepare_data,
     run_single,
     run_sweep,
     summarize,
@@ -81,13 +83,34 @@ class TestConfig:
             {"runs": 0},
             {"train_fractions": [0.0]},
             {"data": {}},
+            {"entities": "abc"},
+            {"alphas": ["x"]},
+            {"alphas": "12"},
+            {"zero_noise": "false"},
+            {"data": {"csv": "d.csv", "ratio": [9]}},
+            {"data": {"csv": "d.csv", "ratio": ["a", "b"]}},
+            {"data": {"csv": "d.csv", "split_seed": -1}},
+            {"algorithm": "baseline", "max_nodes": 0},
+            {"data": ["csv"]},
+            {"max_node": 6},  # misspelt
+            {"delta": 1e-6},  # read by nothing
+            ["a list, not an object"],  # the whole document
         ],
     )
     def test_invalid_configs_rejected(self, workspace, patch):
         _, config, _ = workspace
-        bad = {**config, **patch}
+        bad = {**config, **patch} if isinstance(patch, dict) else patch
         with pytest.raises(ConfigError):
             config_from_dict(bad)
+
+    def test_data_cache_holds_latest_key_only(self, workspace):
+        _, config, _ = workspace
+        experiments._data_cache.clear()
+        for split_seed in (3, 4):
+            data = {**config["data"], "split_seed": split_seed}
+            latest = prepare_data(config_from_dict({**config, "data": data}))
+        assert len(experiments._data_cache) == 1
+        assert next(iter(experiments._data_cache.values())) is latest
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
@@ -284,11 +307,23 @@ class TestCli:
         doc = json.loads(result.output)
         assert doc["value"] == 211591309208640
 
-    def test_config_error_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("doc", [
+        {"schema": "nope.json", "data": {}},
+        {"schema": "nope.json", "data": {"csv": "d.csv"}, "entities": "abc"},
+        [{"schema": "nope.json", "data": {"csv": "d.csv"}}],
+    ], ids=["missing-data", "uncastable-value", "list-document"])
+    def test_config_error_exit_code(self, tmp_path, doc):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": "nope.json", "data": {}}))
+        bad.write_text(json.dumps(doc))
         result = CliRunner().invoke(main, ["train", "--config", str(bad)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("params", ['[1]', '{"criterion": "entropy", "m": "abc"}'],
+                             ids=["not-an-object", "non-numeric"])
+    def test_theory_bad_params_exit_code(self, params):
+        result = CliRunner().invoke(main, ["theory", "sensitivity", "--params", params])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
 
     def test_data_error_exit_code(self, workspace, tmp_path):
         workspace_path, config, _ = workspace

@@ -12,8 +12,6 @@ from dptree.dp_core import (
     PrivacyLedger,
     RandomSource,
     Scope,
-    laplace_mechanism,
-    laplace_tail_threshold,
     report_noisy_max,
     sample_laplace,
     zero_noise,
@@ -72,41 +70,21 @@ class TestSampleLaplace:
 
 
 class TestLaplaceMechanism:
+    """The Laplace mechanism as the learners apply it: an exact value plus
+    sample_laplace(sensitivity / budget)."""
+
     def test_vanishing_noise_limit(self):
-        values = [laplace_mechanism(0.25, 1.0, 1e9, RandomSource(s)) for s in range(200)]
+        values = [0.25 + sample_laplace(1.0 / 1e9, RandomSource(s)) for s in range(200)]
         assert max(abs(v - 0.25) for v in values) < 1e-6
 
     def test_unbiased(self):
-        rng = RandomSource(5)
-        draws = np.array([laplace_mechanism(5.0, 2.0, 1.0, rng) for _ in range(100_000)])
+        draws = 5.0 + sample_laplace(2.0 / 1.0, RandomSource(5), size=100_000)
         # Lap(2) has std sqrt(8); mean of 1e5 draws is within ~0.03 w.h.p.
         assert draws.mean() == pytest.approx(5.0, abs=0.05)
 
     def test_zero_noise(self):
         with zero_noise():
-            assert laplace_mechanism(0.0, 1.0, 0.5, RandomSource(0)) == 0.0
-
-    def test_bad_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            laplace_mechanism(1.0, 0.0, 1.0, RandomSource(0))
-        with pytest.raises(InvalidParameterError):
-            laplace_mechanism(1.0, 1.0, -2.0, RandomSource(0))
-
-
-class TestTailThreshold:
-    def test_single_draw(self):
-        assert laplace_tail_threshold(1.0, 0.05) == pytest.approx(2.9957, abs=1e-4)
-
-    def test_delta_near_one(self):
-        assert laplace_tail_threshold(1.0, 1.0 - 1e-12) == pytest.approx(0.0, abs=1e-9)
-
-    def test_k_draws(self):
-        assert laplace_tail_threshold(2.0, 0.05, k=10) == pytest.approx(2 * math.log(200), rel=1e-12)
-
-    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, 1.5])
-    def test_bad_delta(self, delta):
-        with pytest.raises(InvalidParameterError):
-            laplace_tail_threshold(1.0, delta)
+            assert 3.0 + sample_laplace(1.0 / 0.5, RandomSource(0)) == 3.0
 
 
 class TestReportNoisyMax:
@@ -195,11 +173,12 @@ class TestPrivacyLedger:
         ledger.charge(Scope(None, "split", depth=1, leaf=0), Fraction(1, 5))
         ledger.charge(Scope(None, "split", depth=2, leaf=1), Fraction(1, 5))
         assert not ledger.within_budget()
-        assert ledger.report()["entries"] == 2
+        assert len(ledger.entries) == 2
 
     def test_positive_parameters_required(self):
-        with pytest.raises(InvalidParameterError):
-            PrivacyLedger(0.0)
+        for alpha in (0.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                PrivacyLedger(alpha)
         ledger = PrivacyLedger(1.0)
         with pytest.raises(InvalidParameterError):
             ledger.charge(Scope(None, "split", depth=1), 0)

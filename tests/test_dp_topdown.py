@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from dptree.dp_topdown import (
     DecaySchedule,
     RunStats,
     UniformSchedule,
-    budget_at_depth,
     dp_topdown,
     estimate_weight,
     label_leaves,
@@ -56,13 +56,13 @@ ONE_SPLIT = [SplitFunction(threshold=0.5, feature=0, hid=0)]
 class TestBudgetSchedules:
     def test_decay_values(self):
         schedule = DecaySchedule()
-        assert budget_at_depth(schedule, 1) == Fraction(1, 2)
-        assert budget_at_depth(schedule, 2) == Fraction(1, 4)
+        assert schedule.at_depth(1) == Fraction(1, 2)
+        assert schedule.at_depth(2) == Fraction(1, 4)
 
     def test_uniform_values(self):
         schedule = UniformSchedule(512)
         for depth in (1, 100, 512):
-            assert budget_at_depth(schedule, depth) == Fraction(1, 512)
+            assert schedule.at_depth(depth) == Fraction(1, 512)
 
     def test_uniform_depth_range(self):
         with pytest.raises(InvalidParameterError):
@@ -71,16 +71,20 @@ class TestBudgetSchedules:
             DecaySchedule().at_depth(0)
 
     def test_totals_within_one(self):
-        assert DecaySchedule().total(512) == 1 - Fraction(1, 2**512)
-        assert UniformSchedule(512).total(512) == 1
+        # Exact rationals: the sum over depths 1..M never exceeds the budget.
+        depths = range(1, 513)
+        decay = sum((DecaySchedule().at_depth(depth) for depth in depths), Fraction(0))
+        uniform = sum((UniformSchedule(512).at_depth(depth) for depth in depths), Fraction(0))
+        assert decay == 1 - Fraction(1, 2**512) < 1
+        assert uniform == 1
 
     def test_min_budget(self):
         assert DecaySchedule().min_budget(16) == Fraction(1, 2**16)
         assert UniformSchedule(16).min_budget(16) == Fraction(1, 16)
 
     def test_from_name(self):
-        assert schedule_from_name("decay", 8).name == "decay"
-        assert schedule_from_name("uniform", 8).name == "uniform"
+        assert isinstance(schedule_from_name("decay", 8), DecaySchedule)
+        assert schedule_from_name("uniform", 8) == UniformSchedule(8)
         with pytest.raises(InvalidParameterError):
             schedule_from_name("golden", 8)
 
@@ -137,8 +141,7 @@ class TestLabelLeaves:
         pool = EntityPool.from_shards(shards, RandomSource(3), ONE_SPLIT, Criterion.ENTROPY)
         tree = DecisionTree()
         with zero_noise():
-            label_leaves(tree, NoisyCountsSplitter(pool, ONE_SPLIT, Criterion.ENTROPY), 0.5,
-                         PrivacyLedger(1.0))
+            label_leaves(tree, NoisyCountsSplitter(pool), 0.5, PrivacyLedger(1.0))
         assert tree.root.label == 0
 
     def test_empty_leaf_gets_lowest_label_in_zero_noise(self):
@@ -163,9 +166,9 @@ class TestDPTopDown:
         with zero_noise():
             single, _, _ = dp_topdown(single_machine(ds, splits, 1), config)
             pool = make_pool(ds, 4, splits)
-            counts, _, _ = dp_topdown(NoisyCountsSplitter(pool, splits, Criterion.ENTROPY), config)
+            counts, _, _ = dp_topdown(NoisyCountsSplitter(pool), config)
             pool1 = EntityPool.from_shards([ds], RandomSource(3), splits, Criterion.ENTROPY)
-            local, _, _ = dp_topdown(LocalRNMSplitter(pool1, splits, Criterion.ENTROPY), config)
+            local, _, _ = dp_topdown(LocalRNMSplitter(pool1), config)
         assert single.to_json() == baseline
         assert counts.to_json() == baseline
         assert local.to_json() == baseline
@@ -243,7 +246,7 @@ class TestDPTopDown:
         for maker in (NoisyCountsSplitter, LocalRNMSplitter):
             pool = make_pool(ds, 4, splits, seed=5)
             config = DPTopDownConfig(alpha=1.0, max_nodes=6)
-            _, ledger, stats = dp_topdown(maker(pool, splits, Criterion.ENTROPY), config)
+            _, ledger, stats = dp_topdown(maker(pool), config)
             assert ledger.effective_cost() <= ledger.alpha
 
     def test_noisy_run_recovers_planted_tree_at_high_alpha(self):
@@ -271,6 +274,8 @@ class TestConfigValidation:
     def test_rejects_bad_parameters(self):
         for kwargs in (
             {"alpha": 0.0, "max_nodes": 4},
+            {"alpha": math.nan, "max_nodes": 4},
+            {"alpha": math.inf, "max_nodes": 4},
             {"alpha": 1.0, "max_nodes": 0},
             {"alpha": 1.0, "max_nodes": 4, "error": 0.0},
             {"alpha": 1.0, "max_nodes": 4, "leaf_privacy_fraction": 1.0},

@@ -150,7 +150,7 @@ class TestNoisyCounts:
         pool = make_pool(ds, k, splits, seed=k)
         ledger = PrivacyLedger(1.0)
         with zero_noise():
-            dist_h, dist_j = noisy_counts_split(pool, ROOT, 1.0, Criterion.ENTROPY, splits, ledger)
+            dist_h, dist_j = noisy_counts_split(pool, ROOT, 1.0, splits, ledger)
             single_h, single_j = rnm_root_split(ds, 1.0, splits, RandomSource(0), PrivacyLedger(1.0))
         assert dist_h == single_h
         assert dist_j == pytest.approx(single_j, rel=1e-12)
@@ -162,9 +162,7 @@ class TestNoisyCounts:
         with zero_noise():
             for seed in range(6):
                 pool = make_pool(ds, 4, splits, seed=seed)
-                results.append(
-                    noisy_counts_split(pool, ROOT, 1.0, Criterion.ENTROPY, splits, PrivacyLedger(1.0))
-                )
+                results.append(noisy_counts_split(pool, ROOT, 1.0, splits, PrivacyLedger(1.0)))
         assert all(r == results[0] for r in results)
 
     def test_per_entity_charge_is_third_of_alpha(self):
@@ -172,7 +170,7 @@ class TestNoisyCounts:
         splits = grid_splits()
         pool = make_pool(ds, 4, splits)
         ledger = PrivacyLedger(1.0)
-        noisy_counts_split(pool, ROOT, Fraction(3, 4), Criterion.ENTROPY, splits, ledger)
+        noisy_counts_split(pool, ROOT, Fraction(3, 4), splits, ledger)
         per_entity = {}
         for entry in ledger.entries:
             per_entity[entry.scope.entity] = per_entity.get(entry.scope.entity, 0) + entry.budget
@@ -211,10 +209,32 @@ class TestNoisyCounts:
         hits = 0
         trials = 60
         for _ in range(trials):
-            chosen, _ = noisy_counts_split(pool, ROOT, 4.0, Criterion.ENTROPY, splits,
-                                           PrivacyLedger(4.0))
+            chosen, _ = noisy_counts_split(pool, ROOT, 4.0, splits, PrivacyLedger(4.0))
             hits += chosen.feature == 0
         assert hits >= 0.95 * trials
+
+    def test_sanitizes_summed_cells_before_gain(self):
+        ds = planted_dataset(RandomSource(13), n=300)
+        splits = grid_splits()
+        transport = LocalTransport(record_payloads=True)
+        pool = make_pool(ds, 3, splits, transport=transport)
+        chosen, gain = noisy_counts_split(pool, ROOT, 0.1, splits, PrivacyLedger(1.0))
+        summed = np.sum([record["payload"]["cells"] for record in transport.log
+                         if record["direction"] == "response"], axis=0)
+        assert summed.min() < 0.0  # noise at alpha = 0.1 drives cells negative
+        gains = gain_from_counts(np.clip(summed, 0.0, None), Criterion.ENTROPY)
+        assert gain == gains[splits.index(chosen)]
+
+    def test_pool_entities_must_agree(self):
+        ds = planted_dataset(RandomSource(14), n=100)
+        splits = grid_splits()
+        entities = [Entity(0, ds, RandomSource(0), splits, Criterion.ENTROPY),
+                    Entity(1, ds, RandomSource(1), splits, Criterion.GINI)]
+        with pytest.raises(InvalidParameterError):
+            EntityPool(entities)
+        entities[1] = Entity(1, ds, RandomSource(1), splits[:-1], Criterion.ENTROPY)
+        with pytest.raises(InvalidParameterError):
+            EntityPool(entities)
 
     def test_entity_failure_aborts(self):
         ds = planted_dataset(RandomSource(6), n=400)
@@ -223,7 +243,7 @@ class TestNoisyCounts:
         pool = make_pool(ds, 3, splits, transport=transport)
         transport.failed.add(1)
         with pytest.raises(ProtocolError):
-            noisy_counts_split(pool, ROOT, 1.0, Criterion.ENTROPY, splits, PrivacyLedger(1.0))
+            noisy_counts_split(pool, ROOT, 1.0, splits, PrivacyLedger(1.0))
 
 
 class TestLocalRNM:
@@ -232,7 +252,7 @@ class TestLocalRNM:
         splits = grid_splits()
         pool = EntityPool.from_shards([ds], RandomSource(1), splits, Criterion.ENTROPY)
         with zero_noise():
-            local = local_rnm_split(pool, ROOT, 1.0, Criterion.ENTROPY, splits, PrivacyLedger(1.0))
+            local = local_rnm_split(pool, ROOT, 1.0, PrivacyLedger(1.0))
             single = rnm_root_split(ds, 1.0, splits, RandomSource(0), PrivacyLedger(1.0))
         assert local[0] == single[0]
         assert local[1] == pytest.approx(single[1], rel=1e-12)
@@ -244,8 +264,7 @@ class TestLocalRNM:
             shards = shard(ds, 4, seed)
             pool = EntityPool.from_shards(shards, RandomSource(seed), splits, Criterion.ENTROPY)
             with zero_noise():
-                chosen, gain = local_rnm_split(pool, ROOT, 1.0, Criterion.ENTROPY, splits,
-                                               PrivacyLedger(1.0))
+                chosen, gain = local_rnm_split(pool, ROOT, 1.0, PrivacyLedger(1.0))
             # brute force: per-shard best splits, evaluated on union counts
             locals_best = []
             for piece in shards:
@@ -261,7 +280,7 @@ class TestLocalRNM:
         transport = LocalTransport()
         pool = make_pool(ds, 4, splits, transport=transport)
         with zero_noise():
-            local_rnm_split(pool, ROOT, 1.0, Criterion.ENTROPY, splits, PrivacyLedger(1.0))
+            local_rnm_split(pool, ROOT, 1.0, PrivacyLedger(1.0))
         histogram_queries = [
             r for r in transport.log if r["direction"] == "query" and r["kind"] == "joint_histogram"
         ]
@@ -273,7 +292,7 @@ class TestLocalRNM:
         splits = grid_splits()
         pool = make_pool(ds, 4, splits)
         ledger = PrivacyLedger(1.0)
-        local_rnm_split(pool, ROOT, 1.0, Criterion.ENTROPY, splits, ledger)
+        local_rnm_split(pool, ROOT, 1.0, ledger)
         per_entity = {}
         for entry in ledger.entries:
             per_entity[entry.scope.entity] = per_entity.get(entry.scope.entity, 0) + entry.budget
@@ -291,7 +310,7 @@ class TestLocalRNM:
 
         stats = Stats()
         ledger = PrivacyLedger(1.0)
-        local_rnm_split(pool, ROOT, 1.0, Criterion.ENTROPY, splits, ledger, stats=stats)
+        local_rnm_split(pool, ROOT, 1.0, ledger, stats=stats)
         assert stats.random_local_candidates == 1
         # fallback still charges the phase-1 budget
         tiny_charges = [e.budget for e in ledger.entries if e.scope.entity == 1]
@@ -309,15 +328,14 @@ class TestDistributedQueries:
         pool = EntityPool.from_shards(shards, RandomSource(5), splits, Criterion.ENTROPY)
         left = LeafRef(1, 1, ((splits[0], 0),))
         with zero_noise():
-            weight = NoisyCountsSplitter(pool, splits, Criterion.ENTROPY).weight(
-                left, 0.5, PrivacyLedger(1.0))
+            weight = NoisyCountsSplitter(pool).weight(left, 0.5, PrivacyLedger(1.0))
         assert weight == pytest.approx(0.25)
 
     def test_weight_noise_std_and_bias(self):
         splits = grid_splits(d=1, count=1)
         piece = LabeledDataset(np.zeros((250, 1)), np.zeros(250, dtype=int), 2)
         pool = EntityPool.from_shards([piece] * 4, RandomSource(6), splits, Criterion.ENTROPY)
-        strategy = NoisyCountsSplitter(pool, splits, Criterion.ENTROPY)
+        strategy = NoisyCountsSplitter(pool)
         n, alpha_leaf, trials = 1000, 0.5, 30_000
         estimates = np.array([
             strategy.weight(ROOT, alpha_leaf, PrivacyLedger(1e6)) for _ in range(trials)
@@ -337,8 +355,7 @@ class TestDistributedQueries:
         pool = EntityPool.from_shards(shards, RandomSource(9), splits, Criterion.ENTROPY)
         with zero_noise():
             responses = pool.ask_all(PrivacyLedger(1.0), "label_counts", (), Fraction(1, 2), None, 0)
-            label = LocalRNMSplitter(pool, splits, Criterion.ENTROPY).label(
-                ROOT, Fraction(1, 2), PrivacyLedger(1.0))
+            label = LocalRNMSplitter(pool).label(ROOT, Fraction(1, 2), PrivacyLedger(1.0))
         totals = np.sum([resp.payload["counts"] for resp in responses], axis=0)
         assert totals.tolist() == [40.0, 20.0]
         assert label == 0
@@ -351,7 +368,7 @@ class TestDistributedQueries:
             labels = np.array([0] * 10 + [1] * 5)
             shards.append(LabeledDataset(rng.uniform(size=(15, 1)), labels, 2))
         pool = EntityPool.from_shards(shards, RandomSource(10), splits, Criterion.ENTROPY)
-        strategy = NoisyCountsSplitter(pool, splits, Criterion.ENTROPY)
+        strategy = NoisyCountsSplitter(pool)
         hits = 0
         for _ in range(1000):
             hits += strategy.label(ROOT, Fraction(8), PrivacyLedger(8.0)) == 0
@@ -363,7 +380,7 @@ class TestDistributedQueries:
                             np.asarray(RandomSource(2).integers(0, 2, size=20)), 2)
         pool = make_pool(ds, 2, splits)
         ledger = PrivacyLedger(1.0)
-        NoisyCountsSplitter(pool, splits, Criterion.ENTROPY).label(LeafRef(7, 0), Fraction(1, 2), ledger)
+        NoisyCountsSplitter(pool).label(LeafRef(7, 0), Fraction(1, 2), ledger)
         assert ledger.effective_cost() == Fraction(1, 4)
 
 
@@ -374,8 +391,8 @@ class TestMessageAudit:
         transport = LocalTransport(record_payloads=True)
         pool = make_pool(ds, 3, splits, transport=transport)
         ledger = PrivacyLedger(4.0)
-        strategy = LocalRNMSplitter(pool, splits, Criterion.ENTROPY)
-        NoisyCountsSplitter(pool, splits, Criterion.ENTROPY).split(ROOT, 1.0, ledger)
+        strategy = LocalRNMSplitter(pool)
+        NoisyCountsSplitter(pool).split(ROOT, 1.0, ledger)
         strategy.split(LeafRef(1, 1), 1.0, ledger)
         strategy.weight(ROOT, 0.5, ledger)
         strategy.label(ROOT, Fraction(1, 2), ledger)
@@ -410,7 +427,7 @@ class TestMessageAudit:
         splits = grid_splits()
         transport = LocalTransport()
         pool = make_pool(ds, 2, splits, transport=transport)
-        NoisyCountsSplitter(pool, splits, Criterion.ENTROPY).weight(ROOT, 0.5, PrivacyLedger(1.0))
+        NoisyCountsSplitter(pool).weight(ROOT, 0.5, PrivacyLedger(1.0))
         kinds = {(r["direction"], r["kind"]) for r in transport.log}
         assert kinds == {("query", "leaf_count"), ("response", "leaf_count")}
         assert all(r["budget"] == 0.25 for r in transport.log)
@@ -455,7 +472,7 @@ class TestEntityRowCache:
         pool = make_pool(ds, 3, splits, seed=3)
         single = SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY, RandomSource(3))
         config = DPTopDownConfig(alpha=8.0, max_nodes=12)
-        for strategy, entities in ((LocalRNMSplitter(pool, splits, Criterion.ENTROPY), pool.entities),
+        for strategy, entities in ((LocalRNMSplitter(pool), pool.entities),
                                    (single, [single.entity])):
             tree, _, _ = dp_topdown(strategy, config)
             assert tree.internal_count >= 3
@@ -479,7 +496,7 @@ class TestEntityRowCache:
                 transport,
             )
             config = DPTopDownConfig(alpha=4.0, max_nodes=16)
-            tree, ledger, _ = dp_topdown(maker(pool, splits, Criterion.ENTROPY), config)
+            tree, ledger, _ = dp_topdown(maker(pool), config)
             runs.append((tree.to_json(), ledger.entries, transport.log))
         assert runs[0] == runs[1]
         assert len(runs[0][2]) > 100

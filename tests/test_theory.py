@@ -14,10 +14,9 @@ from dptree.theory import (
     noisycounts_sample_bound,
     rnm_sample_bound,
     sensitivity_bound,
-    theorem2_dataset_requirement,
     theorem_zeta,
 )
-from dptree.tree_learning import Criterion, LeafCounts, split_gain
+from dptree.tree_learning import Criterion, gain_from_counts
 
 
 class TestSensitivityBound:
@@ -50,11 +49,11 @@ class TestEmpiricalSensitivity:
     def test_adversarial_corner_reaches_bound_order(self):
         # S all label-0 except one flipped point, h splitting that point off
         m = 64
-        before = LeafCounts(np.array([[float(m - 1), 1.0], [0.0, 0.0]]))
-        after = LeafCounts(np.array([[float(m - 1), 0.0], [0.0, 1.0]]))
-        gap = abs(
-            split_gain(after, Criterion.ENTROPY) - split_gain(before, Criterion.ENTROPY)
-        )
+        before = np.array([[float(m - 1), 1.0], [0.0, 0.0]])
+        after = np.array([[float(m - 1), 0.0], [0.0, 1.0]])
+        gap = abs(float(
+            gain_from_counts(after, Criterion.ENTROPY) - gain_from_counts(before, Criterion.ENTROPY)
+        ))
         bound = sensitivity_bound(Criterion.ENTROPY, m)
         assert bound / 10 <= gap <= bound
 
@@ -184,7 +183,7 @@ class TestDatasetRequirement:
         assert breakdown.weight_term == pytest.approx(weight, rel=1e-12)
         assert breakdown.leaf_term == pytest.approx(leaf, rel=1e-12)
         assert breakdown.split_term == pytest.approx(split, rel=1e-12)
-        assert theorem2_dataset_requirement(params, "rnm", 50) == 211591309208640
+        assert dataset_requirement_breakdown(params, "rnm", 50).required == 211591309208640
 
     def test_split_delta_matches_call_count_bound(self):
         # Each of the at most 2M + 1 split calls gets delta / (2 (2M + 1)).
@@ -206,7 +205,7 @@ class TestDatasetRequirement:
         for splitter, k in (("rnm", 1), ("noisy-counts", 4)):
             params = self.golden_params(k)
             breakdown = dataset_requirement_breakdown(params, splitter, 50)
-            assert theorem2_dataset_requirement(params, splitter, 50) == math.ceil(
+            assert breakdown.required == math.ceil(
                 max(breakdown.weight_term, breakdown.leaf_term, breakdown.split_term)
             )
 
@@ -222,7 +221,7 @@ class TestDatasetRequirement:
                 gamma=0.25, error=0.1, delta=0.1, max_nodes=max_nodes, alpha=alpha,
                 schedule=UniformSchedule(max_nodes),
             )
-            return theorem2_dataset_requirement(params, "rnm", 50)
+            return dataset_requirement_breakdown(params, "rnm", 50).required
 
         assert requirement(2.0, 16) < requirement(1.0, 16) < requirement(0.5, 16)
         assert requirement(1.0, 8) < requirement(1.0, 16) < requirement(1.0, 32)
@@ -235,9 +234,8 @@ class TestDatasetRequirement:
             gamma=0.25, error=0.1, delta=0.1, max_nodes=8, alpha=1.0, schedule=UniformSchedule(8)
         )
         # decay's min budget 2^-8 is far below uniform's 1/8
-        assert theorem2_dataset_requirement(params, "rnm", 20) > theorem2_dataset_requirement(
-            uniform, "rnm", 20
-        )
+        assert (dataset_requirement_breakdown(params, "rnm", 20).required
+                > dataset_requirement_breakdown(uniform, "rnm", 20).required)
 
     def test_unknown_splitter_rejected(self):
         with pytest.raises(InvalidParameterError):
