@@ -2,7 +2,7 @@
 and sweep summaries.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 budget exceeded
-(strict-mode ledger).
+(a ledger charge would take the run over alpha).
 """
 
 from __future__ import annotations

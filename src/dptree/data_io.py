@@ -1,6 +1,7 @@
 """Dataset ingestion and preparation: schema-driven CSV loading with one-hot
 encoding, splitting-class construction from declared (public) feature ranges,
-train/test splitting, and partitioning across simulated data holders.
+train/test splitting, and uniform random partitioning across simulated data
+holders.
 
 Thresholds always come from schema-declared ranges, never from data minima or
 maxima: data-derived thresholds would leak outside the privacy accounting.
@@ -234,7 +235,7 @@ def load_csv(path, schema: DataSchema) -> LabeledDataset:
             labels.append(label_index[label_cell])
 
     features = np.array(rows, dtype=float) if rows else np.empty((0, schema.n_encoded))
-    return LabeledDataset(features, np.array(labels, dtype=np.int64), schema.n_classes, schema)
+    return LabeledDataset(features, np.array(labels, dtype=np.int64), schema.n_classes)
 
 
 def write_csv(dataset: LabeledDataset, schema: DataSchema, path) -> None:
@@ -299,73 +300,14 @@ def build_splitting_class(schema: DataSchema) -> list[SplitFunction]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PartitionSpec:
-    """How to divide rows among k data holders.
-
-    uniform-random assigns rows i.i.d. (shard-size variance is intended);
-    by-column groups rows by a column's value, distributing the distinct
-    values round-robin; explicit reads a (row index, entity id) CSV that
-    assigns every row exactly once.
-    """
-
-    k: int
-    mode: str = "uniform-random"
-    column: str | None = None
-    assignment_path: str | None = None
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidParameterError(f"entity count k must be >= 1, got {self.k}")
-        if self.mode not in ("uniform-random", "by-column", "explicit"):
-            raise InvalidParameterError(f"unknown partition mode {self.mode!r}")
-        if self.mode == "by-column" and not self.column:
-            raise InvalidParameterError("by-column partitioning needs a column name")
-        if self.mode == "explicit" and not self.assignment_path:
-            raise InvalidParameterError("explicit partitioning needs an assignment file")
-
-
-def partition_assignment(dataset: LabeledDataset, spec: PartitionSpec, rng: RandomSource) -> np.ndarray:
-    """Entity id per row."""
-    if spec.mode == "uniform-random":
-        return np.asarray(rng.integers(0, spec.k, size=dataset.n))
-    if spec.mode == "by-column":
-        schema = dataset.schema
-        if schema is None:
-            raise InvalidParameterError("by-column partitioning needs a schema-backed dataset")
-        try:
-            col = schema.encoded_columns().index(spec.column)
-        except ValueError:
-            first = [c for c in schema.encoded_columns() if c.split("=")[0] == spec.column]
-            if not first:
-                raise InvalidParameterError(f"unknown partition column {spec.column!r}")
-            col = schema.encoded_columns().index(first[0])
-        values = dataset.features[:, col]
-        distinct = np.unique(values)
-        entity_of = {v: i % spec.k for i, v in enumerate(distinct)}
-        return np.array([entity_of[v] for v in values], dtype=np.int64)
-    assignment = np.full(dataset.n, -1, dtype=np.int64)
-    with open(spec.assignment_path, "r", encoding="utf-8", newline="") as fh:
-        for record_number, row in enumerate(csv.reader(fh), start=1):
-            try:
-                index, entity = int(row[0]), int(row[1])
-            except (ValueError, IndexError):
-                raise DataError(f"{spec.assignment_path}:{record_number}: expected 'row,entity'")
-            if not 0 <= index < dataset.n or not 0 <= entity < spec.k:
-                raise DataError(f"{spec.assignment_path}:{record_number}: out-of-range assignment")
-            if assignment[index] >= 0:
-                raise DataError(f"{spec.assignment_path}:{record_number}: row {index} is assigned twice")
-            assignment[index] = entity
-    if (assignment < 0).any():
-        raise DataError(f"{spec.assignment_path}: not every row was assigned")
-    return assignment
-
-
-def partition(dataset: LabeledDataset, spec: PartitionSpec, rng: RandomSource) -> list[LabeledDataset]:
-    """Disjoint shards whose union (by construction) is the dataset. Empty
-    shards are allowed when k exceeds the row count."""
-    assignment = partition_assignment(dataset, spec, rng)
-    return [dataset.subset(np.flatnonzero(assignment == i)) for i in range(spec.k)]
+def partition(dataset: LabeledDataset, k: int, rng: RandomSource) -> list[LabeledDataset]:
+    """Divide the rows among k data holders, each row to a uniformly drawn
+    holder (shard-size variance is intended). The shards are disjoint and
+    their union is the dataset; a shard is empty when no row drew it."""
+    if k < 1:
+        raise InvalidParameterError(f"entity count k must be >= 1, got {k}")
+    assignment = np.asarray(rng.integers(0, k, size=dataset.n))
+    return [dataset.subset(np.flatnonzero(assignment == i)) for i in range(k)]
 
 
 def train_test_split(dataset: LabeledDataset, ratio: tuple, rng: RandomSource):
@@ -436,4 +378,4 @@ def synthetic_tree_dataset(
     if label_noise > 0.0:
         flips = rng.uniform(size=n) < label_noise
         labels = np.where(flips, 1 - labels, labels)
-    return LabeledDataset(features, labels.astype(np.int64), 2, schema), truth, schema
+    return LabeledDataset(features, labels.astype(np.int64), 2), truth, schema

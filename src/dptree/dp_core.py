@@ -1,6 +1,7 @@
 """Core differential privacy machinery: seeded noise streams, Laplace
 sampling (`sample_laplace`), Report Noisy Max, the zero-noise debug switch,
-and a composition-aware budget ledger.
+and a composition-aware budget ledger that raises on the charge that takes a
+run over its budget.
 
 Both mechanisms are pure given an explicit :class:`RandomSource` and charge
 nothing themselves. The learners add `sample_laplace` noise to their exact
@@ -26,7 +27,8 @@ class InvalidParameterError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A strict-mode ledger charge pushed the effective cost over budget."""
+    """A ledger charge took the effective cost over alpha. The charge is
+    recorded, and `ledger` is the ledger it was made on."""
 
     def __init__(self, message, ledger=None):
         super().__init__(message)
@@ -193,19 +195,33 @@ class PrivacyLedger:
     max (parallel composition). Disjointness is structural: distinct entities
     hold disjoint shards, leaves at one depth partition the data, and leaves
     partition the data at labeling time. Budgets are tracked as exact
-    rationals so the end-of-run audit `effective_cost <= alpha` is exact.
+    rationals so the check `effective_cost <= alpha` is exact.
 
-    Audit mode (default) records everything and verifies post hoc; strict
-    mode raises BudgetExceededError on the charge that crosses the budget.
+    Within one entity, charges fall into groups: the budget depth for split
+    and weight charges, "label" for label charges. Identified leaves of a
+    group are disjoint, so the group costs its largest per-leaf sum; a charge
+    without a leaf id cannot be shown disjoint and adds on top. Groups
+    overlap (a depth-d leaf contains its descendants), so an entity's cost
+    is the sum over its groups. Global charges touch all data and add to the
+    largest cost of any other entity.
+
+    Every one of these values only grows, so each charge updates the values
+    it touches and the running cost in O(1). The charge that takes the cost
+    over alpha is recorded and raises BudgetExceededError, as does every
+    charge after it.
     """
 
-    def __init__(self, alpha, strict: bool = False):
+    def __init__(self, alpha):
         if not (math.isfinite(alpha) and alpha > 0):
             raise InvalidParameterError(f"total budget alpha must be positive and finite, got {alpha}")
         self.alpha = Fraction(alpha)
-        self.strict = strict
         self.entries: list[LedgerEntry] = []
         self._lock = threading.Lock()
+        self._leaf_sum: dict[tuple, Fraction] = {}  # (entity, group, leaf) -> sum
+        self._group_max: dict[tuple, Fraction] = {}  # (entity, group) -> largest leaf sum
+        self._entity_cost: dict[int | None, Fraction] = {}
+        self._max_entity_cost = Fraction(0)  # over non-global entities
+        self._cost = Fraction(0)
 
     def charge(self, scope: Scope, budget) -> None:
         budget = Fraction(budget)
@@ -213,52 +229,32 @@ class PrivacyLedger:
             raise InvalidParameterError(f"charged budget must be positive, got {budget}")
         with self._lock:
             self.entries.append(LedgerEntry(scope, budget))
-            if self.strict and self.effective_cost() > self.alpha:
+            self._grow(scope, budget)
+            if self._cost > self.alpha:
                 raise BudgetExceededError(
-                    f"effective cost {float(self.effective_cost()):.6g} exceeds "
-                    f"alpha={float(self.alpha):.6g}",
+                    f"effective cost {float(self._cost):.6g} exceeds alpha={float(self.alpha):.6g}",
                     ledger=self,
                 )
 
+    def _grow(self, scope: Scope, budget: Fraction) -> None:
+        """Update the running values one charge touches."""
+        growth = budget
+        if scope.leaf is not None:
+            group = (scope.entity, "label" if scope.purpose == "label" else scope.depth)
+            leaf = group + (scope.leaf,)
+            leaf_sum = self._leaf_sum[leaf] = self._leaf_sum.get(leaf, 0) + budget
+            largest = self._group_max.get(group, 0)
+            if leaf_sum <= largest:
+                return
+            growth = leaf_sum - largest
+            self._group_max[group] = leaf_sum
+        entity_cost = self._entity_cost[scope.entity] = self._entity_cost.get(scope.entity, 0) + growth
+        if scope.entity is GLOBAL_SCOPE:
+            self._cost = entity_cost + self._max_entity_cost
+        elif entity_cost > self._max_entity_cost:
+            self._max_entity_cost = entity_cost
+            self._cost = self._entity_cost.get(GLOBAL_SCOPE, 0) + entity_cost
+
     def effective_cost(self) -> Fraction:
         """Total privacy cost after applying composition rules."""
-        by_entity: dict[int | None, list[LedgerEntry]] = {}
-        for entry in self.entries:
-            by_entity.setdefault(entry.scope.entity, []).append(entry)
-
-        def entity_cost(entity_entries) -> Fraction:
-            # Construction charges: per depth, identified leaves are disjoint,
-            # so sum within a leaf then max across leaves; charges without a
-            # leaf id cannot be proven disjoint and add on top. Depths overlap
-            # (a depth-d leaf contains its descendants), so depths sum.
-            per_depth_leaf: dict[int | None, dict] = {}
-            per_depth_anon: dict[int | None, Fraction] = {}
-            label_per_leaf: dict = {}
-            for entry in entity_entries:
-                if entry.scope.purpose == "label":
-                    key = entry.scope.leaf
-                    label_per_leaf[key] = label_per_leaf.get(key, Fraction(0)) + entry.budget
-                elif entry.scope.leaf is None:
-                    d = entry.scope.depth
-                    per_depth_anon[d] = per_depth_anon.get(d, Fraction(0)) + entry.budget
-                else:
-                    leaves = per_depth_leaf.setdefault(entry.scope.depth, {})
-                    key = entry.scope.leaf
-                    leaves[key] = leaves.get(key, Fraction(0)) + entry.budget
-            cost = Fraction(0)
-            for depth in set(per_depth_leaf) | set(per_depth_anon):
-                leaves = per_depth_leaf.get(depth, {})
-                cost += max(leaves.values(), default=Fraction(0))
-                cost += per_depth_anon.get(depth, Fraction(0))
-            if label_per_leaf:
-                cost += max(label_per_leaf.values())
-            return cost
-
-        global_cost = entity_cost(by_entity.pop(GLOBAL_SCOPE, []))
-        entity_costs = [entity_cost(entries) for entries in by_entity.values()]
-        # Entities hold disjoint shards: parallel across entities. Global
-        # charges touch all data and compose sequentially with everything.
-        return global_cost + (max(entity_costs) if entity_costs else Fraction(0))
-
-    def within_budget(self) -> bool:
-        return self.effective_cost() <= self.alpha
+        return self._cost

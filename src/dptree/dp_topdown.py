@@ -119,13 +119,14 @@ class DPTopDownConfig:
     leaf_privacy_fraction: float = 0.5
     schedule: object = None
     min_gain: float = 0.01
-    strict_ledger: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise InvalidParameterError(f"alpha must be positive and finite, got {self.alpha}")
         if self.max_nodes < 1:
             raise InvalidParameterError(f"max_nodes must be >= 1, got {self.max_nodes}")
+        if not math.isfinite(self.min_gain):
+            raise InvalidParameterError(f"min_gain must be finite, got {self.min_gain}")
         if not 0.0 < self.error <= 1.0:
             raise InvalidParameterError(f"error must lie in (0, 1], got {self.error}")
         if not 0.0 < self.leaf_privacy_fraction < 1.0:
@@ -156,7 +157,6 @@ class RunStats:
     pushed_weights: list = field(default_factory=list)
     degenerate_splits: int = 0
     random_local_candidates: int = 0
-    within_budget: bool = True
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -235,13 +235,14 @@ def dp_topdown(strategy, config: DPTopDownConfig):
     """Private top-down tree learning through one PrivateSplit strategy.
 
     Returns (tree, ledger, stats). An exhausted queue before max_nodes
-    splits is normal termination.
+    splits is normal termination. A charge that would take the ledger over
+    alpha raises BudgetExceededError.
     """
     total_n = strategy.total_size
     if total_n <= 0:
         raise InvalidParameterError("cannot learn from an empty data source")
 
-    ledger = PrivacyLedger(config.alpha, strict=config.strict_ledger)
+    ledger = PrivacyLedger(config.alpha)
     stats = RunStats()
     tree = DecisionTree()
     queue = MaxQueue()
@@ -286,6 +287,5 @@ def dp_topdown(strategy, config: DPTopDownConfig):
     stats.internal_nodes = tree.internal_count
     stats.random_local_candidates = getattr(strategy, "random_local_candidates", 0)
     stats.ledger_effective_cost = float(ledger.effective_cost())
-    stats.within_budget = ledger.within_budget()
     assert stats.depth <= stats.internal_nodes <= config.max_nodes
     return tree, ledger, stats

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +25,6 @@ import numpy as np
 from .dp_core import RandomSource, zero_noise
 from .data_io import (
     DataError,
-    PartitionSpec,
     build_splitting_class,
     load_csv,
     load_schema,
@@ -85,6 +85,12 @@ class ExperimentConfig:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.max_nodes < 1:
             raise ConfigError(f"max_nodes must be >= 1, got {self.max_nodes}")
+        if self.entities < 1:
+            raise ConfigError(f"entities must be >= 1, got {self.entities}")
+        if not 0.0 < self.error <= 1.0:
+            raise ConfigError(f"error must lie in (0, 1], got {self.error}")
+        if not math.isfinite(self.min_gain):
+            raise ConfigError(f"min_gain must be finite, got {self.min_gain}")
         if self.split_seed < 0:
             raise ConfigError(f"data.split_seed must be >= 0, got {self.split_seed}")
         if len(self.ratio) != 2 or not all(
@@ -297,7 +303,7 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
         if config.algorithm == "single-rnm":
             strategy = SingleMachineRNMSplitter(train, splits, criterion, source_rng.substream("mechanisms"))
         else:
-            shards = partition(train, PartitionSpec(config.entities), source_rng.substream("partition"))
+            shards = partition(train, config.entities, source_rng.substream("partition"))
             pool = EntityPool.from_shards(shards, source_rng.substream("entities"), splits, criterion)
             maker = NoisyCountsSplitter if config.algorithm == "noisy-counts" else LocalRNMSplitter
             strategy = maker(pool)

@@ -101,14 +101,12 @@ def gain_from_counts(cells: np.ndarray, criterion: Criterion) -> np.ndarray:
 class LabeledDataset:
     """Feature matrix plus labels drawn from a finite, publicly declared set.
 
-    Labels are stored as indices 0..n_classes-1; the schema (when present)
-    maps them back to names and carries the declared feature ranges.
+    Labels are stored as indices 0..n_classes-1 into the declared label set.
     """
 
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
-    schema: object = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -131,7 +129,7 @@ class LabeledDataset:
         return self.features.shape[0]
 
     def subset(self, indices) -> "LabeledDataset":
-        return LabeledDataset(self.features[indices], self.labels[indices], self.n_classes, self.schema)
+        return LabeledDataset(self.features[indices], self.labels[indices], self.n_classes)
 
     def label_counts(self, indices=None) -> np.ndarray:
         labels = self.labels if indices is None else self.labels[indices]

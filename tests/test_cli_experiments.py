@@ -3,7 +3,10 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -95,6 +98,11 @@ class TestConfig:
             {"max_node": 6},  # misspelt
             {"delta": 1e-6},  # read by nothing
             ["a list, not an object"],  # the whole document
+            {"min_gain": math.nan},
+            {"min_gain": math.inf},
+            {"algorithm": "baseline", "error": math.nan},
+            {"algorithm": "baseline", "error": 0.0},
+            {"entities": 0},
         ],
     )
     def test_invalid_configs_rejected(self, workspace, patch):
@@ -102,6 +110,11 @@ class TestConfig:
         bad = {**config, **patch} if isinstance(patch, dict) else patch
         with pytest.raises(ConfigError):
             config_from_dict(bad)
+
+    def test_every_field_has_exactly_one_config_key(self):
+        targets = [name for key, (name, _) in experiments._CONFIG_KEYS.items() if key != "data"]
+        targets += [name for name, _ in experiments._DATA_KEYS.values()]
+        assert sorted(targets) == sorted(f.name for f in fields(experiments.ExperimentConfig))
 
     def test_data_cache_holds_latest_key_only(self, workspace):
         _, config, _ = workspace
@@ -311,12 +324,27 @@ class TestCli:
         {"schema": "nope.json", "data": {}},
         {"schema": "nope.json", "data": {"csv": "d.csv"}, "entities": "abc"},
         [{"schema": "nope.json", "data": {"csv": "d.csv"}}],
-    ], ids=["missing-data", "uncastable-value", "list-document"])
+        {"schema": "nope.json", "data": {"csv": "d.csv"}, "min_gain": math.nan},
+        {"schema": "nope.json", "data": {"csv": "d.csv"}, "algorithm": "baseline", "error": 0.0},
+        {"schema": "nope.json", "data": {"csv": "d.csv"}, "entities": 0},
+    ], ids=["missing-data", "uncastable-value", "list-document", "nan-min-gain",
+            "baseline-zero-error", "no-entities"])
     def test_config_error_exit_code(self, tmp_path, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         result = CliRunner().invoke(main, ["train", "--config", str(bad)])
         assert result.exit_code == 2
+
+    def test_budget_exceeded_exit_code(self, workspace, monkeypatch):
+        _, _, config_path = workspace
+        # Fund every depth with the whole split budget, so the run overspends.
+        monkeypatch.setattr(experiments, "schedule_from_name",
+                            lambda name, max_nodes: SimpleNamespace(at_depth=lambda depth: Fraction(1)))
+        result = CliRunner().invoke(main, ["train", "--config", str(config_path)])
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: effective cost")
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("params", ['[1]', '{"criterion": "entropy", "m": "abc"}'],
                              ids=["not-an-object", "non-numeric"])

@@ -8,13 +8,11 @@ from dptree.data_io import (
     ContinuousFeature,
     DataError,
     DataSchema,
-    PartitionSpec,
     SplittingSpec,
     build_splitting_class,
     load_csv,
     load_schema,
     partition,
-    partition_assignment,
     save_schema,
     schema_from_dict,
     synthetic_tree_dataset,
@@ -195,61 +193,32 @@ class TestSplittingClass:
 class TestPartition:
     def test_uniform_disjoint_union(self):
         ds, _, _ = synthetic_tree_dataset(100, RandomSource(1))
-        assignment = partition_assignment(ds, PartitionSpec(4), RandomSource(2))
-        shards = partition(ds, PartitionSpec(4), RandomSource(2))
+        shards = partition(ds, 4, RandomSource(2))
+        assignment = RandomSource(2).integers(0, 4, size=100)
         assert sum(s.n for s in shards) == 100
-        assert np.array_equal(np.sort(np.unique(assignment)), np.unique(assignment))
         for i, piece in enumerate(shards):
-            assert piece.n == int(np.sum(assignment == i))
+            rows = np.flatnonzero(assignment == i)
+            assert np.array_equal(piece.features, ds.features[rows])
+            assert np.array_equal(piece.labels, ds.labels[rows])
 
     def test_same_seed_same_partition(self):
         ds, _, _ = synthetic_tree_dataset(200, RandomSource(3))
-        a = partition_assignment(ds, PartitionSpec(4), RandomSource(7))
-        b = partition_assignment(ds, PartitionSpec(4), RandomSource(7))
-        assert np.array_equal(a, b)
+        a = partition(ds, 4, RandomSource(7))
+        b = partition(ds, 4, RandomSource(7))
+        for x, y in zip(a, b):
+            assert np.array_equal(x.features, y.features)
+            assert np.array_equal(x.labels, y.labels)
 
     def test_more_entities_than_rows_allowed(self):
         ds, _, _ = synthetic_tree_dataset(3, RandomSource(4))
-        shards = partition(ds, PartitionSpec(10), RandomSource(5))
+        shards = partition(ds, 10, RandomSource(5))
         assert len(shards) == 10
         assert sum(s.n for s in shards) == 3
 
-    def test_by_column_groups_values(self, tmp_path, small_schema):
-        csv_path = tmp_path / "grp.csv"
-        write_lines(csv_path, ["age,color,outcome"] + [
-            f"{10 + i},{'red' if i % 2 else 'blue'},no" for i in range(10)
-        ])
-        ds = load_csv(csv_path, small_schema)
-        assignment = partition_assignment(
-            ds, PartitionSpec(2, mode="by-column", column="color"), RandomSource(0)
-        )
-        reds = ds.features[:, 1] == 1.0
-        assert len(np.unique(assignment[reds])) == 1
-        assert len(np.unique(assignment[~reds])) == 1
-
-    def test_explicit_assignment_file(self, tmp_path):
-        ds, _, _ = synthetic_tree_dataset(6, RandomSource(6))
-        path = tmp_path / "assign.csv"
-        write_lines(path, [f"{i},{i % 3}" for i in range(6)])
-        spec = PartitionSpec(3, mode="explicit", assignment_path=str(path))
-        assignment = partition_assignment(ds, spec, RandomSource(0))
-        assert assignment.tolist() == [0, 1, 2, 0, 1, 2]
-
-    def test_explicit_incomplete_rejected(self, tmp_path):
-        ds, _, _ = synthetic_tree_dataset(4, RandomSource(7))
-        path = tmp_path / "assign.csv"
-        write_lines(path, ["0,0", "1,1"])
-        with pytest.raises(DataError):
-            partition_assignment(ds, PartitionSpec(2, mode="explicit", assignment_path=str(path)),
-                                 RandomSource(0))
-
-    def test_explicit_duplicate_row_rejected(self, tmp_path):
-        ds, _, _ = synthetic_tree_dataset(3, RandomSource(7))
-        path = tmp_path / "assign.csv"
-        write_lines(path, ["0,0", "1,1", "2,0", "1,0"])
-        with pytest.raises(DataError, match=r"assign\.csv:4: row 1 is assigned twice"):
-            partition_assignment(ds, PartitionSpec(2, mode="explicit", assignment_path=str(path)),
-                                 RandomSource(0))
+    def test_needs_an_entity(self):
+        ds, _, _ = synthetic_tree_dataset(3, RandomSource(4))
+        with pytest.raises(InvalidParameterError):
+            partition(ds, 0, RandomSource(5))
 
 
 class TestTrainTestSplit:

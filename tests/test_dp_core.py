@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dptree.dp_core import (
+    GLOBAL_SCOPE,
     BudgetExceededError,
     InvalidParameterError,
     PrivacyLedger,
@@ -116,6 +117,50 @@ class TestReportNoisyMax:
         assert value == scores[index]
 
 
+def recomputed_cost(charges) -> Fraction:
+    """Effective cost of (scope, budget) charges, recomputed from scratch: the
+    reference for the ledger's running cost.
+
+    Per entity, identified leaves of one group (the depth, or "label" for
+    label charges) take the max of their per-leaf sums, groups add, and
+    charges without a leaf id add on top. Global charges add to the largest
+    cost of any other entity.
+    """
+    by_entity: dict = {}
+    for scope, budget in charges:
+        by_entity.setdefault(scope.entity, []).append((scope, budget))
+
+    def entity_cost(entity_charges) -> Fraction:
+        groups: dict = {}
+        cost = Fraction(0)
+        for scope, budget in entity_charges:
+            if scope.leaf is None:
+                cost += budget
+                continue
+            group = "label" if scope.purpose == "label" else scope.depth
+            leaves = groups.setdefault(group, {})
+            leaves[scope.leaf] = leaves.get(scope.leaf, Fraction(0)) + budget
+        return cost + sum(max(leaves.values()) for leaves in groups.values())
+
+    global_cost = entity_cost(by_entity.pop(GLOBAL_SCOPE, []))
+    return global_cost + max((entity_cost(c) for c in by_entity.values()), default=Fraction(0))
+
+
+CHARGES = st.lists(
+    st.tuples(
+        st.builds(
+            Scope,
+            entity=st.sampled_from([GLOBAL_SCOPE, 0, 1, 2]),
+            purpose=st.sampled_from(["split", "weight", "label"]),
+            depth=st.sampled_from([None, 1, 2, 3]),
+            leaf=st.sampled_from([None, 0, 1, 2, 3]),
+        ),
+        st.builds(Fraction, st.integers(1, 8), st.integers(1, 8)),
+    ),
+    max_size=40,
+)
+
+
 class TestPrivacyLedger:
     def test_parallel_composition_across_entities(self):
         ledger = PrivacyLedger(1.0)
@@ -161,19 +206,43 @@ class TestPrivacyLedger:
             reference = cost if reference is None else reference
             assert cost == reference
 
-    def test_strict_mode_raises(self):
-        ledger = PrivacyLedger(0.25, strict=True)
+    def test_anonymous_charges_add_to_identified_leaves(self):
+        for purpose, depth in (("label", None), ("split", 1)):
+            ledger = PrivacyLedger(2.0)
+            ledger.charge(Scope(None, purpose, depth=depth, leaf=5), Fraction(1, 2))
+            ledger.charge(Scope(None, purpose, depth=depth), Fraction(1, 2))
+            assert ledger.effective_cost() == 1
+
+    def test_charge_over_alpha_is_recorded_and_raises(self):
+        ledger = PrivacyLedger(0.25)
         ledger.charge(Scope(None, "split", depth=1, leaf=0), Fraction(1, 5))
         with pytest.raises(BudgetExceededError) as err:
             ledger.charge(Scope(None, "split", depth=2, leaf=1), Fraction(1, 5))
         assert err.value.ledger is ledger
-
-    def test_audit_mode_records_overrun(self):
-        ledger = PrivacyLedger(0.25)
-        ledger.charge(Scope(None, "split", depth=1, leaf=0), Fraction(1, 5))
-        ledger.charge(Scope(None, "split", depth=2, leaf=1), Fraction(1, 5))
-        assert not ledger.within_budget()
         assert len(ledger.entries) == 2
+        assert ledger.effective_cost() == Fraction(2, 5)
+        with pytest.raises(BudgetExceededError):
+            ledger.charge(Scope(None, "split", depth=2, leaf=2), Fraction(1, 5))
+
+    @given(CHARGES)
+    @settings(max_examples=300, deadline=None)
+    def test_running_cost_matches_full_recompute(self, charges):
+        ledger = PrivacyLedger(10**6)
+        for i, (scope, budget) in enumerate(charges, start=1):
+            ledger.charge(scope, budget)
+            assert ledger.effective_cost() == recomputed_cost(charges[:i])
+
+    @given(CHARGES, st.builds(Fraction, st.integers(1, 8), st.integers(1, 4)))
+    @settings(max_examples=300, deadline=None)
+    def test_first_charge_over_alpha_raises(self, charges, alpha):
+        ledger = PrivacyLedger(alpha)
+        for i, (scope, budget) in enumerate(charges, start=1):
+            if recomputed_cost(charges[:i]) > alpha:
+                with pytest.raises(BudgetExceededError):
+                    ledger.charge(scope, budget)
+                assert len(ledger.entries) == i
+                return
+            ledger.charge(scope, budget)
 
     def test_positive_parameters_required(self):
         for alpha in (0.0, math.nan, math.inf):

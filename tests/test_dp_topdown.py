@@ -2,11 +2,19 @@ import json
 import math
 from dataclasses import fields
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dptree.dp_core import InvalidParameterError, PrivacyLedger, RandomSource, Scope, zero_noise
+from dptree.dp_core import (
+    BudgetExceededError,
+    InvalidParameterError,
+    PrivacyLedger,
+    RandomSource,
+    Scope,
+    zero_noise,
+)
 from dptree.data_io import build_splitting_class, synthetic_tree_dataset
 from dptree.dp_topdown import (
     DPTopDownConfig,
@@ -51,6 +59,9 @@ def make_pool(ds, k, splits, seed=0):
 
 
 ONE_SPLIT = [SplitFunction(threshold=0.5, feature=0, hid=0)]
+
+# Funds every depth with the whole split budget, so a run overspends alpha.
+FULL_SPLIT_BUDGET = SimpleNamespace(at_depth=lambda depth: Fraction(1))
 
 
 class TestBudgetSchedules:
@@ -181,15 +192,20 @@ class TestDPTopDown:
             alpha=1.0, max_nodes=8, leaf_privacy_fraction=lpf,
             schedule=schedule_from_name(schedule_name, 8),
         )
-        _, ledger, stats = dp_topdown(single_machine(ds, splits, 11), config)
+        _, ledger, _ = dp_topdown(single_machine(ds, splits, 11), config)
         assert ledger.effective_cost() <= ledger.alpha
-        assert stats.within_budget
 
-    def test_strict_mode_never_raises_on_schedule(self):
+    def test_overspending_schedule_raises_on_crossing_charge(self):
         ds, splits = make_dataset(seed=8, n=2000)
-        config = DPTopDownConfig(alpha=0.5, max_nodes=6, strict_ledger=True)
-        tree, ledger, _ = dp_topdown(single_machine(ds, splits, 12), config)
-        assert ledger.effective_cost() <= ledger.alpha
+        config = DPTopDownConfig(alpha=1.0, max_nodes=6, schedule=FULL_SPLIT_BUDGET)
+        with pytest.raises(BudgetExceededError) as err:
+            dp_topdown(single_machine(ds, splits, 12), config)
+        entries = err.value.ledger.entries
+        replay = PrivacyLedger(config.alpha)
+        for entry in entries[:-1]:
+            replay.charge(entry.scope, entry.budget)
+        with pytest.raises(BudgetExceededError):
+            replay.charge(entries[-1].scope, entries[-1].budget)
 
     def test_depth_charges_bounded_by_schedule(self):
         ds, splits = make_dataset(seed=9, n=3000)
@@ -278,6 +294,8 @@ class TestConfigValidation:
             {"alpha": math.inf, "max_nodes": 4},
             {"alpha": 1.0, "max_nodes": 0},
             {"alpha": 1.0, "max_nodes": 4, "error": 0.0},
+            {"alpha": 1.0, "max_nodes": 4, "min_gain": math.nan},
+            {"alpha": 1.0, "max_nodes": 4, "min_gain": -math.inf},
             {"alpha": 1.0, "max_nodes": 4, "leaf_privacy_fraction": 1.0},
         ):
             with pytest.raises(InvalidParameterError):
