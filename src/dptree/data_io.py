@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +46,12 @@ class CategoricalFeature:
     values: tuple
 
     def __post_init__(self):
+        # Cells are matched as text, as the label set is.
+        object.__setattr__(self, "values", tuple(str(v) for v in self.values))
         if len(self.values) < 1:
             raise InvalidParameterError(f"feature {self.name}: needs at least one value")
+        if len(set(self.values)) != len(self.values):
+            raise InvalidParameterError(f"feature {self.name}: duplicate values in {self.values}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,8 @@ class DataSchema:
         self.label_values = tuple(str(v) for v in self.label_values)
         if len(self.label_values) < 2:
             raise InvalidParameterError("label set must declare at least two values")
+        if len(set(self.label_values)) != len(self.label_values):
+            raise InvalidParameterError(f"duplicate values in label set {self.label_values}")
         names = [f.name for f in self.features] + [self.label_name]
         if len(set(names)) != len(names):
             raise InvalidParameterError("duplicate column names in schema")
@@ -110,37 +117,91 @@ class DataSchema:
         return len(self.encoded_columns())
 
 
+_REQUIRED = object()
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _items(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {value!r}")
+    return value
+
+
+def _entry(doc, key: str, cast, where: str, default=_REQUIRED):
+    """cast(doc[key]) from one JSON object of a schema; a missing key or a
+    value its cast rejects raises DataError naming the key."""
+    if not isinstance(doc, dict):
+        raise DataError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise DataError(f"{where} is missing key {key!r}")
+        return default
+    try:
+        return cast(doc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{where} key {key!r} has a bad value: {exc}")
+
+
 def schema_from_dict(doc: dict) -> DataSchema:
+    """DataSchema from a parsed JSON schema. A missing key or a value of the
+    wrong type raises DataError; a value the schema's own checks reject
+    raises InvalidParameterError."""
     features = []
-    for item in doc["features"]:
-        kind = item.get("kind", "continuous")
+    for i, item in enumerate(_entry(doc, "features", _items, "schema")):
+        where = f"schema feature {i}"
+        name = _entry(item, "name", _text, where)
+        kind = _entry(item, "kind", _text, where, "continuous")
         if kind == "continuous":
-            features.append(ContinuousFeature(item["name"], float(item["min"]), float(item["max"])))
+            lo, hi = _entry(item, "min", float, where), _entry(item, "max", float, where)
+            features.append(ContinuousFeature(name, lo, hi))
         elif kind == "categorical":
-            features.append(CategoricalFeature(item["name"], tuple(str(v) for v in item["values"])))
+            features.append(CategoricalFeature(name, tuple(_entry(item, "values", _items, where))))
         else:
-            raise DataError(f"unknown feature kind {kind!r} for {item.get('name')!r}")
-    splits_doc = doc.get("splits", {})
+            raise DataError(f"unknown feature kind {kind!r} for {name!r}")
+    splits_doc = _entry(doc, "splits", _object, "schema", {})
+    per_feature = _entry(splits_doc, "per_feature", _object, "schema splits", {})
+    blocks = []
+    for j, block in enumerate(_entry(splits_doc, "blocks", _items, "schema splits", [])):
+        where = f"schema block {j}"
+        columns = _entry(block, "columns", lambda v: tuple(int(c) for c in _items(v)), where)
+        thresholds = _entry(block, "thresholds", lambda v: tuple(float(t) for t in _items(v)), where)
+        blocks.append(BlockSpec(columns, thresholds))
     splits = SplittingSpec(
-        default_thresholds=int(splits_doc.get("default_thresholds", 10)),
-        per_feature={str(k): int(v) for k, v in splits_doc.get("per_feature", {}).items()},
-        blocks=[
-            BlockSpec(tuple(int(c) for c in b["columns"]), tuple(float(t) for t in b["thresholds"]))
-            for b in splits_doc.get("blocks", [])
-        ],
+        default_thresholds=_entry(splits_doc, "default_thresholds", int, "schema splits", 10),
+        per_feature={str(k): _entry(per_feature, k, int, "schema splits.per_feature") for k in per_feature},
+        blocks=blocks,
     )
-    label = doc["label"]
-    return DataSchema(features, label["name"], tuple(label["values"]), splits)
+    label = _entry(doc, "label", _object, "schema")
+    label_values = tuple(_entry(label, "values", _items, "schema label"))
+    return DataSchema(features, _entry(label, "name", _text, "schema label"), label_values, splits)
 
 
 def load_schema(path) -> DataSchema:
+    """Schema from a JSON file. Every bad file, whether unreadable, invalid
+    JSON, malformed or rejected by the schema's own checks, raises
+    DataError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return schema_from_dict(json.load(fh))
+            doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read schema {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}")
+    try:
+        return schema_from_dict(doc)
+    except (DataError, InvalidParameterError) as exc:
+        raise DataError(f"{path}: {exc}")
 
 
 def schema_to_dict(schema: DataSchema) -> dict:
@@ -182,7 +243,117 @@ def load_csv(path, schema: DataSchema) -> LabeledDataset:
     Any missing column, row of the wrong width, unparseable cell,
     out-of-range value, or undeclared category fails with the offending row
     number.
+
+    One vectorized `np.loadtxt` pass, checked with array operations, takes a
+    file whose every record is one line ending in '\\n', '\\r\\n', '\\r' or
+    the end of the file, and whose every cell passes; quoted cells as
+    `csv.writer` writes them are taken. Anything else (a blank line, a line
+    break inside quotes, a NUL or \\x1c-\\x1f byte, a line longer than the
+    csv field size limit, a cell `np.loadtxt` cannot parse, or any failed
+    check) is re-scanned by the row loop, which names the first bad row, or
+    returns its own dataset if it accepts the file. The result is the row
+    loop's on every input.
     """
+    dataset = _load_csv_vectorized(path, schema)
+    return dataset if dataset is not None else _load_csv_rows(path, schema)
+
+
+# Bytes that np.loadtxt reads differently from the row loop: a string cell
+# drops its trailing NULs, and numpy's float parser skips \x1c-\x1f as
+# whitespace where Python's float() rejects them.
+_UNSAFE_BYTES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _count_lines(path) -> int | None:
+    """Lines of the file as text mode splits them (at '\\n', '\\r\\n' or a
+    lone '\\r'), read in binary chunks; None for a file holding an unsafe
+    byte, or a line the csv module's field size limit could reject."""
+    limit = csv.field_size_limit()
+    lines, tail = 0, b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if any(byte in chunk for byte in _UNSAFE_BYTES):
+                return None
+            # The last line may go on in the next chunk, and a final '\r' may
+            # be the first half of '\r\n': carry it over.
+            *complete, tail = (tail + chunk).splitlines(keepends=True)
+            if len(tail) > limit or max(map(len, complete), default=0) > limit:
+                return None
+            lines += len(complete)
+    return lines + bool(tail)
+
+
+def _text_dtype(values) -> str:
+    # One character more than the longest declared value: a longer cell is
+    # cut to this width and still matches no declared value.
+    return f"U{max(len(v) for v in values) + 1}"
+
+
+def _load_csv_vectorized(path, schema: DataSchema) -> LabeledDataset | None:
+    """The row loop's dataset from one np.loadtxt pass and array checks, or
+    None as soon as a check fails."""
+    kinds = {schema.label_name: _text_dtype(schema.label_values)}
+    for feat in schema.features:
+        kinds[feat.name] = "f8" if isinstance(feat, ContinuousFeature) else _text_dtype(feat.values)
+    # Declared "a\0" would match cell "a", as numpy strings drop trailing NULs.
+    declared = [schema.label_values] + [f.values for f in schema.features if isinstance(f, CategoricalFeature)]
+    if any("\0" in value for values in declared for value in values):
+        return None
+    try:
+        lines = _count_lines(path)
+        if lines is None:
+            return None
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None or any(name not in header for name in kinds):
+                return None
+            field_of = {name: f"c{header.index(name)}" for name in kinds}
+            # Every header column is parsed, so a row of another width fails.
+            dtype = {f"c{i}": "U1" for i in range(len(header))}
+            dtype.update((field_of[name], kind) for name, kind in kinds.items())
+            with warnings.catch_warnings():
+                # loadtxt only warns on a file with no data rows.
+                warnings.simplefilter("error")
+                table = np.loadtxt(
+                    fh, dtype=list(dtype.items()), delimiter=",", quotechar='"', comments=None, ndmin=1
+                )
+    except (OSError, ValueError, UserWarning, csv.Error):
+        return None
+    # loadtxt skips a blank line, which the row loop rejects, and reads a
+    # quoted line break into its cell: either leaves fewer rows than lines.
+    if len(table) != lines - 1:
+        return None
+
+    def cells(name):
+        return table[field_of[name]]
+
+    features = np.empty((len(table), schema.n_encoded))
+    col = 0
+    for feat in schema.features:
+        if isinstance(feat, ContinuousFeature):
+            values = cells(feat.name)
+            if not ((values >= feat.lo) & (values <= feat.hi)).all():
+                return None
+            features[:, col] = values
+            col += 1
+        else:
+            hot = np.stack([cells(feat.name) == value for value in feat.values], axis=1)
+            if not hot.any(axis=1).all():
+                return None
+            features[:, col : col + len(feat.values)] = hot
+            col += len(feat.values)
+    labels = np.full(len(table), -1, dtype=np.int64)
+    label_cells = cells(schema.label_name)
+    for i, value in enumerate(schema.label_values):
+        labels[label_cells == value] = i
+    if (labels < 0).any():
+        return None
+    return LabeledDataset(features, labels, schema.n_classes)
+
+
+def _load_csv_rows(path, schema: DataSchema) -> LabeledDataset:
+    """The row loop: parses the file row by row and raises DataError naming
+    the first bad row."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:

@@ -25,6 +25,7 @@ import numpy as np
 from .dp_core import RandomSource, zero_noise
 from .data_io import (
     DataError,
+    _text,
     build_splitting_class,
     load_csv,
     load_schema,
@@ -81,6 +82,12 @@ class ExperimentConfig:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if not self.alphas or not self.lpfs or not self.train_fractions:
             raise ConfigError("alphas, lpfs, and train_fractions must be nonempty")
+        for alpha in self.alphas:
+            if not (math.isfinite(alpha) and alpha > 0):
+                raise ConfigError(f"alphas must be positive and finite, got {alpha}")
+        for lpf in self.lpfs:
+            if not 0.0 < lpf < 1.0:
+                raise ConfigError(f"lpfs must lie in (0, 1), got {lpf}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.max_nodes < 1:
@@ -115,9 +122,10 @@ class ExperimentConfig:
         ]
 
 
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
+def _int(value) -> int:
+    # JSON true and 6.9 are not integers; int() would make them 1 and 6.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
     return value
 
 
@@ -143,14 +151,14 @@ _CONFIG_KEYS = {
     "alphas": ("alphas", _floats),
     "lpfs": ("lpfs", _floats),
     "train_fractions": ("train_fractions", _floats),
-    "entities": ("entities", int),
-    "max_nodes": ("max_nodes", int),
+    "entities": ("entities", _int),
+    "max_nodes": ("max_nodes", _int),
     "error": ("error", float),
     "criterion": ("criterion", _text),
     "schedule": ("schedule", _text),
     "min_gain": ("min_gain", float),
-    "runs": ("runs", int),
-    "seed": ("seed", int),
+    "runs": ("runs", _int),
+    "seed": ("seed", _int),
     "zero_noise": ("zero_noise", _flag),
 }
 _DATA_KEYS = {
@@ -158,7 +166,7 @@ _DATA_KEYS = {
     "test": ("test_path", _text),
     "csv": ("csv_path", _text),
     "ratio": ("ratio", tuple),
-    "split_seed": ("split_seed", int),
+    "split_seed": ("split_seed", _int),
 }
 
 

@@ -103,6 +103,12 @@ class TestConfig:
             {"algorithm": "baseline", "error": math.nan},
             {"algorithm": "baseline", "error": 0.0},
             {"entities": 0},
+            {"max_nodes": 6.9},
+            {"entities": True},
+            {"data": {"csv": "d.csv", "split_seed": True}},
+            {"runs": 2.5},
+            {"algorithm": "baseline", "alphas": [math.nan]},
+            {"algorithm": "baseline", "lpfs": [7.0]},
         ],
     )
     def test_invalid_configs_rejected(self, workspace, patch):
@@ -361,6 +367,27 @@ class TestCli:
         config_path.write_text(json.dumps(broken))
         result = CliRunner().invoke(main, ["train", "--config", str(config_path)])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("schema", [
+        {},
+        [{"name": "x0"}],
+        {"features": [{"name": "x0", "min": "low", "max": 1}], "label": {"name": "y", "values": ["0", "1"]}},
+        {"features": [{"name": "x0", "min": 1, "max": 0}], "label": {"name": "y", "values": ["0", "1"]}},
+        {"features": [{"name": "x0", "min": math.nan, "max": 1}], "label": {"name": "y", "values": ["0", "1"]}},
+        {"features": [], "label": {"name": "y", "values": ["0", "1", "0"]}},
+    ], ids=["no-features", "list-document", "non-numeric-min", "empty-range", "nan-range",
+            "duplicate-label"])
+    def test_bad_schema_exit_code(self, workspace, tmp_path, schema):
+        _, config, _ = workspace
+        schema_path = tmp_path / "bad-schema.json"
+        schema_path.write_text(json.dumps(schema))
+        config_path = tmp_path / "bad-schema-config.json"
+        config_path.write_text(json.dumps({**config, "schema": str(schema_path)}))
+        result = CliRunner().invoke(main, ["train", "--config", str(config_path)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ")
+        assert "Traceback" not in result.output
 
     def test_short_csv_row_exit_code(self, workspace, tmp_path):
         _, config, _ = workspace

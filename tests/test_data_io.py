@@ -1,6 +1,16 @@
+import csv
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dptree import data_io
 from dptree.dp_core import InvalidParameterError, RandomSource
 from dptree.data_io import (
     BlockSpec,
@@ -19,7 +29,7 @@ from dptree.data_io import (
     train_test_split,
     write_csv,
 )
-from dptree.tree_learning import tree_error
+from dptree.tree_learning import LabeledDataset, tree_error
 
 
 @pytest.fixture
@@ -109,6 +119,188 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="missing column"):
             load_csv(csv_path, small_schema)
 
+    def test_vectorized_pass_takes_clean_writer_output(self, tmp_path, monkeypatch):
+        # write_csv quotes these cells and ends rows with '\r\n'; the row
+        # loop must not be needed to read them back.
+        schema = DataSchema(
+            features=[
+                CategoricalFeature("shade", ("a,b", 'x"y', " pad ", "")),
+                ContinuousFeature("age", -1.0, 1.0),
+            ],
+            label_name="label",
+            label_values=("no, really", '"yes"'),
+        )
+        hot = np.eye(4)[[0, 1, 2, 3, 0]]
+        expected = LabeledDataset(
+            np.column_stack([hot, [-1.0, -0.0, 0.25, 1.0, 1e-300]]),
+            np.array([0, 1, 1, 0, 1]),
+            2,
+        )
+        csv_path = tmp_path / "quoted.csv"
+        write_csv(expected, schema, csv_path)
+        assert b'"a,b"' in csv_path.read_bytes() and b"\r\n" in csv_path.read_bytes()
+
+        def row_loop(path, schema):
+            raise AssertionError("the row loop ran on a clean file")
+
+        monkeypatch.setattr(data_io, "_load_csv_rows", row_loop)
+        loaded = load_csv(csv_path, schema)
+        assert loaded.features.tobytes() == expected.features.tobytes()
+        assert np.array_equal(loaded.labels, expected.labels)
+
+    @pytest.mark.parametrize("terminator", ["\r\n", "\n", "\r"])
+    @pytest.mark.parametrize("shift", [-1, 0, 1, 2])
+    def test_line_count_across_chunk_boundaries(self, tmp_path, terminator, shift):
+        # A line end that starts `shift` bytes before the 1 MiB read size
+        # ends: before, across and after the chunk boundary.
+        filler = "x" * 1000 + terminator
+        start = (1 << 20) - shift
+        count = start // len(filler) - 1
+        first = "a" * (start - count * len(filler)) + terminator
+        text = first + filler * count + "b" + terminator + terminator + "c"
+        assert text.index(terminator, start - 1) == start
+        path = tmp_path / "lines.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, newline="") as fh:
+            assert data_io._count_lines(path) == len(fh.readlines()) == count + 4
+
+    def test_cell_over_the_csv_field_limit_fails_as_in_the_row_loop(self, tmp_path, small_schema):
+        csv_path = tmp_path / "wide.csv"
+        write_lines(csv_path, ["age,color,outcome,note", "20,red,no," + "n" * (csv.field_size_limit() + 1)])
+        outcome = load_outcome(load_csv, csv_path, small_schema)
+        assert outcome == load_outcome(data_io._load_csv_rows, csv_path, small_schema)
+        assert "field larger than field limit" in outcome[1]
+
+    def test_declared_value_with_nul_matches_as_in_the_row_loop(self, tmp_path):
+        # numpy strings drop trailing NULs, so "a\0" would also match cell "a".
+        schema = DataSchema([CategoricalFeature("c", ("a", "a\0"))], "y", ("0", "1"))
+        csv_path = tmp_path / "nul.csv"
+        write_lines(csv_path, ["c,y", "a,0", "a,1"])
+        outcome = load_outcome(load_csv, csv_path, schema)
+        assert outcome == load_outcome(data_io._load_csv_rows, csv_path, schema)
+        assert load_csv(csv_path, schema).features.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize("byte", [b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f"])
+    def test_line_count_refuses_bytes_the_parsers_read_differently(self, tmp_path, byte):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(b"a\n1" + byte + b"\n")
+        assert data_io._count_lines(path) is None
+
+
+# Cell text for declared values: commas, quotes and spaces make write_csv
+# quote cells, and '#' would start a comment. No line breaks, so every record
+# stays on one line.
+DECLARED_TEXT = st.text(alphabet=list('ab ,"#x1'), max_size=4)
+RANGES = [(0.0, 1.0), (-5.0, 5.0), (0.0, 100.0)]
+
+
+@st.composite
+def schemas(draw):
+    features = [
+        ContinuousFeature(f"x{j}", *draw(st.sampled_from(RANGES)))
+        for j in range(draw(st.integers(0, 2)))
+    ]
+    features += [
+        CategoricalFeature(f"c{j}", tuple(draw(st.lists(DECLARED_TEXT, min_size=1, max_size=3, unique=True))))
+        for j in range(draw(st.integers(0, 2)))
+    ]
+    labels = draw(st.lists(DECLARED_TEXT, min_size=2, max_size=3, unique=True))
+    return DataSchema(list(draw(st.permutations(features))), "y", tuple(labels))
+
+
+@st.composite
+def schema_datasets(draw):
+    schema = draw(schemas())
+    n = draw(st.integers(0, 5))
+    rows = []
+    for _ in range(n):
+        row = []
+        for feat in schema.features:
+            if isinstance(feat, ContinuousFeature):
+                row.append(draw(st.floats(feat.lo, feat.hi)))
+            else:
+                hot = draw(st.integers(0, len(feat.values) - 1))
+                row.extend(float(i == hot) for i in range(len(feat.values)))
+        rows.append(row)
+    labels = draw(st.lists(st.integers(0, schema.n_classes - 1), min_size=n, max_size=n))
+    features = np.array(rows, dtype=float).reshape(n, schema.n_encoded)
+    return schema, LabeledDataset(features, np.array(labels, dtype=np.int64), schema.n_classes)
+
+
+# Raw, already CSV-encoded cell text that both parsers must treat alike.
+TRICKY_CELLS = [" 1", "1_0", "nan", "inf", "0x1", "", "\u0661", '"1"', "1e400", "1\x1c", "a\x00", '"a\nb"']
+
+
+def load_outcome(load, path, schema):
+    try:
+        ds = load(path, schema)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ds.features.dtype, ds.features.shape, ds.features.tobytes(), ds.labels.dtype, ds.labels.tobytes(), ds.n_classes
+
+
+class TestLoadCsvProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(schema_datasets(), st.data())
+    def test_equals_row_loop_on_mutated_files(self, case, data):
+        schema, dataset = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            write_csv(dataset, schema, path)
+            with open(path, newline="", encoding="utf-8") as fh:
+                records = fh.read().split("\r\n")[:-1]
+            if dataset.n and data.draw(st.booleans(), label="mutate a cell"):
+                r = data.draw(st.integers(1, dataset.n), label="row")
+                cells = next(csv.reader([records[r]]))
+                j = data.draw(st.integers(0, len(cells) - 1), label="column")
+                kind = data.draw(st.sampled_from(["tricky", "out of range", "trailing space", "too long", "drop", "extra"]))
+                raw = None
+                if kind == "tricky":
+                    raw = data.draw(st.sampled_from(TRICKY_CELLS))
+                elif kind == "out of range":
+                    raw = repr(max(hi for _, hi in RANGES) + 1.0)
+                elif kind == "trailing space":
+                    cells[j] += " "
+                elif kind == "too long":
+                    # Cut to the longest declared value, this cell would match it.
+                    declared = {f.name: f.values for f in schema.features if isinstance(f, CategoricalFeature)}
+                    header = next(csv.reader([records[0]]))
+                    cells[j] = max(declared.get(header[j], schema.label_values), key=len) + "x"
+                elif kind == "drop":
+                    del cells[j]
+                else:
+                    cells.append("1")
+                token = "\x07cell\x07"
+                if raw is not None:
+                    cells[j] = token
+                line = io.StringIO()
+                csv.writer(line, lineterminator="").writerow(cells)
+                records[r] = line.getvalue().replace(token, raw or "")
+            if data.draw(st.booleans(), label="blank line"):
+                records.insert(data.draw(st.integers(0, len(records))), "")
+            terminator = data.draw(st.sampled_from(["\r\n", "\n", "\r"]))
+            text = terminator.join(records)
+            if data.draw(st.booleans(), label="final line end"):
+                text += terminator
+            path.write_bytes(text.encode("utf-8"))
+            assert load_outcome(load_csv, path, schema) == load_outcome(data_io._load_csv_rows, path, schema)
+
+    @settings(max_examples=200, deadline=None)
+    @given(schema_datasets())
+    def test_write_then_load_round_trips(self, case):
+        schema, dataset = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            write_csv(dataset, schema, path)
+            loaded = load_csv(path, schema)
+        assert loaded.features.tobytes() == dataset.features.tobytes()
+        assert loaded.features.shape == dataset.features.shape
+        assert np.array_equal(loaded.labels, dataset.labels)
+        assert loaded.n_classes == dataset.n_classes
+
+
+GOOD_LABEL = {"name": "y", "values": ["0", "1"]}
+
 
 class TestSchemaJson:
     def test_roundtrip(self, tmp_path, small_schema):
@@ -124,6 +316,46 @@ class TestSchemaJson:
                 "features": [{"name": "a", "kind": "ordinal", "min": 0, "max": 1}],
                 "label": {"name": "y", "values": ["0", "1"]},
             })
+
+    @pytest.mark.parametrize("build", [
+        lambda: DataSchema([ContinuousFeature("x", 0.0, 1.0)], "y", ("0", "1", "0")),
+        lambda: CategoricalFeature("c", ("a", "a", "b")),
+        lambda: CategoricalFeature("c", (1, "1")),
+    ], ids=["label", "categorical", "same-text"])
+    def test_duplicate_declared_values_rejected(self, build):
+        with pytest.raises(InvalidParameterError, match="duplicate"):
+            build()
+
+    @pytest.mark.parametrize("doc,key", [
+        ({}, "features"),
+        ([], "JSON object"),
+        ({"features": [{"name": "x", "min": "low", "max": 1}], "label": GOOD_LABEL}, "min"),
+        ({"features": [{"name": "x", "min": 0}], "label": GOOD_LABEL}, "max"),
+        ({"features": ["x"], "label": GOOD_LABEL}, "feature 0"),
+        ({"features": [], "label": GOOD_LABEL, "splits": []}, "splits"),
+        ({"features": [], "label": GOOD_LABEL, "splits": {"per_feature": {"x": "many"}}}, "x"),
+        ({"features": [], "label": GOOD_LABEL, "splits": {"blocks": [{"columns": [0]}]}}, "thresholds"),
+        ({"features": [], "label": {"values": ["0", "1"]}}, "name"),
+    ])
+    def test_malformed_schema_names_the_key(self, doc, key):
+        with pytest.raises(DataError, match=key):
+            schema_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"features": [{"name": "x", "min": 1, "max": 1}], "label": GOOD_LABEL},
+        {"features": [{"name": "x", "min": math.nan, "max": 1}], "label": GOOD_LABEL},
+        {"features": [], "label": {"name": "y", "values": ["0", "1", "0"]}},
+        {"features": [{"name": "c", "kind": "categorical", "values": ["a", "a"]}], "label": GOOD_LABEL},
+        {"features": [], "label": GOOD_LABEL, "splits": {"blocks": [{"columns": [], "thresholds": [1]}]}},
+    ], ids=["empty-range", "nan-range", "duplicate-label", "duplicate-category", "empty-block"])
+    def test_schema_file_failing_its_checks_raises_data_error(self, tmp_path, doc):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidParameterError):
+            schema_from_dict(doc)
+        with pytest.raises(DataError, match="schema.json"):
+            load_schema(path)
+
 
 
 class TestSplittingClass:
