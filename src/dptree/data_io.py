@@ -80,6 +80,11 @@ class SplittingSpec:
     per_feature: dict = field(default_factory=dict)
     blocks: list = field(default_factory=list)
 
+    def __post_init__(self):
+        for name, count in [("default_thresholds", self.default_thresholds), *self.per_feature.items()]:
+            if count <= 0:
+                raise InvalidParameterError(f"threshold count of {name!r} must be positive, got {count}")
+
 
 @dataclass
 class DataSchema:
@@ -97,6 +102,10 @@ class DataSchema:
         names = [f.name for f in self.features] + [self.label_name]
         if len(set(names)) != len(names):
             raise InvalidParameterError("duplicate column names in schema")
+        for block in self.splits.blocks:
+            if not all(0 <= column < self.n_encoded for column in block.columns):
+                raise InvalidParameterError(
+                    f"block columns {list(block.columns)} must index the {self.n_encoded} encoded columns")
 
     @property
     def n_classes(self) -> int:
@@ -118,6 +127,13 @@ class DataSchema:
 
 
 _REQUIRED = object()
+
+
+def _int(value) -> int:
+    # JSON true and 6.9 are not integers; int() would make them 1 and 6.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _text(value) -> str:
@@ -174,12 +190,12 @@ def schema_from_dict(doc: dict) -> DataSchema:
     blocks = []
     for j, block in enumerate(_entry(splits_doc, "blocks", _items, "schema splits", [])):
         where = f"schema block {j}"
-        columns = _entry(block, "columns", lambda v: tuple(int(c) for c in _items(v)), where)
+        columns = _entry(block, "columns", lambda v: tuple(_int(c) for c in _items(v)), where)
         thresholds = _entry(block, "thresholds", lambda v: tuple(float(t) for t in _items(v)), where)
         blocks.append(BlockSpec(columns, thresholds))
     splits = SplittingSpec(
-        default_thresholds=_entry(splits_doc, "default_thresholds", int, "schema splits", 10),
-        per_feature={str(k): _entry(per_feature, k, int, "schema splits.per_feature") for k in per_feature},
+        default_thresholds=_entry(splits_doc, "default_thresholds", _int, "schema splits", 10),
+        per_feature={str(k): _entry(per_feature, k, _int, "schema splits.per_feature") for k in per_feature},
         blocks=blocks,
     )
     label = _entry(doc, "label", _object, "schema")
@@ -242,7 +258,8 @@ def load_csv(path, schema: DataSchema) -> LabeledDataset:
     labels map to indices into the declared label set; row order is kept.
     Any missing column, row of the wrong width, unparseable cell,
     out-of-range value, or undeclared category fails with the offending row
-    number.
+    number, and a byte that is not UTF-8 or a cell over the csv field size
+    limit with its line number, each as DataError.
 
     One vectorized `np.loadtxt` pass, checked with array operations, takes a
     file whose every record is one line ending in '\\n', '\\r\\n', '\\r' or
@@ -351,6 +368,35 @@ def _load_csv_vectorized(path, schema: DataSchema) -> LabeledDataset | None:
     return LabeledDataset(features, labels, schema.n_classes)
 
 
+def _undecodable_line(path) -> int:
+    """Line number of the first byte of the file that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[: exc.start]
+    # One more byte that is not a line break puts the count on its line.
+    return len((data + b"x").splitlines())
+
+
+def _csv_rows(path, fh):
+    """The csv rows of an open file. A byte that is not UTF-8, or a cell over
+    `csv.field_size_limit()`, raises DataError naming its line."""
+    reader = csv.reader(fh)
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}")
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start : exc.start + 1]
+            raise DataError(f"{path}:{_undecodable_line(path)}: byte {byte!r} is not UTF-8")
+        yield row
+
+
 def _load_csv_rows(path, schema: DataSchema) -> LabeledDataset:
     """The row loop: parses the file row by row and raises DataError naming
     the first bad row."""
@@ -359,7 +405,7 @@ def _load_csv_rows(path, schema: DataSchema) -> LabeledDataset:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
     with fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -448,10 +494,6 @@ def build_splitting_class(schema: DataSchema) -> list[SplitFunction]:
     for feat in schema.features:
         if isinstance(feat, ContinuousFeature):
             count = schema.splits.per_feature.get(feat.name, schema.splits.default_thresholds)
-            if count <= 0:
-                raise InvalidParameterError(
-                    f"feature {feat.name!r}: threshold count must be positive, got {count}"
-                )
             for r in range(1, count + 1):
                 threshold = feat.lo + r * (feat.hi - feat.lo) / (count + 1)
                 splits.append(SplitFunction(threshold=threshold, feature=column, hid=len(splits)))

@@ -208,7 +208,8 @@ class PrivacyLedger:
     Every one of these values only grows, so each charge updates the values
     it touches and the running cost in O(1). The charge that takes the cost
     over alpha is recorded and raises BudgetExceededError, as does every
-    charge after it.
+    charge after it. A ledger belongs to one run on one thread (sweep
+    workers are processes), so it takes no lock.
     """
 
     def __init__(self, alpha):
@@ -216,7 +217,6 @@ class PrivacyLedger:
             raise InvalidParameterError(f"total budget alpha must be positive and finite, got {alpha}")
         self.alpha = Fraction(alpha)
         self.entries: list[LedgerEntry] = []
-        self._lock = threading.Lock()
         self._leaf_sum: dict[tuple, Fraction] = {}  # (entity, group, leaf) -> sum
         self._group_max: dict[tuple, Fraction] = {}  # (entity, group) -> largest leaf sum
         self._entity_cost: dict[int | None, Fraction] = {}
@@ -227,14 +227,13 @@ class PrivacyLedger:
         budget = Fraction(budget)
         if budget <= 0:
             raise InvalidParameterError(f"charged budget must be positive, got {budget}")
-        with self._lock:
-            self.entries.append(LedgerEntry(scope, budget))
-            self._grow(scope, budget)
-            if self._cost > self.alpha:
-                raise BudgetExceededError(
-                    f"effective cost {float(self._cost):.6g} exceeds alpha={float(self.alpha):.6g}",
-                    ledger=self,
-                )
+        self.entries.append(LedgerEntry(scope, budget))
+        self._grow(scope, budget)
+        if self._cost > self.alpha:
+            raise BudgetExceededError(
+                f"effective cost {float(self._cost):.6g} exceeds alpha={float(self.alpha):.6g}",
+                ledger=self,
+            )
 
     def _grow(self, scope: Scope, budget: Fraction) -> None:
         """Update the running values one charge touches."""

@@ -25,6 +25,7 @@ import numpy as np
 from .dp_core import RandomSource, zero_noise
 from .data_io import (
     DataError,
+    _int,
     _text,
     build_splitting_class,
     load_csv,
@@ -120,13 +121,6 @@ class ExperimentConfig:
             for li in range(len(self.lpfs))
             for fi in range(len(self.train_fractions))
         ]
-
-
-def _int(value) -> int:
-    # JSON true and 6.9 are not integers; int() would make them 1 and 6.
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
 
 
 def _flag(value) -> bool:

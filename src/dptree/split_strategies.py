@@ -13,14 +13,18 @@ counts); they differ only in `split`.
 
 Each entity draws noise from its own stream and records its budget charge
 against its own ledger scope; the coordinator only ever sees noisy
-aggregates. An entity's only state besides its shard is a cache of the rows
-of its live leaves, keyed by the public leaf path. The children of a split
-are cut from the parent's cached rows with one evaluate and the parent is
-evicted; any other miss replays the path from the root. The cache releases
-nothing: it never leaves the entity, and every answer, noise draw and charge
-is what a stateless replay would give. In the learner's query order the live
-leaves partition the shard, so the cache holds each shard row at most once,
-for as long as the entity lives (one learner run).
+aggregates. An entity's only state besides its shard is a cache of its live
+leaves, keyed by the public leaf path: each leaf's rows and their cumulative
+counts (`BinnedFeatures.cumulative`), from which every count table of the
+leaf is one gather. The children of a split are cut from the parent's cached
+rows by comparing bin codes, only the smaller child is counted, the larger
+one's counts are the parent's minus the smaller's, and the parent is
+evicted; any other miss replays the path from the root and counts its rows.
+Counts are exact integers, so the cache releases nothing: it never leaves
+the entity, and every answer, noise draw and charge is what a stateless
+replay would give. In the learner's query order the live leaves partition
+the shard, so the cache holds each shard row at most once, for as long as
+the entity lives (one learner run).
 """
 
 from __future__ import annotations
@@ -117,36 +121,49 @@ class Entity:
         self.splits = splits  # public, shared splitting class
         self.criterion = criterion
         self.binned = BinnedFeatures(shard, splits)
-        self._rows: dict = {}  # live leaf path -> its shard rows
+        self._leaves: dict = {}  # live leaf path -> (its shard rows, their cumulative counts)
 
     def leaf_rows(self, path) -> np.ndarray:
-        """Shard rows that follow `path`, a (split, side) sequence."""
+        """Shard rows that follow `path`, a (split, side) sequence of the
+        splitting class; they and their cumulative counts stay cached until
+        the leaf is cut."""
         path = tuple(path)
-        rows = self._rows.get(path)
-        if rows is not None:
-            return rows
+        leaf = self._leaves.get(path)
+        if leaf is not None:
+            return leaf[0]
         parent = path[:-1]
-        if path and parent in self._rows:
+        if path and parent in self._leaves:
             split, _ = path[-1]
-            parent_rows = self._rows.pop(parent)
-            sides = split.evaluate(self.shard.features, parent_rows)
-            for side in (0, 1):
-                self._rows[parent + ((split, side),)] = parent_rows[sides == side]
-            return self._rows[path]
+            rows, counts = self._leaves.pop(parent)
+            right = self.binned.goes_right(split, rows)
+            children = (rows[~right], rows[right])
+            # Count the smaller child; the larger one's counts are the
+            # parent's minus those, computed in the evicted parent's array.
+            small = int(children[1].size < children[0].size)
+            small_counts = self.binned.cumulative(children[small])
+            counts -= small_counts
+            self._leaves[parent + ((split, small),)] = (children[small], small_counts)
+            self._leaves[parent + ((split, 1 - small),)] = (children[1 - small], counts)
+            return self._leaves[path][0]
         rows = np.arange(self.shard.n)
         for split, side in path:
-            sides = split.evaluate(self.shard.features, rows)
-            rows = rows[sides == side]
-        self._rows[path] = rows
+            right = self.binned.goes_right(split, rows)
+            rows = rows[right] if side else rows[~right]
+        self._leaves[path] = (rows, self.binned.cumulative(rows))
         return rows
 
-    def rnm_split(self, rows, budget, rng: RandomSource):
+    def leaf_counts(self, path) -> np.ndarray:
+        """Cumulative counts (see `BinnedFeatures.cumulative`) of the rows of
+        a leaf that `leaf_rows` has cached."""
+        return self._leaves[tuple(path)][1]
+
+    def rnm_split(self, rows, counts, budget, rng: RandomSource):
         """Report Noisy Max over the exact gains of the full splitting class
-        on `rows`: (index, noisy gain). Raises DegenerateLeafError on fewer
-        than MIN_LEAF_ROWS rows."""
+        on `rows`, whose cumulative counts are `counts`: (index, noisy gain).
+        Raises DegenerateLeafError on fewer than MIN_LEAF_ROWS rows."""
         sensitivity = rnm_score_sensitivity(self.criterion, rows.size)
-        gains = gain_from_counts(split_count_tables(self.binned, rows, self.splits), self.criterion)
-        return report_noisy_max(gains, sensitivity, float(budget), rng)
+        tables = split_count_tables(self.binned, rows, self.splits, counts)
+        return report_noisy_max(gain_from_counts(tables, self.criterion), sensitivity, float(budget), rng)
 
     def _scope(self, purpose: str, query: Query) -> Scope:
         return Scope(self.entity_id, purpose, depth=query.depth, leaf=query.leaf_id)
@@ -174,7 +191,7 @@ class Entity:
 
         if query.kind == "joint_histogram":
             candidates = query.params["splits"]
-            tables = split_count_tables(self.binned, rows, candidates)
+            tables = split_count_tables(self.binned, rows, candidates, self.leaf_counts(query.path))
             # Per-cell Lap(3|H'|/alpha): cells of one histogram partition the
             # shard (parallel), histograms compose sequentially, so the |H'|
             # histograms cost alpha/3 in total.
@@ -192,7 +209,7 @@ class Entity:
                 ledger.charge(self._scope("split", query), query.budget)
                 return Response(self.entity_id, {"hid": hid, "fallback": True})
             # Only the winning index is published, the noisy score is dropped.
-            hid, _ = self.rnm_split(rows, query.budget, self.rng)
+            hid, _ = self.rnm_split(rows, self.leaf_counts(query.path), query.budget, self.rng)
             ledger.charge(self._scope("split", query), query.budget)
             return Response(self.entity_id, {"hid": hid, "fallback": False})
 
@@ -371,7 +388,9 @@ class SingleMachineRNMSplitter:
     def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
         if alpha <= 0:
             raise InvalidParameterError(f"alpha must be positive, got {alpha}")
-        index, noisy_gain = self.entity.rnm_split(self.entity.leaf_rows(leaf.path), alpha, self._split_rng)
+        rows = self.entity.leaf_rows(leaf.path)
+        index, noisy_gain = self.entity.rnm_split(
+            rows, self.entity.leaf_counts(leaf.path), alpha, self._split_rng)
         ledger.charge(Scope(GLOBAL_SCOPE, "split", depth=leaf.budget_depth, leaf=leaf.leaf_id), alpha)
         return self.entity.splits[index], noisy_gain
 

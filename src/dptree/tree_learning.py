@@ -1,9 +1,9 @@
 """Non-private decision tree core: the splitting criteria of label
 distributions (`distribution_value`), the split gain of whole stacks of
 count tables (`gain_from_counts`), the binned count-table kernel
-(`split_count_tables`) shared by every learner, the potential upper bound,
-tree construction/routing/prediction, and the greedy top-down baseline
-learner.
+(`BinnedFeatures` and `split_count_tables`) shared by every learner, the
+potential upper bound, tree construction/routing/prediction, and the greedy
+top-down baseline learner.
 
 The baseline learner shares its control flow (priority queue, gain pruning,
 optional weight filter) with the private learner so that zero-noise runs of
@@ -190,60 +190,107 @@ class SplitFunction:
 
 class BinnedFeatures:
     """Every distinct split column of a dataset, cut once against the sorted
-    distinct thresholds that the splitting class tests on it.
+    distinct thresholds that the splitting class tests on it, and every split
+    of the class planned once as a row of one stacked count array.
 
     A value x in a column with sorted thresholds t_0 < ... < t_{T-1} gets the
     code j = #{t_i < x}, so x <= t_j exactly when code <= j: the left side of
     the j-th threshold is bins 0..j. Thresholds are public and fixed before
     any data is read, so the binning can be done once per dataset. Codes use
     the smallest unsigned dtype that holds T.
+
+    `cumulative(rows)` stacks each column's cumulative label counts over the
+    given rows into one array of shape (sum over columns of (T + 1), K): row j
+    of a column's block counts the labels of codes 0..j, and the block's last
+    row counts them all. The j-th threshold's split therefore reads its left
+    side from block row j and its total from the block's last row, and the
+    plan records those two rows for every split of the class. Counts are
+    exact integers in the smallest unsigned dtype that holds the row count;
+    each column keeps its codes with the labels folded in (code * K + label)
+    so that one bincount counts it.
     """
 
     def __init__(self, dataset: LabeledDataset, splits):
-        self.labels = dataset.labels
-        self.n_classes = dataset.n_classes
+        k = self.n_classes = dataset.n_classes
+        self.count_dtype = np.min_scalar_type(dataset.n)
+        labels = dataset.labels.astype(np.min_scalar_type(k - 1))
         by_column: dict = {}
         for split in splits:
             by_column.setdefault(split.column_key(), []).append(split)
         self.columns: dict = {}  # column key -> (sorted distinct thresholds, codes)
+        # (first stacked row, end row, code * K + label) per column
+        self._blocks = []
+        self._plan: dict = {}  # split -> (codes, grid position, left row, total row)
+        size = 0
         for key, group in by_column.items():
             grid = np.unique([split.threshold for split in group])
             if not np.isfinite(grid).all():
                 raise InvalidParameterError(f"split thresholds on column {key} must be finite")
             codes = np.searchsorted(grid, group[0].column(dataset.features), side="left")
-            self.columns[key] = (grid, codes.astype(np.min_scalar_type(grid.size)))
+            codes = codes.astype(np.min_scalar_type(grid.size))
+            self.columns[key] = (grid, codes)
+            pairs = codes.astype(np.min_scalar_type((grid.size + 1) * k - 1))
+            pairs *= k
+            pairs += labels
+            self._blocks.append((size, size + grid.size + 1, pairs))
+            positions = np.searchsorted(grid, [split.threshold for split in group]).tolist()
+            for split, pos in zip(group, positions):
+                self._plan[split] = (codes, pos, size + pos, size + grid.size)
+            size += grid.size + 1
+        self._size = size
+        self._class = list(splits)
+        self._class_rows = self._lookup(self._class)
+
+    def plan(self, splits) -> np.ndarray:
+        """(left row, total row) in the stacked counts for each split, shape
+        (len(splits), 2). A split outside the binned class raises
+        InvalidParameterError rather than being counted against the wrong
+        bins."""
+        # The class itself, or a copy of it, is answered without lookups.
+        return self._class_rows if splits == self._class else self._lookup(splits)
+
+    def _lookup(self, splits) -> np.ndarray:
+        return np.array([self._planned(split)[2:] for split in splits], dtype=np.intp).reshape(-1, 2)
+
+    def _planned(self, split) -> tuple:
+        try:
+            return self._plan[split]
+        except KeyError:
+            raise InvalidParameterError(f"split {split} is not in the binned class") from None
+
+    def cumulative(self, rows) -> np.ndarray:
+        """Stacked cumulative label counts of the given rows: one bincount
+        over (code, label) pairs and one cumulative sum per column."""
+        k = self.n_classes
+        cum = np.empty((self._size, k), dtype=self.count_dtype)
+        for start, stop, pairs in self._blocks:
+            counts = np.bincount(pairs[rows], minlength=(stop - start) * k)
+            cum[start:stop] = np.cumsum(counts.reshape(stop - start, k), axis=0)
+        return cum
+
+    def goes_right(self, split, rows) -> np.ndarray:
+        """Mask of the rows on side 1 of a split of the class: code > j is
+        value > t_j, so this equals `split.evaluate(X, rows) == 1`."""
+        codes, pos, _, _ = self._planned(split)
+        return codes[rows] > pos
 
 
-def split_count_tables(binned: BinnedFeatures, rows, splits) -> np.ndarray:
+def split_count_tables(binned: BinnedFeatures, rows, splits, cumulative=None) -> np.ndarray:
     """Joint count tables, shape (len(splits), n_classes, 2), over the given
     rows of a binned dataset.
 
-    Splits sharing a column share one bincount over (code, label) pairs and
-    one cumulative sum over the bins, so a T-threshold column costs
-    O(len(rows) + T K). A split that is not in the binned class raises
-    InvalidParameterError rather than being counted against the wrong bins.
+    `cumulative` is `binned.cumulative(rows)` when the caller holds it (an
+    entity caches it per live leaf); otherwise the rows are counted here, in
+    O(len(rows) + T K) per column. Either way the tables are one gather of
+    each split's planned rows. A split that is not in the binned class raises
+    InvalidParameterError.
     """
-    k = binned.n_classes
-    tables = np.zeros((len(splits), k, 2))
-    groups: dict = {}
-    for i, split in enumerate(splits):
-        groups.setdefault(split.column_key(), []).append(i)
-    labels = binned.labels[rows]
-    for key, idx in groups.items():
-        if key not in binned.columns:
-            raise InvalidParameterError(f"no binned column {key} for split {splits[idx[0]]}")
-        grid, codes = binned.columns[key]
-        wanted = np.array([splits[i].threshold for i in idx])
-        pos = np.minimum(np.searchsorted(grid, wanted), grid.size - 1)
-        if not np.array_equal(grid[pos], wanted):
-            raise InvalidParameterError(f"a split threshold on column {key} is not in the binned class")
-        if labels.size == 0:
-            continue
-        counts = np.bincount(codes[rows].astype(np.intp) * k + labels, minlength=(grid.size + 1) * k)
-        cum = np.cumsum(counts.reshape(grid.size + 1, k), axis=0)
-        left = cum[pos]
-        tables[idx, :, 0] = left
-        tables[idx, :, 1] = cum[-1] - left
+    at = binned.plan(splits)
+    cum = binned.cumulative(rows) if cumulative is None else cumulative
+    left = cum[at[:, 0]]
+    tables = np.empty((len(at), binned.n_classes, 2))
+    tables[:, :, 0] = left
+    tables[:, :, 1] = cum[at[:, 1]] - left
     return tables
 
 

@@ -375,8 +375,12 @@ class TestCli:
         {"features": [{"name": "x0", "min": 1, "max": 0}], "label": {"name": "y", "values": ["0", "1"]}},
         {"features": [{"name": "x0", "min": math.nan, "max": 1}], "label": {"name": "y", "values": ["0", "1"]}},
         {"features": [], "label": {"name": "y", "values": ["0", "1", "0"]}},
+        {"features": [{"name": "x0", "min": 0, "max": 1}], "label": {"name": "y", "values": ["0", "1"]},
+         "splits": {"default_thresholds": 0}},
+        {"features": [{"name": "x0", "min": 0, "max": 1}], "label": {"name": "y", "values": ["0", "1"]},
+         "splits": {"default_thresholds": 6.9}},
     ], ids=["no-features", "list-document", "non-numeric-min", "empty-range", "nan-range",
-            "duplicate-label"])
+            "duplicate-label", "zero-thresholds", "fractional-thresholds"])
     def test_bad_schema_exit_code(self, workspace, tmp_path, schema):
         _, config, _ = workspace
         schema_path = tmp_path / "bad-schema.json"
@@ -399,6 +403,21 @@ class TestCli:
         result = CliRunner().invoke(main, ["train", "--config", str(config_path)])
         assert result.exit_code == 3
         assert "expected" in result.output and "columns" in result.output
+
+    @pytest.mark.parametrize("cell", [b"0.\xff5", b"0." + b"5" * 140_000], ids=["not-utf8", "over-field-limit"])
+    def test_undecodable_csv_exit_code(self, workspace, tmp_path, cell):
+        _, config, _ = workspace
+        csv_path = tmp_path / "undecodable.csv"
+        lines = Path(config["data"]["csv"]).read_bytes().splitlines()
+        lines[4] = cell + lines[4][lines[4].index(b","):]
+        csv_path.write_bytes(b"\n".join(lines) + b"\n")
+        config_path = tmp_path / "undecodable.json"
+        config_path.write_text(json.dumps({**config, "data": {**config["data"], "csv": str(csv_path)}}))
+        result = CliRunner().invoke(main, ["train", "--config", str(config_path)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"error: {csv_path}:5: ")
+        assert "Traceback" not in result.output
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -171,6 +171,22 @@ class TestLoadCsv:
         assert outcome == load_outcome(data_io._load_csv_rows, csv_path, small_schema)
         assert "field larger than field limit" in outcome[1]
 
+    def test_cell_over_the_csv_field_limit_names_its_line(self, tmp_path, small_schema):
+        csv_path = tmp_path / "wide.csv"
+        write_lines(csv_path, ["age,color,outcome", "20,red,no", "30,blue," + "y" * 140_000])
+        with pytest.raises(DataError, match=r"wide\.csv:3: field larger than field limit"):
+            load_csv(csv_path, small_schema)
+
+    @pytest.mark.parametrize("terminator", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, small_schema, terminator, line):
+        lines = [b"age,color,outcome", b"20,red,no", b"30,blue,yes", b"40,red,no"]
+        lines[line - 1] = lines[line - 1].replace(b",", b",\xff", 1)
+        csv_path = tmp_path / "latin.csv"
+        csv_path.write_bytes(terminator.join(lines) + terminator)
+        with pytest.raises(DataError, match=rf"latin\.csv:{line}: byte b'\\xff' is not UTF-8"):
+            load_csv(csv_path, small_schema)
+
     def test_declared_value_with_nul_matches_as_in_the_row_loop(self, tmp_path):
         # numpy strings drop trailing NULs, so "a\0" would also match cell "a".
         schema = DataSchema([CategoricalFeature("c", ("a", "a\0"))], "y", ("0", "1"))
@@ -336,6 +352,11 @@ class TestSchemaJson:
         ({"features": [], "label": GOOD_LABEL, "splits": {"per_feature": {"x": "many"}}}, "x"),
         ({"features": [], "label": GOOD_LABEL, "splits": {"blocks": [{"columns": [0]}]}}, "thresholds"),
         ({"features": [], "label": {"values": ["0", "1"]}}, "name"),
+        ({"features": [], "label": GOOD_LABEL, "splits": {"default_thresholds": 6.9}}, "default_thresholds"),
+        ({"features": [], "label": GOOD_LABEL, "splits": {"default_thresholds": True}}, "default_thresholds"),
+        ({"features": [], "label": GOOD_LABEL, "splits": {"per_feature": {"x": 2.5}}}, "x"),
+        ({"features": [], "label": GOOD_LABEL, "splits": {"blocks": [{"columns": [True], "thresholds": [1]}]}},
+         "columns"),
     ])
     def test_malformed_schema_names_the_key(self, doc, key):
         with pytest.raises(DataError, match=key):
@@ -347,7 +368,14 @@ class TestSchemaJson:
         {"features": [], "label": {"name": "y", "values": ["0", "1", "0"]}},
         {"features": [{"name": "c", "kind": "categorical", "values": ["a", "a"]}], "label": GOOD_LABEL},
         {"features": [], "label": GOOD_LABEL, "splits": {"blocks": [{"columns": [], "thresholds": [1]}]}},
-    ], ids=["empty-range", "nan-range", "duplicate-label", "duplicate-category", "empty-block"])
+        {"features": [], "label": GOOD_LABEL, "splits": {"default_thresholds": 0}},
+        {"features": [], "label": GOOD_LABEL, "splits": {"per_feature": {"x": -2}}},
+        {"features": [{"name": "x", "min": 0, "max": 1}], "label": GOOD_LABEL,
+         "splits": {"blocks": [{"columns": [0, 1], "thresholds": [0.5]}]}},
+        {"features": [{"name": "x", "min": 0, "max": 1}], "label": GOOD_LABEL,
+         "splits": {"blocks": [{"columns": [-1], "thresholds": [0.5]}]}},
+    ], ids=["empty-range", "nan-range", "duplicate-label", "duplicate-category", "empty-block",
+            "zero-thresholds", "negative-per-feature", "block-column-past-end", "negative-block-column"])
     def test_schema_file_failing_its_checks_raises_data_error(self, tmp_path, doc):
         path = tmp_path / "schema.json"
         path.write_text(json.dumps(doc))
@@ -406,14 +434,10 @@ class TestSplittingClass:
         assert splits[2].block == (0,) and splits[2].threshold == 0.1
 
     def test_nonpositive_threshold_count_rejected(self):
-        schema = DataSchema(
-            features=[ContinuousFeature("x", 0.0, 1.0)],
-            label_name="y",
-            label_values=("0", "1"),
-            splits=SplittingSpec(default_thresholds=0),
-        )
-        with pytest.raises(InvalidParameterError):
-            build_splitting_class(schema)
+        # Rejected with the spec, so a schema file with one fails at load.
+        for spec in ({"default_thresholds": 0}, {"per_feature": {"x": -1}}):
+            with pytest.raises(InvalidParameterError, match="positive"):
+                SplittingSpec(**spec)
 
     def test_pure_function_of_schema(self, small_schema):
         # H can be built before any data exists and is identical across calls

@@ -1,0 +1,91 @@
+"""Pinned outputs of every learner on one small synthetic dataset.
+
+`pinned_outputs.json` holds, for each algorithm at one alpha, with noise and
+under `zero_noise()`, the learned tree's JSON, the ledger entries and the
+result row without `wall_ms`. A change that must not alter what a run
+outputs (a speed-up, a refactor) keeps this test passing unchanged. Only a
+change meant to alter outputs regenerates the file, from the root of the
+repository:
+
+    PYTHONPATH=src python tests/test_pinned_outputs.py
+"""
+
+import dataclasses
+import json
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+from dptree import experiments
+from dptree.data_io import BlockSpec, save_schema, synthetic_tree_dataset, write_csv
+from dptree.dp_core import RandomSource, zero_noise
+
+GOLDEN = Path(__file__).with_name("pinned_outputs.json")
+ALPHA = 4.0
+
+
+def write_data(data_dir: Path) -> experiments.ExperimentConfig:
+    """3,000 rows over three features, 15 thresholds each, plus three
+    block-average splits on the mean of features 0 and 2."""
+    dataset, _, schema = synthetic_tree_dataset(
+        3000, RandomSource(11), depth=3, label_noise=0.1, thresholds=15)
+    schema.splits.blocks = [BlockSpec(columns=(0, 2), thresholds=(0.35, 0.5, 0.65))]
+    write_csv(dataset, schema, data_dir / "data.csv")
+    save_schema(schema, data_dir / "schema.json")
+    return experiments.ExperimentConfig(
+        schema_path=str(data_dir / "schema.json"), csv_path=str(data_dir / "data.csv"),
+        alphas=[ALPHA], entities=4, max_nodes=24, runs=1, seed=3)
+
+
+def recording(learner, results: list):
+    """`learner` that also appends each result it returns to `results`."""
+    def run(*args, **kwargs):
+        results.append(learner(*args, **kwargs))
+        return results[-1]
+    return run
+
+
+def run_outputs(config: experiments.ExperimentConfig) -> dict:
+    """Tree, ledger entries and result row of every algorithm, with noise
+    and under zero noise, as JSON-able values."""
+    outputs = {}
+    for algorithm in experiments.ALGORITHMS:
+        for noise in (True, False):
+            learned = []
+            with mock.patch.object(experiments, "dp_topdown", recording(experiments.dp_topdown, learned)), \
+                    mock.patch.object(experiments, "topdown_nonprivate",
+                                      recording(experiments.topdown_nonprivate, learned)), \
+                    zero_noise(not noise):
+                row = experiments.run_single(dataclasses.replace(config, algorithm=algorithm), 0, 0, 0, 0)
+            (result,) = learned
+            tree, ledger = (result, None) if algorithm == "baseline" else result[:2]
+            outputs[f"{algorithm} {'noise' if noise else 'zero-noise'}"] = {
+                "tree": tree.to_dict(),
+                "ledger": [] if ledger is None else [
+                    [e.scope.entity, e.scope.purpose, e.scope.depth, e.scope.leaf, str(e.budget)]
+                    for e in ledger.entries
+                ],
+                "row": {k: v for k, v in dataclasses.asdict(row).items() if k != "wall_ms"},
+            }
+    experiments._data_cache.clear()
+    return json.loads(json.dumps(outputs))
+
+
+def test_outputs_equal_the_pinned_ones(tmp_path):
+    outputs = run_outputs(write_data(tmp_path))
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(outputs) == sorted(golden)
+    for key, expected in golden.items():
+        assert outputs[key] == expected, key
+    # The pinned runs are not trivial: every tree splits, every private run charges.
+    assert all(len(out["tree"]["nodes"]) > 5 for out in outputs.values())
+    assert all(out["ledger"] for key, out in outputs.items() if not key.startswith("baseline"))
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as data_dir:
+        pinned = run_outputs(write_data(Path(data_dir)))
+    lines = (f"{json.dumps(key)}: {json.dumps(pinned[key], sort_keys=True)}" for key in sorted(pinned))
+    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    print(f"wrote {len(pinned)} runs to {GOLDEN}", file=sys.stderr)

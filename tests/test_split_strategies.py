@@ -28,7 +28,7 @@ from dptree.split_strategies import (
     noisy_counts_split,
     rnm_score_sensitivity,
 )
-from dptree.dp_topdown import DPTopDownConfig, LeafRef, dp_topdown
+from dptree.dp_topdown import DPTopDownConfig, LeafRef, dp_topdown, leaf_paths
 from dptree.tree_learning import (
     BinnedFeatures,
     Criterion,
@@ -441,6 +441,24 @@ def replayed_rows(shard, path):
     return rows
 
 
+def fresh_tables(dataset, rows, splits):
+    """Stateless oracle: each split's joint table, counted row by row."""
+    tables = np.zeros((len(splits), dataset.n_classes, 2))
+    for table, split in zip(tables, splits):
+        np.add.at(table, (dataset.labels[rows], split.evaluate(dataset.features, rows)), 1.0)
+    return tables
+
+
+def random_tree_paths(data, splits):
+    """The path of every node of a random tree; children follow their parent."""
+    paths = [()]
+    for _ in range(data.draw(st.integers(0, 6))):
+        parent = data.draw(st.sampled_from(paths))
+        split = data.draw(st.sampled_from(splits))
+        paths += [parent + ((split, 0),), parent + ((split, 1),)]
+    return paths
+
+
 class TestEntityRowCache:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -448,16 +466,60 @@ class TestEntityRowCache:
         splits = grid_splits(d=2, count=3)
         n = data.draw(st.integers(0, 60))
         ds = planted_dataset(RandomSource(data.draw(st.integers(0, 9))), n=n)
-        # A random tree: every node's path; children follow their parent.
-        paths = [()]
-        for _ in range(data.draw(st.integers(0, 6))):
-            parent = data.draw(st.sampled_from(paths))
-            split = data.draw(st.sampled_from(splits))
-            paths += [parent + ((split, 0),), parent + ((split, 1),)]
-        queries = data.draw(st.lists(st.sampled_from(paths), max_size=25))
+        queries = data.draw(st.lists(st.sampled_from(random_tree_paths(data, splits)), max_size=25))
         entity = Entity(0, ds, RandomSource(0), splits, Criterion.ENTROPY)
         for path in queries:
             assert np.array_equal(entity.leaf_rows(path), replayed_rows(ds, path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_cached_counts_equal_a_fresh_count(self, data):
+        # Three classes; values on the threshold grid and off it, so that
+        # block means land on it too.
+        grid = (0.25, 0.5, 0.75)
+        n = data.draw(st.integers(0, 60))
+        value = st.one_of(st.sampled_from(grid), st.floats(0.0, 1.0, width=32))
+        X = np.array(data.draw(st.lists(value, min_size=2 * n, max_size=2 * n)), dtype=float)
+        y = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=int)
+        ds = LabeledDataset(X.reshape(n, 2), y, 3)
+        splits = [SplitFunction(threshold=t, feature=j) for j in range(2) for t in grid]
+        splits += [SplitFunction(threshold=t, block=(0, 1)) for t in grid]
+        queries = data.draw(st.lists(st.sampled_from(random_tree_paths(data, splits)), max_size=25))
+        entity = Entity(0, ds, RandomSource(0), splits, Criterion.ENTROPY)
+        for path in queries:
+            rows = entity.leaf_rows(path)
+            tables = split_count_tables(entity.binned, rows, splits, entity.leaf_counts(path))
+            assert np.array_equal(tables, fresh_tables(ds, replayed_rows(ds, path), splits))
+
+    def test_cut_counts_only_the_smaller_child(self, monkeypatch):
+        ds, splits = planted_dataset(RandomSource(5), n=500), grid_splits(d=2, count=3)
+        entity = Entity(0, ds, RandomSource(0), splits, Criterion.ENTROPY)
+        counted = []
+        count = entity.binned.cumulative
+        monkeypatch.setattr(entity.binned, "cumulative", lambda rows: counted.append(rows.size) or count(rows))
+        # The first cut's smaller child is its left side (x0 <= 0.25), the
+        # second cut's its right side (x1 > 0.75).
+        right = ((splits[0], 1),)
+        for path in ((), right, right + ((splits[5], 0),)):
+            entity.leaf_rows(path)
+        smaller = (((splits[0], 0),), right + ((splits[5], 1),))
+        assert counted == [ds.n] + [replayed_rows(ds, path).size for path in smaller]
+        assert counted[1] < ds.n / 2 and counted[2] < (ds.n - counted[1]) / 2
+        for path in entity._leaves:
+            tables = split_count_tables(entity.binned, entity.leaf_rows(path), splits,
+                                        entity.leaf_counts(path))
+            assert np.array_equal(tables, fresh_tables(ds, replayed_rows(ds, path), splits))
+        assert len(counted) == 3  # serving cached leaves counts nothing again
+
+    def test_out_of_class_candidate_raises_with_cached_counts(self):
+        ds, splits = planted_dataset(RandomSource(6), n=100), grid_splits(d=2, count=3)
+        pool = make_pool(ds, 2, splits)
+        stranger = SplitFunction(threshold=0.3, feature=0)
+        for candidates in ([stranger], splits[:-1] + [stranger]):
+            with pytest.raises(InvalidParameterError):
+                pool.ask_all(PrivacyLedger(8), "joint_histogram", (), Fraction(1), 1, 0, splits=candidates)
+        with pytest.raises(InvalidParameterError):
+            pool.entities[0].leaf_rows(((stranger, 0),))
 
     def test_evicted_parent_requeried(self):
         splits = grid_splits(d=2, count=3)
@@ -477,14 +539,33 @@ class TestEntityRowCache:
             tree, _, _ = dp_topdown(strategy, config)
             assert tree.internal_count >= 3
             for entity in entities:
-                cached = np.concatenate(list(entity._rows.values()))
+                cached = np.concatenate([rows for rows, _ in entity._leaves.values()])
                 assert np.array_equal(np.sort(cached), np.arange(entity.shard.n))
+
+    @pytest.mark.parametrize("maker", [SingleMachineRNMSplitter, NoisyCountsSplitter, LocalRNMSplitter])
+    def test_learner_run_caches_only_live_leaves(self, maker):
+        ds, splits = planted_dataset(RandomSource(7), n=3000), grid_splits()
+        if maker is SingleMachineRNMSplitter:
+            strategy = maker(ds, splits, Criterion.ENTROPY, RandomSource(7))
+            entities = [strategy.entity]
+        else:
+            pool = make_pool(ds, 3, splits, seed=7)
+            strategy, entities = maker(pool), pool.entities
+        tree, _, _ = dp_topdown(strategy, DPTopDownConfig(alpha=8.0, max_nodes=12))
+        live = set(leaf_paths(tree).values())
+        assert len(live) >= 4
+        for entity in entities:
+            assert len(entity._leaves) <= len(live)
+            assert set(entity._leaves) <= live
 
     @pytest.mark.parametrize("maker", [NoisyCountsSplitter, LocalRNMSplitter])
     def test_learner_run_identical_to_stateless_entities(self, maker):
         class StatelessEntity(Entity):
             def leaf_rows(self, path):
                 return replayed_rows(self.shard, path)
+
+            def leaf_counts(self, path):
+                return self.binned.cumulative(replayed_rows(self.shard, path))
 
         ds, splits = planted_dataset(RandomSource(4), n=2500), grid_splits()
         runs = []

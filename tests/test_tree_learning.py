@@ -402,6 +402,22 @@ class TestBinnedKernel:
             sides = split.evaluate(ds.features, rows)
             assert np.array_equal(table, oracle_table(ds.labels[rows], sides, ds.n_classes))
 
+    @settings(max_examples=300, deadline=None)
+    @given(binned_cases())
+    def test_code_cut_equals_evaluate(self, case):
+        ds, splits, _, rows = case
+        binned = BinnedFeatures(ds, splits)
+        for split in splits:
+            assert np.array_equal(binned.goes_right(split, rows), split.evaluate(ds.features, rows) == 1)
+
+    @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16), (70000, np.uint32)])
+    def test_smallest_count_dtype(self, n, dtype):
+        ds = random_dataset(RandomSource(6), n=n)
+        binned = BinnedFeatures(ds, grid_splits())
+        cum = binned.cumulative(np.arange(n))
+        assert cum.dtype == dtype
+        assert cum.sum(axis=1).max() == n
+
     def test_smallest_code_dtype(self):
         ds = random_dataset(RandomSource(3), n=50, d=2)
         splits = [SplitFunction(threshold=r / 300, feature=0) for r in range(255)]
