@@ -6,7 +6,6 @@ from .dp_core import (
     DegenerateLeafError,
     InvalidParameterError,
     PrivacyLedger,
-    ProtocolError,
     RandomSource,
     Scope,
     report_noisy_max,
@@ -18,8 +17,6 @@ from .tree_learning import (
     DecisionTree,
     LabeledDataset,
     SplitFunction,
-    potential,
-    topdown_nonprivate,
     tree_error,
 )
 from .dp_topdown import (
@@ -36,6 +33,7 @@ from .dp_topdown import (
 from .split_strategies import (
     Entity,
     EntityPool,
+    ExactStrategy,
     LocalRNMSplitter,
     NoisyCountsSplitter,
     SingleMachineRNMSplitter,

@@ -19,6 +19,7 @@ from .dp_topdown import schedule_from_name
 from .experiments import (
     ConfigError,
     load_experiment_config,
+    open_output,
     resolve_output_path,
     run_single,
     run_sweep,
@@ -102,8 +103,7 @@ def summarize_cmd(in_path, out_path):
     def body():
         summary = summarize(in_path)
         out = resolve_output_path(out_path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8") as fh:
+        with open_output(out) as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
         click.echo(str(out))
 

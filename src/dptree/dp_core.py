@@ -39,10 +39,6 @@ class DegenerateLeafError(RuntimeError):
     """A leaf is too small for the sensitivity bound to be valid (< 3 rows)."""
 
 
-class ProtocolError(RuntimeError):
-    """An entity failed to answer a coordinator query; no partial aggregation."""
-
-
 # ---------------------------------------------------------------------------
 # Zero-noise debug mode
 # ---------------------------------------------------------------------------

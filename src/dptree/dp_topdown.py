@@ -2,9 +2,10 @@
 schedules, the greedy loop over a max-priority queue, and the two mechanisms
 that run on exact counts (noisy weight estimation and RNM leaf labeling).
 
-The loop is one code path for every PrivateSplit strategy. It handles leaves
-only through `LeafRef`s, which carry the public (split, side) path from the
-root, and asks the strategy each private question about a leaf:
+The loop is one code path for every strategy, the non-private baseline
+included. It handles leaves only through `LeafRef`s, which carry the public
+(split, side) path from the root, and asks the strategy each question about
+a leaf:
 
 - `split(leaf, alpha, ledger)`: the chosen split and its released gain,
   raising DegenerateLeafError when the leaf is too small to score;
@@ -13,16 +14,17 @@ root, and asks the strategy each private question about a leaf:
 - `total_size`: the public row count |S|.
 
 Strategies read their own rows, draw their own noise and record their own
-charges. The loop mirrors the non-private baseline exactly; under zero-noise
-mode its output tree is node-identical to `topdown_nonprivate` run with the
-same node cap, gain threshold, and weight filter.
+charges. `ExactStrategy` answers every query exactly and charges nothing,
+which makes this loop the greedy top-down baseline; under zero noise every
+private strategy grows the same tree as it, with the same node cap, gain
+threshold and weight filter.
 """
 
 from __future__ import annotations
 
-import json
+import heapq
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dp_core import (
@@ -34,7 +36,7 @@ from .dp_core import (
     report_noisy_max,
     sample_laplace,
 )
-from .tree_learning import DecisionTree, MaxQueue
+from .tree_learning import DecisionTree
 
 
 @dataclass(frozen=True)
@@ -151,15 +153,10 @@ class RunStats:
 
     depth: int = 0
     internal_nodes: int = 0
-    iterations: int = 0
-    popped_priorities: list = field(default_factory=list)
     ledger_effective_cost: float = 0.0
     pushed_weights: list = field(default_factory=list)
     degenerate_splits: int = 0
     random_local_candidates: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +224,31 @@ def label_leaves(tree: DecisionTree, strategy, leaf_budget, ledger: PrivacyLedge
 
 
 # ---------------------------------------------------------------------------
-# The private learner
+# The learner
 # ---------------------------------------------------------------------------
 
 
+class MaxQueue:
+    """Max-priority queue with FIFO tie-breaking (deterministic)."""
+
+    def __init__(self):
+        self._heap = []
+        self._counter = 0
+
+    def push(self, priority: float, item) -> None:
+        heapq.heappush(self._heap, (-float(priority), self._counter, item))
+        self._counter += 1
+
+    def pop(self):
+        neg, _, item = heapq.heappop(self._heap)
+        return -neg, item
+
+    def __len__(self):
+        return len(self._heap)
+
+
 def dp_topdown(strategy, config: DPTopDownConfig):
-    """Private top-down tree learning through one PrivateSplit strategy.
+    """Top-down tree learning through one strategy.
 
     Returns (tree, ledger, stats). An exhausted queue before max_nodes
     splits is normal termination. A charge that would take the ledger over
@@ -263,9 +279,7 @@ def dp_topdown(strategy, config: DPTopDownConfig):
     for _ in range(config.max_nodes):
         if not len(queue):
             break
-        priority, (leaf_node, ref, chosen) = queue.pop()
-        stats.iterations += 1
-        stats.popped_priorities.append(priority)
+        _, (leaf_node, ref, chosen) = queue.pop()
 
         left, right = tree.split_leaf(leaf_node, chosen)
         for side, child in ((0, left), (1, right)):

@@ -9,7 +9,6 @@ are always written in grid order.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -25,6 +24,7 @@ import numpy as np
 from .dp_core import RandomSource, zero_noise
 from .data_io import (
     DataError,
+    _csv_rows,
     _int,
     _text,
     build_splitting_class,
@@ -36,11 +36,12 @@ from .data_io import (
 from .dp_topdown import DPTopDownConfig, dp_topdown, schedule_from_name
 from .split_strategies import (
     EntityPool,
+    ExactStrategy,
     LocalRNMSplitter,
     NoisyCountsSplitter,
     SingleMachineRNMSplitter,
 )
-from .tree_learning import Criterion, topdown_nonprivate, tree_error
+from .tree_learning import Criterion, tree_error
 
 ALGORITHMS = ("baseline", "single-rnm", "noisy-counts", "local-rnm")
 DEFAULT_ALPHAS = [2.0**e for e in range(-3, 10)]
@@ -284,34 +285,26 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
 
     criterion = Criterion.from_name(config.criterion)
     started = time.perf_counter()
+    dp_config = DPTopDownConfig(
+        alpha=alpha,
+        max_nodes=config.max_nodes,
+        error=config.error,
+        leaf_privacy_fraction=lpf,
+        schedule=schedule_from_name(config.schedule, config.max_nodes),
+        min_gain=config.min_gain,
+    )
     if config.algorithm == "baseline":
-        # Non-private control with the same pruning and weight filter, so
+        # The same loop, pruning and weight filter with exact answers, so
         # large-alpha private runs converge to it like for like.
-        tree = topdown_nonprivate(
-            train, splits, config.max_nodes, criterion,
-            min_gain=config.min_gain, min_weight=config.error / config.max_nodes,
-        )
-        ledger_cost = 0.0
-        depth, nodes = tree.depth, tree.internal_count
+        strategy = ExactStrategy(train, splits, criterion)
+    elif config.algorithm == "single-rnm":
+        strategy = SingleMachineRNMSplitter(train, splits, criterion, source_rng.substream("mechanisms"))
     else:
-        dp_config = DPTopDownConfig(
-            alpha=alpha,
-            max_nodes=config.max_nodes,
-            error=config.error,
-            leaf_privacy_fraction=lpf,
-            schedule=schedule_from_name(config.schedule, config.max_nodes),
-            min_gain=config.min_gain,
-        )
-        if config.algorithm == "single-rnm":
-            strategy = SingleMachineRNMSplitter(train, splits, criterion, source_rng.substream("mechanisms"))
-        else:
-            shards = partition(train, config.entities, source_rng.substream("partition"))
-            pool = EntityPool.from_shards(shards, source_rng.substream("entities"), splits, criterion)
-            maker = NoisyCountsSplitter if config.algorithm == "noisy-counts" else LocalRNMSplitter
-            strategy = maker(pool)
-        tree, ledger, stats = dp_topdown(strategy, dp_config)
-        ledger_cost = stats.ledger_effective_cost
-        depth, nodes = stats.depth, stats.internal_nodes
+        shards = partition(train, config.entities, source_rng.substream("partition"))
+        pool = EntityPool.from_shards(shards, source_rng.substream("entities"), splits, criterion)
+        maker = NoisyCountsSplitter if config.algorithm == "noisy-counts" else LocalRNMSplitter
+        strategy = maker(pool)
+    tree, _, stats = dp_topdown(strategy, dp_config)
     wall_ms = (time.perf_counter() - started) * 1000.0
 
     return ResultRow(
@@ -323,9 +316,9 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
         seed=seed,
         train_acc=1.0 - tree_error(tree, train),
         test_acc=1.0 - tree_error(tree, test) if test.n else float("nan"),
-        depth=depth,
-        nodes=nodes,
-        ledger_cost=ledger_cost,
+        depth=stats.depth,
+        nodes=stats.internal_nodes,
+        ledger_cost=stats.ledger_effective_cost,
         wall_ms=wall_ms,
     )
 
@@ -344,12 +337,26 @@ def resolve_output_path(path) -> Path:
     return path
 
 
+def open_output(path: Path, mode: str = "w"):
+    """Open a resolved output path as UTF-8 text, making its parent
+    directories. A path that cannot be created or opened, such as a
+    directory or a path under a file, raises ConfigError naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, mode, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
+
+
 def worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be at least 1, got {raw!r}")
+    return workers
 
 
 def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
@@ -360,8 +367,8 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
     skipping the rows already on disk. Workers get the config itself, and
     each run takes its zero-noise setting from it.
     """
+    workers = worker_count()
     out_path = resolve_output_path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     tasks = [
         (alpha_i, lpf_i, fraction_i, run_i)
         for (alpha_i, lpf_i, fraction_i) in config.grid
@@ -369,7 +376,7 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
     ]
 
     done = 0
-    if resume and out_path.exists():
+    if resume and out_path.is_file():
         text = out_path.read_text(encoding="utf-8")
         header = text.partition("\n")[0]
         if header != CSV_HEADER and not CSV_HEADER.startswith(text):
@@ -383,8 +390,7 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
     pending = tasks[done:]
 
     mode = "a" if resume and done else "w"
-    workers = worker_count()
-    with open(out_path, mode, encoding="utf-8", newline="") as fh, ExitStack() as stack:
+    with open_output(out_path, mode) as fh, ExitStack() as stack:
         if mode == "w":
             fh.write(CSV_HEADER + "\n")
             fh.flush()
@@ -397,16 +403,45 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
     return out_path
 
 
+# Sweep CSV columns that the summary reads, with their casts.
+_NUMERIC_COLUMNS = {"alpha": float, "lpf": float, "train_fraction": float, "train_acc": float,
+                    "test_acc": float, "depth": int, "nodes": int, "ledger_cost": float}
+
+
 def summarize(csv_path) -> dict:
-    """Per-cell means and standard errors of the mean (std / sqrt(runs))."""
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_HEADER.split(","):
-            raise DataError(f"{csv_path}: unexpected header {reader.fieldnames}")
-        cells: dict = {}
-        for record in reader:
-            key = (record["algorithm"], record["alpha"], record["lpf"], record["train_fraction"])
-            cells.setdefault(key, []).append(record)
+    """Per-cell means and standard errors of the mean (std / sqrt(runs)),
+    in the numeric order of (algorithm, alpha, lpf, train fraction).
+
+    A file that cannot be read raises DataError, and so does a row with too
+    few or too many cells, a cell that does not parse, or a byte that is not
+    UTF-8, naming its line.
+    """
+    header = CSV_HEADER.split(",")
+    cells: dict = {}
+    try:
+        fh = open(csv_path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {csv_path}: {exc}")
+    with fh:
+        rows = _csv_rows(csv_path, fh)
+        found = next(rows, None)
+        if found != header:
+            raise DataError(f"{csv_path}: unexpected header {found}")
+        for line, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise DataError(
+                    f"{csv_path}:{line}: expected {len(header)} columns, got {len(row)}; "
+                    "if an interrupted sweep tore its last row, `dptree sweep --resume` rewrites it"
+                )
+            record = dict(zip(header, row))
+            parsed = {}
+            for name, cast in _NUMERIC_COLUMNS.items():
+                try:
+                    parsed[name] = cast(record[name])
+                except ValueError:
+                    raise DataError(f"{csv_path}:{line}: cannot parse {record[name]!r} as a number for {name!r}")
+            key = (record["algorithm"], parsed["alpha"], parsed["lpf"], parsed["train_fraction"])
+            cells.setdefault(key, []).append(parsed)
 
     def sem(values) -> float:
         if len(values) < 2:
@@ -415,22 +450,22 @@ def summarize(csv_path) -> dict:
 
     summary = []
     for (algorithm, alpha, lpf, fraction), records in sorted(cells.items()):
-        train = [float(r["train_acc"]) for r in records]
-        test = [float(r["test_acc"]) for r in records]
+        train = [r["train_acc"] for r in records]
+        test = [r["test_acc"] for r in records]
         summary.append(
             {
                 "algorithm": algorithm,
-                "alpha": float(alpha),
-                "lpf": float(lpf),
-                "train_fraction": float(fraction),
+                "alpha": alpha,
+                "lpf": lpf,
+                "train_fraction": fraction,
                 "runs": len(records),
                 "train_acc_mean": float(np.mean(train)),
                 "train_acc_sem": sem(train),
                 "test_acc_mean": float(np.mean(test)),
                 "test_acc_sem": sem(test),
-                "depth_mean": float(np.mean([int(r["depth"]) for r in records])),
-                "nodes_mean": float(np.mean([int(r["nodes"]) for r in records])),
-                "ledger_cost_max": max(float(r["ledger_cost"]) for r in records),
+                "depth_mean": float(np.mean([r["depth"] for r in records])),
+                "nodes_mean": float(np.mean([r["nodes"] for r in records])),
+                "ledger_cost_max": max(r["ledger_cost"] for r in records),
             }
         )
     return {"cells": summary}

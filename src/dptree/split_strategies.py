@@ -1,15 +1,16 @@
-"""PrivateSplit strategies for the DP-TopDown loop: single-machine RNM,
-distributed NoisyCounts and distributed LocalRNM, plus the simulated
-entity/coordinator message layer they share.
+"""Strategies for the DP-TopDown loop: the exact non-private baseline,
+single-machine RNM, distributed NoisyCounts and distributed LocalRNM, plus
+the simulated entity/coordinator message layer they share.
 
-Each strategy answers the loop's private queries about a leaf, named by its
-public path (see `dp_topdown`): `split`, `weight`, `label` and
-`total_size`. The single machine is one `Entity` under the global ledger
-scope that answers from its exact rows: RNM for splits and labels, the
-Laplace weight estimate for weights, each drawn from its own substream. The
-two distributed strategies query k entities through the transport and share
-`weight` (summed noisy counts) and `label` (argmax of summed noisy label
-counts); they differ only in `split`.
+Each strategy answers the loop's queries about a leaf, named by its public
+path (see `dp_topdown`): `split`, `weight`, `label` and `total_size`. On a
+single machine all data is one `Entity` under the global ledger scope.
+`ExactStrategy` answers from its exact rows with no noise and no charges.
+`SingleMachineRNMSplitter` answers from the same rows privately: RNM for
+splits and labels, the Laplace weight estimate for weights, each drawn from
+its own substream. The two distributed strategies query k entities through
+the transport and share `weight` (summed noisy counts) and `label` (argmax
+of summed noisy label counts); they differ only in `split`.
 
 Each entity draws noise from its own stream and records its budget charge
 against its own ledger scope; the coordinator only ever sees noisy
@@ -39,7 +40,6 @@ from .dp_core import (
     GLOBAL_SCOPE,
     DegenerateLeafError,
     InvalidParameterError,
-    ProtocolError,
     PrivacyLedger,
     RandomSource,
     Scope,
@@ -113,7 +113,7 @@ class Entity:
     recorded under its own ledger scope. Only ever reads its own shard. The
     single machine is one entity with id GLOBAL_SCOPE."""
 
-    def __init__(self, entity_id: int | None, shard: LabeledDataset, rng: RandomSource,
+    def __init__(self, entity_id: int | None, shard: LabeledDataset, rng: RandomSource | None,
                  splits, criterion: Criterion):
         self.entity_id = entity_id
         self.shard = shard
@@ -157,13 +157,16 @@ class Entity:
         a leaf that `leaf_rows` has cached."""
         return self._leaves[tuple(path)][1]
 
+    def gains(self, rows, counts) -> np.ndarray:
+        """Exact gains of the full splitting class on `rows`, whose
+        cumulative counts are `counts`."""
+        return gain_from_counts(split_count_tables(self.binned, rows, self.splits, counts), self.criterion)
+
     def rnm_split(self, rows, counts, budget, rng: RandomSource):
-        """Report Noisy Max over the exact gains of the full splitting class
-        on `rows`, whose cumulative counts are `counts`: (index, noisy gain).
+        """Report Noisy Max over `gains(rows, counts)`: (index, noisy gain).
         Raises DegenerateLeafError on fewer than MIN_LEAF_ROWS rows."""
         sensitivity = rnm_score_sensitivity(self.criterion, rows.size)
-        tables = split_count_tables(self.binned, rows, self.splits, counts)
-        return report_noisy_max(gain_from_counts(tables, self.criterion), sensitivity, float(budget), rng)
+        return report_noisy_max(self.gains(rows, counts), sensitivity, float(budget), rng)
 
     def _scope(self, purpose: str, query: Query) -> Scope:
         return Scope(self.entity_id, purpose, depth=query.depth, leaf=query.leaf_id)
@@ -220,14 +223,12 @@ class LocalTransport:
     """In-process coordinator/entity boundary: send(Query) -> Response.
 
     Keeps a JSON-able message log for audits. A wire transport can replace
-    this without touching strategy code. Entities marked failed raise
-    ProtocolError, aborting the surrounding call (no partial aggregation).
+    this without touching strategy code.
     """
 
     def __init__(self, record_payloads: bool = False):
         self.record_payloads = record_payloads
         self.log: list[dict] = []
-        self.failed: set[int] = set()
 
     @staticmethod
     def _summary(payload: dict) -> dict:
@@ -251,8 +252,6 @@ class LocalTransport:
                 }},
             }
         )
-        if entity.entity_id in self.failed:
-            raise ProtocolError(f"entity {entity.entity_id} failed to respond")
         response = entity.handle(query, ledger)
         record = {
             "direction": "response",
@@ -362,6 +361,40 @@ def local_rnm_split(pool: EntityPool, leaf: LeafRef, alpha, ledger: PrivacyLedge
 # ---------------------------------------------------------------------------
 # Strategies: the learner's private queries about one leaf
 # ---------------------------------------------------------------------------
+
+
+class ExactStrategy:
+    """The non-private baseline: all data is one entity under the global
+    scope, and every query is answered exactly from its cached rows and
+    counts, with no noise and no charges.
+
+    split() returns the split of largest exact gain (ties to the lowest
+    index) and that gain, weight() the exact fraction of rows in the leaf,
+    and label() the majority label (ties and empty leaves to the lowest
+    index). Through `dp_topdown` this is the greedy top-down learner with the
+    private learner's node cap, gain threshold and weight filter.
+    """
+
+    def __init__(self, dataset: LabeledDataset, splits, criterion: Criterion):
+        if len(splits) == 0:
+            raise InvalidParameterError("splitting class must be nonempty")
+        self.entity = Entity(GLOBAL_SCOPE, dataset, None, splits, criterion)
+
+    @property
+    def total_size(self) -> int:
+        return self.entity.shard.n
+
+    def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
+        rows = self.entity.leaf_rows(leaf.path)
+        gains = self.entity.gains(rows, self.entity.leaf_counts(leaf.path))
+        best = int(np.argmax(gains))
+        return self.entity.splits[best], float(gains[best])
+
+    def weight(self, leaf: LeafRef, alpha_leaf, ledger: PrivacyLedger) -> float:
+        return self.entity.leaf_rows(leaf.path).size / self.total_size
+
+    def label(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> int:
+        return int(np.argmax(self.entity.shard.label_counts(self.entity.leaf_rows(leaf.path))))
 
 
 class SingleMachineRNMSplitter:

@@ -1,19 +1,14 @@
-"""Non-private decision tree core: the splitting criteria of label
-distributions (`distribution_value`), the split gain of whole stacks of
-count tables (`gain_from_counts`), the binned count-table kernel
-(`BinnedFeatures` and `split_count_tables`) shared by every learner, the
-potential upper bound, tree construction/routing/prediction, and the greedy
-top-down baseline learner.
-
-The baseline learner shares its control flow (priority queue, gain pruning,
-optional weight filter) with the private learner so that zero-noise runs of
-the private algorithm are node-identical to it.
+"""Decision tree core shared by every learner: the splitting criteria of
+label distributions (`distribution_value`), the split gain of whole stacks
+of count tables (`gain_from_counts`), the binned count-table kernel
+(`BinnedFeatures` and `split_count_tables`), and the tree itself with its
+construction, prediction and `to_dict` record. The learner is `dp_topdown`;
+the non-private baseline is that learner run with exact answers
+(`split_strategies.ExactStrategy`).
 """
 
 from __future__ import annotations
 
-import heapq
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -360,14 +355,6 @@ class DecisionTree:
     def depth(self) -> int:
         return max(node.depth for node in self.nodes())
 
-    def route(self, x: np.ndarray) -> Node:
-        """Leaf reached by a single feature vector."""
-        node = self.root
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        while not node.is_leaf:
-            node = node.right if node.split.evaluate(x)[0] else node.left
-        return node
-
     def assign(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id for every row of X."""
         X = np.asarray(X, dtype=float)
@@ -395,9 +382,8 @@ class DecisionTree:
             raise UnlabeledTreeError("prediction reached an unlabeled leaf")
         return labels
 
-    # -- serialization ------------------------------------------------------
-
     def to_dict(self) -> dict:
+        """JSON-able node records, in node id order."""
         records = []
         for node in self.nodes():
             if node.is_leaf:
@@ -419,142 +405,9 @@ class DecisionTree:
                 records.append(record)
         return {"root": self.root.node_id, "nodes": records}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DecisionTree":
-        nodes = {}
-        for record in doc["nodes"]:
-            node = Node(record["id"], record["depth"])
-            if record["kind"] == "leaf":
-                node.label = record["label"]
-            else:
-                if "feature" in record:
-                    node.split = SplitFunction(threshold=record["threshold"], feature=record["feature"])
-                else:
-                    node.split = SplitFunction(threshold=record["threshold"], block=tuple(record["block"]))
-            nodes[record["id"]] = node
-        for record in doc["nodes"]:
-            if record["kind"] == "split":
-                left, right = record["children"]
-                nodes[record["id"]].left = nodes[left]
-                nodes[record["id"]].right = nodes[right]
-        tree = cls.__new__(cls)
-        tree.root = nodes[doc["root"]]
-        tree._next_id = max(nodes) + 1
-        return tree
-
-    @classmethod
-    def from_json(cls, text: str) -> "DecisionTree":
-        return cls.from_dict(json.loads(text))
-
 
 def tree_error(tree: DecisionTree, dataset: LabeledDataset) -> float:
     """Fraction of dataset rows the (fully labeled) tree misclassifies."""
     if dataset.n == 0:
         raise InvalidParameterError("cannot evaluate error on an empty dataset")
     return float(np.mean(tree.predict(dataset.features) != dataset.labels))
-
-
-def potential(tree: DecisionTree, dataset: LabeledDataset, criterion: Criterion) -> float:
-    """Weighted criterion value over leaves: an upper bound on the training
-    error of the majority-labeled tree."""
-    if dataset.n == 0:
-        raise InvalidParameterError("cannot evaluate potential on an empty dataset")
-    leaf_ids = tree.assign(dataset.features)
-    value = 0.0
-    for leaf in tree.leaves():
-        rows = leaf_ids == leaf.node_id
-        n_leaf = int(rows.sum())
-        if n_leaf == 0:
-            continue
-        p = np.bincount(dataset.labels[rows], minlength=dataset.n_classes) / n_leaf
-        value += (n_leaf / dataset.n) * float(distribution_value(criterion, p))
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Greedy top-down learner (non-private baseline)
-# ---------------------------------------------------------------------------
-
-
-class MaxQueue:
-    """Max-priority queue with FIFO tie-breaking (deterministic)."""
-
-    def __init__(self):
-        self._heap = []
-        self._counter = 0
-
-    def push(self, priority: float, item) -> None:
-        heapq.heappush(self._heap, (-float(priority), self._counter, item))
-        self._counter += 1
-
-    def pop(self):
-        neg, _, item = heapq.heappop(self._heap)
-        return -neg, item
-
-    def __len__(self):
-        return len(self._heap)
-
-
-def majority_label(counts: np.ndarray) -> int:
-    """Most common label; ties and empty leaves go to the lowest index."""
-    return int(np.argmax(counts))
-
-
-def topdown_nonprivate(
-    dataset: LabeledDataset,
-    splits,
-    max_nodes: int,
-    criterion: Criterion,
-    min_gain: float = 0.01,
-    min_weight: float = 0.0,
-) -> DecisionTree:
-    """Greedy top-down tree induction.
-
-    Repeatedly pops the leaf/split pair with the largest potential decrease
-    w(leaf) * J(leaf, h) and splits it, for at most max_nodes iterations.
-    Children are queued only when their best gain exceeds min_gain and their
-    weight is at least min_weight (the weight filter of the private learner;
-    0 disables it). Leaves get exact majority labels. Deterministic given the
-    dataset and the ordering of the splitting class.
-    """
-    if len(splits) == 0:
-        raise InvalidParameterError("splitting class must be nonempty")
-    if max_nodes < 1:
-        raise InvalidParameterError("max_nodes must be >= 1")
-    if dataset.n == 0:
-        raise InvalidParameterError("cannot learn from an empty dataset")
-
-    X, k = dataset.features, dataset.n_classes
-    binned = BinnedFeatures(dataset, splits)
-    tree = DecisionTree()
-    members = {tree.root.node_id: np.arange(dataset.n)}
-    queue = MaxQueue()
-
-    gains = gain_from_counts(split_count_tables(binned, members[tree.root.node_id], splits), criterion)
-    best = int(np.argmax(gains))
-    if 1.0 >= min_weight and gains[best] > min_gain:
-        queue.push(float(gains[best]), (tree.root, splits[best]))
-
-    for _ in range(max_nodes):
-        if not len(queue):
-            break
-        _, (leaf, split) = queue.pop()
-        rows = members.pop(leaf.node_id)
-        sides = split.evaluate(X, rows)
-        left, right = tree.split_leaf(leaf, split)
-        for child, child_rows in ((left, rows[sides == 0]), (right, rows[sides == 1])):
-            members[child.node_id] = child_rows
-            weight = child_rows.size / dataset.n
-            gains = gain_from_counts(split_count_tables(binned, child_rows, splits), criterion)
-            best = int(np.argmax(gains))
-            if weight >= min_weight and gains[best] > min_gain:
-                queue.push(weight * float(gains[best]), (child, splits[best]))
-
-    for leaf in tree.leaves():
-        rows = members.get(leaf.node_id)
-        counts = dataset.label_counts(rows) if rows is not None else np.zeros(k)
-        leaf.label = majority_label(counts)
-    return tree

@@ -248,6 +248,34 @@ class TestSummarize:
         assert cell["test_acc_mean"] == pytest.approx(float(np.mean(accs)))
         assert cell["test_acc_sem"] == pytest.approx(float(np.std(accs, ddof=1) / 2))
 
+    def test_cells_in_numeric_order(self, tmp_path):
+        rows = tmp_path / "rows.csv"
+        rows.write_text("\n".join([CSV_HEADER] + [
+            f"baseline,{alpha},0.5,1.0,0,7,0.9,0.8,2,3,0.0,1.5" for alpha in ("16.0", "2.0", "1.0", "2")
+        ]) + "\n")
+        cells = summarize(rows)["cells"]
+        assert [(cell["alpha"], cell["runs"]) for cell in cells] == [(1.0, 1), (2.0, 2), (16.0, 1)]
+
+    # Two sweep rows, the second cut, made non-numeric or made not UTF-8.
+    ROWS = ["single-rnm,1.0,0.5,1.0,0,7,0.9,0.8,2,3,0.5,1.5",
+            "single-rnm,1.0,0.5,1.0,1,8,0.9,0.7,2,3,0.5,1.25"]
+
+    @pytest.mark.parametrize("last, expected", [
+        (b"single-rnm,1.0,0.5,1.0,1,8,0.9", "expected 12 columns, got 7"),
+        (ROWS[1].replace("0.7", "seven").encode(), "cannot parse 'seven' as a number for 'test_acc'"),
+        (ROWS[1].replace("0.7", "0.\xff7").encode("latin-1") + b"\n", "byte b'\\xff' is not UTF-8"),
+    ], ids=["torn-last-row", "non-numeric", "not-utf8"])
+    def test_bad_sweep_csv_exit_code(self, tmp_path, last, expected):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes("\n".join([CSV_HEADER, self.ROWS[0], ""]).encode() + last)
+        result = CliRunner().invoke(main, ["summarize", "--in", str(bad), "--out", str(tmp_path / "s.json")])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"error: {bad}:3: ")
+        assert expected in result.output
+        assert ("sweep --resume" in result.output) == ("columns" in expected)
+        assert not (tmp_path / "s.json").exists()
+
 
 class TestCli:
     def test_train_emits_row_json(self, workspace):
@@ -418,6 +446,35 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith(f"error: {csv_path}:5: ")
         assert "Traceback" not in result.output
+
+    def test_unreadable_sweep_csv_exit_code(self, tmp_path):
+        result = CliRunner().invoke(main, ["summarize", "--in", str(tmp_path), "--out", str(tmp_path / "s.json")])
+        assert result.exit_code == 3
+        assert result.output.startswith(f"error: cannot read {tmp_path}: ")
+
+    @pytest.mark.parametrize("command", ["sweep", "summarize"])
+    @pytest.mark.parametrize("kind", ["directory", "under-a-file"])
+    def test_bad_out_path_exit_code(self, workspace, tmp_path, command, kind):
+        _, _, config_path = workspace
+        rows = tmp_path / "rows.csv"
+        rows.write_text(CSV_HEADER + "\n")
+        (tmp_path / "taken").mkdir()
+        out = tmp_path / "taken" if kind == "directory" else rows / "out"
+        args = ["--config", str(config_path)] if command == "sweep" else ["--in", str(rows)]
+        result = CliRunner().invoke(main, [command, *args, "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"error: cannot write {out}: ")
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_code(self, workspace, tmp_path, monkeypatch, workers):
+        _, _, config_path = workspace
+        monkeypatch.setenv("DPTREE_WORKERS", workers)
+        out = tmp_path / "rows.csv"
+        result = CliRunner().invoke(main, ["sweep", "--config", str(config_path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output == f"error: DPTREE_WORKERS must be at least 1, got {workers!r}\n"
+        assert not out.exists()
 
     def test_console_entry_point(self):
         proc = subprocess.run(

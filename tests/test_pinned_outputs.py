@@ -54,15 +54,12 @@ def run_outputs(config: experiments.ExperimentConfig) -> dict:
         for noise in (True, False):
             learned = []
             with mock.patch.object(experiments, "dp_topdown", recording(experiments.dp_topdown, learned)), \
-                    mock.patch.object(experiments, "topdown_nonprivate",
-                                      recording(experiments.topdown_nonprivate, learned)), \
                     zero_noise(not noise):
                 row = experiments.run_single(dataclasses.replace(config, algorithm=algorithm), 0, 0, 0, 0)
-            (result,) = learned
-            tree, ledger = (result, None) if algorithm == "baseline" else result[:2]
+            ((tree, ledger, _),) = learned
             outputs[f"{algorithm} {'noise' if noise else 'zero-noise'}"] = {
                 "tree": tree.to_dict(),
-                "ledger": [] if ledger is None else [
+                "ledger": [
                     [e.scope.entity, e.scope.purpose, e.scope.depth, e.scope.leaf, str(e.budget)]
                     for e in ledger.entries
                 ],
@@ -78,9 +75,11 @@ def test_outputs_equal_the_pinned_ones(tmp_path):
     assert sorted(outputs) == sorted(golden)
     for key, expected in golden.items():
         assert outputs[key] == expected, key
-    # The pinned runs are not trivial: every tree splits, every private run charges.
+    # The pinned runs are not trivial: every tree splits, every private run
+    # charges, and the baseline charges nothing.
     assert all(len(out["tree"]["nodes"]) > 5 for out in outputs.values())
-    assert all(out["ledger"] for key, out in outputs.items() if not key.startswith("baseline"))
+    for key, out in outputs.items():
+        assert bool(out["ledger"]) != key.startswith("baseline"), key
 
 
 if __name__ == "__main__":

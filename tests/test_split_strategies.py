@@ -10,7 +10,6 @@ from dptree.dp_core import (
     DegenerateLeafError,
     InvalidParameterError,
     PrivacyLedger,
-    ProtocolError,
     RandomSource,
     Scope,
     zero_noise,
@@ -235,15 +234,6 @@ class TestNoisyCounts:
         entities[1] = Entity(1, ds, RandomSource(1), splits[:-1], Criterion.ENTROPY)
         with pytest.raises(InvalidParameterError):
             EntityPool(entities)
-
-    def test_entity_failure_aborts(self):
-        ds = planted_dataset(RandomSource(6), n=400)
-        splits = grid_splits()
-        transport = LocalTransport()
-        pool = make_pool(ds, 3, splits, transport=transport)
-        transport.failed.add(1)
-        with pytest.raises(ProtocolError):
-            noisy_counts_split(pool, ROOT, 1.0, splits, PrivacyLedger(1.0))
 
 
 class TestLocalRNM:
@@ -578,6 +568,6 @@ class TestEntityRowCache:
             )
             config = DPTopDownConfig(alpha=4.0, max_nodes=16)
             tree, ledger, _ = dp_topdown(maker(pool), config)
-            runs.append((tree.to_json(), ledger.entries, transport.log))
+            runs.append((tree.to_dict(), ledger.entries, transport.log))
         assert runs[0] == runs[1]
         assert len(runs[0][2]) > 100

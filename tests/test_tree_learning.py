@@ -12,22 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dptree.dp_core import InvalidParameterError, RandomSource
+from dptree.dp_topdown import DPTopDownConfig, MaxQueue, dp_topdown
+from dptree.split_strategies import ExactStrategy
 from dptree.tree_learning import (
     BinnedFeatures,
     Criterion,
     DecisionTree,
     LabeledDataset,
-    MaxQueue,
     SplitFunction,
     UnlabeledTreeError,
     distribution_value,
     gain_from_counts,
-    majority_label,
-    potential,
     split_count_tables,
-    topdown_nonprivate,
     tree_error,
 )
+from oracle import majority_label, potential, route
 
 
 def random_dataset(rng, n=200, d=2, n_classes=2):
@@ -55,6 +54,12 @@ def grid_splits(d=2, count=7):
         for j in range(d)
         for r in range(count)
     ]
+
+
+def baseline(ds, splits, max_nodes, criterion, min_gain=0.01):
+    """The non-private baseline: `dp_topdown` answered by `ExactStrategy`."""
+    config = DPTopDownConfig(alpha=1.0, max_nodes=max_nodes, min_gain=min_gain)
+    return dp_topdown(ExactStrategy(ds, splits, criterion), config)[0]
 
 
 class TestCriterion:
@@ -166,18 +171,18 @@ class TestSplitTables:
 class TestTreeStructure:
     def test_single_leaf_routes_to_root(self):
         tree = DecisionTree()
-        assert tree.route(np.array([0.3, 0.4])).node_id == tree.root.node_id
+        assert route(tree, np.array([0.3, 0.4])).node_id == tree.root.node_id
 
     def test_threshold_routing(self):
         tree = DecisionTree()
         left, right = tree.split_leaf(tree.root, SplitFunction(threshold=0.5, feature=0))
-        assert tree.route(np.array([0.3, 0.9])).node_id == left.node_id
-        assert tree.route(np.array([0.7, 0.1])).node_id == right.node_id
+        assert route(tree, np.array([0.3, 0.9])).node_id == left.node_id
+        assert route(tree, np.array([0.7, 0.1])).node_id == right.node_id
 
     def test_assign_partitions_rows(self):
         rng = RandomSource(10)
         ds = random_dataset(rng, n=1000, d=3)
-        tree = topdown_nonprivate(ds, grid_splits(d=3), 7, Criterion.ENTROPY, min_gain=-1.0)
+        tree = baseline(ds, grid_splits(d=3), 7, Criterion.ENTROPY, min_gain=-1.0)
         leaf_ids = tree.assign(ds.features)
         leaves = {leaf.node_id for leaf in tree.leaves()}
         assert set(np.unique(leaf_ids)) <= leaves
@@ -198,21 +203,24 @@ class TestTreeStructure:
         assert tree_error(tree, ds) == pytest.approx(0.3)
 
     def test_serialization_roundtrip_bit_exact(self):
-        rng = RandomSource(12)
-        ds = random_dataset(rng, n=500, d=2)
-        tree = topdown_nonprivate(ds, grid_splits(), 10, Criterion.ENTROPY, min_gain=-1.0)
-        doc = tree.to_json()
-        assert DecisionTree.from_json(doc).to_json() == doc
-        parsed = json.loads(doc)
-        assert all(record["kind"] in ("split", "leaf") for record in parsed["nodes"])
+        # The node records are plain JSON: thresholds survive a dump and load
+        # bit for bit.
+        ds = random_dataset(RandomSource(12), n=500, d=2)
+        tree = baseline(ds, grid_splits(), 10, Criterion.ENTROPY, min_gain=-1.0)
+        doc = tree.to_dict()
+        assert json.loads(json.dumps(doc)) == doc
+        assert {record["kind"] for record in doc["nodes"]} == {"split", "leaf"}
+        thresholds = {split.threshold for split in grid_splits()}
+        assert all(record["threshold"] in thresholds for record in doc["nodes"] if record["kind"] == "split")
 
     def test_block_split_roundtrip(self):
         tree = DecisionTree()
         tree.split_leaf(tree.root, SplitFunction(threshold=0.25, block=(0, 1, 3)))
         for leaf in tree.leaves():
             leaf.label = 0
-        doc = tree.to_json()
-        assert DecisionTree.from_json(doc).to_json() == doc
+        doc = tree.to_dict()
+        assert json.loads(json.dumps(doc)) == doc
+        assert doc["nodes"][0]["block"] == [0, 1, 3] and "feature" not in doc["nodes"][0]
 
 
 class TestSplitHash:
@@ -282,12 +290,12 @@ class TestTopDown:
 
         ds, truth, schema = synthetic_tree_dataset(50_000, RandomSource(21), depth=2)
         splits = build_splitting_class(schema)
-        tree = topdown_nonprivate(ds, splits, 8, Criterion.ENTROPY)
+        tree = baseline(ds, splits, 8, Criterion.ENTROPY)
         assert tree_error(tree, ds) == 0.0
 
     def test_single_label_dataset_stays_single_leaf(self):
         ds = LabeledDataset(RandomSource(1).uniform(size=(50, 2)), np.zeros(50, dtype=int), 2)
-        tree = topdown_nonprivate(ds, grid_splits(), 8, Criterion.ENTROPY)
+        tree = baseline(ds, grid_splits(), 8, Criterion.ENTROPY)
         assert tree.internal_count == 0
         assert tree_error(tree, ds) == 0.0
 
@@ -298,11 +306,11 @@ class TestTopDown:
         ds = LabeledDataset(X, y, 2)
         splits = [SplitFunction(threshold=0.5, feature=0), SplitFunction(threshold=0.5, feature=1)]
         # no single split has gain: the root must be pushed despite zero gain
-        tree = topdown_nonprivate(ds, splits, 3, Criterion.ENTROPY, min_gain=-1.0)
+        tree = baseline(ds, splits, 3, Criterion.ENTROPY, min_gain=-1.0)
         assert tree.depth == 2
         assert tree_error(tree, ds) == 0.0
         # with the default gain threshold the zero-gain root is never split
-        flat = topdown_nonprivate(ds, splits, 8, Criterion.ENTROPY, min_gain=0.01)
+        flat = baseline(ds, splits, 8, Criterion.ENTROPY, min_gain=0.01)
         assert flat.internal_count == 0
 
     def test_potential_decreases_with_more_splits(self):
@@ -311,7 +319,7 @@ class TestTopDown:
         splits = grid_splits()
         values = []
         for max_nodes in range(1, 8):
-            tree = topdown_nonprivate(ds, splits, max_nodes, Criterion.ENTROPY, min_gain=0.0)
+            tree = baseline(ds, splits, max_nodes, Criterion.ENTROPY, min_gain=0.0)
             values.append(potential(tree, ds, Criterion.ENTROPY))
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -319,14 +327,14 @@ class TestTopDown:
         rng = RandomSource(4)
         ds = random_dataset(rng, n=800, d=2)
         splits = grid_splits()
-        first = topdown_nonprivate(ds, splits, 10, Criterion.GINI).to_json()
-        second = topdown_nonprivate(ds, splits, 10, Criterion.GINI).to_json()
+        first = baseline(ds, splits, 10, Criterion.GINI).to_dict()
+        second = baseline(ds, splits, 10, Criterion.GINI).to_dict()
         assert first == second
 
     def test_empty_split_class_rejected(self):
         ds = random_dataset(RandomSource(5))
-        with pytest.raises(InvalidParameterError):
-            topdown_nonprivate(ds, [], 4, Criterion.ENTROPY)
+        with pytest.raises(InvalidParameterError, match="nonempty"):
+            ExactStrategy(ds, [], Criterion.ENTROPY)
 
 
 class TestMaxQueue:
@@ -456,6 +464,6 @@ class TestLabeledDataset:
 
 def test_predict_matches_route():
     ds = random_dataset(RandomSource(13), n=400, d=2)
-    tree = topdown_nonprivate(ds, grid_splits(), 6, Criterion.GINI, min_gain=-1.0)
-    expected = [tree.route(x).label for x in ds.features]
+    tree = baseline(ds, grid_splits(), 6, Criterion.GINI, min_gain=-1.0)
+    expected = [route(tree, x).label for x in ds.features]
     assert tree.predict(ds.features).tolist() == expected
