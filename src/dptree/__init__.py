@@ -13,6 +13,7 @@ from .dp_core import (
     zero_noise,
 )
 from .tree_learning import (
+    BinnedFeatures,
     Criterion,
     DecisionTree,
     LabeledDataset,

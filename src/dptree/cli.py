@@ -8,13 +8,14 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 budget exceeded
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import asdict
 
 import click
 
 from .dp_core import BudgetExceededError, InvalidParameterError, zero_noise
-from .data_io import DataError
+from .data_io import DataError, _int
 from .dp_topdown import schedule_from_name
 from .experiments import (
     ConfigError,
@@ -38,6 +39,17 @@ from .tree_learning import Criterion
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_BUDGET = 4
+
+
+def _finite(value) -> float:
+    """A finite number: JSON NaN and Infinity parse as floats, and float()
+    would make true 1.0."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _fail(code: int, message: str):
@@ -136,34 +148,34 @@ def theory(subcommand, params_json):
                 raise ConfigError(f"parameter {name!r} has a bad value {value!r}")
 
         if subcommand == "sensitivity":
-            value = sensitivity_bound(Criterion.from_name(param("criterion", str)), param("m", int))
+            value = sensitivity_bound(Criterion.from_name(param("criterion", str)), param("m", _int))
         elif subcommand == "rnm-bound":
             value = rnm_sample_bound(
-                param("zeta", float), param("alpha", float), param("delta", float),
-                param("h_size", int),
+                param("zeta", _finite), param("alpha", _finite), param("delta", _finite),
+                param("h_size", _int),
             )
         elif subcommand == "noisycounts-bound":
             value = noisycounts_sample_bound(
-                param("zeta", float), param("alpha", float), param("delta", float),
-                param("k", int), param("h_size", int),
+                param("zeta", _finite), param("alpha", _finite), param("delta", _finite),
+                param("k", _int), param("h_size", _int),
             )
         elif subcommand == "recurrence":
             value = boosting_recurrence(
-                param("error", float), param("gamma", float), slowdown=param("slowdown", float, 4),
+                param("error", _finite), param("gamma", _finite), slowdown=param("slowdown", _finite, 4),
             )
         else:
-            max_nodes = param("max_nodes", int)
+            max_nodes = param("max_nodes", _int)
             wl = WeakLearningParams(
-                gamma=param("gamma", float),
-                error=param("error", float),
-                delta=param("delta", float),
+                gamma=param("gamma", _finite),
+                error=param("error", _finite),
+                delta=param("delta", _finite),
                 max_nodes=max_nodes,
-                alpha=param("alpha", float),
-                entities=param("entities", int, 1),
+                alpha=param("alpha", _finite),
+                entities=param("entities", _int, 1),
                 schedule=schedule_from_name(param("schedule", str, "uniform"), max_nodes),
             )
             breakdown = dataset_requirement_breakdown(
-                wl, param("splitter", str, "rnm"), param("h_size", int)
+                wl, param("splitter", str, "rnm"), param("h_size", _int)
             )
             click.echo(json.dumps({
                 "inputs": params,

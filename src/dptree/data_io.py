@@ -513,10 +513,14 @@ def build_splitting_class(schema: DataSchema) -> list[SplitFunction]:
 # ---------------------------------------------------------------------------
 
 
-def partition(dataset: LabeledDataset, k: int, rng: RandomSource) -> list[LabeledDataset]:
+def partition(dataset, k: int, rng: RandomSource) -> list:
     """Divide the rows among k data holders, each row to a uniformly drawn
     holder (shard-size variance is intended). The shards are disjoint and
-    their union is the dataset; a shard is empty when no row drew it."""
+    their union is the dataset; a shard is empty when no row drew it.
+
+    `dataset` is anything with a row count `n` and `subset(rows)`: a
+    `LabeledDataset`, or its `BinnedFeatures`, whose shards are row slices
+    of the codes. Either way the shard of a row is the same."""
     if k < 1:
         raise InvalidParameterError(f"entity count k must be >= 1, got {k}")
     assignment = np.asarray(rng.integers(0, k, size=dataset.n))

@@ -220,7 +220,8 @@ class PrivacyLedger:
         self._cost = Fraction(0)
 
     def charge(self, scope: Scope, budget) -> None:
-        budget = Fraction(budget)
+        if not isinstance(budget, Fraction):
+            budget = Fraction(budget)
         if budget <= 0:
             raise InvalidParameterError(f"charged budget must be positive, got {budget}")
         self.entries.append(LedgerEntry(scope, budget))
@@ -237,7 +238,8 @@ class PrivacyLedger:
         if scope.leaf is not None:
             group = (scope.entity, "label" if scope.purpose == "label" else scope.depth)
             leaf = group + (scope.leaf,)
-            leaf_sum = self._leaf_sum[leaf] = self._leaf_sum.get(leaf, 0) + budget
+            previous = self._leaf_sum.get(leaf)
+            leaf_sum = self._leaf_sum[leaf] = budget if previous is None else previous + budget
             largest = self._group_max.get(group, 0)
             if leaf_sum <= largest:
                 return

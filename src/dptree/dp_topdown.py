@@ -112,7 +112,9 @@ class DPTopDownConfig:
 
     leaf_privacy_fraction (LPF) generalizes the half/half budget division:
     LPF * alpha labels leaves, (1 - LPF) * alpha funds splits; LPF = 0.5
-    reproduces the canonical division verbatim.
+    reproduces the canonical division verbatim. The two exact shares,
+    `split_budget` and `leaf_budget`, are computed once, when the config is
+    made.
     """
 
     alpha: float
@@ -121,6 +123,8 @@ class DPTopDownConfig:
     leaf_privacy_fraction: float = 0.5
     schedule: object = None
     min_gain: float = 0.01
+    split_budget: Fraction = field(init=False, repr=False)
+    leaf_budget: Fraction = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
@@ -137,14 +141,8 @@ class DPTopDownConfig:
             )
         if self.schedule is None:
             self.schedule = DecaySchedule()
-
-    @property
-    def split_budget(self) -> Fraction:
-        return (1 - Fraction(self.leaf_privacy_fraction)) * Fraction(self.alpha)
-
-    @property
-    def leaf_budget(self) -> Fraction:
-        return Fraction(self.leaf_privacy_fraction) * Fraction(self.alpha)
+        self.split_budget = (1 - Fraction(self.leaf_privacy_fraction)) * Fraction(self.alpha)
+        self.leaf_budget = Fraction(self.leaf_privacy_fraction) * Fraction(self.alpha)
 
 
 @dataclass
@@ -156,7 +154,6 @@ class RunStats:
     ledger_effective_cost: float = 0.0
     pushed_weights: list = field(default_factory=list)
     degenerate_splits: int = 0
-    random_local_candidates: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +177,8 @@ def estimate_weight(
     """
     if total_n <= 0:
         raise InvalidParameterError("total dataset size must be positive")
-    alpha_leaf = Fraction(alpha_leaf)
+    if not isinstance(alpha_leaf, Fraction):
+        alpha_leaf = Fraction(alpha_leaf)
     if alpha_leaf <= 0:
         raise InvalidParameterError("alpha_leaf must be positive")
     noise = sample_laplace(float(2 / (alpha_leaf * total_n)), rng)
@@ -263,12 +261,19 @@ def dp_topdown(strategy, config: DPTopDownConfig):
     tree = DecisionTree()
     queue = MaxQueue()
 
+    allowances = {}  # budget depth -> (alpha_leaf, alpha_leaf / 2)
+
+    def allowance(depth: int) -> tuple:
+        if depth not in allowances:
+            alpha_leaf = config.split_budget * config.schedule.at_depth(depth)
+            allowances[depth] = (alpha_leaf, alpha_leaf / 2)
+        return allowances[depth]
+
     # Root: PrivateSplit with the full depth-1 allowance and no weight
     # estimate; its children at depth 1 are funded by the same B(1).
     root_ref = LeafRef(tree.root.node_id, tree.root.depth)
-    root_alpha = config.split_budget * config.schedule.at_depth(1)
     try:
-        best_split, priority = strategy.split(root_ref, root_alpha, ledger)
+        best_split, priority = strategy.split(root_ref, allowance(1)[0], ledger)
         if priority > config.min_gain:
             queue.push(priority, (tree.root, root_ref, best_split))
             stats.pushed_weights.append(1.0)
@@ -284,10 +289,10 @@ def dp_topdown(strategy, config: DPTopDownConfig):
         left, right = tree.split_leaf(leaf_node, chosen)
         for side, child in ((0, left), (1, right)):
             child_ref = LeafRef(child.node_id, child.depth, ref.path + ((chosen, side),))
-            alpha_leaf = config.split_budget * config.schedule.at_depth(child_ref.budget_depth)
+            alpha_leaf, half = allowance(child_ref.budget_depth)
             weight = strategy.weight(child_ref, alpha_leaf, ledger)
             try:
-                child_split, child_gain = strategy.split(child_ref, alpha_leaf / 2, ledger)
+                child_split, child_gain = strategy.split(child_ref, half, ledger)
             except DegenerateLeafError:
                 stats.degenerate_splits += 1
                 continue
@@ -299,7 +304,6 @@ def dp_topdown(strategy, config: DPTopDownConfig):
 
     stats.depth = tree.depth
     stats.internal_nodes = tree.internal_count
-    stats.random_local_candidates = getattr(strategy, "random_local_candidates", 0)
     stats.ledger_effective_cost = float(ledger.effective_cost())
     assert stats.depth <= stats.internal_nodes <= config.max_nodes
     return tree, ledger, stats

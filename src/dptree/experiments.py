@@ -41,7 +41,7 @@ from .split_strategies import (
     NoisyCountsSplitter,
     SingleMachineRNMSplitter,
 )
-from .tree_learning import Criterion, tree_error
+from .tree_learning import BinnedFeatures, Criterion, tree_error
 
 ALGORITHMS = ("baseline", "single-rnm", "noisy-counts", "local-rnm")
 DEFAULT_ALPHAS = [2.0**e for e in range(-3, 10)]
@@ -250,7 +250,9 @@ _data_cache: dict = {}
 
 def prepare_data(config: ExperimentConfig):
     """(train, test, schema, splitting class), cached for the latest config
-    paths."""
+    paths. The train and test sets are held binned against the splitting
+    class (`BinnedFeatures`), which is public and fixed before any data is
+    read, so each run slices the codes of its rows and no run bins again."""
     key = (config.schema_path, config.train_path, config.test_path, config.csv_path,
            config.ratio, config.split_seed)
     if key in _data_cache:
@@ -264,13 +266,14 @@ def prepare_data(config: ExperimentConfig):
         train = load_csv(config.train_path, schema)
         test = load_csv(config.test_path, schema)
     splits = build_splitting_class(schema)
-    _data_cache[key] = (train, test, schema, splits)
+    _data_cache[key] = (BinnedFeatures(train, splits), BinnedFeatures(test, splits), schema, splits)
     return _data_cache[key]
 
 
 def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: int, run_i: int) -> ResultRow:
-    """One seeded train/evaluate cycle for one grid cell."""
-    train_full, test, schema, splits = prepare_data(config)
+    """One seeded train/evaluate cycle for one grid cell, on row slices of
+    the prepared binnings; accuracy is scored on bin codes."""
+    train_full, test, _, _ = prepare_data(config)
     alpha = config.alphas[alpha_i]
     lpf = config.lpfs[lpf_i]
     fraction = config.train_fractions[fraction_i]
@@ -296,12 +299,12 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
     if config.algorithm == "baseline":
         # The same loop, pruning and weight filter with exact answers, so
         # large-alpha private runs converge to it like for like.
-        strategy = ExactStrategy(train, splits, criterion)
+        strategy = ExactStrategy(train, criterion)
     elif config.algorithm == "single-rnm":
-        strategy = SingleMachineRNMSplitter(train, splits, criterion, source_rng.substream("mechanisms"))
+        strategy = SingleMachineRNMSplitter(train, criterion, source_rng.substream("mechanisms"))
     else:
         shards = partition(train, config.entities, source_rng.substream("partition"))
-        pool = EntityPool.from_shards(shards, source_rng.substream("entities"), splits, criterion)
+        pool = EntityPool.from_binned(shards, source_rng.substream("entities"), criterion)
         maker = NoisyCountsSplitter if config.algorithm == "noisy-counts" else LocalRNMSplitter
         strategy = maker(pool)
     tree, _, stats = dp_topdown(strategy, dp_config)

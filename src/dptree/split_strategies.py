@@ -12,12 +12,16 @@ its own substream. The two distributed strategies query k entities through
 the transport and share `weight` (summed noisy counts) and `label` (argmax
 of summed noisy label counts); they differ only in `split`.
 
-Each entity draws noise from its own stream and records its budget charge
-against its own ledger scope; the coordinator only ever sees noisy
-aggregates. An entity's only state besides its shard is a cache of its live
-leaves, keyed by the public leaf path: each leaf's rows and their cumulative
-counts (`BinnedFeatures.cumulative`), from which every count table of the
-leaf is one gather. The children of a split are cut from the parent's cached
+Each entity is given its shard already binned (`BinnedFeatures`: bin codes,
+labels and the row count, no float features), draws noise from its own
+stream and records its budget charge against its own ledger scope; the
+coordinator only ever sees noisy aggregates. A run bins its dataset once
+when it is prepared and hands each entity a row slice of that binning;
+`EntityPool.from_shards` bins plain shards itself. An entity's only state
+besides its shard is a cache of its live leaves, keyed by the public leaf
+path: each leaf's rows and their cumulative counts
+(`BinnedFeatures.cumulative`), from which every count table of the leaf is
+one gather. The children of a split are cut from the parent's cached
 rows by comparing bin codes, only the smaller child is counted, the larger
 one's counts are the parent's minus the smaller's, and the parent is
 evicted; any other miss replays the path from the root and counts its rows.
@@ -50,7 +54,6 @@ from .dp_topdown import LeafRef, estimate_weight, rnm_label
 from .tree_learning import (
     BinnedFeatures,
     Criterion,
-    LabeledDataset,
     gain_from_counts,
     split_count_tables,
 )
@@ -109,18 +112,18 @@ class Response:
 
 
 class Entity:
-    """One data holder: a disjoint shard, its own noise stream, and charges
-    recorded under its own ledger scope. Only ever reads its own shard. The
-    single machine is one entity with id GLOBAL_SCOPE."""
+    """One data holder: a disjoint shard, binned against the public
+    splitting class, its own noise stream, and charges recorded under its
+    own ledger scope. Only ever reads its own shard. The single machine is
+    one entity with id GLOBAL_SCOPE."""
 
-    def __init__(self, entity_id: int | None, shard: LabeledDataset, rng: RandomSource | None,
-                 splits, criterion: Criterion):
+    def __init__(self, entity_id: int | None, binned: BinnedFeatures, rng: RandomSource | None,
+                 criterion: Criterion):
         self.entity_id = entity_id
-        self.shard = shard
+        self.binned = binned
         self.rng = rng
-        self.splits = splits  # public, shared splitting class
+        self.splits = binned.splits  # public, shared splitting class
         self.criterion = criterion
-        self.binned = BinnedFeatures(shard, splits)
         self._leaves: dict = {}  # live leaf path -> (its shard rows, their cumulative counts)
 
     def leaf_rows(self, path) -> np.ndarray:
@@ -145,7 +148,7 @@ class Entity:
             self._leaves[parent + ((split, small),)] = (children[small], small_counts)
             self._leaves[parent + ((split, 1 - small),)] = (children[1 - small], counts)
             return self._leaves[path][0]
-        rows = np.arange(self.shard.n)
+        rows = np.arange(self.binned.n)
         for split, side in path:
             right = self.binned.goes_right(split, rows)
             rows = rows[right] if side else rows[~right]
@@ -180,8 +183,8 @@ class Entity:
             return Response(self.entity_id, {"count": noisy})
 
         if query.kind == "label_counts":
-            k = self.shard.n_classes
-            counts = self.shard.label_counts(rows)
+            k = self.binned.n_classes
+            counts = self.binned.label_counts(rows)
             # LM per label with the noise parameter doubled relative to the
             # single-machine RNM labeling scale 2/budget; the per-label charge
             # budget/(2k) keeps the leaf total at budget/2.
@@ -285,13 +288,23 @@ class EntityPool:
                 "entities of one pool must share the splitting class and criterion")
 
     @classmethod
-    def from_shards(cls, shards, rng: RandomSource, splits, criterion: Criterion,
+    def from_binned(cls, shards, rng: RandomSource, criterion: Criterion,
                     transport: LocalTransport | None = None) -> "EntityPool":
+        """One entity per binned shard; entity i draws from the substream
+        ("entity", i) of `rng`."""
         entities = [
-            Entity(i, shard, rng.substream("entity", i), splits, criterion)
+            Entity(i, shard, rng.substream("entity", i), criterion)
             for i, shard in enumerate(shards)
         ]
         return cls(entities, transport)
+
+    @classmethod
+    def from_shards(cls, shards, rng: RandomSource, splits, criterion: Criterion,
+                    transport: LocalTransport | None = None) -> "EntityPool":
+        """`from_binned` over `LabeledDataset` shards, each binned here
+        against the splitting class `splits`."""
+        return cls.from_binned([BinnedFeatures(shard, splits) for shard in shards], rng, criterion,
+                               transport)
 
     @property
     def k(self) -> int:
@@ -300,15 +313,17 @@ class EntityPool:
     @property
     def total_size(self) -> int:
         # Shard sizes are treated as public metadata.
-        return sum(entity.shard.n for entity in self.entities)
+        return sum(entity.binned.n for entity in self.entities)
 
     def ask_all(self, ledger: PrivacyLedger, kind: str, path, budget, depth, leaf_id,
                 **params) -> list[Response]:
-        responses = []
-        for entity in self.entities:
-            query = Query(kind, tuple(path), Fraction(budget), depth, leaf_id, dict(params))
-            responses.append(self.transport.send(entity, query, ledger))
-        return responses
+        path = tuple(path)
+        if not isinstance(budget, Fraction):
+            budget = Fraction(budget)
+        return [
+            self.transport.send(entity, Query(kind, path, budget, depth, leaf_id, dict(params)), ledger)
+            for entity in self.entities
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -336,24 +351,22 @@ def noisy_counts_split(pool: EntityPool, leaf: LeafRef, alpha, candidates, ledge
     return candidates[index], float(gains[index])
 
 
-def local_rnm_split(pool: EntityPool, leaf: LeafRef, alpha, ledger: PrivacyLedger, stats=None):
+def local_rnm_split(pool: EntityPool, leaf: LeafRef, alpha, ledger: PrivacyLedger):
     """Two-phase distributed split selection.
 
     Phase 1: each entity spends alpha/2 running RNM over the full splitting
     class on its own shard, publishing only its locally-best split id.
     Phase 2: NoisyCounts over those k candidates (duplicates retained, so the
-    phase-2 noise scales with k, not |H|) with the remaining alpha/2.
+    phase-2 noise scales with k, not |H|) with the remaining alpha/2. An
+    entity with too few rows answers a random candidate and marks its
+    response `"fallback": True`.
     """
     if alpha <= 0:
         raise InvalidParameterError(f"alpha must be positive, got {alpha}")
     half = Fraction(alpha) / 2
     responses = pool.ask_all(ledger, "local_best_split", leaf.path, half, leaf.budget_depth,
                              leaf.leaf_id)
-    candidates = []
-    for resp in responses:
-        candidates.append(pool.splits[resp.payload["hid"]])
-        if resp.payload["fallback"] and stats is not None:
-            stats.random_local_candidates += 1
+    candidates = [pool.splits[resp.payload["hid"]] for resp in responses]
     assert len(candidates) == pool.k
     return noisy_counts_split(pool, leaf, half, candidates, ledger)
 
@@ -375,14 +388,14 @@ class ExactStrategy:
     private learner's node cap, gain threshold and weight filter.
     """
 
-    def __init__(self, dataset: LabeledDataset, splits, criterion: Criterion):
-        if len(splits) == 0:
+    def __init__(self, binned: BinnedFeatures, criterion: Criterion):
+        if len(binned.splits) == 0:
             raise InvalidParameterError("splitting class must be nonempty")
-        self.entity = Entity(GLOBAL_SCOPE, dataset, None, splits, criterion)
+        self.entity = Entity(GLOBAL_SCOPE, binned, None, criterion)
 
     @property
     def total_size(self) -> int:
-        return self.entity.shard.n
+        return self.entity.binned.n
 
     def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
         rows = self.entity.leaf_rows(leaf.path)
@@ -394,7 +407,7 @@ class ExactStrategy:
         return self.entity.leaf_rows(leaf.path).size / self.total_size
 
     def label(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> int:
-        return int(np.argmax(self.entity.shard.label_counts(self.entity.leaf_rows(leaf.path))))
+        return int(np.argmax(self.entity.binned.label_counts(self.entity.leaf_rows(leaf.path))))
 
 
 class SingleMachineRNMSplitter:
@@ -408,15 +421,15 @@ class SingleMachineRNMSplitter:
     draw from their own substream of `rng`.
     """
 
-    def __init__(self, dataset: LabeledDataset, splits, criterion: Criterion, rng: RandomSource):
-        self.entity = Entity(GLOBAL_SCOPE, dataset, rng, splits, criterion)
+    def __init__(self, binned: BinnedFeatures, criterion: Criterion, rng: RandomSource):
+        self.entity = Entity(GLOBAL_SCOPE, binned, rng, criterion)
         self._split_rng = rng.substream("split")
         self._weight_rng = rng.substream("weight")
         self._label_rng = rng.substream("label")
 
     @property
     def total_size(self) -> int:
-        return self.entity.shard.n
+        return self.entity.binned.n
 
     def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
         if alpha <= 0:
@@ -433,7 +446,7 @@ class SingleMachineRNMSplitter:
         return estimate_weight(rows.size, self.total_size, alpha_leaf, self._weight_rng, ledger, scope)
 
     def label(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> int:
-        counts = self.entity.shard.label_counts(self.entity.leaf_rows(leaf.path))
+        counts = self.entity.binned.label_counts(self.entity.leaf_rows(leaf.path))
         scope = Scope(GLOBAL_SCOPE, "label", leaf=leaf.leaf_id)
         return rnm_label(counts, budget, self._label_rng, ledger, scope)
 
@@ -470,9 +483,5 @@ class NoisyCountsSplitter(DistributedStrategy):
 
 
 class LocalRNMSplitter(DistributedStrategy):
-    def __init__(self, pool: EntityPool):
-        super().__init__(pool)
-        self.random_local_candidates = 0
-
     def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
-        return local_rnm_split(self.pool, leaf, alpha, ledger, stats=self)
+        return local_rnm_split(self.pool, leaf, alpha, ledger)

@@ -1,14 +1,16 @@
 """Decision tree core shared by every learner: the splitting criteria of
 label distributions (`distribution_value`), the split gain of whole stacks
-of count tables (`gain_from_counts`), the binned count-table kernel
-(`BinnedFeatures` and `split_count_tables`), and the tree itself with its
-construction, prediction and `to_dict` record. The learner is `dp_topdown`;
-the non-private baseline is that learner run with exact answers
-(`split_strategies.ExactStrategy`).
+of count tables (`gain_from_counts`), datasets binned once against the
+splitting class with the count-table kernel over them (`BinnedFeatures` and
+`split_count_tables`), and the tree itself with its construction, routing
+of float or binned rows, `to_dict` record and error on binned rows
+(`tree_error`). The learner is `dp_topdown`; the non-private baseline is
+that learner run with exact answers (`split_strategies.ExactStrategy`).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -126,10 +128,6 @@ class LabeledDataset:
     def subset(self, indices) -> "LabeledDataset":
         return LabeledDataset(self.features[indices], self.labels[indices], self.n_classes)
 
-    def label_counts(self, indices=None) -> np.ndarray:
-        labels = self.labels if indices is None else self.labels[indices]
-        return np.bincount(labels, minlength=self.n_classes).astype(float)
-
 
 @dataclass(frozen=True)
 class SplitFunction:
@@ -184,15 +182,19 @@ class SplitFunction:
 
 
 class BinnedFeatures:
-    """Every distinct split column of a dataset, cut once against the sorted
-    distinct thresholds that the splitting class tests on it, and every split
-    of the class planned once as a row of one stacked count array.
+    """A dataset's rows as bin codes: every distinct split column cut once
+    against the sorted distinct thresholds that the splitting class tests on
+    it, and every split of the class planned once as a row of one stacked
+    count array. Labels and the row count come with the codes, so this is
+    all a learner or an evaluation reads of its rows.
 
     A value x in a column with sorted thresholds t_0 < ... < t_{T-1} gets the
     code j = #{t_i < x}, so x <= t_j exactly when code <= j: the left side of
     the j-th threshold is bins 0..j. Thresholds are public and fixed before
-    any data is read, so the binning can be done once per dataset. Codes use
-    the smallest unsigned dtype that holds T.
+    any data is read, so a dataset is binned once, when it is prepared, and
+    `subset(rows)` takes the binning of some of its rows (a subsample, a
+    shard) by slicing, with no search. Codes use the smallest unsigned dtype
+    that holds T.
 
     `cumulative(rows)` stacks each column's cumulative label counts over the
     given rows into one array of shape (sum over columns of (T + 1), K): row j
@@ -207,34 +209,55 @@ class BinnedFeatures:
 
     def __init__(self, dataset: LabeledDataset, splits):
         k = self.n_classes = dataset.n_classes
-        self.count_dtype = np.min_scalar_type(dataset.n)
         labels = dataset.labels.astype(np.min_scalar_type(k - 1))
         by_column: dict = {}
         for split in splits:
             by_column.setdefault(split.column_key(), []).append(split)
-        self.columns: dict = {}  # column key -> (sorted distinct thresholds, codes)
-        # (first stacked row, end row, code * K + label) per column
-        self._blocks = []
-        self._plan: dict = {}  # split -> (codes, grid position, left row, total row)
+        codes = []  # per column, in the order of first appearance in `splits`
+        self._blocks = []  # (first stacked row, end row) per column
+        self._plan: dict = {}  # split -> (column, grid position, left row, total row)
         size = 0
         for key, group in by_column.items():
             grid = np.unique([split.threshold for split in group])
             if not np.isfinite(grid).all():
                 raise InvalidParameterError(f"split thresholds on column {key} must be finite")
-            codes = np.searchsorted(grid, group[0].column(dataset.features), side="left")
-            codes = codes.astype(np.min_scalar_type(grid.size))
-            self.columns[key] = (grid, codes)
-            pairs = codes.astype(np.min_scalar_type((grid.size + 1) * k - 1))
-            pairs *= k
-            pairs += labels
-            self._blocks.append((size, size + grid.size + 1, pairs))
+            column = np.searchsorted(grid, group[0].column(dataset.features), side="left")
+            codes.append(column.astype(np.min_scalar_type(grid.size)))
+            self._blocks.append((size, size + grid.size + 1))
             positions = np.searchsorted(grid, [split.threshold for split in group]).tolist()
             for split, pos in zip(group, positions):
-                self._plan[split] = (codes, pos, size + pos, size + grid.size)
+                self._plan[split] = (len(codes) - 1, pos, size + pos, size + grid.size)
             size += grid.size + 1
         self._size = size
-        self._class = list(splits)
-        self._class_rows = self._lookup(self._class)
+        self.splits = list(splits)
+        self._class_rows = self._lookup(self.splits)
+        self._set_rows(labels, codes)
+
+    def _set_rows(self, labels: np.ndarray, codes: list) -> None:
+        self.labels = labels
+        self.codes = codes
+        self.count_dtype = np.min_scalar_type(labels.size)
+        k = self.n_classes
+        self._pairs = []
+        for column, (start, stop) in zip(codes, self._blocks):
+            pairs = column.astype(np.min_scalar_type((stop - start) * k - 1))
+            pairs *= k
+            pairs += labels
+            self._pairs.append(pairs)
+
+    @property
+    def n(self) -> int:
+        return self.labels.size
+
+    def subset(self, rows) -> "BinnedFeatures":
+        """The binning of the given rows, equal to binning those rows of the
+        dataset afresh against the same class."""
+        out = copy.copy(self)
+        out._set_rows(self.labels[rows], [column[rows] for column in self.codes])
+        return out
+
+    def label_counts(self, rows) -> np.ndarray:
+        return np.bincount(self.labels[rows], minlength=self.n_classes).astype(float)
 
     def plan(self, splits) -> np.ndarray:
         """(left row, total row) in the stacked counts for each split, shape
@@ -242,7 +265,7 @@ class BinnedFeatures:
         InvalidParameterError rather than being counted against the wrong
         bins."""
         # The class itself, or a copy of it, is answered without lookups.
-        return self._class_rows if splits == self._class else self._lookup(splits)
+        return self._class_rows if splits == self.splits else self._lookup(splits)
 
     def _lookup(self, splits) -> np.ndarray:
         return np.array([self._planned(split)[2:] for split in splits], dtype=np.intp).reshape(-1, 2)
@@ -258,16 +281,17 @@ class BinnedFeatures:
         over (code, label) pairs and one cumulative sum per column."""
         k = self.n_classes
         cum = np.empty((self._size, k), dtype=self.count_dtype)
-        for start, stop, pairs in self._blocks:
+        for (start, stop), pairs in zip(self._blocks, self._pairs):
             counts = np.bincount(pairs[rows], minlength=(stop - start) * k)
             cum[start:stop] = np.cumsum(counts.reshape(stop - start, k), axis=0)
         return cum
 
     def goes_right(self, split, rows) -> np.ndarray:
         """Mask of the rows on side 1 of a split of the class: code > j is
-        value > t_j, so this equals `split.evaluate(X, rows) == 1`."""
-        codes, pos, _, _ = self._planned(split)
-        return codes[rows] > pos
+        value > t_j, so this equals `split.evaluate(X, rows) == 1` on the
+        float rows that were binned."""
+        column, pos, _, _ = self._planned(split)
+        return self.codes[column][rows] > pos
 
 
 def split_count_tables(binned: BinnedFeatures, rows, splits, cumulative=None) -> np.ndarray:
@@ -355,11 +379,13 @@ class DecisionTree:
     def depth(self) -> int:
         return max(node.depth for node in self.nodes())
 
-    def assign(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id for every row of X."""
-        X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape[0], dtype=np.int64)
-        stack = [(self.root, np.arange(X.shape[0]))]
+    def assign(self, n: int, goes_right) -> np.ndarray:
+        """Leaf node id for each of n rows. `goes_right(split, rows)` is the
+        mask of the given rows on side 1 of a split of the tree: on float
+        rows `split.evaluate(X, rows) == 1`, on binned rows
+        `BinnedFeatures.goes_right`."""
+        out = np.empty(n, dtype=np.int64)
+        stack = [(self.root, np.arange(n))]
         while stack:
             node, rows = stack.pop()
             if rows.size == 0:
@@ -367,20 +393,26 @@ class DecisionTree:
             if node.is_leaf:
                 out[rows] = node.node_id
                 continue
-            sides = node.split.evaluate(X, rows)
-            stack.append((node.left, rows[sides == 0]))
-            stack.append((node.right, rows[sides == 1]))
+            right = goes_right(node.split, rows)
+            stack.append((node.left, rows[~right]))
+            stack.append((node.right, rows[right]))
         return out
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def classify(self, n: int, goes_right) -> np.ndarray:
+        """Label of each of n rows, routed as in `assign`."""
         label_of = np.full(self._next_id, -1, dtype=np.int64)  # indexed by node id
         for leaf in self.leaves():
             if leaf.label is not None:
                 label_of[leaf.node_id] = leaf.label
-        labels = label_of[self.assign(X)]
+        labels = label_of[self.assign(n, goes_right)]
         if labels.size and labels.min() < 0:
             raise UnlabeledTreeError("prediction reached an unlabeled leaf")
         return labels
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Label of each row of the float feature matrix X."""
+        X = np.asarray(X, dtype=float)
+        return self.classify(X.shape[0], lambda split, rows: split.evaluate(X, rows) == 1)
 
     def to_dict(self) -> dict:
         """JSON-able node records, in node id order."""
@@ -406,8 +438,12 @@ class DecisionTree:
         return {"root": self.root.node_id, "nodes": records}
 
 
-def tree_error(tree: DecisionTree, dataset: LabeledDataset) -> float:
-    """Fraction of dataset rows the (fully labeled) tree misclassifies."""
-    if dataset.n == 0:
+def tree_error(tree: DecisionTree, binned: BinnedFeatures) -> float:
+    """Fraction of the binned rows that the (fully labeled) tree misclassifies.
+
+    Rows are routed on their bin codes (`BinnedFeatures.goes_right`), which
+    is exact, so this equals the error of `tree.predict` on the float rows
+    that were binned, for any tree over splits of the binned class."""
+    if binned.n == 0:
         raise InvalidParameterError("cannot evaluate error on an empty dataset")
-    return float(np.mean(tree.predict(dataset.features) != dataset.labels))
+    return float(np.mean(tree.classify(binned.n, binned.goes_right) != binned.labels))

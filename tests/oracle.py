@@ -5,7 +5,8 @@ it keeps every leaf's rows itself and counts them afresh, with no strategy,
 entity cache or ledger. Run through `dp_topdown`, `ExactStrategy` must grow
 the same tree, and so must every private strategy under zero noise.
 `route` walks one row down a tree, the per-row reference for
-`DecisionTree.predict`. `potential` is the weighted criterion value over the
+`DecisionTree.predict`, and `float_sides` is the side test that routes float
+rows through `DecisionTree.assign`. `potential` is the weighted criterion value over the
 leaves, an upper bound on the error of the majority-labeled tree.
 """
 
@@ -41,12 +42,18 @@ def route(tree: DecisionTree, x: np.ndarray) -> Node:
     return node
 
 
+def float_sides(X: np.ndarray):
+    """`DecisionTree.assign`'s side test on the float rows of X: side 1 where
+    the tested value exceeds the threshold."""
+    return lambda split, rows: split.evaluate(X, rows) == 1
+
+
 def potential(tree: DecisionTree, dataset: LabeledDataset, criterion: Criterion) -> float:
     """Weighted criterion value over leaves: an upper bound on the training
     error of the majority-labeled tree."""
     if dataset.n == 0:
         raise InvalidParameterError("cannot evaluate potential on an empty dataset")
-    leaf_ids = tree.assign(dataset.features)
+    leaf_ids = tree.assign(dataset.n, float_sides(dataset.features))
     value = 0.0
     for leaf in tree.leaves():
         rows = leaf_ids == leaf.node_id
@@ -99,5 +106,5 @@ def topdown_nonprivate(
             consider(child, child_rows, child_rows.size / dataset.n)
 
     for leaf in tree.leaves():
-        leaf.label = majority_label(dataset.label_counts(members[leaf.node_id]))
+        leaf.label = majority_label(np.bincount(dataset.labels[members[leaf.node_id]], minlength=dataset.n_classes))
     return tree

@@ -27,6 +27,7 @@ from dptree.experiments import (
     run_sweep,
     summarize,
 )
+from dptree.tree_learning import BinnedFeatures
 
 
 @pytest.fixture
@@ -172,6 +173,27 @@ class TestRunSingle:
         cfg = config_from_dict({**config, "train_fractions": [0.2], "algorithm": "baseline"})
         row = run_single(cfg, 0, 0, 0, 0)
         assert row.train_fraction == 0.2
+
+    @pytest.mark.parametrize("algorithm", experiments.ALGORITHMS)
+    def test_cycles_do_not_bin_again(self, workspace, monkeypatch, algorithm):
+        # The splitting class is fixed before any data is read, so the data
+        # is binned once, when prepared, and a cycle only slices its codes.
+        _, config, _ = workspace
+        cfg = config_from_dict({**config, "algorithm": algorithm, "train_fractions": [1.0, 0.5]})
+        experiments._data_cache.clear()
+        prepare_data(cfg)
+        calls = []
+        binning = BinnedFeatures.__init__
+        searchsorted = np.searchsorted
+        monkeypatch.setattr(BinnedFeatures, "__init__",
+                            lambda *args, **kwargs: calls.append("bin") or binning(*args, **kwargs))
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda *args, **kwargs: calls.append("search") or searchsorted(*args, **kwargs))
+        for fraction_i in (0, 1):
+            for run_i in (0, 1):
+                row = run_single(cfg, 0, 0, fraction_i, run_i)
+                assert row.train_fraction == cfg.train_fractions[fraction_i]
+        assert calls == []
 
 
 class TestSweep:
@@ -380,11 +402,23 @@ class TestCli:
         assert result.output.startswith("error: effective cost")
         assert "Traceback" not in result.output
 
-    @pytest.mark.parametrize("params", ['[1]', '{"criterion": "entropy", "m": "abc"}'],
-                             ids=["not-an-object", "non-numeric"])
-    def test_theory_bad_params_exit_code(self, params):
-        result = CliRunner().invoke(main, ["theory", "sensitivity", "--params", params])
-        assert result.exit_code == 2
+    @pytest.mark.parametrize("subcommand, params", [
+        ("sensitivity", '[1]'),
+        ("sensitivity", '{"criterion": "entropy", "m": "abc"}'),
+        ("rnm-bound", '{"zeta": 0.1, "alpha": NaN, "delta": 0.05, "h_size": 159}'),
+        ("noisycounts-bound", '{"zeta": 0.1, "alpha": NaN, "delta": 0.05, "k": 4, "h_size": 159}'),
+        ("rnm-bound", '{"zeta": 0.1, "alpha": Infinity, "delta": 0.05, "h_size": 159}'),
+        ("recurrence", '{"error": 0.9, "gamma": 0.5, "slowdown": NaN}'),
+        ("sensitivity", '{"criterion": "entropy", "m": 3.9}'),
+        ("rnm-bound", '{"zeta": 0.1, "alpha": 1, "delta": 0.05, "h_size": 10.7}'),
+        ("dataset-requirement", '{"gamma": 0.25, "error": 0.1, "delta": 0.1, "max_nodes": 8.9, '
+                                '"alpha": 1, "h_size": 50}'),
+        ("rnm-bound", '{"zeta": 0.1, "alpha": 1, "delta": 0.05, "h_size": true}'),
+    ], ids=["not-an-object", "non-numeric", "nan-alpha-rnm", "nan-alpha-noisycounts", "infinite-alpha",
+            "nan-slowdown", "fractional-m", "fractional-h-size", "fractional-max-nodes", "boolean-h-size"])
+    def test_theory_bad_params_exit_code(self, subcommand, params):
+        result = CliRunner().invoke(main, ["theory", subcommand, "--params", params])
+        assert result.exit_code == 2, result.output
         assert result.output.startswith("error: ")
 
     def test_data_error_exit_code(self, workspace, tmp_path):

@@ -29,7 +29,7 @@ from dptree.data_io import (
     train_test_split,
     write_csv,
 )
-from dptree.tree_learning import LabeledDataset, tree_error
+from dptree.tree_learning import BinnedFeatures, LabeledDataset, tree_error
 
 
 @pytest.fixture
@@ -502,11 +502,12 @@ class TestSyntheticData:
     @pytest.mark.parametrize("depth", [2, 3])
     def test_truth_tree_labels_dataset(self, depth):
         ds, truth, schema = synthetic_tree_dataset(5000, RandomSource(14), depth=depth)
-        assert tree_error(truth, ds) == 0.0
+        assert tree_error(truth, BinnedFeatures(ds, build_splitting_class(schema))) == 0.0
 
     def test_label_noise_rate(self):
-        ds, truth, _ = synthetic_tree_dataset(20000, RandomSource(15), depth=2, label_noise=0.2)
-        assert tree_error(truth, ds) == pytest.approx(0.2, abs=0.02)
+        ds, truth, schema = synthetic_tree_dataset(20000, RandomSource(15), depth=2, label_noise=0.2)
+        assert tree_error(truth, BinnedFeatures(ds, build_splitting_class(schema))) == pytest.approx(
+            0.2, abs=0.02)
 
     def test_truth_thresholds_on_grid(self):
         ds, truth, schema = synthetic_tree_dataset(100, RandomSource(16), depth=3)

@@ -35,6 +35,7 @@ from dptree.split_strategies import (
     SingleMachineRNMSplitter,
 )
 from dptree.tree_learning import (
+    BinnedFeatures,
     Criterion,
     DecisionTree,
     LabeledDataset,
@@ -50,7 +51,7 @@ def make_dataset(seed=21, n=4000, depth=2):
 
 
 def single_machine(ds, splits, seed):
-    return SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY, RandomSource(seed))
+    return SingleMachineRNMSplitter(BinnedFeatures(ds, splits), Criterion.ENTROPY, RandomSource(seed))
 
 
 def make_pool(ds, k, splits, seed=0):
@@ -176,7 +177,7 @@ class TestDPTopDown:
             ds, splits, 8, Criterion.ENTROPY, min_gain=0.01, min_weight=config.error / 8
         ).to_dict()
         assert len(baseline["nodes"]) > 5
-        exact, ledger, _ = dp_topdown(ExactStrategy(ds, splits, Criterion.ENTROPY), config)
+        exact, ledger, _ = dp_topdown(ExactStrategy(BinnedFeatures(ds, splits), Criterion.ENTROPY), config)
         assert ledger.entries == []
         with zero_noise():
             single, _, _ = dp_topdown(single_machine(ds, splits, 1), config)
@@ -274,12 +275,13 @@ class TestDPTopDown:
         errors = []
         for run in range(5):
             tree, _, _ = dp_topdown(single_machine(ds, splits, run), config)
-            errors.append(tree_error(tree, ds))
+            errors.append(tree_error(tree, BinnedFeatures(ds, splits)))
         assert np.mean(errors) <= 0.02
 
     def test_leaf_paths_cover_all_leaves(self):
         ds, splits = make_dataset(seed=16, n=2000)
-        tree, _, _ = dp_topdown(ExactStrategy(ds, splits, Criterion.ENTROPY),
+        binned = BinnedFeatures(ds, splits)
+        tree, _, _ = dp_topdown(ExactStrategy(binned, Criterion.ENTROPY),
                                 DPTopDownConfig(alpha=1.0, max_nodes=6))
         paths = leaf_paths(tree)
         assert set(paths) == {leaf.node_id for leaf in tree.leaves()}
@@ -287,7 +289,7 @@ class TestDPTopDown:
             rows = np.arange(ds.n)
             for split, side in paths[leaf.node_id]:
                 rows = rows[split.evaluate(ds.features, rows) == side]
-            assert np.array_equal(np.sort(rows), np.flatnonzero(tree.assign(ds.features) == leaf.node_id))
+            assert np.array_equal(np.sort(rows), np.flatnonzero(tree.assign(ds.n, binned.goes_right) == leaf.node_id))
 
 
 class TestConfigValidation:

@@ -1,8 +1,9 @@
 """Pinned outputs of every learner on one small synthetic dataset.
 
 `pinned_outputs.json` holds, for each algorithm at one alpha, with noise and
-under `zero_noise()`, the learned tree's JSON, the ledger entries and the
-result row without `wall_ms`. A change that must not alter what a run
+under `zero_noise()`, on the whole training set and on a seeded half of it,
+the learned tree's JSON, the ledger entries and the result row without
+`wall_ms`. A change that must not alter what a run
 outputs (a speed-up, a refactor) keeps this test passing unchanged. Only a
 change meant to alter outputs regenerates the file, from the root of the
 repository:
@@ -11,6 +12,7 @@ repository:
 """
 
 import dataclasses
+import itertools
 import json
 import sys
 import tempfile
@@ -35,7 +37,7 @@ def write_data(data_dir: Path) -> experiments.ExperimentConfig:
     save_schema(schema, data_dir / "schema.json")
     return experiments.ExperimentConfig(
         schema_path=str(data_dir / "schema.json"), csv_path=str(data_dir / "data.csv"),
-        alphas=[ALPHA], entities=4, max_nodes=24, runs=1, seed=3)
+        alphas=[ALPHA], train_fractions=[1.0, 0.5], entities=4, max_nodes=24, runs=1, seed=3)
 
 
 def recording(learner, results: list):
@@ -48,16 +50,18 @@ def recording(learner, results: list):
 
 def run_outputs(config: experiments.ExperimentConfig) -> dict:
     """Tree, ledger entries and result row of every algorithm, with noise
-    and under zero noise, as JSON-able values."""
+    and under zero noise, for each train fraction, as JSON-able values."""
     outputs = {}
     for algorithm in experiments.ALGORITHMS:
-        for noise in (True, False):
+        for noise, fraction_i in itertools.product((True, False), range(len(config.train_fractions))):
             learned = []
             with mock.patch.object(experiments, "dp_topdown", recording(experiments.dp_topdown, learned)), \
                     zero_noise(not noise):
-                row = experiments.run_single(dataclasses.replace(config, algorithm=algorithm), 0, 0, 0, 0)
+                row = experiments.run_single(dataclasses.replace(config, algorithm=algorithm), 0, 0, fraction_i, 0)
             ((tree, ledger, _),) = learned
-            outputs[f"{algorithm} {'noise' if noise else 'zero-noise'}"] = {
+            fraction = config.train_fractions[fraction_i]
+            key = f"{algorithm} {'noise' if noise else 'zero-noise'}"
+            outputs[key if fraction == 1.0 else f"fraction {fraction}: {key}"] = {
                 "tree": tree.to_dict(),
                 "ledger": [
                     [e.scope.entity, e.scope.purpose, e.scope.depth, e.scope.leaf, str(e.budget)]
@@ -79,7 +83,7 @@ def test_outputs_equal_the_pinned_ones(tmp_path):
     # charges, and the baseline charges nothing.
     assert all(len(out["tree"]["nodes"]) > 5 for out in outputs.values())
     for key, out in outputs.items():
-        assert bool(out["ledger"]) != key.startswith("baseline"), key
+        assert bool(out["ledger"]) != ("baseline" in key), key
 
 
 if __name__ == "__main__":

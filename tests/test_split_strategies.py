@@ -67,7 +67,8 @@ ROOT = LeafRef(0, 0)  # charged under depth 1
 
 def rnm_root_split(dataset, alpha, splits, rng, ledger):
     """SingleMachineRNMSplitter at the root."""
-    return SingleMachineRNMSplitter(dataset, splits, Criterion.ENTROPY, rng).split(ROOT, alpha, ledger)
+    return SingleMachineRNMSplitter(BinnedFeatures(dataset, splits), Criterion.ENTROPY, rng).split(
+        ROOT, alpha, ledger)
 
 
 def make_pool(dataset, k, splits, seed=0, transport=None):
@@ -127,7 +128,7 @@ class TestSingleMachineRNM:
             SplitFunction(threshold=t, feature=1) for t in (0.2, 0.4, 0.6, 0.8)
         ]
         hits = 0
-        splitter = SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY, RandomSource(4))
+        splitter = SingleMachineRNMSplitter(BinnedFeatures(ds, splits), Criterion.ENTROPY, RandomSource(4))
         for _ in range(300):
             chosen, _ = splitter.split(ROOT, 1.0, PrivacyLedger(1.0))
             hits += chosen.feature == 0
@@ -227,11 +228,12 @@ class TestNoisyCounts:
     def test_pool_entities_must_agree(self):
         ds = planted_dataset(RandomSource(14), n=100)
         splits = grid_splits()
-        entities = [Entity(0, ds, RandomSource(0), splits, Criterion.ENTROPY),
-                    Entity(1, ds, RandomSource(1), splits, Criterion.GINI)]
+        binned = BinnedFeatures(ds, splits)
+        entities = [Entity(0, binned, RandomSource(0), Criterion.ENTROPY),
+                    Entity(1, binned, RandomSource(1), Criterion.GINI)]
         with pytest.raises(InvalidParameterError):
             EntityPool(entities)
-        entities[1] = Entity(1, ds, RandomSource(1), splits[:-1], Criterion.ENTROPY)
+        entities[1] = Entity(1, BinnedFeatures(ds, splits[:-1]), RandomSource(1), Criterion.ENTROPY)
         with pytest.raises(InvalidParameterError):
             EntityPool(entities)
 
@@ -293,15 +295,14 @@ class TestLocalRNM:
         splits = grid_splits()
         big = planted_dataset(RandomSource(10), n=600)
         tiny = LabeledDataset(np.array([[0.5, 0.5]]), np.array([1]), 2)
-        pool = EntityPool.from_shards([big, tiny], RandomSource(3), splits, Criterion.ENTROPY)
-
-        class Stats:
-            random_local_candidates = 0
-
-        stats = Stats()
+        transport = LocalTransport(record_payloads=True)
+        pool = EntityPool.from_shards([big, tiny], RandomSource(3), splits, Criterion.ENTROPY,
+                                      transport=transport)
         ledger = PrivacyLedger(1.0)
-        local_rnm_split(pool, ROOT, 1.0, ledger, stats=stats)
-        assert stats.random_local_candidates == 1
+        local_rnm_split(pool, ROOT, 1.0, ledger)
+        fallbacks = [record["entity"] for record in transport.log
+                     if record["direction"] == "response" and record["payload"].get("fallback")]
+        assert fallbacks == [1]
         # fallback still charges the phase-1 budget
         tiny_charges = [e.budget for e in ledger.entries if e.scope.entity == 1]
         assert Fraction(1, 2) in tiny_charges
@@ -386,7 +387,7 @@ class TestMessageAudit:
         strategy.split(LeafRef(1, 1), 1.0, ledger)
         strategy.weight(ROOT, 0.5, ledger)
         strategy.label(ROOT, Fraction(1, 2), ledger)
-        shard_sizes = {entity.shard.n for entity in pool.entities}
+        shard_sizes = {entity.binned.n for entity in pool.entities}
         for record in transport.log:
             if record["direction"] != "response":
                 continue
@@ -457,7 +458,7 @@ class TestEntityRowCache:
         n = data.draw(st.integers(0, 60))
         ds = planted_dataset(RandomSource(data.draw(st.integers(0, 9))), n=n)
         queries = data.draw(st.lists(st.sampled_from(random_tree_paths(data, splits)), max_size=25))
-        entity = Entity(0, ds, RandomSource(0), splits, Criterion.ENTROPY)
+        entity = Entity(0, BinnedFeatures(ds, splits), RandomSource(0), Criterion.ENTROPY)
         for path in queries:
             assert np.array_equal(entity.leaf_rows(path), replayed_rows(ds, path))
 
@@ -475,7 +476,7 @@ class TestEntityRowCache:
         splits = [SplitFunction(threshold=t, feature=j) for j in range(2) for t in grid]
         splits += [SplitFunction(threshold=t, block=(0, 1)) for t in grid]
         queries = data.draw(st.lists(st.sampled_from(random_tree_paths(data, splits)), max_size=25))
-        entity = Entity(0, ds, RandomSource(0), splits, Criterion.ENTROPY)
+        entity = Entity(0, BinnedFeatures(ds, splits), RandomSource(0), Criterion.ENTROPY)
         for path in queries:
             rows = entity.leaf_rows(path)
             tables = split_count_tables(entity.binned, rows, splits, entity.leaf_counts(path))
@@ -483,7 +484,7 @@ class TestEntityRowCache:
 
     def test_cut_counts_only_the_smaller_child(self, monkeypatch):
         ds, splits = planted_dataset(RandomSource(5), n=500), grid_splits(d=2, count=3)
-        entity = Entity(0, ds, RandomSource(0), splits, Criterion.ENTROPY)
+        entity = Entity(0, BinnedFeatures(ds, splits), RandomSource(0), Criterion.ENTROPY)
         counted = []
         count = entity.binned.cumulative
         monkeypatch.setattr(entity.binned, "cumulative", lambda rows: counted.append(rows.size) or count(rows))
@@ -514,7 +515,7 @@ class TestEntityRowCache:
     def test_evicted_parent_requeried(self):
         splits = grid_splits(d=2, count=3)
         ds = planted_dataset(RandomSource(2), n=200)
-        entity = Entity(0, ds, RandomSource(0), splits, Criterion.ENTROPY)
+        entity = Entity(0, BinnedFeatures(ds, splits), RandomSource(0), Criterion.ENTROPY)
         left, right = ((splits[1], 0),), ((splits[1], 1),)
         for path in ((), left, (), right, left + ((splits[4], 1),), left, ()):
             assert np.array_equal(entity.leaf_rows(path), replayed_rows(ds, path))
@@ -522,7 +523,7 @@ class TestEntityRowCache:
     def test_learner_query_order_caches_each_row_once(self):
         ds, splits = planted_dataset(RandomSource(3), n=3000), grid_splits()
         pool = make_pool(ds, 3, splits, seed=3)
-        single = SingleMachineRNMSplitter(ds, splits, Criterion.ENTROPY, RandomSource(3))
+        single = SingleMachineRNMSplitter(BinnedFeatures(ds, splits), Criterion.ENTROPY, RandomSource(3))
         config = DPTopDownConfig(alpha=8.0, max_nodes=12)
         for strategy, entities in ((LocalRNMSplitter(pool), pool.entities),
                                    (single, [single.entity])):
@@ -530,13 +531,13 @@ class TestEntityRowCache:
             assert tree.internal_count >= 3
             for entity in entities:
                 cached = np.concatenate([rows for rows, _ in entity._leaves.values()])
-                assert np.array_equal(np.sort(cached), np.arange(entity.shard.n))
+                assert np.array_equal(np.sort(cached), np.arange(entity.binned.n))
 
     @pytest.mark.parametrize("maker", [SingleMachineRNMSplitter, NoisyCountsSplitter, LocalRNMSplitter])
     def test_learner_run_caches_only_live_leaves(self, maker):
         ds, splits = planted_dataset(RandomSource(7), n=3000), grid_splits()
         if maker is SingleMachineRNMSplitter:
-            strategy = maker(ds, splits, Criterion.ENTROPY, RandomSource(7))
+            strategy = maker(BinnedFeatures(ds, splits), Criterion.ENTROPY, RandomSource(7))
             entities = [strategy.entity]
         else:
             pool = make_pool(ds, 3, splits, seed=7)
@@ -551,21 +552,24 @@ class TestEntityRowCache:
     @pytest.mark.parametrize("maker", [NoisyCountsSplitter, LocalRNMSplitter])
     def test_learner_run_identical_to_stateless_entities(self, maker):
         class StatelessEntity(Entity):
+            """Replays every path over its float shard `piece`."""
+
             def leaf_rows(self, path):
-                return replayed_rows(self.shard, path)
+                return replayed_rows(self.piece, path)
 
             def leaf_counts(self, path):
-                return self.binned.cumulative(replayed_rows(self.shard, path))
+                return self.binned.cumulative(replayed_rows(self.piece, path))
 
         ds, splits = planted_dataset(RandomSource(4), n=2500), grid_splits()
         runs = []
         for entity_class in (Entity, StatelessEntity):
             transport = LocalTransport(record_payloads=True)
-            pool = EntityPool(
-                [entity_class(i, piece, RandomSource(4, ("entity", i)), splits, Criterion.ENTROPY)
-                 for i, piece in enumerate(shard(ds, 4, 4))],
-                transport,
-            )
+            entities = []
+            for i, piece in enumerate(shard(ds, 4, 4)):
+                entities.append(entity_class(i, BinnedFeatures(piece, splits), RandomSource(4, ("entity", i)),
+                                             Criterion.ENTROPY))
+                entities[-1].piece = piece
+            pool = EntityPool(entities, transport)
             config = DPTopDownConfig(alpha=4.0, max_nodes=16)
             tree, ledger, _ = dp_topdown(maker(pool), config)
             runs.append((tree.to_dict(), ledger.entries, transport.log))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dptree.data_io import partition
 from dptree.dp_core import InvalidParameterError, RandomSource
 from dptree.dp_topdown import DPTopDownConfig, MaxQueue, dp_topdown
 from dptree.split_strategies import ExactStrategy
@@ -26,7 +27,7 @@ from dptree.tree_learning import (
     split_count_tables,
     tree_error,
 )
-from oracle import majority_label, potential, route
+from oracle import float_sides, majority_label, potential, route
 
 
 def random_dataset(rng, n=200, d=2, n_classes=2):
@@ -59,7 +60,7 @@ def grid_splits(d=2, count=7):
 def baseline(ds, splits, max_nodes, criterion, min_gain=0.01):
     """The non-private baseline: `dp_topdown` answered by `ExactStrategy`."""
     config = DPTopDownConfig(alpha=1.0, max_nodes=max_nodes, min_gain=min_gain)
-    return dp_topdown(ExactStrategy(ds, splits, criterion), config)[0]
+    return dp_topdown(ExactStrategy(BinnedFeatures(ds, splits), criterion), config)[0]
 
 
 class TestCriterion:
@@ -183,7 +184,7 @@ class TestTreeStructure:
         rng = RandomSource(10)
         ds = random_dataset(rng, n=1000, d=3)
         tree = baseline(ds, grid_splits(d=3), 7, Criterion.ENTROPY, min_gain=-1.0)
-        leaf_ids = tree.assign(ds.features)
+        leaf_ids = tree.assign(ds.n, float_sides(ds.features))
         leaves = {leaf.node_id for leaf in tree.leaves()}
         assert set(np.unique(leaf_ids)) <= leaves
         sizes = sum(int(np.sum(leaf_ids == leaf)) for leaf in leaves)
@@ -200,7 +201,7 @@ class TestTreeStructure:
         ds = LabeledDataset(features, labels, 2)
         tree = DecisionTree()
         tree.root.label = 1  # majority single leaf on 30%/70% data
-        assert tree_error(tree, ds) == pytest.approx(0.3)
+        assert tree_error(tree, BinnedFeatures(ds, [])) == pytest.approx(0.3)
 
     def test_serialization_roundtrip_bit_exact(self):
         # The node records are plain JSON: thresholds survive a dump and load
@@ -270,13 +271,14 @@ class TestPotential:
                     )
                     new_frontier.extend(tree.split_leaf(node, split))
                 frontier = new_frontier
-            leaf_ids = tree.assign(ds.features)
+            leaf_ids = tree.assign(ds.n, float_sides(ds.features))
             for leaf in tree.leaves():
                 leaf.label = majority_label(
                     np.bincount(ds.labels[leaf_ids == leaf.node_id], minlength=2)
                 )
             for criterion in Criterion:
-                assert potential(tree, ds, criterion) >= tree_error(tree, ds) - 1e-12
+                error = np.mean(tree.predict(ds.features) != ds.labels)
+                assert potential(tree, ds, criterion) >= error - 1e-12
 
     def test_empty_dataset_rejected(self):
         empty = LabeledDataset(np.empty((0, 1)), np.empty(0, dtype=int), 2)
@@ -291,13 +293,13 @@ class TestTopDown:
         ds, truth, schema = synthetic_tree_dataset(50_000, RandomSource(21), depth=2)
         splits = build_splitting_class(schema)
         tree = baseline(ds, splits, 8, Criterion.ENTROPY)
-        assert tree_error(tree, ds) == 0.0
+        assert tree_error(tree, BinnedFeatures(ds, splits)) == 0.0
 
     def test_single_label_dataset_stays_single_leaf(self):
         ds = LabeledDataset(RandomSource(1).uniform(size=(50, 2)), np.zeros(50, dtype=int), 2)
         tree = baseline(ds, grid_splits(), 8, Criterion.ENTROPY)
         assert tree.internal_count == 0
-        assert tree_error(tree, ds) == 0.0
+        assert tree_error(tree, BinnedFeatures(ds, grid_splits())) == 0.0
 
     def test_xor_needs_two_levels(self):
         rng = RandomSource(2)
@@ -308,7 +310,7 @@ class TestTopDown:
         # no single split has gain: the root must be pushed despite zero gain
         tree = baseline(ds, splits, 3, Criterion.ENTROPY, min_gain=-1.0)
         assert tree.depth == 2
-        assert tree_error(tree, ds) == 0.0
+        assert tree_error(tree, BinnedFeatures(ds, splits)) == 0.0
         # with the default gain threshold the zero-gain root is never split
         flat = baseline(ds, splits, 8, Criterion.ENTROPY, min_gain=0.01)
         assert flat.internal_count == 0
@@ -334,7 +336,7 @@ class TestTopDown:
     def test_empty_split_class_rejected(self):
         ds = random_dataset(RandomSource(5))
         with pytest.raises(InvalidParameterError, match="nonempty"):
-            ExactStrategy(ds, [], Criterion.ENTROPY)
+            ExactStrategy(BinnedFeatures(ds, []), Criterion.ENTROPY)
 
 
 class TestMaxQueue:
@@ -425,14 +427,17 @@ class TestBinnedKernel:
         cum = binned.cumulative(np.arange(n))
         assert cum.dtype == dtype
         assert cum.sum(axis=1).max() == n
+        # A slice of a larger binning counts in the dtype of its own size.
+        larger = BinnedFeatures(random_dataset(RandomSource(7), n=70000), grid_splits())
+        assert larger.subset(np.arange(n)).cumulative(np.arange(n)).dtype == dtype
 
     def test_smallest_code_dtype(self):
         ds = random_dataset(RandomSource(3), n=50, d=2)
         splits = [SplitFunction(threshold=r / 300, feature=0) for r in range(255)]
         splits += [SplitFunction(threshold=r / 300, feature=1) for r in range(256)]
         binned = BinnedFeatures(ds, splits)
-        assert binned.columns[("f", 0)][1].dtype == np.uint8
-        assert binned.columns[("f", 1)][1].dtype == np.uint16
+        assert binned.codes[0].dtype == np.uint8  # columns in order of first appearance
+        assert binned.codes[1].dtype == np.uint16
 
     @pytest.mark.parametrize("stranger", [
         SplitFunction(threshold=0.3, feature=0),  # off the binned grid
@@ -452,6 +457,54 @@ class TestBinnedKernel:
         ds = random_dataset(RandomSource(5), n=20, d=2)
         with pytest.raises(InvalidParameterError, match="finite"):
             BinnedFeatures(ds, grid_splits(d=2, count=2) + [SplitFunction(threshold=math.nan, feature=1)])
+
+    @settings(max_examples=120, deadline=None)
+    @given(binned_cases(), st.data())
+    def test_code_evaluation_equals_float_predict(self, case, data):
+        # The case's rows are the test set, the others the training set; each
+        # is binned on its own against the class, as a prepared dataset is.
+        ds, splits, _, rows = case
+        test_rows = np.zeros(ds.n, dtype=bool)
+        test_rows[rows] = True
+        tree = DecisionTree()
+        for _ in range(data.draw(st.integers(0, 8))):
+            tree.split_leaf(data.draw(st.sampled_from(tree.leaves())), data.draw(st.sampled_from(splits)))
+        for leaf in tree.leaves():
+            leaf.label = data.draw(st.integers(0, ds.n_classes - 1))
+        for part in (ds.subset(~test_rows), ds.subset(test_rows)):
+            binned = BinnedFeatures(part, splits)
+            expected = tree.predict(part.features)
+            assert np.array_equal(tree.classify(binned.n, binned.goes_right), expected)
+            assert np.array_equal(tree.assign(binned.n, binned.goes_right),
+                                  tree.assign(part.n, float_sides(part.features)))
+            if part.n:
+                assert tree_error(tree, binned) == np.mean(expected != part.labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(binned_cases(), st.integers(1, 4), st.integers(0, 2**32))
+    def test_subset_equals_fresh_binning(self, case, k, seed):
+        ds, splits, candidates, rows = case
+        full = BinnedFeatures(ds, splits)
+        # A subsample's rows, and the shards that partition gives the
+        # dataset and its binning for one seed.
+        pairs = [(full.subset(rows), ds.subset(rows))]
+        pairs += zip(partition(full, k, RandomSource(seed)), partition(ds, k, RandomSource(seed)))
+        for sliced, piece in pairs:
+            fresh = BinnedFeatures(piece, splits)
+            assert sliced.n == fresh.n == piece.n
+            assert sliced.labels.dtype == fresh.labels.dtype
+            assert np.array_equal(sliced.labels, piece.labels)
+            assert len(sliced.codes) == len(fresh.codes)
+            for ours, theirs in zip(sliced.codes, fresh.codes):
+                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+            some = np.arange(0, piece.n, 2)
+            for counted in (np.arange(piece.n), some):
+                ours, theirs = sliced.cumulative(counted), fresh.cumulative(counted)
+                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+            assert np.array_equal(split_count_tables(sliced, some, candidates),
+                                  split_count_tables(fresh, some, candidates))
+            for split in splits:
+                assert np.array_equal(sliced.goes_right(split, some), fresh.goes_right(split, some))
 
 
 class TestLabeledDataset:
