@@ -1,9 +1,11 @@
-"""Pinned outputs of every learner on one small synthetic dataset.
+"""Pinned outputs of every learner on two small synthetic datasets: one
+with two labels and one with twelve, whose label sums run through numpy's
+pairwise reduction (eight or more terms).
 
-`pinned_outputs.json` holds, for each algorithm at one alpha, with noise and
-under `zero_noise()`, on the whole training set and on a seeded half of it,
-the learned tree's JSON, the ledger entries and the result row without
-`wall_ms`. A change that must not alter what a run
+`pinned_outputs.json` holds, for each dataset and algorithm at one alpha,
+with noise and under `zero_noise()`, on the whole training set and on a
+seeded half of it, the learned tree's JSON, the ledger entries and the
+result row without `wall_ms`. A change that must not alter what a run
 outputs (a speed-up, a refactor) keeps this test passing unchanged. Only a
 change meant to alter outputs regenerates the file, from the root of the
 repository:
@@ -19,12 +21,32 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
+
 from dptree import experiments
-from dptree.data_io import BlockSpec, save_schema, synthetic_tree_dataset, write_csv
+from dptree.data_io import (
+    BlockSpec,
+    ContinuousFeature,
+    DataSchema,
+    SplittingSpec,
+    save_schema,
+    synthetic_tree_dataset,
+    write_csv,
+)
 from dptree.dp_core import RandomSource, zero_noise
+from dptree.tree_learning import LabeledDataset
 
 GOLDEN = Path(__file__).with_name("pinned_outputs.json")
 ALPHA = 4.0
+MANY_LABELS = 12  # the key prefix of the many-class runs is "12 labels: "
+
+
+def _config(data_dir: Path, dataset, schema) -> experiments.ExperimentConfig:
+    write_csv(dataset, schema, data_dir / "data.csv")
+    save_schema(schema, data_dir / "schema.json")
+    return experiments.ExperimentConfig(
+        schema_path=str(data_dir / "schema.json"), csv_path=str(data_dir / "data.csv"),
+        alphas=[ALPHA], train_fractions=[1.0, 0.5], entities=4, max_nodes=24, runs=1, seed=3)
 
 
 def write_data(data_dir: Path) -> experiments.ExperimentConfig:
@@ -33,11 +55,23 @@ def write_data(data_dir: Path) -> experiments.ExperimentConfig:
     dataset, _, schema = synthetic_tree_dataset(
         3000, RandomSource(11), depth=3, label_noise=0.1, thresholds=15)
     schema.splits.blocks = [BlockSpec(columns=(0, 2), thresholds=(0.35, 0.5, 0.65))]
-    write_csv(dataset, schema, data_dir / "data.csv")
-    save_schema(schema, data_dir / "schema.json")
-    return experiments.ExperimentConfig(
-        schema_path=str(data_dir / "schema.json"), csv_path=str(data_dir / "data.csv"),
-        alphas=[ALPHA], train_fractions=[1.0, 0.5], entities=4, max_nodes=24, runs=1, seed=3)
+    return _config(data_dir, dataset, schema)
+
+
+def write_many_class_data(data_dir: Path) -> experiments.ExperimentConfig:
+    """3,000 rows over three features, 15 thresholds each, labeled by the
+    cell of a 4 x 3 grid over features 0 and 1, with a tenth of the labels
+    redrawn uniformly from all twelve."""
+    rng = RandomSource(12)
+    features = rng.uniform(size=(3000, 3))
+    labels = np.floor(features[:, 0] * 4) + 4 * np.floor(features[:, 1] * 3)
+    redrawn = rng.uniform(size=3000) < 0.1
+    labels = np.where(redrawn, rng.integers(0, MANY_LABELS, size=3000), labels).astype(np.int64)
+    schema = DataSchema(
+        features=[ContinuousFeature(f"x{j}", 0.0, 1.0) for j in range(3)], label_name="y",
+        label_values=tuple(str(label) for label in range(MANY_LABELS)),
+        splits=SplittingSpec(default_thresholds=15))
+    return _config(data_dir, LabeledDataset(features, labels, MANY_LABELS), schema)
 
 
 def recording(learner, results: list):
@@ -73,8 +107,18 @@ def run_outputs(config: experiments.ExperimentConfig) -> dict:
     return json.loads(json.dumps(outputs))
 
 
+def all_outputs(data_dir: Path) -> dict:
+    """`run_outputs` of both datasets; the many-class keys are prefixed."""
+    (data_dir / "two").mkdir()
+    (data_dir / "many").mkdir()
+    outputs = run_outputs(write_data(data_dir / "two"))
+    many = run_outputs(write_many_class_data(data_dir / "many"))
+    outputs.update((f"{MANY_LABELS} labels: {key}", value) for key, value in many.items())
+    return outputs
+
+
 def test_outputs_equal_the_pinned_ones(tmp_path):
-    outputs = run_outputs(write_data(tmp_path))
+    outputs = all_outputs(tmp_path)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(outputs) == sorted(golden)
     for key, expected in golden.items():
@@ -88,7 +132,7 @@ def test_outputs_equal_the_pinned_ones(tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as data_dir:
-        pinned = run_outputs(write_data(Path(data_dir)))
+        pinned = all_outputs(Path(data_dir))
     lines = (f"{json.dumps(key)}: {json.dumps(pinned[key], sort_keys=True)}" for key in sorted(pinned))
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
     print(f"wrote {len(pinned)} runs to {GOLDEN}", file=sys.stderr)
