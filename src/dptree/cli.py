@@ -8,14 +8,13 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 budget exceeded
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import asdict
 
 import click
 
 from .dp_core import BudgetExceededError, InvalidParameterError, zero_noise
-from .data_io import DataError, _int
+from .data_io import DataError, _finite, _int
 from .dp_topdown import schedule_from_name
 from .experiments import (
     ConfigError,
@@ -39,17 +38,6 @@ from .tree_learning import Criterion
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_BUDGET = 4
-
-
-def _finite(value) -> float:
-    """A finite number: JSON NaN and Infinity parse as floats, and float()
-    would make true 1.0."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return number
 
 
 def _fail(code: int, message: str):

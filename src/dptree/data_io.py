@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -134,6 +135,17 @@ def _int(value) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def _finite(value) -> float:
+    # JSON true and "1.5" are not numbers, and JSON NaN and Infinity parse as
+    # floats; float() would make them 1.0, 1.5, nan and inf.
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _text(value) -> str:

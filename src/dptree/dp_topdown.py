@@ -9,7 +9,8 @@ a leaf:
 
 - `split(leaf, alpha, ledger)`: the chosen split and its released gain,
   raising DegenerateLeafError when the leaf is too small to score;
-- `weight(leaf, alpha_leaf, ledger)`: the noisy fraction of rows in the leaf;
+- `weight(leaf, budget, ledger)`: the noisy fraction of rows in the leaf,
+  spending `budget`, half the leaf's allowance alpha_leaf;
 - `label(leaf, budget, ledger)`: the leaf's private majority label;
 - `total_size`: the public row count |S|.
 
@@ -164,25 +165,28 @@ class RunStats:
 def estimate_weight(
     leaf_count: int,
     total_n: int,
-    alpha_leaf,
+    budget,
     rng: RandomSource,
     ledger: PrivacyLedger,
     scope: Scope,
 ) -> float:
-    """Noisy leaf weight |S_leaf|/|S| + Lap(2/(|S| alpha_leaf)).
+    """Noisy leaf weight |S_leaf|/|S| + Lap(1/(|S| budget)).
 
-    Charges alpha_leaf/2 (count sensitivity 1 at half the leaf budget). The
-    estimate may fall outside [0, 1]; it feeds only the weight filter and the
-    queue priority and is never clamped.
+    `budget` is half the leaf's allowance alpha_leaf (count sensitivity 1),
+    and it is what the call charges. The estimate may fall outside [0, 1]; it
+    feeds only the weight filter and the queue priority and is never
+    clamped. The scale is an integer true division of the budget's parts,
+    which Python rounds correctly, so it equals float(1 / (budget |S|))
+    without building a Fraction.
     """
     if total_n <= 0:
         raise InvalidParameterError("total dataset size must be positive")
-    if not isinstance(alpha_leaf, Fraction):
-        alpha_leaf = Fraction(alpha_leaf)
-    if alpha_leaf <= 0:
-        raise InvalidParameterError("alpha_leaf must be positive")
-    noise = sample_laplace(float(2 / (alpha_leaf * total_n)), rng)
-    ledger.charge(scope, alpha_leaf / 2)
+    if not isinstance(budget, Fraction):
+        budget = Fraction(budget)
+    if budget <= 0:
+        raise InvalidParameterError("weight budget must be positive")
+    noise = sample_laplace(budget.denominator / (budget.numerator * total_n), rng)
+    ledger.charge(scope, budget)
     return leaf_count / total_n + float(noise)
 
 
@@ -289,8 +293,8 @@ def dp_topdown(strategy, config: DPTopDownConfig):
         left, right = tree.split_leaf(leaf_node, chosen)
         for side, child in ((0, left), (1, right)):
             child_ref = LeafRef(child.node_id, child.depth, ref.path + ((chosen, side),))
-            alpha_leaf, half = allowance(child_ref.budget_depth)
-            weight = strategy.weight(child_ref, alpha_leaf, ledger)
+            _, half = allowance(child_ref.budget_depth)
+            weight = strategy.weight(child_ref, half, ledger)
             try:
                 child_split, child_gain = strategy.split(child_ref, half, ledger)
             except DegenerateLeafError:

@@ -25,7 +25,9 @@ from .dp_core import RandomSource, zero_noise
 from .data_io import (
     DataError,
     _csv_rows,
+    _finite,
     _int,
+    _items,
     _text,
     build_splitting_class,
     load_csv,
@@ -40,6 +42,7 @@ from .split_strategies import (
     LocalRNMSplitter,
     NoisyCountsSplitter,
     SingleMachineRNMSplitter,
+    train_accuracy,
 )
 from .tree_learning import BinnedFeatures, Criterion, tree_error
 
@@ -131,9 +134,7 @@ def _flag(value) -> bool:
 
 
 def _floats(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {value!r}")
-    return [float(item) for item in value]
+    return [_finite(item) for item in _items(value)]
 
 
 # Config key -> (ExperimentConfig field, cast of its JSON value). Absent keys
@@ -148,10 +149,10 @@ _CONFIG_KEYS = {
     "train_fractions": ("train_fractions", _floats),
     "entities": ("entities", _int),
     "max_nodes": ("max_nodes", _int),
-    "error": ("error", float),
+    "error": ("error", _finite),
     "criterion": ("criterion", _text),
     "schedule": ("schedule", _text),
-    "min_gain": ("min_gain", float),
+    "min_gain": ("min_gain", _finite),
     "runs": ("runs", _int),
     "seed": ("seed", _int),
     "zero_noise": ("zero_noise", _flag),
@@ -272,7 +273,8 @@ def prepare_data(config: ExperimentConfig):
 
 def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: int, run_i: int) -> ResultRow:
     """One seeded train/evaluate cycle for one grid cell, on row slices of
-    the prepared binnings; accuracy is scored on bin codes."""
+    the prepared binnings. Training accuracy is read from the entities'
+    leaf caches; only the test rows are routed, on their bin codes."""
     train_full, test, _, _ = prepare_data(config)
     alpha = config.alphas[alpha_i]
     lpf = config.lpfs[lpf_i]
@@ -317,7 +319,7 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
         train_fraction=fraction,
         run=run_i,
         seed=seed,
-        train_acc=1.0 - tree_error(tree, train),
+        train_acc=train_accuracy(tree, strategy.entities),
         test_acc=1.0 - tree_error(tree, test) if test.n else float("nan"),
         depth=stats.depth,
         nodes=stats.internal_nodes,

@@ -25,6 +25,10 @@ one gather. The children of a split are cut from the parent's cached
 rows by comparing bin codes, only the smaller child is counted, the larger
 one's counts are the parent's minus the smaller's, and the parent is
 evicted; any other miss replays the path from the root and counts its rows.
+The same counts answer labels: a leaf's label counts are the row of its
+cumulative counts that counts every label (`Entity.label_counts`), and after
+learning, the final leaves' counts give the training accuracy without
+routing a row (`train_accuracy`).
 Counts are exact integers, so the cache releases nothing: it never leaves
 the entity, and every answer, noise draw and charge is what a stateless
 replay would give. In the learner's query order the live leaves partition
@@ -50,10 +54,11 @@ from .dp_core import (
     report_noisy_max,
     sample_laplace,
 )
-from .dp_topdown import LeafRef, estimate_weight, rnm_label
+from .dp_topdown import LeafRef, estimate_weight, leaf_paths, rnm_label
 from .tree_learning import (
     BinnedFeatures,
     Criterion,
+    DecisionTree,
     gain_from_counts,
     split_count_tables,
 )
@@ -160,6 +165,11 @@ class Entity:
         a leaf that `leaf_rows` has cached."""
         return self._leaves[tuple(path)][1]
 
+    def label_counts(self, path) -> np.ndarray:
+        """Exact label counts of the rows of a leaf that `leaf_rows` has
+        cached: the row of its cumulative counts that counts every label."""
+        return self.leaf_counts(path)[self.binned.total_row].astype(float)
+
     def gains(self, rows, counts) -> np.ndarray:
         """Exact gains of the full splitting class on `rows`, whose
         cumulative counts are `counts`."""
@@ -184,7 +194,7 @@ class Entity:
 
         if query.kind == "label_counts":
             k = self.binned.n_classes
-            counts = self.binned.label_counts(rows)
+            counts = self.label_counts(query.path)
             # LM per label with the noise parameter doubled relative to the
             # single-machine RNM labeling scale 2/budget; the per-label charge
             # budget/(2k) keeps the leaf total at budget/2.
@@ -397,17 +407,22 @@ class ExactStrategy:
     def total_size(self) -> int:
         return self.entity.binned.n
 
+    @property
+    def entities(self) -> list:
+        return [self.entity]
+
     def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
         rows = self.entity.leaf_rows(leaf.path)
         gains = self.entity.gains(rows, self.entity.leaf_counts(leaf.path))
         best = int(np.argmax(gains))
         return self.entity.splits[best], float(gains[best])
 
-    def weight(self, leaf: LeafRef, alpha_leaf, ledger: PrivacyLedger) -> float:
+    def weight(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> float:
         return self.entity.leaf_rows(leaf.path).size / self.total_size
 
     def label(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> int:
-        return int(np.argmax(self.entity.binned.label_counts(self.entity.leaf_rows(leaf.path))))
+        self.entity.leaf_rows(leaf.path)
+        return int(np.argmax(self.entity.label_counts(leaf.path)))
 
 
 class SingleMachineRNMSplitter:
@@ -431,6 +446,10 @@ class SingleMachineRNMSplitter:
     def total_size(self) -> int:
         return self.entity.binned.n
 
+    @property
+    def entities(self) -> list:
+        return [self.entity]
+
     def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
         if alpha <= 0:
             raise InvalidParameterError(f"alpha must be positive, got {alpha}")
@@ -440,13 +459,14 @@ class SingleMachineRNMSplitter:
         ledger.charge(Scope(GLOBAL_SCOPE, "split", depth=leaf.budget_depth, leaf=leaf.leaf_id), alpha)
         return self.entity.splits[index], noisy_gain
 
-    def weight(self, leaf: LeafRef, alpha_leaf, ledger: PrivacyLedger) -> float:
+    def weight(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> float:
         scope = Scope(GLOBAL_SCOPE, "weight", depth=leaf.budget_depth, leaf=leaf.leaf_id)
         rows = self.entity.leaf_rows(leaf.path)
-        return estimate_weight(rows.size, self.total_size, alpha_leaf, self._weight_rng, ledger, scope)
+        return estimate_weight(rows.size, self.total_size, budget, self._weight_rng, ledger, scope)
 
     def label(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> int:
-        counts = self.entity.binned.label_counts(self.entity.leaf_rows(leaf.path))
+        self.entity.leaf_rows(leaf.path)
+        counts = self.entity.label_counts(leaf.path)
         scope = Scope(GLOBAL_SCOPE, "label", leaf=leaf.leaf_id)
         return rnm_label(counts, budget, self._label_rng, ledger, scope)
 
@@ -463,10 +483,14 @@ class DistributedStrategy:
     def total_size(self) -> int:
         return self.pool.total_size
 
-    def weight(self, leaf: LeafRef, alpha_leaf, ledger: PrivacyLedger) -> float:
-        """Per-entity noisy counts (budget alpha_leaf/2 each, parallel across
-        entities), summed and divided by the public |S|."""
-        responses = self.pool.ask_all(ledger, "leaf_count", leaf.path, Fraction(alpha_leaf) / 2,
+    @property
+    def entities(self) -> list:
+        return self.pool.entities
+
+    def weight(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> float:
+        """Per-entity noisy counts (`budget` each, half the leaf's allowance,
+        parallel across entities), summed and divided by the public |S|."""
+        responses = self.pool.ask_all(ledger, "leaf_count", leaf.path, budget,
                                       leaf.budget_depth, leaf.leaf_id)
         return float(sum(resp.payload["count"] for resp in responses)) / self.total_size
 
@@ -485,3 +509,19 @@ class NoisyCountsSplitter(DistributedStrategy):
 class LocalRNMSplitter(DistributedStrategy):
     def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
         return local_rnm_split(self.pool, leaf, alpha, ledger)
+
+
+def train_accuracy(tree: DecisionTree, entities) -> float:
+    """Accuracy of a tree learned through `entities` on the rows they hold,
+    without routing a row: labeling asked every final leaf of every entity,
+    so each leaf's rows are cached, and its label counts say how many of
+    them carry the leaf's label. It equals `1 - tree_error(tree, train)` bit
+    for bit, `train` being the union of the entities' rows."""
+    paths = leaf_paths(tree)
+    n = sum(entity.binned.n for entity in entities)
+    correct = sum(
+        int(entity.label_counts(paths[leaf.node_id])[leaf.label])
+        for leaf in tree.leaves()
+        for entity in entities
+    )
+    return 1.0 - (n - correct) / n

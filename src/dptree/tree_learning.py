@@ -1,8 +1,8 @@
-"""Decision tree core shared by every learner: the splitting criteria of
-label distributions (`distribution_value`), the split gain of whole stacks
-of count tables (`gain_from_counts`), datasets binned once against the
-splitting class with the count-table kernel over them (`BinnedFeatures` and
-`split_count_tables`), and the tree itself with its construction, routing
+"""Decision tree core shared by every learner: the split gain of whole
+stacks of count tables under the splitting criteria (`gain_from_counts`,
+label-major), datasets binned once against the splitting class with the
+count-table kernel over them (`BinnedFeatures` and `split_count_tables`),
+and the tree itself with its construction, routing
 of float or binned rows, `to_dict` record and error on binned rows
 (`tree_error`). The learner is `dp_topdown`; the non-private baseline is
 that learner run with exact answers (`split_strategies.ExactStrategy`).
@@ -42,24 +42,28 @@ class Criterion(Enum):
 # ---------------------------------------------------------------------------
 
 
-def distribution_value(criterion: Criterion, p: np.ndarray) -> np.ndarray:
-    """Criterion value of label distributions p with shape (..., K).
+# numpy sums along a contiguous axis of 8 or more terms pairwise, in blocks
+# of 8; a shorter axis, and a sum across the rows of an array, it adds term
+# by term.
+PAIRWISE_MIN = 8
 
-    Rows are probability vectors; all-zero rows (empty leaves) score 0. The
-    two-class case reduces to the scalar forms: entropy -q lg q -(1-q) lg(1-q),
-    Gini 4q(1-q), root Gini 2 sqrt(q(1-q)). Multiclass values are normalized
-    so a uniform distribution scores 1 and a point mass scores 0.
-    """
-    p = np.asarray(p, dtype=float)
-    k = p.shape[-1]
-    if k < 2:
-        return np.zeros(p.shape[:-1])
+
+def _label_terms(criterion: Criterion, p: np.ndarray) -> np.ndarray:
+    """Per-label terms of the criterion value G of label distributions p:
+    p lg p for entropy (0 where p = 0), p^2 for the two Ginis."""
     if criterion is Criterion.ENTROPY:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-        return -terms.sum(axis=-1) / math.log2(k)
-    gini = (1.0 - np.square(p).sum(axis=-1)) * (k / (k - 1.0))
-    gini = np.clip(gini, 0.0, None)
+        return p * np.log2(np.where(p > 0.0, p, 1.0))
+    return np.square(p)
+
+
+def _from_label_sums(criterion: Criterion, sums: np.ndarray, k: int) -> np.ndarray:
+    """G from the sums of `_label_terms` over K >= 2 labels, normalized so a
+    uniform distribution scores 1 and a point mass 0: entropy -sum / lg K,
+    Gini (1 - sum) K / (K - 1), root Gini its square root. With two labels
+    these are -q lg q - (1-q) lg(1-q), 4q(1-q) and 2 sqrt(q(1-q))."""
+    if criterion is Criterion.ENTROPY:
+        return -sums / math.log2(k)
+    gini = np.maximum((1.0 - sums) * (k / (k - 1.0)), 0.0)
     if criterion is Criterion.GINI:
         return gini
     if criterion is Criterion.ROOT_GINI:
@@ -74,19 +78,40 @@ def gain_from_counts(cells: np.ndarray, criterion: Criterion) -> np.ndarray:
     arguments. Counts may be real-valued (noised); callers sanitize first.
     Tables with zero total (degenerate leaves) score 0. Concavity of G makes
     J >= 0 for any valid table; tiny negative float residue is clamped.
+
+    Layout: the tables are moved once to a label-major (K, 2, N) copy, N
+    the number of tables, so each sum over sides or labels adds whole rows
+    of N splits instead of reducing many short axes. Summation rule: every
+    sum keeps the order that reductions over the (..., K, 2) layout give, so
+    gains are bit-identical to that form (`tests/oracle.py`) for every K.
+    Sums over the two sides and the children's sums over labels run term by
+    term, as numpy sums across rows. The total n and the parent's sum over
+    labels ran along a contiguous label axis, which numpy sums pairwise once
+    K >= PAIRWISE_MIN; for such K numpy sums them on a contiguous (N, K)
+    copy.
     """
     cells = np.asarray(cells, dtype=float)
-    n_y = cells.sum(axis=-1)
-    n_b = cells.sum(axis=-2)
-    n = n_y.sum(axis=-1)
+    *lead, k, _ = cells.shape
+    tables = cells.reshape(-1, k, 2).transpose(1, 2, 0).copy()
+    n_y = tables[:, 0] + tables[:, 1]
+    n_b = tables.sum(axis=0)
+    n = n_y.sum(axis=0) if k < PAIRWISE_MIN else np.ascontiguousarray(n_y.T).sum(axis=-1)
     safe_n = np.where(n > 0.0, n, 1.0)
-    safe_nb = np.where(n_b > 0.0, n_b, 1.0)
-    parent = distribution_value(criterion, n_y / safe_n[..., None])
-    children = distribution_value(
-        criterion, np.moveaxis(cells, -1, -2) / safe_nb[..., None]
-    )  # (..., 2)
-    gain = parent - ((n_b / safe_n[..., None]) * children).sum(axis=-1)
-    return np.where(n > 0.0, np.clip(gain, 0.0, None), 0.0)
+    if k < 2:
+        gain = np.zeros(n.shape)
+    else:
+        # Label distributions of the parent and both children: (K, 3, N).
+        p = np.empty((k, 3, n.size))
+        np.divide(n_y, safe_n, out=p[:, 0])
+        np.divide(tables, np.where(n_b > 0.0, n_b, 1.0), out=p[:, 1:])
+        terms = _label_terms(criterion, p)
+        sums = terms.sum(axis=0)
+        if k >= PAIRWISE_MIN:
+            sums[0] = np.ascontiguousarray(terms[:, 0].T).sum(axis=-1)
+        values = _from_label_sums(criterion, sums, k)
+        w = n_b / safe_n
+        gain = values[0] - (w[0] * values[1] + w[1] * values[2])
+    return np.where(n > 0.0, np.maximum(gain, 0.0), 0.0).reshape(lead)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +281,13 @@ class BinnedFeatures:
         out._set_rows(self.labels[rows], [column[rows] for column in self.codes])
         return out
 
-    def label_counts(self, rows) -> np.ndarray:
-        return np.bincount(self.labels[rows], minlength=self.n_classes).astype(float)
+    @property
+    def total_row(self) -> int:
+        """Row of the stacked cumulative counts that counts every label of
+        the counted rows: the last row of the first column's block."""
+        if not self._blocks:
+            raise InvalidParameterError("an empty splitting class stacks no counts")
+        return self._blocks[0][1] - 1
 
     def plan(self, splits) -> np.ndarray:
         """(left row, total row) in the stacked counts for each split, shape

@@ -8,10 +8,15 @@ the same tree, and so must every private strategy under zero noise.
 `DecisionTree.predict`, and `float_sides` is the side test that routes float
 rows through `DecisionTree.assign`. `potential` is the weighted criterion value over the
 leaves, an upper bound on the error of the majority-labeled tree.
+
+`distribution_value` and `gain_from_counts` are the criteria and the split
+gain written over the (..., K, 2) table layout with numpy's reductions; the
+package's label-major kernel must equal this gain bit for bit.
 """
 
 import heapq
 import itertools
+import math
 
 import numpy as np
 
@@ -22,10 +27,52 @@ from dptree.tree_learning import (
     DecisionTree,
     LabeledDataset,
     Node,
-    distribution_value,
-    gain_from_counts,
     split_count_tables,
 )
+
+
+def distribution_value(criterion: Criterion, p: np.ndarray) -> np.ndarray:
+    """Criterion value of label distributions p with shape (..., K).
+
+    Rows are probability vectors; all-zero rows (empty leaves) score 0 under
+    entropy. The two-class case reduces to the scalar forms: entropy
+    -q lg q -(1-q) lg(1-q), Gini 4q(1-q), root Gini 2 sqrt(q(1-q)).
+    Multiclass values are normalized so a uniform distribution scores 1 and a
+    point mass scores 0.
+    """
+    p = np.asarray(p, dtype=float)
+    k = p.shape[-1]
+    if k < 2:
+        return np.zeros(p.shape[:-1])
+    if criterion is Criterion.ENTROPY:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
+        return -terms.sum(axis=-1) / math.log2(k)
+    gini = (1.0 - np.square(p).sum(axis=-1)) * (k / (k - 1.0))
+    gini = np.clip(gini, 0.0, None)
+    if criterion is Criterion.GINI:
+        return gini
+    if criterion is Criterion.ROOT_GINI:
+        return np.sqrt(gini)
+    raise InvalidParameterError(f"unknown criterion {criterion!r}")
+
+
+def gain_from_counts(cells: np.ndarray, criterion: Criterion) -> np.ndarray:
+    """Split gain J from joint label-by-side count tables, shape (..., K, 2):
+    J = G(parent) - sum_b (n_b / n) G(child_b), 0 for a table with zero
+    total, negative float residue clamped to 0."""
+    cells = np.asarray(cells, dtype=float)
+    n_y = cells.sum(axis=-1)
+    n_b = cells.sum(axis=-2)
+    n = n_y.sum(axis=-1)
+    safe_n = np.where(n > 0.0, n, 1.0)
+    safe_nb = np.where(n_b > 0.0, n_b, 1.0)
+    parent = distribution_value(criterion, n_y / safe_n[..., None])
+    children = distribution_value(
+        criterion, np.moveaxis(cells, -1, -2) / safe_nb[..., None]
+    )  # (..., 2)
+    gain = parent - ((n_b / safe_n[..., None]) * children).sum(axis=-1)
+    return np.where(n > 0.0, np.clip(gain, 0.0, None), 0.0)
 
 
 def majority_label(counts: np.ndarray) -> int:

@@ -14,8 +14,9 @@ from click.testing import CliRunner
 
 from dptree import experiments
 from dptree.cli import main
-from dptree.data_io import save_schema, synthetic_tree_dataset, write_csv
-from dptree.dp_core import RandomSource
+from dptree.data_io import partition, save_schema, synthetic_tree_dataset, write_csv
+from dptree.dp_core import RandomSource, zero_noise
+from dptree.dp_topdown import dp_topdown
 from dptree.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -27,7 +28,7 @@ from dptree.experiments import (
     run_sweep,
     summarize,
 )
-from dptree.tree_learning import BinnedFeatures
+from dptree.tree_learning import BinnedFeatures, DecisionTree, tree_error
 
 
 @pytest.fixture
@@ -110,6 +111,15 @@ class TestConfig:
             {"runs": 2.5},
             {"algorithm": "baseline", "alphas": [math.nan]},
             {"algorithm": "baseline", "lpfs": [7.0]},
+            # float() would make true 1.0 and read numbers out of strings.
+            {"alphas": [True]},
+            {"error": True},
+            {"min_gain": True},
+            {"train_fractions": [True]},
+            {"alphas": ["1.5"]},
+            {"error": "0.1"},
+            {"lpfs": ["0.5"]},
+            {"min_gain": "0.01"},
         ],
     )
     def test_invalid_configs_rejected(self, workspace, patch):
@@ -194,6 +204,50 @@ class TestRunSingle:
                 row = run_single(cfg, 0, 0, fraction_i, run_i)
                 assert row.train_fraction == cfg.train_fractions[fraction_i]
         assert calls == []
+
+    @pytest.mark.parametrize("noise", [True, False], ids=["noise", "zero-noise"])
+    @pytest.mark.parametrize("algorithm", experiments.ALGORITHMS)
+    def test_train_acc_is_one_minus_tree_error(self, workspace, monkeypatch, algorithm, noise):
+        # Training accuracy is read from the entities' leaf caches; it must
+        # equal routing the training rows through the tree, bit for bit.
+        _, config, _ = workspace
+        cfg = config_from_dict({**config, "algorithm": algorithm, "train_fractions": [1.0, 0.5]})
+        learned, trains = [], []
+
+        def learn(strategy, dp_config):
+            result = dp_topdown(strategy, dp_config)
+            learned.append((strategy, result[0]))
+            return result
+
+        def split_up(train, k, rng):
+            trains.append(train)
+            return partition(train, k, rng)
+
+        monkeypatch.setattr(experiments, "dp_topdown", learn)
+        monkeypatch.setattr(experiments, "partition", split_up)
+        for fraction_i in (0, 1):
+            with zero_noise(not noise):
+                row = run_single(cfg, 1, 0, fraction_i, 0)
+            strategy, tree = learned[-1]
+            train = strategy.entity.binned if algorithm in ("baseline", "single-rnm") else trains[-1]
+            assert train.n == sum(entity.binned.n for entity in strategy.entities)
+            assert row.train_acc == 1.0 - tree_error(tree, train)
+
+    @pytest.mark.parametrize("algorithm", experiments.ALGORITHMS)
+    def test_cycles_route_only_the_test_rows(self, workspace, monkeypatch, algorithm):
+        # Training accuracy comes from the leaf caches, so the only rows a
+        # cycle routes down its tree are the test rows.
+        _, config, _ = workspace
+        cfg = config_from_dict({**config, "algorithm": algorithm, "train_fractions": [1.0, 0.5]})
+        _, test, _, _ = prepare_data(cfg)
+        routed = []
+        assign = DecisionTree.assign
+        monkeypatch.setattr(DecisionTree, "assign",
+                            lambda tree, n, goes_right: routed.append(n) or assign(tree, n, goes_right))
+        for fraction_i in (0, 1):
+            routed.clear()
+            run_single(cfg, 0, 0, fraction_i, 0)
+            assert 0 < sum(routed) <= test.n
 
 
 class TestSweep:
@@ -376,20 +430,29 @@ class TestCli:
         doc = json.loads(result.output)
         assert doc["value"] == 211591309208640
 
-    @pytest.mark.parametrize("doc", [
-        {"schema": "nope.json", "data": {}},
-        {"schema": "nope.json", "data": {"csv": "d.csv"}, "entities": "abc"},
-        [{"schema": "nope.json", "data": {"csv": "d.csv"}}],
-        {"schema": "nope.json", "data": {"csv": "d.csv"}, "min_gain": math.nan},
-        {"schema": "nope.json", "data": {"csv": "d.csv"}, "algorithm": "baseline", "error": 0.0},
-        {"schema": "nope.json", "data": {"csv": "d.csv"}, "entities": 0},
+    @pytest.mark.parametrize("doc, key", [
+        ({"schema": "nope.json", "data": {}}, None),
+        ({"schema": "nope.json", "data": {"csv": "d.csv"}, "entities": "abc"}, "entities"),
+        ([{"schema": "nope.json", "data": {"csv": "d.csv"}}], None),
+        ({"schema": "nope.json", "data": {"csv": "d.csv"}, "min_gain": math.nan}, None),
+        ({"schema": "nope.json", "data": {"csv": "d.csv"}, "algorithm": "baseline", "error": 0.0}, None),
+        ({"schema": "nope.json", "data": {"csv": "d.csv"}, "entities": 0}, None),
+        ({"schema": "nope.json", "data": {"csv": "d.csv"}, "alphas": [True]}, "alphas"),
+        ({"schema": "nope.json", "data": {"csv": "d.csv"}, "error": True}, "error"),
+        ({"schema": "nope.json", "data": {"csv": "d.csv"}, "min_gain": True}, "min_gain"),
+        ({"schema": "nope.json", "data": {"csv": "d.csv"}, "train_fractions": [True]}, "train_fractions"),
+        ({"schema": "nope.json", "data": {"csv": "d.csv"}, "alphas": ["1.5"]}, "alphas"),
+        ({"schema": "nope.json", "data": {"csv": "d.csv"}, "error": "0.1"}, "error"),
     ], ids=["missing-data", "uncastable-value", "list-document", "nan-min-gain",
-            "baseline-zero-error", "no-entities"])
-    def test_config_error_exit_code(self, tmp_path, doc):
+            "baseline-zero-error", "no-entities", "boolean-alpha", "boolean-error", "boolean-min-gain",
+            "boolean-train-fraction", "string-alpha", "string-error"])
+    def test_config_error_exit_code(self, tmp_path, doc, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         result = CliRunner().invoke(main, ["train", "--config", str(bad)])
         assert result.exit_code == 2
+        if key is not None:
+            assert result.output.startswith(f"error: config key {key!r} has a bad value")
 
     def test_budget_exceeded_exit_code(self, workspace, monkeypatch):
         _, _, config_path = workspace

@@ -110,20 +110,21 @@ class TestEstimateWeight:
         assert weight == 0.25
 
     def test_noise_scale_matches_formula(self):
-        n, alpha_leaf, trials = 10_000, 0.5, 30_000
+        n, budget, trials = 10_000, 0.25, 30_000  # budget: half of alpha_leaf = 0.5
         rng = RandomSource(1)
         ledger = PrivacyLedger(1e9)
         draws = np.array([
-            estimate_weight(0, n, alpha_leaf, rng, ledger, Scope(None, "weight", depth=1, leaf=0))
+            estimate_weight(0, n, budget, rng, ledger, Scope(None, "weight", depth=1, leaf=0))
             for _ in range(trials)
         ])
-        scale = 2.0 / (n * alpha_leaf)  # 4e-4
+        scale = 1.0 / (n * budget)  # 4e-4
         assert np.std(draws) == pytest.approx(np.sqrt(2) * scale, rel=0.05)
         assert abs(np.mean(draws)) <= 3 * np.sqrt(2) * scale / np.sqrt(trials)
 
     def test_charges_half_leaf_budget(self):
+        # The learner passes half the leaf's allowance, and that is the charge.
         ledger = PrivacyLedger(1.0)
-        estimate_weight(10, 100, Fraction(1, 4), RandomSource(2), ledger,
+        estimate_weight(10, 100, Fraction(1, 4) / 2, RandomSource(2), ledger,
                         Scope(None, "weight", depth=2, leaf=3))
         assert ledger.effective_cost() == Fraction(1, 8)
 

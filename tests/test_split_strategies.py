@@ -327,12 +327,12 @@ class TestDistributedQueries:
         piece = LabeledDataset(np.zeros((250, 1)), np.zeros(250, dtype=int), 2)
         pool = EntityPool.from_shards([piece] * 4, RandomSource(6), splits, Criterion.ENTROPY)
         strategy = NoisyCountsSplitter(pool)
-        n, alpha_leaf, trials = 1000, 0.5, 30_000
+        n, budget, trials = 1000, 0.25, 30_000  # budget: half of alpha_leaf = 0.5
         estimates = np.array([
-            strategy.weight(ROOT, alpha_leaf, PrivacyLedger(1e6)) for _ in range(trials)
+            strategy.weight(ROOT, budget, PrivacyLedger(1e6)) for _ in range(trials)
         ])
         noise = estimates * n - n
-        expected_std = math.sqrt(4 * 2 * (2 / alpha_leaf) ** 2)
+        expected_std = math.sqrt(4 * 2 * (1 / budget) ** 2)
         assert np.std(noise) == pytest.approx(expected_std, rel=0.05)
         assert abs(np.mean(noise)) <= 3 * expected_std / math.sqrt(trials)
 
@@ -418,7 +418,7 @@ class TestMessageAudit:
         splits = grid_splits()
         transport = LocalTransport()
         pool = make_pool(ds, 2, splits, transport=transport)
-        NoisyCountsSplitter(pool).weight(ROOT, 0.5, PrivacyLedger(1.0))
+        NoisyCountsSplitter(pool).weight(ROOT, 0.25, PrivacyLedger(1.0))
         kinds = {(r["direction"], r["kind"]) for r in transport.log}
         assert kinds == {("query", "leaf_count"), ("response", "leaf_count")}
         assert all(r["budget"] == 0.25 for r in transport.log)

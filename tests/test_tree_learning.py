@@ -22,12 +22,12 @@ from dptree.tree_learning import (
     LabeledDataset,
     SplitFunction,
     UnlabeledTreeError,
-    distribution_value,
     gain_from_counts,
     split_count_tables,
     tree_error,
 )
-from oracle import float_sides, majority_label, potential, route
+import oracle
+from oracle import distribution_value, float_sides, majority_label, potential, route
 
 
 def random_dataset(rng, n=200, d=2, n_classes=2):
@@ -143,6 +143,43 @@ class TestSplitGain:
         split = SplitFunction(threshold=0.5, feature=0)
         tables = split_count_tables(BinnedFeatures(ds, [split]), np.arange(ds.n), [split])
         assert tables[0].tolist() == [[1.0, 1.0], [2.0, 1.0]]
+
+
+@st.composite
+def count_tables(draw):
+    """Stacks of (K, 2) count tables as the learners score them: exact
+    integer counts, some tables all zero, and, as NoisyCounts feeds them,
+    those counts plus Laplace noise clipped at 0. K in [1, 12]; the tables
+    are one table, a row of 0 to 120, or a 2-d batch."""
+    k = draw(st.integers(1, 12))
+    shape = draw(st.one_of(st.just(()), st.tuples(st.integers(0, 120)),
+                           st.tuples(st.integers(0, 8), st.integers(0, 15))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = rng.integers(0, draw(st.sampled_from([2, 6, 40, 5000])), size=shape + (k, 2)).astype(float)
+    tables[rng.random(size=shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    if draw(st.booleans()):
+        noise = rng.laplace(0.0, draw(st.sampled_from([0.25, 3.0, 60.0])), size=tables.shape)
+        tables = np.clip(tables + noise, 0.0, None)
+    return tables
+
+
+class TestGainKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(count_tables(), st.sampled_from(list(Criterion)))
+    def test_equals_the_reference_bit_for_bit(self, tables, criterion):
+        gains = gain_from_counts(tables, criterion)
+        expected = oracle.gain_from_counts(tables, criterion)
+        assert gains.shape == expected.shape == tables.shape[:-2]
+        assert np.array_equal(gains, expected)
+
+    @pytest.mark.parametrize("k", [8, 9, 12, 17, 40])
+    def test_many_labels_sum_in_numpy_order(self, k):
+        # Sums of eight or more noisy label counts round differently term by
+        # term than numpy's pairwise reduction; the kernel must keep numpy's.
+        rng = np.random.default_rng(k)
+        tables = np.clip(rng.integers(0, 40, size=(300, k, 2)) + rng.laplace(0.0, 3.0, (300, k, 2)), 0.0, None)
+        for criterion in Criterion:
+            assert np.array_equal(gain_from_counts(tables, criterion), oracle.gain_from_counts(tables, criterion))
 
 
 class TestSplitTables:
