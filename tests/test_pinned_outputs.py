@@ -5,7 +5,10 @@ pairwise reduction (eight or more terms).
 `pinned_outputs.json` holds, for each dataset and algorithm at one alpha,
 with noise and under `zero_noise()`, on the whole training set and on a
 seeded half of it, the learned tree's JSON, the ledger entries and the
-result row without `wall_ms`. A change that must not alter what a run
+result row without `wall_ms`. For the two distributed algorithms it also
+holds, under the same key prefixed "messages: ", the SHA-256 of the JSON
+list of `[entity, query kind, payload]` over every message the entities
+answer, in send order. A change that must not alter what a run
 outputs (a speed-up, a refactor) keeps this test passing unchanged. Only a
 change meant to alter outputs regenerates the file, from the root of the
 repository:
@@ -14,6 +17,7 @@ repository:
 """
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import sys
@@ -23,7 +27,7 @@ from unittest import mock
 
 import numpy as np
 
-from dptree import experiments
+from dptree import experiments, split_strategies
 from dptree.data_io import (
     BlockSpec,
     ContinuousFeature,
@@ -82,20 +86,39 @@ def recording(learner, results: list):
     return run
 
 
+def recording_sends(sends: list):
+    """`LocalTransport.send` that also appends `[entity, query kind,
+    payload]` to `sends`, every payload value as a JSON-able list or
+    number."""
+    send = split_strategies.LocalTransport.send
+
+    def run(transport, entity, query, ledger):
+        response = send(transport, entity, query, ledger)
+        payload = {key: np.asarray(value).tolist() for key, value in response.payload.items()}
+        sends.append([entity.entity_id, query.kind, payload])
+        return response
+    return run
+
+
 def run_outputs(config: experiments.ExperimentConfig) -> dict:
     """Tree, ledger entries and result row of every algorithm, with noise
-    and under zero noise, for each train fraction, as JSON-able values."""
+    and under zero noise, for each train fraction, as JSON-able values, and
+    the digest of every distributed run's messages."""
     outputs = {}
     for algorithm in experiments.ALGORITHMS:
         for noise, fraction_i in itertools.product((True, False), range(len(config.train_fractions))):
-            learned = []
+            learned, sends = [], []
             with mock.patch.object(experiments, "dp_topdown", recording(experiments.dp_topdown, learned)), \
+                    mock.patch.object(split_strategies.LocalTransport, "send", recording_sends(sends)), \
                     zero_noise(not noise):
                 row = experiments.run_single(dataclasses.replace(config, algorithm=algorithm), 0, 0, fraction_i, 0)
             ((tree, ledger, _),) = learned
             fraction = config.train_fractions[fraction_i]
             key = f"{algorithm} {'noise' if noise else 'zero-noise'}"
-            outputs[key if fraction == 1.0 else f"fraction {fraction}: {key}"] = {
+            key = key if fraction == 1.0 else f"fraction {fraction}: {key}"
+            if sends:
+                outputs[f"messages: {key}"] = hashlib.sha256(json.dumps(sends).encode()).hexdigest()
+            outputs[key] = {
                 "tree": tree.to_dict(),
                 "ledger": [
                     [e.scope.entity, e.scope.purpose, e.scope.depth, e.scope.leaf, str(e.budget)]
@@ -124,10 +147,14 @@ def test_outputs_equal_the_pinned_ones(tmp_path):
     for key, expected in golden.items():
         assert outputs[key] == expected, key
     # The pinned runs are not trivial: every tree splits, every private run
-    # charges, and the baseline charges nothing.
-    assert all(len(out["tree"]["nodes"]) > 5 for out in outputs.values())
-    for key, out in outputs.items():
+    # charges, the baseline charges nothing, and exactly the distributed
+    # runs send messages.
+    runs = {key: out for key, out in outputs.items() if "messages: " not in key}
+    assert all(len(out["tree"]["nodes"]) > 5 for out in runs.values())
+    for key, out in runs.items():
         assert bool(out["ledger"]) != ("baseline" in key), key
+    senders = {key.replace("messages: ", "") for key in outputs if "messages: " in key}
+    assert senders == {key for key in runs if "noisy-counts" in key or "local-rnm" in key}
 
 
 if __name__ == "__main__":
@@ -135,4 +162,4 @@ if __name__ == "__main__":
         pinned = all_outputs(Path(data_dir))
     lines = (f"{json.dumps(key)}: {json.dumps(pinned[key], sort_keys=True)}" for key in sorted(pinned))
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
-    print(f"wrote {len(pinned)} runs to {GOLDEN}", file=sys.stderr)
+    print(f"wrote {len(pinned)} entries to {GOLDEN}", file=sys.stderr)
