@@ -37,8 +37,8 @@ class ContinuousFeature:
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise InvalidParameterError(f"feature {self.name}: need lo < hi, got [{self.lo}, {self.hi}]")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise InvalidParameterError(f"feature {self.name}: need finite lo < hi, got [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -137,12 +137,16 @@ def _int(value) -> int:
     return value
 
 
-def _finite(value) -> float:
-    # JSON true and "1.5" are not numbers, and JSON NaN and Infinity parse as
-    # floats; float() would make them 1.0, 1.5, nan and inf.
+def _number(value) -> float:
+    # JSON true and "1.5" are not numbers; float() would make them 1.0 and 1.5.
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise TypeError(f"expected a number, got {value!r}")
-    number = float(value)
+    return float(value)
+
+
+def _finite(value) -> float:
+    # JSON NaN and Infinity parse as floats.
+    number = _number(value)
     if not math.isfinite(number):
         raise ValueError(f"expected a finite number, got {value!r}")
     return number
@@ -191,7 +195,9 @@ def schema_from_dict(doc: dict) -> DataSchema:
         name = _entry(item, "name", _text, where)
         kind = _entry(item, "kind", _text, where, "continuous")
         if kind == "continuous":
-            lo, hi = _entry(item, "min", float, where), _entry(item, "max", float, where)
+            # Not _finite: the feature's own range check rejects a NaN or an
+            # infinite bound.
+            lo, hi = _entry(item, "min", _number, where), _entry(item, "max", _number, where)
             features.append(ContinuousFeature(name, lo, hi))
         elif kind == "categorical":
             features.append(CategoricalFeature(name, tuple(_entry(item, "values", _items, where))))
@@ -203,7 +209,7 @@ def schema_from_dict(doc: dict) -> DataSchema:
     for j, block in enumerate(_entry(splits_doc, "blocks", _items, "schema splits", [])):
         where = f"schema block {j}"
         columns = _entry(block, "columns", lambda v: tuple(_int(c) for c in _items(v)), where)
-        thresholds = _entry(block, "thresholds", lambda v: tuple(float(t) for t in _items(v)), where)
+        thresholds = _entry(block, "thresholds", lambda v: tuple(_finite(t) for t in _items(v)), where)
         blocks.append(BlockSpec(columns, thresholds))
     splits = SplittingSpec(
         default_thresholds=_entry(splits_doc, "default_thresholds", _int, "schema splits", 10),

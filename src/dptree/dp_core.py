@@ -85,6 +85,8 @@ class RandomSource:
     Identical (seed, stream) pairs reproduce identical draw sequences;
     distinct streams are statistically independent. Substreams are derived
     deterministically from hashable labels, one per run x entity x purpose.
+    The generator stays private: a stream offers only the draws the package
+    makes (uniforms, integers, choices and permutations).
     """
 
     def __init__(self, seed: int, stream: tuple = ()):
@@ -95,11 +97,6 @@ class RandomSource:
 
     def substream(self, *labels) -> "RandomSource":
         return RandomSource(self.seed, self.stream + labels)
-
-    @property
-    def np(self) -> np.random.Generator:
-        """The underlying generator, for distribution draws beyond uniform."""
-        return self._gen
 
     def uniform(self, size=None):
         return self._gen.random(size)

@@ -101,6 +101,10 @@ class ExperimentConfig:
             raise ConfigError(f"entities must be >= 1, got {self.entities}")
         if not 0.0 < self.error <= 1.0:
             raise ConfigError(f"error must lie in (0, 1], got {self.error}")
+        if self.criterion == Criterion.ROOT_GINI.value and self.algorithm in ("single-rnm", "local-rnm"):
+            # RNM's noise scale needs a sensitivity bound, and root Gini has
+            # no proven one; count-noised and exact learners keep it.
+            raise ConfigError(f"criterion 'root-gini' cannot be used with {self.algorithm!r}")
         if not math.isfinite(self.min_gain):
             raise ConfigError(f"min_gain must be finite, got {self.min_gain}")
         if self.split_seed < 0:

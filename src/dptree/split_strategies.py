@@ -2,6 +2,9 @@
 single-machine RNM, distributed NoisyCounts and distributed LocalRNM, plus
 the simulated entity/coordinator message layer they share.
 
+A message is a `Query` to one entity through `LocalTransport.send`, and the
+`Response` it gets holds only noisy aggregates; nothing is logged.
+
 Each strategy answers the loop's queries about a leaf, named by its public
 path (see `dp_topdown`): `split`, `weight`, `label` and `total_size`. On a
 single machine all data is one `Entity` under the global ledger scope.
@@ -39,7 +42,7 @@ the entity lives (one learner run).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -82,16 +85,18 @@ def distributed_label_scale(n_classes: int, budget) -> float:
 def rnm_score_sensitivity(criterion: Criterion, m: int) -> float:
     """Upper bound on the sensitivity of the gain scores fed to RNM.
 
-    Entropy uses 10 lg(m)/m; Gini 20/m; root Gini 10/m. Valid for m >= 3.
+    Entropy uses 10 lg(m)/m; Gini 20/m. Valid for m >= 3. Root Gini has no
+    proven bound (its gains move by about 2/sqrt(m) when one row changes),
+    so it raises InvalidParameterError rather than under-noise a split.
     """
+    if criterion is Criterion.ROOT_GINI:
+        raise InvalidParameterError("root-gini has no proven RNM sensitivity bound")
     if m < MIN_LEAF_ROWS:
         raise DegenerateLeafError(f"leaf has {m} rows; need >= {MIN_LEAF_ROWS}")
     if criterion is Criterion.ENTROPY:
         return 10.0 * math.log2(m) / m
     if criterion is Criterion.GINI:
         return 20.0 / m
-    if criterion is Criterion.ROOT_GINI:
-        return 10.0 / m
     raise InvalidParameterError(f"unknown criterion {criterion!r}")
 
 
@@ -107,12 +112,11 @@ class Query:
     budget: Fraction
     depth: int | None
     leaf_id: int | None
-    params: dict = field(default_factory=dict)
+    splits: list | None = None  # the candidates of a "joint_histogram" query
 
 
 @dataclass
 class Response:
-    entity_id: int
     payload: dict
 
 
@@ -190,7 +194,7 @@ class Entity:
             # Count sensitivity 1 at budget alpha_leaf/2 -> Lap(2/alpha_leaf).
             noisy = float(rows.size) + sample_laplace(1.0 / float(query.budget), self.rng)
             ledger.charge(self._scope("weight", query), query.budget)
-            return Response(self.entity_id, {"count": noisy})
+            return Response({"count": noisy})
 
         if query.kind == "label_counts":
             k = self.binned.n_classes
@@ -203,10 +207,10 @@ class Entity:
             per_label = query.budget / (2 * k)
             for _ in range(k):
                 ledger.charge(self._scope("label", query), per_label)
-            return Response(self.entity_id, {"counts": noisy})
+            return Response({"counts": noisy})
 
         if query.kind == "joint_histogram":
-            candidates = query.params["splits"]
+            candidates = query.splits
             tables = split_count_tables(self.binned, rows, candidates, self.leaf_counts(query.path))
             # Per-cell Lap(3|H'|/alpha): cells of one histogram partition the
             # shard (parallel), histograms compose sequentially, so the |H'|
@@ -214,7 +218,7 @@ class Entity:
             scale = noisy_counts_cell_scale(len(candidates), query.budget)
             noisy = tables + sample_laplace(scale, self.rng, size=tables.shape)
             ledger.charge(self._scope("split", query), query.budget / 3)
-            return Response(self.entity_id, {"cells": noisy})
+            return Response({"cells": noisy})
 
         if query.kind == "local_best_split":
             if rows.size < MIN_LEAF_ROWS:
@@ -223,72 +227,34 @@ class Entity:
                 # data-dependent, so the budget is charged regardless.
                 hid = int(self.rng.integers(0, len(self.splits)))
                 ledger.charge(self._scope("split", query), query.budget)
-                return Response(self.entity_id, {"hid": hid, "fallback": True})
+                return Response({"hid": hid, "fallback": True})
             # Only the winning index is published, the noisy score is dropped.
             hid, _ = self.rnm_split(rows, self.leaf_counts(query.path), query.budget, self.rng)
             ledger.charge(self._scope("split", query), query.budget)
-            return Response(self.entity_id, {"hid": hid, "fallback": False})
+            return Response({"hid": hid, "fallback": False})
 
         raise InvalidParameterError(f"unknown query kind {query.kind!r}")
 
 
 class LocalTransport:
-    """In-process coordinator/entity boundary: send(Query) -> Response.
-
-    Keeps a JSON-able message log for audits. A wire transport can replace
-    this without touching strategy code.
-    """
-
-    def __init__(self, record_payloads: bool = False):
-        self.record_payloads = record_payloads
-        self.log: list[dict] = []
-
-    @staticmethod
-    def _summary(payload: dict) -> dict:
-        out = {}
-        for key, value in payload.items():
-            if isinstance(value, np.ndarray):
-                out[key] = {"shape": list(value.shape)}
-            else:
-                out[key] = {"value_type": type(value).__name__}
-        return out
+    """In-process coordinator/entity boundary: send(Query) -> Response, a
+    pass-through to `Entity.handle`. It is kept as its own layer so that the
+    bench can time every message and tests can substitute a recording
+    transport (`pool.transport = ...`), until the message layer folds into
+    the strategies (ROADMAP item 4(d))."""
 
     def send(self, entity: Entity, query: Query, ledger: PrivacyLedger) -> Response:
-        self.log.append(
-            {
-                "direction": "query",
-                "entity": entity.entity_id,
-                "kind": query.kind,
-                "budget": float(query.budget),
-                "payload_summary": {"path_len": len(query.path), **{
-                    k: (len(v) if isinstance(v, (list, tuple)) else v) for k, v in query.params.items()
-                }},
-            }
-        )
-        response = entity.handle(query, ledger)
-        record = {
-            "direction": "response",
-            "entity": entity.entity_id,
-            "kind": query.kind,
-            "budget": float(query.budget),
-            "payload_summary": self._summary(response.payload),
-        }
-        if self.record_payloads:
-            record["payload"] = {
-                k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in response.payload.items()
-            }
-        self.log.append(record)
-        return response
+        return entity.handle(query, ledger)
 
 
 class EntityPool:
-    """The k simulated data holders plus their shared transport."""
+    """The k simulated data holders and the transport that asks them."""
 
-    def __init__(self, entities: list[Entity], transport: LocalTransport | None = None):
+    def __init__(self, entities: list[Entity]):
         if not entities:
             raise InvalidParameterError("need at least one entity")
         self.entities = sorted(entities, key=lambda e: e.entity_id)
-        self.transport = transport if transport is not None else LocalTransport()
+        self.transport = LocalTransport()
         # Entities answer split ids into the splitting class they hold, so
         # the pool's strategies read theirs from the entities.
         self.splits = self.entities[0].splits
@@ -298,23 +264,20 @@ class EntityPool:
                 "entities of one pool must share the splitting class and criterion")
 
     @classmethod
-    def from_binned(cls, shards, rng: RandomSource, criterion: Criterion,
-                    transport: LocalTransport | None = None) -> "EntityPool":
+    def from_binned(cls, shards, rng: RandomSource, criterion: Criterion) -> "EntityPool":
         """One entity per binned shard; entity i draws from the substream
         ("entity", i) of `rng`."""
         entities = [
             Entity(i, shard, rng.substream("entity", i), criterion)
             for i, shard in enumerate(shards)
         ]
-        return cls(entities, transport)
+        return cls(entities)
 
     @classmethod
-    def from_shards(cls, shards, rng: RandomSource, splits, criterion: Criterion,
-                    transport: LocalTransport | None = None) -> "EntityPool":
+    def from_shards(cls, shards, rng: RandomSource, splits, criterion: Criterion) -> "EntityPool":
         """`from_binned` over `LabeledDataset` shards, each binned here
         against the splitting class `splits`."""
-        return cls.from_binned([BinnedFeatures(shard, splits) for shard in shards], rng, criterion,
-                               transport)
+        return cls.from_binned([BinnedFeatures(shard, splits) for shard in shards], rng, criterion)
 
     @property
     def k(self) -> int:
@@ -326,14 +289,12 @@ class EntityPool:
         return sum(entity.binned.n for entity in self.entities)
 
     def ask_all(self, ledger: PrivacyLedger, kind: str, path, budget, depth, leaf_id,
-                **params) -> list[Response]:
+                splits=None) -> list[Response]:
         path = tuple(path)
         if not isinstance(budget, Fraction):
             budget = Fraction(budget)
-        return [
-            self.transport.send(entity, Query(kind, path, budget, depth, leaf_id, dict(params)), ledger)
-            for entity in self.entities
-        ]
+        query = Query(kind, path, budget, depth, leaf_id, splits)
+        return [self.transport.send(entity, query, ledger) for entity in self.entities]
 
 
 # ---------------------------------------------------------------------------

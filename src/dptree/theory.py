@@ -1,6 +1,8 @@
 """Computable forms of the utility analysis: gain-sensitivity bounds, the
 sample-size requirements of the split strategies, the overall dataset-size
 requirement, and the boosting recurrence that drives the split-count bound.
+The brute-force check of the sensitivity bounds lives with the tests
+(`tests/oracle.py`), which are its only readers.
 
 Only constants that appear explicitly in the analysis are used; nothing is
 invented beyond them. "log" inside the x >= 2b log(b) device is the natural
@@ -12,10 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dp_core import InvalidParameterError, RandomSource
-from .tree_learning import Criterion, gain_from_counts
+from .dp_core import InvalidParameterError
+from .tree_learning import Criterion
 
 ITERATION_CAP = 10**9
 
@@ -73,8 +73,10 @@ class WeakLearningParams:
 def sensitivity_bound(criterion: Criterion, m: int) -> float:
     """Worst-case change of J(S, h) when one of m points is replaced.
 
-    Entropy: (2/m)(3 lg m + 1); Gini: 20/m; root Gini: 10/m. Requires m >= 3
-    so that 1/m <= 1/e, which the entropy argument needs.
+    Entropy: (2/m)(3 lg m + 1); Gini: 20/m. Requires m >= 3 so that
+    1/m <= 1/e, which the entropy argument needs. Root Gini has no proven
+    bound: one replaced point can move its gain by about 2/sqrt(m), so it
+    raises InvalidParameterError.
     """
     if m < 3:
         raise InvalidParameterError(f"m must be >= 3, got {m}")
@@ -82,60 +84,7 @@ def sensitivity_bound(criterion: Criterion, m: int) -> float:
         return (2.0 / m) * (3.0 * math.log2(m) + 1.0)
     if criterion is Criterion.GINI:
         return 20.0 / m
-    if criterion is Criterion.ROOT_GINI:
-        return 10.0 / m
-    raise InvalidParameterError(f"unknown criterion {criterion!r}")
-
-
-def _neighbor_deltas(tables: np.ndarray, criterion: Criterion) -> float:
-    """Max |J(S) - J(S')| over all single-point moves for each table."""
-    base = gain_from_counts(tables, criterion)
-    worst = 0.0
-    flat = tables.reshape(tables.shape[0], 4)
-    for src in range(4):
-        movable = flat[:, src] >= 1.0
-        if not movable.any():
-            continue
-        for dst in range(4):
-            if dst == src:
-                continue
-            moved = flat.copy()
-            moved[:, src] -= 1.0
-            moved[:, dst] += 1.0
-            deltas = np.abs(gain_from_counts(moved.reshape(tables.shape), criterion) - base)
-            worst = max(worst, float(deltas[movable].max(initial=0.0)))
-    return worst
-
-
-def empirical_sensitivity(
-    criterion: Criterion, m: int, trials: int, rng: RandomSource | None = None
-) -> float:
-    """Brute-force check of sensitivity_bound.
-
-    A dataset of size m together with one split is, for gain purposes, just a
-    2x2 joint count table. Samples `trials` random tables (dense and sparse
-    mixes plus hand-picked near-degenerate corners) and maximizes |J - J'|
-    over every single-point replacement of every table.
-    """
-    if m < 3:
-        raise InvalidParameterError(f"m must be >= 3, got {m}")
-    rng = rng if rng is not None else RandomSource(0)
-    gen = rng.np
-    dense = gen.dirichlet(np.ones(4), size=max(trials // 2, 1))
-    sparse = gen.dirichlet(np.full(4, 0.15), size=max(trials - trials // 2, 1))
-    tables = gen.multinomial(m, np.vstack([dense, sparse])).astype(float)
-    corners = np.array(
-        [
-            [m - 1, 0, 1, 0],
-            [m - 1, 1, 0, 0],
-            [m - 1, 0, 0, 1],
-            [m // 2, m - m // 2 - 1, 1, 0],
-            [m - 2, 1, 1, 0],
-        ],
-        dtype=float,
-    )
-    tables = np.vstack([tables, corners]).reshape(-1, 2, 2)
-    return _neighbor_deltas(tables, criterion)
+    raise InvalidParameterError(f"no proven sensitivity bound for {criterion!r}")
 
 
 # ---------------------------------------------------------------------------

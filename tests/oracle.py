@@ -12,6 +12,11 @@ leaves, an upper bound on the error of the majority-labeled tree.
 `distribution_value` and `gain_from_counts` are the criteria and the split
 gain written over the (..., K, 2) table layout with numpy's reductions; the
 package's label-major kernel must equal this gain bit for bit.
+
+`empirical_sensitivity` and `worst_neighbor_change` check the package's
+sensitivity bounds by brute force: the first on sampled leaves with one row
+moved, the second on every two-label leaf of m rows with one row added,
+removed or moved.
 """
 
 import heapq
@@ -27,6 +32,7 @@ from dptree.tree_learning import (
     DecisionTree,
     LabeledDataset,
     Node,
+    gain_from_counts as package_gain,
     split_count_tables,
 )
 
@@ -155,3 +161,77 @@ def topdown_nonprivate(
     for leaf in tree.leaves():
         leaf.label = majority_label(np.bincount(dataset.labels[members[leaf.node_id]], minlength=dataset.n_classes))
     return tree
+
+
+def _neighbor_deltas(tables: np.ndarray, criterion: Criterion) -> float:
+    """Max |J(S) - J(S')| over all single-point moves for each table."""
+    base = package_gain(tables, criterion)
+    worst = 0.0
+    flat = tables.reshape(tables.shape[0], 4)
+    for src in range(4):
+        movable = flat[:, src] >= 1.0
+        if not movable.any():
+            continue
+        for dst in range(4):
+            if dst == src:
+                continue
+            moved = flat.copy()
+            moved[:, src] -= 1.0
+            moved[:, dst] += 1.0
+            deltas = np.abs(package_gain(moved.reshape(tables.shape), criterion) - base)
+            worst = max(worst, float(deltas[movable].max(initial=0.0)))
+    return worst
+
+
+def empirical_sensitivity(criterion: Criterion, m: int, trials: int, seed: int = 0) -> float:
+    """Brute-force check of a sensitivity bound.
+
+    A dataset of size m together with one split is, for gain purposes, just a
+    2x2 joint count table. Samples `trials` random tables (dense and sparse
+    mixes plus hand-picked near-degenerate corners) and maximizes |J - J'|
+    over every single-point replacement of every table. The tables come from
+    the PCG64 generator that `RandomSource(seed)` holds.
+    """
+    if m < 3:
+        raise InvalidParameterError(f"m must be >= 3, got {m}")
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+    dense = gen.dirichlet(np.ones(4), size=max(trials // 2, 1))
+    sparse = gen.dirichlet(np.full(4, 0.15), size=max(trials - trials // 2, 1))
+    tables = gen.multinomial(m, np.vstack([dense, sparse])).astype(float)
+    corners = np.array(
+        [
+            [m - 1, 0, 1, 0],
+            [m - 1, 1, 0, 0],
+            [m - 1, 0, 0, 1],
+            [m // 2, m - m // 2 - 1, 1, 0],
+            [m - 2, 1, 1, 0],
+        ],
+        dtype=float,
+    )
+    tables = np.vstack([tables, corners]).reshape(-1, 2, 2)
+    return _neighbor_deltas(tables, criterion)
+
+
+def two_label_tables(m: int) -> np.ndarray:
+    """Every joint table of m rows over two labels and two sides, (N, 2, 2)."""
+    a, b, c = (axis.ravel() for axis in np.indices((m + 1,) * 3, dtype=np.int16))
+    keep = a + b + c <= m
+    a, b, c = a[keep], b[keep], c[keep]
+    return np.stack([a, b, c, m - a - b - c], axis=1).astype(float).reshape(-1, 2, 2)
+
+
+def worst_neighbor_change(criterion: Criterion, m: int) -> float:
+    """Largest |J(S) - J(S')| over every two-label leaf S of m rows and
+    every S' one row away: a row added, removed, or moved to another cell
+    (a replaced row that stays in the leaf)."""
+    tables = two_label_tables(m)
+    flat = tables.reshape(-1, 4)
+    base = package_gain(tables, criterion)
+    worst = _neighbor_deltas(tables, criterion)
+    for cell, unit in enumerate(np.eye(4)):
+        added = package_gain((flat + unit).reshape(tables.shape), criterion)
+        worst = max(worst, float(np.abs(added - base).max()))
+        present = flat[:, cell] >= 1.0
+        removed = package_gain((flat - unit).reshape(tables.shape), criterion)
+        worst = max(worst, float(np.abs(removed - base)[present].max()))
+    return worst

@@ -120,6 +120,9 @@ class TestConfig:
             {"error": "0.1"},
             {"lpfs": ["0.5"]},
             {"min_gain": "0.01"},
+            # RNM needs a proven sensitivity bound, and root Gini has none.
+            {"algorithm": "single-rnm", "criterion": "root-gini"},
+            {"algorithm": "local-rnm", "criterion": "root-gini"},
         ],
     )
     def test_invalid_configs_rejected(self, workspace, patch):
@@ -177,6 +180,14 @@ class TestRunSingle:
             cfg = config_from_dict({**config, "algorithm": algorithm, "entities": 3})
             row = run_single(cfg, 1, 0, 0, 0)
             assert row.ledger_cost <= cfg.alphas[1]
+
+    @pytest.mark.parametrize("algorithm", ["baseline", "noisy-counts"])
+    def test_count_noised_learners_keep_root_gini(self, workspace, algorithm):
+        # Their noise is on counts, so a root-Gini gain is post-processing.
+        _, config, _ = workspace
+        cfg = config_from_dict({**config, "algorithm": algorithm, "criterion": "root-gini"})
+        row = run_single(cfg, 1, 0, 0, 0)
+        assert row.nodes >= 1 and row.ledger_cost <= cfg.alphas[1]
 
     def test_train_fraction_subsamples(self, workspace):
         _, config, _ = workspace
@@ -443,9 +454,13 @@ class TestCli:
         ({"schema": "nope.json", "data": {"csv": "d.csv"}, "train_fractions": [True]}, "train_fractions"),
         ({"schema": "nope.json", "data": {"csv": "d.csv"}, "alphas": ["1.5"]}, "alphas"),
         ({"schema": "nope.json", "data": {"csv": "d.csv"}, "error": "0.1"}, "error"),
+        ({"schema": "nope.json", "data": {"csv": "d.csv"}, "criterion": "root-gini"}, None),
+        ({"schema": "nope.json", "data": {"csv": "d.csv"}, "algorithm": "local-rnm", "criterion": "root-gini"},
+         None),
     ], ids=["missing-data", "uncastable-value", "list-document", "nan-min-gain",
             "baseline-zero-error", "no-entities", "boolean-alpha", "boolean-error", "boolean-min-gain",
-            "boolean-train-fraction", "string-alpha", "string-error"])
+            "boolean-train-fraction", "string-alpha", "string-error", "root-gini-single-rnm",
+            "root-gini-local-rnm"])
     def test_config_error_exit_code(self, tmp_path, doc, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -477,8 +492,10 @@ class TestCli:
         ("dataset-requirement", '{"gamma": 0.25, "error": 0.1, "delta": 0.1, "max_nodes": 8.9, '
                                 '"alpha": 1, "h_size": 50}'),
         ("rnm-bound", '{"zeta": 0.1, "alpha": 1, "delta": 0.05, "h_size": true}'),
+        ("sensitivity", '{"criterion": "root-gini", "m": 64}'),
     ], ids=["not-an-object", "non-numeric", "nan-alpha-rnm", "nan-alpha-noisycounts", "infinite-alpha",
-            "nan-slowdown", "fractional-m", "fractional-h-size", "fractional-max-nodes", "boolean-h-size"])
+            "nan-slowdown", "fractional-m", "fractional-h-size", "fractional-max-nodes", "boolean-h-size",
+            "root-gini"])
     def test_theory_bad_params_exit_code(self, subcommand, params):
         result = CliRunner().invoke(main, ["theory", subcommand, "--params", params])
         assert result.exit_code == 2, result.output
@@ -504,8 +521,18 @@ class TestCli:
          "splits": {"default_thresholds": 0}},
         {"features": [{"name": "x0", "min": 0, "max": 1}], "label": {"name": "y", "values": ["0", "1"]},
          "splits": {"default_thresholds": 6.9}},
+        # The workspace's schema but for one value, which float() would
+        # read as 0.0, 1.0 and (1.0, 0.5).
+        {"features": [{"name": "x0", "min": False, "max": 1}, {"name": "x1", "min": 0, "max": 1}],
+         "label": {"name": "y", "values": ["0", "1"]}},
+        {"features": [{"name": "x0", "min": 0, "max": "1"}, {"name": "x1", "min": 0, "max": 1}],
+         "label": {"name": "y", "values": ["0", "1"]}},
+        {"features": [{"name": "x0", "min": 0, "max": 1}, {"name": "x1", "min": 0, "max": 1}],
+         "label": {"name": "y", "values": ["0", "1"]},
+         "splits": {"blocks": [{"columns": [0, 1], "thresholds": [True, "0.5"]}]}},
     ], ids=["no-features", "list-document", "non-numeric-min", "empty-range", "nan-range",
-            "duplicate-label", "zero-thresholds", "fractional-thresholds"])
+            "duplicate-label", "zero-thresholds", "fractional-thresholds", "boolean-min", "string-max",
+            "boolean-and-string-thresholds"])
     def test_bad_schema_exit_code(self, workspace, tmp_path, schema):
         _, config, _ = workspace
         schema_path = tmp_path / "bad-schema.json"

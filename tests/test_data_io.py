@@ -357,6 +357,12 @@ class TestSchemaJson:
         ({"features": [], "label": GOOD_LABEL, "splits": {"per_feature": {"x": 2.5}}}, "x"),
         ({"features": [], "label": GOOD_LABEL, "splits": {"blocks": [{"columns": [True], "thresholds": [1]}]}},
          "columns"),
+        # float() would make true 1.0 and read numbers out of strings.
+        ({"features": [{"name": "x", "min": True, "max": 7}], "label": GOOD_LABEL}, "min"),
+        ({"features": [{"name": "x", "min": 0, "max": "7"}], "label": GOOD_LABEL}, "max"),
+        *(({"features": [{"name": "x", "min": 0, "max": 1}], "label": GOOD_LABEL,
+            "splits": {"blocks": [{"columns": [0], "thresholds": [bad]}]}}, "thresholds")
+          for bad in (True, "0.5", math.nan)),
     ])
     def test_malformed_schema_names_the_key(self, doc, key):
         with pytest.raises(DataError, match=key):
@@ -374,8 +380,10 @@ class TestSchemaJson:
          "splits": {"blocks": [{"columns": [0, 1], "thresholds": [0.5]}]}},
         {"features": [{"name": "x", "min": 0, "max": 1}], "label": GOOD_LABEL,
          "splits": {"blocks": [{"columns": [-1], "thresholds": [0.5]}]}},
+        {"features": [{"name": "x", "min": 0, "max": math.inf}], "label": GOOD_LABEL},
     ], ids=["empty-range", "nan-range", "duplicate-label", "duplicate-category", "empty-block",
-            "zero-thresholds", "negative-per-feature", "block-column-past-end", "negative-block-column"])
+            "zero-thresholds", "negative-per-feature", "block-column-past-end", "negative-block-column",
+            "infinite-range"])
     def test_schema_file_failing_its_checks_raises_data_error(self, tmp_path, doc):
         path = tmp_path / "schema.json"
         path.write_text(json.dumps(doc))

@@ -71,11 +71,29 @@ def rnm_root_split(dataset, alpha, splits, rng, ledger):
         ROOT, alpha, ledger)
 
 
-def make_pool(dataset, k, splits, seed=0, transport=None):
+def make_pool(dataset, k, splits, seed=0):
     return EntityPool.from_shards(
-        shard(dataset, k, seed), RandomSource(seed, ("pool",)), splits, Criterion.ENTROPY,
-        transport=transport,
-    )
+        shard(dataset, k, seed), RandomSource(seed, ("pool",)), splits, Criterion.ENTROPY)
+
+
+class RecordingTransport(LocalTransport):
+    """A transport that also keeps `(entity id, query, payload)` for every
+    message it sends, with the payload's arrays as lists."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, entity, query, ledger):
+        response = super().send(entity, query, ledger)
+        payload = {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in response.payload.items()}
+        self.sent.append((entity.entity_id, query, payload))
+        return response
+
+
+def recorded(pool):
+    """`pool` with a RecordingTransport in place of its own."""
+    pool.transport = RecordingTransport()
+    return pool
 
 
 class TestScales:
@@ -87,7 +105,10 @@ class TestScales:
 
     def test_gini_and_rootgini_scales(self):
         assert 2 * rnm_score_sensitivity(Criterion.GINI, 50) == pytest.approx(2 * 20.0 / 50)
-        assert 2 * rnm_score_sensitivity(Criterion.ROOT_GINI, 50) == pytest.approx(2 * 10.0 / 50)
+        # Root Gini has no proven bound, so RNM refuses it at any leaf size.
+        for m in (2, 50):
+            with pytest.raises(InvalidParameterError, match="root-gini"):
+                rnm_score_sensitivity(Criterion.ROOT_GINI, m)
 
     def test_small_leaf_rejected(self):
         with pytest.raises(DegenerateLeafError):
@@ -216,11 +237,9 @@ class TestNoisyCounts:
     def test_sanitizes_summed_cells_before_gain(self):
         ds = planted_dataset(RandomSource(13), n=300)
         splits = grid_splits()
-        transport = LocalTransport(record_payloads=True)
-        pool = make_pool(ds, 3, splits, transport=transport)
+        pool = recorded(make_pool(ds, 3, splits))
         chosen, gain = noisy_counts_split(pool, ROOT, 0.1, splits, PrivacyLedger(1.0))
-        summed = np.sum([record["payload"]["cells"] for record in transport.log
-                         if record["direction"] == "response"], axis=0)
+        summed = np.sum([payload["cells"] for _, _, payload in pool.transport.sent], axis=0)
         assert summed.min() < 0.0  # noise at alpha = 0.1 drives cells negative
         gains = gain_from_counts(np.clip(summed, 0.0, None), Criterion.ENTROPY)
         assert gain == gains[splits.index(chosen)]
@@ -269,15 +288,12 @@ class TestLocalRNM:
     def test_phase2_candidate_set_has_k_slots(self):
         ds = planted_dataset(RandomSource(8), n=1200)
         splits = grid_splits()
-        transport = LocalTransport()
-        pool = make_pool(ds, 4, splits, transport=transport)
+        pool = recorded(make_pool(ds, 4, splits))
         with zero_noise():
             local_rnm_split(pool, ROOT, 1.0, PrivacyLedger(1.0))
-        histogram_queries = [
-            r for r in transport.log if r["direction"] == "query" and r["kind"] == "joint_histogram"
-        ]
+        histogram_queries = [query for _, query, _ in pool.transport.sent if query.kind == "joint_histogram"]
         assert len(histogram_queries) == 4
-        assert all(q["payload_summary"]["splits"] == 4 for q in histogram_queries)
+        assert all(len(query.splits) == 4 for query in histogram_queries)
 
     def test_per_entity_charge_within_alpha(self):
         ds = planted_dataset(RandomSource(9), n=1200)
@@ -295,13 +311,10 @@ class TestLocalRNM:
         splits = grid_splits()
         big = planted_dataset(RandomSource(10), n=600)
         tiny = LabeledDataset(np.array([[0.5, 0.5]]), np.array([1]), 2)
-        transport = LocalTransport(record_payloads=True)
-        pool = EntityPool.from_shards([big, tiny], RandomSource(3), splits, Criterion.ENTROPY,
-                                      transport=transport)
+        pool = recorded(EntityPool.from_shards([big, tiny], RandomSource(3), splits, Criterion.ENTROPY))
         ledger = PrivacyLedger(1.0)
         local_rnm_split(pool, ROOT, 1.0, ledger)
-        fallbacks = [record["entity"] for record in transport.log
-                     if record["direction"] == "response" and record["payload"].get("fallback")]
+        fallbacks = [entity for entity, _, payload in pool.transport.sent if payload.get("fallback")]
         assert fallbacks == [1]
         # fallback still charges the phase-1 budget
         tiny_charges = [e.budget for e in ledger.entries if e.scope.entity == 1]
@@ -379,8 +392,7 @@ class TestMessageAudit:
     def test_payloads_are_aggregates_only(self):
         ds = planted_dataset(RandomSource(11), n=900)
         splits = grid_splits()
-        transport = LocalTransport(record_payloads=True)
-        pool = make_pool(ds, 3, splits, transport=transport)
+        pool = recorded(make_pool(ds, 3, splits))
         ledger = PrivacyLedger(4.0)
         strategy = LocalRNMSplitter(pool)
         NoisyCountsSplitter(pool).split(ROOT, 1.0, ledger)
@@ -388,10 +400,8 @@ class TestMessageAudit:
         strategy.weight(ROOT, 0.5, ledger)
         strategy.label(ROOT, Fraction(1, 2), ledger)
         shard_sizes = {entity.binned.n for entity in pool.entities}
-        for record in transport.log:
-            if record["direction"] != "response":
-                continue
-            payload = record["payload"]
+        assert pool.transport.sent
+        for _, _, payload in pool.transport.sent:
             for key, value in payload.items():
                 if key == "cells":
                     flat = np.asarray(value)
@@ -416,12 +426,12 @@ class TestMessageAudit:
     def test_log_has_budget_and_kind(self):
         ds = planted_dataset(RandomSource(12), n=300)
         splits = grid_splits()
-        transport = LocalTransport()
-        pool = make_pool(ds, 2, splits, transport=transport)
+        pool = recorded(make_pool(ds, 2, splits))
         NoisyCountsSplitter(pool).weight(ROOT, 0.25, PrivacyLedger(1.0))
-        kinds = {(r["direction"], r["kind"]) for r in transport.log}
-        assert kinds == {("query", "leaf_count"), ("response", "leaf_count")}
-        assert all(r["budget"] == 0.25 for r in transport.log)
+        sent = pool.transport.sent
+        assert [entity for entity, _, _ in sent] == [0, 1]  # one query and its answer per entity
+        assert {(query.kind, tuple(payload)) for _, query, payload in sent} == {("leaf_count", ("count",))}
+        assert all(query.budget == 0.25 for _, query, _ in sent)
 
 
 def replayed_rows(shard, path):
@@ -563,15 +573,14 @@ class TestEntityRowCache:
         ds, splits = planted_dataset(RandomSource(4), n=2500), grid_splits()
         runs = []
         for entity_class in (Entity, StatelessEntity):
-            transport = LocalTransport(record_payloads=True)
             entities = []
             for i, piece in enumerate(shard(ds, 4, 4)):
                 entities.append(entity_class(i, BinnedFeatures(piece, splits), RandomSource(4, ("entity", i)),
                                              Criterion.ENTROPY))
                 entities[-1].piece = piece
-            pool = EntityPool(entities, transport)
+            pool = recorded(EntityPool(entities))
             config = DPTopDownConfig(alpha=4.0, max_nodes=16)
             tree, ledger, _ = dp_topdown(maker(pool), config)
-            runs.append((tree.to_dict(), ledger.entries, transport.log))
+            runs.append((tree.to_dict(), ledger.entries, pool.transport.sent))
         assert runs[0] == runs[1]
-        assert len(runs[0][2]) > 100
+        assert len(runs[0][2]) > 50

@@ -3,20 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from dptree.dp_core import InvalidParameterError, RandomSource
+from dptree.dp_core import InvalidParameterError
 from dptree.dp_topdown import DecaySchedule, UniformSchedule
+from dptree.split_strategies import rnm_score_sensitivity
 from dptree.theory import (
     CapExceededError,
     WeakLearningParams,
     boosting_recurrence,
     dataset_requirement_breakdown,
-    empirical_sensitivity,
     noisycounts_sample_bound,
     rnm_sample_bound,
     sensitivity_bound,
     theorem_zeta,
 )
 from dptree.tree_learning import Criterion, gain_from_counts
+from oracle import empirical_sensitivity, worst_neighbor_change
 
 
 class TestSensitivityBound:
@@ -27,23 +28,57 @@ class TestSensitivityBound:
         assert sensitivity_bound(Criterion.GINI, 100) == pytest.approx(0.2)
 
     def test_root_gini_example(self):
-        assert sensitivity_bound(Criterion.ROOT_GINI, 100) == pytest.approx(0.1)
+        # No bound is proven for root Gini, and 10/m understates it (see
+        # TestEmpiricalSensitivity), so none is given.
+        with pytest.raises(InvalidParameterError, match="root-gini"):
+            sensitivity_bound(Criterion.ROOT_GINI, 100)
 
     def test_small_m_rejected(self):
         with pytest.raises(InvalidParameterError):
             sensitivity_bound(Criterion.ENTROPY, 2)
 
 
+def stated_bounds(criterion, m):
+    """The sensitivity bounds the package states for a leaf of m rows; a
+    bound it refuses to state is left out."""
+    bounds = []
+    for bound in (sensitivity_bound, rnm_score_sensitivity):
+        try:
+            bounds.append(bound(criterion, m))
+        except InvalidParameterError:
+            assert criterion is Criterion.ROOT_GINI
+    return bounds
+
+
 class TestEmpiricalSensitivity:
-    @pytest.mark.parametrize("criterion", [Criterion.ENTROPY, Criterion.GINI])
+    @pytest.mark.parametrize("criterion", list(Criterion))
     @pytest.mark.parametrize("m", [8, 16, 64, 256])
     def test_within_bound(self, criterion, m):
-        observed = empirical_sensitivity(criterion, m, 3000, RandomSource(m))
-        assert observed <= sensitivity_bound(criterion, m)
+        observed = empirical_sensitivity(criterion, m, 3000, m)
+        assert all(observed <= bound for bound in stated_bounds(criterion, m))
+
+    # Over every two-label leaf of m rows, the largest change of a root-Gini
+    # gain when one row is added, removed or moved, as a multiple of the
+    # 10/m the package once stated: it grows like sqrt(m).
+    ROOT_GINI_WORST_OVER_10_M = {24: 0.959, 32: 1.114, 64: 1.587, 128: 2.254}
+
+    @pytest.mark.parametrize("m", sorted(ROOT_GINI_WORST_OVER_10_M))
+    def test_root_gini_worst_case_has_no_stated_bound(self, m):
+        worst = worst_neighbor_change(Criterion.ROOT_GINI, m)
+        assert worst * m / 10 == pytest.approx(self.ROOT_GINI_WORST_OVER_10_M[m], abs=5e-4)
+        # The worst case is one row alone on its side, flipped: about 2/sqrt(m).
+        assert worst == pytest.approx(2 * math.sqrt(m - 1) / m, rel=0.02)
+        assert stated_bounds(Criterion.ROOT_GINI, m) == []
+
+    @pytest.mark.parametrize("criterion", [Criterion.ENTROPY, Criterion.GINI])
+    @pytest.mark.parametrize("m", [24, 32, 64])
+    def test_every_neighbor_within_stated_bounds(self, criterion, m):
+        worst = worst_neighbor_change(criterion, m)
+        assert all(worst <= bound for bound in stated_bounds(criterion, m))
 
     def test_entropy_m64_magnitude(self):
         # the flipped-point corner dominates: about (lg m)/m + H(1/m) residue
-        observed = empirical_sensitivity(Criterion.ENTROPY, 64, 5000, RandomSource(1))
+        observed = empirical_sensitivity(Criterion.ENTROPY, 64, 5000, 1)
         assert 0.10 <= observed <= 0.59375
 
     def test_adversarial_corner_reaches_bound_order(self):
@@ -58,7 +93,7 @@ class TestEmpiricalSensitivity:
         assert bound / 10 <= gap <= bound
 
     def test_gini_trivial_bound_at_m20(self):
-        assert empirical_sensitivity(Criterion.GINI, 20, 2000, RandomSource(2)) <= 1.0
+        assert empirical_sensitivity(Criterion.GINI, 20, 2000, 2) <= 1.0
 
 
 class TestSampleBounds:

@@ -133,7 +133,7 @@ class TestSplitGain:
 
     def test_gain_nonnegative_on_random_exact_counts(self):
         rng = RandomSource(4)
-        tables = rng.np.integers(0, 30, size=(500, 3, 2)).astype(float)
+        tables = rng.integers(0, 30, size=(500, 3, 2)).astype(float)
         gains = gain_from_counts(tables, Criterion.ENTROPY)
         assert np.all(gains >= 0.0)
         assert np.all(gains <= 1.0 + 1e-12)
