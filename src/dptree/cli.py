@@ -26,6 +26,7 @@ from .experiments import (
     summarize,
 )
 from .theory import (
+    CapExceededError,
     WeakLearningParams,
     boosting_recurrence,
     dataset_requirement_breakdown,
@@ -48,7 +49,7 @@ def _fail(code: int, message: str):
 def _guarded(fn):
     try:
         return fn()
-    except (ConfigError, InvalidParameterError) as exc:
+    except (ConfigError, InvalidParameterError, CapExceededError) as exc:
         _fail(EXIT_CONFIG, str(exc))
     except DataError as exc:
         _fail(EXIT_DATA, str(exc))

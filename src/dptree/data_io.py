@@ -72,7 +72,8 @@ class SplittingSpec:
     """How to build the splitting class H from a schema.
 
     Continuous features get `default_thresholds` evenly spaced thresholds
-    (endpoints excluded), overridable per feature; one-hot columns always get
+    (endpoints excluded), overridable per continuous feature by name in
+    `per_feature`; one-hot columns always get
     a single threshold at 0.5. Optional block entries add block-average
     splits over encoded column indices.
     """
@@ -103,6 +104,11 @@ class DataSchema:
         names = [f.name for f in self.features] + [self.label_name]
         if len(set(names)) != len(names):
             raise InvalidParameterError("duplicate column names in schema")
+        continuous = {f.name for f in self.features if isinstance(f, ContinuousFeature)}
+        for name in self.splits.per_feature:
+            if name not in continuous:
+                raise InvalidParameterError(
+                    f"splits.per_feature names {name!r}, which is not a continuous feature")
         for block in self.splits.blocks:
             if not all(0 <= column < self.n_encoded for column in block.columns):
                 raise InvalidParameterError(
@@ -514,15 +520,15 @@ def build_splitting_class(schema: DataSchema) -> list[SplitFunction]:
             count = schema.splits.per_feature.get(feat.name, schema.splits.default_thresholds)
             for r in range(1, count + 1):
                 threshold = feat.lo + r * (feat.hi - feat.lo) / (count + 1)
-                splits.append(SplitFunction(threshold=threshold, feature=column, hid=len(splits)))
+                splits.append(SplitFunction(threshold=threshold, feature=column))
             column += 1
         else:
             for _ in feat.values:
-                splits.append(SplitFunction(threshold=0.5, feature=column, hid=len(splits)))
+                splits.append(SplitFunction(threshold=0.5, feature=column))
                 column += 1
     for block in schema.splits.blocks:
         for threshold in block.thresholds:
-            splits.append(SplitFunction(threshold=threshold, block=block.columns, hid=len(splits)))
+            splits.append(SplitFunction(threshold=threshold, block=block.columns))
     return splits
 
 

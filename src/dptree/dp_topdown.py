@@ -12,7 +12,8 @@ a leaf:
 - `weight(leaf, budget, ledger)`: the noisy fraction of rows in the leaf,
   spending `budget`, half the leaf's allowance alpha_leaf;
 - `label(leaf, budget, ledger)`: the leaf's private majority label;
-- `total_size`: the public row count |S|.
+- `total_size` and `entities`, attributes set when the strategy is made:
+  the public row count |S| and the data holders.
 
 Strategies read their own rows, draw their own noise and record their own
 charges. `ExactStrategy` answers every query exactly and charges nothing,
@@ -77,8 +78,8 @@ class UniformSchedule:
             )
         return Fraction(1, self.max_nodes)
 
-    def min_budget(self, max_nodes: int) -> Fraction:
-        return Fraction(1, self.max_nodes)
+    def min_budget(self, max_nodes: int) -> float:
+        return 1.0 / self.max_nodes
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,9 @@ class DecaySchedule:
             raise InvalidParameterError(f"depth must be >= 1, got {depth}")
         return Fraction(1, 2**depth)
 
-    def min_budget(self, max_nodes: int) -> Fraction:
-        return Fraction(1, 2**max_nodes)
+    def min_budget(self, max_nodes: int) -> float:
+        """2^-max_nodes, 0.0 once it underflows; 2**max_nodes is never built."""
+        return math.ldexp(1.0, -max_nodes)
 
 
 def schedule_from_name(name: str, max_nodes: int):
@@ -148,10 +150,9 @@ class DPTopDownConfig:
 
 @dataclass
 class RunStats:
-    """Per-run diagnostics recorded by dp_topdown."""
+    """Per-run diagnostics recorded by dp_topdown that neither the tree
+    (its depth and size) nor the ledger entries hold."""
 
-    depth: int = 0
-    internal_nodes: int = 0
     ledger_effective_cost: float = 0.0
     pushed_weights: list = field(default_factory=list)
     degenerate_splits: int = 0
@@ -306,8 +307,6 @@ def dp_topdown(strategy, config: DPTopDownConfig):
 
     label_leaves(tree, strategy, config.leaf_budget, ledger)
 
-    stats.depth = tree.depth
-    stats.internal_nodes = tree.internal_count
     stats.ledger_effective_cost = float(ledger.effective_cost())
-    assert stats.depth <= stats.internal_nodes <= config.max_nodes
+    assert tree.depth <= tree.internal_count <= config.max_nodes
     return tree, ledger, stats

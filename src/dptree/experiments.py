@@ -254,10 +254,10 @@ _data_cache: dict = {}
 
 
 def prepare_data(config: ExperimentConfig):
-    """(train, test, schema, splitting class), cached for the latest config
-    paths. The train and test sets are held binned against the splitting
-    class (`BinnedFeatures`), which is public and fixed before any data is
-    read, so each run slices the codes of its rows and no run bins again."""
+    """(train, test), cached for the latest config paths. Both are held
+    binned against the schema's splitting class (`BinnedFeatures`), which is
+    public and fixed before any data is read, so each run slices the codes
+    of its rows and no run bins again."""
     key = (config.schema_path, config.train_path, config.test_path, config.csv_path,
            config.ratio, config.split_seed)
     if key in _data_cache:
@@ -271,7 +271,7 @@ def prepare_data(config: ExperimentConfig):
         train = load_csv(config.train_path, schema)
         test = load_csv(config.test_path, schema)
     splits = build_splitting_class(schema)
-    _data_cache[key] = (BinnedFeatures(train, splits), BinnedFeatures(test, splits), schema, splits)
+    _data_cache[key] = (BinnedFeatures(train, splits), BinnedFeatures(test, splits))
     return _data_cache[key]
 
 
@@ -279,7 +279,7 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
     """One seeded train/evaluate cycle for one grid cell, on row slices of
     the prepared binnings. Training accuracy is read from the entities'
     leaf caches; only the test rows are routed, on their bin codes."""
-    train_full, test, _, _ = prepare_data(config)
+    train_full, test = prepare_data(config)
     alpha = config.alphas[alpha_i]
     lpf = config.lpfs[lpf_i]
     fraction = config.train_fractions[fraction_i]
@@ -325,8 +325,8 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
         seed=seed,
         train_acc=train_accuracy(tree, strategy.entities),
         test_acc=1.0 - tree_error(tree, test) if test.n else float("nan"),
-        depth=stats.depth,
-        nodes=stats.internal_nodes,
+        depth=tree.depth,
+        nodes=tree.internal_count,
         ledger_cost=stats.ledger_effective_cost,
         wall_ms=wall_ms,
     )

@@ -6,8 +6,9 @@ A message is a `Query` to one entity through `LocalTransport.send`, and the
 `Response` it gets holds only noisy aggregates; nothing is logged.
 
 Each strategy answers the loop's queries about a leaf, named by its public
-path (see `dp_topdown`): `split`, `weight`, `label` and `total_size`. On a
-single machine all data is one `Entity` under the global ledger scope.
+path (see `dp_topdown`): `split`, `weight` and `label`, and sets `entities`
+and their public row count `total_size` when it is made. On a single
+machine all data is one `Entity` under the global ledger scope.
 `ExactStrategy` answers from its exact rows with no noise and no charges.
 `SingleMachineRNMSplitter` answers from the same rows privately: RNM for
 splits and labels, the Laplace weight estimate for weights, each drawn from
@@ -22,16 +23,16 @@ coordinator only ever sees noisy aggregates. A run bins its dataset once
 when it is prepared and hands each entity a row slice of that binning;
 `EntityPool.from_shards` bins plain shards itself. An entity's only state
 besides its shard is a cache of its live leaves, keyed by the public leaf
-path: each leaf's rows and their cumulative counts
-(`BinnedFeatures.cumulative`), from which every count table of the leaf is
-one gather. The children of a split are cut from the parent's cached
-rows by comparing bin codes, only the smaller child is counted, the larger
-one's counts are the parent's minus the smaller's, and the parent is
-evicted; any other miss replays the path from the root and counts its rows.
-The same counts answer labels: a leaf's label counts are the row of its
-cumulative counts that counts every label (`Entity.label_counts`), and after
-learning, the final leaves' counts give the training accuracy without
-routing a row (`train_accuracy`).
+path. Each leaf has one record, `(rows, counts)` (`Entity.leaf_rows`): its
+rows and their cumulative counts (`BinnedFeatures.cumulative`), from which
+every count table of the leaf is one gather. The children of a split are
+cut from the parent's cached rows by comparing bin codes, only the smaller
+child is counted, the larger one's counts are the parent's minus the
+smaller's, and the parent is evicted; any other miss replays the path from
+the root and counts its rows. The same record answers labels: a leaf's
+label counts are the row of `counts` that counts every label
+(`Entity.label_counts`), and after learning, the final leaves' records give
+the training accuracy without routing a row (`train_accuracy`).
 Counts are exact integers, so the cache releases nothing: it never leaves
 the entity, and every answer, noise draw and charge is what a stateless
 replay would give. In the learner's query order the live leaves partition
@@ -123,8 +124,9 @@ class Response:
 class Entity:
     """One data holder: a disjoint shard, binned against the public
     splitting class, its own noise stream, and charges recorded under its
-    own ledger scope. Only ever reads its own shard. The single machine is
-    one entity with id GLOBAL_SCOPE."""
+    own ledger scope. Only ever reads its own shard, through one cached
+    record per live leaf (`leaf_rows`). The single machine is one entity
+    with id GLOBAL_SCOPE."""
 
     def __init__(self, entity_id: int | None, binned: BinnedFeatures, rng: RandomSource | None,
                  criterion: Criterion):
@@ -135,14 +137,15 @@ class Entity:
         self.criterion = criterion
         self._leaves: dict = {}  # live leaf path -> (its shard rows, their cumulative counts)
 
-    def leaf_rows(self, path) -> np.ndarray:
-        """Shard rows that follow `path`, a (split, side) sequence of the
-        splitting class; they and their cumulative counts stay cached until
-        the leaf is cut."""
+    def leaf_rows(self, path) -> tuple:
+        """The record `(rows, counts)` of the leaf at `path`, a (split, side)
+        sequence of the splitting class: the shard rows that follow the path
+        and their cumulative counts (`BinnedFeatures.cumulative`). It stays
+        cached until the leaf is cut."""
         path = tuple(path)
         leaf = self._leaves.get(path)
         if leaf is not None:
-            return leaf[0]
+            return leaf
         parent = path[:-1]
         if path and parent in self._leaves:
             split, _ = path[-1]
@@ -156,23 +159,18 @@ class Entity:
             counts -= small_counts
             self._leaves[parent + ((split, small),)] = (children[small], small_counts)
             self._leaves[parent + ((split, 1 - small),)] = (children[1 - small], counts)
-            return self._leaves[path][0]
+            return self._leaves[path]
         rows = np.arange(self.binned.n)
         for split, side in path:
             right = self.binned.goes_right(split, rows)
             rows = rows[right] if side else rows[~right]
-        self._leaves[path] = (rows, self.binned.cumulative(rows))
-        return rows
+        leaf = self._leaves[path] = (rows, self.binned.cumulative(rows))
+        return leaf
 
-    def leaf_counts(self, path) -> np.ndarray:
-        """Cumulative counts (see `BinnedFeatures.cumulative`) of the rows of
-        a leaf that `leaf_rows` has cached."""
-        return self._leaves[tuple(path)][1]
-
-    def label_counts(self, path) -> np.ndarray:
-        """Exact label counts of the rows of a leaf that `leaf_rows` has
-        cached: the row of its cumulative counts that counts every label."""
-        return self.leaf_counts(path)[self.binned.total_row].astype(float)
+    def label_counts(self, counts) -> np.ndarray:
+        """Exact label counts of a leaf whose cumulative counts are `counts`:
+        the row that counts every label."""
+        return counts[self.binned.total_row].astype(float)
 
     def gains(self, rows, counts) -> np.ndarray:
         """Exact gains of the full splitting class on `rows`, whose
@@ -189,7 +187,7 @@ class Entity:
         return Scope(self.entity_id, purpose, depth=query.depth, leaf=query.leaf_id)
 
     def handle(self, query: Query, ledger: PrivacyLedger) -> Response:
-        rows = self.leaf_rows(query.path)
+        rows, counts = self.leaf_rows(query.path)
         if query.kind == "leaf_count":
             # Count sensitivity 1 at budget alpha_leaf/2 -> Lap(2/alpha_leaf).
             noisy = float(rows.size) + sample_laplace(1.0 / float(query.budget), self.rng)
@@ -198,12 +196,11 @@ class Entity:
 
         if query.kind == "label_counts":
             k = self.binned.n_classes
-            counts = self.label_counts(query.path)
             # LM per label with the noise parameter doubled relative to the
             # single-machine RNM labeling scale 2/budget; the per-label charge
             # budget/(2k) keeps the leaf total at budget/2.
             scale = distributed_label_scale(k, query.budget)
-            noisy = counts + sample_laplace(scale, self.rng, size=k)
+            noisy = self.label_counts(counts) + sample_laplace(scale, self.rng, size=k)
             per_label = query.budget / (2 * k)
             for _ in range(k):
                 ledger.charge(self._scope("label", query), per_label)
@@ -211,7 +208,7 @@ class Entity:
 
         if query.kind == "joint_histogram":
             candidates = query.splits
-            tables = split_count_tables(self.binned, rows, candidates, self.leaf_counts(query.path))
+            tables = split_count_tables(self.binned, rows, candidates, counts)
             # Per-cell Lap(3|H'|/alpha): cells of one histogram partition the
             # shard (parallel), histograms compose sequentially, so the |H'|
             # histograms cost alpha/3 in total.
@@ -229,7 +226,7 @@ class Entity:
                 ledger.charge(self._scope("split", query), query.budget)
                 return Response({"hid": hid, "fallback": True})
             # Only the winning index is published, the noisy score is dropped.
-            hid, _ = self.rnm_split(rows, self.leaf_counts(query.path), query.budget, self.rng)
+            hid, _ = self.rnm_split(rows, counts, query.budget, self.rng)
             ledger.charge(self._scope("split", query), query.budget)
             return Response({"hid": hid, "fallback": False})
 
@@ -278,15 +275,6 @@ class EntityPool:
         """`from_binned` over `LabeledDataset` shards, each binned here
         against the splitting class `splits`."""
         return cls.from_binned([BinnedFeatures(shard, splits) for shard in shards], rng, criterion)
-
-    @property
-    def k(self) -> int:
-        return len(self.entities)
-
-    @property
-    def total_size(self) -> int:
-        # Shard sizes are treated as public metadata.
-        return sum(entity.binned.n for entity in self.entities)
 
     def ask_all(self, ledger: PrivacyLedger, kind: str, path, budget, depth, leaf_id,
                 splits=None) -> list[Response]:
@@ -338,7 +326,6 @@ def local_rnm_split(pool: EntityPool, leaf: LeafRef, alpha, ledger: PrivacyLedge
     responses = pool.ask_all(ledger, "local_best_split", leaf.path, half, leaf.budget_depth,
                              leaf.leaf_id)
     candidates = [pool.splits[resp.payload["hid"]] for resp in responses]
-    assert len(candidates) == pool.k
     return noisy_counts_split(pool, leaf, half, candidates, ledger)
 
 
@@ -363,27 +350,21 @@ class ExactStrategy:
         if len(binned.splits) == 0:
             raise InvalidParameterError("splitting class must be nonempty")
         self.entity = Entity(GLOBAL_SCOPE, binned, None, criterion)
-
-    @property
-    def total_size(self) -> int:
-        return self.entity.binned.n
-
-    @property
-    def entities(self) -> list:
-        return [self.entity]
+        self.entities = [self.entity]
+        self.total_size = binned.n
 
     def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
-        rows = self.entity.leaf_rows(leaf.path)
-        gains = self.entity.gains(rows, self.entity.leaf_counts(leaf.path))
+        gains = self.entity.gains(*self.entity.leaf_rows(leaf.path))
         best = int(np.argmax(gains))
         return self.entity.splits[best], float(gains[best])
 
     def weight(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> float:
-        return self.entity.leaf_rows(leaf.path).size / self.total_size
+        rows, _ = self.entity.leaf_rows(leaf.path)
+        return rows.size / self.total_size
 
     def label(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> int:
-        self.entity.leaf_rows(leaf.path)
-        return int(np.argmax(self.entity.label_counts(leaf.path)))
+        _, counts = self.entity.leaf_rows(leaf.path)
+        return int(np.argmax(self.entity.label_counts(counts)))
 
 
 class SingleMachineRNMSplitter:
@@ -398,38 +379,30 @@ class SingleMachineRNMSplitter:
     """
 
     def __init__(self, binned: BinnedFeatures, criterion: Criterion, rng: RandomSource):
-        self.entity = Entity(GLOBAL_SCOPE, binned, rng, criterion)
+        self.entity = Entity(GLOBAL_SCOPE, binned, None, criterion)
+        self.entities = [self.entity]
+        self.total_size = binned.n
         self._split_rng = rng.substream("split")
         self._weight_rng = rng.substream("weight")
         self._label_rng = rng.substream("label")
 
-    @property
-    def total_size(self) -> int:
-        return self.entity.binned.n
-
-    @property
-    def entities(self) -> list:
-        return [self.entity]
-
     def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
         if alpha <= 0:
             raise InvalidParameterError(f"alpha must be positive, got {alpha}")
-        rows = self.entity.leaf_rows(leaf.path)
-        index, noisy_gain = self.entity.rnm_split(
-            rows, self.entity.leaf_counts(leaf.path), alpha, self._split_rng)
+        rows, counts = self.entity.leaf_rows(leaf.path)
+        index, noisy_gain = self.entity.rnm_split(rows, counts, alpha, self._split_rng)
         ledger.charge(Scope(GLOBAL_SCOPE, "split", depth=leaf.budget_depth, leaf=leaf.leaf_id), alpha)
         return self.entity.splits[index], noisy_gain
 
     def weight(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> float:
         scope = Scope(GLOBAL_SCOPE, "weight", depth=leaf.budget_depth, leaf=leaf.leaf_id)
-        rows = self.entity.leaf_rows(leaf.path)
+        rows, _ = self.entity.leaf_rows(leaf.path)
         return estimate_weight(rows.size, self.total_size, budget, self._weight_rng, ledger, scope)
 
     def label(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> int:
-        self.entity.leaf_rows(leaf.path)
-        counts = self.entity.label_counts(leaf.path)
+        _, counts = self.entity.leaf_rows(leaf.path)
         scope = Scope(GLOBAL_SCOPE, "label", leaf=leaf.leaf_id)
-        return rnm_label(counts, budget, self._label_rng, ledger, scope)
+        return rnm_label(self.entity.label_counts(counts), budget, self._label_rng, ledger, scope)
 
 
 class DistributedStrategy:
@@ -439,14 +412,9 @@ class DistributedStrategy:
 
     def __init__(self, pool: EntityPool):
         self.pool = pool
-
-    @property
-    def total_size(self) -> int:
-        return self.pool.total_size
-
-    @property
-    def entities(self) -> list:
-        return self.pool.entities
+        self.entities = pool.entities
+        # Shard sizes are treated as public metadata.
+        self.total_size = sum(entity.binned.n for entity in pool.entities)
 
     def weight(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> float:
         """Per-entity noisy counts (`budget` each, half the leaf's allowance,
@@ -481,7 +449,7 @@ def train_accuracy(tree: DecisionTree, entities) -> float:
     paths = leaf_paths(tree)
     n = sum(entity.binned.n for entity in entities)
     correct = sum(
-        int(entity.label_counts(paths[leaf.node_id])[leaf.label])
+        int(entity.label_counts(entity._leaves[paths[leaf.node_id]][1])[leaf.label])
         for leaf in tree.leaves()
         for entity in entities
     )

@@ -7,6 +7,10 @@ The brute-force check of the sensitivity bounds lives with the tests
 Only constants that appear explicitly in the analysis are used; nothing is
 invented beyond them. "log" inside the x >= 2b log(b) device is the natural
 log; lg (base 2) appears only inside entropy-style formulas.
+
+The calculators work in floats. Inputs whose intermediates or results leave
+the finite positive floats (an underflowed budget, an overflowed bound) raise
+InvalidParameterError rather than divide by zero or round infinity.
 """
 
 from __future__ import annotations
@@ -22,6 +26,18 @@ ITERATION_CAP = 10**9
 
 class CapExceededError(RuntimeError):
     """The boosting recurrence failed to reach the target within the cap."""
+
+
+def _finite_positive(value, what: str) -> float:
+    """`value` as a float if it is finite and positive, else
+    InvalidParameterError naming the quantity `what`."""
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the largest float
+        number = math.inf
+    if not (math.isfinite(number) and number > 0):
+        raise InvalidParameterError(f"{what} is {number!r}; the inputs are out of the calculator's range")
+    return number
 
 
 @dataclass
@@ -80,6 +96,7 @@ def sensitivity_bound(criterion: Criterion, m: int) -> float:
     """
     if m < 3:
         raise InvalidParameterError(f"m must be >= 3, got {m}")
+    m = _finite_positive(m, "m")
     if criterion is Criterion.ENTROPY:
         return (2.0 / m) * (3.0 * math.log2(m) + 1.0)
     if criterion is Criterion.GINI:
@@ -95,7 +112,7 @@ def sensitivity_bound(criterion: Criterion, m: int) -> float:
 def _two_b_log_b(b: float) -> int:
     if b <= 1.0:
         return 3
-    return max(3, math.ceil(2.0 * b * math.log(b)))
+    return max(3, math.ceil(_finite_positive(2.0 * b * math.log(b), "2 b ln b")))
 
 
 def rnm_sample_bound(zeta: float, alpha: float, delta: float, h_size: int) -> int:
@@ -103,7 +120,8 @@ def rnm_sample_bound(zeta: float, alpha: float, delta: float, h_size: int) -> in
     w.p. >= 1-delta: m >= 2 b ln b with b = ln(|H|/delta) * 40/(alpha zeta)."""
     if zeta <= 0 or zeta > 1 or alpha <= 0 or not 0 < delta < 1 or h_size < 1:
         raise InvalidParameterError("require 0 < zeta <= 1, alpha > 0, 0 < delta < 1, |H| >= 1")
-    b = math.log(h_size / delta) * 40.0 / (alpha * zeta)
+    h_size = _finite_positive(h_size, "|H|")
+    b = math.log(h_size / delta) * 40.0 / _finite_positive(alpha * zeta, "alpha zeta")
     return _two_b_log_b(b)
 
 
@@ -112,7 +130,9 @@ def noisycounts_sample_bound(zeta: float, alpha: float, delta: float, k: int, h_
     >= 1-delta: m >= 2 b ln b with b = 60 ln(3k|H|/delta) k|H|/(alpha zeta)."""
     if zeta <= 0 or zeta > 1 or alpha <= 0 or not 0 < delta < 1 or h_size < 1 or k < 1:
         raise InvalidParameterError("require 0 < zeta <= 1, alpha > 0, 0 < delta < 1, k, |H| >= 1")
-    b = 60.0 * math.log(3.0 * k * h_size / delta) * k * h_size / (alpha * zeta)
+    k, h_size = _finite_positive(k, "k"), _finite_positive(h_size, "|H|")
+    denominator = _finite_positive(alpha * zeta, "alpha zeta")
+    b = 60.0 * math.log(3.0 * k * h_size / delta) * k * h_size / denominator
     return _two_b_log_b(b)
 
 
@@ -189,25 +209,27 @@ def dataset_requirement_breakdown(
     distributed one, whose weight and leaf terms gain a factor k inside and
     outside the logs.
     """
-    zeta = theorem_zeta(params)
-    m = params.max_nodes
-    k = params.entities
-    b_min = float(params.schedule.min_budget(m))
-    alpha_leaf = params.alpha / 2.0 * b_min
+    m = _finite_positive(params.max_nodes, "max_nodes")
+    k = _finite_positive(params.entities, "entities")
+    zeta = _finite_positive(theorem_zeta(params), "zeta")
+    b_min = params.schedule.min_budget(params.max_nodes)
+    alpha_leaf = _finite_positive(params.alpha / 2.0 * b_min, "alpha_leaf")
+    weight_scale = _finite_positive(zeta * alpha_leaf, "zeta alpha_leaf")
+    leaf_scale = _finite_positive(params.error * params.alpha, "error alpha")
     split_delta = params.delta / (2.0 * (2.0 * m + 1.0))
     if splitter == "rnm":
-        weight = math.log(8.0 * m / params.delta) * 2.0 / (zeta * alpha_leaf)
-        leaf = math.log(4.0 * (m + 1.0) / params.delta) * 8.0 * (m + 1.0) / (params.error * params.alpha)
+        weight = math.log(8.0 * m / params.delta) * 2.0 / weight_scale
+        leaf = math.log(4.0 * (m + 1.0) / params.delta) * 8.0 * (m + 1.0) / leaf_scale
         n_split = rnm_sample_bound(zeta, alpha_leaf / 2.0, split_delta, h_size)
     elif splitter == "noisy-counts":
-        weight = math.log(8.0 * k * m / params.delta) * 2.0 * k / (zeta * alpha_leaf)
-        leaf = (
-            math.log(4.0 * k * (m + 1.0) / params.delta)
-            * 8.0 * k * (m + 1.0) / (params.error * params.alpha)
-        )
+        weight = math.log(8.0 * k * m / params.delta) * 2.0 * k / weight_scale
+        leaf = math.log(4.0 * k * (m + 1.0) / params.delta) * 8.0 * k * (m + 1.0) / leaf_scale
         n_split = noisycounts_sample_bound(zeta, alpha_leaf / 2.0, split_delta, k, h_size)
     else:
         raise InvalidParameterError(f"unknown splitter kind {splitter!r}")
-    split = (2.0 * m / params.error) * n_split
-    return DatasetRequirement(weight_term=weight, leaf_term=leaf, split_term=split)
+    return DatasetRequirement(
+        weight_term=_finite_positive(weight, "the weight term"),
+        leaf_term=_finite_positive(leaf, "the leaf term"),
+        split_term=_finite_positive((2.0 * m / params.error) * n_split, "the split term"),
+    )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -159,8 +159,8 @@ class SplitFunction:
     """Binary predicate over feature vectors: 0 iff the tested value <= threshold.
 
     Tests either one feature (threshold split) or the mean of a feature block
-    (block-average split). `hid` is the index in the splitting class H it was
-    generated from; it is bookkeeping only and excluded from equality.
+    (block-average split). A split's index in the splitting class H is its
+    position in the class; the split itself holds only what it tests.
 
     Splits key the leaf-row caches through (split, side) paths, so the hash
     is computed once; pickling rebuilds it, since hash(None) varies between
@@ -170,7 +170,6 @@ class SplitFunction:
     threshold: float
     feature: int | None = None
     block: tuple[int, ...] | None = None
-    hid: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if (self.feature is None) == (self.block is None):
@@ -183,7 +182,7 @@ class SplitFunction:
         return self._hash
 
     def __reduce__(self):
-        return SplitFunction, (self.threshold, self.feature, self.block, self.hid)
+        return SplitFunction, (self.threshold, self.feature, self.block)
 
     def column(self, X: np.ndarray, rows=None) -> np.ndarray:
         if self.feature is not None:

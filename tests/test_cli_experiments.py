@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import subprocess
@@ -11,8 +12,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dptree import experiments
+from dptree import cli, experiments
 from dptree.cli import main
 from dptree.data_io import partition, save_schema, synthetic_tree_dataset, write_csv
 from dptree.dp_core import RandomSource, zero_noise
@@ -28,7 +31,27 @@ from dptree.experiments import (
     run_sweep,
     summarize,
 )
+from dptree.theory import boosting_recurrence
 from dptree.tree_learning import BinnedFeatures, DecisionTree, tree_error
+
+# Finite JSON numbers, subnormals and the edge of the float range included.
+JSON_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(0.0, 1.0),
+                         st.sampled_from([5e-324, 1e-320, 1e-300, 1e-10, 0.5, 1.0, 1e308]))
+COUNTS = st.integers(max_value=10**4)
+# `recurrence` is left out: its iteration count is superpolynomial in 1/error.
+THEORY_PARAMS = {
+    "sensitivity": st.fixed_dictionaries(
+        {"criterion": st.sampled_from(["entropy", "gini", "root-gini"]), "m": COUNTS}),
+    "rnm-bound": st.fixed_dictionaries(
+        {"zeta": JSON_NUMBERS, "alpha": JSON_NUMBERS, "delta": JSON_NUMBERS, "h_size": COUNTS}),
+    "noisycounts-bound": st.fixed_dictionaries(
+        {"zeta": JSON_NUMBERS, "alpha": JSON_NUMBERS, "delta": JSON_NUMBERS, "k": COUNTS, "h_size": COUNTS}),
+    "dataset-requirement": st.fixed_dictionaries(
+        {"gamma": JSON_NUMBERS, "error": JSON_NUMBERS, "delta": JSON_NUMBERS, "alpha": JSON_NUMBERS,
+         "max_nodes": COUNTS, "h_size": COUNTS},
+        optional={"entities": COUNTS, "schedule": st.sampled_from(["uniform", "decay"]),
+                  "splitter": st.sampled_from(["rnm", "noisy-counts"])}),
+}
 
 
 @pytest.fixture
@@ -250,7 +273,7 @@ class TestRunSingle:
         # cycle routes down its tree are the test rows.
         _, config, _ = workspace
         cfg = config_from_dict({**config, "algorithm": algorithm, "train_fractions": [1.0, 0.5]})
-        _, test, _, _ = prepare_data(cfg)
+        _, test = prepare_data(cfg)
         routed = []
         assign = DecisionTree.assign
         monkeypatch.setattr(DecisionTree, "assign",
@@ -493,13 +516,40 @@ class TestCli:
                                 '"alpha": 1, "h_size": 50}'),
         ("rnm-bound", '{"zeta": 0.1, "alpha": 1, "delta": 0.05, "h_size": true}'),
         ("sensitivity", '{"criterion": "root-gini", "m": 64}'),
+        # Inputs whose intermediates or results leave the finite positive floats.
+        ("rnm-bound", '{"zeta": 1e-320, "alpha": 1e-10, "delta": 0.5, "h_size": 10}'),
+        ("rnm-bound", '{"zeta": 1e-300, "alpha": 1e-10, "delta": 0.5, "h_size": 10}'),
+        ("noisycounts-bound", '{"zeta": 1e-300, "alpha": 1e-10, "delta": 0.5, "k": 4, "h_size": 10}'),
+        ("dataset-requirement", '{"gamma": 0.25, "error": 0.1, "delta": 0.1, "max_nodes": 2000, '
+                                '"alpha": 1, "h_size": 50, "schedule": "decay"}'),
+        ("dataset-requirement", '{"gamma": 0.25, "error": 0.1, "delta": 0.1, "max_nodes": 16, '
+                                '"alpha": 1e-320, "h_size": 50}'),
+        ("sensitivity", '{"criterion": "entropy", "m": 1%s}' % ("0" * 400)),
     ], ids=["not-an-object", "non-numeric", "nan-alpha-rnm", "nan-alpha-noisycounts", "infinite-alpha",
             "nan-slowdown", "fractional-m", "fractional-h-size", "fractional-max-nodes", "boolean-h-size",
-            "root-gini"])
+            "root-gini", "underflowed-rnm-denominator", "overflowed-rnm-bound", "overflowed-noisycounts-bound",
+            "underflowed-decay-budget", "subnormal-alpha", "m-past-the-floats"])
     def test_theory_bad_params_exit_code(self, subcommand, params):
         result = CliRunner().invoke(main, ["theory", subcommand, "--params", params])
         assert result.exit_code == 2, result.output
         assert result.output.startswith("error: ")
+
+    def test_theory_recurrence_cap_exit_code(self, monkeypatch):
+        monkeypatch.setattr(cli, "boosting_recurrence", functools.partial(boosting_recurrence, cap=10))
+        params = '{"error": 0.1, "gamma": 0.05}'
+        result = CliRunner().invoke(main, ["theory", "recurrence", "--params", params])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: recurrence did not reach 0.1 within 10 iterations")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_theory_calculators_fail_closed(self, data):
+        subcommand = data.draw(st.sampled_from(sorted(THEORY_PARAMS)))
+        params = data.draw(THEORY_PARAMS[subcommand])
+        result = CliRunner().invoke(main, ["theory", subcommand, "--params", json.dumps(params)])
+        assert result.exit_code in (0, 2), (subcommand, params, result.exception)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
 
     def test_data_error_exit_code(self, workspace, tmp_path):
         workspace_path, config, _ = workspace
@@ -530,9 +580,13 @@ class TestCli:
         {"features": [{"name": "x0", "min": 0, "max": 1}, {"name": "x1", "min": 0, "max": 1}],
          "label": {"name": "y", "values": ["0", "1"]},
          "splits": {"blocks": [{"columns": [0, 1], "thresholds": [True, "0.5"]}]}},
+        # The workspace's schema with a threshold count for a name that is no feature.
+        {"features": [{"name": "x0", "min": 0, "max": 1}, {"name": "x1", "min": 0, "max": 1}],
+         "label": {"name": "y", "values": ["0", "1"]},
+         "splits": {"per_feature": {"x0": 4, "xx": 50}}},
     ], ids=["no-features", "list-document", "non-numeric-min", "empty-range", "nan-range",
             "duplicate-label", "zero-thresholds", "fractional-thresholds", "boolean-min", "string-max",
-            "boolean-and-string-thresholds"])
+            "boolean-and-string-thresholds", "per-feature-not-continuous"])
     def test_bad_schema_exit_code(self, workspace, tmp_path, schema):
         _, config, _ = workspace
         schema_path = tmp_path / "bad-schema.json"

@@ -381,9 +381,13 @@ class TestSchemaJson:
         {"features": [{"name": "x", "min": 0, "max": 1}], "label": GOOD_LABEL,
          "splits": {"blocks": [{"columns": [-1], "thresholds": [0.5]}]}},
         {"features": [{"name": "x", "min": 0, "max": math.inf}], "label": GOOD_LABEL},
+        # "xx" is no feature and "c" is categorical, so neither count could apply.
+        {"features": [{"name": "x", "min": 0, "max": 1},
+                      {"name": "c", "kind": "categorical", "values": ["a", "b"]}],
+         "label": GOOD_LABEL, "splits": {"per_feature": {"xx": 50, "c": 7}}},
     ], ids=["empty-range", "nan-range", "duplicate-label", "duplicate-category", "empty-block",
             "zero-thresholds", "negative-per-feature", "block-column-past-end", "negative-block-column",
-            "infinite-range"])
+            "infinite-range", "per-feature-not-continuous"])
     def test_schema_file_failing_its_checks_raises_data_error(self, tmp_path, doc):
         path = tmp_path / "schema.json"
         path.write_text(json.dumps(doc))
@@ -438,8 +442,9 @@ class TestSplittingClass:
             splits=SplittingSpec(default_thresholds=2, blocks=[BlockSpec((0,), (0.1, 0.9))]),
         )
         splits = build_splitting_class(schema)
-        assert [s.hid for s in splits] == [0, 1, 2, 3]
-        assert splits[2].block == (0,) and splits[2].threshold == 0.1
+        # A split's index is its position: the feature's thresholds, then the block's.
+        assert [(s.feature, s.block) for s in splits] == [(0, None), (0, None), (None, (0,)), (None, (0,))]
+        assert [s.threshold for s in splits[2:]] == [0.1, 0.9]
 
     def test_nonpositive_threshold_count_rejected(self):
         # Rejected with the spec, so a schema file with one fails at load.

@@ -60,7 +60,7 @@ def make_pool(ds, k, splits, seed=0):
     return EntityPool.from_shards(shards, RandomSource(seed, ("pool",)), splits, Criterion.ENTROPY)
 
 
-ONE_SPLIT = [SplitFunction(threshold=0.5, feature=0, hid=0)]
+ONE_SPLIT = [SplitFunction(threshold=0.5, feature=0)]
 
 # Funds every depth with the whole split budget, so a run overspends alpha.
 FULL_SPLIT_BUDGET = SimpleNamespace(at_depth=lambda depth: Fraction(1))
@@ -94,6 +94,9 @@ class TestBudgetSchedules:
     def test_min_budget(self):
         assert DecaySchedule().min_budget(16) == Fraction(1, 2**16)
         assert UniformSchedule(16).min_budget(16) == Fraction(1, 16)
+        # A float: the smallest subnormal, then 0.0 past it.
+        assert DecaySchedule().min_budget(1074) == 5e-324
+        assert DecaySchedule().min_budget(2000) == 0.0
 
     def test_from_name(self):
         assert isinstance(schedule_from_name("decay", 8), DecaySchedule)
@@ -229,19 +232,21 @@ class TestDPTopDown:
 
     def test_single_label_terminates_with_single_leaf(self):
         ds = LabeledDataset(RandomSource(1).uniform(size=(500, 2)), np.zeros(500, dtype=int), 2)
-        splits = [SplitFunction(threshold=0.5, feature=0, hid=0)]
+        splits = [SplitFunction(threshold=0.5, feature=0)]
         config = DPTopDownConfig(alpha=100.0, max_nodes=8)
         with zero_noise():
             tree, _, stats = dp_topdown(single_machine(ds, splits, 2), config)
         assert tree.internal_count == 0
-        assert stats.internal_nodes == 0
+        assert stats.pushed_weights == []
         assert tree.root.label == 0
 
     def test_stats_recorded_and_serialized(self):
         ds, splits = make_dataset(seed=10, n=3000)
         config = DPTopDownConfig(alpha=4.0, max_nodes=8)
         tree, ledger, stats = dp_topdown(single_machine(ds, splits, 14), config)
-        assert stats.depth == tree.depth <= stats.internal_nodes == tree.internal_count <= 8
+        assert tree.depth <= tree.internal_count <= 8
+        # The tree holds its own depth and size; the stats hold only what it does not.
+        assert set(asdict(stats)) == {"ledger_effective_cost", "pushed_weights", "degenerate_splits"}
         assert stats.ledger_effective_cost == float(ledger.effective_cost()) > 0.0
         # Every field is a plain JSON value, so a run record can carry the stats.
         assert RunStats(**json.loads(json.dumps(asdict(stats)))) == stats

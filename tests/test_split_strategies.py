@@ -40,7 +40,7 @@ from dptree.tree_learning import (
 
 def grid_splits(d=2, count=7):
     return [
-        SplitFunction(threshold=(r + 1) / (count + 1), feature=j, hid=j * count + r)
+        SplitFunction(threshold=(r + 1) / (count + 1), feature=j)
         for j in range(d)
         for r in range(count)
     ]
@@ -204,7 +204,7 @@ class TestNoisyCounts:
         # has std sqrt(k * 2 * scale^2).
         k, h_size, alpha = 4, 100, 1.0
         empty = LabeledDataset(np.empty((0, 1)), np.empty(0, dtype=int), 2)
-        splits = [SplitFunction(threshold=0.5, feature=0, hid=i) for i in range(h_size)]
+        splits = [SplitFunction(threshold=0.5, feature=0) for _ in range(h_size)]
         pool = EntityPool.from_shards([empty] * k, RandomSource(8), splits, Criterion.ENTROPY)
         ledger = PrivacyLedger(100.0)
         cells = []
@@ -223,8 +223,8 @@ class TestNoisyCounts:
         X = rng.uniform(size=(n, 2))
         y = (X[:, 0] > 0.5).astype(int)
         ds = LabeledDataset(X, y, 2)
-        splits = [SplitFunction(threshold=0.5, feature=0, hid=0)] + [
-            SplitFunction(threshold=0.1 + 0.2 * i, feature=1, hid=1 + i) for i in range(9)
+        splits = [SplitFunction(threshold=0.5, feature=0)] + [
+            SplitFunction(threshold=0.1 + 0.2 * i, feature=1) for i in range(9)
         ]
         pool = make_pool(ds, 4, splits, seed=2)
         hits = 0
@@ -470,7 +470,8 @@ class TestEntityRowCache:
         queries = data.draw(st.lists(st.sampled_from(random_tree_paths(data, splits)), max_size=25))
         entity = Entity(0, BinnedFeatures(ds, splits), RandomSource(0), Criterion.ENTROPY)
         for path in queries:
-            assert np.array_equal(entity.leaf_rows(path), replayed_rows(ds, path))
+            rows, _ = entity.leaf_rows(path)
+            assert np.array_equal(rows, replayed_rows(ds, path))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -488,8 +489,8 @@ class TestEntityRowCache:
         queries = data.draw(st.lists(st.sampled_from(random_tree_paths(data, splits)), max_size=25))
         entity = Entity(0, BinnedFeatures(ds, splits), RandomSource(0), Criterion.ENTROPY)
         for path in queries:
-            rows = entity.leaf_rows(path)
-            tables = split_count_tables(entity.binned, rows, splits, entity.leaf_counts(path))
+            rows, counts = entity.leaf_rows(path)
+            tables = split_count_tables(entity.binned, rows, splits, counts)
             assert np.array_equal(tables, fresh_tables(ds, replayed_rows(ds, path), splits))
 
     def test_cut_counts_only_the_smaller_child(self, monkeypatch):
@@ -507,8 +508,8 @@ class TestEntityRowCache:
         assert counted == [ds.n] + [replayed_rows(ds, path).size for path in smaller]
         assert counted[1] < ds.n / 2 and counted[2] < (ds.n - counted[1]) / 2
         for path in entity._leaves:
-            tables = split_count_tables(entity.binned, entity.leaf_rows(path), splits,
-                                        entity.leaf_counts(path))
+            rows, counts = entity.leaf_rows(path)
+            tables = split_count_tables(entity.binned, rows, splits, counts)
             assert np.array_equal(tables, fresh_tables(ds, replayed_rows(ds, path), splits))
         assert len(counted) == 3  # serving cached leaves counts nothing again
 
@@ -528,7 +529,8 @@ class TestEntityRowCache:
         entity = Entity(0, BinnedFeatures(ds, splits), RandomSource(0), Criterion.ENTROPY)
         left, right = ((splits[1], 0),), ((splits[1], 1),)
         for path in ((), left, (), right, left + ((splits[4], 1),), left, ()):
-            assert np.array_equal(entity.leaf_rows(path), replayed_rows(ds, path))
+            rows, _ = entity.leaf_rows(path)
+            assert np.array_equal(rows, replayed_rows(ds, path))
 
     def test_learner_query_order_caches_each_row_once(self):
         ds, splits = planted_dataset(RandomSource(3), n=3000), grid_splits()
@@ -565,10 +567,8 @@ class TestEntityRowCache:
             """Replays every path over its float shard `piece`."""
 
             def leaf_rows(self, path):
-                return replayed_rows(self.piece, path)
-
-            def leaf_counts(self, path):
-                return self.binned.cumulative(replayed_rows(self.piece, path))
+                rows = replayed_rows(self.piece, path)
+                return rows, self.binned.cumulative(rows)
 
         ds, splits = planted_dataset(RandomSource(4), n=2500), grid_splits()
         runs = []

@@ -51,7 +51,7 @@ def oracle_table(labels, sides, n_classes):
 
 def grid_splits(d=2, count=7):
     return [
-        SplitFunction(threshold=(r + 1) / (count + 1), feature=j, hid=j * count + r)
+        SplitFunction(threshold=(r + 1) / (count + 1), feature=j)
         for j in range(d)
         for r in range(count)
     ]
@@ -264,24 +264,24 @@ class TestTreeStructure:
 class TestSplitHash:
     @staticmethod
     def splits():
-        return [SplitFunction(0.25, feature=1, hid=4), SplitFunction(0.5, block=(0, 2), hid=9)]
-
-    def test_equal_splits_hash_equal_whatever_their_hid(self):
-        for split in self.splits():
-            twin = dataclasses.replace(split, hid=None)
-            assert twin == split and hash(twin) == hash(split)
-            assert {((split, 0), (split, 1)): "leaf"}[((twin, 0), (twin, 1))] == "leaf"
+        return [SplitFunction(0.25, feature=1), SplitFunction(0.5, block=(0, 2))]
 
     def test_hash_survives_pickling_across_processes(self):
         # hash(None) differs between processes, so a pickled hash would go stale.
+        # The pickle rebuilds a split from its fields, so it must carry all of them.
+        assert [f.name for f in dataclasses.fields(SplitFunction)] == ["threshold", "feature", "block"]
         code = ("import pickle, sys; from dptree.tree_learning import SplitFunction; "
                 f"sys.stdout.write(pickle.dumps({self.splits()!r}).hex())")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         for loaded, fresh in zip(pickle.loads(bytes.fromhex(done.stdout)), self.splits(), strict=True):
-            assert loaded == fresh and loaded.hid == fresh.hid
+            assert loaded == fresh
             assert hash(loaded) == hash(fresh)
             assert hash(pickle.loads(pickle.dumps(fresh))) == hash(fresh)
+            # Equal splits made apart hash equal, so they key the same cached path.
+            twin = dataclasses.replace(fresh)
+            assert twin is not fresh and twin == fresh and hash(twin) == hash(fresh)
+            assert {((fresh, 0), (fresh, 1)): "leaf"}[((twin, 0), (twin, 1))] == "leaf"
 
 
 class TestPotential:
