@@ -14,7 +14,7 @@ from dataclasses import asdict
 import click
 
 from .dp_core import BudgetExceededError, InvalidParameterError, zero_noise
-from .data_io import DataError, _finite, _int
+from .data_io import DataError, _finite, _int, _text, read_object
 from .dp_topdown import schedule_from_name
 from .experiments import (
     ConfigError,
@@ -111,10 +111,38 @@ def summarize_cmd(in_path, out_path):
     _guarded(body)
 
 
+def _dataset_requirement(h_size, splitter="rnm", schedule="uniform", **params) -> dict:
+    """`dataset_requirement_breakdown` from its flat parameters: the three
+    terms and the requirement."""
+    params["schedule"] = schedule_from_name(schedule, params["max_nodes"])
+    breakdown = dataset_requirement_breakdown(WeakLearningParams(**params), splitter, h_size)
+    return {**asdict(breakdown), "value": breakdown.required}
+
+
+# Each subcommand's calculator and the cast of each of its parameters, keyed
+# by the calculator's own parameter names.
+THEORY = {
+    "sensitivity": (sensitivity_bound, {"criterion": lambda v: Criterion.from_name(_text(v)), "m": _int}),
+    "rnm-bound": (
+        rnm_sample_bound, {"zeta": _finite, "alpha": _finite, "delta": _finite, "h_size": _int}
+    ),
+    "noisycounts-bound": (
+        noisycounts_sample_bound,
+        {"zeta": _finite, "alpha": _finite, "delta": _finite, "k": _int, "h_size": _int},
+    ),
+    "recurrence": (boosting_recurrence, {"error": _finite, "gamma": _finite, "slowdown": _finite}),
+    "dataset-requirement": (
+        _dataset_requirement,
+        {"gamma": _finite, "error": _finite, "delta": _finite, "max_nodes": _int, "alpha": _finite,
+         "entities": _int, "schedule": _text, "splitter": _text, "h_size": _int},
+    ),
+}
+# The parameters that have defaults; every other one is required.
+THEORY_DEFAULTED = {"slowdown", "entities", "schedule", "splitter"}
+
+
 @main.command()
-@click.argument("subcommand", type=click.Choice(
-    ["sensitivity", "rnm-bound", "noisycounts-bound", "recurrence", "dataset-requirement"]
-))
+@click.argument("subcommand", type=click.Choice(list(THEORY)))
 @click.option("--params", "params_json", required=True, help="JSON object of parameters.")
 def theory(subcommand, params_json):
     """Evaluate one of the analysis calculators; echoes inputs and output."""
@@ -124,57 +152,11 @@ def theory(subcommand, params_json):
             params = json.loads(params_json)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--params is not valid JSON: {exc}")
-        if not isinstance(params, dict):
-            raise ConfigError(f"--params must be a JSON object, got {type(params).__name__}")
-
-        def param(name, cast, default=None):
-            value = params.get(name, default)
-            if value is None:
-                raise ConfigError(f"missing parameter {name!r}")
-            try:
-                return cast(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"parameter {name!r} has a bad value {value!r}")
-
-        if subcommand == "sensitivity":
-            value = sensitivity_bound(Criterion.from_name(param("criterion", str)), param("m", _int))
-        elif subcommand == "rnm-bound":
-            value = rnm_sample_bound(
-                param("zeta", _finite), param("alpha", _finite), param("delta", _finite),
-                param("h_size", _int),
-            )
-        elif subcommand == "noisycounts-bound":
-            value = noisycounts_sample_bound(
-                param("zeta", _finite), param("alpha", _finite), param("delta", _finite),
-                param("k", _int), param("h_size", _int),
-            )
-        elif subcommand == "recurrence":
-            value = boosting_recurrence(
-                param("error", _finite), param("gamma", _finite), slowdown=param("slowdown", _finite, 4),
-            )
-        else:
-            max_nodes = param("max_nodes", _int)
-            wl = WeakLearningParams(
-                gamma=param("gamma", _finite),
-                error=param("error", _finite),
-                delta=param("delta", _finite),
-                max_nodes=max_nodes,
-                alpha=param("alpha", _finite),
-                entities=param("entities", _int, 1),
-                schedule=schedule_from_name(param("schedule", str, "uniform"), max_nodes),
-            )
-            breakdown = dataset_requirement_breakdown(
-                wl, param("splitter", str, "rnm"), param("h_size", _int)
-            )
-            click.echo(json.dumps({
-                "inputs": params,
-                "weight_term": breakdown.weight_term,
-                "leaf_term": breakdown.leaf_term,
-                "split_term": breakdown.split_term,
-                "value": breakdown.required,
-            }, sort_keys=True))
-            return
-        click.echo(json.dumps({"inputs": params, "value": value}, sort_keys=True))
+        calculator, casts = THEORY[subcommand]
+        required = [name for name in casts if name not in THEORY_DEFAULTED]
+        result = calculator(**read_object(params, casts, "--params", required, ConfigError))
+        terms = result if isinstance(result, dict) else {"value": result}
+        click.echo(json.dumps({"inputs": params, **terms}, sort_keys=True))
 
     _guarded(body)
 

@@ -3,6 +3,11 @@ encoding, splitting-class construction from declared (public) feature ranges,
 train/test splitting, and uniform random partitioning across simulated data
 holders.
 
+Each input format has one reader, and each fails closed. A JSON object, of a
+schema or of a config or theory parameters, is read by `read_object`, which
+refuses a key its table does not list. A CSV file is read by one vectorized
+pass; see `load_csv` for its number grammar and the constructs it refuses.
+
 Thresholds always come from schema-declared ranges, never from data minima or
 maxima: data-derived thresholds would leak outside the privacy accounting.
 """
@@ -14,6 +19,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -28,6 +34,17 @@ class DataError(ValueError):
 # ---------------------------------------------------------------------------
 # Schema
 # ---------------------------------------------------------------------------
+
+
+def _declared_values(values, owner: str) -> tuple:
+    """Declared values as text, as cells are matched. Duplicates are refused,
+    and so is a NUL, which numpy strings drop from the end of a cell."""
+    values = tuple(str(v) for v in values)
+    if len(set(values)) != len(values):
+        raise InvalidParameterError(f"{owner}: duplicate values in {values}")
+    if any("\0" in v for v in values):
+        raise InvalidParameterError(f"{owner}: a declared value holds a NUL: {values}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -47,12 +64,9 @@ class CategoricalFeature:
     values: tuple
 
     def __post_init__(self):
-        # Cells are matched as text, as the label set is.
-        object.__setattr__(self, "values", tuple(str(v) for v in self.values))
+        object.__setattr__(self, "values", _declared_values(self.values, f"feature {self.name}"))
         if len(self.values) < 1:
             raise InvalidParameterError(f"feature {self.name}: needs at least one value")
-        if len(set(self.values)) != len(self.values):
-            raise InvalidParameterError(f"feature {self.name}: duplicate values in {self.values}")
 
 
 @dataclass(frozen=True)
@@ -96,11 +110,9 @@ class DataSchema:
     splits: SplittingSpec = field(default_factory=SplittingSpec)
 
     def __post_init__(self):
-        self.label_values = tuple(str(v) for v in self.label_values)
+        self.label_values = _declared_values(self.label_values, "label set")
         if len(self.label_values) < 2:
             raise InvalidParameterError("label set must declare at least two values")
-        if len(set(self.label_values)) != len(self.label_values):
-            raise InvalidParameterError(f"duplicate values in label set {self.label_values}")
         names = [f.name for f in self.features] + [self.label_name]
         if len(set(names)) != len(names):
             raise InvalidParameterError("duplicate column names in schema")
@@ -133,9 +145,6 @@ class DataSchema:
         return len(self.encoded_columns())
 
 
-_REQUIRED = object()
-
-
 def _int(value) -> int:
     # JSON true and 6.9 are not integers; int() would make them 1 and 6.
     if not isinstance(value, int) or isinstance(value, bool):
@@ -158,73 +167,91 @@ def _finite(value) -> float:
     return number
 
 
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
+def _json_type(kind: type, what: str):
+    """The cast that passes a JSON value of type `kind` and refuses any other."""
+
+    def cast(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {what}, got {value!r}")
+        return value
+
+    return cast
 
 
-def _items(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {value!r}")
-    return value
+_text = _json_type(str, "a string")
+_items = _json_type(list, "a list")
+_object = _json_type(dict, "a JSON object")
 
 
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {value!r}")
-    return value
+def read_object(doc, casts: dict, where: str, required=(), error: type = DataError) -> dict:
+    """{key: casts[key](value)} for each key of one JSON object `doc`.
 
-
-def _entry(doc, key: str, cast, where: str, default=_REQUIRED):
-    """cast(doc[key]) from one JSON object of a schema; a missing key or a
-    value its cast rejects raises DataError naming the key."""
+    A non-object, a key `casts` does not list, a missing key of `required`,
+    or a value its cast refuses raises `error`, which names `where` and the
+    key. Absent optional keys are left out, so the caller's defaults apply.
+    """
     if not isinstance(doc, dict):
-        raise DataError(f"{where} must be a JSON object, got {type(doc).__name__}")
-    if key not in doc:
-        if default is _REQUIRED:
-            raise DataError(f"{where} is missing key {key!r}")
-        return default
-    try:
-        return cast(doc[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{where} key {key!r} has a bad value: {exc}")
+        raise error(f"{where} must be a JSON object, got {type(doc).__name__}")
+    for key in required:
+        if key not in doc:
+            raise error(f"{where} is missing required key {key!r}")
+    fields = {}
+    for key, value in doc.items():
+        if key not in casts:
+            raise error(f"{where} has unknown key {key!r}")
+        try:
+            fields[key] = casts[key](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise error(f"{where} key {key!r} has a bad value: {exc}")
+    return fields
+
+
+# Feature kind -> (cast of each key, the feature from the cast values).
+# Not _finite for the range: the feature's own check rejects a NaN or an
+# infinite bound.
+_FEATURE_KINDS = {
+    "continuous": (
+        {"name": _text, "kind": _text, "min": _number, "max": _number},
+        lambda f: ContinuousFeature(f["name"], f["min"], f["max"]),
+    ),
+    "categorical": (
+        {"name": _text, "kind": _text, "values": _items},
+        lambda f: CategoricalFeature(f["name"], tuple(f["values"])),
+    ),
+}
+_ANY_FEATURE = {key: cast for casts, _ in _FEATURE_KINDS.values() for key, cast in casts.items()}
+_SCHEMA_KEYS = {"features": _items, "label": _object, "splits": _object}
+_LABEL_KEYS = {"name": _text, "values": _items}
+_SPLITS_KEYS = {"default_thresholds": _int, "per_feature": _object, "blocks": _items}
+_BLOCK_KEYS = {
+    "columns": lambda v: tuple(_int(c) for c in _items(v)),
+    "thresholds": lambda v: tuple(_finite(t) for t in _items(v)),
+}
 
 
 def schema_from_dict(doc: dict) -> DataSchema:
-    """DataSchema from a parsed JSON schema. A missing key or a value of the
-    wrong type raises DataError; a value the schema's own checks reject
-    raises InvalidParameterError."""
+    """DataSchema from a parsed JSON schema. A non-object, an unknown or
+    missing key, or a value of the wrong type raises DataError; a value the
+    schema's own checks reject raises InvalidParameterError."""
+    top = read_object(doc, _SCHEMA_KEYS, "schema", ("features", "label"))
     features = []
-    for i, item in enumerate(_entry(doc, "features", _items, "schema")):
+    for i, item in enumerate(top["features"]):
         where = f"schema feature {i}"
-        name = _entry(item, "name", _text, where)
-        kind = _entry(item, "kind", _text, where, "continuous")
-        if kind == "continuous":
-            # Not _finite: the feature's own range check rejects a NaN or an
-            # infinite bound.
-            lo, hi = _entry(item, "min", _number, where), _entry(item, "max", _number, where)
-            features.append(ContinuousFeature(name, lo, hi))
-        elif kind == "categorical":
-            features.append(CategoricalFeature(name, tuple(_entry(item, "values", _items, where))))
-        else:
-            raise DataError(f"unknown feature kind {kind!r} for {name!r}")
-    splits_doc = _entry(doc, "splits", _object, "schema", {})
-    per_feature = _entry(splits_doc, "per_feature", _object, "schema splits", {})
-    blocks = []
-    for j, block in enumerate(_entry(splits_doc, "blocks", _items, "schema splits", [])):
-        where = f"schema block {j}"
-        columns = _entry(block, "columns", lambda v: tuple(_int(c) for c in _items(v)), where)
-        thresholds = _entry(block, "thresholds", lambda v: tuple(_finite(t) for t in _items(v)), where)
-        blocks.append(BlockSpec(columns, thresholds))
-    splits = SplittingSpec(
-        default_thresholds=_entry(splits_doc, "default_thresholds", _int, "schema splits", 10),
-        per_feature={str(k): _entry(per_feature, k, _int, "schema splits.per_feature") for k in per_feature},
-        blocks=blocks,
-    )
-    label = _entry(doc, "label", _object, "schema")
-    label_values = tuple(_entry(label, "values", _items, "schema label"))
-    return DataSchema(features, _entry(label, "name", _text, "schema label"), label_values, splits)
+        kind = read_object(item, _ANY_FEATURE, where).get("kind", "continuous")
+        if kind not in _FEATURE_KINDS:
+            raise DataError(f"{where} has unknown kind {kind!r}")
+        casts, build = _FEATURE_KINDS[kind]
+        features.append(build(read_object(item, casts, where, [key for key in casts if key != "kind"])))
+    splits = read_object(top.get("splits", {}), _SPLITS_KEYS, "schema splits")
+    # Any name may key a count; DataSchema checks that it names a continuous feature.
+    counts = splits.get("per_feature", {})
+    splits["per_feature"] = read_object(counts, dict.fromkeys(counts, _int), "schema splits.per_feature")
+    splits["blocks"] = [
+        BlockSpec(**read_object(block, _BLOCK_KEYS, f"schema block {j}", _BLOCK_KEYS))
+        for j, block in enumerate(splits.get("blocks", []))
+    ]
+    label = read_object(top["label"], _LABEL_KEYS, "schema label", _LABEL_KEYS)
+    return DataSchema(features, label["name"], tuple(label["values"]), SplittingSpec(**splits))
 
 
 def load_schema(path) -> DataSchema:
@@ -280,28 +307,30 @@ def load_csv(path, schema: DataSchema) -> LabeledDataset:
 
     Categorical features one-hot expand (one 0/1 column per declared value);
     labels map to indices into the declared label set; row order is kept.
-    Any missing column, row of the wrong width, unparseable cell,
-    out-of-range value, or undeclared category fails with the offending row
-    number, and a byte that is not UTF-8 or a cell over the csv field size
-    limit with its line number, each as DataError.
 
-    One vectorized `np.loadtxt` pass, checked with array operations, takes a
-    file whose every record is one line ending in '\\n', '\\r\\n', '\\r' or
-    the end of the file, and whose every cell passes; quoted cells as
-    `csv.writer` writes them are taken. Anything else (a blank line, a line
-    break inside quotes, a NUL or \\x1c-\\x1f byte, a line longer than the
-    csv field size limit, a cell `np.loadtxt` cannot parse, or any failed
-    check) is re-scanned by the row loop, which names the first bad row, or
-    returns its own dataset if it accepts the file. The result is the row
-    loop's on every input.
+    One `np.loadtxt` pass reads the file and array operations check it.
+    Every record is one line ending in '\\n', '\\r\\n', '\\r' or the end of
+    the file; cells may be quoted as `csv.writer` quotes them. A number is
+    what float() reads, less underscores and non-ASCII characters inside
+    the whitespace around it: `1_0` and `\\u0661` do not parse.
+
+    Every failure is a DataError. A missing column, a row of the wrong
+    width, an unparseable cell, an out-of-range value or an undeclared
+    category names the first row that has one; a byte that is not UTF-8 or
+    a cell over the csv field size limit names its line. A file that has
+    none of these but holds a line break inside quotes, a NUL or
+    \\x1c-\\x1f byte, or a line over the csv field size limit is refused
+    as a whole.
     """
     dataset = _load_csv_vectorized(path, schema)
-    return dataset if dataset is not None else _load_csv_rows(path, schema)
+    if dataset is None:
+        _refuse(path, schema)
+    return dataset
 
 
-# Bytes that np.loadtxt reads differently from the row loop: a string cell
+# Bytes that np.loadtxt reads differently from csv.reader: a string cell
 # drops its trailing NULs, and numpy's float parser skips \x1c-\x1f as
-# whitespace where Python's float() rejects them.
+# whitespace.
 _UNSAFE_BYTES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
@@ -318,8 +347,10 @@ def _count_lines(path) -> int | None:
             # The last line may go on in the next chunk, and a final '\r' may
             # be the first half of '\r\n': carry it over.
             *complete, tail = (tail + chunk).splitlines(keepends=True)
+            # The limit counts characters, which bytes bound from above.
             if len(tail) > limit or max(map(len, complete), default=0) > limit:
-                return None
+                if any(len(line.decode("utf-8", "replace")) > limit for line in (*complete, tail)):
+                    return None
             lines += len(complete)
     return lines + bool(tail)
 
@@ -331,15 +362,11 @@ def _text_dtype(values) -> str:
 
 
 def _load_csv_vectorized(path, schema: DataSchema) -> LabeledDataset | None:
-    """The row loop's dataset from one np.loadtxt pass and array checks, or
-    None as soon as a check fails."""
+    """The dataset from one np.loadtxt pass and array checks, or None as
+    soon as a check fails."""
     kinds = {schema.label_name: _text_dtype(schema.label_values)}
     for feat in schema.features:
         kinds[feat.name] = "f8" if isinstance(feat, ContinuousFeature) else _text_dtype(feat.values)
-    # Declared "a\0" would match cell "a", as numpy strings drop trailing NULs.
-    declared = [schema.label_values] + [f.values for f in schema.features if isinstance(f, CategoricalFeature)]
-    if any("\0" in value for values in declared for value in values):
-        return None
     try:
         lines = _count_lines(path)
         if lines is None:
@@ -352,16 +379,18 @@ def _load_csv_vectorized(path, schema: DataSchema) -> LabeledDataset | None:
             # Every header column is parsed, so a row of another width fails.
             dtype = {f"c{i}": "U1" for i in range(len(header))}
             dtype.update((field_of[name], kind) for name, kind in kinds.items())
+            dtype = list(dtype.items())
             with warnings.catch_warnings():
-                # loadtxt only warns on a file with no data rows.
+                # loadtxt only warns on a file with no data rows; a file of
+                # just the header never reaches it.
                 warnings.simplefilter("error")
                 table = np.loadtxt(
-                    fh, dtype=list(dtype.items()), delimiter=",", quotechar='"', comments=None, ndmin=1
-                )
+                    fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+                ) if lines > 1 else np.zeros(0, dtype)
     except (OSError, ValueError, UserWarning, csv.Error):
         return None
-    # loadtxt skips a blank line, which the row loop rejects, and reads a
-    # quoted line break into its cell: either leaves fewer rows than lines.
+    # loadtxt skips a blank line and reads a quoted line break into its
+    # cell: either leaves fewer rows than lines.
     if len(table) != lines - 1:
         return None
 
@@ -421,62 +450,52 @@ def _csv_rows(path, fh):
         yield row
 
 
-def _load_csv_rows(path, schema: DataSchema) -> LabeledDataset:
-    """The row loop: parses the file row by row and raises DataError naming
-    the first bad row."""
+def _refuse(path, schema: DataSchema) -> NoReturn:
+    """The DataError for a file the vectorized pass refused: scans the rows
+    and names the first bad one, or, if every row passes, what the pass
+    cannot read."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
     with fh:
         reader = _csv_rows(path, fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty file, expected a header row")
         positions = {}
         for column in [f.name for f in schema.features] + [schema.label_name]:
             if column not in header:
                 raise DataError(f"{path}: missing column {column!r}")
             positions[column] = header.index(column)
-
-        rows, labels = [], []
-        label_index = {v: i for i, v in enumerate(schema.label_values)}
         for row_number, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{row_number}: expected {len(header)} columns, got {len(row)}"
-                )
-            encoded = []
+                raise DataError(f"{path}:{row_number}: expected {len(header)} columns, got {len(row)}")
             for feat in schema.features:
                 cell = row[positions[feat.name]]
-                if isinstance(feat, ContinuousFeature):
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{row_number}: cannot parse {cell!r} as a number for {feat.name!r}"
-                        )
-                    if not feat.lo <= value <= feat.hi:
-                        raise DataError(
-                            f"{path}:{row_number}: {feat.name}={value} outside declared "
-                            f"range [{feat.lo}, {feat.hi}]"
-                        )
-                    encoded.append(value)
-                else:
+                if isinstance(feat, CategoricalFeature):
                     if cell not in feat.values:
-                        raise DataError(
-                            f"{path}:{row_number}: {cell!r} not a declared value of {feat.name!r}"
-                        )
-                    encoded.extend(1.0 if cell == v else 0.0 for v in feat.values)
-            label_cell = row[positions[schema.label_name]]
-            if label_cell not in label_index:
-                raise DataError(f"{path}:{row_number}: label {label_cell!r} not in declared label set")
-            rows.append(encoded)
-            labels.append(label_index[label_cell])
-
-    features = np.array(rows, dtype=float) if rows else np.empty((0, schema.n_encoded))
-    return LabeledDataset(features, np.array(labels, dtype=np.int64), schema.n_classes)
+                        raise DataError(f"{path}:{row_number}: {cell!r} not a declared value of {feat.name!r}")
+                    continue
+                # np.loadtxt's number grammar: float()'s, less underscores
+                # and non-ASCII characters inside the whitespace around it.
+                try:
+                    if "_" in cell or not cell.strip().isascii():
+                        raise ValueError(cell)
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(f"{path}:{row_number}: cannot parse {cell!r} as a number for {feat.name!r}")
+                if not feat.lo <= value <= feat.hi:
+                    raise DataError(
+                        f"{path}:{row_number}: {feat.name}={value} outside declared range [{feat.lo}, {feat.hi}]"
+                    )
+            label = row[positions[schema.label_name]]
+            if label not in schema.label_values:
+                raise DataError(f"{path}:{row_number}: label {label!r} not in declared label set")
+    raise DataError(
+        f"{path}: cannot read a line break inside quotes, a NUL or \\x1c-\\x1f byte, "
+        f"or a line longer than the csv field size limit of {csv.field_size_limit()}"
+    )
 
 
 def write_csv(dataset: LabeledDataset, schema: DataSchema, path) -> None:
@@ -575,31 +594,30 @@ def synthetic_schema(n_features: int = 3, thresholds: int = 7) -> DataSchema:
     )
 
 
+# The truth trees' thresholds, level by level: level d splits every node of
+# depth d on feature d, left to right. Each tree is a prefix of the deepest.
+_TRUTH_LEVELS = ((0.5,), (0.25, 0.75), (0.5, 0.25, 0.75, 0.5))
+
+
 def _truth_tree(depth: int) -> "object":
-    """A fixed threshold tree over grid thresholds whose labels give every
-    level positive split gain, so greedy learners can recover it."""
+    """A fixed threshold tree over grid thresholds whose alternating leaf
+    labels give every level positive split gain, so greedy learners can
+    recover it."""
     from .tree_learning import DecisionTree
 
+    if depth not in (2, 3):
+        raise InvalidParameterError(f"no built-in truth tree of depth {depth}")
     tree = DecisionTree()
-    if depth == 2:
-        left, right = tree.split_leaf(tree.root, SplitFunction(threshold=0.5, feature=0))
-        ll, lr = tree.split_leaf(left, SplitFunction(threshold=0.25, feature=1))
-        rl, rr = tree.split_leaf(right, SplitFunction(threshold=0.75, feature=1))
-        for leaf, label in ((ll, 1), (lr, 0), (rl, 1), (rr, 0)):
-            leaf.label = label
-        return tree
-    if depth == 3:
-        left, right = tree.split_leaf(tree.root, SplitFunction(threshold=0.5, feature=0))
-        ll, lr = tree.split_leaf(left, SplitFunction(threshold=0.25, feature=1))
-        rl, rr = tree.split_leaf(right, SplitFunction(threshold=0.75, feature=1))
-        a, b = tree.split_leaf(ll, SplitFunction(threshold=0.5, feature=2))
-        c, d = tree.split_leaf(lr, SplitFunction(threshold=0.25, feature=2))
-        e, f = tree.split_leaf(rl, SplitFunction(threshold=0.75, feature=2))
-        g, h = tree.split_leaf(rr, SplitFunction(threshold=0.5, feature=2))
-        for leaf, label in ((a, 1), (b, 0), (c, 1), (d, 0), (e, 1), (f, 0), (g, 1), (h, 0)):
-            leaf.label = label
-        return tree
-    raise InvalidParameterError(f"no built-in truth tree of depth {depth}")
+    level = [tree.root]
+    for feature, thresholds in enumerate(_TRUTH_LEVELS[:depth]):
+        level = [
+            child
+            for node, threshold in zip(level, thresholds)
+            for child in tree.split_leaf(node, SplitFunction(threshold=threshold, feature=feature))
+        ]
+    for i, leaf in enumerate(level):
+        leaf.label = 1 - i % 2
+    return tree
 
 
 def synthetic_tree_dataset(

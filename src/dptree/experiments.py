@@ -28,11 +28,14 @@ from .data_io import (
     _finite,
     _int,
     _items,
+    _json_type,
+    _object,
     _text,
     build_splitting_class,
     load_csv,
     load_schema,
     partition,
+    read_object,
     train_test_split,
 )
 from .dp_topdown import DPTopDownConfig, dp_topdown, schedule_from_name
@@ -131,70 +134,43 @@ class ExperimentConfig:
         ]
 
 
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
+_flag = _json_type(bool, "true or false")
 
 
 def _floats(value) -> list:
     return [_finite(item) for item in _items(value)]
 
 
-# Config key -> (ExperimentConfig field, cast of its JSON value). Absent keys
-# are not passed, so the field defaults of ExperimentConfig are the only ones.
-# The "data" section goes through _DATA_KEYS in turn.
+# The cast of each config key's JSON value. Absent keys are not passed, so
+# the field defaults of ExperimentConfig are the only ones. The "data"
+# section is read with _DATA_KEYS in turn.
 _CONFIG_KEYS = {
-    "schema": ("schema_path", _text),
-    "data": ("data", lambda section: section),
-    "algorithm": ("algorithm", _text),
-    "alphas": ("alphas", _floats),
-    "lpfs": ("lpfs", _floats),
-    "train_fractions": ("train_fractions", _floats),
-    "entities": ("entities", _int),
-    "max_nodes": ("max_nodes", _int),
-    "error": ("error", _finite),
-    "criterion": ("criterion", _text),
-    "schedule": ("schedule", _text),
-    "min_gain": ("min_gain", _finite),
-    "runs": ("runs", _int),
-    "seed": ("seed", _int),
-    "zero_noise": ("zero_noise", _flag),
+    "schema": _text,
+    "data": _object,
+    "algorithm": _text,
+    "alphas": _floats,
+    "lpfs": _floats,
+    "train_fractions": _floats,
+    "entities": _int,
+    "max_nodes": _int,
+    "error": _finite,
+    "criterion": _text,
+    "schedule": _text,
+    "min_gain": _finite,
+    "runs": _int,
+    "seed": _int,
+    "zero_noise": _flag,
 }
-_DATA_KEYS = {
-    "train": ("train_path", _text),
-    "test": ("test_path", _text),
-    "csv": ("csv_path", _text),
-    "ratio": ("ratio", tuple),
-    "split_seed": ("split_seed", _int),
-}
-
-
-def _cast_keys(doc, keys: dict, prefix: str) -> dict:
-    """ExperimentConfig fields from one JSON object; an unknown key or a
-    value its cast rejects raises ConfigError naming the key."""
-    if not isinstance(doc, dict):
-        where = prefix.rstrip(".") or "config"
-        raise ConfigError(f"{where} must be a JSON object, got {type(doc).__name__}")
-    fields = {}
-    for key, value in doc.items():
-        if key not in keys:
-            raise ConfigError(f"unknown config key {prefix}{key!r}")
-        name, cast = keys[key]
-        try:
-            fields[name] = cast(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"config key {prefix}{key!r} has a bad value: {exc}")
-    return fields
+_DATA_KEYS = {"train": _text, "test": _text, "csv": _text, "ratio": tuple, "split_seed": _int}
+# Keys whose ExperimentConfig field has another name.
+_FIELD_OF = {"schema": "schema_path", "train": "train_path", "test": "test_path", "csv": "csv_path"}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """ExperimentConfig from a parsed JSON config, or ConfigError."""
-    fields = _cast_keys(doc, _CONFIG_KEYS, "")
-    fields.update(_cast_keys(fields.pop("data", {}), _DATA_KEYS, "data."))
-    if "schema_path" not in fields:
-        raise ConfigError("config is missing required key 'schema'")
-    return ExperimentConfig(**fields)
+    fields = read_object(doc, _CONFIG_KEYS, "config", ("schema",), ConfigError)
+    fields.update(read_object(fields.pop("data", {}), _DATA_KEYS, "config data", error=ConfigError))
+    return ExperimentConfig(**{_FIELD_OF.get(key, key): value for key, value in fields.items()})
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -25,7 +25,8 @@ ITERATION_CAP = 10**9
 
 
 class CapExceededError(RuntimeError):
-    """The boosting recurrence failed to reach the target within the cap."""
+    """The boosting recurrence failed to reach the target within the cap,
+    or stalled short of it."""
 
 
 def _finite_positive(value, what: str) -> float:
@@ -151,7 +152,9 @@ def boosting_recurrence(
     decrease). The count of the first t with G_t <= error is returned; the
     boundary t=1 covers targets already met by the start value. The count is
     superpolynomial in 1/error and blows up fast for small gamma, hence the
-    iteration cap.
+    iteration cap. The decrement only shrinks as t grows, so a step that
+    leaves the float potential unchanged stalls it for good, and raises at
+    once.
     """
     if not 0.0 < error <= 1.0:
         raise InvalidParameterError(f"error must lie in (0, 1], got {error}")
@@ -164,7 +167,10 @@ def boosting_recurrence(
     log2 = math.log2
     t = 1
     while potential > error:
-        potential -= rate * potential / (t * log2(2.0 / potential))
+        step = potential - rate * potential / (t * log2(2.0 / potential))
+        if step == potential:
+            raise CapExceededError(f"recurrence stalls at step {t} with potential {potential}, above {error}")
+        potential = step
         t += 1
         if t > cap:
             raise CapExceededError(f"recurrence did not reach {error} within {cap} iterations")

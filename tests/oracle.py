@@ -17,14 +17,21 @@ package's label-major kernel must equal this gain bit for bit.
 sensitivity bounds by brute force: the first on sampled leaves with one row
 moved, the second on every two-label leaf of m rows with one row added,
 removed or moved.
+
+`load_csv_rows` is `load_csv` written as a row loop over `csv.reader`: it
+builds the dataset a cell at a time and must give the same dataset, or the
+same DataError, on every file.
 """
 
+import csv
 import heapq
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
+from dptree.data_io import ContinuousFeature, DataError, _csv_rows
 from dptree.dp_core import InvalidParameterError
 from dptree.tree_learning import (
     BinnedFeatures,
@@ -235,3 +242,77 @@ def worst_neighbor_change(criterion: Criterion, m: int) -> float:
         removed = package_gain((flat - unit).reshape(tables.shape), criterion)
         worst = max(worst, float(np.abs(removed - base)[present].max()))
     return worst
+
+
+def load_csv_rows(path, schema) -> LabeledDataset:
+    """The dataset of a CSV file, parsed row by row; DataError names the
+    first bad row. A number is what float() reads, less underscores and
+    non-ASCII characters other than whitespace. A file whose rows all pass
+    but that holds a line break inside quotes, a NUL or \\x1c-\\x1f byte, or
+    a line over the csv field size limit is refused as a whole."""
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}")
+    with fh:
+        reader = _csv_rows(path, fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, expected a header row")
+        positions = {}
+        for column in [f.name for f in schema.features] + [schema.label_name]:
+            if column not in header:
+                raise DataError(f"{path}: missing column {column!r}")
+            positions[column] = header.index(column)
+
+        # csv.reader puts a line break in a cell only from inside quotes.
+        quoted_break = any("\n" in cell or "\r" in cell for cell in header)
+        rows, labels = [], []
+        label_index = {v: i for i, v in enumerate(schema.label_values)}
+        for row_number, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}:{row_number}: expected {len(header)} columns, got {len(row)}"
+                )
+            quoted_break |= any("\n" in cell or "\r" in cell for cell in row)
+            encoded = []
+            for feat in schema.features:
+                cell = row[positions[feat.name]]
+                if isinstance(feat, ContinuousFeature):
+                    try:
+                        if any(c == "_" or not (c.isascii() or c.isspace()) for c in cell):
+                            raise ValueError(cell)
+                        value = float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}:{row_number}: cannot parse {cell!r} as a number for {feat.name!r}"
+                        )
+                    if not feat.lo <= value <= feat.hi:
+                        raise DataError(
+                            f"{path}:{row_number}: {feat.name}={value} outside declared "
+                            f"range [{feat.lo}, {feat.hi}]"
+                        )
+                    encoded.append(value)
+                else:
+                    if cell not in feat.values:
+                        raise DataError(
+                            f"{path}:{row_number}: {cell!r} not a declared value of {feat.name!r}"
+                        )
+                    encoded.extend(1.0 if cell == v else 0.0 for v in feat.values)
+            label_cell = row[positions[schema.label_name]]
+            if label_cell not in label_index:
+                raise DataError(f"{path}:{row_number}: label {label_cell!r} not in declared label set")
+            rows.append(encoded)
+            labels.append(label_index[label_cell])
+
+    data = Path(path).read_bytes()
+    limit = csv.field_size_limit()
+    if (quoted_break or any(byte in data for byte in b"\0\x1c\x1d\x1e\x1f")
+            or any(len(line.decode("utf-8")) > limit for line in data.splitlines(keepends=True))):
+        raise DataError(
+            f"{path}: cannot read a line break inside quotes, a NUL or \\x1c-\\x1f byte, "
+            f"or a line longer than the csv field size limit of {limit}"
+        )
+    features = np.array(rows, dtype=float) if rows else np.empty((0, schema.n_encoded))
+    return LabeledDataset(features, np.array(labels, dtype=np.int64), schema.n_classes)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -52,6 +53,66 @@ THEORY_PARAMS = {
         optional={"entities": COUNTS, "schedule": st.sampled_from(["uniform", "decay"]),
                   "splitter": st.sampled_from(["rnm", "noisy-counts"])}),
 }
+
+
+# A schema and config with an object at every level the readers know: a
+# continuous and a categorical feature, per-feature counts and a block.
+FUZZ_SCHEMA = {
+    "features": [{"name": "x0", "kind": "continuous", "min": 0.0, "max": 1.0},
+                 {"name": "c", "kind": "categorical", "values": ["a", "b"]}],
+    "label": {"name": "y", "values": ["0", "1"]},
+    "splits": {"default_thresholds": 3, "per_feature": {"x0": 2},
+               "blocks": [{"columns": [0, 1], "thresholds": [0.5]}]},
+}
+FUZZ_CSV = "x0,c,y\n" + "".join(f"{i / 40},{'ab'[i % 2]},{int(i >= 20)}\n" for i in range(40))
+# Keys without which a file describes no run.
+FUZZ_REQUIRED = {"schema", "data", "csv", "features", "label", "name", "min", "max", "values",
+                 "columns", "thresholds"}
+FUZZ_VALUES = [None, True, 0, 2.5, "text", [], {}, math.nan, math.inf, -math.inf]
+
+
+def fuzz_config(schema_path, csv_path):
+    return {"schema": str(schema_path), "data": {"csv": str(csv_path), "ratio": [3, 1], "split_seed": 0},
+            "algorithm": "single-rnm", "alphas": [1.0], "lpfs": [0.5], "train_fractions": [1.0],
+            "entities": 2, "max_nodes": 4, "error": 0.1, "criterion": "entropy", "schedule": "decay",
+            "min_gain": 0.01, "runs": 1, "seed": 0, "zero_noise": False}
+
+
+def json_nodes(doc, path=()):
+    """(path, value) of every value in a JSON document, the document first."""
+    yield path, doc
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from json_nodes(value, (*path, key))
+
+
+def mutate(doc, data):
+    """`doc` with one key dropped, one unknown key added to an object at any
+    level, or one value swapped for one of another type, NaN or Infinity;
+    returns the mutated document and whether it must not train."""
+    kind = data.draw(st.sampled_from(["none", "drop", "add", "swap"]), label="mutation")
+    if kind == "none":
+        return doc, False
+    nodes = list(json_nodes(doc))
+    if kind == "swap":
+        path, value = data.draw(st.sampled_from(nodes), label="value")
+        new = data.draw(st.sampled_from([v for v in FUZZ_VALUES if type(v) is not type(value)]), label="by")
+    else:
+        objects = [(path, value) for path, value in nodes if isinstance(value, dict) and (value or kind == "add")]
+        obj_path, obj = data.draw(st.sampled_from(objects), label="object")
+        if kind == "add":
+            path, new = obj_path, {**obj, "zz_unknown": 1}
+        else:
+            key = data.draw(st.sampled_from(sorted(obj)), label="key")
+            path, new = obj_path, {k: v for k, v in obj.items() if k != key}
+    if not path:
+        return new, kind == "add"
+    mutated = json.loads(json.dumps(doc))
+    parent = mutated
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = new
+    return mutated, kind == "add" or (kind == "drop" and key in FUZZ_REQUIRED)
 
 
 @pytest.fixture
@@ -155,8 +216,8 @@ class TestConfig:
             config_from_dict(bad)
 
     def test_every_field_has_exactly_one_config_key(self):
-        targets = [name for key, (name, _) in experiments._CONFIG_KEYS.items() if key != "data"]
-        targets += [name for name, _ in experiments._DATA_KEYS.values()]
+        keys = [key for key in [*experiments._CONFIG_KEYS, *experiments._DATA_KEYS] if key != "data"]
+        targets = [experiments._FIELD_OF.get(key, key) for key in keys]
         assert sorted(targets) == sorted(f.name for f in fields(experiments.ExperimentConfig))
 
     def test_data_cache_holds_latest_key_only(self, workspace):
@@ -535,7 +596,8 @@ class TestCli:
         assert result.output.startswith("error: ")
 
     def test_theory_recurrence_cap_exit_code(self, monkeypatch):
-        monkeypatch.setattr(cli, "boosting_recurrence", functools.partial(boosting_recurrence, cap=10))
+        _, casts = cli.THEORY["recurrence"]
+        monkeypatch.setitem(cli.THEORY, "recurrence", (functools.partial(boosting_recurrence, cap=10), casts))
         params = '{"error": 0.1, "gamma": 0.05}'
         result = CliRunner().invoke(main, ["theory", "recurrence", "--params", params])
         assert result.exit_code == 2, result.output
@@ -550,6 +612,54 @@ class TestCli:
         assert result.exit_code in (0, 2), (subcommand, params, result.exception)
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_train_fails_closed_on_mutated_inputs(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            schema_path, csv_path, config_path = (Path(tmp) / name for name in ("s.json", "d.csv", "c.json"))
+            csv_path.write_text(FUZZ_CSV)
+            target = data.draw(st.sampled_from(["schema", "config"]), label="file")
+            schema, config = FUZZ_SCHEMA, fuzz_config(schema_path, csv_path)
+            if target == "schema":
+                schema, refused = mutate(schema, data)
+            else:
+                config, refused = mutate(config, data)
+            schema_path.write_text(json.dumps(schema))
+            config_path.write_text(json.dumps(config))
+            result = CliRunner().invoke(main, ["train", "--config", str(config_path)])
+        assert result.exit_code in (0, 2, 3, 4), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        if refused:
+            assert result.exit_code != 0, (schema, config)
+
+    def test_theory_recurrence_stall_exit_code(self, monkeypatch):
+        # slowdown 1e308 makes the first decrement vanish against 1.0. The cap
+        # keeps a build that misses the stall from running 10**9 steps.
+        _, casts = cli.THEORY["recurrence"]
+        monkeypatch.setitem(cli.THEORY, "recurrence", (functools.partial(boosting_recurrence, cap=10**6), casts))
+        params = '{"error": 0.1, "gamma": 0.5, "slowdown": 1e308}'
+        result = CliRunner().invoke(main, ["theory", "recurrence", "--params", params])
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: recurrence stalls at step 1 with potential 1.0, above 0.1\n"
+
+    @pytest.mark.parametrize("subcommand, params", [
+        ("sensitivity", {"criterion": "gini", "m": 100}),
+        ("rnm-bound", {"zeta": 0.1, "alpha": 1, "delta": 0.05, "h_size": 159}),
+        ("noisycounts-bound", {"zeta": 0.1, "alpha": 1, "delta": 0.05, "k": 4, "h_size": 159}),
+        ("recurrence", {"error": 0.9, "gamma": 0.5}),
+        ("dataset-requirement", {"gamma": 0.25, "error": 0.1, "delta": 0.1, "max_nodes": 16, "alpha": 1,
+                                 "h_size": 50}),
+    ])
+    def test_theory_unknown_parameter_exit_code(self, subcommand, params):
+        good = CliRunner().invoke(main, ["theory", subcommand, "--params", json.dumps(params)])
+        assert good.exit_code == 0, good.output
+        # Ignored, a misspelt parameter would leave the calculator's default in force.
+        bad = json.dumps({**params, "alhpa": 5})
+        result = CliRunner().invoke(main, ["theory", subcommand, "--params", bad])
+        assert result.exit_code == 2
+        assert result.output == "error: --params has unknown key 'alhpa'\n"
 
     def test_data_error_exit_code(self, workspace, tmp_path):
         workspace_path, config, _ = workspace

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -30,6 +32,7 @@ from dptree.data_io import (
     write_csv,
 )
 from dptree.tree_learning import BinnedFeatures, LabeledDataset, tree_error
+from oracle import load_csv_rows
 
 
 @pytest.fixture
@@ -65,11 +68,17 @@ class TestLoadCsv:
         assert np.all((hot == 0.0) | (hot == 1.0))
         assert np.all(hot.sum(axis=1) == 1.0)
 
-    def test_empty_data_section(self, tmp_path, small_schema):
+    def test_empty_data_section(self, tmp_path, small_schema, monkeypatch):
         csv_path = tmp_path / "empty.csv"
         write_lines(csv_path, ["age,color,outcome"])
+
+        def refuse(path, schema):
+            raise AssertionError("the vectorized pass refused a header-only file")
+
+        monkeypatch.setattr(data_io, "_refuse", refuse)
         ds = load_csv(csv_path, small_schema)
         assert ds.n == 0
+        assert ds.features.shape == (0, small_schema.n_encoded)
 
     def test_column_order_independent(self, tmp_path, small_schema):
         csv_path = tmp_path / "shuffled.csv"
@@ -113,6 +122,37 @@ class TestLoadCsv:
         assert fragment in str(err.value)
         assert ":3:" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\u0661\u0660"])
+    def test_number_grammar_is_the_vectorized_pass_s(self, tmp_path, small_schema, cell):
+        # float() reads these as 10.0, 1.0 and 10.0; np.loadtxt does not.
+        csv_path = tmp_path / "digits.csv"
+        write_lines(csv_path, ["age,color,outcome", "20,red,no", f"{cell},red,no"])
+        with pytest.raises(DataError, match=rf"digits\.csv:3: cannot parse '{cell}' as a number for 'age'"):
+            load_csv(csv_path, small_schema)
+
+    @pytest.mark.parametrize("lines", [
+        ["age,color,outcome,note", "20,red,no,a\0b", "30,blue,yes,c"],
+        ["age,color,outcome,note", "20,red,no,\x1c"],
+        ["age,color,outcome,note", '20,red,no,"two\nlines"'],
+        ["age,color,outcome," + ",".join(f"n{i}" for i in range(30_000)), "20,red,no," + ",".join(["1"] * 30_000)],
+    ], ids=["nul-in-unused-column", "x1c-in-unused-column", "quoted-line-break", "long-line-of-short-cells"])
+    def test_constructs_the_pass_cannot_read_fail_closed(self, tmp_path, small_schema, lines):
+        csv_path = tmp_path / "odd.csv"
+        write_lines(csv_path, lines)
+        message = (rf"odd\.csv: cannot read a line break inside quotes, a NUL or \\x1c-\\x1f byte, "
+                   rf"or a line longer than the csv field size limit of {csv.field_size_limit()}$")
+        with pytest.raises(DataError, match=message):
+            load_csv(csv_path, small_schema)
+        assert load_outcome(load_csv, csv_path, small_schema) == load_outcome(load_csv_rows, csv_path, small_schema)
+
+    def test_quoted_line_break_in_a_declared_value_fails_closed(self, tmp_path):
+        schema = DataSchema([CategoricalFeature("c", ("a\nb", "d"))], "y", ("0", "1"))
+        dataset = LabeledDataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), 2)
+        csv_path = tmp_path / "broken.csv"
+        write_csv(dataset, schema, csv_path)
+        with pytest.raises(DataError, match=r"broken\.csv: cannot read a line break inside quotes"):
+            load_csv(csv_path, schema)
+
     def test_missing_column(self, tmp_path, small_schema):
         csv_path = tmp_path / "missing.csv"
         write_lines(csv_path, ["age,outcome", "20,no"])
@@ -120,8 +160,8 @@ class TestLoadCsv:
             load_csv(csv_path, small_schema)
 
     def test_vectorized_pass_takes_clean_writer_output(self, tmp_path, monkeypatch):
-        # write_csv quotes these cells and ends rows with '\r\n'; the row
-        # loop must not be needed to read them back.
+        # write_csv quotes these cells and ends rows with '\r\n'; the
+        # vectorized pass must read them back.
         schema = DataSchema(
             features=[
                 CategoricalFeature("shade", ("a,b", 'x"y', " pad ", "")),
@@ -140,10 +180,10 @@ class TestLoadCsv:
         write_csv(expected, schema, csv_path)
         assert b'"a,b"' in csv_path.read_bytes() and b"\r\n" in csv_path.read_bytes()
 
-        def row_loop(path, schema):
-            raise AssertionError("the row loop ran on a clean file")
+        def refuse(path, schema):
+            raise AssertionError("the vectorized pass refused a clean file")
 
-        monkeypatch.setattr(data_io, "_load_csv_rows", row_loop)
+        monkeypatch.setattr(data_io, "_refuse", refuse)
         loaded = load_csv(csv_path, schema)
         assert loaded.features.tobytes() == expected.features.tobytes()
         assert np.array_equal(loaded.labels, expected.labels)
@@ -168,8 +208,14 @@ class TestLoadCsv:
         csv_path = tmp_path / "wide.csv"
         write_lines(csv_path, ["age,color,outcome,note", "20,red,no," + "n" * (csv.field_size_limit() + 1)])
         outcome = load_outcome(load_csv, csv_path, small_schema)
-        assert outcome == load_outcome(data_io._load_csv_rows, csv_path, small_schema)
+        assert outcome == load_outcome(load_csv_rows, csv_path, small_schema)
         assert "field larger than field limit" in outcome[1]
+
+    def test_line_under_the_field_limit_in_characters_loads(self, tmp_path, small_schema):
+        # 70,000 characters in 140,000 bytes: the csv field limit counts characters.
+        csv_path = tmp_path / "wide.csv"
+        write_lines(csv_path, ["age,color,outcome,note", "20,red,no," + "\u00e9" * 70_000])
+        assert load_csv(csv_path, small_schema).n == 1
 
     def test_cell_over_the_csv_field_limit_names_its_line(self, tmp_path, small_schema):
         csv_path = tmp_path / "wide.csv"
@@ -187,14 +233,6 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=rf"latin\.csv:{line}: byte b'\\xff' is not UTF-8"):
             load_csv(csv_path, small_schema)
 
-    def test_declared_value_with_nul_matches_as_in_the_row_loop(self, tmp_path):
-        # numpy strings drop trailing NULs, so "a\0" would also match cell "a".
-        schema = DataSchema([CategoricalFeature("c", ("a", "a\0"))], "y", ("0", "1"))
-        csv_path = tmp_path / "nul.csv"
-        write_lines(csv_path, ["c,y", "a,0", "a,1"])
-        outcome = load_outcome(load_csv, csv_path, schema)
-        assert outcome == load_outcome(data_io._load_csv_rows, csv_path, schema)
-        assert load_csv(csv_path, schema).features.tolist() == [[1.0, 0.0], [1.0, 0.0]]
 
     @pytest.mark.parametrize("byte", [b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f"])
     def test_line_count_refuses_bytes_the_parsers_read_differently(self, tmp_path, byte):
@@ -299,7 +337,7 @@ class TestLoadCsvProperties:
             if data.draw(st.booleans(), label="final line end"):
                 text += terminator
             path.write_bytes(text.encode("utf-8"))
-            assert load_outcome(load_csv, path, schema) == load_outcome(data_io._load_csv_rows, path, schema)
+            assert load_outcome(load_csv, path, schema) == load_outcome(load_csv_rows, path, schema)
 
     @settings(max_examples=200, deadline=None)
     @given(schema_datasets())
@@ -367,6 +405,37 @@ class TestSchemaJson:
     def test_malformed_schema_names_the_key(self, doc, key):
         with pytest.raises(DataError, match=key):
             schema_from_dict(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"features": [], "label": GOOD_LABEL, "labels": GOOD_LABEL}, "schema has unknown key 'labels'"),
+        ({"features": [{"name": "x", "min": 0, "max": 1, "step": 0.1}], "label": GOOD_LABEL},
+         "schema feature 0 has unknown key 'step'"),
+        ({"features": [{"name": "x", "min": 0, "max": 1, "values": ["a"]}], "label": GOOD_LABEL},
+         "schema feature 0 has unknown key 'values'"),
+        ({"features": [{"name": "c", "kind": "categorical", "values": ["a"], "min": 0}], "label": GOOD_LABEL},
+         "schema feature 0 has unknown key 'min'"),
+        ({"features": [], "label": {**GOOD_LABEL, "default": "0"}}, "schema label has unknown key 'default'"),
+        # Ignored, this key would leave 10 thresholds in place of 31.
+        ({"features": [{"name": "x", "min": 0, "max": 1}], "label": GOOD_LABEL,
+          "splits": {"default_threshold": 31}}, "schema splits has unknown key 'default_threshold'"),
+        ({"features": [{"name": "x", "min": 0, "max": 1}], "label": GOOD_LABEL,
+          "splits": {"blocks": [{"columns": [0], "thresholds": [0.5], "weights": [1]}]}},
+         "schema block 0 has unknown key 'weights'"),
+    ], ids=["top", "continuous-feature", "values-of-continuous", "min-of-categorical", "label", "splits", "block"])
+    def test_unknown_key_at_each_level_rejected(self, doc, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            schema_from_dict(doc)
+
+    def test_schema_declaring_a_nul_value_is_a_data_error(self, tmp_path):
+        # numpy strings drop trailing NULs, so "a\0" would also match cell "a".
+        path = tmp_path / "schema.json"
+        for doc in [
+            {"features": [{"name": "c", "kind": "categorical", "values": ["a", "a\0"]}], "label": GOOD_LABEL},
+            {"features": [], "label": {"name": "y", "values": ["0", "0\0"]}},
+        ]:
+            path.write_text(json.dumps(doc))
+            with pytest.raises(DataError, match=r"schema\.json: .*a declared value holds a NUL"):
+                load_schema(path)
 
     @pytest.mark.parametrize("doc", [
         {"features": [{"name": "x", "min": 1, "max": 1}], "label": GOOD_LABEL},
@@ -521,6 +590,20 @@ class TestSyntheticData:
         ds, truth, schema = synthetic_tree_dataset(20000, RandomSource(15), depth=2, label_noise=0.2)
         assert tree_error(truth, BinnedFeatures(ds, build_splitting_class(schema))) == pytest.approx(
             0.2, abs=0.02)
+
+    def test_bench_fixture_bytes_are_pinned(self, tmp_path):
+        # The bench's 1,500-row fixture (depth-3 truth tree, 31 thresholds):
+        # a change to the generating code must not change its bytes.
+        spec = importlib.util.spec_from_file_location("fixtures", Path(__file__).parents[1] / "bench" / "fixtures.py")
+        fixtures = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fixtures)
+        fixtures.write_fixture(1500, 1, tmp_path)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("data.csv", "schema.json")}
+        assert digests == {
+            "data.csv": "f471f1364dabc69b798d98002e6d965e9f59bf9f3da0727116b696f82618586a",
+            "schema.json": "39e371d9ece757e0a59f47ad64ef2190254e1b280c81ae872f3443c0673a484f",
+        }
 
     def test_truth_thresholds_on_grid(self):
         ds, truth, schema = synthetic_tree_dataset(100, RandomSource(16), depth=3)
