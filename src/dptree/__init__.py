@@ -23,7 +23,6 @@ from .tree_learning import (
 from .dp_topdown import (
     DPTopDownConfig,
     DecaySchedule,
-    LeafRef,
     RunStats,
     UniformSchedule,
     dp_topdown,

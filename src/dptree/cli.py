@@ -14,7 +14,7 @@ from dataclasses import asdict
 import click
 
 from .dp_core import BudgetExceededError, InvalidParameterError, zero_noise
-from .data_io import DataError, _finite, _int, _text, read_object
+from .data_io import DataError, _finite, _int, _text, read_json, read_object
 from .dp_topdown import schedule_from_name
 from .experiments import (
     ConfigError,
@@ -148,10 +148,7 @@ def theory(subcommand, params_json):
     """Evaluate one of the analysis calculators; echoes inputs and output."""
 
     def body():
-        try:
-            params = json.loads(params_json)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--params is not valid JSON: {exc}")
+        params = read_json("--params", ConfigError, text=params_json)
         calculator, casts = THEORY[subcommand]
         required = [name for name in casts if name not in THEORY_DEFAULTED]
         result = calculator(**read_object(params, casts, "--params", required, ConfigError))

@@ -4,9 +4,10 @@ train/test splitting, and uniform random partitioning across simulated data
 holders.
 
 Each input format has one reader, and each fails closed. A JSON object, of a
-schema or of a config or theory parameters, is read by `read_object`, which
-refuses a key its table does not list. A CSV file is read by one vectorized
-pass; see `load_csv` for its number grammar and the constructs it refuses.
+schema or of a config or theory parameters, is decoded by `read_json` and
+read by `read_object`, which refuses a key its table does not list. A CSV
+file is read by one vectorized pass; see `load_csv` for its number grammar
+(`parse_number`, which the sweep CSV shares) and the constructs it refuses.
 
 Thresholds always come from schema-declared ranges, never from data minima or
 maxima: data-derived thresholds would leak outside the privacy accounting.
@@ -183,6 +184,21 @@ _items = _json_type(list, "a list")
 _object = _json_type(dict, "a JSON object")
 
 
+def read_json(source, error: type, text: str | None = None):
+    """The JSON value of the file at `source`, or of `text` when given, which
+    `source` then names. A file that cannot be read, a byte that is not
+    UTF-8, invalid JSON, an integer past `sys.get_int_max_str_digits()`
+    digits or nesting too deep to decode raises `error` naming `source`."""
+    try:
+        if text is None:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    # ValueError covers UnicodeDecodeError and json.JSONDecodeError.
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"cannot read {source}: {exc}")
+
+
 def read_object(doc, casts: dict, where: str, required=(), error: type = DataError) -> dict:
     """{key: casts[key](value)} for each key of one JSON object `doc`.
 
@@ -258,13 +274,7 @@ def load_schema(path) -> DataSchema:
     """Schema from a JSON file. Every bad file, whether unreadable, invalid
     JSON, malformed or rejected by the schema's own checks, raises
     DataError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read schema {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}")
+    doc = read_json(path, DataError)
     try:
         return schema_from_dict(doc)
     except (DataError, InvalidParameterError) as exc:
@@ -311,8 +321,7 @@ def load_csv(path, schema: DataSchema) -> LabeledDataset:
     One `np.loadtxt` pass reads the file and array operations check it.
     Every record is one line ending in '\\n', '\\r\\n', '\\r' or the end of
     the file; cells may be quoted as `csv.writer` quotes them. A number is
-    what float() reads, less underscores and non-ASCII characters inside
-    the whitespace around it: `1_0` and `\\u0661` do not parse.
+    what `parse_number` reads: `1_0` and `\\u0661` do not parse.
 
     Every failure is a DataError. A missing column, a row of the wrong
     width, an unparseable cell, an out-of-range value or an undeclared
@@ -332,6 +341,16 @@ def load_csv(path, schema: DataSchema) -> LabeledDataset:
 # drops its trailing NULs, and numpy's float parser skips \x1c-\x1f as
 # whitespace.
 _UNSAFE_BYTES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def parse_number(cell: str, cast: type = float):
+    """`cast(cell)`, float or int, under the number grammar of `np.loadtxt`:
+    float()'s or int()'s, less underscores and non-ASCII characters inside
+    the whitespace around the number, so `1_0` and `\\u0661` raise
+    ValueError."""
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError(f"not a number: {cell!r}")
+    return cast(cell)
 
 
 def _count_lines(path) -> int | None:
@@ -477,12 +496,8 @@ def _refuse(path, schema: DataSchema) -> NoReturn:
                     if cell not in feat.values:
                         raise DataError(f"{path}:{row_number}: {cell!r} not a declared value of {feat.name!r}")
                     continue
-                # np.loadtxt's number grammar: float()'s, less underscores
-                # and non-ASCII characters inside the whitespace around it.
                 try:
-                    if "_" in cell or not cell.strip().isascii():
-                        raise ValueError(cell)
-                    value = float(cell)
+                    value = parse_number(cell)
                 except ValueError:
                     raise DataError(f"{path}:{row_number}: cannot parse {cell!r} as a number for {feat.name!r}")
                 if not feat.lo <= value <= feat.hi:

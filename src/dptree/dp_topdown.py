@@ -3,9 +3,9 @@ schedules, the greedy loop over a max-priority queue, and the two mechanisms
 that run on exact counts (noisy weight estimation and RNM leaf labeling).
 
 The loop is one code path for every strategy, the non-private baseline
-included. It handles leaves only through `LeafRef`s, which carry the public
-(split, side) path from the root, and asks the strategy each question about
-a leaf:
+included. A leaf is its `tree_learning.Node`, which carries only public
+facts: its id, its depth and its (split, side) path from the root. The loop
+asks the strategy each question about a leaf:
 
 - `split(leaf, alpha, ledger)`: the chosen split and its released gain,
   raising DegenerateLeafError when the leaf is too small to score;
@@ -39,25 +39,6 @@ from .dp_core import (
     sample_laplace,
 )
 from .tree_learning import DecisionTree
-
-
-@dataclass(frozen=True)
-class LeafRef:
-    """Coordinator-side handle on one leaf during tree construction.
-
-    `path` is the (split, side) sequence from the root: public, and all that
-    a strategy needs to find the leaf's rows.
-    """
-
-    leaf_id: int
-    depth: int
-    path: tuple = ()
-
-    @property
-    def budget_depth(self) -> int:
-        """Depth the leaf's charges are budgeted under; the root's split is
-        funded by depth 1."""
-        return max(self.depth, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,29 +181,13 @@ def rnm_label(counts, budget, rng: RandomSource, ledger: PrivacyLedger, scope: S
     return index
 
 
-def leaf_paths(tree: DecisionTree) -> dict:
-    """(split, side) path from the root for every leaf, keyed by node id."""
-    paths = {}
-    stack = [(tree.root, ())]
-    while stack:
-        node, path = stack.pop()
-        if node.is_leaf:
-            paths[node.node_id] = path
-        else:
-            stack.append((node.left, path + ((node.split, 0),)))
-            stack.append((node.right, path + ((node.split, 1),)))
-    return paths
-
-
 def label_leaves(tree: DecisionTree, strategy, leaf_budget, ledger: PrivacyLedger) -> DecisionTree:
     """Privately label every leaf through `strategy.label` with the leaf budget."""
     leaf_budget = Fraction(leaf_budget)
     if leaf_budget <= 0:
         raise InvalidParameterError("leaf budget must be positive")
-    paths = leaf_paths(tree)
     for leaf in tree.leaves():
-        ref = LeafRef(leaf.node_id, leaf.depth, paths[leaf.node_id])
-        leaf.label = strategy.label(ref, leaf_budget, ledger)
+        leaf.label = strategy.label(leaf, leaf_budget, ledger)
     return tree
 
 
@@ -276,11 +241,10 @@ def dp_topdown(strategy, config: DPTopDownConfig):
 
     # Root: PrivateSplit with the full depth-1 allowance and no weight
     # estimate; its children at depth 1 are funded by the same B(1).
-    root_ref = LeafRef(tree.root.node_id, tree.root.depth)
     try:
-        best_split, priority = strategy.split(root_ref, allowance(1)[0], ledger)
+        best_split, priority = strategy.split(tree.root, allowance(1)[0], ledger)
         if priority > config.min_gain:
-            queue.push(priority, (tree.root, root_ref, best_split))
+            queue.push(priority, (tree.root, best_split))
             stats.pushed_weights.append(1.0)
     except DegenerateLeafError:
         stats.degenerate_splits += 1
@@ -289,20 +253,17 @@ def dp_topdown(strategy, config: DPTopDownConfig):
     for _ in range(config.max_nodes):
         if not len(queue):
             break
-        _, (leaf_node, ref, chosen) = queue.pop()
-
-        left, right = tree.split_leaf(leaf_node, chosen)
-        for side, child in ((0, left), (1, right)):
-            child_ref = LeafRef(child.node_id, child.depth, ref.path + ((chosen, side),))
-            _, half = allowance(child_ref.budget_depth)
-            weight = strategy.weight(child_ref, half, ledger)
+        _, (leaf, chosen) = queue.pop()
+        for child in tree.split_leaf(leaf, chosen):
+            _, half = allowance(child.budget_depth)
+            weight = strategy.weight(child, half, ledger)
             try:
-                child_split, child_gain = strategy.split(child_ref, half, ledger)
+                child_split, child_gain = strategy.split(child, half, ledger)
             except DegenerateLeafError:
                 stats.degenerate_splits += 1
                 continue
             if weight >= weight_floor and child_gain > config.min_gain:
-                queue.push(weight * child_gain, (child, child_ref, child_split))
+                queue.push(weight * child_gain, (child, child_split))
                 stats.pushed_weights.append(weight)
 
     label_leaves(tree, strategy, config.leaf_budget, ledger)

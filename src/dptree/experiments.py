@@ -10,13 +10,13 @@ are always written in grid order.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,9 @@ from .data_io import (
     build_splitting_class,
     load_csv,
     load_schema,
+    parse_number,
     partition,
+    read_json,
     read_object,
     train_test_split,
 )
@@ -51,9 +53,6 @@ from .tree_learning import BinnedFeatures, Criterion, tree_error
 
 ALGORITHMS = ("baseline", "single-rnm", "noisy-counts", "local-rnm")
 DEFAULT_ALPHAS = [2.0**e for e in range(-3, 10)]
-CSV_HEADER = (
-    "algorithm,alpha,lpf,train_fraction,run,seed,train_acc,test_acc,depth,nodes,ledger_cost,wall_ms"
-)
 
 OUTPUT_DIR_ENV = "DPTREE_OUTPUT_DIR"
 WORKERS_ENV = "DPTREE_WORKERS"
@@ -174,12 +173,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    return config_from_dict(doc)
+    return config_from_dict(read_json(path, ConfigError))
 
 
 def derive_seed(base_seed: int, *indices) -> int:
@@ -205,22 +199,12 @@ class ResultRow:
     wall_ms: float
 
     def to_csv(self) -> str:
-        return ",".join(
-            [
-                self.algorithm,
-                repr(self.alpha),
-                repr(self.lpf),
-                repr(self.train_fraction),
-                str(self.run),
-                str(self.seed),
-                repr(self.train_acc),
-                repr(self.test_acc),
-                str(self.depth),
-                str(self.nodes),
-                repr(self.ledger_cost),
-                repr(self.wall_ms),
-            ]
-        )
+        return ",".join(v if isinstance(v, str) else repr(v) for v in astuple(self))
+
+
+# The sweep CSV's columns: the fields of ResultRow, each with its type.
+_COLUMNS = typing.get_type_hints(ResultRow)
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 # The data of the most recent data key only: a sweep reads one dataset for all
@@ -362,7 +346,10 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
 
     done = 0
     if resume and out_path.is_file():
-        text = out_path.read_text(encoding="utf-8")
+        try:
+            text = out_path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read {out_path}: {exc}")
         header = text.partition("\n")[0]
         if header != CSV_HEADER and not CSV_HEADER.startswith(text):
             raise DataError(f"{out_path}: existing file has a different header")
@@ -388,20 +375,15 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
     return out_path
 
 
-# Sweep CSV columns that the summary reads, with their casts.
-_NUMERIC_COLUMNS = {"alpha": float, "lpf": float, "train_fraction": float, "train_acc": float,
-                    "test_acc": float, "depth": int, "nodes": int, "ledger_cost": float}
-
-
 def summarize(csv_path) -> dict:
     """Per-cell means and standard errors of the mean (std / sqrt(runs)),
     in the numeric order of (algorithm, alpha, lpf, train fraction).
 
     A file that cannot be read raises DataError, and so does a row with too
-    few or too many cells, a cell that does not parse, or a byte that is not
-    UTF-8, naming its line.
+    few or too many cells, a number cell that `parse_number` refuses, or a
+    byte that is not UTF-8, naming its line.
     """
-    header = CSV_HEADER.split(",")
+    header = list(_COLUMNS)
     cells: dict = {}
     try:
         fh = open(csv_path, "r", encoding="utf-8", newline="")
@@ -418,15 +400,14 @@ def summarize(csv_path) -> dict:
                     f"{csv_path}:{line}: expected {len(header)} columns, got {len(row)}; "
                     "if an interrupted sweep tore its last row, `dptree sweep --resume` rewrites it"
                 )
-            record = dict(zip(header, row))
-            parsed = {}
-            for name, cast in _NUMERIC_COLUMNS.items():
+            record = {}
+            for (name, kind), cell in zip(_COLUMNS.items(), row):
                 try:
-                    parsed[name] = cast(record[name])
+                    record[name] = cell if kind is str else parse_number(cell, kind)
                 except ValueError:
-                    raise DataError(f"{csv_path}:{line}: cannot parse {record[name]!r} as a number for {name!r}")
-            key = (record["algorithm"], parsed["alpha"], parsed["lpf"], parsed["train_fraction"])
-            cells.setdefault(key, []).append(parsed)
+                    raise DataError(f"{csv_path}:{line}: cannot parse {cell!r} as a number for {name!r}")
+            key = (record["algorithm"], record["alpha"], record["lpf"], record["train_fraction"])
+            cells.setdefault(key, []).append(record)
 
     def sem(values) -> float:
         if len(values) < 2:

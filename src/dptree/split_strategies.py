@@ -5,8 +5,9 @@ the simulated entity/coordinator message layer they share.
 A message is a `Query` to one entity through `LocalTransport.send`, and the
 `Response` it gets holds only noisy aggregates; nothing is logged.
 
-Each strategy answers the loop's queries about a leaf, named by its public
-path (see `dp_topdown`): `split`, `weight` and `label`, and sets `entities`
+Each strategy answers the loop's queries about a leaf, which is its tree
+node (`tree_learning.Node`: id, depth and public (split, side) path; see
+`dp_topdown`): `split`, `weight` and `label`, and sets `entities`
 and their public row count `total_size` when it is made. On a single
 machine all data is one `Entity` under the global ledger scope.
 `ExactStrategy` answers from its exact rows with no noise and no charges.
@@ -58,11 +59,12 @@ from .dp_core import (
     report_noisy_max,
     sample_laplace,
 )
-from .dp_topdown import LeafRef, estimate_weight, leaf_paths, rnm_label
+from .dp_topdown import estimate_weight, rnm_label
 from .tree_learning import (
     BinnedFeatures,
     Criterion,
     DecisionTree,
+    Node,
     gain_from_counts,
     split_count_tables,
 )
@@ -290,7 +292,7 @@ class EntityPool:
 # ---------------------------------------------------------------------------
 
 
-def noisy_counts_split(pool: EntityPool, leaf: LeafRef, alpha, candidates, ledger: PrivacyLedger):
+def noisy_counts_split(pool: EntityPool, leaf: Node, alpha, candidates, ledger: PrivacyLedger):
     """Each entity publishes per-split noisy joint histograms; the coordinator
     sums them, sanitizes, and picks the split with the largest estimated gain.
 
@@ -302,7 +304,7 @@ def noisy_counts_split(pool: EntityPool, leaf: LeafRef, alpha, candidates, ledge
     if len(candidates) == 0:
         raise InvalidParameterError("candidate split set must be nonempty")
     responses = pool.ask_all(ledger, "joint_histogram", leaf.path, alpha, leaf.budget_depth,
-                             leaf.leaf_id, splits=list(candidates))
+                             leaf.node_id, splits=list(candidates))
     aggregated = np.sum([resp.payload["cells"] for resp in responses], axis=0)
     sanitized = np.clip(aggregated, 0.0, None)
     gains = gain_from_counts(sanitized, pool.criterion)
@@ -310,7 +312,7 @@ def noisy_counts_split(pool: EntityPool, leaf: LeafRef, alpha, candidates, ledge
     return candidates[index], float(gains[index])
 
 
-def local_rnm_split(pool: EntityPool, leaf: LeafRef, alpha, ledger: PrivacyLedger):
+def local_rnm_split(pool: EntityPool, leaf: Node, alpha, ledger: PrivacyLedger):
     """Two-phase distributed split selection.
 
     Phase 1: each entity spends alpha/2 running RNM over the full splitting
@@ -324,7 +326,7 @@ def local_rnm_split(pool: EntityPool, leaf: LeafRef, alpha, ledger: PrivacyLedge
         raise InvalidParameterError(f"alpha must be positive, got {alpha}")
     half = Fraction(alpha) / 2
     responses = pool.ask_all(ledger, "local_best_split", leaf.path, half, leaf.budget_depth,
-                             leaf.leaf_id)
+                             leaf.node_id)
     candidates = [pool.splits[resp.payload["hid"]] for resp in responses]
     return noisy_counts_split(pool, leaf, half, candidates, ledger)
 
@@ -353,16 +355,16 @@ class ExactStrategy:
         self.entities = [self.entity]
         self.total_size = binned.n
 
-    def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
+    def split(self, leaf: Node, alpha, ledger: PrivacyLedger):
         gains = self.entity.gains(*self.entity.leaf_rows(leaf.path))
         best = int(np.argmax(gains))
         return self.entity.splits[best], float(gains[best])
 
-    def weight(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> float:
+    def weight(self, leaf: Node, budget, ledger: PrivacyLedger) -> float:
         rows, _ = self.entity.leaf_rows(leaf.path)
         return rows.size / self.total_size
 
-    def label(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> int:
+    def label(self, leaf: Node, budget, ledger: PrivacyLedger) -> int:
         _, counts = self.entity.leaf_rows(leaf.path)
         return int(np.argmax(self.entity.label_counts(counts)))
 
@@ -386,22 +388,22 @@ class SingleMachineRNMSplitter:
         self._weight_rng = rng.substream("weight")
         self._label_rng = rng.substream("label")
 
-    def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
+    def split(self, leaf: Node, alpha, ledger: PrivacyLedger):
         if alpha <= 0:
             raise InvalidParameterError(f"alpha must be positive, got {alpha}")
         rows, counts = self.entity.leaf_rows(leaf.path)
         index, noisy_gain = self.entity.rnm_split(rows, counts, alpha, self._split_rng)
-        ledger.charge(Scope(GLOBAL_SCOPE, "split", depth=leaf.budget_depth, leaf=leaf.leaf_id), alpha)
+        ledger.charge(Scope(GLOBAL_SCOPE, "split", depth=leaf.budget_depth, leaf=leaf.node_id), alpha)
         return self.entity.splits[index], noisy_gain
 
-    def weight(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> float:
-        scope = Scope(GLOBAL_SCOPE, "weight", depth=leaf.budget_depth, leaf=leaf.leaf_id)
+    def weight(self, leaf: Node, budget, ledger: PrivacyLedger) -> float:
+        scope = Scope(GLOBAL_SCOPE, "weight", depth=leaf.budget_depth, leaf=leaf.node_id)
         rows, _ = self.entity.leaf_rows(leaf.path)
         return estimate_weight(rows.size, self.total_size, budget, self._weight_rng, ledger, scope)
 
-    def label(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> int:
+    def label(self, leaf: Node, budget, ledger: PrivacyLedger) -> int:
         _, counts = self.entity.leaf_rows(leaf.path)
-        scope = Scope(GLOBAL_SCOPE, "label", leaf=leaf.leaf_id)
+        scope = Scope(GLOBAL_SCOPE, "label", leaf=leaf.node_id)
         return rnm_label(self.entity.label_counts(counts), budget, self._label_rng, ledger, scope)
 
 
@@ -416,27 +418,27 @@ class DistributedStrategy:
         # Shard sizes are treated as public metadata.
         self.total_size = sum(entity.binned.n for entity in pool.entities)
 
-    def weight(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> float:
+    def weight(self, leaf: Node, budget, ledger: PrivacyLedger) -> float:
         """Per-entity noisy counts (`budget` each, half the leaf's allowance,
         parallel across entities), summed and divided by the public |S|."""
         responses = self.pool.ask_all(ledger, "leaf_count", leaf.path, budget,
-                                      leaf.budget_depth, leaf.leaf_id)
+                                      leaf.budget_depth, leaf.node_id)
         return float(sum(resp.payload["count"] for resp in responses)) / self.total_size
 
-    def label(self, leaf: LeafRef, budget, ledger: PrivacyLedger) -> int:
+    def label(self, leaf: Node, budget, ledger: PrivacyLedger) -> int:
         """Argmax of the summed per-entity noisy label counts; ties and empty
         leaves resolve to the lowest label index."""
-        responses = self.pool.ask_all(ledger, "label_counts", leaf.path, budget, None, leaf.leaf_id)
+        responses = self.pool.ask_all(ledger, "label_counts", leaf.path, budget, None, leaf.node_id)
         return int(np.argmax(np.sum([resp.payload["counts"] for resp in responses], axis=0)))
 
 
 class NoisyCountsSplitter(DistributedStrategy):
-    def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
+    def split(self, leaf: Node, alpha, ledger: PrivacyLedger):
         return noisy_counts_split(self.pool, leaf, alpha, self.pool.splits, ledger)
 
 
 class LocalRNMSplitter(DistributedStrategy):
-    def split(self, leaf: LeafRef, alpha, ledger: PrivacyLedger):
+    def split(self, leaf: Node, alpha, ledger: PrivacyLedger):
         return local_rnm_split(self.pool, leaf, alpha, ledger)
 
 
@@ -446,10 +448,9 @@ def train_accuracy(tree: DecisionTree, entities) -> float:
     so each leaf's rows are cached, and its label counts say how many of
     them carry the leaf's label. It equals `1 - tree_error(tree, train)` bit
     for bit, `train` being the union of the entities' rows."""
-    paths = leaf_paths(tree)
     n = sum(entity.binned.n for entity in entities)
     correct = sum(
-        int(entity.label_counts(entity._leaves[paths[leaf.node_id]][1])[leaf.label])
+        int(entity.label_counts(entity._leaves[leaf.path][1])[leaf.label])
         for leaf in tree.leaves()
         for entity in entities
     )

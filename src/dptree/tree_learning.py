@@ -348,11 +348,16 @@ def split_count_tables(binned: BinnedFeatures, rows, splits, cumulative=None) ->
 
 
 class Node:
-    __slots__ = ("node_id", "depth", "split", "left", "right", "label")
+    """One node of a `DecisionTree`, and the learner's handle on it while it
+    is a leaf: its id, its depth and its (split, side) path from the root are
+    public, and the path is all a strategy needs to find the leaf's rows."""
 
-    def __init__(self, node_id: int, depth: int):
+    __slots__ = ("node_id", "depth", "path", "split", "left", "right", "label")
+
+    def __init__(self, node_id: int, depth: int, path: tuple = ()):
         self.node_id = node_id
         self.depth = depth
+        self.path = path
         self.split: SplitFunction | None = None
         self.left: Node | None = None
         self.right: Node | None = None
@@ -362,51 +367,50 @@ class Node:
     def is_leaf(self) -> bool:
         return self.split is None
 
+    @property
+    def budget_depth(self) -> int:
+        """Depth the leaf's charges are budgeted under; the root's split is
+        funded by depth 1."""
+        return max(self.depth, 1)
+
 
 class DecisionTree:
     """Binary tree of split functions with labeled leaves.
 
     The root is at depth 0; children of a node at depth d are at d + 1, so
-    the first split's children sit at depth 1 for budgeting purposes.
+    the first split's children sit at depth 1 for budgeting purposes. Nodes
+    are numbered in the order they are made, and the tree keeps them in a
+    list in that order, so a node's id is its index.
     """
 
     def __init__(self):
-        self._next_id = 0
-        self.root = self._new_node(depth=0)
-
-    def _new_node(self, depth: int) -> Node:
-        node = Node(self._next_id, depth)
-        self._next_id += 1
-        return node
+        self.root = Node(0, 0)
+        self._nodes = [self.root]
 
     def split_leaf(self, leaf: Node, split: SplitFunction) -> tuple[Node, Node]:
         if not leaf.is_leaf:
             raise InvalidParameterError(f"node {leaf.node_id} is already split")
         leaf.split = split
         leaf.label = None
-        leaf.left = self._new_node(leaf.depth + 1)
-        leaf.right = self._new_node(leaf.depth + 1)
+        for side in (0, 1):
+            self._nodes.append(Node(len(self._nodes), leaf.depth + 1, leaf.path + ((split, side),)))
+        leaf.left, leaf.right = self._nodes[-2:]
         return leaf.left, leaf.right
 
     def nodes(self) -> list[Node]:
-        out, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            if not node.is_leaf:
-                stack.extend((node.right, node.left))
-        return sorted(out, key=lambda nd: nd.node_id)
+        """Every node, in node id order."""
+        return list(self._nodes)
 
     def leaves(self) -> list[Node]:
-        return [node for node in self.nodes() if node.is_leaf]
+        return [node for node in self._nodes if node.is_leaf]
 
     @property
     def internal_count(self) -> int:
-        return sum(1 for node in self.nodes() if not node.is_leaf)
+        return (len(self._nodes) - 1) // 2  # each split adds two nodes
 
     @property
     def depth(self) -> int:
-        return max(node.depth for node in self.nodes())
+        return max(node.depth for node in self._nodes)
 
     def assign(self, n: int, goes_right) -> np.ndarray:
         """Leaf node id for each of n rows. `goes_right(split, rows)` is the
@@ -429,7 +433,7 @@ class DecisionTree:
 
     def classify(self, n: int, goes_right) -> np.ndarray:
         """Label of each of n rows, routed as in `assign`."""
-        label_of = np.full(self._next_id, -1, dtype=np.int64)  # indexed by node id
+        label_of = np.full(len(self._nodes), -1, dtype=np.int64)  # indexed by node id
         for leaf in self.leaves():
             if leaf.label is not None:
                 label_of[leaf.node_id] = leaf.label
@@ -446,7 +450,7 @@ class DecisionTree:
     def to_dict(self) -> dict:
         """JSON-able node records, in node id order."""
         records = []
-        for node in self.nodes():
+        for node in self._nodes:
             if node.is_leaf:
                 records.append(
                     {"id": node.node_id, "kind": "leaf", "depth": node.depth, "label": node.label}

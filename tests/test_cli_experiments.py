@@ -2,6 +2,7 @@ import csv
 import functools
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,12 +19,13 @@ from hypothesis import strategies as st
 
 from dptree import cli, experiments
 from dptree.cli import main
-from dptree.data_io import partition, save_schema, synthetic_tree_dataset, write_csv
+from dptree.data_io import DataError, partition, save_schema, synthetic_tree_dataset, write_csv
 from dptree.dp_core import RandomSource, zero_noise
 from dptree.dp_topdown import dp_topdown
 from dptree.experiments import (
     CSV_HEADER,
     ConfigError,
+    ResultRow,
     config_from_dict,
     derive_seed,
     load_experiment_config,
@@ -382,6 +384,25 @@ class TestSweep:
         resumed = run_sweep(cfg, torn_path, resume=True).read_text()
         assert strip_wall(resumed) == strip_wall(full)
 
+    def test_row_text_is_pinned(self):
+        # One row's text as the sweep wrote it before its columns were read
+        # from ResultRow's fields.
+        row = ResultRow("local-rnm", 0.125, 0.5, 0.75, 3, derive_seed(11, 0, 0, 0, 3), 0.1 + 0.2,
+                        math.nan, 4, 9, 1 / 3, 12.5)
+        assert row.to_csv() == ("local-rnm,0.125,0.5,0.75,3,5772892575248551064,0.30000000000000004,"
+                                "nan,4,9,0.3333333333333333,12.5")
+        assert CSV_HEADER == ("algorithm,alpha,lpf,train_fraction,run,seed,train_acc,test_acc,"
+                              "depth,nodes,ledger_cost,wall_ms")
+
+    def test_resume_over_undecodable_file_exit_code(self, workspace):
+        tmp_path, _, config_path = workspace
+        out = tmp_path / "rows.csv"
+        out.write_bytes(CSV_HEADER.encode() + b"\nsingle-rnm,1.0,0.5,1.0,0,7,0.\xff9\n")
+        result = CliRunner().invoke(main, ["sweep", "--config", str(config_path), "--out", str(out), "--resume"])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"error: cannot read {out}: ")
+
     def test_ledger_cost_audit_across_sweep(self, workspace):
         tmp_path, config, _ = workspace
         cfg = config_from_dict(config)
@@ -446,6 +467,22 @@ class TestSummarize:
         assert expected in result.output
         assert ("sweep --resume" in result.output) == ("columns" in expected)
         assert not (tmp_path / "s.json").exists()
+
+
+    @pytest.mark.parametrize("column, cell", [
+        ("alpha", "1_0"), ("alpha", "\u0661"), ("depth", "1_0"), ("nodes", "\u0663"), ("seed", " 8_0 "),
+    ])
+    def test_sweep_number_grammar(self, tmp_path, column, cell):
+        # float() and int() read these as 10 and 1 (or 3, 80); the sweep CSV
+        # refuses them, as a data CSV does.
+        bad = tmp_path / "bad.csv"
+        position = CSV_HEADER.split(",").index(column)
+        cells = self.ROWS[1].split(",")
+        cells[position] = cell
+        bad.write_text("\n".join([CSV_HEADER, self.ROWS[0], ",".join(cells), ""]), encoding="utf-8")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(bad))}:3: cannot parse {re.escape(repr(cell))} "
+                                            rf"as a number for '{column}'$"):
+            summarize(bad)
 
 
 class TestCli:
@@ -734,6 +771,29 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith(f"error: {csv_path}:5: ")
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("which", ["config", "schema"])
+    @pytest.mark.parametrize("content", [b'{"schema": "\xff"}', b"[" * 50_000 + b"]" * 50_000,
+                                         b'{"runs": 1' + b"0" * 5000 + b"}"],
+                             ids=["not-utf8", "nested-50k-deep", "5000-digit-int"])
+    def test_undecodable_json_exit_code(self, workspace, tmp_path, which, content):
+        _, config, config_path = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        if which == "schema":
+            config_path.write_text(json.dumps({**config, "schema": str(bad)}))
+        result = CliRunner().invoke(main, ["train", "--config", str(bad if which == "config" else config_path)])
+        assert result.exit_code == (2 if which == "config" else 3)
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"error: cannot read {bad}: ")
+
+    @pytest.mark.parametrize("params", ["[" * 50_000 + "]" * 50_000, '{"m": 1' + "0" * 5000 + "}"],
+                             ids=["nested-50k-deep", "5000-digit-int"])
+    def test_theory_undecodable_params_exit_code(self, params):
+        result = CliRunner().invoke(main, ["theory", "sensitivity", "--params", params])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: cannot read --params: ")
 
     def test_unreadable_sweep_csv_exit_code(self, tmp_path):
         result = CliRunner().invoke(main, ["summarize", "--in", str(tmp_path), "--out", str(tmp_path / "s.json")])

@@ -24,6 +24,7 @@ from dptree.data_io import (
     build_splitting_class,
     load_csv,
     load_schema,
+    parse_number,
     partition,
     save_schema,
     schema_from_dict,
@@ -129,6 +130,14 @@ class TestLoadCsv:
         write_lines(csv_path, ["age,color,outcome", "20,red,no", f"{cell},red,no"])
         with pytest.raises(DataError, match=rf"digits\.csv:3: cannot parse '{cell}' as a number for 'age'"):
             load_csv(csv_path, small_schema)
+
+    def test_parse_number_refuses_what_float_and_int_accept(self):
+        assert parse_number(" 2.5\t") == 2.5 and parse_number("\u20037 ", int) == 7
+        for cell in ("1_0", "\u0661", " 1\u0660 "):
+            for cast in (float, int):
+                cast(cell)  # both read it
+                with pytest.raises(ValueError):
+                    parse_number(cell, cast)
 
     @pytest.mark.parametrize("lines", [
         ["age,color,outcome,note", "20,red,no,a\0b", "30,blue,yes,c"],

@@ -27,11 +27,12 @@ from dptree.split_strategies import (
     noisy_counts_split,
     rnm_score_sensitivity,
 )
-from dptree.dp_topdown import DPTopDownConfig, LeafRef, dp_topdown, leaf_paths
+from dptree.dp_topdown import DPTopDownConfig, dp_topdown
 from dptree.tree_learning import (
     BinnedFeatures,
     Criterion,
     LabeledDataset,
+    Node,
     SplitFunction,
     gain_from_counts,
     split_count_tables,
@@ -62,7 +63,7 @@ def exact_gains(dataset, splits, criterion=Criterion.ENTROPY):
     return gain_from_counts(tables, criterion)
 
 
-ROOT = LeafRef(0, 0)  # charged under depth 1
+ROOT = Node(0, 0)  # charged under depth 1
 
 
 def rnm_root_split(dataset, alpha, splits, rng, ledger):
@@ -330,7 +331,7 @@ class TestDistributedQueries:
             features = np.where(np.arange(size) < size // 4, 0.25, 0.75)[:, None]
             shards.append(LabeledDataset(features, np.zeros(size, dtype=int), 2))
         pool = EntityPool.from_shards(shards, RandomSource(5), splits, Criterion.ENTROPY)
-        left = LeafRef(1, 1, ((splits[0], 0),))
+        left = Node(1, 1, ((splits[0], 0),))
         with zero_noise():
             weight = NoisyCountsSplitter(pool).weight(left, 0.5, PrivacyLedger(1.0))
         assert weight == pytest.approx(0.25)
@@ -384,7 +385,7 @@ class TestDistributedQueries:
                             np.asarray(RandomSource(2).integers(0, 2, size=20)), 2)
         pool = make_pool(ds, 2, splits)
         ledger = PrivacyLedger(1.0)
-        NoisyCountsSplitter(pool).label(LeafRef(7, 0), Fraction(1, 2), ledger)
+        NoisyCountsSplitter(pool).label(Node(7, 0), Fraction(1, 2), ledger)
         assert ledger.effective_cost() == Fraction(1, 4)
 
 
@@ -396,7 +397,7 @@ class TestMessageAudit:
         ledger = PrivacyLedger(4.0)
         strategy = LocalRNMSplitter(pool)
         NoisyCountsSplitter(pool).split(ROOT, 1.0, ledger)
-        strategy.split(LeafRef(1, 1), 1.0, ledger)
+        strategy.split(Node(1, 1), 1.0, ledger)
         strategy.weight(ROOT, 0.5, ledger)
         strategy.label(ROOT, Fraction(1, 2), ledger)
         shard_sizes = {entity.binned.n for entity in pool.entities}
@@ -555,7 +556,7 @@ class TestEntityRowCache:
             pool = make_pool(ds, 3, splits, seed=7)
             strategy, entities = maker(pool), pool.entities
         tree, _, _ = dp_topdown(strategy, DPTopDownConfig(alpha=8.0, max_nodes=12))
-        live = set(leaf_paths(tree).values())
+        live = {leaf.path for leaf in tree.leaves()}
         assert len(live) >= 4
         for entity in entities:
             assert len(entity._leaves) <= len(live)

@@ -227,6 +227,31 @@ class TestTreeStructure:
         sizes = sum(int(np.sum(leaf_ids == leaf)) for leaf in leaves)
         assert sizes == ds.n  # every row lands in exactly one leaf
 
+    def test_nodes_in_id_order_with_paths(self):
+        splits = grid_splits(d=2)
+        tree = DecisionTree()
+        assert tree.root.path == () and tree.root.budget_depth == 1
+        rng = RandomSource(14)
+        for _ in range(9):
+            leaves = tree.leaves()
+            leaf = leaves[int(rng.integers(0, len(leaves)))]
+            split = splits[int(rng.integers(0, len(splits)))]
+            left, right = tree.split_leaf(leaf, split)
+            assert left.path == leaf.path + ((split, 0),) and right.path == leaf.path + ((split, 1),)
+            assert left.budget_depth == right.budget_depth == leaf.depth + 1
+        nodes = tree.nodes()
+        assert [node.node_id for node in nodes] == list(range(19))
+        # The order a walk from the root gives once sorted by id.
+        walked, stack = [], [tree.root]
+        while stack:
+            node = stack.pop()
+            walked.append(node)
+            if not node.is_leaf:
+                stack.extend((node.right, node.left))
+        assert nodes == sorted(walked, key=lambda node: node.node_id)
+        assert tree.internal_count == 9 and len(tree.leaves()) == 10
+        assert tree.depth == max(len(node.path) for node in nodes)
+
     def test_predict_requires_labels(self):
         tree = DecisionTree()
         with pytest.raises(UnlabeledTreeError):
