@@ -187,8 +187,7 @@ class PrivacyLedger:
     scopes add (sequential composition), charges on disjoint data take the
     max (parallel composition). Disjointness is structural: distinct entities
     hold disjoint shards, leaves at one depth partition the data, and leaves
-    partition the data at labeling time. Budgets are tracked as exact
-    rationals so the check `effective_cost <= alpha` is exact.
+    partition the data at labeling time.
 
     Within one entity, charges fall into groups: the budget depth for split
     and weight charges, "label" for label charges. Identified leaves of a
@@ -199,10 +198,15 @@ class PrivacyLedger:
     largest cost of any other entity.
 
     Every one of these values only grows, so each charge updates the values
-    it touches and the running cost in O(1). The charge that takes the cost
-    over alpha is recorded and raises BudgetExceededError, as does every
-    charge after it. A ledger belongs to one run on one thread (sweep
-    workers are processes), so it takes no lock.
+    it touches and the running cost in O(1). The values are kept exactly, as
+    integers in units of 1/`_denominator`, a common denominator of alpha and
+    every budget charged so far; a budget with a new denominator first
+    scales every kept value up to the least common multiple. So the check
+    `effective_cost <= alpha` is exact, and entries keep their budgets as
+    Fractions. The charge that takes the cost over alpha is recorded and
+    raises BudgetExceededError, as does every charge after it. A ledger
+    belongs to one run on one thread (sweep workers are processes), so it
+    takes no lock.
     """
 
     def __init__(self, alpha):
@@ -210,33 +214,49 @@ class PrivacyLedger:
             raise InvalidParameterError(f"total budget alpha must be positive and finite, got {alpha}")
         self.alpha = Fraction(alpha)
         self.entries: list[LedgerEntry] = []
-        self._leaf_sum: dict[tuple, Fraction] = {}  # (entity, group, leaf) -> sum
-        self._group_max: dict[tuple, Fraction] = {}  # (entity, group) -> largest leaf sum
-        self._entity_cost: dict[int | None, Fraction] = {}
-        self._max_entity_cost = Fraction(0)  # over non-global entities
-        self._cost = Fraction(0)
+        # alpha and every value below in units of 1/_denominator
+        self._denominator = self.alpha.denominator
+        self._alpha_units = self.alpha.numerator
+        self._leaf_sum: dict[tuple, int] = {}  # (entity, group, leaf) -> sum
+        self._group_max: dict[tuple, int] = {}  # (entity, group) -> largest leaf sum
+        self._entity_cost: dict[int | None, int] = {}
+        self._max_entity_cost = 0  # over non-global entities
+        self._cost = 0
 
     def charge(self, scope: Scope, budget) -> None:
         if not isinstance(budget, Fraction):
             budget = Fraction(budget)
-        if budget <= 0:
+        if budget.numerator <= 0:
             raise InvalidParameterError(f"charged budget must be positive, got {budget}")
         self.entries.append(LedgerEntry(scope, budget))
-        self._grow(scope, budget)
-        if self._cost > self.alpha:
+        if self._denominator % budget.denominator:
+            self._rescale(math.lcm(self._denominator, budget.denominator))
+        self._grow(scope, budget.numerator * (self._denominator // budget.denominator))
+        if self._cost > self._alpha_units:
             raise BudgetExceededError(
-                f"effective cost {float(self._cost):.6g} exceeds alpha={float(self.alpha):.6g}",
+                f"effective cost {self._cost / self._denominator:.6g} exceeds alpha={float(self.alpha):.6g}",
                 ledger=self,
             )
 
-    def _grow(self, scope: Scope, budget: Fraction) -> None:
-        """Update the running values one charge touches."""
-        growth = budget
+    def _rescale(self, denominator: int) -> None:
+        """Express every kept value in units of 1/`denominator`, a multiple
+        of the current denominator."""
+        factor = denominator // self._denominator
+        self._denominator = denominator
+        self._alpha_units *= factor
+        for values in (self._leaf_sum, self._group_max, self._entity_cost):
+            for key in values:
+                values[key] *= factor
+        self._max_entity_cost *= factor
+        self._cost *= factor
+
+    def _grow(self, scope: Scope, amount: int) -> None:
+        """Update the running values one charge of `amount` units touches."""
+        growth = amount
         if scope.leaf is not None:
             group = (scope.entity, "label" if scope.purpose == "label" else scope.depth)
             leaf = group + (scope.leaf,)
-            previous = self._leaf_sum.get(leaf)
-            leaf_sum = self._leaf_sum[leaf] = budget if previous is None else previous + budget
+            leaf_sum = self._leaf_sum[leaf] = self._leaf_sum.get(leaf, 0) + amount
             largest = self._group_max.get(group, 0)
             if leaf_sum <= largest:
                 return
@@ -251,4 +271,4 @@ class PrivacyLedger:
 
     def effective_cost(self) -> Fraction:
         """Total privacy cost after applying composition rules."""
-        return self._cost
+        return Fraction(self._cost, self._denominator)

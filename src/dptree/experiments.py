@@ -237,8 +237,8 @@ def prepare_data(config: ExperimentConfig):
 
 def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: int, run_i: int) -> ResultRow:
     """One seeded train/evaluate cycle for one grid cell, on row slices of
-    the prepared binnings. Training accuracy is read from the entities'
-    leaf caches; only the test rows are routed, on their bin codes."""
+    the prepared binnings. Training accuracy is read from the strategy's
+    leaf store; only the test rows are routed, on their bin codes."""
     train_full, test = prepare_data(config)
     alpha = config.alphas[alpha_i]
     lpf = config.lpfs[lpf_i]
@@ -269,8 +269,11 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
     elif config.algorithm == "single-rnm":
         strategy = SingleMachineRNMSplitter(train, criterion, source_rng.substream("mechanisms"))
     else:
-        shards = partition(train, config.entities, source_rng.substream("partition"))
-        pool = EntityPool.from_binned(shards, source_rng.substream("entities"), criterion)
+        # The pool lays the shards end to end in its leaf store, so the
+        # shards themselves are not kept.
+        pool = EntityPool.from_binned(
+            partition(train, config.entities, source_rng.substream("partition")),
+            source_rng.substream("entities"), criterion)
         maker = NoisyCountsSplitter if config.algorithm == "noisy-counts" else LocalRNMSplitter
         strategy = maker(pool)
     tree, _, stats = dp_topdown(strategy, dp_config)
@@ -283,7 +286,7 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
         train_fraction=fraction,
         run=run_i,
         seed=seed,
-        train_acc=train_accuracy(tree, strategy.entities),
+        train_acc=train_accuracy(tree, strategy.store),
         test_acc=1.0 - tree_error(tree, test) if test.n else float("nan"),
         depth=tree.depth,
         nodes=tree.internal_count,
@@ -333,8 +336,10 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
 
     Rows appear in deterministic grid order regardless of worker count, and
     each row is flushed as written, so an interrupted sweep can resume by
-    skipping the rows already on disk. Workers get the config itself, and
-    each run takes its zero-noise setting from it.
+    skipping the rows already on disk. Resuming reads every row it skips,
+    as `summarize` does, and raises DataError naming the first one that is
+    not the row of this config's task in its place. Workers get the config
+    itself, and each run takes its zero-noise setting from it.
     """
     workers = worker_count()
     out_path = resolve_output_path(out_path)
@@ -358,7 +363,15 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
         complete = text[: text.rfind("\n") + 1]
         if complete != text:
             os.truncate(out_path, len(complete.encode("utf-8")))
-        done = max(0, len([line for line in complete.splitlines() if line.strip()]) - 1)
+        if complete:
+            for done, (line, record) in enumerate(_result_rows(out_path), start=1):
+                if done > len(tasks):
+                    raise DataError(f"{out_path}:{line}: this sweep has only {len(tasks)} rows")
+                found = tuple(record[name] for name in _TASK_COLUMNS)
+                expected = _task_key(config, *tasks[done - 1])
+                if found != expected:
+                    raise DataError(f"{out_path}:{line}: found the row of {found}, "
+                                    f"but this sweep's row {done} is that of {expected}")
     pending = tasks[done:]
 
     mode = "a" if resume and done else "w"
@@ -375,16 +388,24 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
     return out_path
 
 
-def summarize(csv_path) -> dict:
-    """Per-cell means and standard errors of the mean (std / sqrt(runs)),
-    in the numeric order of (algorithm, alpha, lpf, train fraction).
+# The columns that say which task of a sweep a row reports.
+_TASK_COLUMNS = ("algorithm", "alpha", "lpf", "train_fraction", "run", "seed")
 
-    A file that cannot be read raises DataError, and so does a row with too
-    few or too many cells, a number cell that `parse_number` refuses, or a
-    byte that is not UTF-8, naming its line.
-    """
+
+def _task_key(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: int, run_i: int) -> tuple:
+    """The `_TASK_COLUMNS` of the row that `run_single` writes for a task."""
+    return (config.algorithm, config.alphas[alpha_i], config.lpfs[lpf_i],
+            config.train_fractions[fraction_i], run_i,
+            derive_seed(config.seed, alpha_i, lpf_i, fraction_i, run_i))
+
+
+def _result_rows(csv_path):
+    """(line number, record) for each row of a sweep CSV, a record mapping
+    each column to its value. A file that cannot be read raises DataError,
+    and so does a header other than the sweep's, a row with too few or too
+    many cells, a number cell that `parse_number` refuses, or a byte that is
+    not UTF-8, naming its line."""
     header = list(_COLUMNS)
-    cells: dict = {}
     try:
         fh = open(csv_path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -406,8 +427,18 @@ def summarize(csv_path) -> dict:
                     record[name] = cell if kind is str else parse_number(cell, kind)
                 except ValueError:
                     raise DataError(f"{csv_path}:{line}: cannot parse {cell!r} as a number for {name!r}")
-            key = (record["algorithm"], record["alpha"], record["lpf"], record["train_fraction"])
-            cells.setdefault(key, []).append(record)
+            yield line, record
+
+
+def summarize(csv_path) -> dict:
+    """Per-cell means and standard errors of the mean (std / sqrt(runs)),
+    in the numeric order of (algorithm, alpha, lpf, train fraction), over
+    the rows `_result_rows` reads; it raises DataError on what that refuses.
+    """
+    cells: dict = {}
+    for _, record in _result_rows(csv_path):
+        key = (record["algorithm"], record["alpha"], record["lpf"], record["train_fraction"])
+        cells.setdefault(key, []).append(record)
 
     def sem(values) -> float:
         if len(values) < 2:

@@ -7,9 +7,9 @@ A message is a `Query` to one entity through `LocalTransport.send`, and the
 
 Each strategy answers the loop's queries about a leaf, which is its tree
 node (`tree_learning.Node`: id, depth and public (split, side) path; see
-`dp_topdown`): `split`, `weight` and `label`, and sets `entities`
-and their public row count `total_size` when it is made. On a single
-machine all data is one `Entity` under the global ledger scope.
+`dp_topdown`): `split`, `weight` and `label`, and sets `store` and the
+public row count `total_size` when it is made. On a single machine all
+data is one `Entity` under the global ledger scope.
 `ExactStrategy` answers from its exact rows with no noise and no charges.
 `SingleMachineRNMSplitter` answers from the same rows privately: RNM for
 splits and labels, the Laplace weight estimate for weights, each drawn from
@@ -21,24 +21,23 @@ Each entity is given its shard already binned (`BinnedFeatures`: bin codes,
 labels and the row count, no float features), draws noise from its own
 stream and records its budget charge against its own ledger scope; the
 coordinator only ever sees noisy aggregates. A run bins its dataset once
-when it is prepared and hands each entity a row slice of that binning;
-`EntityPool.from_shards` bins plain shards itself. An entity's only state
-besides its shard is a cache of its live leaves, keyed by the public leaf
-path. Each leaf has one record, `(rows, counts)` (`Entity.leaf_rows`): its
-rows and their cumulative counts (`BinnedFeatures.cumulative`), from which
-every count table of the leaf is one gather. The children of a split are
-cut from the parent's cached rows by comparing bin codes, only the smaller
-child is counted, the larger one's counts are the parent's minus the
-smaller's, and the parent is evicted; any other miss replays the path from
-the root and counts its rows. The same record answers labels: a leaf's
-label counts are the row of `counts` that counts every label
-(`Entity.label_counts`), and after learning, the final leaves' records give
-the training accuracy without routing a row (`train_accuracy`).
-Counts are exact integers, so the cache releases nothing: it never leaves
-the entity, and every answer, noise draw and charge is what a stateless
-replay would give. In the learner's query order the live leaves partition
-the shard, so the cache holds each shard row at most once, for as long as
-the entity lives (one learner run).
+when it is prepared and deals the entities row slices of that binning;
+`EntityPool.from_shards` bins plain shards itself. The pool lays its
+entities' shards end to end in one `LeafStore`, and the store keeps one
+record per live leaf, keyed by the public leaf path: the leaf's rows and
+their cumulative counts, one stack per entity, from which every count
+table of the leaf is one gather. An entity reads only its own slice of a
+record (`Entity.leaf_rows`): its rows and its counts. So a leaf's rows are
+cut and counted once for all k entities, and the gains of the splitting
+class once per leaf, and each entity's slice is what it would count from
+its shard alone. The same record answers labels: a leaf's label counts are
+the row of the counts that counts every label (`Entity.label_counts`), and
+after learning, the final leaves' records give the training accuracy
+without routing a row (`train_accuracy`). Counts are exact integers, so the
+store releases nothing: it never leaves the entities, and every answer,
+noise draw and charge is what a stateless replay would give. In the
+learner's query order the live leaves partition the rows, so the store
+holds each row once, for one learner run.
 """
 
 from __future__ import annotations
@@ -123,67 +122,159 @@ class Response:
     payload: dict
 
 
-class Entity:
-    """One data holder: a disjoint shard, binned against the public
-    splitting class, its own noise stream, and charges recorded under its
-    own ledger scope. Only ever reads its own shard, through one cached
-    record per live leaf (`leaf_rows`). The single machine is one entity
-    with id GLOBAL_SCOPE."""
+class LeafStore:
+    """The rows of k data holders as one binning in holder order
+    (`BinnedFeatures.pooled`), with one record per live leaf: its rows, as
+    store positions in holder order, their cumulative counts, one stack per
+    holder (shape (k, rows of the stack, K)), and, once asked for, each
+    holder's bounds in the rows and the gains of the splitting class.
 
-    def __init__(self, entity_id: int | None, binned: BinnedFeatures, rng: RandomSource | None,
-                 criterion: Criterion):
-        self.entity_id = entity_id
-        self.binned = binned
-        self.rng = rng
-        self.splits = binned.splits  # public, shared splitting class
-        self.criterion = criterion
-        self._leaves: dict = {}  # live leaf path -> (its shard rows, their cumulative counts)
+    The children of a split are cut from the parent's rows with one code
+    comparison; only the smaller child is counted, the larger one's counts
+    are the parent's minus those, computed in the evicted parent's array,
+    and the parent is evicted. Any other miss replays the path from the root
+    and counts its rows. A single machine is the store of one holder, whose
+    binning is the dataset's own.
+    """
 
-    def leaf_rows(self, path) -> tuple:
-        """The record `(rows, counts)` of the leaf at `path`, a (split, side)
-        sequence of the splitting class: the shard rows that follow the path
-        and their cumulative counts (`BinnedFeatures.cumulative`). It stays
-        cached until the leaf is cut."""
-        path = tuple(path)
+    def __init__(self, shards):
+        self.binned = BinnedFeatures.pooled(shards)
+        self.k = len(shards)
+        self.offsets = np.cumsum([0] + [shard.n for shard in shards]).tolist()
+        self._leaves: dict = {}  # live leaf path -> _Leaf
+        self._last = (None, None)  # the path object last asked about, and its leaf
+
+    def shard(self, index: int) -> BinnedFeatures:
+        """Holder `index`'s rows of the store: views, not copies."""
+        if self.k == 1:
+            return self.binned
+        return self.binned.subset(slice(self.offsets[index], self.offsets[index + 1]))
+
+    def leaf(self, path: tuple) -> "_Leaf":
+        """The record of the leaf at `path`, a (split, side) tuple of the
+        splitting class. It stays cached until the leaf is cut. The k holders
+        of one query ask with one path object, which is answered without
+        hashing the path again."""
+        last_path, last = self._last
+        if path is last_path:
+            return last
         leaf = self._leaves.get(path)
-        if leaf is not None:
-            return leaf
-        parent = path[:-1]
-        if path and parent in self._leaves:
-            split, _ = path[-1]
-            rows, counts = self._leaves.pop(parent)
-            right = self.binned.goes_right(split, rows)
-            children = (rows[~right], rows[right])
-            # Count the smaller child; the larger one's counts are the
-            # parent's minus those, computed in the evicted parent's array.
-            small = int(children[1].size < children[0].size)
-            small_counts = self.binned.cumulative(children[small])
-            counts -= small_counts
-            self._leaves[parent + ((split, small),)] = (children[small], small_counts)
-            self._leaves[parent + ((split, 1 - small),)] = (children[1 - small], counts)
-            return self._leaves[path]
+        if leaf is None:
+            parent = self._leaves.pop(path[:-1], None) if path else None
+            leaf = self._replay(path) if parent is None else self._cut(path, parent)
+        self._last = (path, leaf)
+        return leaf
+
+    def _cut(self, path: tuple, parent: "_Leaf") -> "_Leaf":
+        """The leaf at `path`, cut with its sibling from their evicted parent."""
+        split, side = path[-1]
+        right = self.binned.goes_right(split, parent.rows)
+        children = [_Leaf(parent.rows[~right], None), _Leaf(parent.rows[right], None)]
+        # Count the smaller child; the larger one's counts are the parent's
+        # minus those, computed in the evicted parent's array.
+        small = int(children[1].rows.size < children[0].rows.size)
+        children[small].counts = self._count(children[small].rows)
+        parent.counts -= children[small].counts
+        children[1 - small].counts = parent.counts
+        self._leaves[path] = children[side]
+        self._leaves[path[:-1] + ((split, 1 - side),)] = children[1 - side]
+        return children[side]
+
+    def _replay(self, path: tuple) -> "_Leaf":
         rows = np.arange(self.binned.n)
         for split, side in path:
             right = self.binned.goes_right(split, rows)
             rows = rows[right] if side else rows[~right]
-        leaf = self._leaves[path] = (rows, self.binned.cumulative(rows))
+        leaf = self._leaves[path] = _Leaf(rows, self._count(rows))
         return leaf
+
+    def _count(self, rows) -> np.ndarray:
+        counts = self.binned.cumulative(rows)
+        return counts.reshape((self.k,) + counts.shape[-2:])
+
+    def bounds(self, leaf: "_Leaf") -> list:
+        """The k + 1 positions in `leaf.rows` where each holder's rows start,
+        and the end: prefix sums of the holders' row counts, each the sum of
+        the holder's label counts (its stack row that counts every label)."""
+        if leaf.bounds is None:
+            sizes = leaf.counts[:, self.binned.total_row].sum(axis=1)
+            leaf.bounds = [0] + np.cumsum(sizes).tolist()
+        return leaf.bounds
+
+    def gains(self, leaf: "_Leaf", criterion: Criterion) -> np.ndarray:
+        """Exact gains of the full splitting class for every holder's rows of
+        the leaf, shape (k, |H|), worked out once per leaf."""
+        if leaf.gains is None:
+            tables = split_count_tables(self.binned, leaf.rows, self.binned.splits, leaf.counts)
+            leaf.gains = gain_from_counts(tables, criterion)
+        return leaf.gains
+
+
+class _Leaf:
+    """One live leaf's record in a `LeafStore`."""
+
+    __slots__ = ("rows", "counts", "bounds", "gains")
+
+    def __init__(self, rows: np.ndarray, counts: np.ndarray):
+        self.rows = rows
+        self.counts = counts
+        self.bounds = None
+        self.gains = None
+
+
+class Entity:
+    """One data holder: a disjoint shard, binned against the public
+    splitting class, its own noise stream, and charges recorded under its
+    own ledger scope. It reads only its own slice of the leaf store it is
+    part of (`leaf_rows`). A new entity is the only holder of a store of its
+    own; a pool gathers its entities into one store. The single machine is
+    one entity with id GLOBAL_SCOPE."""
+
+    def __init__(self, entity_id: int | None, binned: BinnedFeatures, rng: RandomSource | None,
+                 criterion: Criterion):
+        self.entity_id = entity_id
+        self.rng = rng
+        self.splits = binned.splits  # public, shared splitting class
+        self.criterion = criterion
+        self.join(LeafStore([binned]), 0)
+
+    def join(self, store: LeafStore, index: int) -> None:
+        """Read from now on from holder `index`'s slice of `store`."""
+        self.store = store
+        self.index = index
+        self.binned = store.shard(index)
+
+    def leaf_rows(self, path) -> tuple:
+        """This entity's slice `(rows, counts)` of the leaf at `path`, a
+        (split, side) sequence of the splitting class: the store positions of
+        its shard rows that follow the path (the store offset of its shard
+        plus their positions in the shard) and their cumulative counts
+        (`BinnedFeatures.cumulative`)."""
+        store = self.store
+        leaf = store.leaf(tuple(path))
+        if store.k == 1:
+            return leaf.rows, leaf.counts[0]
+        bounds = store.bounds(leaf)
+        return leaf.rows[bounds[self.index]:bounds[self.index + 1]], leaf.counts[self.index]
 
     def label_counts(self, counts) -> np.ndarray:
         """Exact label counts of a leaf whose cumulative counts are `counts`:
         the row that counts every label."""
         return counts[self.binned.total_row].astype(float)
 
-    def gains(self, rows, counts) -> np.ndarray:
-        """Exact gains of the full splitting class on `rows`, whose
-        cumulative counts are `counts`."""
-        return gain_from_counts(split_count_tables(self.binned, rows, self.splits, counts), self.criterion)
+    def gains(self, path) -> np.ndarray:
+        """Exact gains of the full splitting class on this entity's rows of
+        the leaf at `path`: its row of the gains the store works out once for
+        all holders."""
+        store = self.store
+        return store.gains(store.leaf(tuple(path)), self.criterion)[self.index]
 
-    def rnm_split(self, rows, counts, budget, rng: RandomSource):
-        """Report Noisy Max over `gains(rows, counts)`: (index, noisy gain).
-        Raises DegenerateLeafError on fewer than MIN_LEAF_ROWS rows."""
-        sensitivity = rnm_score_sensitivity(self.criterion, rows.size)
-        return report_noisy_max(self.gains(rows, counts), sensitivity, float(budget), rng)
+    def rnm_split(self, path, m: int, budget, rng: RandomSource):
+        """Report Noisy Max over `gains(path)` of a leaf of m rows: (index,
+        noisy gain). Raises DegenerateLeafError on fewer than MIN_LEAF_ROWS
+        rows."""
+        sensitivity = rnm_score_sensitivity(self.criterion, m)
+        return report_noisy_max(self.gains(path), sensitivity, float(budget), rng)
 
     def _scope(self, purpose: str, query: Query) -> Scope:
         return Scope(self.entity_id, purpose, depth=query.depth, leaf=query.leaf_id)
@@ -203,14 +294,14 @@ class Entity:
             # budget/(2k) keeps the leaf total at budget/2.
             scale = distributed_label_scale(k, query.budget)
             noisy = self.label_counts(counts) + sample_laplace(scale, self.rng, size=k)
-            per_label = query.budget / (2 * k)
+            per_label, scope = query.budget / (2 * k), self._scope("label", query)
             for _ in range(k):
-                ledger.charge(self._scope("label", query), per_label)
+                ledger.charge(scope, per_label)
             return Response({"counts": noisy})
 
         if query.kind == "joint_histogram":
             candidates = query.splits
-            tables = split_count_tables(self.binned, rows, candidates, counts)
+            tables = split_count_tables(self.store.binned, rows, candidates, counts)
             # Per-cell Lap(3|H'|/alpha): cells of one histogram partition the
             # shard (parallel), histograms compose sequentially, so the |H'|
             # histograms cost alpha/3 in total.
@@ -228,7 +319,7 @@ class Entity:
                 ledger.charge(self._scope("split", query), query.budget)
                 return Response({"hid": hid, "fallback": True})
             # Only the winning index is published, the noisy score is dropped.
-            hid, _ = self.rnm_split(rows, counts, query.budget, self.rng)
+            hid, _ = self.rnm_split(query.path, rows.size, query.budget, self.rng)
             ledger.charge(self._scope("split", query), query.budget)
             return Response({"hid": hid, "fallback": False})
 
@@ -247,7 +338,8 @@ class LocalTransport:
 
 
 class EntityPool:
-    """The k simulated data holders and the transport that asks them."""
+    """The k simulated data holders, gathered into one leaf store, and the
+    transport that asks them."""
 
     def __init__(self, entities: list[Entity]):
         if not entities:
@@ -261,6 +353,9 @@ class EntityPool:
         if any(e.splits != self.splits or e.criterion is not self.criterion for e in self.entities):
             raise InvalidParameterError(
                 "entities of one pool must share the splitting class and criterion")
+        self.store = LeafStore([entity.binned for entity in self.entities])
+        for index, entity in enumerate(self.entities):
+            entity.join(self.store, index)
 
     @classmethod
     def from_binned(cls, shards, rng: RandomSource, criterion: Criterion) -> "EntityPool":
@@ -283,7 +378,9 @@ class EntityPool:
         path = tuple(path)
         if not isinstance(budget, Fraction):
             budget = Fraction(budget)
-        query = Query(kind, path, budget, depth, leaf_id, splits)
+        # One tuple of candidates per query, which every entity's binning
+        # plans once (`BinnedFeatures.plan`).
+        query = Query(kind, path, budget, depth, leaf_id, None if splits is None else tuple(splits))
         return [self.transport.send(entity, query, ledger) for entity in self.entities]
 
 
@@ -304,7 +401,7 @@ def noisy_counts_split(pool: EntityPool, leaf: Node, alpha, candidates, ledger: 
     if len(candidates) == 0:
         raise InvalidParameterError("candidate split set must be nonempty")
     responses = pool.ask_all(ledger, "joint_histogram", leaf.path, alpha, leaf.budget_depth,
-                             leaf.node_id, splits=list(candidates))
+                             leaf.node_id, splits=candidates)
     aggregated = np.sum([resp.payload["cells"] for resp in responses], axis=0)
     sanitized = np.clip(aggregated, 0.0, None)
     gains = gain_from_counts(sanitized, pool.criterion)
@@ -352,11 +449,11 @@ class ExactStrategy:
         if len(binned.splits) == 0:
             raise InvalidParameterError("splitting class must be nonempty")
         self.entity = Entity(GLOBAL_SCOPE, binned, None, criterion)
-        self.entities = [self.entity]
+        self.store = self.entity.store
         self.total_size = binned.n
 
     def split(self, leaf: Node, alpha, ledger: PrivacyLedger):
-        gains = self.entity.gains(*self.entity.leaf_rows(leaf.path))
+        gains = self.entity.gains(leaf.path)
         best = int(np.argmax(gains))
         return self.entity.splits[best], float(gains[best])
 
@@ -382,7 +479,7 @@ class SingleMachineRNMSplitter:
 
     def __init__(self, binned: BinnedFeatures, criterion: Criterion, rng: RandomSource):
         self.entity = Entity(GLOBAL_SCOPE, binned, None, criterion)
-        self.entities = [self.entity]
+        self.store = self.entity.store
         self.total_size = binned.n
         self._split_rng = rng.substream("split")
         self._weight_rng = rng.substream("weight")
@@ -391,8 +488,8 @@ class SingleMachineRNMSplitter:
     def split(self, leaf: Node, alpha, ledger: PrivacyLedger):
         if alpha <= 0:
             raise InvalidParameterError(f"alpha must be positive, got {alpha}")
-        rows, counts = self.entity.leaf_rows(leaf.path)
-        index, noisy_gain = self.entity.rnm_split(rows, counts, alpha, self._split_rng)
+        rows, _ = self.entity.leaf_rows(leaf.path)
+        index, noisy_gain = self.entity.rnm_split(leaf.path, rows.size, alpha, self._split_rng)
         ledger.charge(Scope(GLOBAL_SCOPE, "split", depth=leaf.budget_depth, leaf=leaf.node_id), alpha)
         return self.entity.splits[index], noisy_gain
 
@@ -414,7 +511,7 @@ class DistributedStrategy:
 
     def __init__(self, pool: EntityPool):
         self.pool = pool
-        self.entities = pool.entities
+        self.store = pool.store
         # Shard sizes are treated as public metadata.
         self.total_size = sum(entity.binned.n for entity in pool.entities)
 
@@ -442,16 +539,14 @@ class LocalRNMSplitter(DistributedStrategy):
         return local_rnm_split(self.pool, leaf, alpha, ledger)
 
 
-def train_accuracy(tree: DecisionTree, entities) -> float:
-    """Accuracy of a tree learned through `entities` on the rows they hold,
-    without routing a row: labeling asked every final leaf of every entity,
-    so each leaf's rows are cached, and its label counts say how many of
-    them carry the leaf's label. It equals `1 - tree_error(tree, train)` bit
-    for bit, `train` being the union of the entities' rows."""
-    n = sum(entity.binned.n for entity in entities)
+def train_accuracy(tree: DecisionTree, store: LeafStore) -> float:
+    """Accuracy of a tree learned through `store` on the rows it holds,
+    without routing a row: labeling asked about every final leaf, so each
+    leaf's record is cached, and its label counts say how many of its rows
+    carry the leaf's label. It equals `1 - tree_error(tree, train)` bit for
+    bit, `train` being the union of the holders' rows."""
+    n, total = store.binned.n, store.binned.total_row
     correct = sum(
-        int(entity.label_counts(entity._leaves[leaf.path][1])[leaf.label])
-        for leaf in tree.leaves()
-        for entity in entities
+        int(store.leaf(leaf.path).counts[:, total, leaf.label].sum()) for leaf in tree.leaves()
     )
     return 1.0 - (n - correct) / n

@@ -226,9 +226,15 @@ class BinnedFeatures:
     row counts them all. The j-th threshold's split therefore reads its left
     side from block row j and its total from the block's last row, and the
     plan records those two rows for every split of the class. Counts are
-    exact integers in the smallest unsigned dtype that holds the row count;
-    each column keeps its codes with the labels folded in (code * K + label)
-    so that one bincount counts it.
+    exact integers in the smallest unsigned dtype that holds the row count.
+
+    `pooled(shards)` lays the rows of k binnings of one class end to end,
+    shard by shard, and keeps them apart in its counts: `cumulative` then
+    returns one stack per shard, shape (k, rows of the stack, K). To count a
+    column with one bincount, each column keeps its codes with the shard
+    and the label folded in, as (shard * (T + 1) + code) * K + label; these
+    keys are made when a binning is first counted, so a binning that is only
+    routed or sliced never makes them.
     """
 
     def __init__(self, dataset: LabeledDataset, splits):
@@ -255,19 +261,17 @@ class BinnedFeatures:
         self._size = size
         self.splits = list(splits)
         self._class_rows = self._lookup(self.splits)
+        # The last candidate tuple looked up and its rows (`plan`), one list
+        # that every slice of this binning shares.
+        self._memo = [(), self._lookup(())]
         self._set_rows(labels, codes)
 
-    def _set_rows(self, labels: np.ndarray, codes: list) -> None:
+    def _set_rows(self, labels: np.ndarray, codes: list, shard_sizes=None) -> None:
         self.labels = labels
         self.codes = codes
+        self.shard_sizes = [labels.size] if shard_sizes is None else shard_sizes
         self.count_dtype = np.min_scalar_type(labels.size)
-        k = self.n_classes
-        self._pairs = []
-        for column, (start, stop) in zip(codes, self._blocks):
-            pairs = column.astype(np.min_scalar_type((stop - start) * k - 1))
-            pairs *= k
-            pairs += labels
-            self._pairs.append(pairs)
+        self._keys = None
 
     @property
     def n(self) -> int:
@@ -275,10 +279,41 @@ class BinnedFeatures:
 
     def subset(self, rows) -> "BinnedFeatures":
         """The binning of the given rows, equal to binning those rows of the
-        dataset afresh against the same class."""
+        dataset afresh against the same class. A slice gives views of this
+        binning's codes and labels, not copies."""
         out = copy.copy(self)
         out._set_rows(self.labels[rows], [column[rows] for column in self.codes])
         return out
+
+    @staticmethod
+    def pooled(shards) -> "BinnedFeatures":
+        """The rows of binnings of one class, shard after shard, as one
+        binning whose counts keep the shards apart (see the class). One
+        shard is returned as it is."""
+        if len(shards) == 1:
+            return shards[0]
+        out = copy.copy(shards[0])
+        codes = [np.concatenate(columns) for columns in zip(*(shard.codes for shard in shards))]
+        out._set_rows(np.concatenate([shard.labels for shard in shards]), codes,
+                      [shard.n for shard in shards])
+        return out
+
+    def _count_keys(self) -> list:
+        """Per column, the key (shard, code, label) of every row that one
+        bincount counts; made on first use and kept."""
+        if self._keys is None:
+            k = self.n_classes
+            starts = np.cumsum([0] + self.shard_sizes).tolist()
+            self._keys = []
+            for column, (start, stop) in zip(self.codes, self._blocks):
+                width = stop - start
+                keys = column.astype(np.min_scalar_type(len(self.shard_sizes) * width * k - 1))
+                for shard in range(1, len(self.shard_sizes)):
+                    keys[starts[shard]:starts[shard + 1]] += shard * width
+                keys *= k
+                keys += self.labels
+                self._keys.append(keys)
+        return self._keys
 
     @property
     def total_row(self) -> int:
@@ -292,9 +327,20 @@ class BinnedFeatures:
         """(left row, total row) in the stacked counts for each split, shape
         (len(splits), 2). A split outside the binned class raises
         InvalidParameterError rather than being counted against the wrong
-        bins."""
-        # The class itself, or a copy of it, is answered without lookups.
-        return self._class_rows if splits == self.splits else self._lookup(splits)
+        bins.
+
+        The class itself, or a copy of it, is answered without lookups. So is
+        the tuple last looked up, by identity: a tuple cannot change, so k
+        holders asked about one query's candidates resolve them once."""
+        memo = self._memo
+        if splits is memo[0]:
+            return memo[1]
+        if splits is self.splits or splits == self.splits:
+            return self._class_rows
+        rows = self._lookup(splits)
+        if isinstance(splits, tuple):
+            memo[:] = splits, rows
+        return rows
 
     def _lookup(self, splits) -> np.ndarray:
         return np.array([self._planned(split)[2:] for split in splits], dtype=np.intp).reshape(-1, 2)
@@ -307,13 +353,15 @@ class BinnedFeatures:
 
     def cumulative(self, rows) -> np.ndarray:
         """Stacked cumulative label counts of the given rows: one bincount
-        over (code, label) pairs and one cumulative sum per column."""
-        k = self.n_classes
-        cum = np.empty((self._size, k), dtype=self.count_dtype)
-        for (start, stop), pairs in zip(self._blocks, self._pairs):
-            counts = np.bincount(pairs[rows], minlength=(stop - start) * k)
-            cum[start:stop] = np.cumsum(counts.reshape(stop - start, k), axis=0)
-        return cum
+        over (shard, code, label) keys and one cumulative sum per column.
+        Shape (rows of the stack, K), or (k, rows of the stack, K) for a
+        binning pooled from k shards."""
+        k, shards = self.n_classes, len(self.shard_sizes)
+        cum = np.empty((shards, self._size, k), dtype=self.count_dtype)
+        for (start, stop), keys in zip(self._blocks, self._count_keys()):
+            counts = np.bincount(keys[rows], minlength=shards * (stop - start) * k)
+            cum[:, start:stop] = np.cumsum(counts.reshape(shards, stop - start, k), axis=1)
+        return cum if shards > 1 else cum[0]
 
     def goes_right(self, split, rows) -> np.ndarray:
         """Mask of the rows on side 1 of a split of the class: code > j is
@@ -325,20 +373,21 @@ class BinnedFeatures:
 
 def split_count_tables(binned: BinnedFeatures, rows, splits, cumulative=None) -> np.ndarray:
     """Joint count tables, shape (len(splits), n_classes, 2), over the given
-    rows of a binned dataset.
+    rows of a binned dataset; one such stack per shard, with a leading axis
+    of k, when the counts are those of k pooled shards.
 
-    `cumulative` is `binned.cumulative(rows)` when the caller holds it (an
-    entity caches it per live leaf); otherwise the rows are counted here, in
-    O(len(rows) + T K) per column. Either way the tables are one gather of
-    each split's planned rows. A split that is not in the binned class raises
-    InvalidParameterError.
+    `cumulative` is `binned.cumulative(rows)` when the caller holds it (the
+    leaf store caches it per live leaf); otherwise the rows are counted
+    here, in O(len(rows) + T K) per column. Either way the tables are one
+    gather of each split's planned rows. A split that is not in the binned
+    class raises InvalidParameterError.
     """
     at = binned.plan(splits)
     cum = binned.cumulative(rows) if cumulative is None else cumulative
-    left = cum[at[:, 0]]
-    tables = np.empty((len(at), binned.n_classes, 2))
-    tables[:, :, 0] = left
-    tables[:, :, 1] = cum[at[:, 1]] - left
+    left = cum[..., at[:, 0], :]
+    tables = np.empty(left.shape + (2,))
+    tables[..., 0] = left
+    tables[..., 1] = cum[..., at[:, 1], :] - left
     return tables
 
 

@@ -305,7 +305,7 @@ class TestRunSingle:
     @pytest.mark.parametrize("noise", [True, False], ids=["noise", "zero-noise"])
     @pytest.mark.parametrize("algorithm", experiments.ALGORITHMS)
     def test_train_acc_is_one_minus_tree_error(self, workspace, monkeypatch, algorithm, noise):
-        # Training accuracy is read from the entities' leaf caches; it must
+        # Training accuracy is read from the strategy's leaf store; it must
         # equal routing the training rows through the tree, bit for bit.
         _, config, _ = workspace
         cfg = config_from_dict({**config, "algorithm": algorithm, "train_fractions": [1.0, 0.5]})
@@ -327,7 +327,8 @@ class TestRunSingle:
                 row = run_single(cfg, 1, 0, fraction_i, 0)
             strategy, tree = learned[-1]
             train = strategy.entity.binned if algorithm in ("baseline", "single-rnm") else trains[-1]
-            assert train.n == sum(entity.binned.n for entity in strategy.entities)
+            assert train.n == strategy.store.binned.n == sum(strategy.store.shard(i).n
+                                                             for i in range(strategy.store.k))
             assert row.train_acc == 1.0 - tree_error(tree, train)
 
     @pytest.mark.parametrize("algorithm", experiments.ALGORITHMS)
@@ -402,6 +403,36 @@ class TestSweep:
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith(f"error: cannot read {out}: ")
+
+    @pytest.mark.parametrize("change, expected", [
+        (lambda lines: [lines[0], "not,a,row"], ":2: expected 12 columns, got 3"),
+        (lambda lines: lines[:3] + [lines[3].replace(",1.0,0.5,1.0,", ",2.0,0.5,1.0,", 1)] + lines[4:5],
+         ":4: found the row of ('single-rnm', 2.0,"),
+        (lambda lines: lines[:2] + [lines[3], lines[2]], ":3: found the row of ('single-rnm', 1.0, 0.5, 1.0, 2,"),
+        (lambda lines: lines + [lines[-1]], ":8: this sweep has only 6 rows"),
+    ], ids=["not-a-row", "other-alpha", "out-of-order", "extra-row"])
+    def test_resume_refuses_rows_of_other_tasks(self, workspace, change, expected):
+        # Resuming reads every row it skips: a row that is not the one this
+        # config's task writes in its place exits 3, naming its line, and the
+        # file is left as it was.
+        tmp_path, config, config_path = workspace
+        full = run_sweep(config_from_dict(config), tmp_path / "full.csv").read_text().splitlines()
+        out = tmp_path / "rows.csv"
+        out.write_text("\n".join(change(full)) + "\n")
+        before = out.read_text()
+        result = CliRunner().invoke(main, ["sweep", "--config", str(config_path), "--out", str(out), "--resume"])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"error: {out}{expected}")
+        assert out.read_text() == before
+
+    def test_resume_refuses_rows_of_another_config(self, workspace):
+        tmp_path, config, config_path = workspace
+        out = tmp_path / "rows.csv"
+        run_sweep(config_from_dict({**config, "seed": 12, "runs": 1}), out)
+        result = CliRunner().invoke(main, ["sweep", "--config", str(config_path), "--out", str(out), "--resume"])
+        assert result.exit_code == 3
+        assert result.output.startswith(f"error: {out}:2: found the row of ('single-rnm', 1.0, 0.5, 1.0, 0, ")
 
     def test_ledger_cost_audit_across_sweep(self, workspace):
         tmp_path, config, _ = workspace

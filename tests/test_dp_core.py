@@ -128,7 +128,7 @@ def recomputed_cost(charges) -> Fraction:
     """
     by_entity: dict = {}
     for scope, budget in charges:
-        by_entity.setdefault(scope.entity, []).append((scope, budget))
+        by_entity.setdefault(scope.entity, []).append((scope, Fraction(budget)))
 
     def entity_cost(entity_charges) -> Fraction:
         groups: dict = {}
@@ -146,6 +146,29 @@ def recomputed_cost(charges) -> Fraction:
     return global_cost + max((entity_cost(c) for c in by_entity.values()), default=Fraction(0))
 
 
+def learner_budget(alpha: float, lpf: float, depth: int, share: Fraction) -> Fraction:
+    """A budget of the form the learners charge: alpha (1 - LPF) 2^-depth
+    times a share (1, 1/2, 1/3 or 1/(2K))."""
+    return Fraction(alpha) * (1 - Fraction(lpf)) / 2**depth * share
+
+
+# Budgets of three kinds: small rationals, the learners' own, and floats,
+# which the ledger takes at their exact binary value. Drawn in one run, the
+# learners' and the floats' denominators make the ledger's common
+# denominator grow mid-run.
+BUDGETS = st.one_of(
+    st.builds(Fraction, st.integers(1, 8), st.integers(1, 8)),
+    st.builds(
+        learner_budget,
+        st.sampled_from([8.0, 1.0, 0.125, 3.0, 0.1]),
+        st.sampled_from([0.5, 0.3, 0.9]),
+        st.integers(0, 40),
+        st.one_of(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3)]),
+                  st.builds(lambda k: Fraction(1, 2 * k), st.integers(1, 12))),
+    ),
+    st.floats(1e-3, 4.0),
+)
+
 CHARGES = st.lists(
     st.tuples(
         st.builds(
@@ -155,7 +178,7 @@ CHARGES = st.lists(
             depth=st.sampled_from([None, 1, 2, 3]),
             leaf=st.sampled_from([None, 0, 1, 2, 3]),
         ),
-        st.builds(Fraction, st.integers(1, 8), st.integers(1, 8)),
+        BUDGETS,
     ),
     max_size=40,
 )
@@ -231,6 +254,8 @@ class TestPrivacyLedger:
         for i, (scope, budget) in enumerate(charges, start=1):
             ledger.charge(scope, budget)
             assert ledger.effective_cost() == recomputed_cost(charges[:i])
+            entry = ledger.entries[-1]
+            assert type(entry.budget) is Fraction and entry.budget == Fraction(budget)
 
     @given(CHARGES, st.builds(Fraction, st.integers(1, 8), st.integers(1, 4)))
     @settings(max_examples=300, deadline=None)

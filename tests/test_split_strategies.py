@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dptree import split_strategies
+from dptree.data_io import build_splitting_class, partition, synthetic_tree_dataset
 from dptree.dp_core import (
     DegenerateLeafError,
     InvalidParameterError,
     PrivacyLedger,
     RandomSource,
     Scope,
+    sample_laplace,
     zero_noise,
 )
 from dptree.split_strategies import (
@@ -435,6 +438,99 @@ class TestMessageAudit:
         assert all(query.budget == 0.25 for _, query, _ in sent)
 
 
+class TestHolderIsolation:
+    def test_perturbing_one_shard_changes_only_its_entity(self):
+        # Flip the labels of shard j alone: every other entity's answer to
+        # each kind of query, at the root and at a child cut from it, stays
+        # bit for bit what it was.
+        ds, splits, j = planted_dataset(RandomSource(21), n=1500), grid_splits(), 2
+        shards = shard(ds, 4, 21)
+        flipped = shards[:j] + [LabeledDataset(shards[j].features, 1 - shards[j].labels, 2)] + shards[j + 1:]
+        runs = []
+        for pieces in (shards, flipped):
+            pool = recorded(EntityPool.from_shards(pieces, RandomSource(22), splits, Criterion.ENTROPY))
+            ledger = PrivacyLedger(100.0)
+            for leaf_id, path in enumerate(((), ((splits[3], 1),))):
+                pool.ask_all(ledger, "leaf_count", path, Fraction(1, 4), 1, leaf_id)
+                pool.ask_all(ledger, "label_counts", path, Fraction(1, 2), None, leaf_id)
+                pool.ask_all(ledger, "joint_histogram", path, Fraction(1), 1, leaf_id, splits=splits)
+                pool.ask_all(ledger, "local_best_split", path, Fraction(1), 1, leaf_id)
+            runs.append(pool.transport.sent)
+        assert len(runs[0]) == len(runs[1]) == 2 * 4 * 4
+        changed = set()
+        for (entity, query, payload), (other, other_query, other_payload) in zip(*runs):
+            assert (entity, query.kind) == (other, other_query.kind)
+            if payload != other_payload:
+                changed.add((entity, query.kind))
+        assert {entity for entity, _ in changed} == {j}
+        assert {(j, "label_counts"), (j, "joint_histogram")} <= changed
+
+
+def payload_bytes(sent) -> int:
+    """Bytes of recorded payloads as the bench counts them: an array's
+    float64 cells, and 8 for any other value."""
+    return sum(np.asarray(value, dtype=float).nbytes if isinstance(value, list) else 8
+               for _, _, payload in sent for value in payload.values())
+
+
+class TestPaperClaims:
+    """The paper's communication and noise claims for LocalRNM against
+    NoisyCounts, on the bench's local-rnm-k8 shape: k = 8 holders, |H| = 93
+    candidate splits and K = 2 labels, over a small dataset."""
+
+    K, H = 8, 93
+
+    def pool(self):
+        ds, _, schema = synthetic_tree_dataset(4000, RandomSource(31), depth=3, label_noise=0.05, thresholds=31)
+        splits = build_splitting_class(schema)
+        assert (len(splits), ds.n_classes) == (self.H, 2)
+        shards = partition(ds, self.K, RandomSource(32))
+        return recorded(EntityPool.from_shards(shards, RandomSource(33), splits, Criterion.ENTROPY))
+
+    def splits_made(self, monkeypatch):
+        """The sends and the Laplace scales the entities use for one root
+        split of each algorithm at alpha' = 1."""
+        made = {}
+        for name in ("noisy-counts", "local-rnm"):
+            pool, scales = self.pool(), []
+
+            def laplace(scale, rng, size=None):
+                scales.append((scale, size))
+                return sample_laplace(scale, rng, size)
+
+            monkeypatch.setattr(split_strategies, "sample_laplace", laplace)
+            if name == "noisy-counts":
+                noisy_counts_split(pool, ROOT, 1.0, pool.splits, PrivacyLedger(8.0))
+            else:
+                local_rnm_split(pool, ROOT, 1.0, PrivacyLedger(8.0))
+            made[name] = (pool.transport.sent, scales)
+        return made
+
+    def test_local_rnm_sends_fewer_bytes_per_split(self, monkeypatch):
+        # 9(i): NoisyCounts sends k |H| K 2 cells per split; LocalRNM sends
+        # k split ids (each with its fallback flag) plus k k K 2 cells.
+        k, h = self.K, self.H
+        made = self.splits_made(monkeypatch)
+        sent = {name: sends for name, (sends, _) in made.items()}
+        cells = {name: sum(np.asarray(payload.get("cells", [])).size for _, _, payload in sends)
+                 for name, sends in sent.items()}
+        ids = {name: sum("hid" in payload for _, _, payload in sends) for name, sends in sent.items()}
+        assert (cells["noisy-counts"], ids["noisy-counts"]) == (k * h * 2 * 2, 0)
+        assert (cells["local-rnm"], ids["local-rnm"]) == (k * k * 2 * 2, k)
+        ratio = Fraction(payload_bytes(sent["noisy-counts"]), payload_bytes(sent["local-rnm"]))
+        assert ratio == Fraction(k * h * 2 * 2 * 8, k * (8 + 8) + k * k * 2 * 2 * 8) == Fraction(186, 17)
+
+    def test_local_rnm_cell_noise_is_smaller_by_h_over_2k(self, monkeypatch):
+        # 9(ii): NoisyCounts' per-cell scale is 3|H|/alpha'; LocalRNM's
+        # phase 2 uses 3k/(alpha'/2), smaller by the ratio |H|/(2k).
+        made = self.splits_made(monkeypatch)
+        scales = {name: set(drawn) for name, (_, drawn) in made.items()}
+        assert scales["noisy-counts"] == {(3.0 * self.H, (self.H, 2, 2))}
+        assert scales["local-rnm"] == {(3.0 * self.K / 0.5, (self.K, 2, 2))}
+        (noisy, _), (local, _) = scales["noisy-counts"].pop(), scales["local-rnm"].pop()
+        assert noisy / local == self.H / (2 * self.K)
+
+
 def replayed_rows(shard, path):
     """Stateless oracle: follow the path from the root over every shard row."""
     rows = np.arange(shard.n)
@@ -461,6 +557,19 @@ def random_tree_paths(data, splits):
     return paths
 
 
+def random_pool(data, ds, splits):
+    """A pool of a drawn number of shards of `ds`, as `partition` deals
+    them (so some may be empty), and the shards."""
+    k = data.draw(st.integers(1, 5))
+    shards = partition(ds, k, RandomSource(data.draw(st.integers(0, 9)), ("shards",)))
+    return EntityPool.from_shards(shards, RandomSource(0), splits, Criterion.ENTROPY), shards
+
+
+def store_rows(store):
+    """Every row the store's live leaves hold, sorted."""
+    return np.sort(np.concatenate([leaf.rows for leaf in store._leaves.values()]))
+
+
 class TestEntityRowCache:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -468,11 +577,13 @@ class TestEntityRowCache:
         splits = grid_splits(d=2, count=3)
         n = data.draw(st.integers(0, 60))
         ds = planted_dataset(RandomSource(data.draw(st.integers(0, 9))), n=n)
-        queries = data.draw(st.lists(st.sampled_from(random_tree_paths(data, splits)), max_size=25))
-        entity = Entity(0, BinnedFeatures(ds, splits), RandomSource(0), Criterion.ENTROPY)
-        for path in queries:
-            rows, _ = entity.leaf_rows(path)
-            assert np.array_equal(rows, replayed_rows(ds, path))
+        pool, shards = random_pool(data, ds, splits)
+        paths = random_tree_paths(data, splits)
+        asked = st.tuples(st.integers(0, len(shards) - 1), st.sampled_from(paths))
+        for i, path in data.draw(st.lists(asked, max_size=25)):
+            rows, _ = pool.entities[i].leaf_rows(path)
+            # Store positions: the shard's offset plus positions in the shard.
+            assert np.array_equal(rows - pool.store.offsets[i], replayed_rows(shards[i], path))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -487,12 +598,17 @@ class TestEntityRowCache:
         ds = LabeledDataset(X.reshape(n, 2), y, 3)
         splits = [SplitFunction(threshold=t, feature=j) for j in range(2) for t in grid]
         splits += [SplitFunction(threshold=t, block=(0, 1)) for t in grid]
-        queries = data.draw(st.lists(st.sampled_from(random_tree_paths(data, splits)), max_size=25))
-        entity = Entity(0, BinnedFeatures(ds, splits), RandomSource(0), Criterion.ENTROPY)
-        for path in queries:
+        pool, shards = random_pool(data, ds, splits)
+        paths = random_tree_paths(data, splits)
+        asked = st.tuples(st.integers(0, len(shards) - 1), st.sampled_from(paths))
+        for i, path in data.draw(st.lists(asked, max_size=25)):
+            entity, piece = pool.entities[i], shards[i]
             rows, counts = entity.leaf_rows(path)
-            tables = split_count_tables(entity.binned, rows, splits, counts)
-            assert np.array_equal(tables, fresh_tables(ds, replayed_rows(ds, path), splits))
+            tables = split_count_tables(pool.store.binned, rows, splits, counts)
+            expected = fresh_tables(piece, replayed_rows(piece, path), splits)
+            assert np.array_equal(tables, expected)
+            # The gains worked out once for all holders are each holder's own.
+            assert np.array_equal(entity.gains(path), gain_from_counts(expected, Criterion.ENTROPY))
 
     def test_cut_counts_only_the_smaller_child(self, monkeypatch):
         ds, splits = planted_dataset(RandomSource(5), n=500), grid_splits(d=2, count=3)
@@ -508,11 +624,34 @@ class TestEntityRowCache:
         smaller = (((splits[0], 0),), right + ((splits[5], 1),))
         assert counted == [ds.n] + [replayed_rows(ds, path).size for path in smaller]
         assert counted[1] < ds.n / 2 and counted[2] < (ds.n - counted[1]) / 2
-        for path in entity._leaves:
+        for path in entity.store._leaves:
             rows, counts = entity.leaf_rows(path)
             tables = split_count_tables(entity.binned, rows, splits, counts)
             assert np.array_equal(tables, fresh_tables(ds, replayed_rows(ds, path), splits))
         assert len(counted) == 3  # serving cached leaves counts nothing again
+
+    def test_pool_cut_counts_only_the_pooled_smaller_child(self, monkeypatch):
+        ds, splits = planted_dataset(RandomSource(5), n=500), grid_splits(d=2, count=3)
+        shards = shard(ds, 3, 5)
+        pool = EntityPool.from_shards(shards, RandomSource(0), splits, Criterion.ENTROPY)
+        counted = []
+        count = pool.store.binned.cumulative
+        monkeypatch.setattr(pool.store.binned, "cumulative",
+                            lambda rows: counted.append(rows.size) or count(rows))
+        right = ((splits[0], 1),)
+        for path in ((), right, right + ((splits[5], 0),)):
+            for entity in pool.entities:
+                entity.leaf_rows(path)
+        # One count per leaf for all three holders: the root, then each
+        # cut's smaller child over the pooled rows.
+        smaller = (((splits[0], 0),), right + ((splits[5], 1),))
+        assert counted == [ds.n] + [replayed_rows(ds, path).size for path in smaller]
+        for path in pool.store._leaves:
+            for entity, piece in zip(pool.entities, shards):
+                rows, counts = entity.leaf_rows(path)
+                tables = split_count_tables(pool.store.binned, rows, splits, counts)
+                assert np.array_equal(tables, fresh_tables(piece, replayed_rows(piece, path), splits))
+        assert len(counted) == 3
 
     def test_out_of_class_candidate_raises_with_cached_counts(self):
         ds, splits = planted_dataset(RandomSource(6), n=100), grid_splits(d=2, count=3)
@@ -538,38 +677,39 @@ class TestEntityRowCache:
         pool = make_pool(ds, 3, splits, seed=3)
         single = SingleMachineRNMSplitter(BinnedFeatures(ds, splits), Criterion.ENTROPY, RandomSource(3))
         config = DPTopDownConfig(alpha=8.0, max_nodes=12)
-        for strategy, entities in ((LocalRNMSplitter(pool), pool.entities),
-                                   (single, [single.entity])):
+        for strategy in (LocalRNMSplitter(pool), single):
             tree, _, _ = dp_topdown(strategy, config)
             assert tree.internal_count >= 3
-            for entity in entities:
-                cached = np.concatenate([rows for rows, _ in entity._leaves.values()])
-                assert np.array_equal(np.sort(cached), np.arange(entity.binned.n))
+            # One store holds every holder's rows, each once.
+            assert np.array_equal(store_rows(strategy.store), np.arange(ds.n))
 
     @pytest.mark.parametrize("maker", [SingleMachineRNMSplitter, NoisyCountsSplitter, LocalRNMSplitter])
     def test_learner_run_caches_only_live_leaves(self, maker):
         ds, splits = planted_dataset(RandomSource(7), n=3000), grid_splits()
         if maker is SingleMachineRNMSplitter:
             strategy = maker(BinnedFeatures(ds, splits), Criterion.ENTROPY, RandomSource(7))
-            entities = [strategy.entity]
         else:
-            pool = make_pool(ds, 3, splits, seed=7)
-            strategy, entities = maker(pool), pool.entities
+            strategy = maker(make_pool(ds, 3, splits, seed=7))
         tree, _, _ = dp_topdown(strategy, DPTopDownConfig(alpha=8.0, max_nodes=12))
         live = {leaf.path for leaf in tree.leaves()}
         assert len(live) >= 4
-        for entity in entities:
-            assert len(entity._leaves) <= len(live)
-            assert set(entity._leaves) <= live
+        assert len(strategy.store._leaves) <= len(live)
+        assert set(strategy.store._leaves) <= live
 
     @pytest.mark.parametrize("maker", [NoisyCountsSplitter, LocalRNMSplitter])
     def test_learner_run_identical_to_stateless_entities(self, maker):
         class StatelessEntity(Entity):
-            """Replays every path over its float shard `piece`."""
+            """Replays every path over its float shard `piece`, and answers
+            every query, gains included, from that replay alone."""
 
             def leaf_rows(self, path):
                 rows = replayed_rows(self.piece, path)
                 return rows, self.binned.cumulative(rows)
+
+            def gains(self, path):
+                rows, counts = self.leaf_rows(path)
+                return gain_from_counts(split_count_tables(self.binned, rows, self.splits, counts),
+                                        self.criterion)
 
         ds, splits = planted_dataset(RandomSource(4), n=2500), grid_splits()
         runs = []
@@ -583,5 +723,7 @@ class TestEntityRowCache:
             config = DPTopDownConfig(alpha=4.0, max_nodes=16)
             tree, ledger, _ = dp_topdown(maker(pool), config)
             runs.append((tree.to_dict(), ledger.entries, pool.transport.sent))
+            if entity_class is StatelessEntity:
+                assert pool.store._leaves == {}  # the reference never read the store
         assert runs[0] == runs[1]
         assert len(runs[0][2]) > 50
