@@ -12,8 +12,9 @@ asks the strategy each question about a leaf:
 - `weight(leaf, budget, ledger)`: the noisy fraction of rows in the leaf,
   spending `budget`, half the leaf's allowance alpha_leaf;
 - `label(leaf, budget, ledger)`: the leaf's private majority label;
-- `total_size` and `store`, attributes set when the strategy is made:
-  the public row count |S| and the holders' rows (`LeafStore`).
+- `total_size` and `pool`, attributes set when the strategy is made:
+  the public row count |S| and the owner of the holders' rows
+  (`split_strategies.EntityPool`).
 
 Strategies read their own rows, draw their own noise and record their own
 charges. `ExactStrategy` answers every query exactly and charges nothing,

@@ -238,7 +238,7 @@ def prepare_data(config: ExperimentConfig):
 def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: int, run_i: int) -> ResultRow:
     """One seeded train/evaluate cycle for one grid cell, on row slices of
     the prepared binnings. Training accuracy is read from the strategy's
-    leaf store; only the test rows are routed, on their bin codes."""
+    pool; only the test rows are routed, on their bin codes."""
     train_full, test = prepare_data(config)
     alpha = config.alphas[alpha_i]
     lpf = config.lpfs[lpf_i]
@@ -269,9 +269,8 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
     elif config.algorithm == "single-rnm":
         strategy = SingleMachineRNMSplitter(train, criterion, source_rng.substream("mechanisms"))
     else:
-        # The pool lays the shards end to end in its leaf store, so the
-        # shards themselves are not kept.
-        pool = EntityPool.from_binned(
+        # The pool keeps the shards' rows as one binning of its own.
+        pool = EntityPool(
             partition(train, config.entities, source_rng.substream("partition")),
             source_rng.substream("entities"), criterion)
         maker = NoisyCountsSplitter if config.algorithm == "noisy-counts" else LocalRNMSplitter
@@ -286,7 +285,7 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
         train_fraction=fraction,
         run=run_i,
         seed=seed,
-        train_acc=train_accuracy(tree, strategy.store),
+        train_acc=train_accuracy(tree, strategy.pool),
         test_acc=1.0 - tree_error(tree, test) if test.n else float("nan"),
         depth=tree.depth,
         nodes=tree.internal_count,

@@ -1,48 +1,38 @@
 """Strategies for the DP-TopDown loop: the exact non-private baseline,
 single-machine RNM, distributed NoisyCounts and distributed LocalRNM, plus
-the simulated entity/coordinator message layer they share.
+the simulated data holders and the message layer they share.
 
-A message is a `Query` to one entity through `LocalTransport.send`, and the
-`Response` it gets holds only noisy aggregates; nothing is logged.
+Each strategy answers the loop's queries about a leaf, its tree node
+(`tree_learning.Node`, whose public (split, side) path locates the leaf's
+rows; see `dp_topdown`): `split`, `weight` and `label`, and it sets `pool`
+and the public row count `total_size` when it is made.
+`ExactStrategy` answers exactly, with no noise and no charges;
+`SingleMachineRNMSplitter` answers privately: RNM for splits and labels and
+the Laplace weight estimate for weights, each from its own substream, all
+charged under the global ledger scope. The two distributed strategies ask
+the k holders through the transport and share `weight` (summed noisy counts)
+and `label` (argmax of summed noisy label counts); they differ in `split`.
+A message is a `Query` to one entity through `LocalTransport.send`, and its
+`Response` holds only noisy aggregates.
 
-Each strategy answers the loop's queries about a leaf, which is its tree
-node (`tree_learning.Node`: id, depth and public (split, side) path; see
-`dp_topdown`): `split`, `weight` and `label`, and sets `store` and the
-public row count `total_size` when it is made. On a single machine all
-data is one `Entity` under the global ledger scope.
-`ExactStrategy` answers from its exact rows with no noise and no charges.
-`SingleMachineRNMSplitter` answers from the same rows privately: RNM for
-splits and labels, the Laplace weight estimate for weights, each drawn from
-its own substream. The two distributed strategies query k entities through
-the transport and share `weight` (summed noisy counts) and `label` (argmax
-of summed noisy label counts); they differ only in `split`.
-
-Each entity is given its shard already binned (`BinnedFeatures`: bin codes,
-labels and the row count, no float features), draws noise from its own
-stream and records its budget charge against its own ledger scope; the
-coordinator only ever sees noisy aggregates. A run bins its dataset once
-when it is prepared and deals the entities row slices of that binning;
-`EntityPool.from_shards` bins plain shards itself. The pool lays its
-entities' shards end to end in one `LeafStore`, and the store keeps one
-record per live leaf, keyed by the public leaf path: the leaf's rows and
-their cumulative counts, one stack per entity, from which every count
-table of the leaf is one gather. An entity reads only its own slice of a
-record (`Entity.leaf_rows`): its rows and its counts. So a leaf's rows are
-cut and counted once for all k entities, and the gains of the splitting
-class once per leaf, and each entity's slice is what it would count from
-its shard alone. The same record answers labels: a leaf's label counts are
-the row of the counts that counts every label (`Entity.label_counts`), and
-after learning, the final leaves' records give the training accuracy
-without routing a row (`train_accuracy`). Counts are exact integers, so the
-store releases nothing: it never leaves the entities, and every answer,
-noise draw and charge is what a stateless replay would give. In the
-learner's query order the live leaves partition the rows, so the store
-holds each row once, for one learner run.
+An `EntityPool` owns the holders' rows: their binned shards laid end to
+end as one binning in which holder i's label y reads i K + y, and one record
+per live leaf, keyed by its path: the leaf's rows and their cumulative counts
+(`BinnedFeatures.cumulative`), whose k K label columns count each holder's
+rows apart. A leaf is cut and counted once for all k holders, and its gains
+worked out once. Each `Entity` is the pool's view of one holder: it reads
+only its own rows and label columns of a record, draws noise from its own
+stream and charges its own ledger scope. Counts are exact integers, so every
+answer, draw and charge is what a stateless replay of the holder's shard
+would give. The single machine and the baseline are a pool of one holder
+whose binning is the dataset's own. After learning, the final leaves'
+records give the training accuracy without routing a row (`train_accuracy`).
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,33 +112,170 @@ class Response:
     payload: dict
 
 
-class LeafStore:
-    """The rows of k data holders as one binning in holder order
-    (`BinnedFeatures.pooled`), with one record per live leaf: its rows, as
-    store positions in holder order, their cumulative counts, one stack per
-    holder (shape (k, rows of the stack, K)), and, once asked for, each
-    holder's bounds in the rows and the gains of the splitting class.
+class Entity:
+    """One data holder, as its pool's view of holder `index`: it reads only
+    that holder's rows and counts of the pool's leaf records, draws noise
+    from its own stream and records its charges under its own ledger scope."""
 
-    The children of a split are cut from the parent's rows with one code
-    comparison; only the smaller child is counted, the larger one's counts
-    are the parent's minus those, computed in the evicted parent's array,
-    and the parent is evicted. Any other miss replays the path from the root
-    and counts its rows. A single machine is the store of one holder, whose
-    binning is the dataset's own.
+    def __init__(self, entity_id: int, pool: "EntityPool", index: int, rng: RandomSource | None,
+                 criterion: Criterion):
+        self.entity_id = entity_id
+        # The pool owns its entities; a strong reference back would leave a
+        # finished pool and its rows to the cycle collector.
+        self.pool = weakref.proxy(pool)
+        self.index = index
+        self.rng = rng
+        self.criterion = criterion
+
+    def leaf_rows(self, path) -> tuple:
+        """This holder's `(rows, counts)` of the leaf at `path`, a (split,
+        side) sequence of the splitting class: the pool positions of its rows
+        that follow the path, and their cumulative counts, shape (rows of the
+        stack, K). Both are views of the pool's record."""
+        pool = self.pool
+        leaf = pool.leaf(tuple(path))
+        if pool.k == 1:  # the whole record, without working out bounds
+            return leaf.rows, leaf.counts
+        bounds, i = pool.bounds(leaf), self.index
+        return leaf.rows[bounds[i]:bounds[i + 1]], leaf.counts.reshape(-1, pool.k, pool.n_classes)[:, i]
+
+    def label_counts(self, counts) -> np.ndarray:
+        """Exact label counts of a leaf whose cumulative counts are `counts`:
+        the row that counts every label."""
+        return counts[self.pool.binned.total_row].astype(float)
+
+    def gains(self, path) -> np.ndarray:
+        """Exact gains of the full splitting class on this holder's rows of
+        the leaf at `path`: its row of the gains the pool works out once for
+        all holders."""
+        pool = self.pool
+        return pool.gains(pool.leaf(tuple(path)))[self.index]
+
+    def rnm_split(self, path, m: int, budget, rng: RandomSource):
+        """Report Noisy Max over `gains(path)` of a leaf of m rows: (index,
+        noisy gain). Raises DegenerateLeafError on fewer than MIN_LEAF_ROWS
+        rows."""
+        sensitivity = rnm_score_sensitivity(self.criterion, m)
+        return report_noisy_max(self.gains(path), sensitivity, float(budget), rng)
+
+    def _scope(self, purpose: str, query: Query) -> Scope:
+        return Scope(self.entity_id, purpose, depth=query.depth, leaf=query.leaf_id)
+
+    def handle(self, query: Query, ledger: PrivacyLedger) -> Response:
+        rows, counts = self.leaf_rows(query.path)
+        if query.kind == "leaf_count":
+            # Count sensitivity 1 at budget alpha_leaf/2 -> Lap(2/alpha_leaf).
+            noisy = float(rows.size) + sample_laplace(1.0 / float(query.budget), self.rng)
+            ledger.charge(self._scope("weight", query), query.budget)
+            return Response({"count": noisy})
+
+        if query.kind == "label_counts":
+            k = self.pool.n_classes
+            # LM per label with the noise parameter doubled relative to the
+            # single-machine RNM labeling scale 2/budget; the per-label charge
+            # budget/(2k) keeps the leaf total at budget/2.
+            scale = distributed_label_scale(k, query.budget)
+            noisy = self.label_counts(counts) + sample_laplace(scale, self.rng, size=k)
+            per_label, scope = query.budget / (2 * k), self._scope("label", query)
+            for _ in range(k):
+                ledger.charge(scope, per_label)
+            return Response({"counts": noisy})
+
+        if query.kind == "joint_histogram":
+            candidates = query.splits
+            tables = split_count_tables(self.pool.binned, rows, candidates, counts)
+            # Per-cell Lap(3|H'|/alpha): cells of one histogram partition the
+            # shard (parallel), histograms compose sequentially, so the |H'|
+            # histograms cost alpha/3 in total.
+            scale = noisy_counts_cell_scale(len(candidates), query.budget)
+            noisy = tables + sample_laplace(scale, self.rng, size=tables.shape)
+            ledger.charge(self._scope("split", query), query.budget / 3)
+            return Response({"cells": noisy})
+
+        if query.kind == "local_best_split":
+            if rows.size < MIN_LEAF_ROWS:
+                # Too few rows for the sensitivity bound; answer with a
+                # uniformly random candidate. The branch itself is
+                # data-dependent, so the budget is charged regardless.
+                hid = int(self.rng.integers(0, len(self.pool.splits)))
+                ledger.charge(self._scope("split", query), query.budget)
+                return Response({"hid": hid, "fallback": True})
+            # Only the winning index is published, the noisy score is dropped.
+            hid, _ = self.rnm_split(query.path, rows.size, query.budget, self.rng)
+            ledger.charge(self._scope("split", query), query.budget)
+            return Response({"hid": hid, "fallback": False})
+
+        raise InvalidParameterError(f"unknown query kind {query.kind!r}")
+
+
+class LocalTransport:
+    """In-process coordinator/entity boundary: send(Query) -> Response, a
+    pass-through to `Entity.handle`. It is kept as its own layer so that the
+    bench can time every message and tests can substitute a recording
+    transport (`pool.transport = ...`), until the message layer folds into
+    the strategies (ROADMAP item 4(d))."""
+
+    def send(self, entity: Entity, query: Query, ledger: PrivacyLedger) -> Response:
+        return entity.handle(query, ledger)
+
+
+class EntityPool:
+    """The k data holders of a run, the only owner of their rows, and the
+    transport that asks them.
+
+    The binned shards lie end to end in one binning in which holder i's
+    label y is i K + y, so one count of any rows, shape (rows of the stack,
+    k K), holds holder i's counts as the view `reshape(-1, k, K)[:, i]`. One
+    record per live leaf, keyed by its path, holds the leaf's rows (pool
+    positions, in holder order), their counts and, once asked for, each
+    holder's bounds in the rows and every holder's gains of the splitting
+    class. A split's children are cut from the parent's rows with one code
+    comparison: only the smaller child is counted, the larger one's counts
+    are the parent's minus those, and the parent is evicted. Any other miss
+    replays the path from the root. In the learner's query order the live
+    leaves partition the rows, so the pool holds each row once.
+
+    Entity i draws from the substream ("entity", i) of `rng`; with `rng`
+    None, as on the single machine, whose strategies draw for it, none does.
     """
 
-    def __init__(self, shards):
-        self.binned = BinnedFeatures.pooled(shards)
-        self.k = len(shards)
-        self.offsets = np.cumsum([0] + [shard.n for shard in shards]).tolist()
+    def __init__(self, shards, rng: RandomSource | None, criterion: Criterion):
+        if not shards:
+            raise InvalidParameterError("need at least one shard")
+        first = shards[0]
+        if any(shard.splits != first.splits or shard.n_classes != first.n_classes for shard in shards):
+            raise InvalidParameterError("the shards of one pool must share the splitting class and labels")
+        # Entities answer split ids into this class.
+        self.splits, self.criterion = first.splits, criterion
+        self.k, self.n_classes = len(shards), first.n_classes
+        if self.k == 1:
+            self.binned = first
+        else:
+            dtype = np.min_scalar_type(self.k * self.n_classes - 1)
+            labels = np.concatenate([shard.labels.astype(dtype) + dtype.type(i * self.n_classes)
+                                     for i, shard in enumerate(shards)])
+            self.binned = BinnedFeatures.concatenated(shards, labels, self.k * self.n_classes)
+        self.transport = LocalTransport()
+        self.entities = [Entity(i, self, i, None if rng is None else rng.substream("entity", i), criterion)
+                         for i in range(self.k)]
         self._leaves: dict = {}  # live leaf path -> _Leaf
         self._last = (None, None)  # the path object last asked about, and its leaf
 
-    def shard(self, index: int) -> BinnedFeatures:
-        """Holder `index`'s rows of the store: views, not copies."""
-        if self.k == 1:
-            return self.binned
-        return self.binned.subset(slice(self.offsets[index], self.offsets[index + 1]))
+    @classmethod
+    def from_shards(cls, shards, rng: RandomSource, splits, criterion: Criterion) -> "EntityPool":
+        """The pool of `LabeledDataset` shards, each binned here against the
+        splitting class `splits`."""
+        return cls([BinnedFeatures(shard, splits) for shard in shards], rng, criterion)
+
+    def ask_all(self, ledger: PrivacyLedger, kind: str, path, budget, depth, leaf_id,
+                splits=None) -> list[Response]:
+        path = tuple(path)
+        if not isinstance(budget, Fraction):
+            budget = Fraction(budget)
+        # One tuple of candidates per query, which the pool's binning plans
+        # once for every entity (`BinnedFeatures.plan`).
+        query = Query(kind, path, budget, depth, leaf_id, None if splits is None else tuple(splits))
+        return [self.transport.send(entity, query, ledger) for entity in self.entities]
 
     def leaf(self, path: tuple) -> "_Leaf":
         """The record of the leaf at `path`, a (split, side) tuple of the
@@ -173,7 +300,7 @@ class LeafStore:
         # Count the smaller child; the larger one's counts are the parent's
         # minus those, computed in the evicted parent's array.
         small = int(children[1].rows.size < children[0].rows.size)
-        children[small].counts = self._count(children[small].rows)
+        children[small].counts = self.binned.cumulative(children[small].rows)
         parent.counts -= children[small].counts
         children[1 - small].counts = parent.counts
         self._leaves[path] = children[side]
@@ -185,33 +312,31 @@ class LeafStore:
         for split, side in path:
             right = self.binned.goes_right(split, rows)
             rows = rows[right] if side else rows[~right]
-        leaf = self._leaves[path] = _Leaf(rows, self._count(rows))
+        leaf = self._leaves[path] = _Leaf(rows, self.binned.cumulative(rows))
         return leaf
-
-    def _count(self, rows) -> np.ndarray:
-        counts = self.binned.cumulative(rows)
-        return counts.reshape((self.k,) + counts.shape[-2:])
 
     def bounds(self, leaf: "_Leaf") -> list:
         """The k + 1 positions in `leaf.rows` where each holder's rows start,
-        and the end: prefix sums of the holders' row counts, each the sum of
-        the holder's label counts (its stack row that counts every label)."""
+        and the end: prefix sums of the holders' row counts, read off the
+        stack row that counts every label."""
         if leaf.bounds is None:
-            sizes = leaf.counts[:, self.binned.total_row].sum(axis=1)
+            sizes = leaf.counts[self.binned.total_row].reshape(self.k, self.n_classes).sum(axis=1)
             leaf.bounds = [0] + np.cumsum(sizes).tolist()
         return leaf.bounds
 
-    def gains(self, leaf: "_Leaf", criterion: Criterion) -> np.ndarray:
-        """Exact gains of the full splitting class for every holder's rows of
-        the leaf, shape (k, |H|), worked out once per leaf."""
+    def gains(self, leaf: "_Leaf") -> np.ndarray:
+        """Exact gains of the full splitting class on each holder's rows of
+        the leaf, shape (k, |H|), from one gather of every holder's tables
+        and one `gain_from_counts` call, worked out once per leaf."""
         if leaf.gains is None:
-            tables = split_count_tables(self.binned, leaf.rows, self.binned.splits, leaf.counts)
-            leaf.gains = gain_from_counts(tables, criterion)
+            tables = split_count_tables(self.binned, leaf.rows, self.splits, leaf.counts)
+            tables = tables.reshape(len(self.splits), self.k, self.n_classes, 2).transpose(1, 0, 2, 3)
+            leaf.gains = gain_from_counts(tables, self.criterion)
         return leaf.gains
 
 
 class _Leaf:
-    """One live leaf's record in a `LeafStore`."""
+    """One live leaf's record in an `EntityPool`."""
 
     __slots__ = ("rows", "counts", "bounds", "gains")
 
@@ -220,168 +345,6 @@ class _Leaf:
         self.counts = counts
         self.bounds = None
         self.gains = None
-
-
-class Entity:
-    """One data holder: a disjoint shard, binned against the public
-    splitting class, its own noise stream, and charges recorded under its
-    own ledger scope. It reads only its own slice of the leaf store it is
-    part of (`leaf_rows`). A new entity is the only holder of a store of its
-    own; a pool gathers its entities into one store. The single machine is
-    one entity with id GLOBAL_SCOPE."""
-
-    def __init__(self, entity_id: int | None, binned: BinnedFeatures, rng: RandomSource | None,
-                 criterion: Criterion):
-        self.entity_id = entity_id
-        self.rng = rng
-        self.splits = binned.splits  # public, shared splitting class
-        self.criterion = criterion
-        self.join(LeafStore([binned]), 0)
-
-    def join(self, store: LeafStore, index: int) -> None:
-        """Read from now on from holder `index`'s slice of `store`."""
-        self.store = store
-        self.index = index
-        self.binned = store.shard(index)
-
-    def leaf_rows(self, path) -> tuple:
-        """This entity's slice `(rows, counts)` of the leaf at `path`, a
-        (split, side) sequence of the splitting class: the store positions of
-        its shard rows that follow the path (the store offset of its shard
-        plus their positions in the shard) and their cumulative counts
-        (`BinnedFeatures.cumulative`)."""
-        store = self.store
-        leaf = store.leaf(tuple(path))
-        if store.k == 1:
-            return leaf.rows, leaf.counts[0]
-        bounds = store.bounds(leaf)
-        return leaf.rows[bounds[self.index]:bounds[self.index + 1]], leaf.counts[self.index]
-
-    def label_counts(self, counts) -> np.ndarray:
-        """Exact label counts of a leaf whose cumulative counts are `counts`:
-        the row that counts every label."""
-        return counts[self.binned.total_row].astype(float)
-
-    def gains(self, path) -> np.ndarray:
-        """Exact gains of the full splitting class on this entity's rows of
-        the leaf at `path`: its row of the gains the store works out once for
-        all holders."""
-        store = self.store
-        return store.gains(store.leaf(tuple(path)), self.criterion)[self.index]
-
-    def rnm_split(self, path, m: int, budget, rng: RandomSource):
-        """Report Noisy Max over `gains(path)` of a leaf of m rows: (index,
-        noisy gain). Raises DegenerateLeafError on fewer than MIN_LEAF_ROWS
-        rows."""
-        sensitivity = rnm_score_sensitivity(self.criterion, m)
-        return report_noisy_max(self.gains(path), sensitivity, float(budget), rng)
-
-    def _scope(self, purpose: str, query: Query) -> Scope:
-        return Scope(self.entity_id, purpose, depth=query.depth, leaf=query.leaf_id)
-
-    def handle(self, query: Query, ledger: PrivacyLedger) -> Response:
-        rows, counts = self.leaf_rows(query.path)
-        if query.kind == "leaf_count":
-            # Count sensitivity 1 at budget alpha_leaf/2 -> Lap(2/alpha_leaf).
-            noisy = float(rows.size) + sample_laplace(1.0 / float(query.budget), self.rng)
-            ledger.charge(self._scope("weight", query), query.budget)
-            return Response({"count": noisy})
-
-        if query.kind == "label_counts":
-            k = self.binned.n_classes
-            # LM per label with the noise parameter doubled relative to the
-            # single-machine RNM labeling scale 2/budget; the per-label charge
-            # budget/(2k) keeps the leaf total at budget/2.
-            scale = distributed_label_scale(k, query.budget)
-            noisy = self.label_counts(counts) + sample_laplace(scale, self.rng, size=k)
-            per_label, scope = query.budget / (2 * k), self._scope("label", query)
-            for _ in range(k):
-                ledger.charge(scope, per_label)
-            return Response({"counts": noisy})
-
-        if query.kind == "joint_histogram":
-            candidates = query.splits
-            tables = split_count_tables(self.store.binned, rows, candidates, counts)
-            # Per-cell Lap(3|H'|/alpha): cells of one histogram partition the
-            # shard (parallel), histograms compose sequentially, so the |H'|
-            # histograms cost alpha/3 in total.
-            scale = noisy_counts_cell_scale(len(candidates), query.budget)
-            noisy = tables + sample_laplace(scale, self.rng, size=tables.shape)
-            ledger.charge(self._scope("split", query), query.budget / 3)
-            return Response({"cells": noisy})
-
-        if query.kind == "local_best_split":
-            if rows.size < MIN_LEAF_ROWS:
-                # Too few rows for the sensitivity bound; answer with a
-                # uniformly random candidate. The branch itself is
-                # data-dependent, so the budget is charged regardless.
-                hid = int(self.rng.integers(0, len(self.splits)))
-                ledger.charge(self._scope("split", query), query.budget)
-                return Response({"hid": hid, "fallback": True})
-            # Only the winning index is published, the noisy score is dropped.
-            hid, _ = self.rnm_split(query.path, rows.size, query.budget, self.rng)
-            ledger.charge(self._scope("split", query), query.budget)
-            return Response({"hid": hid, "fallback": False})
-
-        raise InvalidParameterError(f"unknown query kind {query.kind!r}")
-
-
-class LocalTransport:
-    """In-process coordinator/entity boundary: send(Query) -> Response, a
-    pass-through to `Entity.handle`. It is kept as its own layer so that the
-    bench can time every message and tests can substitute a recording
-    transport (`pool.transport = ...`), until the message layer folds into
-    the strategies (ROADMAP item 4(d))."""
-
-    def send(self, entity: Entity, query: Query, ledger: PrivacyLedger) -> Response:
-        return entity.handle(query, ledger)
-
-
-class EntityPool:
-    """The k simulated data holders, gathered into one leaf store, and the
-    transport that asks them."""
-
-    def __init__(self, entities: list[Entity]):
-        if not entities:
-            raise InvalidParameterError("need at least one entity")
-        self.entities = sorted(entities, key=lambda e: e.entity_id)
-        self.transport = LocalTransport()
-        # Entities answer split ids into the splitting class they hold, so
-        # the pool's strategies read theirs from the entities.
-        self.splits = self.entities[0].splits
-        self.criterion = self.entities[0].criterion
-        if any(e.splits != self.splits or e.criterion is not self.criterion for e in self.entities):
-            raise InvalidParameterError(
-                "entities of one pool must share the splitting class and criterion")
-        self.store = LeafStore([entity.binned for entity in self.entities])
-        for index, entity in enumerate(self.entities):
-            entity.join(self.store, index)
-
-    @classmethod
-    def from_binned(cls, shards, rng: RandomSource, criterion: Criterion) -> "EntityPool":
-        """One entity per binned shard; entity i draws from the substream
-        ("entity", i) of `rng`."""
-        entities = [
-            Entity(i, shard, rng.substream("entity", i), criterion)
-            for i, shard in enumerate(shards)
-        ]
-        return cls(entities)
-
-    @classmethod
-    def from_shards(cls, shards, rng: RandomSource, splits, criterion: Criterion) -> "EntityPool":
-        """`from_binned` over `LabeledDataset` shards, each binned here
-        against the splitting class `splits`."""
-        return cls.from_binned([BinnedFeatures(shard, splits) for shard in shards], rng, criterion)
-
-    def ask_all(self, ledger: PrivacyLedger, kind: str, path, budget, depth, leaf_id,
-                splits=None) -> list[Response]:
-        path = tuple(path)
-        if not isinstance(budget, Fraction):
-            budget = Fraction(budget)
-        # One tuple of candidates per query, which every entity's binning
-        # plans once (`BinnedFeatures.plan`).
-        query = Query(kind, path, budget, depth, leaf_id, None if splits is None else tuple(splits))
-        return [self.transport.send(entity, query, ledger) for entity in self.entities]
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +397,9 @@ def local_rnm_split(pool: EntityPool, leaf: Node, alpha, ledger: PrivacyLedger):
 
 
 class ExactStrategy:
-    """The non-private baseline: all data is one entity under the global
-    scope, and every query is answered exactly from its cached rows and
-    counts, with no noise and no charges.
+    """The non-private baseline: all data is a pool of one holder, and every
+    query is answered exactly from its leaf records, with no noise and no
+    charges.
 
     split() returns the split of largest exact gain (ties to the lowest
     index) and that gain, weight() the exact fraction of rows in the leaf,
@@ -448,14 +411,14 @@ class ExactStrategy:
     def __init__(self, binned: BinnedFeatures, criterion: Criterion):
         if len(binned.splits) == 0:
             raise InvalidParameterError("splitting class must be nonempty")
-        self.entity = Entity(GLOBAL_SCOPE, binned, None, criterion)
-        self.store = self.entity.store
+        self.pool = EntityPool([binned], None, criterion)
+        self.entity = self.pool.entities[0]
         self.total_size = binned.n
 
     def split(self, leaf: Node, alpha, ledger: PrivacyLedger):
         gains = self.entity.gains(leaf.path)
         best = int(np.argmax(gains))
-        return self.entity.splits[best], float(gains[best])
+        return self.pool.splits[best], float(gains[best])
 
     def weight(self, leaf: Node, budget, ledger: PrivacyLedger) -> float:
         rows, _ = self.entity.leaf_rows(leaf.path)
@@ -467,7 +430,8 @@ class ExactStrategy:
 
 
 class SingleMachineRNMSplitter:
-    """All data on one machine: a single entity under the global ledger scope.
+    """All data on one machine: a pool of one holder, charged under the
+    global ledger scope.
 
     split() runs Report Noisy Max over the exact gains of the full splitting
     class, returns (chosen split, its noisy gain) and charges the full alpha;
@@ -478,8 +442,8 @@ class SingleMachineRNMSplitter:
     """
 
     def __init__(self, binned: BinnedFeatures, criterion: Criterion, rng: RandomSource):
-        self.entity = Entity(GLOBAL_SCOPE, binned, None, criterion)
-        self.store = self.entity.store
+        self.pool = EntityPool([binned], None, criterion)
+        self.entity = self.pool.entities[0]
         self.total_size = binned.n
         self._split_rng = rng.substream("split")
         self._weight_rng = rng.substream("weight")
@@ -491,7 +455,7 @@ class SingleMachineRNMSplitter:
         rows, _ = self.entity.leaf_rows(leaf.path)
         index, noisy_gain = self.entity.rnm_split(leaf.path, rows.size, alpha, self._split_rng)
         ledger.charge(Scope(GLOBAL_SCOPE, "split", depth=leaf.budget_depth, leaf=leaf.node_id), alpha)
-        return self.entity.splits[index], noisy_gain
+        return self.pool.splits[index], noisy_gain
 
     def weight(self, leaf: Node, budget, ledger: PrivacyLedger) -> float:
         scope = Scope(GLOBAL_SCOPE, "weight", depth=leaf.budget_depth, leaf=leaf.node_id)
@@ -511,9 +475,8 @@ class DistributedStrategy:
 
     def __init__(self, pool: EntityPool):
         self.pool = pool
-        self.store = pool.store
         # Shard sizes are treated as public metadata.
-        self.total_size = sum(entity.binned.n for entity in pool.entities)
+        self.total_size = pool.binned.n
 
     def weight(self, leaf: Node, budget, ledger: PrivacyLedger) -> float:
         """Per-entity noisy counts (`budget` each, half the leaf's allowance,
@@ -539,14 +502,15 @@ class LocalRNMSplitter(DistributedStrategy):
         return local_rnm_split(self.pool, leaf, alpha, ledger)
 
 
-def train_accuracy(tree: DecisionTree, store: LeafStore) -> float:
-    """Accuracy of a tree learned through `store` on the rows it holds,
+def train_accuracy(tree: DecisionTree, pool: EntityPool) -> float:
+    """Accuracy of a tree learned through `pool` on the rows it holds,
     without routing a row: labeling asked about every final leaf, so each
     leaf's record is cached, and its label counts say how many of its rows
-    carry the leaf's label. It equals `1 - tree_error(tree, train)` bit for
-    bit, `train` being the union of the holders' rows."""
-    n, total = store.binned.n, store.binned.total_row
+    carry the leaf's label, in the column of that label for every holder.
+    It equals `1 - tree_error(tree, train)` bit for bit, `train` being the
+    union of the holders' rows."""
+    n, total, n_classes = pool.binned.n, pool.binned.total_row, pool.n_classes
     correct = sum(
-        int(store.leaf(leaf.path).counts[:, total, leaf.label].sum()) for leaf in tree.leaves()
+        int(pool.leaf(leaf.path).counts[total, leaf.label::n_classes].sum()) for leaf in tree.leaves()
     )
     return 1.0 - (n - correct) / n

@@ -228,13 +228,12 @@ class BinnedFeatures:
     plan records those two rows for every split of the class. Counts are
     exact integers in the smallest unsigned dtype that holds the row count.
 
-    `pooled(shards)` lays the rows of k binnings of one class end to end,
-    shard by shard, and keeps them apart in its counts: `cumulative` then
-    returns one stack per shard, shape (k, rows of the stack, K). To count a
-    column with one bincount, each column keeps its codes with the shard
-    and the label folded in, as (shard * (T + 1) + code) * K + label; these
-    keys are made when a binning is first counted, so a binning that is only
-    routed or sliced never makes them.
+    To count a column with one bincount, each column keeps its codes with
+    the label folded in, as code * K + label; these keys are made when a
+    binning is first counted, so a binning that is only routed or sliced
+    never makes them. `concatenated` lays binnings of one class end to end
+    under new labels; a pool of data holders (`split_strategies.EntityPool`)
+    tells its holders apart that way, by label alone.
     """
 
     def __init__(self, dataset: LabeledDataset, splits):
@@ -266,10 +265,9 @@ class BinnedFeatures:
         self._memo = [(), self._lookup(())]
         self._set_rows(labels, codes)
 
-    def _set_rows(self, labels: np.ndarray, codes: list, shard_sizes=None) -> None:
+    def _set_rows(self, labels: np.ndarray, codes: list) -> None:
         self.labels = labels
         self.codes = codes
-        self.shard_sizes = [labels.size] if shard_sizes is None else shard_sizes
         self.count_dtype = np.min_scalar_type(labels.size)
         self._keys = None
 
@@ -286,30 +284,22 @@ class BinnedFeatures:
         return out
 
     @staticmethod
-    def pooled(shards) -> "BinnedFeatures":
+    def concatenated(shards, labels: np.ndarray, n_classes: int) -> "BinnedFeatures":
         """The rows of binnings of one class, shard after shard, as one
-        binning whose counts keep the shards apart (see the class). One
-        shard is returned as it is."""
-        if len(shards) == 1:
-            return shards[0]
+        binning whose labels are `labels`, indices into `n_classes` labels."""
         out = copy.copy(shards[0])
-        codes = [np.concatenate(columns) for columns in zip(*(shard.codes for shard in shards))]
-        out._set_rows(np.concatenate([shard.labels for shard in shards]), codes,
-                      [shard.n for shard in shards])
+        out.n_classes = n_classes
+        out._set_rows(labels, [np.concatenate(columns) for columns in zip(*(shard.codes for shard in shards))])
         return out
 
     def _count_keys(self) -> list:
-        """Per column, the key (shard, code, label) of every row that one
-        bincount counts; made on first use and kept."""
+        """Per column, the key (code, label) of every row that one bincount
+        counts; made on first use and kept."""
         if self._keys is None:
             k = self.n_classes
-            starts = np.cumsum([0] + self.shard_sizes).tolist()
             self._keys = []
             for column, (start, stop) in zip(self.codes, self._blocks):
-                width = stop - start
-                keys = column.astype(np.min_scalar_type(len(self.shard_sizes) * width * k - 1))
-                for shard in range(1, len(self.shard_sizes)):
-                    keys[starts[shard]:starts[shard + 1]] += shard * width
+                keys = column.astype(np.min_scalar_type((stop - start) * k - 1))
                 keys *= k
                 keys += self.labels
                 self._keys.append(keys)
@@ -352,16 +342,15 @@ class BinnedFeatures:
             raise InvalidParameterError(f"split {split} is not in the binned class") from None
 
     def cumulative(self, rows) -> np.ndarray:
-        """Stacked cumulative label counts of the given rows: one bincount
-        over (shard, code, label) keys and one cumulative sum per column.
-        Shape (rows of the stack, K), or (k, rows of the stack, K) for a
-        binning pooled from k shards."""
-        k, shards = self.n_classes, len(self.shard_sizes)
-        cum = np.empty((shards, self._size, k), dtype=self.count_dtype)
+        """Stacked cumulative label counts of the given rows, shape (rows of
+        the stack, K): one bincount over (code, label) keys and one
+        cumulative sum per column."""
+        k = self.n_classes
+        cum = np.empty((self._size, k), dtype=self.count_dtype)
         for (start, stop), keys in zip(self._blocks, self._count_keys()):
-            counts = np.bincount(keys[rows], minlength=shards * (stop - start) * k)
-            cum[:, start:stop] = np.cumsum(counts.reshape(shards, stop - start, k), axis=1)
-        return cum if shards > 1 else cum[0]
+            counts = np.bincount(keys[rows], minlength=(stop - start) * k)
+            cum[start:stop] = np.cumsum(counts.reshape(stop - start, k), axis=0)
+        return cum
 
     def goes_right(self, split, rows) -> np.ndarray:
         """Mask of the rows on side 1 of a split of the class: code > j is
@@ -372,22 +361,19 @@ class BinnedFeatures:
 
 
 def split_count_tables(binned: BinnedFeatures, rows, splits, cumulative=None) -> np.ndarray:
-    """Joint count tables, shape (len(splits), n_classes, 2), over the given
-    rows of a binned dataset; one such stack per shard, with a leading axis
-    of k, when the counts are those of k pooled shards.
-
-    `cumulative` is `binned.cumulative(rows)` when the caller holds it (the
-    leaf store caches it per live leaf); otherwise the rows are counted
-    here, in O(len(rows) + T K) per column. Either way the tables are one
-    gather of each split's planned rows. A split that is not in the binned
-    class raises InvalidParameterError.
+    """Joint count tables, shape (len(splits), K, 2), over the given rows of
+    a binned dataset: one gather of each split's planned rows from
+    `cumulative`, counts of the stack's layout with K label columns, such as
+    `binned.cumulative(rows)` or a pool's view of one holder's counts.
+    Without it the rows are counted here, in O(len(rows) + T K) per column.
+    A split that is not in the binned class raises InvalidParameterError.
     """
     at = binned.plan(splits)
     cum = binned.cumulative(rows) if cumulative is None else cumulative
-    left = cum[..., at[:, 0], :]
+    left = cum[at[:, 0]]
     tables = np.empty(left.shape + (2,))
     tables[..., 0] = left
-    tables[..., 1] = cum[..., at[:, 1], :] - left
+    tables[..., 1] = cum[at[:, 1]] - left
     return tables
 
 
@@ -445,10 +431,6 @@ class DecisionTree:
             self._nodes.append(Node(len(self._nodes), leaf.depth + 1, leaf.path + ((split, side),)))
         leaf.left, leaf.right = self._nodes[-2:]
         return leaf.left, leaf.right
-
-    def nodes(self) -> list[Node]:
-        """Every node, in node id order."""
-        return list(self._nodes)
 
     def leaves(self) -> list[Node]:
         return [node for node in self._nodes if node.is_leaf]

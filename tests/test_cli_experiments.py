@@ -305,8 +305,8 @@ class TestRunSingle:
     @pytest.mark.parametrize("noise", [True, False], ids=["noise", "zero-noise"])
     @pytest.mark.parametrize("algorithm", experiments.ALGORITHMS)
     def test_train_acc_is_one_minus_tree_error(self, workspace, monkeypatch, algorithm, noise):
-        # Training accuracy is read from the strategy's leaf store; it must
-        # equal routing the training rows through the tree, bit for bit.
+        # Training accuracy is read from the strategy's pool; it must equal
+        # routing the training rows through the tree, bit for bit.
         _, config, _ = workspace
         cfg = config_from_dict({**config, "algorithm": algorithm, "train_fractions": [1.0, 0.5]})
         learned, trains = [], []
@@ -326,9 +326,13 @@ class TestRunSingle:
             with zero_noise(not noise):
                 row = run_single(cfg, 1, 0, fraction_i, 0)
             strategy, tree = learned[-1]
-            train = strategy.entity.binned if algorithm in ("baseline", "single-rnm") else trains[-1]
-            assert train.n == strategy.store.binned.n == sum(strategy.store.shard(i).n
-                                                             for i in range(strategy.store.k))
+            pool = strategy.pool
+            train = pool.binned if algorithm in ("baseline", "single-rnm") else trains[-1]
+            # The final leaves' records hold every training row, each holder's
+            # rows apart.
+            held = np.sum([pool.bounds(pool.leaf(leaf.path)) for leaf in tree.leaves()], axis=0)
+            assert train.n == pool.binned.n == held[-1]
+            assert len(held) == pool.k + 1 == (cfg.entities if algorithm in ("noisy-counts", "local-rnm") else 1) + 1
             assert row.train_acc == 1.0 - tree_error(tree, train)
 
     @pytest.mark.parametrize("algorithm", experiments.ALGORITHMS)

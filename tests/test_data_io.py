@@ -617,6 +617,6 @@ class TestSyntheticData:
     def test_truth_thresholds_on_grid(self):
         ds, truth, schema = synthetic_tree_dataset(100, RandomSource(16), depth=3)
         grid = {round(s.threshold, 9) for s in build_splitting_class(schema)}
-        for node in truth.nodes():
-            if not node.is_leaf:
-                assert round(node.split.threshold, 9) in grid
+        for record in truth.to_dict()["nodes"]:
+            if record["kind"] == "split":
+                assert round(record["threshold"], 9) in grid

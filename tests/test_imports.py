@@ -6,8 +6,10 @@ No linter is installed, so the checks parse the sources with `ast`. The
 package `__init__.py` is skipped: its imports are the public exports. A
 definition counts as used when its name is read anywhere in `src/dptree`,
 or anywhere in `bench/`, string constants included (the bench names the
-layers it patches in strings). Tests do not count: a definition only they
-read belongs with them.
+layers it patches in strings). A method that is no property but shares its
+name with a data attribute of the package counts as used only where it is
+called, as `.name(...)`: reading the attribute does not use the method.
+Tests do not count: a definition only they read belongs with them.
 """
 
 import ast
@@ -86,13 +88,51 @@ def referenced_names(source: str, strings: bool) -> set[str]:
     return names
 
 
+def data_attributes(source: str) -> set[str]:
+    """Names of class-level annotated fields and of `self.<name> =`
+    assignments in `source`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            names.update(item.target.id for item in node.body
+                         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(target.attr for target in targets if isinstance(target, ast.Attribute)
+                         and isinstance(target.value, ast.Name) and target.value.id == "self")
+    return names
+
+
+def plain_methods(source: str) -> set[str]:
+    """"Class.method" for each method in `source` that is no property."""
+    return {f"{node.name}.{item.name}" for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, ast.FunctionDef)
+            and not any(isinstance(d, ast.Name) and d.id == "property" for d in item.decorator_list)}
+
+
+def called_attributes(source: str) -> set[str]:
+    """Names called as `.name(...)` in `source`."""
+    return {node.func.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+
+
 def unreferenced(defined: dict, package_sources: list, bench_sources: list) -> list[str]:
     """"module: name" for each definition in `defined` (module -> names)
-    whose last name part no source reads."""
+    whose last name part no source reads, or, for a plain method named
+    like a data attribute, no source calls."""
     used = set().union(*(referenced_names(source, False) for source in package_sources),
                        *(referenced_names(source, True) for source in bench_sources))
-    return [f"{module}: {name}" for module, names in defined.items() for name in names
-            if name.rsplit(".", 1)[-1] not in used]
+    called = set().union(*(called_attributes(source) for source in package_sources + bench_sources))
+    attributes = set().union(*(data_attributes(source) for source in package_sources))
+    methods = set().union(*(plain_methods(source) for source in package_sources))
+    flagged = []
+    for module, names in defined.items():
+        for name in names:
+            last = name.rsplit(".", 1)[-1]
+            needs_call = name in methods and last in attributes
+            if last not in (called if needs_call else used):
+                flagged.append(f"{module}: {name}")
+    return flagged
 
 
 def test_every_definition_is_used_outside_tests():
@@ -123,6 +163,22 @@ class Pool:
     def planted(self):
         pass
 
+    def nodes(self):
+        pass
+
+    @property
+    def size(self):
+        return 1
+
+    def count(self):
+        pass
+
+
+class Row:
+    nodes: int
+    size: int
+    count: int
+
 
 def helper():
     return Pool()
@@ -133,15 +189,21 @@ def checker():
 '''
 PLANTED_BENCH = '''
 LAYERS = {"split_strategies": {"Pool.from_shards": None}}
-helper()
+pool, row = helper(), Row()
+row.nodes, row.size, row.count
+pool.size, pool.count()
 '''
 
 
 def test_check_flags_a_definition_only_tests_use():
     defined = {"m.py": definitions(PLANTED_PACKAGE)}
-    assert defined["m.py"] == ["Pool", "Pool.from_shards", "Pool.planted", "helper", "checker"]
-    flagged = ["m.py: Pool.planted", "m.py: checker"]
+    assert defined["m.py"] == ["Pool", "Pool.from_shards", "Pool.planted", "Pool.nodes", "Pool.size",
+                               "Pool.count", "Row", "helper", "checker"]
+    # `row.nodes` reads the field, not the method `Pool.nodes`; the
+    # property `Pool.size` is read like a field, and `Pool.count` is called.
+    flagged = ["m.py: Pool.planted", "m.py: Pool.nodes", "m.py: checker"]
     assert unreferenced(defined, [PLANTED_PACKAGE], [PLANTED_BENCH]) == flagged
+    assert unreferenced(defined, [PLANTED_PACKAGE], [PLANTED_BENCH + "pool.nodes()\n"]) == flagged[::2]
     # A name in a package string does not count; in a bench string it does.
     assert unreferenced(defined, [PLANTED_PACKAGE + 'NAME = "checker"\n'], [PLANTED_BENCH]) == flagged
-    assert unreferenced(defined, [PLANTED_PACKAGE], [PLANTED_BENCH + 'NAME = "checker"\n']) == flagged[:1]
+    assert unreferenced(defined, [PLANTED_PACKAGE], [PLANTED_BENCH + 'NAME = "checker"\n']) == flagged[:2]

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -249,16 +251,17 @@ class TestNoisyCounts:
         assert gain == gains[splits.index(chosen)]
 
     def test_pool_entities_must_agree(self):
+        # A pool needs a shard, and its shards one splitting class and one
+        # label set: entities answer split ids into the class, and the pool
+        # tells holders apart by label.
         ds = planted_dataset(RandomSource(14), n=100)
         splits = grid_splits()
         binned = BinnedFeatures(ds, splits)
-        entities = [Entity(0, binned, RandomSource(0), Criterion.ENTROPY),
-                    Entity(1, binned, RandomSource(1), Criterion.GINI)]
-        with pytest.raises(InvalidParameterError):
-            EntityPool(entities)
-        entities[1] = Entity(1, BinnedFeatures(ds, splits[:-1]), RandomSource(1), Criterion.ENTROPY)
-        with pytest.raises(InvalidParameterError):
-            EntityPool(entities)
+        three_labels = BinnedFeatures(LabeledDataset(ds.features, ds.labels, 3), splits)
+        for shards in ([], [binned, BinnedFeatures(ds, splits[:-1])], [binned, three_labels]):
+            with pytest.raises(InvalidParameterError):
+                EntityPool(shards, RandomSource(0), Criterion.ENTROPY)
+        assert EntityPool([binned, binned.subset(slice(0, 10))], RandomSource(0), Criterion.ENTROPY).k == 2
 
 
 class TestLocalRNM:
@@ -403,7 +406,7 @@ class TestMessageAudit:
         strategy.split(Node(1, 1), 1.0, ledger)
         strategy.weight(ROOT, 0.5, ledger)
         strategy.label(ROOT, Fraction(1, 2), ledger)
-        shard_sizes = {entity.binned.n for entity in pool.entities}
+        shard_sizes = {piece.n for piece in shard(ds, 3, 0)}
         assert pool.transport.sent
         for _, _, payload in pool.transport.sent:
             for key, value in payload.items():
@@ -565,9 +568,14 @@ def random_pool(data, ds, splits):
     return EntityPool.from_shards(shards, RandomSource(0), splits, Criterion.ENTROPY), shards
 
 
-def store_rows(store):
-    """Every row the store's live leaves hold, sorted."""
-    return np.sort(np.concatenate([leaf.rows for leaf in store._leaves.values()]))
+def pool_rows(pool):
+    """Every row the pool's live leaves hold, sorted."""
+    return np.sort(np.concatenate([leaf.rows for leaf in pool._leaves.values()]))
+
+
+def pool_of_one(ds, splits):
+    """The single machine's pool: one holder, whose binning is `ds`'s own."""
+    return EntityPool([BinnedFeatures(ds, splits)], None, Criterion.ENTROPY)
 
 
 class TestEntityRowCache:
@@ -579,11 +587,12 @@ class TestEntityRowCache:
         ds = planted_dataset(RandomSource(data.draw(st.integers(0, 9))), n=n)
         pool, shards = random_pool(data, ds, splits)
         paths = random_tree_paths(data, splits)
+        offsets = np.cumsum([0] + [piece.n for piece in shards])
         asked = st.tuples(st.integers(0, len(shards) - 1), st.sampled_from(paths))
         for i, path in data.draw(st.lists(asked, max_size=25)):
             rows, _ = pool.entities[i].leaf_rows(path)
-            # Store positions: the shard's offset plus positions in the shard.
-            assert np.array_equal(rows - pool.store.offsets[i], replayed_rows(shards[i], path))
+            # Pool positions: the shard's offset plus positions in the shard.
+            assert np.array_equal(rows - offsets[i], replayed_rows(shards[i], path))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -604,7 +613,7 @@ class TestEntityRowCache:
         for i, path in data.draw(st.lists(asked, max_size=25)):
             entity, piece = pool.entities[i], shards[i]
             rows, counts = entity.leaf_rows(path)
-            tables = split_count_tables(pool.store.binned, rows, splits, counts)
+            tables = split_count_tables(pool.binned, rows, splits, counts)
             expected = fresh_tables(piece, replayed_rows(piece, path), splits)
             assert np.array_equal(tables, expected)
             # The gains worked out once for all holders are each holder's own.
@@ -612,10 +621,10 @@ class TestEntityRowCache:
 
     def test_cut_counts_only_the_smaller_child(self, monkeypatch):
         ds, splits = planted_dataset(RandomSource(5), n=500), grid_splits(d=2, count=3)
-        entity = Entity(0, BinnedFeatures(ds, splits), RandomSource(0), Criterion.ENTROPY)
-        counted = []
-        count = entity.binned.cumulative
-        monkeypatch.setattr(entity.binned, "cumulative", lambda rows: counted.append(rows.size) or count(rows))
+        pool = pool_of_one(ds, splits)
+        entity, counted = pool.entities[0], []
+        count = pool.binned.cumulative
+        monkeypatch.setattr(pool.binned, "cumulative", lambda rows: counted.append(rows.size) or count(rows))
         # The first cut's smaller child is its left side (x0 <= 0.25), the
         # second cut's its right side (x1 > 0.75).
         right = ((splits[0], 1),)
@@ -624,9 +633,9 @@ class TestEntityRowCache:
         smaller = (((splits[0], 0),), right + ((splits[5], 1),))
         assert counted == [ds.n] + [replayed_rows(ds, path).size for path in smaller]
         assert counted[1] < ds.n / 2 and counted[2] < (ds.n - counted[1]) / 2
-        for path in entity.store._leaves:
+        for path in pool._leaves:
             rows, counts = entity.leaf_rows(path)
-            tables = split_count_tables(entity.binned, rows, splits, counts)
+            tables = split_count_tables(pool.binned, rows, splits, counts)
             assert np.array_equal(tables, fresh_tables(ds, replayed_rows(ds, path), splits))
         assert len(counted) == 3  # serving cached leaves counts nothing again
 
@@ -635,8 +644,8 @@ class TestEntityRowCache:
         shards = shard(ds, 3, 5)
         pool = EntityPool.from_shards(shards, RandomSource(0), splits, Criterion.ENTROPY)
         counted = []
-        count = pool.store.binned.cumulative
-        monkeypatch.setattr(pool.store.binned, "cumulative",
+        count = pool.binned.cumulative
+        monkeypatch.setattr(pool.binned, "cumulative",
                             lambda rows: counted.append(rows.size) or count(rows))
         right = ((splits[0], 1),)
         for path in ((), right, right + ((splits[5], 0),)):
@@ -646,12 +655,61 @@ class TestEntityRowCache:
         # cut's smaller child over the pooled rows.
         smaller = (((splits[0], 0),), right + ((splits[5], 1),))
         assert counted == [ds.n] + [replayed_rows(ds, path).size for path in smaller]
-        for path in pool.store._leaves:
+        for path in pool._leaves:
             for entity, piece in zip(pool.entities, shards):
                 rows, counts = entity.leaf_rows(path)
-                tables = split_count_tables(pool.store.binned, rows, splits, counts)
+                tables = split_count_tables(pool.binned, rows, splits, counts)
                 assert np.array_equal(tables, fresh_tables(piece, replayed_rows(piece, path), splits))
         assert len(counted) == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_holder_labels_past_eight_bits(self, data):
+        # 12 labels over 24 holders, some empty: the pool's k K = 288 labels
+        # and its (code, label) keys outgrow uint8. Each holder's counts and
+        # gains are still a fresh count of its own shard, bit for bit.
+        grid = (0.25, 0.5, 0.75)
+        n = data.draw(st.integers(0, 150))
+        X = np.array(data.draw(st.lists(st.sampled_from(grid + (0.1, 0.6, 0.9)), min_size=2 * n, max_size=2 * n)))
+        y = np.array(data.draw(st.lists(st.integers(0, 11), min_size=n, max_size=n)), dtype=int)
+        ds = LabeledDataset(X.reshape(n, 2), y, 12)
+        splits = [SplitFunction(threshold=t, feature=j) for j in range(2) for t in grid]
+        shards = partition(ds, 24, RandomSource(data.draw(st.integers(0, 9)), ("shards",)))
+        for i in data.draw(st.sets(st.integers(0, 23), min_size=1, max_size=6)):
+            shards[i] = ds.subset(np.arange(0))
+        pool = EntityPool.from_shards(shards, RandomSource(0), splits, Criterion.ENTROPY)
+        assert pool.binned.n_classes == 288 and pool.binned.labels.dtype == np.uint16
+        offsets = np.cumsum([0] + [piece.n for piece in shards])
+        paths = random_tree_paths(data, splits)
+        asked = st.tuples(st.integers(0, 23), st.sampled_from(paths))
+        for i, path in data.draw(st.lists(asked, min_size=1, max_size=25)):
+            entity, piece = pool.entities[i], shards[i]
+            rows, counts = entity.leaf_rows(path)
+            replay = replayed_rows(piece, path)
+            assert np.array_equal(rows - offsets[i], replay)
+            assert np.array_equal(counts, BinnedFeatures(piece, splits).cumulative(replay))
+            assert np.array_equal(entity.label_counts(counts), np.bincount(piece.labels[replay], minlength=12))
+            expected = fresh_tables(piece, replay, splits)
+            assert np.array_equal(split_count_tables(pool.binned, rows, splits, counts), expected)
+            assert np.array_equal(entity.gains(path), gain_from_counts(expected, Criterion.ENTROPY))
+        assert all(keys.dtype == np.uint16 for keys in pool.binned._count_keys())
+
+    def test_a_dropped_pool_is_freed_at_once(self):
+        # Entities refer to their pool weakly, so a pool and the rows it
+        # holds go with its last reference, not at a later pass of the
+        # cycle collector.
+        ds, splits = planted_dataset(RandomSource(6), n=100), grid_splits(d=2, count=3)
+        pool = make_pool(ds, 3, splits)
+        pool.ask_all(PrivacyLedger(8), "leaf_count", (), Fraction(1), 1, 0)
+        freed = weakref.ref(pool)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del pool
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_out_of_class_candidate_raises_with_cached_counts(self):
         ds, splits = planted_dataset(RandomSource(6), n=100), grid_splits(d=2, count=3)
@@ -666,7 +724,8 @@ class TestEntityRowCache:
     def test_evicted_parent_requeried(self):
         splits = grid_splits(d=2, count=3)
         ds = planted_dataset(RandomSource(2), n=200)
-        entity = Entity(0, BinnedFeatures(ds, splits), RandomSource(0), Criterion.ENTROPY)
+        pool = pool_of_one(ds, splits)
+        entity = pool.entities[0]
         left, right = ((splits[1], 0),), ((splits[1], 1),)
         for path in ((), left, (), right, left + ((splits[4], 1),), left, ()):
             rows, _ = entity.leaf_rows(path)
@@ -680,8 +739,8 @@ class TestEntityRowCache:
         for strategy in (LocalRNMSplitter(pool), single):
             tree, _, _ = dp_topdown(strategy, config)
             assert tree.internal_count >= 3
-            # One store holds every holder's rows, each once.
-            assert np.array_equal(store_rows(strategy.store), np.arange(ds.n))
+            # One pool holds every holder's rows, each once.
+            assert np.array_equal(pool_rows(strategy.pool), np.arange(ds.n))
 
     @pytest.mark.parametrize("maker", [SingleMachineRNMSplitter, NoisyCountsSplitter, LocalRNMSplitter])
     def test_learner_run_caches_only_live_leaves(self, maker):
@@ -693,14 +752,15 @@ class TestEntityRowCache:
         tree, _, _ = dp_topdown(strategy, DPTopDownConfig(alpha=8.0, max_nodes=12))
         live = {leaf.path for leaf in tree.leaves()}
         assert len(live) >= 4
-        assert len(strategy.store._leaves) <= len(live)
-        assert set(strategy.store._leaves) <= live
+        assert len(strategy.pool._leaves) <= len(live)
+        assert set(strategy.pool._leaves) <= live
 
     @pytest.mark.parametrize("maker", [NoisyCountsSplitter, LocalRNMSplitter])
     def test_learner_run_identical_to_stateless_entities(self, maker):
         class StatelessEntity(Entity):
-            """Replays every path over its float shard `piece`, and answers
-            every query, gains included, from that replay alone."""
+            """Replays every path over its float shard `piece`, binned on its
+            own, and answers every query, gains included, from that replay
+            alone."""
 
             def leaf_rows(self, path):
                 rows = replayed_rows(self.piece, path)
@@ -708,22 +768,24 @@ class TestEntityRowCache:
 
             def gains(self, path):
                 rows, counts = self.leaf_rows(path)
-                return gain_from_counts(split_count_tables(self.binned, rows, self.splits, counts),
+                return gain_from_counts(split_count_tables(self.binned, rows, splits, counts),
                                         self.criterion)
 
         ds, splits = planted_dataset(RandomSource(4), n=2500), grid_splits()
         runs = []
-        for entity_class in (Entity, StatelessEntity):
-            entities = []
-            for i, piece in enumerate(shard(ds, 4, 4)):
-                entities.append(entity_class(i, BinnedFeatures(piece, splits), RandomSource(4, ("entity", i)),
-                                             Criterion.ENTROPY))
-                entities[-1].piece = piece
-            pool = recorded(EntityPool(entities))
+        for stateless in (False, True):
+            pieces = shard(ds, 4, 4)
+            pool = recorded(EntityPool.from_shards(pieces, RandomSource(4), splits, Criterion.ENTROPY))
+            if stateless:
+                # The same holders and noise streams, answering from replays.
+                for i, (entity, piece) in enumerate(zip(pool.entities, pieces)):
+                    reference = StatelessEntity(i, pool, i, entity.rng, entity.criterion)
+                    reference.piece, reference.binned = piece, BinnedFeatures(piece, splits)
+                    pool.entities[i] = reference
             config = DPTopDownConfig(alpha=4.0, max_nodes=16)
             tree, ledger, _ = dp_topdown(maker(pool), config)
             runs.append((tree.to_dict(), ledger.entries, pool.transport.sent))
-            if entity_class is StatelessEntity:
-                assert pool.store._leaves == {}  # the reference never read the store
+            if stateless:
+                assert pool._leaves == {}  # the reference never read the pool's records
         assert runs[0] == runs[1]
         assert len(runs[0][2]) > 50

@@ -239,16 +239,20 @@ class TestTreeStructure:
             left, right = tree.split_leaf(leaf, split)
             assert left.path == leaf.path + ((split, 0),) and right.path == leaf.path + ((split, 1),)
             assert left.budget_depth == right.budget_depth == leaf.depth + 1
-        nodes = tree.nodes()
-        assert [node.node_id for node in nodes] == list(range(19))
-        # The order a walk from the root gives once sorted by id.
         walked, stack = [], [tree.root]
         while stack:
             node = stack.pop()
             walked.append(node)
             if not node.is_leaf:
                 stack.extend((node.right, node.left))
-        assert nodes == sorted(walked, key=lambda node: node.node_id)
+        nodes = sorted(walked, key=lambda node: node.node_id)
+        assert [node.node_id for node in nodes] == list(range(19))
+        # The tree keeps its nodes in id order: the order of its records and
+        # of its leaves is the order a walk from the root gives once sorted.
+        records = tree.to_dict()["nodes"]
+        assert [(record["id"], record["kind"] == "leaf") for record in records] == [
+            (node.node_id, node.is_leaf) for node in nodes]
+        assert tree.leaves() == [node for node in nodes if node.is_leaf]
         assert tree.internal_count == 9 and len(tree.leaves()) == 10
         assert tree.depth == max(len(node.path) for node in nodes)
 
