@@ -585,8 +585,12 @@ def partition(dataset, k: int, rng: RandomSource) -> list:
     return [dataset.subset(np.flatnonzero(assignment == i)) for i in range(k)]
 
 
-def train_test_split(dataset: LabeledDataset, ratio: tuple, rng: RandomSource):
-    """Seeded shuffle then a prefix cut at n * train / (train + test)."""
+def train_test_split(dataset, ratio: tuple, rng: RandomSource):
+    """Seeded shuffle then a prefix cut at n * train / (train + test).
+
+    As for `partition`, `dataset` is anything with a row count `n` and
+    `subset(rows)`: a `LabeledDataset`, or its `BinnedFeatures`. Either way
+    a row lands in the same part."""
     train_part, test_part = int(ratio[0]), int(ratio[1])
     if train_part <= 0 or test_part < 0:
         raise InvalidParameterError(f"ratio parts must be positive, got {ratio}")

@@ -138,16 +138,22 @@ def report_noisy_max(scores, sensitivity: float, budget: float, rng: RandomSourc
     """Report Noisy Max: add Lap(2 * sensitivity / budget) to every score and
     release only the argmax index and that one noised score.
 
-    Ties break to the lowest index (reachable only in zero-noise mode).
+    Scores of shape (rows, n) are that many releases at once: one draw of
+    the same uniforms, in the same order, as one call per row, and an array
+    of indices and one of noised scores, one per row. Ties break to the
+    lowest index (reachable only in zero-noise mode).
     """
     scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 1 or scores.size == 0:
-        raise InvalidParameterError("scores must be a nonempty 1-d sequence")
+    if scores.ndim not in (1, 2) or scores.size == 0:
+        raise InvalidParameterError("scores must be a nonempty 1-d or 2-d array")
     if sensitivity <= 0:
         raise InvalidParameterError(f"sensitivity must be positive, got {sensitivity}")
     if budget <= 0:
         raise InvalidParameterError(f"budget must be positive, got {budget}")
-    noisy = scores + sample_laplace(2.0 * float(sensitivity) / float(budget), rng, size=scores.size)
+    noisy = scores + sample_laplace(2.0 * float(sensitivity) / float(budget), rng, size=scores.shape)
+    if scores.ndim == 2:
+        index = np.argmax(noisy, axis=1)
+        return index, noisy[np.arange(index.size), index]
     index = int(np.argmax(noisy))
     return index, float(noisy[index])
 

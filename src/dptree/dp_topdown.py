@@ -1,6 +1,7 @@
 """The differentially private top-down learner (DP-TopDown): budget
 schedules, the greedy loop over a max-priority queue, and the two mechanisms
-that run on exact counts (noisy weight estimation and RNM leaf labeling).
+that run on exact counts (noisy weight estimation, and RNM labeling of all
+leaves in one release).
 
 The loop is one code path for every strategy, the non-private baseline
 included. A leaf is its `tree_learning.Node`, which carries only public
@@ -11,7 +12,9 @@ asks the strategy each question about a leaf:
   raising DegenerateLeafError when the leaf is too small to score;
 - `weight(leaf, budget, ledger)`: the noisy fraction of rows in the leaf,
   spending `budget`, half the leaf's allowance alpha_leaf;
-- `label(leaf, budget, ledger)`: the leaf's private majority label;
+- `labels(leaves, budget, ledger)`: the private majority label of each of
+  the final leaves, asked once, after the last split, with each leaf's
+  budget;
 - `total_size` and `pool`, attributes set when the strategy is made:
   the public row count |S| and the owner of the holders' rows
   (`split_strategies.EntityPool`).
@@ -173,22 +176,28 @@ def estimate_weight(
     return leaf_count / total_n + float(noise)
 
 
-def rnm_label(counts, budget, rng: RandomSource, ledger: PrivacyLedger, scope: Scope) -> int:
-    """Private majority label: RNM over exact per-label counts (sensitivity 1)
-    with the full leaf budget. Leaves partition the data, so these charges
-    compose in parallel. Ties and empty leaves resolve to the lowest label."""
-    index, _ = report_noisy_max(counts, 1.0, float(budget), rng)
-    ledger.charge(scope, budget)
-    return index
+def rnm_labels(counts, budget, rng: RandomSource, ledger: PrivacyLedger, scopes: list) -> list:
+    """Private majority labels of leaves: RNM over each row of exact
+    per-label counts, shape (leaves, K) (sensitivity 1), with the full leaf
+    budget, in one release whose draws are those of one release per leaf in
+    leaf order. Each leaf is charged under its scope; leaves partition the
+    data, so these charges compose in parallel. Ties and empty leaves
+    resolve to the lowest label."""
+    chosen, _ = report_noisy_max(counts, 1.0, float(budget), rng)
+    for scope in scopes:
+        ledger.charge(scope, budget)
+    return chosen.tolist()
 
 
 def label_leaves(tree: DecisionTree, strategy, leaf_budget, ledger: PrivacyLedger) -> DecisionTree:
-    """Privately label every leaf through `strategy.label` with the leaf budget."""
+    """Privately label every leaf through one `strategy.labels` call with
+    the leaf budget."""
     leaf_budget = Fraction(leaf_budget)
     if leaf_budget <= 0:
         raise InvalidParameterError("leaf budget must be positive")
-    for leaf in tree.leaves():
-        leaf.label = strategy.label(leaf, leaf_budget, ledger)
+    leaves = tree.leaves()
+    for leaf, label in zip(leaves, strategy.labels(leaves, leaf_budget, ledger)):
+        leaf.label = label
     return tree
 
 

@@ -217,21 +217,21 @@ def prepare_data(config: ExperimentConfig):
     """(train, test), cached for the latest config paths. Both are held
     binned against the schema's splitting class (`BinnedFeatures`), which is
     public and fixed before any data is read, so each run slices the codes
-    of its rows and no run bins again."""
+    of its rows and no run bins again. A single CSV is binned whole and
+    then split, so no float copy of either part is made."""
     key = (config.schema_path, config.train_path, config.test_path, config.csv_path,
            config.ratio, config.split_seed)
     if key in _data_cache:
         return _data_cache[key]
     _data_cache.clear()
     schema = load_schema(config.schema_path)
-    if config.csv_path is not None:
-        full = load_csv(config.csv_path, schema)
-        train, test = train_test_split(full, config.ratio, RandomSource(config.split_seed, ("split",)))
-    else:
-        train = load_csv(config.train_path, schema)
-        test = load_csv(config.test_path, schema)
     splits = build_splitting_class(schema)
-    _data_cache[key] = (BinnedFeatures(train, splits), BinnedFeatures(test, splits))
+    if config.csv_path is not None:
+        full = BinnedFeatures(load_csv(config.csv_path, schema), splits)
+        _data_cache[key] = train_test_split(full, config.ratio, RandomSource(config.split_seed, ("split",)))
+    else:
+        _data_cache[key] = tuple(BinnedFeatures(load_csv(path, schema), splits)
+                                 for path in (config.train_path, config.test_path))
     return _data_cache[key]
 
 

@@ -4,29 +4,33 @@ the simulated data holders and the message layer they share.
 
 Each strategy answers the loop's queries about a leaf, its tree node
 (`tree_learning.Node`, whose public (split, side) path locates the leaf's
-rows; see `dp_topdown`): `split`, `weight` and `label`, and it sets `pool`
-and the public row count `total_size` when it is made.
-`ExactStrategy` answers exactly, with no noise and no charges;
-`SingleMachineRNMSplitter` answers privately: RNM for splits and labels and
-the Laplace weight estimate for weights, each from its own substream, all
-charged under the global ledger scope. The two distributed strategies ask
-the k holders through the transport and share `weight` (summed noisy counts)
-and `label` (argmax of summed noisy label counts); they differ in `split`.
-A message is a `Query` to one entity through `LocalTransport.send`, and its
-`Response` holds only noisy aggregates.
+rows; see `dp_topdown`): `split` and `weight`, and `labels` of all final
+leaves at once; it sets `pool` and the public row count `total_size` when
+it is made. `ExactStrategy` answers exactly, with no noise and no charges;
+`SingleMachineRNMSplitter` answers privately: RNM for splits, the Laplace
+weight estimate for weights and one RNM release for the labels of every
+leaf, each from its own substream, all charged under the global ledger
+scope. The two distributed strategies ask the k holders through the
+transport and share `weight` (summed noisy counts) and `labels` (per leaf,
+the argmax of summed noisy label counts); they differ in `split`. A message
+is a `Query` to one entity through `LocalTransport.send`, and its `Response`
+holds only noisy aggregates.
 
 An `EntityPool` owns the holders' rows: their binned shards laid end to
 end as one binning in which holder i's label y reads i K + y, and one record
 per live leaf, keyed by its path: the leaf's rows and their cumulative counts
 (`BinnedFeatures.cumulative`), whose k K label columns count each holder's
 rows apart. A leaf is cut and counted once for all k holders, and its gains
-worked out once. Each `Entity` is the pool's view of one holder: it reads
-only its own rows and label columns of a record, draws noise from its own
-stream and charges its own ledger scope. Counts are exact integers, so every
-answer, draw and charge is what a stateless replay of the holder's shard
-would give. The single machine and the baseline are a pool of one holder
-whose binning is the dataset's own. After learning, the final leaves'
-records give the training accuracy without routing a row (`train_accuracy`).
+worked out once. A split that sends every row of a leaf to one side cuts
+nothing: its full child is the parent's record, gains included, and its
+other child is empty. Otherwise the rows are split with `np.compress`.
+Each `Entity` is the pool's view of one holder: it reads only its own rows
+and label columns of a record, draws noise from its own stream and charges
+its own ledger scope. Counts are exact integers, so every answer, draw and
+charge is what a stateless replay of the holder's shard would give. The
+single machine and the baseline are a pool of one holder whose binning is
+the dataset's own. After learning, the final leaves' records give the
+training accuracy without routing a row (`train_accuracy`).
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .dp_core import (
     report_noisy_max,
     sample_laplace,
 )
-from .dp_topdown import estimate_weight, rnm_label
+from .dp_topdown import estimate_weight, rnm_labels
 from .tree_learning import (
     BinnedFeatures,
     Criterion,
@@ -104,7 +108,12 @@ class Query:
     budget: Fraction
     depth: int | None
     leaf_id: int | None
-    splits: list | None = None  # the candidates of a "joint_histogram" query
+    splits: tuple | None = None  # the candidates of a "joint_histogram" query
+    # Worked out once per query (`EntityPool.ask_all`): the Laplace scale of
+    # each noised count (None for RNM, whose scale depends on the holder's
+    # leaf size) and the budget of each charge an entity records.
+    scale: float | None = None
+    charge: Fraction | None = None
 
 
 @dataclass
@@ -113,19 +122,17 @@ class Response:
 
 
 class Entity:
-    """One data holder, as its pool's view of holder `index`: it reads only
-    that holder's rows and counts of the pool's leaf records, draws noise
-    from its own stream and records its charges under its own ledger scope."""
+    """One data holder, as its pool's view of holder `entity_id`: it reads
+    only that holder's rows and counts of the pool's leaf records, draws
+    noise from its own stream and records its charges under its own ledger
+    scope."""
 
-    def __init__(self, entity_id: int, pool: "EntityPool", index: int, rng: RandomSource | None,
-                 criterion: Criterion):
+    def __init__(self, entity_id: int, pool: "EntityPool", rng: RandomSource | None):
         self.entity_id = entity_id
         # The pool owns its entities; a strong reference back would leave a
         # finished pool and its rows to the cycle collector.
         self.pool = weakref.proxy(pool)
-        self.index = index
         self.rng = rng
-        self.criterion = criterion
 
     def leaf_rows(self, path) -> tuple:
         """This holder's `(rows, counts)` of the leaf at `path`, a (split,
@@ -136,7 +143,7 @@ class Entity:
         leaf = pool.leaf(tuple(path))
         if pool.k == 1:  # the whole record, without working out bounds
             return leaf.rows, leaf.counts
-        bounds, i = pool.bounds(leaf), self.index
+        bounds, i = pool.bounds(leaf), self.entity_id
         return leaf.rows[bounds[i]:bounds[i + 1]], leaf.counts.reshape(-1, pool.k, pool.n_classes)[:, i]
 
     def label_counts(self, counts) -> np.ndarray:
@@ -149,13 +156,13 @@ class Entity:
         the leaf at `path`: its row of the gains the pool works out once for
         all holders."""
         pool = self.pool
-        return pool.gains(pool.leaf(tuple(path)))[self.index]
+        return pool.gains(pool.leaf(tuple(path)))[self.entity_id]
 
     def rnm_split(self, path, m: int, budget, rng: RandomSource):
         """Report Noisy Max over `gains(path)` of a leaf of m rows: (index,
         noisy gain). Raises DegenerateLeafError on fewer than MIN_LEAF_ROWS
         rows."""
-        sensitivity = rnm_score_sensitivity(self.criterion, m)
+        sensitivity = rnm_score_sensitivity(self.pool.criterion, m)
         return report_noisy_max(self.gains(path), sensitivity, float(budget), rng)
 
     def _scope(self, purpose: str, query: Query) -> Scope:
@@ -164,32 +171,22 @@ class Entity:
     def handle(self, query: Query, ledger: PrivacyLedger) -> Response:
         rows, counts = self.leaf_rows(query.path)
         if query.kind == "leaf_count":
-            # Count sensitivity 1 at budget alpha_leaf/2 -> Lap(2/alpha_leaf).
-            noisy = float(rows.size) + sample_laplace(1.0 / float(query.budget), self.rng)
-            ledger.charge(self._scope("weight", query), query.budget)
+            noisy = float(rows.size) + sample_laplace(query.scale, self.rng)
+            ledger.charge(self._scope("weight", query), query.charge)
             return Response({"count": noisy})
 
         if query.kind == "label_counts":
             k = self.pool.n_classes
-            # LM per label with the noise parameter doubled relative to the
-            # single-machine RNM labeling scale 2/budget; the per-label charge
-            # budget/(2k) keeps the leaf total at budget/2.
-            scale = distributed_label_scale(k, query.budget)
-            noisy = self.label_counts(counts) + sample_laplace(scale, self.rng, size=k)
-            per_label, scope = query.budget / (2 * k), self._scope("label", query)
+            noisy = self.label_counts(counts) + sample_laplace(query.scale, self.rng, size=k)
+            scope = self._scope("label", query)
             for _ in range(k):
-                ledger.charge(scope, per_label)
+                ledger.charge(scope, query.charge)
             return Response({"counts": noisy})
 
         if query.kind == "joint_histogram":
-            candidates = query.splits
-            tables = split_count_tables(self.pool.binned, rows, candidates, counts)
-            # Per-cell Lap(3|H'|/alpha): cells of one histogram partition the
-            # shard (parallel), histograms compose sequentially, so the |H'|
-            # histograms cost alpha/3 in total.
-            scale = noisy_counts_cell_scale(len(candidates), query.budget)
-            noisy = tables + sample_laplace(scale, self.rng, size=tables.shape)
-            ledger.charge(self._scope("split", query), query.budget / 3)
+            tables = split_count_tables(self.pool.binned, rows, query.splits, counts)
+            noisy = tables + sample_laplace(query.scale, self.rng, size=tables.shape)
+            ledger.charge(self._scope("split", query), query.charge)
             return Response({"cells": noisy})
 
         if query.kind == "local_best_split":
@@ -198,11 +195,11 @@ class Entity:
                 # uniformly random candidate. The branch itself is
                 # data-dependent, so the budget is charged regardless.
                 hid = int(self.rng.integers(0, len(self.pool.splits)))
-                ledger.charge(self._scope("split", query), query.budget)
+                ledger.charge(self._scope("split", query), query.charge)
                 return Response({"hid": hid, "fallback": True})
             # Only the winning index is published, the noisy score is dropped.
             hid, _ = self.rnm_split(query.path, rows.size, query.budget, self.rng)
-            ledger.charge(self._scope("split", query), query.budget)
+            ledger.charge(self._scope("split", query), query.charge)
             return Response({"hid": hid, "fallback": False})
 
         raise InvalidParameterError(f"unknown query kind {query.kind!r}")
@@ -229,11 +226,16 @@ class EntityPool:
     record per live leaf, keyed by its path, holds the leaf's rows (pool
     positions, in holder order), their counts and, once asked for, each
     holder's bounds in the rows and every holder's gains of the splitting
-    class. A split's children are cut from the parent's rows with one code
-    comparison: only the smaller child is counted, the larger one's counts
-    are the parent's minus those, and the parent is evicted. Any other miss
-    replays the path from the root. In the learner's query order the live
-    leaves partition the rows, so the pool holds each row once.
+    class. A split's children are cut from their parent's record, which is
+    evicted. The parent's counts say how many rows the split sends left; when
+    that is none or all of them, the full child is the parent's record
+    itself, its bounds and gains included, and the empty child gets no rows
+    and zero counts, so nothing is compared, copied or counted. Otherwise
+    the rows are split with one code comparison and `np.compress`: only the
+    smaller child is counted, and the larger one's counts are the parent's
+    minus those. Any other miss replays the path from the root. In the
+    learner's query order the live leaves partition the rows, so the pool
+    holds each row once.
 
     Entity i draws from the substream ("entity", i) of `rng`; with `rng`
     None, as on the single machine, whose strategies draw for it, none does.
@@ -256,7 +258,7 @@ class EntityPool:
                                      for i, shard in enumerate(shards)])
             self.binned = BinnedFeatures.concatenated(shards, labels, self.k * self.n_classes)
         self.transport = LocalTransport()
-        self.entities = [Entity(i, self, i, None if rng is None else rng.substream("entity", i), criterion)
+        self.entities = [Entity(i, self, None if rng is None else rng.substream("entity", i))
                          for i in range(self.k)]
         self._leaves: dict = {}  # live leaf path -> _Leaf
         self._last = (None, None)  # the path object last asked about, and its leaf
@@ -274,7 +276,22 @@ class EntityPool:
             budget = Fraction(budget)
         # One tuple of candidates per query, which the pool's binning plans
         # once for every entity (`BinnedFeatures.plan`).
-        query = Query(kind, path, budget, depth, leaf_id, None if splits is None else tuple(splits))
+        query = Query(kind, path, budget, depth, leaf_id, None if splits is None else tuple(splits),
+                      charge=budget)
+        if kind == "leaf_count":
+            # Count sensitivity 1 at budget alpha_leaf/2 -> Lap(2/alpha_leaf).
+            query.scale = 1.0 / float(budget)
+        elif kind == "label_counts":
+            # LM per label with the noise parameter doubled relative to the
+            # single-machine RNM labeling scale 2/budget; the per-label
+            # charge budget/(2K) keeps the leaf total at budget/2.
+            query.scale = distributed_label_scale(self.n_classes, budget)
+            query.charge = budget / (2 * self.n_classes)
+        elif kind == "joint_histogram":
+            # Per-cell Lap(3|H'|/alpha): cells of one histogram partition the
+            # shard (parallel), histograms compose sequentially, so the |H'|
+            # histograms cost alpha/3 in total.
+            query.scale, query.charge = noisy_counts_cell_scale(len(query.splits), budget), budget / 3
         return [self.transport.send(entity, query, ledger) for entity in self.entities]
 
     def leaf(self, path: tuple) -> "_Leaf":
@@ -295,14 +312,21 @@ class EntityPool:
     def _cut(self, path: tuple, parent: "_Leaf") -> "_Leaf":
         """The leaf at `path`, cut with its sibling from their evicted parent."""
         split, side = path[-1]
-        right = self.binned.goes_right(split, parent.rows)
-        children = [_Leaf(parent.rows[~right], None), _Leaf(parent.rows[right], None)]
-        # Count the smaller child; the larger one's counts are the parent's
-        # minus those, computed in the evicted parent's array.
-        small = int(children[1].rows.size < children[0].rows.size)
-        children[small].counts = self.binned.cumulative(children[small].rows)
-        parent.counts -= children[small].counts
-        children[1 - small].counts = parent.counts
+        left = self.binned.left_size(split, parent.counts)
+        if left in (0, parent.rows.size):
+            # The split separates no rows: the full child is the parent.
+            empty = _Leaf(parent.rows[:0], np.zeros_like(parent.counts))
+            children = [parent, empty] if left else [empty, parent]
+        else:
+            right = self.binned.goes_right(split, parent.rows)
+            children = [_Leaf(np.compress(~right, parent.rows), None),
+                        _Leaf(np.compress(right, parent.rows), None)]
+            # Count the smaller child; the larger one's counts are the
+            # parent's minus those, computed in the evicted parent's array.
+            small = int(children[1].rows.size < children[0].rows.size)
+            children[small].counts = self.binned.cumulative(children[small].rows)
+            parent.counts -= children[small].counts
+            children[1 - small].counts = parent.counts
         self._leaves[path] = children[side]
         self._leaves[path[:-1] + ((split, 1 - side),)] = children[1 - side]
         return children[side]
@@ -311,7 +335,7 @@ class EntityPool:
         rows = np.arange(self.binned.n)
         for split, side in path:
             right = self.binned.goes_right(split, rows)
-            rows = rows[right] if side else rows[~right]
+            rows = np.compress(right if side else ~right, rows)
         leaf = self._leaves[path] = _Leaf(rows, self.binned.cumulative(rows))
         return leaf
 
@@ -403,9 +427,9 @@ class ExactStrategy:
 
     split() returns the split of largest exact gain (ties to the lowest
     index) and that gain, weight() the exact fraction of rows in the leaf,
-    and label() the majority label (ties and empty leaves to the lowest
-    index). Through `dp_topdown` this is the greedy top-down learner with the
-    private learner's node cap, gain threshold and weight filter.
+    and labels() each leaf's majority label (ties and empty leaves to the
+    lowest index). Through `dp_topdown` this is the greedy top-down learner
+    with the private learner's node cap, gain threshold and weight filter.
     """
 
     def __init__(self, binned: BinnedFeatures, criterion: Criterion):
@@ -424,9 +448,9 @@ class ExactStrategy:
         rows, _ = self.entity.leaf_rows(leaf.path)
         return rows.size / self.total_size
 
-    def label(self, leaf: Node, budget, ledger: PrivacyLedger) -> int:
-        _, counts = self.entity.leaf_rows(leaf.path)
-        return int(np.argmax(self.entity.label_counts(counts)))
+    def labels(self, leaves: list, budget, ledger: PrivacyLedger) -> list:
+        return [int(np.argmax(self.entity.label_counts(self.entity.leaf_rows(leaf.path)[1])))
+                for leaf in leaves]
 
 
 class SingleMachineRNMSplitter:
@@ -436,9 +460,10 @@ class SingleMachineRNMSplitter:
     split() runs Report Noisy Max over the exact gains of the full splitting
     class, returns (chosen split, its noisy gain) and charges the full alpha;
     a leaf with fewer than MIN_LEAF_ROWS rows raises DegenerateLeafError
-    without a charge. weight() and label() run `estimate_weight` and
-    `rnm_label` on the leaf's exact counts. Splits, weights and labels each
-    draw from their own substream of `rng`.
+    without a charge. weight() runs `estimate_weight` on the leaf's exact
+    row count, and labels() `rnm_labels` on the exact label counts of all
+    leaves at once. Splits, weights and labels each draw from their own
+    substream of `rng`.
     """
 
     def __init__(self, binned: BinnedFeatures, criterion: Criterion, rng: RandomSource):
@@ -462,10 +487,10 @@ class SingleMachineRNMSplitter:
         rows, _ = self.entity.leaf_rows(leaf.path)
         return estimate_weight(rows.size, self.total_size, budget, self._weight_rng, ledger, scope)
 
-    def label(self, leaf: Node, budget, ledger: PrivacyLedger) -> int:
-        _, counts = self.entity.leaf_rows(leaf.path)
-        scope = Scope(GLOBAL_SCOPE, "label", leaf=leaf.node_id)
-        return rnm_label(self.entity.label_counts(counts), budget, self._label_rng, ledger, scope)
+    def labels(self, leaves: list, budget, ledger: PrivacyLedger) -> list:
+        counts = np.array([self.entity.label_counts(self.entity.leaf_rows(leaf.path)[1]) for leaf in leaves])
+        scopes = [Scope(GLOBAL_SCOPE, "label", leaf=leaf.node_id) for leaf in leaves]
+        return rnm_labels(counts, budget, self._label_rng, ledger, scopes)
 
 
 class DistributedStrategy:
@@ -485,11 +510,15 @@ class DistributedStrategy:
                                       leaf.budget_depth, leaf.node_id)
         return float(sum(resp.payload["count"] for resp in responses)) / self.total_size
 
-    def label(self, leaf: Node, budget, ledger: PrivacyLedger) -> int:
-        """Argmax of the summed per-entity noisy label counts; ties and empty
-        leaves resolve to the lowest label index."""
-        responses = self.pool.ask_all(ledger, "label_counts", leaf.path, budget, None, leaf.node_id)
-        return int(np.argmax(np.sum([resp.payload["counts"] for resp in responses], axis=0)))
+    def labels(self, leaves: list, budget, ledger: PrivacyLedger) -> list:
+        """Per leaf, one label-counts query to every entity and the argmax of
+        the summed noisy counts; ties and empty leaves resolve to the lowest
+        label index."""
+        chosen = []
+        for leaf in leaves:
+            responses = self.pool.ask_all(ledger, "label_counts", leaf.path, budget, None, leaf.node_id)
+            chosen.append(int(np.argmax(np.sum([resp.payload["counts"] for resp in responses], axis=0))))
+        return chosen
 
 
 class NoisyCountsSplitter(DistributedStrategy):

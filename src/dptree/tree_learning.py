@@ -352,6 +352,11 @@ class BinnedFeatures:
             cum[start:stop] = np.cumsum(counts.reshape(stop - start, k), axis=0)
         return cum
 
+    def left_size(self, split, counts) -> int:
+        """Rows on side 0 of a split of the class among the rows whose
+        cumulative counts are `counts`: the sum of the split's left row."""
+        return int(counts[self._planned(split)[2]].sum())
+
     def goes_right(self, split, rows) -> np.ndarray:
         """Mask of the rows on side 1 of a split of the class: code > j is
         value > t_j, so this equals `split.evaluate(X, rows) == 1` on the
@@ -458,8 +463,8 @@ class DecisionTree:
                 out[rows] = node.node_id
                 continue
             right = goes_right(node.split, rows)
-            stack.append((node.left, rows[~right]))
-            stack.append((node.right, rows[right]))
+            stack.append((node.left, np.compress(~right, rows)))
+            stack.append((node.right, np.compress(right, rows)))
         return out
 
     def classify(self, n: int, goes_right) -> np.ndarray:

@@ -4,12 +4,12 @@ the bench.
 
 No linter is installed, so the checks parse the sources with `ast`. The
 package `__init__.py` is skipped: its imports are the public exports. A
-definition counts as used when its name is read anywhere in `src/dptree`,
-or anywhere in `bench/`, string constants included (the bench names the
-layers it patches in strings). A method that is no property but shares its
-name with a data attribute of the package counts as used only where it is
-called, as `.name(...)`: reading the attribute does not use the method.
-Tests do not count: a definition only they read belongs with them.
+definition counts as used when its name is read anywhere in `src/dptree`
+or `bench/`, or is named in a string of `bench/tracing.LAYERS`, the layers
+the bench patches; no other string counts. A method that is no property but
+shares its name with a data attribute of the package counts as used only
+where it is called, as `.name(...)`: reading the attribute does not use the
+method. Tests do not count: a definition only they read belongs with them.
 """
 
 import ast
@@ -74,17 +74,27 @@ def definitions(source: str) -> list[str]:
     return found
 
 
-def referenced_names(source: str, strings: bool) -> set[str]:
-    """Names read in `source`, as variables or attributes, and with
-    `strings` every identifier inside a string constant."""
+def referenced_names(source: str) -> set[str]:
+    """Names read in `source`, as variables or attributes."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names
+
+
+def layer_names(source: str) -> set[str]:
+    """Every identifier inside a string constant of the `LAYERS` assigned
+    at the top level of `source`."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(isinstance(target, ast.Name) and target.id == "LAYERS"
+                                                for target in node.targets):
+            for item in ast.walk(node.value):
+                if isinstance(item, ast.Constant) and isinstance(item.value, str):
+                    names.update(re.findall(r"[A-Za-z_]\w*", item.value))
     return names
 
 
@@ -120,8 +130,8 @@ def unreferenced(defined: dict, package_sources: list, bench_sources: list) -> l
     """"module: name" for each definition in `defined` (module -> names)
     whose last name part no source reads, or, for a plain method named
     like a data attribute, no source calls."""
-    used = set().union(*(referenced_names(source, False) for source in package_sources),
-                       *(referenced_names(source, True) for source in bench_sources))
+    used = set().union(*(referenced_names(source) for source in package_sources + bench_sources),
+                       *(layer_names(source) for source in bench_sources))
     called = set().union(*(called_attributes(source) for source in package_sources + bench_sources))
     attributes = set().union(*(data_attributes(source) for source in package_sources))
     methods = set().union(*(plain_methods(source) for source in package_sources))
@@ -204,6 +214,9 @@ def test_check_flags_a_definition_only_tests_use():
     flagged = ["m.py: Pool.planted", "m.py: Pool.nodes", "m.py: checker"]
     assert unreferenced(defined, [PLANTED_PACKAGE], [PLANTED_BENCH]) == flagged
     assert unreferenced(defined, [PLANTED_PACKAGE], [PLANTED_BENCH + "pool.nodes()\n"]) == flagged[::2]
-    # A name in a package string does not count; in a bench string it does.
+    # A name in a package string does not count, nor in a bench string
+    # outside `LAYERS`; in a string of `LAYERS` it does.
     assert unreferenced(defined, [PLANTED_PACKAGE + 'NAME = "checker"\n'], [PLANTED_BENCH]) == flagged
-    assert unreferenced(defined, [PLANTED_PACKAGE], [PLANTED_BENCH + 'NAME = "checker"\n']) == flagged[:2]
+    assert unreferenced(defined, [PLANTED_PACKAGE], [PLANTED_BENCH + 'NAME = "checker"\n']) == flagged
+    layers = PLANTED_BENCH.replace('None}}', 'None}, "m": {"checker": None}}')
+    assert unreferenced(defined, [PLANTED_PACKAGE], [layers]) == flagged[:2]

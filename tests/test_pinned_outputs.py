@@ -8,7 +8,9 @@ seeded half of it, the learned tree's JSON, the ledger entries and the
 result row without `wall_ms`. For the two distributed algorithms it also
 holds, under the same key prefixed "messages: ", the SHA-256 of the JSON
 list of `[entity, query kind, payload]` over every message the entities
-answer, in send order. A change that must not alter what a run
+answer, in send order. The noisy private runs are checked to make both
+kinds of cut: one that separates rows and one that sends every row of the
+leaf to one side. A change that must not alter what a run
 outputs (a speed-up, a refactor) keeps this test passing unchanged. Only a
 change meant to alter outputs regenerates the file, from the root of the
 repository:
@@ -100,22 +102,39 @@ def recording_sends(sends: list):
     return run
 
 
-def run_outputs(config: experiments.ExperimentConfig) -> dict:
+def recording_cuts(cuts: list):
+    """`EntityPool._cut` that also appends to `cuts` whether the cut
+    separated no rows, so that one child is the parent's own record."""
+    cut = split_strategies.EntityPool._cut
+
+    def run(pool, path, parent):
+        child = cut(pool, path, parent)
+        split, side = path[-1]
+        cuts.append(parent is child or parent is pool._leaves[path[:-1] + ((split, 1 - side),)])
+        return child
+    return run
+
+
+def run_outputs(config: experiments.ExperimentConfig, cuts: dict | None = None) -> dict:
     """Tree, ledger entries and result row of every algorithm, with noise
     and under zero noise, for each train fraction, as JSON-able values, and
-    the digest of every distributed run's messages."""
+    the digest of every distributed run's messages. With `cuts`, it also
+    maps each run's key to its cuts, each True when it separated no rows."""
     outputs = {}
     for algorithm in experiments.ALGORITHMS:
         for noise, fraction_i in itertools.product((True, False), range(len(config.train_fractions))):
-            learned, sends = [], []
+            learned, sends, made = [], [], []
             with mock.patch.object(experiments, "dp_topdown", recording(experiments.dp_topdown, learned)), \
                     mock.patch.object(split_strategies.LocalTransport, "send", recording_sends(sends)), \
+                    mock.patch.object(split_strategies.EntityPool, "_cut", recording_cuts(made)), \
                     zero_noise(not noise):
                 row = experiments.run_single(dataclasses.replace(config, algorithm=algorithm), 0, 0, fraction_i, 0)
             ((tree, ledger, _),) = learned
             fraction = config.train_fractions[fraction_i]
             key = f"{algorithm} {'noise' if noise else 'zero-noise'}"
             key = key if fraction == 1.0 else f"fraction {fraction}: {key}"
+            if cuts is not None:
+                cuts[key] = made
             if sends:
                 outputs[f"messages: {key}"] = hashlib.sha256(json.dumps(sends).encode()).hexdigest()
             outputs[key] = {
@@ -130,18 +149,23 @@ def run_outputs(config: experiments.ExperimentConfig) -> dict:
     return json.loads(json.dumps(outputs))
 
 
-def all_outputs(data_dir: Path) -> dict:
-    """`run_outputs` of both datasets; the many-class keys are prefixed."""
+def all_outputs(data_dir: Path, cuts: dict | None = None) -> dict:
+    """`run_outputs` of both datasets; the many-class keys are prefixed,
+    in `cuts` too."""
     (data_dir / "two").mkdir()
     (data_dir / "many").mkdir()
-    outputs = run_outputs(write_data(data_dir / "two"))
-    many = run_outputs(write_many_class_data(data_dir / "many"))
+    many_cuts = None if cuts is None else {}
+    outputs = run_outputs(write_data(data_dir / "two"), cuts)
+    many = run_outputs(write_many_class_data(data_dir / "many"), many_cuts)
     outputs.update((f"{MANY_LABELS} labels: {key}", value) for key, value in many.items())
+    if cuts is not None:
+        cuts.update((f"{MANY_LABELS} labels: {key}", value) for key, value in many_cuts.items())
     return outputs
 
 
 def test_outputs_equal_the_pinned_ones(tmp_path):
-    outputs = all_outputs(tmp_path)
+    cuts = {}
+    outputs = all_outputs(tmp_path, cuts)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(outputs) == sorted(golden)
     for key, expected in golden.items():
@@ -155,6 +179,12 @@ def test_outputs_equal_the_pinned_ones(tmp_path):
         assert bool(out["ledger"]) != ("baseline" in key), key
     senders = {key.replace("messages: ", "") for key in outputs if "messages: " in key}
     assert senders == {key for key in runs if "noisy-counts" in key or "local-rnm" in key}
+    # The noisy private runs make cuts that separate no rows, so the pinned
+    # outputs cover that branch of the pool as well as the other.
+    for prefix in ("", f"{MANY_LABELS} labels: "):
+        for algorithm in ("single-rnm", "noisy-counts", "local-rnm"):
+            made = cuts[f"{prefix}{algorithm} noise"] + cuts[f"{prefix}fraction 0.5: {algorithm} noise"]
+            assert 0 < sum(made) < len(made), prefix + algorithm
 
 
 if __name__ == "__main__":

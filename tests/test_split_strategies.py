@@ -16,6 +16,7 @@ from dptree.dp_core import (
     PrivacyLedger,
     RandomSource,
     Scope,
+    report_noisy_max,
     sample_laplace,
     zero_noise,
 )
@@ -36,6 +37,7 @@ from dptree.dp_topdown import DPTopDownConfig, dp_topdown
 from dptree.tree_learning import (
     BinnedFeatures,
     Criterion,
+    DecisionTree,
     LabeledDataset,
     Node,
     SplitFunction,
@@ -167,6 +169,34 @@ class TestSingleMachineRNM:
         with pytest.raises(DegenerateLeafError):
             rnm_root_split(ds, 1.0, [SplitFunction(threshold=0.5, feature=0)], RandomSource(0), ledger)
         assert len(ledger.entries) == 0
+
+    @pytest.mark.parametrize("noise", [True, False], ids=["noise", "zero-noise"])
+    def test_labels_equal_one_release_per_leaf(self, noise):
+        # One (leaves, K) release draws the same uniforms, in the same order,
+        # as one RNM release per leaf on the same stream, and charges each
+        # leaf its budget in leaf order. The budget is small enough that the
+        # noise decides most labels.
+        rng = RandomSource(8)
+        X = rng.uniform(size=(600, 2))
+        ds = LabeledDataset(X, np.asarray(rng.integers(0, 3, size=600)), 3)
+        splits = grid_splits(d=2, count=3)
+        tree = DecisionTree()
+        left, right = tree.split_leaf(tree.root, splits[1])
+        tree.split_leaf(left, splits[4])
+        tree.split_leaf(right, splits[0])  # separates no rows: one leaf is empty
+        tree.split_leaf(right.right, splits[5])
+        leaves, budget = tree.leaves(), Fraction(1, 500)
+        strategy = SingleMachineRNMSplitter(BinnedFeatures(ds, splits), Criterion.ENTROPY, RandomSource(9))
+        ledger = PrivacyLedger(1.0)
+        with zero_noise(not noise):
+            labels = strategy.labels(leaves, budget, ledger)
+            stream = RandomSource(9).substream("label")
+            exact = [np.bincount(ds.labels[replayed_rows(ds, leaf.path)], minlength=3) for leaf in leaves]
+            expected = [report_noisy_max(counts, 1.0, float(budget), stream)[0] for counts in exact]
+        assert labels == expected
+        assert (labels != [int(np.argmax(counts)) for counts in exact]) == noise
+        assert [(entry.scope, entry.budget) for entry in ledger.entries] == [
+            (Scope(None, "label", leaf=leaf.node_id), budget) for leaf in leaves]
 
 
 class TestNoisyCounts:
@@ -366,7 +396,7 @@ class TestDistributedQueries:
         pool = EntityPool.from_shards(shards, RandomSource(9), splits, Criterion.ENTROPY)
         with zero_noise():
             responses = pool.ask_all(PrivacyLedger(1.0), "label_counts", (), Fraction(1, 2), None, 0)
-            label = LocalRNMSplitter(pool).label(ROOT, Fraction(1, 2), PrivacyLedger(1.0))
+            (label,) = LocalRNMSplitter(pool).labels([ROOT], Fraction(1, 2), PrivacyLedger(1.0))
         totals = np.sum([resp.payload["counts"] for resp in responses], axis=0)
         assert totals.tolist() == [40.0, 20.0]
         assert label == 0
@@ -382,7 +412,7 @@ class TestDistributedQueries:
         strategy = NoisyCountsSplitter(pool)
         hits = 0
         for _ in range(1000):
-            hits += strategy.label(ROOT, Fraction(8), PrivacyLedger(8.0)) == 0
+            hits += strategy.labels([ROOT], Fraction(8), PrivacyLedger(8.0)) == [0]
         assert hits >= 990
 
     def test_label_charge_is_half_budget_per_leaf(self):
@@ -391,7 +421,7 @@ class TestDistributedQueries:
                             np.asarray(RandomSource(2).integers(0, 2, size=20)), 2)
         pool = make_pool(ds, 2, splits)
         ledger = PrivacyLedger(1.0)
-        NoisyCountsSplitter(pool).label(Node(7, 0), Fraction(1, 2), ledger)
+        NoisyCountsSplitter(pool).labels([Node(7, 0)], Fraction(1, 2), ledger)
         assert ledger.effective_cost() == Fraction(1, 4)
 
 
@@ -405,7 +435,7 @@ class TestMessageAudit:
         NoisyCountsSplitter(pool).split(ROOT, 1.0, ledger)
         strategy.split(Node(1, 1), 1.0, ledger)
         strategy.weight(ROOT, 0.5, ledger)
-        strategy.label(ROOT, Fraction(1, 2), ledger)
+        strategy.labels([ROOT], Fraction(1, 2), ledger)
         shard_sizes = {piece.n for piece in shard(ds, 3, 0)}
         assert pool.transport.sent
         for _, _, payload in pool.transport.sent:
@@ -582,7 +612,11 @@ class TestEntityRowCache:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_cached_rows_equal_root_replay(self, data):
+        # Besides the grid, two splits outside the data's range, which send
+        # every row of any leaf to one side; a grid split does the same to
+        # a leaf already cut on its side of it.
         splits = grid_splits(d=2, count=3)
+        splits += [SplitFunction(threshold=-1.0, feature=0), SplitFunction(threshold=2.0, feature=1)]
         n = data.draw(st.integers(0, 60))
         ds = planted_dataset(RandomSource(data.draw(st.integers(0, 9))), n=n)
         pool, shards = random_pool(data, ds, splits)
@@ -590,9 +624,49 @@ class TestEntityRowCache:
         offsets = np.cumsum([0] + [piece.n for piece in shards])
         asked = st.tuples(st.integers(0, len(shards) - 1), st.sampled_from(paths))
         for i, path in data.draw(st.lists(asked, max_size=25)):
-            rows, _ = pool.entities[i].leaf_rows(path)
+            entity, piece = pool.entities[i], shards[i]
+            rows, counts = entity.leaf_rows(path)
+            replay = replayed_rows(piece, path)
             # Pool positions: the shard's offset plus positions in the shard.
-            assert np.array_equal(rows - offsets[i], replayed_rows(shards[i], path))
+            assert np.array_equal(rows - offsets[i], replay)
+            assert np.array_equal(counts, BinnedFeatures(piece, splits).cumulative(replay))
+            expected = gain_from_counts(fresh_tables(piece, replay, splits), Criterion.ENTROPY)
+            assert np.array_equal(entity.gains(path), expected)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_split_that_separates_no_rows_reuses_the_parent(self, monkeypatch, k):
+        # x0 <= 0.75 sends every row of the leaf x0 <= 0.5 left, and x0 <=
+        # 0.25 every row of the leaf x0 > 0.5 right. Such a cut compares no
+        # codes and counts nothing: its full child is the parent's record,
+        # rows and gains included, and its empty child counts no rows.
+        ds, splits = planted_dataset(RandomSource(5), n=500), grid_splits(d=2, count=3)
+        pool = pool_of_one(ds, splits) if k == 1 else make_pool(ds, k, splits, seed=5)
+        parents = (((splits[1], 0),), ((splits[1], 1),))
+        records = []
+        for path in ((),) + parents:
+            for entity in pool.entities:
+                entity.gains(path)
+            records.append(pool.leaf(path))
+
+        def refuse(*args):
+            raise AssertionError("a cut that separates no rows compared or counted rows")
+
+        monkeypatch.setattr(pool.binned, "goes_right", refuse)
+        monkeypatch.setattr(pool.binned, "cumulative", refuse)
+        for parent_path, parent, split, full_side in zip(parents, records[1:], (splits[2], splits[0]), (0, 1)):
+            rows, gains = parent.rows, parent.gains
+            full_path, empty_path = parent_path + ((split, full_side),), parent_path + ((split, 1 - full_side),)
+            for entity in pool.entities:
+                entity.leaf_rows(full_path)
+                entity.leaf_rows(empty_path)
+            full, empty = pool.leaf(full_path), pool.leaf(empty_path)
+            assert full.rows is rows and pool.gains(full) is gains
+            assert empty.rows.size == 0 and empty.counts.shape == full.counts.shape and not empty.counts.any()
+            for entity, piece in zip(pool.entities, shard(ds, k, 5) if k > 1 else [ds]):
+                assert np.array_equal(entity.gains(full_path), gains[entity.entity_id])
+                held, counts = entity.leaf_rows(empty_path)
+                assert held.size == 0 and not counts.any()
+                assert replayed_rows(piece, full_path).size == replayed_rows(piece, parent_path).size
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -769,7 +843,7 @@ class TestEntityRowCache:
             def gains(self, path):
                 rows, counts = self.leaf_rows(path)
                 return gain_from_counts(split_count_tables(self.binned, rows, splits, counts),
-                                        self.criterion)
+                                        self.pool.criterion)
 
         ds, splits = planted_dataset(RandomSource(4), n=2500), grid_splits()
         runs = []
@@ -779,7 +853,7 @@ class TestEntityRowCache:
             if stateless:
                 # The same holders and noise streams, answering from replays.
                 for i, (entity, piece) in enumerate(zip(pool.entities, pieces)):
-                    reference = StatelessEntity(i, pool, i, entity.rng, entity.criterion)
+                    reference = StatelessEntity(i, pool, entity.rng)
                     reference.piece, reference.binned = piece, BinnedFeatures(piece, splits)
                     pool.entities[i] = reference
             config = DPTopDownConfig(alpha=4.0, max_nodes=16)
