@@ -15,9 +15,9 @@ asks the strategy each question about a leaf:
 - `labels(leaves, budget, ledger)`: the private majority label of each of
   the final leaves, asked once, after the last split, with each leaf's
   budget;
-- `total_size` and `pool`, attributes set when the strategy is made:
-  the public row count |S| and the owner of the holders' rows
-  (`split_strategies.EntityPool`).
+- `pool`, an attribute set when the strategy is made: the owner of the
+  holders' rows (`split_strategies.EntityPool`), whose binning's row count
+  `pool.binned.n` is the public |S|.
 
 Strategies read their own rows, draw their own noise and record their own
 charges. `ExactStrategy` answers every query exactly and charges nothing,
@@ -93,6 +93,9 @@ def schedule_from_name(name: str, max_nodes: int):
 # Configuration
 # ---------------------------------------------------------------------------
 
+# The smallest budget that `DPTopDownConfig` lets a release be given.
+MIN_RELEASE_BUDGET = 2.0**-900
+
 
 @dataclass
 class DPTopDownConfig:
@@ -131,6 +134,14 @@ class DPTopDownConfig:
             self.schedule = DecaySchedule()
         self.split_budget = (1 - Fraction(self.leaf_privacy_fraction)) * Fraction(self.alpha)
         self.leaf_budget = Fraction(self.leaf_privacy_fraction) * Fraction(self.alpha)
+        # A noise scale is a float: a count (3|H|, 2K or less) over a release's
+        # budget. The smallest budgets, LocalRNM's quarter of a depth-1
+        # allowance and a label's, leave room for counts below 2^60 and 60
+        # more halvings of the decay schedule.
+        smallest = min(self.split_budget * self.schedule.at_depth(1) / 4, self.leaf_budget)
+        if smallest < MIN_RELEASE_BUDGET:
+            raise InvalidParameterError(f"alpha {self.alpha}, lpf {self.leaf_privacy_fraction} and the schedule "
+                                        f"give a release a budget of {float(smallest):.3g}, below 2**-900")
 
 
 @dataclass
@@ -232,8 +243,7 @@ def dp_topdown(strategy, config: DPTopDownConfig):
     splits is normal termination. A charge that would take the ledger over
     alpha raises BudgetExceededError.
     """
-    total_n = strategy.total_size
-    if total_n <= 0:
+    if strategy.pool.binned.n <= 0:
         raise InvalidParameterError("cannot learn from an empty data source")
 
     ledger = PrivacyLedger(config.alpha)

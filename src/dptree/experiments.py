@@ -5,23 +5,29 @@ output, and a summarizer producing per-cell means and standard errors.
 Per-run seeds are hashes of (base seed, cell indices, run index), so any cell
 is reproducible in isolation and runs can execute in any worker layout; rows
 are always written in grid order.
+
+A config's settings are resolved once, when it is made, through the
+learner's own types (`Criterion`, the budget schedule and one
+`DPTopDownConfig` per (alpha, lpf) cell), and every run reads what they made.
+A sweep reads its data before it writes, so a bad setting or input fails
+before any row file is touched.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import astuple, dataclass, field
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
 
-from .dp_core import RandomSource, zero_noise
+from .dp_core import InvalidParameterError, RandomSource, zero_noise
 from .data_io import (
     DataError,
     _csv_rows,
@@ -89,26 +95,10 @@ class ExperimentConfig:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if not self.alphas or not self.lpfs or not self.train_fractions:
             raise ConfigError("alphas, lpfs, and train_fractions must be nonempty")
-        for alpha in self.alphas:
-            if not (math.isfinite(alpha) and alpha > 0):
-                raise ConfigError(f"alphas must be positive and finite, got {alpha}")
-        for lpf in self.lpfs:
-            if not 0.0 < lpf < 1.0:
-                raise ConfigError(f"lpfs must lie in (0, 1), got {lpf}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if self.max_nodes < 1:
-            raise ConfigError(f"max_nodes must be >= 1, got {self.max_nodes}")
         if self.entities < 1:
             raise ConfigError(f"entities must be >= 1, got {self.entities}")
-        if not 0.0 < self.error <= 1.0:
-            raise ConfigError(f"error must lie in (0, 1], got {self.error}")
-        if self.criterion == Criterion.ROOT_GINI.value and self.algorithm in ("single-rnm", "local-rnm"):
-            # RNM's noise scale needs a sensitivity bound, and root Gini has
-            # no proven one; count-noised and exact learners keep it.
-            raise ConfigError(f"criterion 'root-gini' cannot be used with {self.algorithm!r}")
-        if not math.isfinite(self.min_gain):
-            raise ConfigError(f"min_gain must be finite, got {self.min_gain}")
         if self.split_seed < 0:
             raise ConfigError(f"data.split_seed must be >= 0, got {self.split_seed}")
         if len(self.ratio) != 2 or not all(
@@ -122,15 +112,23 @@ class ExperimentConfig:
         for fraction in self.train_fractions:
             if not 0.0 < fraction <= 1.0:
                 raise ConfigError(f"train fractions must lie in (0, 1], got {fraction}")
-
-    @property
-    def grid(self):
-        return [
-            (ai, li, fi)
-            for ai in range(len(self.alphas))
-            for li in range(len(self.lpfs))
-            for fi in range(len(self.train_fractions))
-        ]
+        # The learner's own types check the criterion, the schedule and each
+        # (alpha, lpf) cell once, here, for every run to read. They are not
+        # fields, so `dataclasses.replace` makes them again.
+        try:
+            self.resolved_criterion = Criterion.from_name(self.criterion)
+            schedule = schedule_from_name(self.schedule, self.max_nodes)
+            self.learner_configs = [
+                [DPTopDownConfig(alpha, self.max_nodes, self.error, lpf, schedule, self.min_gain)
+                 for lpf in self.lpfs]
+                for alpha in self.alphas
+            ]
+        except InvalidParameterError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.resolved_criterion is Criterion.ROOT_GINI and self.algorithm in ("single-rnm", "local-rnm"):
+            # RNM's noise scale needs a sensitivity bound, and root Gini has
+            # no proven one; count-noised and exact learners keep it.
+            raise ConfigError(f"criterion 'root-gini' cannot be used with {self.algorithm!r}")
 
 
 _flag = _json_type(bool, "true or false")
@@ -221,17 +219,19 @@ def prepare_data(config: ExperimentConfig):
     then split, so no float copy of either part is made."""
     key = (config.schema_path, config.train_path, config.test_path, config.csv_path,
            config.ratio, config.split_seed)
-    if key in _data_cache:
-        return _data_cache[key]
-    _data_cache.clear()
-    schema = load_schema(config.schema_path)
-    splits = build_splitting_class(schema)
-    if config.csv_path is not None:
-        full = BinnedFeatures(load_csv(config.csv_path, schema), splits)
-        _data_cache[key] = train_test_split(full, config.ratio, RandomSource(config.split_seed, ("split",)))
-    else:
-        _data_cache[key] = tuple(BinnedFeatures(load_csv(path, schema), splits)
-                                 for path in (config.train_path, config.test_path))
+    if key not in _data_cache:
+        _data_cache.clear()
+        schema = load_schema(config.schema_path)
+        splits = build_splitting_class(schema)
+        if config.csv_path is not None:
+            full = BinnedFeatures(load_csv(config.csv_path, schema), splits)
+            data = train_test_split(full, config.ratio, RandomSource(config.split_seed, ("split",)))
+        else:
+            data = tuple(BinnedFeatures(load_csv(path, schema), splits)
+                         for path in (config.train_path, config.test_path))
+        if not data[0].n:
+            raise DataError("the training data has no rows")
+        _data_cache[key] = data
     return _data_cache[key]
 
 
@@ -240,10 +240,8 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
     the prepared binnings. Training accuracy is read from the strategy's
     pool; only the test rows are routed, on their bin codes."""
     train_full, test = prepare_data(config)
-    alpha = config.alphas[alpha_i]
-    lpf = config.lpfs[lpf_i]
-    fraction = config.train_fractions[fraction_i]
-    seed = derive_seed(config.seed, alpha_i, lpf_i, fraction_i, run_i)
+    task = _task_key(config, alpha_i, lpf_i, fraction_i, run_i)
+    _, _, _, fraction, _, seed = task
     source_rng = RandomSource(seed)
 
     train = train_full
@@ -252,16 +250,8 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
         rows = np.sort(source_rng.substream("subsample").choice(train_full.n, size=size, replace=False))
         train = train_full.subset(rows)
 
-    criterion = Criterion.from_name(config.criterion)
+    criterion = config.resolved_criterion
     started = time.perf_counter()
-    dp_config = DPTopDownConfig(
-        alpha=alpha,
-        max_nodes=config.max_nodes,
-        error=config.error,
-        leaf_privacy_fraction=lpf,
-        schedule=schedule_from_name(config.schedule, config.max_nodes),
-        min_gain=config.min_gain,
-    )
     if config.algorithm == "baseline":
         # The same loop, pruning and weight filter with exact answers, so
         # large-alpha private runs converge to it like for like.
@@ -275,16 +265,11 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
             source_rng.substream("entities"), criterion)
         maker = NoisyCountsSplitter if config.algorithm == "noisy-counts" else LocalRNMSplitter
         strategy = maker(pool)
-    tree, _, stats = dp_topdown(strategy, dp_config)
+    tree, _, stats = dp_topdown(strategy, config.learner_configs[alpha_i][lpf_i])
     wall_ms = (time.perf_counter() - started) * 1000.0
 
     return ResultRow(
-        algorithm=config.algorithm,
-        alpha=alpha,
-        lpf=lpf,
-        train_fraction=fraction,
-        run=run_i,
-        seed=seed,
+        *task,
         train_acc=train_accuracy(tree, strategy.pool),
         test_acc=1.0 - tree_error(tree, test) if test.n else float("nan"),
         depth=tree.depth,
@@ -339,15 +324,19 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
     as `summarize` does, and raises DataError naming the first one that is
     not the row of this config's task in its place. Workers get the config
     itself, and each run takes its zero-noise setting from it.
+
+    The config's settings were checked when it was made. The data is read
+    and split, and a resumed file's rows checked, before `out_path` is
+    opened, so a sweep refused for its config, its data or its existing
+    rows leaves the file as it was.
     """
     workers = worker_count()
     out_path = resolve_output_path(out_path)
-    tasks = [
-        (alpha_i, lpf_i, fraction_i, run_i)
-        for (alpha_i, lpf_i, fraction_i) in config.grid
-        for run_i in range(config.runs)
-    ]
+    # The (alpha, lpf, train fraction, run) indices of every run, in grid order.
+    sizes = (len(config.alphas), len(config.lpfs), len(config.train_fractions), config.runs)
+    tasks = list(product(*map(range, sizes)))
 
+    prepare_data(config)
     done = 0
     if resume and out_path.is_file():
         try:
@@ -357,20 +346,22 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
         header = text.partition("\n")[0]
         if header != CSV_HEADER and not CSV_HEADER.startswith(text):
             raise DataError(f"{out_path}: existing file has a different header")
-        # A last row without its newline was torn by an interrupted write:
-        # cut it off so that the resumed rows start on a line of their own.
+        # A last row without its newline was torn by an interrupted write; it
+        # is not read, and is cut off once the rows before it are checked, so
+        # that the resumed rows start on a line of their own.
         complete = text[: text.rfind("\n") + 1]
+        if complete:
+            with closing(_result_rows(out_path)) as rows:
+                for done, (line, record) in enumerate(islice(rows, complete.count("\n") - 1), start=1):
+                    if done > len(tasks):
+                        raise DataError(f"{out_path}:{line}: this sweep has only {len(tasks)} rows")
+                    found = tuple(record[name] for name in _TASK_COLUMNS)
+                    expected = _task_key(config, *tasks[done - 1])
+                    if found != expected:
+                        raise DataError(f"{out_path}:{line}: found the row of {found}, "
+                                        f"but this sweep's row {done} is that of {expected}")
         if complete != text:
             os.truncate(out_path, len(complete.encode("utf-8")))
-        if complete:
-            for done, (line, record) in enumerate(_result_rows(out_path), start=1):
-                if done > len(tasks):
-                    raise DataError(f"{out_path}:{line}: this sweep has only {len(tasks)} rows")
-                found = tuple(record[name] for name in _TASK_COLUMNS)
-                expected = _task_key(config, *tasks[done - 1])
-                if found != expected:
-                    raise DataError(f"{out_path}:{line}: found the row of {found}, "
-                                    f"but this sweep's row {done} is that of {expected}")
     pending = tasks[done:]
 
     mode = "a" if resume and done else "w"

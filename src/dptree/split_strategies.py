@@ -5,16 +5,16 @@ the simulated data holders and the message layer they share.
 Each strategy answers the loop's queries about a leaf, its tree node
 (`tree_learning.Node`, whose public (split, side) path locates the leaf's
 rows; see `dp_topdown`): `split` and `weight`, and `labels` of all final
-leaves at once; it sets `pool` and the public row count `total_size` when
-it is made. `ExactStrategy` answers exactly, with no noise and no charges;
-`SingleMachineRNMSplitter` answers privately: RNM for splits, the Laplace
-weight estimate for weights and one RNM release for the labels of every
-leaf, each from its own substream, all charged under the global ledger
-scope. The two distributed strategies ask the k holders through the
-transport and share `weight` (summed noisy counts) and `labels` (per leaf,
-the argmax of summed noisy label counts); they differ in `split`. A message
-is a `Query` to one entity through `LocalTransport.send`, and its `Response`
-holds only noisy aggregates.
+leaves at once; it sets `pool` when it is made, whose binning's row count
+`pool.binned.n` is the public |S|. `ExactStrategy` answers exactly, with no
+noise and no charges; `SingleMachineRNMSplitter` answers privately: RNM for
+splits, the Laplace weight estimate for weights and one RNM release for the
+labels of every leaf, each from its own substream, all charged under the
+global ledger scope. The two distributed strategies ask the k holders
+through the transport and share `weight` (summed noisy counts) and `labels`
+(per leaf, the argmax of summed noisy label counts); they differ in `split`.
+A message is a `Query` to one entity through `LocalTransport.send`, and its
+`Response` holds only noisy aggregates.
 
 An `EntityPool` owns the holders' rows: their binned shards laid end to
 end as one binning in which holder i's label y reads i K + y, and one record
@@ -437,7 +437,6 @@ class ExactStrategy:
             raise InvalidParameterError("splitting class must be nonempty")
         self.pool = EntityPool([binned], None, criterion)
         self.entity = self.pool.entities[0]
-        self.total_size = binned.n
 
     def split(self, leaf: Node, alpha, ledger: PrivacyLedger):
         gains = self.entity.gains(leaf.path)
@@ -446,7 +445,7 @@ class ExactStrategy:
 
     def weight(self, leaf: Node, budget, ledger: PrivacyLedger) -> float:
         rows, _ = self.entity.leaf_rows(leaf.path)
-        return rows.size / self.total_size
+        return rows.size / self.pool.binned.n
 
     def labels(self, leaves: list, budget, ledger: PrivacyLedger) -> list:
         return [int(np.argmax(self.entity.label_counts(self.entity.leaf_rows(leaf.path)[1])))
@@ -469,7 +468,6 @@ class SingleMachineRNMSplitter:
     def __init__(self, binned: BinnedFeatures, criterion: Criterion, rng: RandomSource):
         self.pool = EntityPool([binned], None, criterion)
         self.entity = self.pool.entities[0]
-        self.total_size = binned.n
         self._split_rng = rng.substream("split")
         self._weight_rng = rng.substream("weight")
         self._label_rng = rng.substream("label")
@@ -485,7 +483,7 @@ class SingleMachineRNMSplitter:
     def weight(self, leaf: Node, budget, ledger: PrivacyLedger) -> float:
         scope = Scope(GLOBAL_SCOPE, "weight", depth=leaf.budget_depth, leaf=leaf.node_id)
         rows, _ = self.entity.leaf_rows(leaf.path)
-        return estimate_weight(rows.size, self.total_size, budget, self._weight_rng, ledger, scope)
+        return estimate_weight(rows.size, self.pool.binned.n, budget, self._weight_rng, ledger, scope)
 
     def labels(self, leaves: list, budget, ledger: PrivacyLedger) -> list:
         counts = np.array([self.entity.label_counts(self.entity.leaf_rows(leaf.path)[1]) for leaf in leaves])
@@ -500,15 +498,13 @@ class DistributedStrategy:
 
     def __init__(self, pool: EntityPool):
         self.pool = pool
-        # Shard sizes are treated as public metadata.
-        self.total_size = pool.binned.n
 
     def weight(self, leaf: Node, budget, ledger: PrivacyLedger) -> float:
         """Per-entity noisy counts (`budget` each, half the leaf's allowance,
         parallel across entities), summed and divided by the public |S|."""
         responses = self.pool.ask_all(ledger, "leaf_count", leaf.path, budget,
                                       leaf.budget_depth, leaf.node_id)
-        return float(sum(resp.payload["count"] for resp in responses)) / self.total_size
+        return float(sum(resp.payload["count"] for resp in responses)) / self.pool.binned.n
 
     def labels(self, leaves: list, budget, ledger: PrivacyLedger) -> list:
         """Per leaf, one label-counts query to every entity and the argmax of

@@ -1,8 +1,10 @@
-"""Computable forms of the utility analysis: gain-sensitivity bounds, the
+"""Computable forms of the utility analysis: the gain sensitivity, the
 sample-size requirements of the split strategies, the overall dataset-size
 requirement, and the boosting recurrence that drives the split-count bound.
-The brute-force check of the sensitivity bounds lives with the tests
-(`tests/oracle.py`), which are its only readers.
+The sensitivity is the learner's own (`split_strategies.rnm_score_sensitivity`),
+so the formula the calculator prints is the one that scales RNM's noise. The
+brute-force check of it lives with the tests (`tests/oracle.py`), which are
+its only readers.
 
 Only constants that appear explicitly in the analysis are used; nothing is
 invented beyond them. "log" inside the x >= 2b log(b) device is the natural
@@ -19,6 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .dp_core import InvalidParameterError
+from .dp_topdown import UniformSchedule
+from .split_strategies import MIN_LEAF_ROWS, rnm_score_sensitivity
 from .tree_learning import Criterion
 
 ITERATION_CAP = 10**9
@@ -77,8 +81,6 @@ class WeakLearningParams:
         if self.entities < 1:
             raise InvalidParameterError(f"entities must be >= 1, got {self.entities}")
         if self.schedule is None:
-            from .dp_topdown import UniformSchedule
-
             self.schedule = UniformSchedule(self.max_nodes)
 
 
@@ -88,21 +90,15 @@ class WeakLearningParams:
 
 
 def sensitivity_bound(criterion: Criterion, m: int) -> float:
-    """Worst-case change of J(S, h) when one of m points is replaced.
-
-    Entropy: (2/m)(3 lg m + 1); Gini: 20/m. Requires m >= 3 so that
-    1/m <= 1/e, which the entropy argument needs. Root Gini has no proven
-    bound: one replaced point can move its gain by about 2/sqrt(m), so it
-    raises InvalidParameterError.
+    """The sensitivity of the gain scores that the learner's RNM uses for a
+    leaf of m rows (`split_strategies.rnm_score_sensitivity`): 10 lg(m)/m
+    for entropy, 20/m for Gini, and for root Gini, which has no proven
+    bound, InvalidParameterError. An m below MIN_LEAF_ROWS, or past the
+    floats, raises InvalidParameterError too.
     """
-    if m < 3:
-        raise InvalidParameterError(f"m must be >= 3, got {m}")
-    m = _finite_positive(m, "m")
-    if criterion is Criterion.ENTROPY:
-        return (2.0 / m) * (3.0 * math.log2(m) + 1.0)
-    if criterion is Criterion.GINI:
-        return 20.0 / m
-    raise InvalidParameterError(f"no proven sensitivity bound for {criterion!r}")
+    if m < MIN_LEAF_ROWS:
+        raise InvalidParameterError(f"m must be >= {MIN_LEAF_ROWS}, got {m}")
+    return rnm_score_sensitivity(criterion, _finite_positive(m, "m"))
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ class BinnedFeatures:
                 self._plan[split] = (len(codes) - 1, pos, size + pos, size + grid.size)
             size += grid.size + 1
         self._size = size
-        self.splits = list(splits)
+        self.splits = tuple(splits)
         self._class_rows = self._lookup(self.splits)
         # The last candidate tuple looked up and its rows (`plan`), one list
         # that every slice of this binning shares.
@@ -319,13 +319,13 @@ class BinnedFeatures:
         InvalidParameterError rather than being counted against the wrong
         bins.
 
-        The class itself, or a copy of it, is answered without lookups. So is
-        the tuple last looked up, by identity: a tuple cannot change, so k
-        holders asked about one query's candidates resolve them once."""
+        The class itself, a tuple, is answered by identity without lookups.
+        So is the tuple last looked up: a tuple cannot change, so k holders
+        asked about one query's candidates resolve them once."""
         memo = self._memo
         if splits is memo[0]:
             return memo[1]
-        if splits is self.splits or splits == self.splits:
+        if splits is self.splits:
             return self._class_rows
         rows = self._lookup(splits)
         if isinstance(splits, tuple):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from dptree import cli, experiments
 from dptree.cli import main
 from dptree.data_io import DataError, partition, save_schema, synthetic_tree_dataset, write_csv
-from dptree.dp_core import RandomSource, zero_noise
+from dptree.dp_core import InvalidParameterError, RandomSource, zero_noise
 from dptree.dp_topdown import dp_topdown
 from dptree.experiments import (
     CSV_HEADER,
@@ -209,6 +209,11 @@ class TestConfig:
             # RNM needs a proven sensitivity bound, and root Gini has none.
             {"algorithm": "single-rnm", "criterion": "root-gini"},
             {"algorithm": "local-rnm", "criterion": "root-gini"},
+            # Names and budgets are resolved through the learner's types.
+            {"criterion": "bogus"},
+            {"schedule": "bogus"},
+            {"alphas": [1.0, 1e-300]},
+            {"lpfs": [0.5, 5e-324]},
         ],
     )
     def test_invalid_configs_rejected(self, workspace, patch):
@@ -418,17 +423,92 @@ class TestSweep:
     def test_resume_refuses_rows_of_other_tasks(self, workspace, change, expected):
         # Resuming reads every row it skips: a row that is not the one this
         # config's task writes in its place exits 3, naming its line, and the
-        # file is left as it was.
+        # file is left as it was, its torn last row included.
         tmp_path, config, config_path = workspace
         full = run_sweep(config_from_dict(config), tmp_path / "full.csv").read_text().splitlines()
         out = tmp_path / "rows.csv"
-        out.write_text("\n".join(change(full)) + "\n")
+        out.write_text("\n".join(change(full)) + "\n" + full[1][:20])
         before = out.read_text()
         result = CliRunner().invoke(main, ["sweep", "--config", str(config_path), "--out", str(out), "--resume"])
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith(f"error: {out}{expected}")
         assert out.read_text() == before
+
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+    @pytest.mark.parametrize("key, value", [
+        ("criterion", "bogus"),
+        ("schedule", "bogus"),
+        ("ratio", [9, -1]),
+        ("ratio", [0, 1]),
+        ("ratio", [1, 10**6]),
+        ("csv", "missing.csv"),
+        ("schema", "unloadable.json"),
+    ], ids=["criterion", "schedule", "negative-ratio", "zero-ratio", "no-training-rows", "missing-csv",
+            "bad-schema"])
+    def test_refused_sweep_leaves_out_alone(self, workspace, key, value, resume):
+        # A sweep refused for its config or its data exits before it opens
+        # --out: the file, torn last row included, is left byte for byte.
+        tmp_path, config, _ = workspace
+        (tmp_path / "unloadable.json").write_text('{"features": ')
+        out = tmp_path / "rows.csv"
+        run_sweep(config_from_dict({**config, "runs": 1}), out)
+        out.write_bytes(out.read_bytes()[:-7])
+        before = out.read_bytes()
+        doc = {**config, "data": dict(config["data"])}
+        (doc["data"] if key in ("ratio", "csv") else doc)[key] = (
+            str(tmp_path / value) if key in ("csv", "schema") else value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        args = ["sweep", "--config", str(bad), "--out", str(out)] + ["--resume"] * resume
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code in (2, 3), result.output
+        assert isinstance(result.exception, SystemExit)
+        assert out.read_bytes() == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_sweep_writes_every_row_or_leaves_out_alone(self, data):
+        # Any config that loads either fails before --out is touched or
+        # writes the row of every task, here over a file whose last row is
+        # torn; settings are drawn at and past the edges the learner accepts.
+        def edge(values):
+            return st.lists(st.sampled_from(values), min_size=1, max_size=2)
+
+        doc = {
+            "algorithm": data.draw(st.sampled_from(["baseline", "single-rnm", "noisy-counts", "local-rnm"])),
+            "criterion": data.draw(st.sampled_from(["entropy", "gini", "root-gini", "bogus", ""])),
+            "schedule": data.draw(st.sampled_from(["decay", "uniform", "bogus"])),
+            "alphas": data.draw(edge([5e-324, 1e-300, 1e-265, 1e-10, 1.0, 1e308, 0.0, -1.0])),
+            "lpfs": data.draw(edge([5e-324, 1e-300, 0.5, 1 - 2**-53, 0.0, 1.0])),
+            "train_fractions": data.draw(edge([5e-324, 0.5, 1.0])),
+            "error": data.draw(st.sampled_from([5e-324, 0.1, 1.0, 0.0, 1.5])),
+            "min_gain": data.draw(st.sampled_from([-1.7976931348623157e308, 0.0, 0.01, 1e308])),
+            "max_nodes": data.draw(st.integers(0, 4)),
+            "entities": data.draw(st.integers(1, 3)),
+            "runs": data.draw(st.integers(1, 2)),
+        }
+        ratio = data.draw(st.lists(st.integers(-1, 3) | st.just(10**6), min_size=2, max_size=2))
+        resume = data.draw(st.booleans(), label="resume")
+        with tempfile.TemporaryDirectory() as tmp:
+            schema_path, csv_path, out = (Path(tmp) / name for name in ("s.json", "d.csv", "rows.csv"))
+            schema_path.write_text(json.dumps(FUZZ_SCHEMA))
+            csv_path.write_text(FUZZ_CSV)
+            out.write_text(CSV_HEADER + "\nsingle-rnm,1.0,0.5,1.0,0,12")
+            before = out.read_bytes()
+            try:
+                config = config_from_dict({**doc, "schema": str(schema_path),
+                                           "data": {"csv": str(csv_path), "ratio": ratio}})
+            except ConfigError:
+                return
+            try:
+                run_sweep(config, out, resume=resume)
+            except (ConfigError, DataError, InvalidParameterError):
+                assert out.read_bytes() == before
+                return
+            lines = out.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 1 + len(config.alphas) * len(config.lpfs) * len(config.train_fractions) * config.runs
 
     def test_resume_refuses_rows_of_another_config(self, workspace):
         tmp_path, config, config_path = workspace
@@ -576,7 +656,7 @@ class TestCli:
             main, ["theory", "sensitivity", "--params", '{"criterion": "entropy", "m": 1024}']
         )
         assert result.exit_code == 0
-        assert json.loads(result.output)["value"] == pytest.approx(0.060546875)
+        assert json.loads(result.output)["value"] == pytest.approx(0.09765625)
 
         result = runner.invoke(
             main, ["theory", "rnm-bound", "--params",
@@ -613,10 +693,13 @@ class TestCli:
         ({"schema": "nope.json", "data": {"csv": "d.csv"}, "criterion": "root-gini"}, None),
         ({"schema": "nope.json", "data": {"csv": "d.csv"}, "algorithm": "local-rnm", "criterion": "root-gini"},
          None),
+        # The label budget rounds to 0.0: its noise scale was a division by zero mid-run.
+        ({"schema": "nope.json", "data": {"csv": "d.csv"}, "algorithm": "noisy-counts", "alphas": [1e-300],
+          "lpfs": [1e-300]}, None),
     ], ids=["missing-data", "uncastable-value", "list-document", "nan-min-gain",
             "baseline-zero-error", "no-entities", "boolean-alpha", "boolean-error", "boolean-min-gain",
             "boolean-train-fraction", "string-alpha", "string-error", "root-gini-single-rnm",
-            "root-gini-local-rnm"])
+            "root-gini-local-rnm", "underflowed-label-budget"])
     def test_config_error_exit_code(self, tmp_path, doc, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -658,10 +741,15 @@ class TestCli:
         ("dataset-requirement", '{"gamma": 0.25, "error": 0.1, "delta": 0.1, "max_nodes": 16, '
                                 '"alpha": 1e-320, "h_size": 50}'),
         ("sensitivity", '{"criterion": "entropy", "m": 1%s}' % ("0" * 400)),
+        # Below three rows the learner's formula has no bound to give.
+        ("sensitivity", '{"criterion": "entropy", "m": 0}'),
+        ("sensitivity", '{"criterion": "gini", "m": 2}'),
+        ("sensitivity", '{"criterion": "root-gini", "m": 2}'),
     ], ids=["not-an-object", "non-numeric", "nan-alpha-rnm", "nan-alpha-noisycounts", "infinite-alpha",
             "nan-slowdown", "fractional-m", "fractional-h-size", "fractional-max-nodes", "boolean-h-size",
             "root-gini", "underflowed-rnm-denominator", "overflowed-rnm-bound", "overflowed-noisycounts-bound",
-            "underflowed-decay-budget", "subnormal-alpha", "m-past-the-floats"])
+            "underflowed-decay-budget", "subnormal-alpha", "m-past-the-floats", "m-zero", "m-two",
+            "root-gini-m-two"])
     def test_theory_bad_params_exit_code(self, subcommand, params):
         result = CliRunner().invoke(main, ["theory", subcommand, "--params", params])
         assert result.exit_code == 2, result.output

@@ -17,6 +17,7 @@ from dptree.dp_core import (
 )
 from dptree.data_io import build_splitting_class, synthetic_tree_dataset
 from dptree.dp_topdown import (
+    MIN_RELEASE_BUDGET,
     DPTopDownConfig,
     DecaySchedule,
     RunStats,
@@ -310,6 +311,27 @@ class TestConfigValidation:
         ):
             with pytest.raises(InvalidParameterError):
                 DPTopDownConfig(**kwargs)
+
+    @pytest.mark.parametrize("alpha, lpf, max_nodes, schedule", [
+        (1e-300, 0.5, 4, "decay"),
+        (1.0, 5e-324, 4, "decay"),
+        (1e-260, 1 - 2**-53, 4, "decay"),
+        (1e-250, 0.5, 10**70, "uniform"),
+    ], ids=["alpha", "label-share", "split-share", "uniform-depths"])
+    def test_rejects_budgets_whose_noise_leaves_the_floats(self, alpha, lpf, max_nodes, schedule):
+        # Each leaves some release a budget below 2**-900, too close to the
+        # end of the float range for its noise scale; the smallest ones round
+        # to zero or overflow their scale at the first depth.
+        with pytest.raises(InvalidParameterError, match="give a release a budget of"):
+            DPTopDownConfig(alpha, max_nodes, leaf_privacy_fraction=lpf,
+                            schedule=schedule_from_name(schedule, max_nodes))
+
+    def test_smallest_release_budget_may_reach_the_bound(self):
+        # With LPF 1/2 and the decay schedule, LocalRNM's quarter of a
+        # depth-1 allowance, alpha/16, is the smallest budget of a release.
+        assert DPTopDownConfig(16 * MIN_RELEASE_BUDGET, 4).split_budget == 8 * Fraction(MIN_RELEASE_BUDGET)
+        with pytest.raises(InvalidParameterError):
+            DPTopDownConfig(math.nextafter(16 * MIN_RELEASE_BUDGET, 0.0), 4)
 
     def test_budget_split_by_lpf(self):
         config = DPTopDownConfig(alpha=2.0, max_nodes=4, leaf_privacy_fraction=0.25)

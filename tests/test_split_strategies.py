@@ -235,6 +235,17 @@ class TestNoisyCounts:
         assert all(charge == Fraction(1, 4) for charge in per_entity.values())
         assert ledger.effective_cost() == Fraction(1, 4) <= Fraction(3, 4)
 
+    def test_split_over_the_class_looks_up_nothing(self, monkeypatch):
+        # The pool's class is a tuple: a query over it is planned by identity.
+        pool = make_pool(planted_dataset(RandomSource(7), n=600), 3, grid_splits())
+
+        def lookup(self, splits):
+            raise AssertionError("the splitting class was planned again")
+
+        monkeypatch.setattr(BinnedFeatures, "_lookup", lookup)
+        split, _ = NoisyCountsSplitter(pool).split(ROOT, 1.0, PrivacyLedger(1.0))
+        assert split in pool.splits
+
     def test_aggregate_noise_variance(self):
         # k entities each add Lap(3|H|/alpha) per cell; the summed cell noise
         # has std sqrt(k * 2 * scale^2).
