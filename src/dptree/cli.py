@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 budget exceeded
 
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 from dataclasses import asdict
@@ -15,7 +16,6 @@ import click
 
 from .dp_core import BudgetExceededError, InvalidParameterError, zero_noise
 from .data_io import DataError, _finite, _int, _text, read_json, read_object
-from .dp_topdown import schedule_from_name
 from .experiments import (
     ConfigError,
     load_experiment_config,
@@ -27,9 +27,8 @@ from .experiments import (
 )
 from .theory import (
     CapExceededError,
-    WeakLearningParams,
     boosting_recurrence,
-    dataset_requirement_breakdown,
+    dataset_requirement,
     noisycounts_sample_bound,
     rnm_sample_bound,
     sensitivity_bound,
@@ -111,34 +110,23 @@ def summarize_cmd(in_path, out_path):
     _guarded(body)
 
 
-def _dataset_requirement(h_size, splitter="rnm", schedule="uniform", **params) -> dict:
-    """`dataset_requirement_breakdown` from its flat parameters: the three
-    terms and the requirement."""
-    params["schedule"] = schedule_from_name(schedule, params["max_nodes"])
-    breakdown = dataset_requirement_breakdown(WeakLearningParams(**params), splitter, h_size)
-    return {**asdict(breakdown), "value": breakdown.required}
-
-
 # Each subcommand's calculator and the cast of each of its parameters, keyed
-# by the calculator's own parameter names.
+# by the calculator's own parameter names. A parameter that the calculator
+# gives no default is required.
 THEORY = {
     "sensitivity": (sensitivity_bound, {"criterion": lambda v: Criterion.from_name(_text(v)), "m": _int}),
-    "rnm-bound": (
-        rnm_sample_bound, {"zeta": _finite, "alpha": _finite, "delta": _finite, "h_size": _int}
-    ),
+    "rnm-bound": (rnm_sample_bound, {"zeta": _finite, "alpha": _finite, "delta": _finite, "h_size": _int}),
     "noisycounts-bound": (
         noisycounts_sample_bound,
         {"zeta": _finite, "alpha": _finite, "delta": _finite, "k": _int, "h_size": _int},
     ),
     "recurrence": (boosting_recurrence, {"error": _finite, "gamma": _finite, "slowdown": _finite}),
     "dataset-requirement": (
-        _dataset_requirement,
+        dataset_requirement,
         {"gamma": _finite, "error": _finite, "delta": _finite, "max_nodes": _int, "alpha": _finite,
-         "entities": _int, "schedule": _text, "splitter": _text, "h_size": _int},
+         "h_size": _int, "entities": _int, "schedule": _text, "splitter": _text},
     ),
 }
-# The parameters that have defaults; every other one is required.
-THEORY_DEFAULTED = {"slowdown", "entities", "schedule", "splitter"}
 
 
 @main.command()
@@ -150,7 +138,8 @@ def theory(subcommand, params_json):
     def body():
         params = read_json("--params", ConfigError, text=params_json)
         calculator, casts = THEORY[subcommand]
-        required = [name for name in casts if name not in THEORY_DEFAULTED]
+        parameters = inspect.signature(calculator).parameters.values()
+        required = [p.name for p in parameters if p.default is p.empty]
         result = calculator(**read_object(params, casts, "--params", required, ConfigError))
         terms = result if isinstance(result, dict) else {"value": result}
         click.echo(json.dumps({"inputs": params, **terms}, sort_keys=True))

@@ -174,7 +174,8 @@ def estimate_weight(
     feeds only the weight filter and the queue priority and is never
     clamped. The scale is an integer true division of the budget's parts,
     which Python rounds correctly, so it equals float(1 / (budget |S|))
-    without building a Fraction.
+    without building a Fraction; a budget whose scale is past the floats
+    raises InvalidParameterError before anything is charged.
     """
     if total_n <= 0:
         raise InvalidParameterError("total dataset size must be positive")
@@ -182,7 +183,10 @@ def estimate_weight(
         budget = Fraction(budget)
     if budget <= 0:
         raise InvalidParameterError("weight budget must be positive")
-    noise = sample_laplace(budget.denominator / (budget.numerator * total_n), rng)
+    try:
+        noise = sample_laplace(budget.denominator / (budget.numerator * total_n), rng)
+    except OverflowError:  # the integer division's result is past the largest float
+        raise InvalidParameterError("weight budget is too small: 1/(budget |S|) is past the floats") from None
     ledger.charge(scope, budget)
     return leaf_count / total_n + float(noise)
 

@@ -10,6 +10,10 @@ Only constants that appear explicitly in the analysis are used; nothing is
 invented beyond them. "log" inside the x >= 2b log(b) device is the natural
 log; lg (base 2) appears only inside entropy-style formulas.
 
+Each calculator takes plain numbers and names, and a parameter with a
+default may be left out: `dptree theory` passes its --params object as
+keyword arguments and requires exactly the parameters that have none.
+
 The calculators work in floats. Inputs whose intermediates or results leave
 the finite positive floats (an underflowed budget, an overflowed bound) raise
 InvalidParameterError rather than divide by zero or round infinity.
@@ -18,10 +22,9 @@ InvalidParameterError rather than divide by zero or round infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .dp_core import InvalidParameterError
-from .dp_topdown import UniformSchedule
+from .dp_topdown import schedule_from_name
 from .split_strategies import MIN_LEAF_ROWS, rnm_score_sensitivity
 from .tree_learning import Criterion
 
@@ -43,45 +46,6 @@ def _finite_positive(value, what: str) -> float:
     if not (math.isfinite(number) and number > 0):
         raise InvalidParameterError(f"{what} is {number!r}; the inputs are out of the calculator's range")
     return number
-
-
-@dataclass
-class WeakLearningParams:
-    """Inputs of the dataset-size requirement.
-
-    gamma: weak-learning advantage in (0, 1/2].
-    error: target training error in (0, 1].
-    delta: failure probability in (0, 1].
-    max_nodes: cap M on internal nodes.
-    alpha: total privacy budget.
-    entities: number of data holders k (1 = single machine).
-    schedule: budget schedule; its minimum B(d) over depths 1..M enters the
-              per-leaf budget.
-    """
-
-    gamma: float
-    error: float
-    delta: float
-    max_nodes: int
-    alpha: float
-    entities: int = 1
-    schedule: object = None
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma <= 0.5:
-            raise InvalidParameterError(f"gamma must lie in (0, 1/2], got {self.gamma}")
-        if not 0.0 < self.error <= 1.0:
-            raise InvalidParameterError(f"error must lie in (0, 1], got {self.error}")
-        if not 0.0 < self.delta <= 1.0:
-            raise InvalidParameterError(f"delta must lie in (0, 1], got {self.delta}")
-        if self.max_nodes < 1:
-            raise InvalidParameterError(f"max_nodes must be >= 1, got {self.max_nodes}")
-        if self.alpha <= 0:
-            raise InvalidParameterError(f"alpha must be positive, got {self.alpha}")
-        if self.entities < 1:
-            raise InvalidParameterError(f"entities must be >= 1, got {self.entities}")
-        if self.schedule is None:
-            self.schedule = UniformSchedule(self.max_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -178,60 +142,61 @@ def boosting_recurrence(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DatasetRequirement:
-    """The three explicit size terms whose max is the overall requirement."""
-
-    weight_term: float
-    leaf_term: float
-    split_term: float
-
-    @property
-    def required(self) -> int:
-        return math.ceil(max(self.weight_term, self.leaf_term, self.split_term))
-
-
-def theorem_zeta(params: WeakLearningParams) -> float:
+def theorem_zeta(gamma: float, error: float, max_nodes: int) -> float:
     """Split-accuracy target: gamma^2 error / (48 M log2(2/error))."""
-    return (
-        params.gamma**2
-        * params.error
-        / (48.0 * params.max_nodes * math.log2(2.0 / params.error))
-    )
+    return gamma**2 * error / (48.0 * max_nodes * math.log2(2.0 / error))
 
 
-def dataset_requirement_breakdown(
-    params: WeakLearningParams, splitter: str, h_size: int
-) -> DatasetRequirement:
+def dataset_requirement(
+    gamma: float, error: float, delta: float, max_nodes: int, alpha: float, h_size: int,
+    entities: int = 1, schedule: str = "uniform", splitter: str = "rnm",
+) -> dict:
     """Dataset size under which the private learner matches the boosting
-    guarantee, split into its weight-estimation, leaf-labeling, and
-    split-selection terms.
+    guarantee: its weight-estimation, leaf-labeling and split-selection
+    terms, and as `value` their max rounded up.
 
-    splitter "rnm" is the single-machine analysis; "noisy-counts" the
-    distributed one, whose weight and leaf terms gain a factor k inside and
-    outside the logs.
+    gamma is the weak-learning advantage in (0, 1/2]; error the target
+    training error and delta the failure probability, both in (0, 1];
+    max_nodes the cap M on internal nodes; alpha the total budget; h_size
+    |H|; entities the number k of data holders (1 = single machine). The
+    minimum B(d) over depths 1..M of the named budget schedule enters the
+    per-leaf budget. splitter "rnm" is the single-machine analysis;
+    "noisy-counts" the distributed one, whose weight and leaf terms gain a
+    factor k inside and outside the logs.
     """
-    m = _finite_positive(params.max_nodes, "max_nodes")
-    k = _finite_positive(params.entities, "entities")
-    zeta = _finite_positive(theorem_zeta(params), "zeta")
-    b_min = params.schedule.min_budget(params.max_nodes)
-    alpha_leaf = _finite_positive(params.alpha / 2.0 * b_min, "alpha_leaf")
+    budgets = schedule_from_name(schedule, max_nodes)
+    if not 0.0 < gamma <= 0.5:
+        raise InvalidParameterError(f"gamma must lie in (0, 1/2], got {gamma}")
+    if not 0.0 < error <= 1.0:
+        raise InvalidParameterError(f"error must lie in (0, 1], got {error}")
+    if not 0.0 < delta <= 1.0:
+        raise InvalidParameterError(f"delta must lie in (0, 1], got {delta}")
+    if max_nodes < 1:
+        raise InvalidParameterError(f"max_nodes must be >= 1, got {max_nodes}")
+    if alpha <= 0:
+        raise InvalidParameterError(f"alpha must be positive, got {alpha}")
+    if entities < 1:
+        raise InvalidParameterError(f"entities must be >= 1, got {entities}")
+    m = _finite_positive(max_nodes, "max_nodes")
+    k = _finite_positive(entities, "entities")
+    zeta = _finite_positive(theorem_zeta(gamma, error, max_nodes), "zeta")
+    alpha_leaf = _finite_positive(alpha / 2.0 * budgets.min_budget(max_nodes), "alpha_leaf")
     weight_scale = _finite_positive(zeta * alpha_leaf, "zeta alpha_leaf")
-    leaf_scale = _finite_positive(params.error * params.alpha, "error alpha")
-    split_delta = params.delta / (2.0 * (2.0 * m + 1.0))
+    leaf_scale = _finite_positive(error * alpha, "error alpha")
+    split_delta = delta / (2.0 * (2.0 * m + 1.0))
     if splitter == "rnm":
-        weight = math.log(8.0 * m / params.delta) * 2.0 / weight_scale
-        leaf = math.log(4.0 * (m + 1.0) / params.delta) * 8.0 * (m + 1.0) / leaf_scale
+        weight = math.log(8.0 * m / delta) * 2.0 / weight_scale
+        leaf = math.log(4.0 * (m + 1.0) / delta) * 8.0 * (m + 1.0) / leaf_scale
         n_split = rnm_sample_bound(zeta, alpha_leaf / 2.0, split_delta, h_size)
     elif splitter == "noisy-counts":
-        weight = math.log(8.0 * k * m / params.delta) * 2.0 * k / weight_scale
-        leaf = math.log(4.0 * k * (m + 1.0) / params.delta) * 8.0 * k * (m + 1.0) / leaf_scale
+        weight = math.log(8.0 * k * m / delta) * 2.0 * k / weight_scale
+        leaf = math.log(4.0 * k * (m + 1.0) / delta) * 8.0 * k * (m + 1.0) / leaf_scale
         n_split = noisycounts_sample_bound(zeta, alpha_leaf / 2.0, split_delta, k, h_size)
     else:
         raise InvalidParameterError(f"unknown splitter kind {splitter!r}")
-    return DatasetRequirement(
-        weight_term=_finite_positive(weight, "the weight term"),
-        leaf_term=_finite_positive(leaf, "the leaf term"),
-        split_term=_finite_positive((2.0 * m / params.error) * n_split, "the split term"),
-    )
-
+    terms = {
+        "weight_term": _finite_positive(weight, "the weight term"),
+        "leaf_term": _finite_positive(leaf, "the leaf term"),
+        "split_term": _finite_positive((2.0 * m / error) * n_split, "the split term"),
+    }
+    return {**terms, "value": math.ceil(max(terms.values()))}

@@ -20,16 +20,19 @@ removed or moved.
 
 `load_csv_rows` is `load_csv` written as a row loop over `csv.reader`: it
 builds the dataset a cell at a time and must give the same dataset, or the
-same DataError, on every file.
+same DataError, on every file. `mutate_csv` draws the damaged files that
+the two loaders, and `dptree train`, are fed.
 """
 
 import csv
 import heapq
+import io
 import itertools
 import math
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dptree.data_io import ContinuousFeature, DataError, _csv_rows
 from dptree.dp_core import InvalidParameterError
@@ -316,3 +319,50 @@ def load_csv_rows(path, schema) -> LabeledDataset:
         )
     features = np.array(rows, dtype=float) if rows else np.empty((0, schema.n_encoded))
     return LabeledDataset(features, np.array(labels, dtype=np.int64), schema.n_classes)
+
+
+# Raw, already CSV-encoded cell text that both parsers must treat alike.
+TRICKY_CELLS = [" 1", "1_0", "nan", "inf", "0x1", "", "\u0661", '"1"', "1e400", "1\x1c", "a\x00", '"a\nb"']
+
+
+def mutate_csv(records, schema, data) -> str:
+    """The text of a CSV file of `schema` whose lines are `records`, its
+    header first, as drawn from the Hypothesis `data`: maybe one cell of a
+    row made tricky, out of range, too long or space-padded, or a cell
+    dropped or added; maybe a blank line inserted; any of three line ends,
+    with or without one after the last line."""
+    records = list(records)
+    if len(records) > 1 and data.draw(st.booleans(), label="mutate a cell"):
+        r = data.draw(st.integers(1, len(records) - 1), label="row")
+        cells = next(csv.reader([records[r]]))
+        j = data.draw(st.integers(0, len(cells) - 1), label="column")
+        kind = data.draw(st.sampled_from(["tricky", "out of range", "trailing space", "too long", "drop", "extra"]))
+        raw = None
+        if kind == "tricky":
+            raw = data.draw(st.sampled_from(TRICKY_CELLS))
+        elif kind == "out of range":
+            raw = repr(max([f.hi for f in schema.features if isinstance(f, ContinuousFeature)], default=0.0) + 1.0)
+        elif kind == "trailing space":
+            cells[j] += " "
+        elif kind == "too long":
+            # Cut to the longest declared value, this cell would match it.
+            declared = {f.name: f.values for f in schema.features if not isinstance(f, ContinuousFeature)}
+            header = next(csv.reader([records[0]]))
+            cells[j] = max(declared.get(header[j], schema.label_values), key=len) + "x"
+        elif kind == "drop":
+            del cells[j]
+        else:
+            cells.append("1")
+        token = "\x07cell\x07"
+        if raw is not None:
+            cells[j] = token
+        line = io.StringIO()
+        csv.writer(line, lineterminator="").writerow(cells)
+        records[r] = line.getvalue().replace(token, raw or "")
+    if data.draw(st.booleans(), label="blank line"):
+        records.insert(data.draw(st.integers(0, len(records))), "")
+    terminator = data.draw(st.sampled_from(["\r\n", "\n", "\r"]))
+    text = terminator.join(records)
+    if data.draw(st.booleans(), label="final line end"):
+        text += terminator
+    return text

@@ -1,5 +1,6 @@
 import csv
 import functools
+import inspect
 import json
 import math
 import re
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from dptree import cli, experiments
 from dptree.cli import main
-from dptree.data_io import DataError, partition, save_schema, synthetic_tree_dataset, write_csv
+from dptree.data_io import DataError, partition, save_schema, schema_from_dict, synthetic_tree_dataset, write_csv
 from dptree.dp_core import InvalidParameterError, RandomSource, zero_noise
 from dptree.dp_topdown import dp_topdown
 from dptree.experiments import (
@@ -36,6 +37,7 @@ from dptree.experiments import (
 )
 from dptree.theory import boosting_recurrence
 from dptree.tree_learning import BinnedFeatures, DecisionTree, tree_error
+from oracle import load_csv_rows, mutate_csv
 
 # Finite JSON numbers, subnormals and the edge of the float range included.
 JSON_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(0.0, 1.0),
@@ -779,19 +781,28 @@ class TestCli:
         with tempfile.TemporaryDirectory() as tmp:
             schema_path, csv_path, config_path = (Path(tmp) / name for name in ("s.json", "d.csv", "c.json"))
             csv_path.write_text(FUZZ_CSV)
-            target = data.draw(st.sampled_from(["schema", "config"]), label="file")
-            schema, config = FUZZ_SCHEMA, fuzz_config(schema_path, csv_path)
+            target = data.draw(st.sampled_from(["schema", "config", "csv"]), label="file")
+            schema, config, refused = FUZZ_SCHEMA, fuzz_config(schema_path, csv_path), False
             if target == "schema":
                 schema, refused = mutate(schema, data)
-            else:
+            elif target == "config":
                 config, refused = mutate(config, data)
+            else:
+                parsed = schema_from_dict(schema)
+                csv_path.write_bytes(mutate_csv(FUZZ_CSV.splitlines(), parsed, data).encode("utf-8"))
+                try:
+                    load_csv_rows(csv_path, parsed)
+                except DataError:
+                    refused = True
             schema_path.write_text(json.dumps(schema))
             config_path.write_text(json.dumps(config))
             result = CliRunner().invoke(main, ["train", "--config", str(config_path)])
         assert result.exit_code in (0, 2, 3, 4), result.output
         assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
-        if refused:
+        if refused and target == "csv":
+            assert result.exit_code == 3, result.output
+        elif refused:
             assert result.exit_code != 0, (schema, config)
 
     def test_theory_recurrence_stall_exit_code(self, monkeypatch):
@@ -808,9 +819,9 @@ class TestCli:
         ("sensitivity", {"criterion": "gini", "m": 100}),
         ("rnm-bound", {"zeta": 0.1, "alpha": 1, "delta": 0.05, "h_size": 159}),
         ("noisycounts-bound", {"zeta": 0.1, "alpha": 1, "delta": 0.05, "k": 4, "h_size": 159}),
-        ("recurrence", {"error": 0.9, "gamma": 0.5}),
+        ("recurrence", {"error": 0.9, "gamma": 0.5, "slowdown": 4}),
         ("dataset-requirement", {"gamma": 0.25, "error": 0.1, "delta": 0.1, "max_nodes": 16, "alpha": 1,
-                                 "h_size": 50}),
+                                 "h_size": 50, "entities": 1, "schedule": "uniform", "splitter": "rnm"}),
     ])
     def test_theory_unknown_parameter_exit_code(self, subcommand, params):
         good = CliRunner().invoke(main, ["theory", subcommand, "--params", json.dumps(params)])
@@ -820,6 +831,15 @@ class TestCli:
         result = CliRunner().invoke(main, ["theory", subcommand, "--params", bad])
         assert result.exit_code == 2
         assert result.output == "error: --params has unknown key 'alhpa'\n"
+        # A key may be left out exactly when the calculator gives it a default.
+        defaults = inspect.signature(cli.THEORY[subcommand][0]).parameters
+        for key in params:
+            rest = json.dumps({k: v for k, v in params.items() if k != key})
+            result = CliRunner().invoke(main, ["theory", subcommand, "--params", rest])
+            if defaults[key].default is inspect.Parameter.empty:
+                assert (result.exit_code, result.output) == (2, f"error: --params is missing required key {key!r}\n")
+            else:
+                assert result.exit_code == 0, result.output
 
     def test_data_error_exit_code(self, workspace, tmp_path):
         workspace_path, config, _ = workspace

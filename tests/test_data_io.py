@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import importlib.util
-import io
 import json
 import math
 import tempfile
@@ -33,7 +32,7 @@ from dptree.data_io import (
     write_csv,
 )
 from dptree.tree_learning import BinnedFeatures, LabeledDataset, tree_error
-from oracle import load_csv_rows
+from oracle import load_csv_rows, mutate_csv
 
 
 @pytest.fixture
@@ -290,10 +289,6 @@ def schema_datasets(draw):
     return schema, LabeledDataset(features, np.array(labels, dtype=np.int64), schema.n_classes)
 
 
-# Raw, already CSV-encoded cell text that both parsers must treat alike.
-TRICKY_CELLS = [" 1", "1_0", "nan", "inf", "0x1", "", "\u0661", '"1"', "1e400", "1\x1c", "a\x00", '"a\nb"']
-
-
 def load_outcome(load, path, schema):
     try:
         ds = load(path, schema)
@@ -312,40 +307,7 @@ class TestLoadCsvProperties:
             write_csv(dataset, schema, path)
             with open(path, newline="", encoding="utf-8") as fh:
                 records = fh.read().split("\r\n")[:-1]
-            if dataset.n and data.draw(st.booleans(), label="mutate a cell"):
-                r = data.draw(st.integers(1, dataset.n), label="row")
-                cells = next(csv.reader([records[r]]))
-                j = data.draw(st.integers(0, len(cells) - 1), label="column")
-                kind = data.draw(st.sampled_from(["tricky", "out of range", "trailing space", "too long", "drop", "extra"]))
-                raw = None
-                if kind == "tricky":
-                    raw = data.draw(st.sampled_from(TRICKY_CELLS))
-                elif kind == "out of range":
-                    raw = repr(max(hi for _, hi in RANGES) + 1.0)
-                elif kind == "trailing space":
-                    cells[j] += " "
-                elif kind == "too long":
-                    # Cut to the longest declared value, this cell would match it.
-                    declared = {f.name: f.values for f in schema.features if isinstance(f, CategoricalFeature)}
-                    header = next(csv.reader([records[0]]))
-                    cells[j] = max(declared.get(header[j], schema.label_values), key=len) + "x"
-                elif kind == "drop":
-                    del cells[j]
-                else:
-                    cells.append("1")
-                token = "\x07cell\x07"
-                if raw is not None:
-                    cells[j] = token
-                line = io.StringIO()
-                csv.writer(line, lineterminator="").writerow(cells)
-                records[r] = line.getvalue().replace(token, raw or "")
-            if data.draw(st.booleans(), label="blank line"):
-                records.insert(data.draw(st.integers(0, len(records))), "")
-            terminator = data.draw(st.sampled_from(["\r\n", "\n", "\r"]))
-            text = terminator.join(records)
-            if data.draw(st.booleans(), label="final line end"):
-                text += terminator
-            path.write_bytes(text.encode("utf-8"))
+            path.write_bytes(mutate_csv(records, schema, data).encode("utf-8"))
             assert load_outcome(load_csv, path, schema) == load_outcome(load_csv_rows, path, schema)
 
     @settings(max_examples=200, deadline=None)
@@ -566,6 +528,29 @@ class TestPartition:
         ds, _, _ = synthetic_tree_dataset(3, RandomSource(4))
         with pytest.raises(InvalidParameterError):
             partition(ds, 0, RandomSource(5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 300), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_binned_parts_hold_the_rows_of_the_dataset_parts(n, k, seed):
+    # The run path partitions and splits the binning, so a row must land in
+    # the same part of it as of the dataset, and the parts must cover the
+    # rows once each.
+    ds, _, schema = synthetic_tree_dataset(n, RandomSource(seed, ("data",)), thresholds=3)
+    splits = build_splitting_class(schema)
+    # A last column, which no split reads, names each row.
+    ds = LabeledDataset(np.column_stack([ds.features, np.arange(n)]), ds.labels, ds.n_classes)
+    binned = BinnedFeatures(ds, splits)
+    for cut in (lambda d: partition(d, k, RandomSource(seed)),
+                lambda d: train_test_split(d, (k, 1), RandomSource(seed))):
+        parts, binned_parts = cut(ds), cut(binned)
+        assert np.array_equal(np.sort(np.concatenate([part.features[:, -1] for part in parts])), np.arange(n))
+        for part, binned_part in zip(parts, binned_parts, strict=True):
+            fresh = BinnedFeatures(part, splits)
+            assert binned_part.n == fresh.n == part.n
+            assert np.array_equal(binned_part.labels, fresh.labels)
+            for ours, theirs in zip(binned_part.codes, fresh.codes, strict=True):
+                assert np.array_equal(ours, theirs)
 
 
 class TestTrainTestSplit:

@@ -131,6 +131,23 @@ class TestEstimateWeight:
                         Scope(None, "weight", depth=2, leaf=3))
         assert ledger.effective_cost() == Fraction(1, 8)
 
+    @pytest.mark.parametrize("budget", [Fraction(1, 2**1100), Fraction(1, 2**1030), 2.0**-1070])
+    def test_scale_past_the_floats_refused_before_a_charge(self, budget):
+        # 1/(budget |S|) overflows a float: refused, not an OverflowError.
+        ledger = PrivacyLedger(1)
+        with pytest.raises(InvalidParameterError, match="past the floats"):
+            estimate_weight(1, 10, budget, RandomSource(0), ledger, Scope(None, "weight", depth=1, leaf=1))
+        assert ledger.entries == []
+
+    def test_largest_float_scale_accepted(self):
+        # A scale of 2**1023 is still a float, so the budget is released and charged.
+        ledger = PrivacyLedger(1)
+        with zero_noise():
+            weight = estimate_weight(1, 2, Fraction(1, 2**1022), RandomSource(0), ledger,
+                                     Scope(None, "weight", depth=1, leaf=1))
+        assert weight == 0.5
+        assert [entry.budget for entry in ledger.entries] == [Fraction(1, 2**1022)]
+
 
 class TestLabelLeaves:
     def test_zero_noise_majority(self):

@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from dptree.dp_core import InvalidParameterError
-from dptree.dp_topdown import DecaySchedule, UniformSchedule
-from dptree.split_strategies import rnm_score_sensitivity
+from dptree.data_io import build_splitting_class, synthetic_tree_dataset
+from dptree.dp_core import InvalidParameterError, PrivacyLedger, RandomSource
+from dptree.split_strategies import SingleMachineRNMSplitter, rnm_score_sensitivity
 from dptree.theory import (
     CapExceededError,
-    WeakLearningParams,
     boosting_recurrence,
-    dataset_requirement_breakdown,
+    dataset_requirement,
     noisycounts_sample_bound,
     rnm_sample_bound,
     sensitivity_bound,
     theorem_zeta,
 )
-from dptree.tree_learning import Criterion, gain_from_counts
+from dptree.tree_learning import BinnedFeatures, Criterion, Node, gain_from_counts, split_count_tables
 from oracle import empirical_sensitivity, worst_neighbor_change
 
 
@@ -143,6 +142,26 @@ class TestSampleBounds:
             tail = math.log(h_size / delta) * 20.0 * math.log2(n) / (alpha * n)
             assert tail <= zeta / 2
 
+    def test_rnm_bound_gives_zeta_optimal_splits_on_the_learner(self):
+        # The split-accuracy lemma on the learner itself: at a root of
+        # rnm_sample_bound(zeta, alpha, delta, |H|) rows, single-machine RNM
+        # picks a split within zeta of the best exact gain in all but a delta
+        # share of runs. Over R = 200 runs that is at most delta R = 20
+        # misses expected, and 30 allows 2.4 binomial standard deviations.
+        zeta, alpha, delta, runs = 0.1, 8, 0.1, 200
+        m = rnm_sample_bound(zeta, alpha, delta, 93)
+        ds, _, schema = synthetic_tree_dataset(m, RandomSource(0), depth=3, label_noise=0.05, thresholds=31)
+        splits = build_splitting_class(schema)
+        assert len(splits) == 93
+        binned = BinnedFeatures(ds, splits)
+        gains = gain_from_counts(split_count_tables(binned, np.arange(m), splits), Criterion.ENTROPY)
+        misses = 0
+        for seed in range(runs):
+            splitter = SingleMachineRNMSplitter(binned, Criterion.ENTROPY, RandomSource(seed))
+            chosen, _ = splitter.split(Node(0, 0), alpha, PrivacyLedger(alpha))
+            misses += gains.max() - gains[splits.index(chosen)] > zeta
+        assert misses <= 30
+
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
             rnm_sample_bound(0.0, 1.0, 0.1, 5)
@@ -194,84 +213,67 @@ class TestBoostingRecurrence:
             boosting_recurrence(0.5, 0.6)
 
 
-class TestDatasetRequirement:
-    def golden_params(self, k=1):
-        return WeakLearningParams(
-            gamma=0.25, error=0.1, delta=0.1, max_nodes=16, alpha=1.0, entities=k,
-            schedule=UniformSchedule(16),
-        )
+GOLDEN = {"gamma": 0.25, "error": 0.1, "delta": 0.1, "max_nodes": 16, "alpha": 1.0, "h_size": 50}
 
+
+class TestDatasetRequirement:
     def test_zeta_formula(self):
-        params = self.golden_params()
         expected = 0.25**2 * 0.1 / (48 * 16 * math.log2(20))
-        assert theorem_zeta(params) == pytest.approx(expected, rel=1e-12)
+        assert theorem_zeta(0.25, 0.1, 16) == pytest.approx(expected, rel=1e-12)
 
     def test_golden_single_machine(self):
         # term-by-term oracle, evaluated independently of the implementation
-        params = self.golden_params()
         zeta = 0.25**2 * 0.1 / (48 * 16 * math.log2(20))
         alpha_leaf = 0.5 * (1 / 16)
         weight = math.log(8 * 16 / 0.1) * 2 / (zeta * alpha_leaf)
         leaf = math.log(4 * 17 / 0.1) * 8 * 17 / (0.1 * 1.0)
         split = (2 * 16 / 0.1) * rnm_sample_bound(zeta, alpha_leaf / 2, 0.1 / 66, 50)
-        breakdown = dataset_requirement_breakdown(params, "rnm", 50)
-        assert breakdown.weight_term == pytest.approx(weight, rel=1e-12)
-        assert breakdown.leaf_term == pytest.approx(leaf, rel=1e-12)
-        assert breakdown.split_term == pytest.approx(split, rel=1e-12)
-        assert dataset_requirement_breakdown(params, "rnm", 50).required == 211591309208640
+        breakdown = dataset_requirement(**GOLDEN, schedule="uniform", splitter="rnm")
+        assert breakdown["weight_term"] == pytest.approx(weight, rel=1e-12)
+        assert breakdown["leaf_term"] == pytest.approx(leaf, rel=1e-12)
+        assert breakdown["split_term"] == pytest.approx(split, rel=1e-12)
+        assert breakdown["value"] == 211591309208640
+        assert dataset_requirement(**GOLDEN) == breakdown
 
     def test_split_delta_matches_call_count_bound(self):
         # Each of the at most 2M + 1 split calls gets delta / (2 (2M + 1)).
-        params = WeakLearningParams(
-            gamma=0.25, error=0.1, delta=0.2, max_nodes=16, alpha=1.0, entities=4,
-            schedule=UniformSchedule(16),
-        )
-        zeta = theorem_zeta(params)
+        params = {**GOLDEN, "delta": 0.2, "entities": 4}
+        zeta = theorem_zeta(0.25, 0.1, 16)
         alpha_leaf = 0.5 * (1 / 16)
         split_delta = 0.2 / (2 * 33)
         for splitter, bound in (
             ("rnm", rnm_sample_bound(zeta, alpha_leaf / 2, split_delta, 50)),
             ("noisy-counts", noisycounts_sample_bound(zeta, alpha_leaf / 2, split_delta, 4, 50)),
         ):
-            breakdown = dataset_requirement_breakdown(params, splitter, 50)
-            assert breakdown.split_term == pytest.approx((2 * 16 / 0.1) * bound, rel=1e-12)
+            breakdown = dataset_requirement(**params, splitter=splitter)
+            assert breakdown["split_term"] == pytest.approx((2 * 16 / 0.1) * bound, rel=1e-12)
 
     def test_requirement_is_max_of_exposed_terms(self):
         for splitter, k in (("rnm", 1), ("noisy-counts", 4)):
-            params = self.golden_params(k)
-            breakdown = dataset_requirement_breakdown(params, splitter, 50)
-            assert breakdown.required == math.ceil(
-                max(breakdown.weight_term, breakdown.leaf_term, breakdown.split_term)
+            breakdown = dataset_requirement(**GOLDEN, entities=k, splitter=splitter)
+            assert breakdown["value"] == math.ceil(
+                max(breakdown["weight_term"], breakdown["leaf_term"], breakdown["split_term"])
             )
 
     def test_distributed_weight_term_ratio(self):
-        single = dataset_requirement_breakdown(self.golden_params(1), "rnm", 50)
-        distributed = dataset_requirement_breakdown(self.golden_params(4), "noisy-counts", 50)
+        single = dataset_requirement(**GOLDEN, splitter="rnm")
+        distributed = dataset_requirement(**GOLDEN, entities=4, splitter="noisy-counts")
         expected = 4 * math.log(8 * 4 * 16 / 0.1) / math.log(8 * 16 / 0.1)
-        assert distributed.weight_term / single.weight_term == pytest.approx(expected, rel=1e-12)
+        assert distributed["weight_term"] / single["weight_term"] == pytest.approx(expected, rel=1e-12)
 
     def test_monotonicity_in_alpha_and_nodes(self):
         def requirement(alpha, max_nodes):
-            params = WeakLearningParams(
-                gamma=0.25, error=0.1, delta=0.1, max_nodes=max_nodes, alpha=alpha,
-                schedule=UniformSchedule(max_nodes),
-            )
-            return dataset_requirement_breakdown(params, "rnm", 50).required
+            return dataset_requirement(**{**GOLDEN, "alpha": alpha, "max_nodes": max_nodes})["value"]
 
         assert requirement(2.0, 16) < requirement(1.0, 16) < requirement(0.5, 16)
         assert requirement(1.0, 8) < requirement(1.0, 16) < requirement(1.0, 32)
 
     def test_decay_schedule_uses_min_budget(self):
-        params = WeakLearningParams(
-            gamma=0.25, error=0.1, delta=0.1, max_nodes=8, alpha=1.0, schedule=DecaySchedule()
-        )
-        uniform = WeakLearningParams(
-            gamma=0.25, error=0.1, delta=0.1, max_nodes=8, alpha=1.0, schedule=UniformSchedule(8)
-        )
+        params = {**GOLDEN, "max_nodes": 8, "h_size": 20}
         # decay's min budget 2^-8 is far below uniform's 1/8
-        assert (dataset_requirement_breakdown(params, "rnm", 20).required
-                > dataset_requirement_breakdown(uniform, "rnm", 20).required)
+        assert (dataset_requirement(**params, schedule="decay")["value"]
+                > dataset_requirement(**params, schedule="uniform")["value"])
 
     def test_unknown_splitter_rejected(self):
         with pytest.raises(InvalidParameterError):
-            dataset_requirement_breakdown(self.golden_params(), "exponential", 50)
+            dataset_requirement(**GOLDEN, splitter="exponential")
