@@ -1,8 +1,10 @@
 """Command-line front end: single training runs, sweeps, theory calculators,
 and sweep summaries.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 budget exceeded
-(a ledger charge would take the run over alpha).
+Each failure a command reports has one exception type and one exit code,
+in `EXIT_CODES`: 2 for a bad setting, config or parameter
+(InvalidParameterError), 3 for bad data (DataError), and 4 when a ledger
+charge would take the run over alpha (BudgetExceededError). 0 is success.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import click
 from .dp_core import BudgetExceededError, InvalidParameterError, zero_noise
 from .data_io import DataError, _finite, _int, _text, read_json, read_object
 from .experiments import (
-    ConfigError,
     load_experiment_config,
     open_output,
     resolve_output_path,
@@ -26,7 +27,6 @@ from .experiments import (
     summarize,
 )
 from .theory import (
-    CapExceededError,
     boosting_recurrence,
     dataset_requirement,
     noisycounts_sample_bound,
@@ -35,25 +35,15 @@ from .theory import (
 )
 from .tree_learning import Criterion
 
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_BUDGET = 4
-
-
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+EXIT_CODES = {InvalidParameterError: 2, DataError: 3, BudgetExceededError: 4}
 
 
 def _guarded(fn):
     try:
         return fn()
-    except (ConfigError, InvalidParameterError, CapExceededError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except DataError as exc:
-        _fail(EXIT_DATA, str(exc))
-    except BudgetExceededError as exc:
-        _fail(EXIT_BUDGET, str(exc))
+    except tuple(EXIT_CODES) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_CODES[type(exc)])
 
 
 @click.group()
@@ -136,11 +126,11 @@ def theory(subcommand, params_json):
     """Evaluate one of the analysis calculators; echoes inputs and output."""
 
     def body():
-        params = read_json("--params", ConfigError, text=params_json)
+        params = read_json("--params", InvalidParameterError, text=params_json)
         calculator, casts = THEORY[subcommand]
         parameters = inspect.signature(calculator).parameters.values()
         required = [p.name for p in parameters if p.default is p.empty]
-        result = calculator(**read_object(params, casts, "--params", required, ConfigError))
+        result = calculator(**read_object(params, casts, "--params", required, InvalidParameterError))
         terms = result if isinstance(result, dict) else {"value": result}
         click.echo(json.dumps({"inputs": params, **terms}, sort_keys=True))
 

@@ -131,19 +131,11 @@ class DataSchema:
     def n_classes(self) -> int:
         return len(self.label_values)
 
-    def encoded_columns(self) -> list[str]:
-        """Names of the feature-matrix columns after one-hot expansion."""
-        out = []
-        for feat in self.features:
-            if isinstance(feat, ContinuousFeature):
-                out.append(feat.name)
-            else:
-                out.extend(f"{feat.name}={value}" for value in feat.values)
-        return out
-
     @property
     def n_encoded(self) -> int:
-        return len(self.encoded_columns())
+        """Columns of the feature matrix: one per continuous feature, one
+        per value of a categorical feature (one-hot)."""
+        return sum(1 if isinstance(feat, ContinuousFeature) else len(feat.values) for feat in self.features)
 
 
 def _int(value) -> int:

@@ -23,7 +23,8 @@ GLOBAL_SCOPE = None  # entity id used for single-machine (coordinator-held) data
 
 
 class InvalidParameterError(ValueError):
-    """A mechanism or operation received an out-of-range parameter."""
+    """A setting, a config or a mechanism parameter is malformed or out of
+    range; the CLI exits 2 on it."""
 
 
 class BudgetExceededError(RuntimeError):

@@ -221,25 +221,6 @@ def label_leaves(tree: DecisionTree, strategy, leaf_budget, ledger: PrivacyLedge
 # ---------------------------------------------------------------------------
 
 
-class MaxQueue:
-    """Max-priority queue with FIFO tie-breaking (deterministic)."""
-
-    def __init__(self):
-        self._heap = []
-        self._counter = 0
-
-    def push(self, priority: float, item) -> None:
-        heapq.heappush(self._heap, (-float(priority), self._counter, item))
-        self._counter += 1
-
-    def pop(self):
-        neg, _, item = heapq.heappop(self._heap)
-        return -neg, item
-
-    def __len__(self):
-        return len(self._heap)
-
-
 def dp_topdown(strategy, config: DPTopDownConfig):
     """Top-down tree learning through one strategy.
 
@@ -253,7 +234,9 @@ def dp_topdown(strategy, config: DPTopDownConfig):
     ledger = PrivacyLedger(config.alpha)
     stats = RunStats()
     tree = DecisionTree()
-    queue = MaxQueue()
+    # Max-priority heap of (-priority, push count, leaf, split). The push
+    # count is unique, so ties pop in push order and no two leaves are compared.
+    queue = []
 
     allowances = {}  # budget depth -> (alpha_leaf, alpha_leaf / 2)
 
@@ -268,16 +251,16 @@ def dp_topdown(strategy, config: DPTopDownConfig):
     try:
         best_split, priority = strategy.split(tree.root, allowance(1)[0], ledger)
         if priority > config.min_gain:
-            queue.push(priority, (tree.root, best_split))
+            heapq.heappush(queue, (-priority, 0, tree.root, best_split))
             stats.pushed_weights.append(1.0)
     except DegenerateLeafError:
         stats.degenerate_splits += 1
 
     weight_floor = config.error / config.max_nodes
     for _ in range(config.max_nodes):
-        if not len(queue):
+        if not queue:
             break
-        _, (leaf, chosen) = queue.pop()
+        _, _, leaf, chosen = heapq.heappop(queue)
         for child in tree.split_leaf(leaf, chosen):
             _, half = allowance(child.budget_depth)
             weight = strategy.weight(child, half, ledger)
@@ -287,7 +270,7 @@ def dp_topdown(strategy, config: DPTopDownConfig):
                 stats.degenerate_splits += 1
                 continue
             if weight >= weight_floor and child_gain > config.min_gain:
-                queue.push(weight * child_gain, (child, child_split))
+                heapq.heappush(queue, (-weight * child_gain, len(stats.pushed_weights), child, child_split))
                 stats.pushed_weights.append(weight)
 
     label_leaves(tree, strategy, config.leaf_budget, ledger)

@@ -64,10 +64,6 @@ OUTPUT_DIR_ENV = "DPTREE_OUTPUT_DIR"
 WORKERS_ENV = "DPTREE_WORKERS"
 
 
-class ConfigError(ValueError):
-    """An experiment configuration is malformed or inconsistent."""
-
-
 @dataclass
 class ExperimentConfig:
     schema_path: str
@@ -92,43 +88,40 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+            raise InvalidParameterError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if not self.alphas or not self.lpfs or not self.train_fractions:
-            raise ConfigError("alphas, lpfs, and train_fractions must be nonempty")
+            raise InvalidParameterError("alphas, lpfs, and train_fractions must be nonempty")
         if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
+            raise InvalidParameterError(f"runs must be >= 1, got {self.runs}")
         if self.entities < 1:
-            raise ConfigError(f"entities must be >= 1, got {self.entities}")
+            raise InvalidParameterError(f"entities must be >= 1, got {self.entities}")
         if self.split_seed < 0:
-            raise ConfigError(f"data.split_seed must be >= 0, got {self.split_seed}")
+            raise InvalidParameterError(f"data.split_seed must be >= 0, got {self.split_seed}")
         if len(self.ratio) != 2 or not all(
             isinstance(part, int) and not isinstance(part, bool) for part in self.ratio
         ):
-            raise ConfigError(f"data.ratio must be two integers, got {list(self.ratio)}")
+            raise InvalidParameterError(f"data.ratio must be two integers, got {list(self.ratio)}")
         if (self.csv_path is None) == (self.train_path is None):
-            raise ConfigError("provide either data.csv (+ratio) or data.train/data.test")
+            raise InvalidParameterError("provide either data.csv (+ratio) or data.train/data.test")
         if self.train_path is not None and self.test_path is None:
-            raise ConfigError("data.train requires data.test")
+            raise InvalidParameterError("data.train requires data.test")
         for fraction in self.train_fractions:
             if not 0.0 < fraction <= 1.0:
-                raise ConfigError(f"train fractions must lie in (0, 1], got {fraction}")
+                raise InvalidParameterError(f"train fractions must lie in (0, 1], got {fraction}")
         # The learner's own types check the criterion, the schedule and each
         # (alpha, lpf) cell once, here, for every run to read. They are not
         # fields, so `dataclasses.replace` makes them again.
-        try:
-            self.resolved_criterion = Criterion.from_name(self.criterion)
-            schedule = schedule_from_name(self.schedule, self.max_nodes)
-            self.learner_configs = [
-                [DPTopDownConfig(alpha, self.max_nodes, self.error, lpf, schedule, self.min_gain)
-                 for lpf in self.lpfs]
-                for alpha in self.alphas
-            ]
-        except InvalidParameterError as exc:
-            raise ConfigError(str(exc)) from None
+        self.resolved_criterion = Criterion.from_name(self.criterion)
+        schedule = schedule_from_name(self.schedule, self.max_nodes)
+        self.learner_configs = [
+            [DPTopDownConfig(alpha, self.max_nodes, self.error, lpf, schedule, self.min_gain)
+             for lpf in self.lpfs]
+            for alpha in self.alphas
+        ]
         if self.resolved_criterion is Criterion.ROOT_GINI and self.algorithm in ("single-rnm", "local-rnm"):
             # RNM's noise scale needs a sensitivity bound, and root Gini has
             # no proven one; count-noised and exact learners keep it.
-            raise ConfigError(f"criterion 'root-gini' cannot be used with {self.algorithm!r}")
+            raise InvalidParameterError(f"criterion 'root-gini' cannot be used with {self.algorithm!r}")
 
 
 _flag = _json_type(bool, "true or false")
@@ -164,14 +157,14 @@ _FIELD_OF = {"schema": "schema_path", "train": "train_path", "test": "test_path"
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """ExperimentConfig from a parsed JSON config, or ConfigError."""
-    fields = read_object(doc, _CONFIG_KEYS, "config", ("schema",), ConfigError)
-    fields.update(read_object(fields.pop("data", {}), _DATA_KEYS, "config data", error=ConfigError))
+    """ExperimentConfig from a parsed JSON config, or InvalidParameterError."""
+    fields = read_object(doc, _CONFIG_KEYS, "config", ("schema",), InvalidParameterError)
+    fields.update(read_object(fields.pop("data", {}), _DATA_KEYS, "config data", (), InvalidParameterError))
     return ExperimentConfig(**{_FIELD_OF.get(key, key): value for key, value in fields.items()})
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    return config_from_dict(read_json(path, ConfigError))
+    return config_from_dict(read_json(path, InvalidParameterError))
 
 
 def derive_seed(base_seed: int, *indices) -> int:
@@ -296,12 +289,12 @@ def resolve_output_path(path) -> Path:
 def open_output(path: Path, mode: str = "w"):
     """Open a resolved output path as UTF-8 text, making its parent
     directories. A path that cannot be created or opened, such as a
-    directory or a path under a file, raises ConfigError naming it."""
+    directory or a path under a file, raises InvalidParameterError naming it."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         return open(path, mode, encoding="utf-8", newline="")
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}")
+        raise InvalidParameterError(f"cannot write {path}: {exc}")
 
 
 def worker_count() -> int:
@@ -309,9 +302,9 @@ def worker_count() -> int:
     try:
         workers = int(raw)
     except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
+        raise InvalidParameterError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
     if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be at least 1, got {raw!r}")
+        raise InvalidParameterError(f"{WORKERS_ENV} must be at least 1, got {raw!r}")
     return workers
 
 
@@ -327,8 +320,8 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
 
     The config's settings were checked when it was made. The data is read
     and split, and a resumed file's rows checked, before `out_path` is
-    opened, so a sweep refused for its config, its data or its existing
-    rows leaves the file as it was.
+    opened, so a sweep refused for its config (InvalidParameterError), its
+    data or its existing rows (DataError) leaves the file as it was.
     """
     workers = worker_count()
     out_path = resolve_output_path(out_path)

@@ -31,11 +31,6 @@ from .tree_learning import Criterion
 ITERATION_CAP = 10**9
 
 
-class CapExceededError(RuntimeError):
-    """The boosting recurrence failed to reach the target within the cap,
-    or stalled short of it."""
-
-
 def _finite_positive(value, what: str) -> float:
     """`value` as a float if it is finite and positive, else
     InvalidParameterError naming the quantity `what`."""
@@ -112,9 +107,9 @@ def boosting_recurrence(
     decrease). The count of the first t with G_t <= error is returned; the
     boundary t=1 covers targets already met by the start value. The count is
     superpolynomial in 1/error and blows up fast for small gamma, hence the
-    iteration cap. The decrement only shrinks as t grows, so a step that
-    leaves the float potential unchanged stalls it for good, and raises at
-    once.
+    iteration cap, past which InvalidParameterError is raised. The decrement
+    only shrinks as t grows, so a step that leaves the float potential
+    unchanged stalls it for good, and raises it at once.
     """
     if not 0.0 < error <= 1.0:
         raise InvalidParameterError(f"error must lie in (0, 1], got {error}")
@@ -129,11 +124,12 @@ def boosting_recurrence(
     while potential > error:
         step = potential - rate * potential / (t * log2(2.0 / potential))
         if step == potential:
-            raise CapExceededError(f"recurrence stalls at step {t} with potential {potential}, above {error}")
+            raise InvalidParameterError(
+                f"recurrence stalls at step {t} with potential {potential}, above {error}")
         potential = step
         t += 1
         if t > cap:
-            raise CapExceededError(f"recurrence did not reach {error} within {cap} iterations")
+            raise InvalidParameterError(f"recurrence did not reach {error} within {cap} iterations")
     return t
 
 
@@ -160,9 +156,9 @@ def dataset_requirement(
     max_nodes the cap M on internal nodes; alpha the total budget; h_size
     |H|; entities the number k of data holders (1 = single machine). The
     minimum B(d) over depths 1..M of the named budget schedule enters the
-    per-leaf budget. splitter "rnm" is the single-machine analysis;
-    "noisy-counts" the distributed one, whose weight and leaf terms gain a
-    factor k inside and outside the logs.
+    per-leaf budget. splitter "rnm" is the single-machine analysis, and
+    refuses any k but 1; "noisy-counts" the distributed one, whose weight
+    and leaf terms gain a factor k inside and outside the logs.
     """
     budgets = schedule_from_name(schedule, max_nodes)
     if not 0.0 < gamma <= 0.5:
@@ -185,6 +181,9 @@ def dataset_requirement(
     leaf_scale = _finite_positive(error * alpha, "error alpha")
     split_delta = delta / (2.0 * (2.0 * m + 1.0))
     if splitter == "rnm":
+        if entities != 1:
+            raise InvalidParameterError(f"splitter 'rnm' needs entities 1, got {entities}; "
+                                        "the distributed analysis is splitter 'noisy-counts'")
         weight = math.log(8.0 * m / delta) * 2.0 / weight_scale
         leaf = math.log(4.0 * (m + 1.0) / delta) * 8.0 * (m + 1.0) / leaf_scale
         n_split = rnm_sample_bound(zeta, alpha_leaf / 2.0, split_delta, h_size)

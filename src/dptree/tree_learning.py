@@ -20,10 +20,6 @@ import numpy as np
 from .dp_core import InvalidParameterError
 
 
-class UnlabeledTreeError(RuntimeError):
-    """predict() reached a leaf that was never labeled."""
-
-
 class Criterion(Enum):
     ENTROPY = "entropy"
     GINI = "gini"
@@ -468,14 +464,15 @@ class DecisionTree:
         return out
 
     def classify(self, n: int, goes_right) -> np.ndarray:
-        """Label of each of n rows, routed as in `assign`."""
+        """Label of each of n rows, routed as in `assign`. A row that
+        reaches an unlabeled leaf raises InvalidParameterError."""
         label_of = np.full(len(self._nodes), -1, dtype=np.int64)  # indexed by node id
         for leaf in self.leaves():
             if leaf.label is not None:
                 label_of[leaf.node_id] = leaf.label
         labels = label_of[self.assign(n, goes_right)]
         if labels.size and labels.min() < 0:
-            raise UnlabeledTreeError("prediction reached an unlabeled leaf")
+            raise InvalidParameterError("prediction reached an unlabeled leaf")
         return labels
 
     def predict(self, X: np.ndarray) -> np.ndarray:

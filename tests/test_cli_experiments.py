@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict, fields
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,12 +20,21 @@ from hypothesis import strategies as st
 
 from dptree import cli, experiments
 from dptree.cli import main
-from dptree.data_io import DataError, partition, save_schema, schema_from_dict, synthetic_tree_dataset, write_csv
+from dptree.data_io import (
+    DataError,
+    load_csv,
+    load_schema,
+    partition,
+    save_schema,
+    schema_from_dict,
+    synthetic_tree_dataset,
+    train_test_split,
+    write_csv,
+)
 from dptree.dp_core import InvalidParameterError, RandomSource, zero_noise
 from dptree.dp_topdown import dp_topdown
 from dptree.experiments import (
     CSV_HEADER,
-    ConfigError,
     ResultRow,
     config_from_dict,
     derive_seed,
@@ -216,12 +225,15 @@ class TestConfig:
             {"schedule": "bogus"},
             {"alphas": [1.0, 1e-300]},
             {"lpfs": [0.5, 5e-324]},
+            # One data source: a CSV to split, or a train and a test file.
+            {"data": {"train": "train.csv"}},
+            {"data": {"csv": "d.csv", "train": "train.csv", "test": "test.csv"}},
         ],
     )
     def test_invalid_configs_rejected(self, workspace, patch):
         _, config, _ = workspace
         bad = {**config, **patch} if isinstance(patch, dict) else patch
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParameterError):
             config_from_dict(bad)
 
     def test_every_field_has_exactly_one_config_key(self):
@@ -281,6 +293,23 @@ class TestRunSingle:
         cfg = config_from_dict({**config, "algorithm": algorithm, "criterion": "root-gini"})
         row = run_single(cfg, 1, 0, 0, 0)
         assert row.nodes >= 1 and row.ledger_cost <= cfg.alphas[1]
+
+    def test_train_and_test_files_match_the_split_csv(self, workspace):
+        # The two files hold the parts that the CSV's seeded split makes, in
+        # order, so every algorithm gives the same row from either source.
+        tmp_path, config, _ = workspace
+        schema = load_schema(config["schema"])
+        data = {"csv": config["data"]["csv"], "ratio": [3, 1], "split_seed": 5}
+        parts = train_test_split(load_csv(data["csv"], schema), data["ratio"], RandomSource(5, ("split",)))
+        paths = [str(tmp_path / "train.csv"), str(tmp_path / "test.csv")]
+        for part, path in zip(parts, paths):
+            write_csv(part, schema, path)
+        one = {**config, "data": data, "entities": 3, "train_fractions": [0.5]}
+        two = {**one, "data": {"train": paths[0], "test": paths[1]}}
+        for algorithm in experiments.ALGORITHMS:
+            split_csv, files = ({**asdict(run_single(config_from_dict({**doc, "algorithm": algorithm}), 1, 0, 0, 0)),
+                                 "wall_ms": None} for doc in (one, two))
+            assert files == split_csv
 
     def test_train_fraction_subsamples(self, workspace):
         _, config, _ = workspace
@@ -501,11 +530,11 @@ class TestSweep:
             try:
                 config = config_from_dict({**doc, "schema": str(schema_path),
                                            "data": {"csv": str(csv_path), "ratio": ratio}})
-            except ConfigError:
+            except InvalidParameterError:
                 return
             try:
                 run_sweep(config, out, resume=resume)
-            except (ConfigError, DataError, InvalidParameterError):
+            except (DataError, InvalidParameterError):
                 assert out.read_bytes() == before
                 return
             lines = out.read_text().splitlines()
@@ -747,11 +776,14 @@ class TestCli:
         ("sensitivity", '{"criterion": "entropy", "m": 0}'),
         ("sensitivity", '{"criterion": "gini", "m": 2}'),
         ("sensitivity", '{"criterion": "root-gini", "m": 2}'),
+        # The single-machine analysis has no k to put into its terms.
+        ("dataset-requirement", '{"gamma": 0.25, "error": 0.1, "delta": 0.1, "max_nodes": 16, '
+                                '"alpha": 1, "h_size": 50, "entities": 8}'),
     ], ids=["not-an-object", "non-numeric", "nan-alpha-rnm", "nan-alpha-noisycounts", "infinite-alpha",
             "nan-slowdown", "fractional-m", "fractional-h-size", "fractional-max-nodes", "boolean-h-size",
             "root-gini", "underflowed-rnm-denominator", "overflowed-rnm-bound", "overflowed-noisycounts-bound",
             "underflowed-decay-budget", "subnormal-alpha", "m-past-the-floats", "m-zero", "m-two",
-            "root-gini-m-two"])
+            "root-gini-m-two", "rnm-many-entities"])
     def test_theory_bad_params_exit_code(self, subcommand, params):
         result = CliRunner().invoke(main, ["theory", subcommand, "--params", params])
         assert result.exit_code == 2, result.output

@@ -332,8 +332,7 @@ class TestSchemaJson:
         path = tmp_path / "schema.json"
         save_schema(small_schema, path)
         loaded = load_schema(path)
-        assert loaded.encoded_columns() == small_schema.encoded_columns()
-        assert loaded.label_values == small_schema.label_values
+        assert loaded == small_schema
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(DataError):

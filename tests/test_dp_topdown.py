@@ -314,6 +314,61 @@ class TestDPTopDown:
             assert np.array_equal(np.sort(rows), np.flatnonzero(tree.assign(ds.n, binned.goes_right) == leaf.node_id))
 
 
+class ScriptedStrategy:
+    """Answers each query about node id i with scripted values: the split
+    gain `gains[i]` and the noisy weight `weights[i]`; it charges nothing."""
+
+    def __init__(self, gains, weights):
+        self.gains, self.weights = gains, weights
+        self.pool = SimpleNamespace(binned=SimpleNamespace(n=1))
+
+    def split(self, leaf, alpha, ledger):
+        return ONE_SPLIT[0], self.gains[leaf.node_id]
+
+    def weight(self, leaf, budget, ledger):
+        return self.weights[leaf.node_id]
+
+    def labels(self, leaves, budget, ledger):
+        return [0] * len(leaves)
+
+
+def reference_split_order(gains, weights, config):
+    """Node ids in the order the learner must split them: each step takes
+    the first pushed leaf in a sort by (-priority, push order). The root's
+    priority is its gain; a child's is weight x gain, pushed when its weight
+    passes the filter and its gain the threshold."""
+    live, pushes, order, next_id = [], 0, [], 1
+    if gains[0] > config.min_gain:
+        live, pushes = [(gains[0], 0, 0)], 1
+    while live and len(order) < config.max_nodes:
+        live.sort(key=lambda entry: (-entry[0], entry[1]))
+        order.append(live.pop(0)[2])
+        for child in (next_id, next_id + 1):
+            if weights[child] >= config.error / config.max_nodes and gains[child] > config.min_gain:
+                live.append((weights[child] * gains[child], pushes, child))
+                pushes += 1
+        next_id += 2
+    return order
+
+
+class TestSplitOrder:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_splits_in_priority_then_push_order(self, seed):
+        # Dyadic gains and weights make many priorities tie exactly (0.5 x 0.5
+        # = 0.25 x 1.0); a gain or a weight of 0.0 is never pushed.
+        config = DPTopDownConfig(alpha=1.0, max_nodes=12)
+        rng = RandomSource(seed)
+        size = 2 * config.max_nodes + 1
+        gains = [(0.0, 0.25, 0.5, 1.0)[i] for i in rng.integers(0, 4, size=size)]
+        weights = [(0.0, 0.25, 0.5, 1.0)[i] for i in rng.integers(0, 4, size=size)]
+        tree, _, _ = dp_topdown(ScriptedStrategy(gains, weights), config)
+        # The i-th split makes nodes 2i + 1 and 2i + 2, so a split node's
+        # first child's id gives its place in the split order.
+        splits = sorted((record["children"][0], record["id"]) for record in tree.to_dict()["nodes"]
+                        if record["kind"] == "split")
+        assert [node for _, node in splits] == reference_split_order(gains, weights, config)
+
+
 class TestConfigValidation:
     def test_rejects_bad_parameters(self):
         for kwargs in (

@@ -1,6 +1,7 @@
-"""Every name a `dptree` module imports is used in that module, and every
+"""Every name a `dptree` module imports is used in that module, every
 function, class and method the package defines is used by the package or
-the bench.
+the bench, and every exception the package defines but the learner's
+internal `DegenerateLeafError` has its own exit code in the CLI.
 
 No linter is installed, so the checks parse the sources with `ast`. The
 package `__init__.py` is skipped: its imports are the public exports. A
@@ -13,12 +14,14 @@ method. Tests do not count: a definition only they read belongs with them.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
 import dptree
+from dptree import cli
 
 PACKAGE = Path(dptree.__file__).parent
 BENCH = PACKAGE.parent.parent / "bench"
@@ -220,3 +223,17 @@ def test_check_flags_a_definition_only_tests_use():
     assert unreferenced(defined, [PLANTED_PACKAGE], [PLANTED_BENCH + 'NAME = "checker"\n']) == flagged
     layers = PLANTED_BENCH.replace('None}}', 'None}, "m": {"checker": None}}')
     assert unreferenced(defined, [PLANTED_PACKAGE], [layers]) == flagged[:2]
+
+
+def test_each_exception_has_one_exit_code():
+    # Every error a command can report has its one exit code in the CLI's
+    # table; the learner's internal signal, caught inside `dp_topdown`, is
+    # the one exception that never reaches a command.
+    exceptions = set()
+    for path in MODULES:
+        module = importlib.import_module(f"dptree.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and issubclass(getattr(module, node.name), BaseException):
+                exceptions.add(node.name)
+    assert exceptions - {"DegenerateLeafError"} == {kind.__name__ for kind in cli.EXIT_CODES}
+    assert sorted(cli.EXIT_CODES.values()) == [2, 3, 4]

@@ -7,7 +7,6 @@ from dptree.data_io import build_splitting_class, synthetic_tree_dataset
 from dptree.dp_core import InvalidParameterError, PrivacyLedger, RandomSource
 from dptree.split_strategies import SingleMachineRNMSplitter, rnm_score_sensitivity
 from dptree.theory import (
-    CapExceededError,
     boosting_recurrence,
     dataset_requirement,
     noisycounts_sample_bound,
@@ -203,7 +202,7 @@ class TestBoostingRecurrence:
         assert g > error
 
     def test_cap_guard(self):
-        with pytest.raises(CapExceededError):
+        with pytest.raises(InvalidParameterError, match="within 5000 iterations"):
             boosting_recurrence(0.1, 0.05, 8, cap=5000)
 
     def test_invalid_parameters(self):
@@ -237,15 +236,15 @@ class TestDatasetRequirement:
 
     def test_split_delta_matches_call_count_bound(self):
         # Each of the at most 2M + 1 split calls gets delta / (2 (2M + 1)).
-        params = {**GOLDEN, "delta": 0.2, "entities": 4}
+        params = {**GOLDEN, "delta": 0.2}
         zeta = theorem_zeta(0.25, 0.1, 16)
         alpha_leaf = 0.5 * (1 / 16)
         split_delta = 0.2 / (2 * 33)
-        for splitter, bound in (
-            ("rnm", rnm_sample_bound(zeta, alpha_leaf / 2, split_delta, 50)),
-            ("noisy-counts", noisycounts_sample_bound(zeta, alpha_leaf / 2, split_delta, 4, 50)),
+        for splitter, k, bound in (
+            ("rnm", 1, rnm_sample_bound(zeta, alpha_leaf / 2, split_delta, 50)),
+            ("noisy-counts", 4, noisycounts_sample_bound(zeta, alpha_leaf / 2, split_delta, 4, 50)),
         ):
-            breakdown = dataset_requirement(**params, splitter=splitter)
+            breakdown = dataset_requirement(**params, entities=k, splitter=splitter)
             assert breakdown["split_term"] == pytest.approx((2 * 16 / 0.1) * bound, rel=1e-12)
 
     def test_requirement_is_max_of_exposed_terms(self):
@@ -254,6 +253,12 @@ class TestDatasetRequirement:
             assert breakdown["value"] == math.ceil(
                 max(breakdown["weight_term"], breakdown["leaf_term"], breakdown["split_term"])
             )
+
+    def test_rnm_refuses_more_than_one_entity(self):
+        # Its terms have no k, so a value for k holders would be k = 1's.
+        with pytest.raises(InvalidParameterError, match="entities 1, got 8; .* 'noisy-counts'"):
+            dataset_requirement(**GOLDEN, entities=8)
+        assert dataset_requirement(**GOLDEN, entities=8, splitter="noisy-counts")["value"] > 0
 
     def test_distributed_weight_term_ratio(self):
         single = dataset_requirement(**GOLDEN, splitter="rnm")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dptree.data_io import partition
 from dptree.dp_core import InvalidParameterError, RandomSource
-from dptree.dp_topdown import DPTopDownConfig, MaxQueue, dp_topdown
+from dptree.dp_topdown import DPTopDownConfig, dp_topdown
 from dptree.split_strategies import ExactStrategy
 from dptree.tree_learning import (
     BinnedFeatures,
@@ -21,7 +21,6 @@ from dptree.tree_learning import (
     DecisionTree,
     LabeledDataset,
     SplitFunction,
-    UnlabeledTreeError,
     gain_from_counts,
     split_count_tables,
     tree_error,
@@ -258,7 +257,7 @@ class TestTreeStructure:
 
     def test_predict_requires_labels(self):
         tree = DecisionTree()
-        with pytest.raises(UnlabeledTreeError):
+        with pytest.raises(InvalidParameterError, match="unlabeled leaf"):
             tree.predict(np.zeros((1, 2)))
 
     def test_tree_error_examples(self):
@@ -403,37 +402,6 @@ class TestTopDown:
         ds = random_dataset(RandomSource(5))
         with pytest.raises(InvalidParameterError, match="nonempty"):
             ExactStrategy(BinnedFeatures(ds, []), Criterion.ENTROPY)
-
-
-class TestMaxQueue:
-    def test_pops_current_max_with_fifo_ties(self):
-        queue = MaxQueue()
-        queue.push(1.0, "a")
-        queue.push(3.0, "b")
-        queue.push(3.0, "c")
-        queue.push(2.0, "d")
-        assert queue.pop() == (3.0, "b")
-        queue.push(5.0, "e")
-        assert queue.pop() == (5.0, "e")
-        assert queue.pop() == (3.0, "c")
-        assert queue.pop() == (2.0, "d")
-        assert queue.pop() == (1.0, "a")
-
-    def test_random_sequences_match_reference(self):
-        rng = RandomSource(6)
-        for _ in range(50):
-            queue = MaxQueue()
-            live = []
-            for step in range(60):
-                if live and rng.uniform() < 0.4:
-                    expected = max(live)
-                    got, _ = queue.pop()
-                    assert got == expected
-                    live.remove(expected)
-                else:
-                    priority = float(rng.integers(0, 10))
-                    queue.push(priority, step)
-                    live.append(priority)
 
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
