@@ -22,13 +22,11 @@ from .tree_learning import (
 )
 from .dp_topdown import (
     DPTopDownConfig,
-    DecaySchedule,
     RunStats,
-    UniformSchedule,
+    budget_share,
     dp_topdown,
     estimate_weight,
     label_leaves,
-    schedule_from_name,
 )
 from .split_strategies import (
     Entity,

@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 import click
 
-from .dp_core import BudgetExceededError, InvalidParameterError, zero_noise
+from .dp_core import BudgetExceededError, InvalidParameterError
 from .data_io import DataError, _finite, _int, _text, read_json, read_object
 from .experiments import (
     load_experiment_config,
@@ -62,8 +62,9 @@ def train(config_path, exact, seed):
         config = load_experiment_config(config_path)
         if seed is not None:
             config.seed = seed
-        with zero_noise(exact or config.zero_noise):
-            row = run_single(config, 0, 0, 0, 0)
+        if exact:
+            config.zero_noise = True
+        row = run_single(config, 0, 0, 0, 0)
         click.echo(json.dumps(asdict(row), sort_keys=True))
 
     _guarded(body)

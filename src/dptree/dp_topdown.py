@@ -1,7 +1,7 @@
-"""The differentially private top-down learner (DP-TopDown): budget
-schedules, the greedy loop over a max-priority queue, and the two mechanisms
-that run on exact counts (noisy weight estimation, and RNM labeling of all
-leaves in one release).
+"""The differentially private top-down learner (DP-TopDown): the budget
+schedules, named "decay" and "uniform", the greedy loop over a max-priority
+queue, and the two mechanisms that run on exact counts (noisy weight
+estimation, and RNM labeling of all leaves in one release).
 
 The loop is one code path for every strategy, the non-private baseline
 included. A leaf is its `tree_learning.Node`, which carries only public
@@ -50,43 +50,28 @@ from .tree_learning import DecisionTree
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniformSchedule:
-    """B(d) = 1/M for depths 1..M; the M depths share the budget equally."""
-
-    max_nodes: int
-
-    def at_depth(self, depth: int) -> Fraction:
-        if not 1 <= depth <= self.max_nodes:
-            raise InvalidParameterError(
-                f"depth {depth} outside [1, {self.max_nodes}] for uniform budgeting"
-            )
-        return Fraction(1, self.max_nodes)
-
-    def min_budget(self, max_nodes: int) -> float:
-        return 1.0 / self.max_nodes
+def known_schedule(schedule: str) -> str:
+    """The name of a budget schedule, "decay" or "uniform"; any other name
+    raises InvalidParameterError."""
+    if schedule not in ("decay", "uniform"):
+        raise InvalidParameterError(f"unknown budget schedule {schedule!r}")
+    return schedule
 
 
-@dataclass(frozen=True)
-class DecaySchedule:
-    """B(d) = 2^-d: early splits, which matter most, get the larger share."""
-
-    def at_depth(self, depth: int) -> Fraction:
-        if depth < 1:
-            raise InvalidParameterError(f"depth must be >= 1, got {depth}")
-        return Fraction(1, 2**depth)
-
-    def min_budget(self, max_nodes: int) -> float:
-        """2^-max_nodes, 0.0 once it underflows; 2**max_nodes is never built."""
-        return math.ldexp(1.0, -max_nodes)
+def budget_share(schedule: str, depth: int, max_nodes: int) -> Fraction:
+    """B(d), the share of the split budget that funds depth d of 1..M.
+    "decay" gives 2^-d, so early splits, which matter most, get the larger
+    share; "uniform" gives 1/M, so the M depths share it equally."""
+    decays = known_schedule(schedule) == "decay"
+    if not 1 <= depth <= max_nodes:
+        raise InvalidParameterError(f"depth {depth} outside [1, {max_nodes}] for {schedule} budgeting")
+    return Fraction(1, 2**depth) if decays else Fraction(1, max_nodes)
 
 
-def schedule_from_name(name: str, max_nodes: int):
-    if name == "uniform":
-        return UniformSchedule(max_nodes)
-    if name == "decay":
-        return DecaySchedule()
-    raise InvalidParameterError(f"unknown budget schedule {name!r}")
+def smallest_share(schedule: str, max_nodes: int) -> float:
+    """The smallest B(d) over depths 1..M as a float: 1/M, or 2^-M, which is
+    0.0 once it underflows; 2**M is never built."""
+    return math.ldexp(1.0, -max_nodes) if known_schedule(schedule) == "decay" else 1.0 / max_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +90,21 @@ class DPTopDownConfig:
     LPF * alpha labels leaves, (1 - LPF) * alpha funds splits; LPF = 0.5
     reproduces the canonical division verbatim. The two exact shares,
     `split_budget` and `leaf_budget`, are computed once, when the config is
-    made.
+    made. `schedule` names how the split budget is spread over depths
+    1..max_nodes (`budget_share`).
     """
 
     alpha: float
     max_nodes: int
     error: float = 0.1
     leaf_privacy_fraction: float = 0.5
-    schedule: object = None
+    schedule: str = "decay"
     min_gain: float = 0.01
     split_budget: Fraction = field(init=False, repr=False)
     leaf_budget: Fraction = field(init=False, repr=False)
 
     def __post_init__(self):
+        known_schedule(self.schedule)
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise InvalidParameterError(f"alpha must be positive and finite, got {self.alpha}")
         if self.max_nodes < 1:
@@ -130,15 +117,14 @@ class DPTopDownConfig:
             raise InvalidParameterError(
                 f"leaf_privacy_fraction must lie in (0, 1), got {self.leaf_privacy_fraction}"
             )
-        if self.schedule is None:
-            self.schedule = DecaySchedule()
         self.split_budget = (1 - Fraction(self.leaf_privacy_fraction)) * Fraction(self.alpha)
         self.leaf_budget = Fraction(self.leaf_privacy_fraction) * Fraction(self.alpha)
         # A noise scale is a float: a count (3|H|, 2K or less) over a release's
         # budget. The smallest budgets, LocalRNM's quarter of a depth-1
         # allowance and a label's, leave room for counts below 2^60 and 60
         # more halvings of the decay schedule.
-        smallest = min(self.split_budget * self.schedule.at_depth(1) / 4, self.leaf_budget)
+        depth_1 = self.split_budget * budget_share(self.schedule, 1, self.max_nodes)
+        smallest = min(depth_1 / 4, self.leaf_budget)
         if smallest < MIN_RELEASE_BUDGET:
             raise InvalidParameterError(f"alpha {self.alpha}, lpf {self.leaf_privacy_fraction} and the schedule "
                                         f"give a release a budget of {float(smallest):.3g}, below 2**-900")
@@ -242,7 +228,7 @@ def dp_topdown(strategy, config: DPTopDownConfig):
 
     def allowance(depth: int) -> tuple:
         if depth not in allowances:
-            alpha_leaf = config.split_budget * config.schedule.at_depth(depth)
+            alpha_leaf = config.split_budget * budget_share(config.schedule, depth, config.max_nodes)
             allowances[depth] = (alpha_leaf, alpha_leaf / 2)
         return allowances[depth]
 

@@ -7,8 +7,9 @@ is reproducible in isolation and runs can execute in any worker layout; rows
 are always written in grid order.
 
 A config's settings are resolved once, when it is made, through the
-learner's own types (`Criterion`, the budget schedule and one
-`DPTopDownConfig` per (alpha, lpf) cell), and every run reads what they made.
+learner's own types (`Criterion`, and one `DPTopDownConfig` per (alpha,
+lpf) cell, which checks the budget schedule's name), and every run reads
+what they made.
 A sweep reads its data before it writes, so a bad setting or input fails
 before any row file is touched.
 """
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dp_core import InvalidParameterError, RandomSource, zero_noise
+from .dp_core import InvalidParameterError, RandomSource, zero_noise, zero_noise_enabled
 from .data_io import (
     DataError,
     _csv_rows,
@@ -46,7 +47,7 @@ from .data_io import (
     read_object,
     train_test_split,
 )
-from .dp_topdown import DPTopDownConfig, dp_topdown, schedule_from_name
+from .dp_topdown import DPTopDownConfig, dp_topdown
 from .split_strategies import (
     EntityPool,
     ExactStrategy,
@@ -101,6 +102,7 @@ class ExperimentConfig:
             isinstance(part, int) and not isinstance(part, bool) for part in self.ratio
         ):
             raise InvalidParameterError(f"data.ratio must be two integers, got {list(self.ratio)}")
+        self.ratio = tuple(self.ratio)  # a part of the data cache's key
         if (self.csv_path is None) == (self.train_path is None):
             raise InvalidParameterError("provide either data.csv (+ratio) or data.train/data.test")
         if self.train_path is not None and self.test_path is None:
@@ -112,9 +114,8 @@ class ExperimentConfig:
         # (alpha, lpf) cell once, here, for every run to read. They are not
         # fields, so `dataclasses.replace` makes them again.
         self.resolved_criterion = Criterion.from_name(self.criterion)
-        schedule = schedule_from_name(self.schedule, self.max_nodes)
         self.learner_configs = [
-            [DPTopDownConfig(alpha, self.max_nodes, self.error, lpf, schedule, self.min_gain)
+            [DPTopDownConfig(alpha, self.max_nodes, self.error, lpf, self.schedule, self.min_gain)
              for lpf in self.lpfs]
             for alpha in self.alphas
         ]
@@ -231,7 +232,9 @@ def prepare_data(config: ExperimentConfig):
 def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: int, run_i: int) -> ResultRow:
     """One seeded train/evaluate cycle for one grid cell, on row slices of
     the prepared binnings. Training accuracy is read from the strategy's
-    pool; only the test rows are routed, on their bin codes."""
+    pool; only the test rows are routed, on their bin codes. The learner
+    runs under zero noise if the config asks for it, and otherwise under
+    the caller's setting."""
     train_full, test = prepare_data(config)
     task = _task_key(config, alpha_i, lpf_i, fraction_i, run_i)
     _, _, _, fraction, _, seed = task
@@ -258,7 +261,8 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
             source_rng.substream("entities"), criterion)
         maker = NoisyCountsSplitter if config.algorithm == "noisy-counts" else LocalRNMSplitter
         strategy = maker(pool)
-    tree, _, stats = dp_topdown(strategy, config.learner_configs[alpha_i][lpf_i])
+    with zero_noise(config.zero_noise or zero_noise_enabled()):
+        tree, _, stats = dp_topdown(strategy, config.learner_configs[alpha_i][lpf_i])
     wall_ms = (time.perf_counter() - started) * 1000.0
 
     return ResultRow(
@@ -270,12 +274,6 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
         ledger_cost=stats.ledger_effective_cost,
         wall_ms=wall_ms,
     )
-
-
-def _cell_worker(args):
-    config, indices = args
-    with zero_noise(config.zero_noise):
-        return run_single(config, *indices)
 
 
 def resolve_output_path(path) -> Path:
@@ -316,7 +314,7 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
     skipping the rows already on disk. Resuming reads every row it skips,
     as `summarize` does, and raises DataError naming the first one that is
     not the row of this config's task in its place. Workers get the config
-    itself, and each run takes its zero-noise setting from it.
+    itself, and each run takes its zero-noise setting from it (`run_single`).
 
     The config's settings were checked when it was made. The data is read
     and split, and a resumed file's rows checked, before `out_path` is
@@ -365,7 +363,8 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
         mapper = map
         if workers > 1:
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for row in mapper(_cell_worker, [(config, indices) for indices in pending]):
+        # run_single's config, then its alpha, lpf, fraction and run indices.
+        for row in mapper(run_single, [config] * len(pending), *zip(*pending)):
             fh.write(row.to_csv() + "\n")
             fh.flush()
     return out_path

@@ -210,7 +210,7 @@ class LocalTransport:
     pass-through to `Entity.handle`. It is kept as its own layer so that the
     bench can time every message and tests can substitute a recording
     transport (`pool.transport = ...`), until the message layer folds into
-    the strategies (ROADMAP item 4(d))."""
+    the strategies (ROADMAP item 11(c))."""
 
     def send(self, entity: Entity, query: Query, ledger: PrivacyLedger) -> Response:
         return entity.handle(query, ledger)

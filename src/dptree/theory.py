@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 from .dp_core import InvalidParameterError
-from .dp_topdown import schedule_from_name
+from .dp_topdown import known_schedule, smallest_share
 from .split_strategies import MIN_LEAF_ROWS, rnm_score_sensitivity
 from .tree_learning import Criterion
 
@@ -97,15 +97,13 @@ def noisycounts_sample_bound(zeta: float, alpha: float, delta: float, k: int, h_
 # ---------------------------------------------------------------------------
 
 
-def boosting_recurrence(
-    error: float, gamma: float, slowdown: float = 4, start: float = 1.0, cap: int = ITERATION_CAP
-) -> int:
+def boosting_recurrence(error: float, gamma: float, slowdown: float = 4, cap: int = ITERATION_CAP) -> int:
     """Splits until the potential falls to the target error, iterating
-    G <- G - gamma^2 G / (slowdown * t * log2(2/G)) from G_1 = start.
+    G <- G - gamma^2 G / (slowdown * t * log2(2/G)) from G_1 = 1.
 
     slowdown 4 is the noiseless rate, 8 the private one (half the per-step
-    decrease). The count of the first t with G_t <= error is returned; the
-    boundary t=1 covers targets already met by the start value. The count is
+    decrease). The count of the first t with G_t <= error is returned; it
+    is 1 for the target error 1, which G_1 already meets. The count is
     superpolynomial in 1/error and blows up fast for small gamma, hence the
     iteration cap, past which InvalidParameterError is raised. The decrement
     only shrinks as t grows, so a step that leaves the float potential
@@ -117,7 +115,7 @@ def boosting_recurrence(
         raise InvalidParameterError(f"gamma must lie in (0, 1/2], got {gamma}")
     if slowdown <= 0:
         raise InvalidParameterError(f"slowdown must be positive, got {slowdown}")
-    potential = float(start)
+    potential = 1.0
     rate = gamma * gamma / slowdown
     log2 = math.log2
     t = 1
@@ -155,12 +153,13 @@ def dataset_requirement(
     training error and delta the failure probability, both in (0, 1];
     max_nodes the cap M on internal nodes; alpha the total budget; h_size
     |H|; entities the number k of data holders (1 = single machine). The
-    minimum B(d) over depths 1..M of the named budget schedule enters the
-    per-leaf budget. splitter "rnm" is the single-machine analysis, and
-    refuses any k but 1; "noisy-counts" the distributed one, whose weight
-    and leaf terms gain a factor k inside and outside the logs.
+    smallest B(d) over depths 1..M of the named budget schedule, "uniform"
+    or "decay" (`dp_topdown.smallest_share`), enters the per-leaf budget.
+    splitter "rnm" is the single-machine analysis, and refuses any k but 1;
+    "noisy-counts" the distributed one, whose weight and leaf terms gain a
+    factor k inside and outside the logs.
     """
-    budgets = schedule_from_name(schedule, max_nodes)
+    known_schedule(schedule)  # refused before the ranges are checked
     if not 0.0 < gamma <= 0.5:
         raise InvalidParameterError(f"gamma must lie in (0, 1/2], got {gamma}")
     if not 0.0 < error <= 1.0:
@@ -176,7 +175,7 @@ def dataset_requirement(
     m = _finite_positive(max_nodes, "max_nodes")
     k = _finite_positive(entities, "entities")
     zeta = _finite_positive(theorem_zeta(gamma, error, max_nodes), "zeta")
-    alpha_leaf = _finite_positive(alpha / 2.0 * budgets.min_budget(max_nodes), "alpha_leaf")
+    alpha_leaf = _finite_positive(alpha / 2.0 * smallest_share(schedule, max_nodes), "alpha_leaf")
     weight_scale = _finite_positive(zeta * alpha_leaf, "zeta alpha_leaf")
     leaf_scale = _finite_positive(error * alpha, "error alpha")
     split_delta = delta / (2.0 * (2.0 * m + 1.0))

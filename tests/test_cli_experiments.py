@@ -1,5 +1,6 @@
 import csv
 import functools
+import importlib
 import inspect
 import json
 import math
@@ -7,10 +8,9 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -310,6 +310,26 @@ class TestRunSingle:
             split_csv, files = ({**asdict(run_single(config_from_dict({**doc, "algorithm": algorithm}), 1, 0, 0, 0)),
                                  "wall_ms": None} for doc in (one, two))
             assert files == split_csv
+
+    def test_list_ratio_gives_the_row_of_a_tuple(self, workspace):
+        # The Python API may pass a list; it is held as a tuple, so the data
+        # cache can key on it.
+        _, config, _ = workspace
+        cfg = config_from_dict(config)
+        rows = [{**asdict(run_single(replace(cfg, ratio=ratio), 0, 0, 0, 0)), "wall_ms": None}
+                for ratio in ([9, 1], (9, 1))]
+        assert rows[0] == rows[1]
+
+    def test_config_zero_noise_reaches_the_learner(self, workspace):
+        # run_single applies the config's zero noise itself, and otherwise
+        # keeps the caller's: either way single-rnm grows the baseline's tree.
+        _, config, _ = workspace
+        exact = {**config, "alphas": [0.125], "zero_noise": True}
+        rows = [run_single(config_from_dict({**exact, "algorithm": algorithm}), 0, 0, 0, 0)
+                for algorithm in ("single-rnm", "baseline")]
+        with zero_noise():
+            rows.append(run_single(config_from_dict({**exact, "zero_noise": False}), 0, 0, 0, 0))
+        assert len({(row.train_acc, row.test_acc, row.depth, row.nodes) for row in rows}) == 1
 
     def test_train_fraction_subsamples(self, workspace):
         _, config, _ = workspace
@@ -742,8 +762,9 @@ class TestCli:
     def test_budget_exceeded_exit_code(self, workspace, monkeypatch):
         _, _, config_path = workspace
         # Fund every depth with the whole split budget, so the run overspends.
-        monkeypatch.setattr(experiments, "schedule_from_name",
-                            lambda name, max_nodes: SimpleNamespace(at_depth=lambda depth: Fraction(1)))
+        # The package attribute `dptree.dp_topdown` is the learner function.
+        monkeypatch.setattr(importlib.import_module("dptree.dp_topdown"), "budget_share",
+                            lambda schedule, depth, max_nodes: Fraction(1))
         result = CliRunner().invoke(main, ["train", "--config", str(config_path)])
         assert result.exit_code == 4
         assert isinstance(result.exception, SystemExit)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 from dataclasses import asdict
@@ -19,13 +20,12 @@ from dptree.data_io import build_splitting_class, synthetic_tree_dataset
 from dptree.dp_topdown import (
     MIN_RELEASE_BUDGET,
     DPTopDownConfig,
-    DecaySchedule,
     RunStats,
-    UniformSchedule,
+    budget_share,
     dp_topdown,
     estimate_weight,
     label_leaves,
-    schedule_from_name,
+    smallest_share,
 )
 from dptree.split_strategies import (
     EntityPool,
@@ -60,49 +60,57 @@ def make_pool(ds, k, splits, seed=0):
     return EntityPool.from_shards(shards, RandomSource(seed, ("pool",)), splits, Criterion.ENTROPY)
 
 
-ONE_SPLIT = [SplitFunction(threshold=0.5, feature=0)]
+def split_charges(config):
+    """The tree a seeded single-machine run grows under `config`, and the
+    sum of its split and weight charges per (depth, leaf)."""
+    ds, splits = make_dataset(seed=9, n=3000)
+    tree, ledger, _ = dp_topdown(single_machine(ds, splits, 13), config)
+    per_depth_leaf: dict = {}
+    for entry in ledger.entries:
+        if entry.scope.purpose != "label":
+            key = (entry.scope.depth, entry.scope.leaf)
+            per_depth_leaf[key] = per_depth_leaf.get(key, 0) + entry.budget
+    return tree, per_depth_leaf
 
-# Funds every depth with the whole split budget, so a run overspends alpha.
-FULL_SPLIT_BUDGET = SimpleNamespace(at_depth=lambda depth: Fraction(1))
+
+ONE_SPLIT = [SplitFunction(threshold=0.5, feature=0)]
 
 
 class TestBudgetSchedules:
     def test_decay_values(self):
-        schedule = DecaySchedule()
-        assert schedule.at_depth(1) == Fraction(1, 2)
-        assert schedule.at_depth(2) == Fraction(1, 4)
+        assert budget_share("decay", 1, 512) == Fraction(1, 2)
+        assert budget_share("decay", 2, 512) == Fraction(1, 4)
 
     def test_uniform_values(self):
-        schedule = UniformSchedule(512)
         for depth in (1, 100, 512):
-            assert schedule.at_depth(depth) == Fraction(1, 512)
+            assert budget_share("uniform", depth, 512) == Fraction(1, 512)
 
     def test_uniform_depth_range(self):
         with pytest.raises(InvalidParameterError):
-            UniformSchedule(16).at_depth(17)
+            budget_share("uniform", 17, 16)
         with pytest.raises(InvalidParameterError):
-            DecaySchedule().at_depth(0)
+            budget_share("decay", 0, 16)
 
     def test_totals_within_one(self):
         # Exact rationals: the sum over depths 1..M never exceeds the budget.
         depths = range(1, 513)
-        decay = sum((DecaySchedule().at_depth(depth) for depth in depths), Fraction(0))
-        uniform = sum((UniformSchedule(512).at_depth(depth) for depth in depths), Fraction(0))
+        decay = sum((budget_share("decay", depth, 512) for depth in depths), Fraction(0))
+        uniform = sum((budget_share("uniform", depth, 512) for depth in depths), Fraction(0))
         assert decay == 1 - Fraction(1, 2**512) < 1
         assert uniform == 1
 
-    def test_min_budget(self):
-        assert DecaySchedule().min_budget(16) == Fraction(1, 2**16)
-        assert UniformSchedule(16).min_budget(16) == Fraction(1, 16)
+    def test_smallest_share(self):
+        assert smallest_share("decay", 16) == Fraction(1, 2**16)
+        assert smallest_share("uniform", 16) == Fraction(1, 16)
         # A float: the smallest subnormal, then 0.0 past it.
-        assert DecaySchedule().min_budget(1074) == 5e-324
-        assert DecaySchedule().min_budget(2000) == 0.0
+        assert smallest_share("decay", 1074) == 5e-324
+        assert smallest_share("decay", 2000) == 0.0
 
-    def test_from_name(self):
-        assert isinstance(schedule_from_name("decay", 8), DecaySchedule)
-        assert schedule_from_name("uniform", 8) == UniformSchedule(8)
-        with pytest.raises(InvalidParameterError):
-            schedule_from_name("golden", 8)
+    def test_unknown_name(self):
+        for share in (lambda: budget_share("golden", 1, 8), lambda: smallest_share("golden", 8),
+                      lambda: DPTopDownConfig(1.0, 8, schedule="golden")):
+            with pytest.raises(InvalidParameterError, match="unknown budget schedule 'golden'"):
+                share()
 
 
 class TestEstimateWeight:
@@ -217,14 +225,19 @@ class TestDPTopDown:
         ds, splits = make_dataset(seed=7, n=2500)
         config = DPTopDownConfig(
             alpha=1.0, max_nodes=8, leaf_privacy_fraction=lpf,
-            schedule=schedule_from_name(schedule_name, 8),
+            schedule=schedule_name,
         )
         _, ledger, _ = dp_topdown(single_machine(ds, splits, 11), config)
         assert ledger.effective_cost() <= ledger.alpha
 
-    def test_overspending_schedule_raises_on_crossing_charge(self):
+    def test_overspending_schedule_raises_on_crossing_charge(self, monkeypatch):
         ds, splits = make_dataset(seed=8, n=2000)
-        config = DPTopDownConfig(alpha=1.0, max_nodes=6, schedule=FULL_SPLIT_BUDGET)
+        config = DPTopDownConfig(alpha=1.0, max_nodes=6)
+        # Fund every depth with the whole split budget, so the run overspends
+        # alpha. The package attribute `dptree.dp_topdown` is the learner
+        # function, so the module is patched through importlib.
+        monkeypatch.setattr(importlib.import_module("dptree.dp_topdown"), "budget_share",
+                            lambda schedule, depth, max_nodes: Fraction(1))
         with pytest.raises(BudgetExceededError) as err:
             dp_topdown(single_machine(ds, splits, 12), config)
         entries = err.value.ledger.entries
@@ -235,17 +248,20 @@ class TestDPTopDown:
             replay.charge(entries[-1].scope, entries[-1].budget)
 
     def test_depth_charges_bounded_by_schedule(self):
-        ds, splits = make_dataset(seed=9, n=3000)
         config = DPTopDownConfig(alpha=2.0, max_nodes=8)
-        _, ledger, _ = dp_topdown(single_machine(ds, splits, 13), config)
-        per_depth_leaf: dict = {}
-        for entry in ledger.entries:
-            if entry.scope.purpose == "label":
-                continue
-            key = (entry.scope.depth, entry.scope.leaf)
-            per_depth_leaf[key] = per_depth_leaf.get(key, 0) + entry.budget
+        _, per_depth_leaf = split_charges(config)
         for (depth, _), charge in per_depth_leaf.items():
-            assert charge <= config.split_budget * config.schedule.at_depth(depth)
+            assert charge <= config.split_budget * budget_share(config.schedule, depth, config.max_nodes)
+
+    def test_uniform_schedule_funds_each_depth_from_max_nodes(self):
+        # B(d) is 1/M of the config's own M at every depth: each leaf's
+        # split and weight charges at a depth sum to at most split_budget / 8,
+        # and a leaf that was both weighed and scored spends all of it.
+        config = DPTopDownConfig(alpha=2.0, max_nodes=8, schedule="uniform")
+        tree, per_depth_leaf = split_charges(config)
+        assert tree.internal_count > 1
+        assert max(per_depth_leaf.values()) == config.split_budget / 8
+        assert {depth for depth, _ in per_depth_leaf} == set(range(1, tree.depth + 1))
 
     def test_single_label_terminates_with_single_leaf(self):
         ds = LabeledDataset(RandomSource(1).uniform(size=(500, 2)), np.zeros(500, dtype=int), 2)
@@ -396,7 +412,7 @@ class TestConfigValidation:
         # to zero or overflow their scale at the first depth.
         with pytest.raises(InvalidParameterError, match="give a release a budget of"):
             DPTopDownConfig(alpha, max_nodes, leaf_privacy_fraction=lpf,
-                            schedule=schedule_from_name(schedule, max_nodes))
+                            schedule=schedule)
 
     def test_smallest_release_budget_may_reach_the_bound(self):
         # With LPF 1/2 and the decay schedule, LocalRNM's quarter of a

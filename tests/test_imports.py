@@ -1,7 +1,7 @@
-"""Every name a `dptree` module imports is used in that module, every
-function, class and method the package defines is used by the package or
-the bench, and every exception the package defines but the learner's
-internal `DegenerateLeafError` has its own exit code in the CLI.
+"""Every name a `dptree` module, a test or a bench file imports is used in
+that file, every function, class and method the package defines is used by
+the package or the bench, and every exception the package defines but the
+learner's internal `DegenerateLeafError` has its own exit code in the CLI.
 
 No linter is installed, so the checks parse the sources with `ast`. The
 package `__init__.py` is skipped: its imports are the public exports. A
@@ -24,8 +24,12 @@ import dptree
 from dptree import cli
 
 PACKAGE = Path(dptree.__file__).parent
-BENCH = PACKAGE.parent.parent / "bench"
+ROOT = PACKAGE.parent.parent
+BENCH = ROOT / "bench"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+# Every file whose imports must all be used: a package module is named by
+# its file name, a test or bench file by its path in the repository.
+IMPORTING = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted(BENCH.rglob("*.py"))
 
 # Definitions no run path reads yet, each with the reason it stays.
 UNREFERENCED_ALLOWED = {
@@ -49,7 +53,8 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in sorted(imported.items()) if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", IMPORTING,
+                         ids=lambda path: path.name if path.parent == PACKAGE else path.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
