@@ -6,7 +6,8 @@ holders.
 Each input format has one reader, and each fails closed. A JSON object, of a
 schema or of a config or theory parameters, is decoded by `read_json` and
 read by `read_object`, which refuses a key its table does not list. A CSV
-file is read by one vectorized pass; see `load_csv` for its number grammar
+file is read in blocks of rows, each one vectorized pass, and `load_csv`
+bins each block as it is read; see `csv_blocks` for the number grammar
 (`parse_number`, which the sweep CSV shares) and the constructs it refuses.
 
 Thresholds always come from schema-declared ranges, never from data minima or
@@ -25,7 +26,7 @@ from typing import NoReturn
 import numpy as np
 
 from .dp_core import InvalidParameterError, RandomSource
-from .tree_learning import LabeledDataset, SplitFunction
+from .tree_learning import BinnedFeatures, LabeledDataset, SplitFunction
 
 
 class DataError(ValueError):
@@ -304,16 +305,26 @@ def save_schema(schema: DataSchema, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def load_csv(path, schema: DataSchema) -> LabeledDataset:
-    """Parse a comma-separated, UTF-8, headered file against a schema.
+def load_csv(path, schema: DataSchema, splits) -> BinnedFeatures:
+    """The rows of a file of `schema`, binned against the splitting class
+    `splits`: each block of `csv_blocks` is binned as it is read and the
+    binnings are joined, so no float matrix or parsed table of all rows is
+    ever held. Row order is kept; every failure is a DataError."""
+    blocks = [BinnedFeatures(block, splits) for block in csv_blocks(path, schema)]
+    return BinnedFeatures.concatenated(blocks, np.concatenate([b.labels for b in blocks]), schema.n_classes)
 
-    Categorical features one-hot expand (one 0/1 column per declared value);
-    labels map to indices into the declared label set; row order is kept.
 
-    One `np.loadtxt` pass reads the file and array operations check it.
-    Every record is one line ending in '\\n', '\\r\\n', '\\r' or the end of
-    the file; cells may be quoted as `csv.writer` quotes them. A number is
-    what `parse_number` reads: `1_0` and `\\u0661` do not parse.
+def csv_blocks(path, schema: DataSchema):
+    """A comma-separated, UTF-8, headered file of `schema` as datasets of at
+    most `_BLOCK_ROWS` rows each, in file order; one empty block if it has
+    no rows. Categorical features one-hot expand (one 0/1 column per
+    declared value); labels map to indices into the declared label set.
+
+    Each block is one `np.loadtxt` call on the next rows of the open file,
+    checked by array operations. Every record is one line ending in '\\n',
+    '\\r\\n', '\\r' or the end of the file; cells may be quoted as
+    `csv.writer` quotes them. A number is what `parse_number` reads: `1_0`
+    and `\\u0661` do not parse.
 
     Every failure is a DataError. A missing column, a row of the wrong
     width, an unparseable cell, an out-of-range value or an undeclared
@@ -321,18 +332,20 @@ def load_csv(path, schema: DataSchema) -> LabeledDataset:
     a cell over the csv field size limit names its line. A file that has
     none of these but holds a line break inside quotes, a NUL or
     \\x1c-\\x1f byte, or a line over the csv field size limit is refused
-    as a whole.
+    as a whole, maybe after some blocks are yielded.
     """
-    dataset = _load_csv_vectorized(path, schema)
-    if dataset is None:
-        _refuse(path, schema)
-    return dataset
+    for block in _checked_blocks(path, schema):
+        if block is None:
+            _refuse(path, schema)
+        yield block
 
 
 # Bytes that np.loadtxt reads differently from csv.reader: a string cell
 # drops its trailing NULs, and numpy's float parser skips \x1c-\x1f as
 # whitespace.
 _UNSAFE_BYTES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_LINE_CHUNK = 1 << 16  # bytes `_count_lines` reads at a time
+_BLOCK_ROWS = 1 << 13  # rows that one np.loadtxt call parses, and the checks check
 
 
 def parse_number(cell: str, cast: type = float):
@@ -352,7 +365,7 @@ def _count_lines(path) -> int | None:
     limit = csv.field_size_limit()
     lines, tail = 0, b""
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
+        while chunk := fh.read(_LINE_CHUNK):
             if any(byte in chunk for byte in _UNSAFE_BYTES):
                 return None
             # The last line may go on in the next chunk, and a final '\r' may
@@ -372,59 +385,60 @@ def _text_dtype(values) -> str:
     return f"U{max(len(v) for v in values) + 1}"
 
 
-def _load_csv_vectorized(path, schema: DataSchema) -> LabeledDataset | None:
-    """The dataset from one np.loadtxt pass and array checks, or None as
-    soon as a check fails."""
+def _checked_blocks(path, schema: DataSchema):
+    """The blocks of `csv_blocks`, or None at the first failed check, where
+    the caller stops. Each np.loadtxt call stops after its `max_rows`-th
+    row, so the calls read one pass over the file; a quoted line break
+    leaves the rows short of the lines that `_count_lines` counted."""
     kinds = {schema.label_name: _text_dtype(schema.label_values)}
     for feat in schema.features:
         kinds[feat.name] = "f8" if isinstance(feat, ContinuousFeature) else _text_dtype(feat.values)
     try:
         lines = _count_lines(path)
-        if lines is None:
-            return None
         with open(path, "r", encoding="utf-8", newline="") as fh:
             header = next(csv.reader(fh), None)
-            if header is None or any(name not in header for name in kinds):
-                return None
+            if lines is None or header is None or any(name not in header for name in kinds):
+                yield None
+                return
             field_of = {name: f"c{header.index(name)}" for name in kinds}
             # Every header column is parsed, so a row of another width fails.
             dtype = {f"c{i}": "U1" for i in range(len(header))}
             dtype.update((field_of[name], kind) for name, kind in kinds.items())
             dtype = list(dtype.items())
-            with warnings.catch_warnings():
-                # loadtxt only warns on a file with no data rows; a file of
-                # just the header never reaches it.
-                warnings.simplefilter("error")
-                table = np.loadtxt(
-                    fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
-                ) if lines > 1 else np.zeros(0, dtype)
+            # A file of just the header gives one empty block.
+            for start in range(0, max(lines - 1, 1), _BLOCK_ROWS):
+                size = min(lines - 1 - start, _BLOCK_ROWS)
+                with warnings.catch_warnings():
+                    # loadtxt warns when it reads no rows or skips a blank line.
+                    warnings.simplefilter("error")
+                    table = np.loadtxt(
+                        fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1, max_rows=size
+                    ) if size else np.zeros(0, dtype)
+                yield _checked_block(table, field_of, schema) if len(table) == size else None
     except (OSError, ValueError, UserWarning, csv.Error):
-        return None
-    # loadtxt skips a blank line and reads a quoted line break into its
-    # cell: either leaves fewer rows than lines.
-    if len(table) != lines - 1:
-        return None
+        yield None
 
-    def cells(name):
-        return table[field_of[name]]
 
+def _checked_block(table, field_of: dict, schema: DataSchema) -> LabeledDataset | None:
+    """The dataset of one parsed block, or None if a cell is out of range or
+    not a declared value."""
     features = np.empty((len(table), schema.n_encoded))
     col = 0
     for feat in schema.features:
         if isinstance(feat, ContinuousFeature):
-            values = cells(feat.name)
+            values = table[field_of[feat.name]]
             if not ((values >= feat.lo) & (values <= feat.hi)).all():
                 return None
             features[:, col] = values
             col += 1
         else:
-            hot = np.stack([cells(feat.name) == value for value in feat.values], axis=1)
+            hot = np.stack([table[field_of[feat.name]] == value for value in feat.values], axis=1)
             if not hot.any(axis=1).all():
                 return None
             features[:, col : col + len(feat.values)] = hot
             col += len(feat.values)
     labels = np.full(len(table), -1, dtype=np.int64)
-    label_cells = cells(schema.label_name)
+    label_cells = table[field_of[schema.label_name]]
     for i, value in enumerate(schema.label_values):
         labels[label_cells == value] = i
     if (labels < 0).any():
@@ -506,7 +520,7 @@ def _refuse(path, schema: DataSchema) -> NoReturn:
 
 
 def write_csv(dataset: LabeledDataset, schema: DataSchema, path) -> None:
-    """Inverse of load_csv for schema-conformant datasets (used for
+    """Inverse of `csv_blocks` for schema-conformant datasets (used for
     round-trips and for materializing synthetic data)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

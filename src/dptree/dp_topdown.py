@@ -107,8 +107,8 @@ class DPTopDownConfig:
         known_schedule(self.schedule)
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise InvalidParameterError(f"alpha must be positive and finite, got {self.alpha}")
-        if self.max_nodes < 1:
-            raise InvalidParameterError(f"max_nodes must be >= 1, got {self.max_nodes}")
+        if not isinstance(self.max_nodes, int) or isinstance(self.max_nodes, bool) or self.max_nodes < 1:
+            raise InvalidParameterError(f"max_nodes must be an integer >= 1, got {self.max_nodes!r}")
         if not math.isfinite(self.min_gain):
             raise InvalidParameterError(f"min_gain must be finite, got {self.min_gain}")
         if not 0.0 < self.error <= 1.0:

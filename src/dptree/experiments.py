@@ -56,7 +56,7 @@ from .split_strategies import (
     SingleMachineRNMSplitter,
     train_accuracy,
 )
-from .tree_learning import BinnedFeatures, Criterion, tree_error
+from .tree_learning import Criterion, tree_error
 
 ALGORITHMS = ("baseline", "single-rnm", "noisy-counts", "local-rnm")
 DEFAULT_ALPHAS = [2.0**e for e in range(-3, 10)]
@@ -98,11 +98,10 @@ class ExperimentConfig:
             raise InvalidParameterError(f"entities must be >= 1, got {self.entities}")
         if self.split_seed < 0:
             raise InvalidParameterError(f"data.split_seed must be >= 0, got {self.split_seed}")
-        if len(self.ratio) != 2 or not all(
-            isinstance(part, int) and not isinstance(part, bool) for part in self.ratio
-        ):
-            raise InvalidParameterError(f"data.ratio must be two integers, got {list(self.ratio)}")
-        self.ratio = tuple(self.ratio)  # a part of the data cache's key
+        parts = list(self.ratio) if isinstance(self.ratio, (tuple, list)) else [self.ratio]
+        if len(parts) != 2 or not all(isinstance(part, int) and not isinstance(part, bool) for part in parts):
+            raise InvalidParameterError(f"data.ratio must be two integers, got {parts}")
+        self.ratio = tuple(parts)  # a part of the data cache's key
         if (self.csv_path is None) == (self.train_path is None):
             raise InvalidParameterError("provide either data.csv (+ratio) or data.train/data.test")
         if self.train_path is not None and self.test_path is None:
@@ -209,8 +208,8 @@ def prepare_data(config: ExperimentConfig):
     """(train, test), cached for the latest config paths. Both are held
     binned against the schema's splitting class (`BinnedFeatures`), which is
     public and fixed before any data is read, so each run slices the codes
-    of its rows and no run bins again. A single CSV is binned whole and
-    then split, so no float copy of either part is made."""
+    of its rows and no run bins again. `load_csv` bins a file block by
+    block as it reads it, and a single CSV is then split by slicing."""
     key = (config.schema_path, config.train_path, config.test_path, config.csv_path,
            config.ratio, config.split_seed)
     if key not in _data_cache:
@@ -218,11 +217,10 @@ def prepare_data(config: ExperimentConfig):
         schema = load_schema(config.schema_path)
         splits = build_splitting_class(schema)
         if config.csv_path is not None:
-            full = BinnedFeatures(load_csv(config.csv_path, schema), splits)
+            full = load_csv(config.csv_path, schema, splits)
             data = train_test_split(full, config.ratio, RandomSource(config.split_seed, ("split",)))
         else:
-            data = tuple(BinnedFeatures(load_csv(path, schema), splits)
-                         for path in (config.train_path, config.test_path))
+            data = tuple(load_csv(path, schema, splits) for path in (config.train_path, config.test_path))
         if not data[0].n:
             raise DataError("the training data has no rows")
         _data_cache[key] = data

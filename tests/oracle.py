@@ -18,9 +18,9 @@ sensitivity bounds by brute force: the first on sampled leaves with one row
 moved, the second on every two-label leaf of m rows with one row added,
 removed or moved.
 
-`load_csv_rows` is `load_csv` written as a row loop over `csv.reader`: it
-builds the dataset a cell at a time and must give the same dataset, or the
-same DataError, on every file. `mutate_csv` draws the damaged files that
+`load_csv_rows` is `data_io.csv_blocks`, its blocks concatenated, written as
+a row loop over `csv.reader`: it builds the dataset a cell at a time and must
+give the same dataset, or the same DataError, on every file. `mutate_csv` draws the damaged files that
 the two loaders, and `dptree train`, are fed.
 """
 

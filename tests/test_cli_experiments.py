@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -22,11 +23,11 @@ from dptree import cli, experiments
 from dptree.cli import main
 from dptree.data_io import (
     DataError,
-    load_csv,
     load_schema,
     partition,
     save_schema,
     schema_from_dict,
+    synthetic_schema,
     synthetic_tree_dataset,
     train_test_split,
     write_csv,
@@ -35,6 +36,7 @@ from dptree.dp_core import InvalidParameterError, RandomSource, zero_noise
 from dptree.dp_topdown import dp_topdown
 from dptree.experiments import (
     CSV_HEADER,
+    ExperimentConfig,
     ResultRow,
     config_from_dict,
     derive_seed,
@@ -250,6 +252,35 @@ class TestConfig:
         assert len(experiments._data_cache) == 1
         assert next(iter(experiments._data_cache.values())) is latest
 
+    @pytest.mark.parametrize("field, value", [("max_nodes", 2.5), ("max_nodes", True), ("ratio", 5)])
+    def test_python_api_refuses_a_bad_type_when_made(self, workspace, field, value):
+        # The config file's casts refuse these values; made from Python, the
+        # config must refuse them too, not fail later in a run.
+        _, config, _ = workspace
+        with pytest.raises(InvalidParameterError, match=field):
+            ExperimentConfig(config["schema"], csv_path=config["data"]["csv"], **{field: value})
+
+    def test_cold_set_up_holds_no_copy_of_all_rows(self, tmp_path):
+        # The CSV is binned block by block as it is read, so a cold set-up's
+        # traced peak holds the codes, the split's row order and one block,
+        # not a parsed table and float matrix of all rows (about 64 B a row).
+        n = 100_000
+        lines = [f"{a:.6f},{b:.6f},{c:.6f},{int(a > 0.5)}\n" for a, b, c in RandomSource(7).uniform(size=(1000, 3))]
+        csv_path, schema_path = tmp_path / "big.csv", tmp_path / "schema.json"
+        csv_path.write_text("x0,x1,x2,y\n" + "".join(lines) * (n // 1000))
+        save_schema(synthetic_schema(3), schema_path)
+        config = ExperimentConfig(str(schema_path), csv_path=str(csv_path))
+        experiments._data_cache.clear()
+        tracemalloc.start()
+        try:
+            train, test = prepare_data(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            experiments._data_cache.clear()
+        assert train.n + test.n == n
+        assert peak < 40 * n
+
     def test_derive_seed_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
@@ -300,7 +331,7 @@ class TestRunSingle:
         tmp_path, config, _ = workspace
         schema = load_schema(config["schema"])
         data = {"csv": config["data"]["csv"], "ratio": [3, 1], "split_seed": 5}
-        parts = train_test_split(load_csv(data["csv"], schema), data["ratio"], RandomSource(5, ("split",)))
+        parts = train_test_split(load_csv_rows(data["csv"], schema), data["ratio"], RandomSource(5, ("split",)))
         paths = [str(tmp_path / "train.csv"), str(tmp_path / "test.csv")]
         for part, path in zip(parts, paths):
             write_csv(part, schema, path)

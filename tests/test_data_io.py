@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import importlib.util
 import json
@@ -51,6 +52,13 @@ def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def read_csv(path, schema):
+    """The float blocks of `csv_blocks`, concatenated into one dataset."""
+    blocks = list(data_io.csv_blocks(path, schema))
+    features = np.concatenate([block.features for block in blocks])
+    return LabeledDataset(features, np.concatenate([block.labels for block in blocks]), schema.n_classes)
+
+
 class TestLoadCsv:
     def test_one_hot_expansion(self, tmp_path, small_schema):
         csv_path = tmp_path / "data.csv"
@@ -60,7 +68,7 @@ class TestLoadCsv:
             "40,blue,yes",
             "55.5,red,yes",
         ])
-        ds = load_csv(csv_path, small_schema)
+        ds = read_csv(csv_path, small_schema)
         assert ds.features.shape == (3, 3)
         assert ds.features[1].tolist() == [40.0, 0.0, 1.0]
         assert ds.labels.tolist() == [0, 1, 1]
@@ -76,14 +84,15 @@ class TestLoadCsv:
             raise AssertionError("the vectorized pass refused a header-only file")
 
         monkeypatch.setattr(data_io, "_refuse", refuse)
-        ds = load_csv(csv_path, small_schema)
+        ds = read_csv(csv_path, small_schema)
         assert ds.n == 0
         assert ds.features.shape == (0, small_schema.n_encoded)
+        assert load_csv(csv_path, small_schema, build_splitting_class(small_schema)).n == 0
 
     def test_column_order_independent(self, tmp_path, small_schema):
         csv_path = tmp_path / "shuffled.csv"
         write_lines(csv_path, ["outcome,age,color", "no,25,blue"])
-        ds = load_csv(csv_path, small_schema)
+        ds = read_csv(csv_path, small_schema)
         assert ds.features[0].tolist() == [25.0, 0.0, 1.0]
 
     def test_roundtrip_bit_exact(self, tmp_path, small_schema):
@@ -95,10 +104,10 @@ class TestLoadCsv:
                                rng.integers(0, 2, size=50),
                                rng.integers(0, 2, size=50))
         ])
-        first = load_csv(csv_path, small_schema)
+        first = read_csv(csv_path, small_schema)
         back = tmp_path / "rt2.csv"
         write_csv(first, small_schema, back)
-        second = load_csv(back, small_schema)
+        second = read_csv(back, small_schema)
         assert np.array_equal(first.features, second.features)
         assert np.array_equal(first.labels, second.labels)
 
@@ -118,7 +127,7 @@ class TestLoadCsv:
         csv_path = tmp_path / "bad.csv"
         write_lines(csv_path, ["age,color,outcome", "20,red,no", row])
         with pytest.raises(DataError) as err:
-            load_csv(csv_path, small_schema)
+            read_csv(csv_path, small_schema)
         assert fragment in str(err.value)
         assert ":3:" in str(err.value)
 
@@ -128,7 +137,7 @@ class TestLoadCsv:
         csv_path = tmp_path / "digits.csv"
         write_lines(csv_path, ["age,color,outcome", "20,red,no", f"{cell},red,no"])
         with pytest.raises(DataError, match=rf"digits\.csv:3: cannot parse '{cell}' as a number for 'age'"):
-            load_csv(csv_path, small_schema)
+            read_csv(csv_path, small_schema)
 
     def test_parse_number_refuses_what_float_and_int_accept(self):
         assert parse_number(" 2.5\t") == 2.5 and parse_number("\u20037 ", int) == 7
@@ -150,8 +159,8 @@ class TestLoadCsv:
         message = (rf"odd\.csv: cannot read a line break inside quotes, a NUL or \\x1c-\\x1f byte, "
                    rf"or a line longer than the csv field size limit of {csv.field_size_limit()}$")
         with pytest.raises(DataError, match=message):
-            load_csv(csv_path, small_schema)
-        assert load_outcome(load_csv, csv_path, small_schema) == load_outcome(load_csv_rows, csv_path, small_schema)
+            read_csv(csv_path, small_schema)
+        assert load_outcome(read_csv, csv_path, small_schema) == load_outcome(load_csv_rows, csv_path, small_schema)
 
     def test_quoted_line_break_in_a_declared_value_fails_closed(self, tmp_path):
         schema = DataSchema([CategoricalFeature("c", ("a\nb", "d"))], "y", ("0", "1"))
@@ -159,13 +168,13 @@ class TestLoadCsv:
         csv_path = tmp_path / "broken.csv"
         write_csv(dataset, schema, csv_path)
         with pytest.raises(DataError, match=r"broken\.csv: cannot read a line break inside quotes"):
-            load_csv(csv_path, schema)
+            read_csv(csv_path, schema)
 
     def test_missing_column(self, tmp_path, small_schema):
         csv_path = tmp_path / "missing.csv"
         write_lines(csv_path, ["age,outcome", "20,no"])
         with pytest.raises(DataError, match="missing column"):
-            load_csv(csv_path, small_schema)
+            read_csv(csv_path, small_schema)
 
     def test_vectorized_pass_takes_clean_writer_output(self, tmp_path, monkeypatch):
         # write_csv quotes these cells and ends rows with '\r\n'; the
@@ -192,17 +201,17 @@ class TestLoadCsv:
             raise AssertionError("the vectorized pass refused a clean file")
 
         monkeypatch.setattr(data_io, "_refuse", refuse)
-        loaded = load_csv(csv_path, schema)
+        loaded = read_csv(csv_path, schema)
         assert loaded.features.tobytes() == expected.features.tobytes()
         assert np.array_equal(loaded.labels, expected.labels)
 
     @pytest.mark.parametrize("terminator", ["\r\n", "\n", "\r"])
     @pytest.mark.parametrize("shift", [-1, 0, 1, 2])
     def test_line_count_across_chunk_boundaries(self, tmp_path, terminator, shift):
-        # A line end that starts `shift` bytes before the 1 MiB read size
-        # ends: before, across and after the chunk boundary.
+        # A line end that starts `shift` bytes before the first read ends:
+        # before, across and after the chunk boundary.
         filler = "x" * 1000 + terminator
-        start = (1 << 20) - shift
+        start = data_io._LINE_CHUNK - shift
         count = start // len(filler) - 1
         first = "a" * (start - count * len(filler)) + terminator
         text = first + filler * count + "b" + terminator + terminator + "c"
@@ -215,7 +224,7 @@ class TestLoadCsv:
     def test_cell_over_the_csv_field_limit_fails_as_in_the_row_loop(self, tmp_path, small_schema):
         csv_path = tmp_path / "wide.csv"
         write_lines(csv_path, ["age,color,outcome,note", "20,red,no," + "n" * (csv.field_size_limit() + 1)])
-        outcome = load_outcome(load_csv, csv_path, small_schema)
+        outcome = load_outcome(read_csv, csv_path, small_schema)
         assert outcome == load_outcome(load_csv_rows, csv_path, small_schema)
         assert "field larger than field limit" in outcome[1]
 
@@ -223,13 +232,13 @@ class TestLoadCsv:
         # 70,000 characters in 140,000 bytes: the csv field limit counts characters.
         csv_path = tmp_path / "wide.csv"
         write_lines(csv_path, ["age,color,outcome,note", "20,red,no," + "\u00e9" * 70_000])
-        assert load_csv(csv_path, small_schema).n == 1
+        assert read_csv(csv_path, small_schema).n == 1
 
     def test_cell_over_the_csv_field_limit_names_its_line(self, tmp_path, small_schema):
         csv_path = tmp_path / "wide.csv"
         write_lines(csv_path, ["age,color,outcome", "20,red,no", "30,blue," + "y" * 140_000])
         with pytest.raises(DataError, match=r"wide\.csv:3: field larger than field limit"):
-            load_csv(csv_path, small_schema)
+            read_csv(csv_path, small_schema)
 
     @pytest.mark.parametrize("terminator", [b"\n", b"\r\n", b"\r"])
     @pytest.mark.parametrize("line", [1, 3])
@@ -239,7 +248,7 @@ class TestLoadCsv:
         csv_path = tmp_path / "latin.csv"
         csv_path.write_bytes(terminator.join(lines) + terminator)
         with pytest.raises(DataError, match=rf"latin\.csv:{line}: byte b'\\xff' is not UTF-8"):
-            load_csv(csv_path, small_schema)
+            read_csv(csv_path, small_schema)
 
 
     @pytest.mark.parametrize("byte", [b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f"])
@@ -247,6 +256,89 @@ class TestLoadCsv:
         path = tmp_path / "bytes.csv"
         path.write_bytes(b"a\n1" + byte + b"\n")
         assert data_io._count_lines(path) is None
+
+
+# Rows of a block in the block-boundary tests, patched in for
+# data_io._BLOCK_ROWS.
+BLOCK = 4
+
+
+def boundary_rows(n):
+    return [f"{7 * i % 101},{('red', 'blue')[i % 3 == 0]},{('no', 'yes')[i % 2]},n{i}" for i in range(n)]
+
+
+def with_cell_note(note):
+    return lambda rows, i: rows.__setitem__(i, rows[i][: rows[i].rindex(",") + 1] + note)
+
+
+def quote_over_a_row(rows, i):
+    # A quoted note runs on over the next line, a whole row of its own when
+    # parsed a line at a time: from row i, or into row i if it is the last.
+    i = min(i, len(rows) - 2)
+    with_cell_note('"x')(rows, i)
+    rows[i + 1] += '"'
+
+
+# Defect -> how it damages the i-th data row.
+DEFECTS = {
+    "none": lambda rows, i: None,
+    "bad-cell": lambda rows, i: rows.__setitem__(i, "oops" + rows[i][rows[i].index(","):]),
+    "blank-line": lambda rows, i: rows.__setitem__(i, ""),
+    "quoted-line-break": with_cell_note('"a\nb"'),
+    "quote-over-a-row": quote_over_a_row,
+    "nul": with_cell_note("a\0b"),
+}
+
+
+def binned_outcome(load, path, schema, splits):
+    try:
+        binned = load(path, schema, splits)
+    except DataError as exc:
+        return str(exc)
+    columns = [(column.dtype.str, column.tobytes()) for column in binned.codes]
+    return binned.n, binned.n_classes, binned.labels.dtype.str, binned.labels.tobytes(), columns
+
+
+def bin_row_loop(path, schema, splits):
+    return BinnedFeatures(load_csv_rows(path, schema), splits)
+
+
+class TestBlockBoundaries:
+    """`load_csv` reads `_BLOCK_ROWS` rows at a time; whatever lies on the
+    first or last row of a block, it must give the binning of the whole
+    file's rows, or the DataError of the row loop."""
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])
+    def test_equals_binning_the_whole_file(self, tmp_path, monkeypatch, small_schema, n, defect):
+        monkeypatch.setattr(data_io, "_BLOCK_ROWS", BLOCK)
+        schema, splits = small_schema, build_splitting_class(small_schema)
+        path = tmp_path / "blocks.csv"
+        for i in sorted({0, BLOCK - 1, BLOCK, n - 1} & set(range(n))):
+            rows = ["age,color,outcome,note"] + boundary_rows(n)
+            DEFECTS[defect](rows, i + 1)
+            write_lines(path, rows)
+            outcome = binned_outcome(load_csv, path, schema, splits)
+            assert outcome == binned_outcome(bin_row_loop, path, schema, splits)
+            assert isinstance(outcome, str) == (defect != "none")
+        if defect == "none":
+            assert len(list(data_io.csv_blocks(path, schema))) == -(-n // BLOCK)
+
+    def test_loadtxt_leaves_the_file_at_the_next_row(self, tmp_path):
+        # The reader calls np.loadtxt on one open file block after block:
+        # each call must read a quoted line break whole, skip a blank line
+        # without counting it (with the warning that refuses such a file),
+        # and stop right after its last row.
+        path = tmp_path / "rows.csv"
+        path.write_text('1,a\n2,"b\nc"\n3,d\n\n4,e\n', encoding="utf-8")
+        read = functools.partial(np.loadtxt, dtype=[("x", "f8"), ("y", "U3")], delimiter=",",
+                                 quotechar='"', comments=None, ndmin=1)
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert read(fh, max_rows=2)["y"].tolist() == ["a", "b\nc"]
+            assert fh.readline() == "3,d\n"
+            with pytest.warns(UserWarning, match="contained no data"):
+                assert read(fh, max_rows=1)["x"].tolist() == [4.0]
+            assert fh.readline() == ""
 
 
 # Cell text for declared values: commas, quotes and spaces make write_csv
@@ -308,7 +400,7 @@ class TestLoadCsvProperties:
             with open(path, newline="", encoding="utf-8") as fh:
                 records = fh.read().split("\r\n")[:-1]
             path.write_bytes(mutate_csv(records, schema, data).encode("utf-8"))
-            assert load_outcome(load_csv, path, schema) == load_outcome(load_csv_rows, path, schema)
+            assert load_outcome(read_csv, path, schema) == load_outcome(load_csv_rows, path, schema)
 
     @settings(max_examples=200, deadline=None)
     @given(schema_datasets())
@@ -317,7 +409,10 @@ class TestLoadCsvProperties:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.csv"
             write_csv(dataset, schema, path)
-            loaded = load_csv(path, schema)
+            loaded = read_csv(path, schema)
+            splits = build_splitting_class(schema)
+            binned = binned_outcome(load_csv, path, schema, splits)
+        assert binned == binned_outcome(lambda *_: BinnedFeatures(dataset, splits), path, schema, splits)
         assert loaded.features.tobytes() == dataset.features.tobytes()
         assert loaded.features.shape == dataset.features.shape
         assert np.array_equal(loaded.labels, dataset.labels)

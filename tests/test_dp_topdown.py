@@ -392,6 +392,10 @@ class TestConfigValidation:
             {"alpha": math.nan, "max_nodes": 4},
             {"alpha": math.inf, "max_nodes": 4},
             {"alpha": 1.0, "max_nodes": 0},
+            # range(max_nodes) in the learner would raise a bare TypeError.
+            {"alpha": 1.0, "max_nodes": 2.5},
+            {"alpha": 1.0, "max_nodes": True},
+            {"alpha": 1.0, "max_nodes": "4"},
             {"alpha": 1.0, "max_nodes": 4, "error": 0.0},
             {"alpha": 1.0, "max_nodes": 4, "min_gain": math.nan},
             {"alpha": 1.0, "max_nodes": 4, "min_gain": -math.inf},
