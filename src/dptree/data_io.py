@@ -6,9 +6,10 @@ holders.
 Each input format has one reader, and each fails closed. A JSON object, of a
 schema or of a config or theory parameters, is decoded by `read_json` and
 read by `read_object`, which refuses a key its table does not list. A CSV
-file is read in blocks of rows, each one vectorized pass, and `load_csv`
-bins each block as it is read; see `csv_blocks` for the number grammar
-(`parse_number`, which the sweep CSV shares) and the constructs it refuses.
+file is read once, as text, in blocks of lines: each block is checked as
+text and parsed by one vectorized pass, and `load_csv` bins it as it is
+read; see `csv_blocks` for the number grammar (`parse_number`, which the
+sweep CSV shares) and the constructs it refuses.
 
 Thresholds always come from schema-declared ranges, never from data minima or
 maxima: data-derived thresholds would leak outside the privacy accounting.
@@ -17,6 +18,7 @@ maxima: data-derived thresholds would leak outside the privacy accounting.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -320,7 +322,8 @@ def csv_blocks(path, schema: DataSchema):
     no rows. Categorical features one-hot expand (one 0/1 column per
     declared value); labels map to indices into the declared label set.
 
-    Each block is one `np.loadtxt` call on the next rows of the open file,
+    The file is read once, as text. Each block is its next lines, checked
+    as text, parsed by one `np.loadtxt` call into one row per line and
     checked by array operations. Every record is one line ending in '\\n',
     '\\r\\n', '\\r' or the end of the file; cells may be quoted as
     `csv.writer` quotes them. A number is what `parse_number` reads: `1_0`
@@ -340,12 +343,11 @@ def csv_blocks(path, schema: DataSchema):
         yield block
 
 
-# Bytes that np.loadtxt reads differently from csv.reader: a string cell
-# drops its trailing NULs, and numpy's float parser skips \x1c-\x1f as
-# whitespace.
-_UNSAFE_BYTES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-_LINE_CHUNK = 1 << 16  # bytes `_count_lines` reads at a time
-_BLOCK_ROWS = 1 << 13  # rows that one np.loadtxt call parses, and the checks check
+# Characters that np.loadtxt reads differently from csv.reader: a string
+# cell drops its trailing NULs, and numpy's float parser skips \x1c-\x1f as
+# whitespace. Each is one byte in UTF-8.
+_UNSAFE_CHARACTERS = "\0\x1c\x1d\x1e\x1f"
+_BLOCK_ROWS = 1 << 12  # lines read, checked and parsed at a time; their strs are the largest transient
 
 
 def parse_number(cell: str, cast: type = float):
@@ -358,46 +360,47 @@ def parse_number(cell: str, cast: type = float):
     return cast(cell)
 
 
-def _count_lines(path) -> int | None:
-    """Lines of the file as text mode splits them (at '\\n', '\\r\\n' or a
-    lone '\\r'), read in binary chunks; None for a file holding an unsafe
-    byte, or a line the csv module's field size limit could reject."""
-    limit = csv.field_size_limit()
-    lines, tail = 0, b""
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_LINE_CHUNK):
-            if any(byte in chunk for byte in _UNSAFE_BYTES):
-                return None
-            # The last line may go on in the next chunk, and a final '\r' may
-            # be the first half of '\r\n': carry it over.
-            *complete, tail = (tail + chunk).splitlines(keepends=True)
-            # The limit counts characters, which bytes bound from above.
-            if len(tail) > limit or max(map(len, complete), default=0) > limit:
-                if any(len(line.decode("utf-8", "replace")) > limit for line in (*complete, tail)):
-                    return None
-            lines += len(complete)
-    return lines + bool(tail)
-
-
 def _text_dtype(values) -> str:
     # One character more than the longest declared value: a longer cell is
     # cut to this width and still matches no declared value.
     return f"U{max(len(v) for v in values) + 1}"
 
 
+def _readable(lines) -> bool:
+    """Whether no line is over the csv field size limit, holds an unsafe
+    character or ends inside quotes, which, as a line holds no line break
+    but its own end, is when its last csv cell ends in a line break."""
+    text = "".join(lines)
+    if max(map(len, lines)) > csv.field_size_limit() or any(c in text for c in _UNSAFE_CHARACTERS):
+        return False
+    quoted = [line for line in lines if '"' in line] if '"' in text else []
+    return not any(next(csv.reader([line]))[-1].endswith(("\n", "\r")) for line in quoted)
+
+
+def _next_table(fh, dtype):
+    """The next `_BLOCK_ROWS` lines of the file as one table, empty at the
+    end of the file; None if they are not `_readable` or a line gives no
+    row (loadtxt skips a blank line, and warns when it reads no rows)."""
+    lines = list(itertools.islice(fh, _BLOCK_ROWS))
+    if not lines or not _readable(lines):
+        return None if lines else np.zeros(0, dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    return table if len(table) == len(lines) else None
+
+
 def _checked_blocks(path, schema: DataSchema):
     """The blocks of `csv_blocks`, or None at the first failed check, where
-    the caller stops. Each np.loadtxt call stops after its `max_rows`-th
-    row, so the calls read one pass over the file; a quoted line break
-    leaves the rows short of the lines that `_count_lines` counted."""
+    the caller stops. One text handle reads the file once."""
     kinds = {schema.label_name: _text_dtype(schema.label_values)}
     for feat in schema.features:
         kinds[feat.name] = "f8" if isinstance(feat, ContinuousFeature) else _text_dtype(feat.values)
     try:
-        lines = _count_lines(path)
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            header = next(csv.reader(fh), None)
-            if lines is None or header is None or any(name not in header for name in kinds):
+            line = next(fh, "")
+            header = next(csv.reader([line]), None)
+            if not _readable([line]) or header is None or any(name not in header for name in kinds):
                 yield None
                 return
             field_of = {name: f"c{header.index(name)}" for name in kinds}
@@ -406,15 +409,10 @@ def _checked_blocks(path, schema: DataSchema):
             dtype.update((field_of[name], kind) for name, kind in kinds.items())
             dtype = list(dtype.items())
             # A file of just the header gives one empty block.
-            for start in range(0, max(lines - 1, 1), _BLOCK_ROWS):
-                size = min(lines - 1 - start, _BLOCK_ROWS)
-                with warnings.catch_warnings():
-                    # loadtxt warns when it reads no rows or skips a blank line.
-                    warnings.simplefilter("error")
-                    table = np.loadtxt(
-                        fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1, max_rows=size
-                    ) if size else np.zeros(0, dtype)
-                yield _checked_block(table, field_of, schema) if len(table) == size else None
+            first = True
+            while (table := _next_table(fh, dtype)) is None or len(table) or first:
+                yield None if table is None else _checked_block(table, field_of, schema)
+                first = False
     except (OSError, ValueError, UserWarning, csv.Error):
         yield None
 

@@ -90,14 +90,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise InvalidParameterError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if not self.alphas or not self.lpfs or not self.train_fractions:
-            raise InvalidParameterError("alphas, lpfs, and train_fractions must be nonempty")
-        if self.runs < 1:
-            raise InvalidParameterError(f"runs must be >= 1, got {self.runs}")
-        if self.entities < 1:
-            raise InvalidParameterError(f"entities must be >= 1, got {self.entities}")
-        if self.split_seed < 0:
-            raise InvalidParameterError(f"data.split_seed must be >= 0, got {self.split_seed}")
+        # Refused here, as the config file's casts refuse them, not later in a run.
+        for name in ("alphas", "lpfs", "train_fractions"):
+            if not isinstance(getattr(self, name), (list, tuple)) or not getattr(self, name):
+                raise InvalidParameterError(f"{name} must be a nonempty list, got {getattr(self, name)!r}")
+        for name, least in (("runs", 1), ("entities", 1), ("split_seed", 0), ("seed", None)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or (least is not None and value < least):
+                bound = "" if least is None else f" >= {least}"
+                raise InvalidParameterError(f"{name} must be an integer{bound}, got {value!r}")
         parts = list(self.ratio) if isinstance(self.ratio, (tuple, list)) else [self.ratio]
         if len(parts) != 2 or not all(isinstance(part, int) and not isinstance(part, bool) for part in parts):
             raise InvalidParameterError(f"data.ratio must be two integers, got {parts}")

@@ -322,7 +322,7 @@ def load_csv_rows(path, schema) -> LabeledDataset:
 
 
 # Raw, already CSV-encoded cell text that both parsers must treat alike.
-TRICKY_CELLS = [" 1", "1_0", "nan", "inf", "0x1", "", "\u0661", '"1"', "1e400", "1\x1c", "a\x00", '"a\nb"']
+TRICKY_CELLS = [" 1", "1_0", "nan", "inf", "0x1", "", "\u0661", '"1"', "1e400", "1\x1c", "a\x00", '"a\nb"', '"x']
 
 
 def mutate_csv(records, schema, data) -> str:

@@ -252,13 +252,21 @@ class TestConfig:
         assert len(experiments._data_cache) == 1
         assert next(iter(experiments._data_cache.values())) is latest
 
-    @pytest.mark.parametrize("field, value", [("max_nodes", 2.5), ("max_nodes", True), ("ratio", 5)])
+    @pytest.mark.parametrize("field, value", [
+        ("max_nodes", 2.5), ("max_nodes", True), ("ratio", 5), ("runs", 2.5), ("runs", True), ("entities", 2.5),
+        ("alphas", 8.0), ("seed", 1.5), ("split_seed", 1.5),
+    ])
     def test_python_api_refuses_a_bad_type_when_made(self, workspace, field, value):
         # The config file's casts refuse these values; made from Python, the
         # config must refuse them too, not fail later in a run.
         _, config, _ = workspace
         with pytest.raises(InvalidParameterError, match=field):
             ExperimentConfig(config["schema"], csv_path=config["data"]["csv"], **{field: value})
+
+    def test_python_api_keeps_good_values_as_given(self, workspace):
+        _, config, _ = workspace
+        made = ExperimentConfig(config["schema"], csv_path=config["data"]["csv"], alphas=[8], seed=-1, runs=1)
+        assert (made.alphas, made.seed, made.runs) == ([8], -1, 1)
 
     def test_cold_set_up_holds_no_copy_of_all_rows(self, tmp_path):
         # The CSV is binned block by block as it is read, so a cold set-up's

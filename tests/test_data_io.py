@@ -1,7 +1,7 @@
 import csv
-import functools
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import tempfile
@@ -48,8 +48,8 @@ def small_schema():
     )
 
 
-def write_lines(path, lines):
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_lines(path, lines, terminator="\n"):
+    path.write_bytes((terminator.join(lines) + terminator).encode("utf-8"))
 
 
 def read_csv(path, schema):
@@ -57,6 +57,11 @@ def read_csv(path, schema):
     blocks = list(data_io.csv_blocks(path, schema))
     features = np.concatenate([block.features for block in blocks])
     return LabeledDataset(features, np.concatenate([block.labels for block in blocks]), schema.n_classes)
+
+
+# The DataError of a file whose rows all pass but that the reader cannot read.
+WHOLE_FILE = (r"\.csv: cannot read a line break inside quotes, a NUL or \\x1c-\\x1f byte, "
+              rf"or a line longer than the csv field size limit of {csv.field_size_limit()}$")
 
 
 class TestLoadCsv:
@@ -156,9 +161,7 @@ class TestLoadCsv:
     def test_constructs_the_pass_cannot_read_fail_closed(self, tmp_path, small_schema, lines):
         csv_path = tmp_path / "odd.csv"
         write_lines(csv_path, lines)
-        message = (rf"odd\.csv: cannot read a line break inside quotes, a NUL or \\x1c-\\x1f byte, "
-                   rf"or a line longer than the csv field size limit of {csv.field_size_limit()}$")
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match="odd" + WHOLE_FILE):
             read_csv(csv_path, small_schema)
         assert load_outcome(read_csv, csv_path, small_schema) == load_outcome(load_csv_rows, csv_path, small_schema)
 
@@ -205,22 +208,6 @@ class TestLoadCsv:
         assert loaded.features.tobytes() == expected.features.tobytes()
         assert np.array_equal(loaded.labels, expected.labels)
 
-    @pytest.mark.parametrize("terminator", ["\r\n", "\n", "\r"])
-    @pytest.mark.parametrize("shift", [-1, 0, 1, 2])
-    def test_line_count_across_chunk_boundaries(self, tmp_path, terminator, shift):
-        # A line end that starts `shift` bytes before the first read ends:
-        # before, across and after the chunk boundary.
-        filler = "x" * 1000 + terminator
-        start = data_io._LINE_CHUNK - shift
-        count = start // len(filler) - 1
-        first = "a" * (start - count * len(filler)) + terminator
-        text = first + filler * count + "b" + terminator + terminator + "c"
-        assert text.index(terminator, start - 1) == start
-        path = tmp_path / "lines.csv"
-        path.write_bytes(text.encode("utf-8"))
-        with open(path, newline="") as fh:
-            assert data_io._count_lines(path) == len(fh.readlines()) == count + 4
-
     def test_cell_over_the_csv_field_limit_fails_as_in_the_row_loop(self, tmp_path, small_schema):
         csv_path = tmp_path / "wide.csv"
         write_lines(csv_path, ["age,color,outcome,note", "20,red,no," + "n" * (csv.field_size_limit() + 1)])
@@ -250,17 +237,55 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=rf"latin\.csv:{line}: byte b'\\xff' is not UTF-8"):
             read_csv(csv_path, small_schema)
 
-
     @pytest.mark.parametrize("byte", [b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f"])
-    def test_line_count_refuses_bytes_the_parsers_read_differently(self, tmp_path, byte):
-        path = tmp_path / "bytes.csv"
-        path.write_bytes(b"a\n1" + byte + b"\n")
-        assert data_io._count_lines(path) is None
+    def test_line_count_refuses_bytes_the_parsers_read_differently(self, tmp_path, small_schema, byte):
+        # In an unused column: no row check sees it, so the file is refused whole.
+        csv_path = tmp_path / "bytes.csv"
+        write_lines(csv_path, ["age,color,outcome,note", "20,red,no,a", "30,blue,yes,b" + byte.decode() + "c"])
+        with pytest.raises(DataError, match="bytes" + WHOLE_FILE):
+            read_csv(csv_path, small_schema)
+        assert load_outcome(read_csv, csv_path, small_schema) == load_outcome(load_csv_rows, csv_path, small_schema)
+
+    @pytest.mark.parametrize("terminator", ["\n", "\r\n", ""])
+    def test_quote_left_open_by_the_last_line(self, tmp_path, small_schema, terminator):
+        # With a line end the last cell holds a line break, which the row
+        # loop refuses; without one the quote closes at the end of the file.
+        csv_path = tmp_path / "open.csv"
+        csv_path.write_text(f'age,color,outcome,note\r\n1,red,no,a\r\n2,blue,yes,"x{terminator}', encoding="utf-8")
+        outcome = load_outcome(read_csv, csv_path, small_schema)
+        assert outcome == load_outcome(load_csv_rows, csv_path, small_schema)
+        if terminator:
+            with pytest.raises(DataError, match="open" + WHOLE_FILE):
+                read_csv(csv_path, small_schema)
+        else:
+            assert read_csv(csv_path, small_schema).labels.tolist() == [0, 1]
+
+    def test_clean_load_reads_its_file_once(self, tmp_path, small_schema, monkeypatch):
+        csv_path = tmp_path / "clean.csv"
+        write_lines(csv_path, ["age,color,outcome", '30,red,"no"', "40,blue,yes"])
+        opened, parsed = [], []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        def loadtxt(source, *args, **kwargs):
+            parsed.append(source)
+            return real_loadtxt(source, *args, **kwargs)
+
+        real_loadtxt = np.loadtxt
+        monkeypatch.setattr(data_io, "open", counting_open, raising=False)
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        assert load_csv(csv_path, small_schema, build_splitting_class(small_schema)).n == 2
+        assert opened == [csv_path]
+        assert parsed and all(isinstance(lines, list) and all(isinstance(line, str) for line in lines)
+                              for lines in parsed)
 
 
 # Rows of a block in the block-boundary tests, patched in for
-# data_io._BLOCK_ROWS.
+# data_io._BLOCK_ROWS, and the line ends they write.
 BLOCK = 4
+LINE_ENDS = ["\n", "\r\n", "\r"]
 
 
 def boundary_rows(n):
@@ -314,31 +339,15 @@ class TestBlockBoundaries:
         monkeypatch.setattr(data_io, "_BLOCK_ROWS", BLOCK)
         schema, splits = small_schema, build_splitting_class(small_schema)
         path = tmp_path / "blocks.csv"
-        for i in sorted({0, BLOCK - 1, BLOCK, n - 1} & set(range(n))):
+        for i, terminator in itertools.product(sorted({0, BLOCK - 1, BLOCK, n - 1} & set(range(n))), LINE_ENDS):
             rows = ["age,color,outcome,note"] + boundary_rows(n)
             DEFECTS[defect](rows, i + 1)
-            write_lines(path, rows)
+            write_lines(path, rows, terminator)
             outcome = binned_outcome(load_csv, path, schema, splits)
             assert outcome == binned_outcome(bin_row_loop, path, schema, splits)
             assert isinstance(outcome, str) == (defect != "none")
         if defect == "none":
             assert len(list(data_io.csv_blocks(path, schema))) == -(-n // BLOCK)
-
-    def test_loadtxt_leaves_the_file_at_the_next_row(self, tmp_path):
-        # The reader calls np.loadtxt on one open file block after block:
-        # each call must read a quoted line break whole, skip a blank line
-        # without counting it (with the warning that refuses such a file),
-        # and stop right after its last row.
-        path = tmp_path / "rows.csv"
-        path.write_text('1,a\n2,"b\nc"\n3,d\n\n4,e\n', encoding="utf-8")
-        read = functools.partial(np.loadtxt, dtype=[("x", "f8"), ("y", "U3")], delimiter=",",
-                                 quotechar='"', comments=None, ndmin=1)
-        with open(path, newline="", encoding="utf-8") as fh:
-            assert read(fh, max_rows=2)["y"].tolist() == ["a", "b\nc"]
-            assert fh.readline() == "3,d\n"
-            with pytest.warns(UserWarning, match="contained no data"):
-                assert read(fh, max_rows=1)["x"].tolist() == [4.0]
-            assert fh.readline() == ""
 
 
 # Cell text for declared values: commas, quotes and spaces make write_csv
