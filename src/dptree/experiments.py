@@ -231,9 +231,9 @@ def prepare_data(config: ExperimentConfig):
 def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: int, run_i: int) -> ResultRow:
     """One seeded train/evaluate cycle for one grid cell, on row slices of
     the prepared binnings. Training accuracy is read from the strategy's
-    pool; only the test rows are routed, on their bin codes. The learner
-    runs under zero noise if the config asks for it, and otherwise under
-    the caller's setting."""
+    pool, which is then released; only the test rows are routed, on their
+    bin codes. The learner runs under zero noise if the config asks for it,
+    and otherwise under the caller's setting."""
     train_full, test = prepare_data(config)
     task = _task_key(config, alpha_i, lpf_i, fraction_i, run_i)
     _, _, _, fraction, _, seed = task
@@ -255,18 +255,18 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
         strategy = SingleMachineRNMSplitter(train, criterion, source_rng.substream("mechanisms"))
     else:
         # The pool keeps the shards' rows as one binning of its own.
-        pool = EntityPool(
-            partition(train, config.entities, source_rng.substream("partition")),
-            source_rng.substream("entities"), criterion)
         maker = NoisyCountsSplitter if config.algorithm == "noisy-counts" else LocalRNMSplitter
-        strategy = maker(pool)
+        strategy = maker(EntityPool(
+            partition(train, config.entities, source_rng.substream("partition")),
+            source_rng.substream("entities"), criterion))
     with zero_noise(config.zero_noise or zero_noise_enabled()):
         tree, _, stats = dp_topdown(strategy, config.learner_configs[alpha_i][lpf_i])
     wall_ms = (time.perf_counter() - started) * 1000.0
-
+    train_acc = train_accuracy(tree, strategy.pool)
+    del strategy, train
     return ResultRow(
         *task,
-        train_acc=train_accuracy(tree, strategy.pool),
+        train_acc=train_acc,
         test_acc=1.0 - tree_error(tree, test) if test.n else float("nan"),
         depth=tree.depth,
         nodes=tree.internal_count,

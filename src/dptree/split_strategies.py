@@ -16,21 +16,16 @@ through the transport and share `weight` (summed noisy counts) and `labels`
 A message is a `Query` to one entity through `LocalTransport.send`, and its
 `Response` holds only noisy aggregates.
 
-An `EntityPool` owns the holders' rows: their binned shards laid end to
-end as one binning in which holder i's label y reads i K + y, and one record
-per live leaf, keyed by its path: the leaf's rows and their cumulative counts
-(`BinnedFeatures.cumulative`), whose k K label columns count each holder's
-rows apart. A leaf is cut and counted once for all k holders, and its gains
-worked out once. A split that sends every row of a leaf to one side cuts
-nothing: its full child is the parent's record, gains included, and its
-other child is empty. Otherwise the rows are split with `np.compress`.
-Each `Entity` is the pool's view of one holder: it reads only its own rows
-and label columns of a record, draws noise from its own stream and charges
-its own ledger scope. Counts are exact integers, so every answer, draw and
-charge is what a stateless replay of the holder's shard would give. The
-single machine and the baseline are a pool of one holder whose binning is
-the dataset's own. After learning, the final leaves' records give the
-training accuracy without routing a row (`train_accuracy`).
+An `EntityPool` owns the holders' rows and one record per live leaf: its rows'
+32-bit positions in the pool and their cumulative counts, whose k K label
+columns count each holder's rows apart, so a leaf is cut, counted and scored
+once for all k holders. Each `Entity` is the pool's view of one holder: it
+reads only its own rows and label columns of a record, draws noise from its
+own stream and charges its own ledger scope. Counts are exact integers, so
+every answer, draw and charge is what a stateless replay of the holder's shard
+would give. The single machine and the baseline are a pool of one holder whose
+binning is the dataset's own. After learning, the final leaves' records give
+the training accuracy without routing a row (`train_accuracy`).
 """
 
 from __future__ import annotations
@@ -59,6 +54,7 @@ from .tree_learning import (
     DecisionTree,
     Node,
     gain_from_counts,
+    position_dtype,
     split_count_tables,
 )
 
@@ -136,9 +132,9 @@ class Entity:
 
     def leaf_rows(self, path) -> tuple:
         """This holder's `(rows, counts)` of the leaf at `path`, a (split,
-        side) sequence of the splitting class: the pool positions of its rows
-        that follow the path, and their cumulative counts, shape (rows of the
-        stack, K). Both are views of the pool's record."""
+        side) sequence of the splitting class: the 32-bit pool positions of
+        its rows that follow the path, and their cumulative counts, shape
+        (rows of the stack, K). Both are views of the pool's record."""
         pool = self.pool
         leaf = pool.leaf(tuple(path))
         if pool.k == 1:  # the whole record, without working out bounds
@@ -224,18 +220,16 @@ class EntityPool:
     label y is i K + y, so one count of any rows, shape (rows of the stack,
     k K), holds holder i's counts as the view `reshape(-1, k, K)[:, i]`. One
     record per live leaf, keyed by its path, holds the leaf's rows (pool
-    positions, in holder order), their counts and, once asked for, each
-    holder's bounds in the rows and every holder's gains of the splitting
-    class. A split's children are cut from their parent's record, which is
-    evicted. The parent's counts say how many rows the split sends left; when
-    that is none or all of them, the full child is the parent's record
-    itself, its bounds and gains included, and the empty child gets no rows
-    and zero counts, so nothing is compared, copied or counted. Otherwise
-    the rows are split with one code comparison and `np.compress`: only the
-    smaller child is counted, and the larger one's counts are the parent's
-    minus those. Any other miss replays the path from the root. In the
-    learner's query order the live leaves partition the rows, so the pool
-    holds each row once.
+    positions of `position_dtype`, in holder order), their counts and, once
+    asked for, each holder's bounds in the rows and every holder's gains. A
+    split's children are cut from their evicted parent's record. If its
+    counts say the split sends none or all of its rows left, the full child
+    is that record and the empty child the pool's one read-only empty record,
+    which holds nothing of the parent. Otherwise one code comparison and
+    `np.compress` split the rows, and only the smaller child is counted: the
+    larger one's counts are the parent's minus those. Any other miss replays
+    the path from the root. In the learner's query order the live leaves
+    partition the rows, so the pool holds each row once, in 4 bytes.
 
     Entity i draws from the substream ("entity", i) of `rng`; with `rng`
     None, as on the single machine, whose strategies draw for it, none does.
@@ -261,6 +255,9 @@ class EntityPool:
         self.entities = [Entity(i, self, None if rng is None else rng.substream("entity", i))
                          for i in range(self.k)]
         self._leaves: dict = {}  # live leaf path -> _Leaf
+        none = np.arange(0, dtype=position_dtype(self.binned.n))
+        self._empty = _Leaf(none, self.binned.cumulative(none))  # every empty leaf's record
+        self._empty.counts.flags.writeable = False
         self._last = (None, None)  # the path object last asked about, and its leaf
 
     @classmethod
@@ -315,8 +312,7 @@ class EntityPool:
         left = self.binned.left_size(split, parent.counts)
         if left in (0, parent.rows.size):
             # The split separates no rows: the full child is the parent.
-            empty = _Leaf(parent.rows[:0], np.zeros_like(parent.counts))
-            children = [parent, empty] if left else [empty, parent]
+            children = [parent, self._empty] if left else [self._empty, parent]
         else:
             right = self.binned.goes_right(split, parent.rows)
             children = [_Leaf(np.compress(~right, parent.rows), None),
@@ -332,7 +328,7 @@ class EntityPool:
         return children[side]
 
     def _replay(self, path: tuple) -> "_Leaf":
-        rows = np.arange(self.binned.n)
+        rows = np.arange(self.binned.n, dtype=position_dtype(self.binned.n))
         for split, side in path:
             right = self.binned.goes_right(split, rows)
             rows = np.compress(right if side else ~right, rows)
@@ -360,7 +356,8 @@ class EntityPool:
 
 
 class _Leaf:
-    """One live leaf's record in an `EntityPool`."""
+    """One live leaf's record in an `EntityPool`. Its rows are an array of
+    their own, never a view that would keep an evicted parent's alive."""
 
     __slots__ = ("rows", "counts", "bounds", "gains")
 

@@ -446,6 +446,33 @@ class TestRunSingle:
             run_single(cfg, 0, 0, fraction_i, 0)
             assert 0 < sum(routed) <= test.n
 
+    def test_cycle_holds_each_training_row_once(self, tmp_path):
+        # Pool positions take 4 bytes, an empty leaf pins no evicted parent's
+        # positions, and the pool is freed before the test rows are routed,
+        # so a cycle's traced peak above the prepared data is about 20 B per
+        # training row here, and about 47 with 64-bit positions that empty
+        # leaves' views keep alive.
+        dataset, _, schema = synthetic_tree_dataset(50_000, RandomSource(3), depth=3, label_noise=0.05,
+                                                    thresholds=31)
+        csv_path, schema_path = tmp_path / "data.csv", tmp_path / "schema.json"
+        write_csv(dataset, schema, csv_path)
+        save_schema(schema, schema_path)
+        config = ExperimentConfig(str(schema_path), csv_path=str(csv_path), alphas=[8.0])
+        experiments._data_cache.clear()
+        try:
+            train, _ = prepare_data(config)
+            run_single(config, 0, 0, 0, 0)  # makes the count keys, which stay with the data
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run_single(config, 0, 0, 0, 1)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        finally:
+            experiments._data_cache.clear()
+        assert peak < 32 * train.n
+
 
 class TestSweep:
     def test_row_count_and_header(self, workspace):

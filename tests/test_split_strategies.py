@@ -827,6 +827,22 @@ class TestEntityRowCache:
             # One pool holds every holder's rows, each once.
             assert np.array_equal(pool_rows(strategy.pool), np.arange(ds.n))
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_live_leaves_hold_each_row_in_four_bytes(self, k):
+        # An empty child holds no view of its parent's positions, so no
+        # evicted record's array outlives it, and positions are 32-bit.
+        ds, splits = planted_dataset(RandomSource(3), n=3000), grid_splits()
+        if k == 1:
+            strategy = SingleMachineRNMSplitter(BinnedFeatures(ds, splits), Criterion.ENTROPY, RandomSource(3))
+        else:
+            strategy = LocalRNMSplitter(make_pool(ds, k, splits, seed=3))
+        dp_topdown(strategy, DPTopDownConfig(alpha=8.0, max_nodes=64))
+        records = strategy.pool._leaves.values()
+        assert any(leaf.rows.size == 0 for leaf in records)
+        bases = {id(base): base.nbytes for base in (leaf.rows if leaf.rows.base is None else leaf.rows.base
+                                                    for leaf in records)}
+        assert sum(bases.values()) <= 4 * ds.n
+
     @pytest.mark.parametrize("maker", [SingleMachineRNMSplitter, NoisyCountsSplitter, LocalRNMSplitter])
     def test_learner_run_caches_only_live_leaves(self, maker):
         ds, splits = planted_dataset(RandomSource(7), n=3000), grid_splits()

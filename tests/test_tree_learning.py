@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dptree.tree_learning import (
     LabeledDataset,
     SplitFunction,
     gain_from_counts,
+    position_dtype,
     split_count_tables,
     tree_error,
 )
@@ -453,6 +455,26 @@ class TestBinnedKernel:
         binned = BinnedFeatures(ds, splits)
         for split in splits:
             assert np.array_equal(binned.goes_right(split, rows), split.evaluate(ds.features, rows) == 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(binned_cases())
+    def test_32_bit_positions_gather_like_intp(self, case):
+        ds, splits, _, rows = case
+        binned = BinnedFeatures(ds, splits)
+        narrow = rows.astype(np.int32)
+        assert np.array_equal(binned.cumulative(narrow), binned.cumulative(rows))
+        for split in splits:
+            assert np.array_equal(binned.goes_right(split, narrow), binned.goes_right(split, rows))
+
+    def test_position_dtype_is_32_bit_below_2_31_rows(self):
+        # Only the row count is read: no positions are made.
+        tracemalloc.start()
+        try:
+            assert position_dtype(2**31 - 1) == np.int32
+            assert position_dtype(2**31) == np.intp
+            assert tracemalloc.get_traced_memory()[1] < 2**16
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16), (70000, np.uint32)])
     def test_smallest_count_dtype(self, n, dtype):
