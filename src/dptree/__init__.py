@@ -18,6 +18,7 @@ from .tree_learning import (
     DecisionTree,
     LabeledDataset,
     SplitFunction,
+    SplitPlan,
     tree_error,
 )
 from .dp_topdown import (

@@ -28,7 +28,7 @@ from typing import NoReturn
 import numpy as np
 
 from .dp_core import InvalidParameterError, RandomSource
-from .tree_learning import BinnedFeatures, LabeledDataset, SplitFunction
+from .tree_learning import BinnedFeatures, DecisionTree, LabeledDataset, SplitFunction, SplitPlan
 
 
 class DataError(ValueError):
@@ -117,6 +117,9 @@ class DataSchema:
         self.label_values = _declared_values(self.label_values, "label set")
         if len(self.label_values) < 2:
             raise InvalidParameterError("label set must declare at least two values")
+        if not self.features:
+            # Its splitting class would be empty: no tree could split.
+            raise InvalidParameterError("schema must declare at least one feature")
         names = [f.name for f in self.features] + [self.label_name]
         if len(set(names)) != len(names):
             raise InvalidParameterError("duplicate column names in schema")
@@ -307,12 +310,12 @@ def save_schema(schema: DataSchema, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def load_csv(path, schema: DataSchema, splits) -> BinnedFeatures:
-    """The rows of a file of `schema`, binned against the splitting class
-    `splits`: each block of `csv_blocks` is binned as it is read and the
+def load_csv(path, schema: DataSchema, plan: SplitPlan) -> BinnedFeatures:
+    """The rows of a file of `schema`, binned against a plan of its splitting
+    class: each block of `csv_blocks` is binned as it is read and the
     binnings are joined, so no float matrix or parsed table of all rows is
     ever held. Row order is kept; every failure is a DataError."""
-    blocks = [BinnedFeatures(block, splits) for block in csv_blocks(path, schema)]
+    blocks = [plan.bin(block) for block in csv_blocks(path, schema)]
     return BinnedFeatures.concatenated(blocks, np.concatenate([b.labels for b in blocks]), schema.n_classes)
 
 
@@ -622,12 +625,10 @@ def synthetic_schema(n_features: int = 3, thresholds: int = 7) -> DataSchema:
 _TRUTH_LEVELS = ((0.5,), (0.25, 0.75), (0.5, 0.25, 0.75, 0.5))
 
 
-def _truth_tree(depth: int) -> "object":
+def _truth_tree(depth: int) -> DecisionTree:
     """A fixed threshold tree over grid thresholds whose alternating leaf
     labels give every level positive split gain, so greedy learners can
     recover it."""
-    from .tree_learning import DecisionTree
-
     if depth not in (2, 3):
         raise InvalidParameterError(f"no built-in truth tree of depth {depth}")
     tree = DecisionTree()

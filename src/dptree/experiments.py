@@ -22,7 +22,7 @@ import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, closing
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from itertools import islice, product
 from pathlib import Path
 
@@ -56,7 +56,7 @@ from .split_strategies import (
     SingleMachineRNMSplitter,
     train_accuracy,
 )
-from .tree_learning import Criterion, tree_error
+from .tree_learning import Criterion, SplitPlan, tree_error
 
 ALGORITHMS = ("baseline", "single-rnm", "noisy-counts", "local-rnm")
 DEFAULT_ALPHAS = [2.0**e for e in range(-3, 10)]
@@ -206,22 +206,22 @@ _data_cache: dict = {}
 
 
 def prepare_data(config: ExperimentConfig):
-    """(train, test), cached for the latest config paths. Both are held
-    binned against the schema's splitting class (`BinnedFeatures`), which is
-    public and fixed before any data is read, so each run slices the codes
-    of its rows and no run bins again. `load_csv` bins a file block by
-    block as it reads it, and a single CSV is then split by slicing."""
+    """(train, test), cached for the latest config paths, binned against one
+    plan of the schema's splitting class (`SplitPlan`), which is public and
+    fixed before any data is read: each run slices the codes of its rows and
+    none bins or plans again. `load_csv` bins a file block by block as it
+    reads it, and a single CSV is then split by slicing."""
     key = (config.schema_path, config.train_path, config.test_path, config.csv_path,
            config.ratio, config.split_seed)
     if key not in _data_cache:
         _data_cache.clear()
         schema = load_schema(config.schema_path)
-        splits = build_splitting_class(schema)
+        plan = SplitPlan(build_splitting_class(schema))
         if config.csv_path is not None:
-            full = load_csv(config.csv_path, schema, splits)
+            full = load_csv(config.csv_path, schema, plan)
             data = train_test_split(full, config.ratio, RandomSource(config.split_seed, ("split",)))
         else:
-            data = tuple(load_csv(path, schema, splits) for path in (config.train_path, config.test_path))
+            data = tuple(load_csv(path, schema, plan) for path in (config.train_path, config.test_path))
         if not data[0].n:
             raise DataError("the training data has no rows")
         _data_cache[key] = data
@@ -319,6 +319,10 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
     and split, and a resumed file's rows checked, before `out_path` is
     opened, so a sweep refused for its config (InvalidParameterError), its
     data or its existing rows (DataError) leaves the file as it was.
+
+    A baseline run draws no noise, and at train fraction 1 it subsamples
+    nothing, so the first pending task of such a fraction learns the tree
+    of every alpha, lpf and run, and each row reports it under its task.
     """
     workers = worker_count()
     out_path = resolve_output_path(out_path)
@@ -362,8 +366,17 @@ def run_sweep(config: ExperimentConfig, out_path, resume: bool = False) -> Path:
         mapper = map
         if workers > 1:
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        shared = {i for i, fraction in enumerate(config.train_fractions)
+                  if fraction == 1.0 and config.algorithm == "baseline"}
+        firsts = {task[2]: task for task in reversed(pending)}  # fraction index -> its first pending task
+        learning = [task for task in pending if task[2] not in shared or task is firsts[task[2]]]
         # run_single's config, then its alpha, lpf, fraction and run indices.
-        for row in mapper(run_single, [config] * len(pending), *zip(*pending)):
+        rows, learned = mapper(run_single, [config] * len(learning), *zip(*learning)), {}
+        for task in pending:
+            if task[2] in shared and task is not firsts[task[2]]:
+                row = replace(learned[task[2]], **dict(zip(_TASK_COLUMNS, _task_key(config, *task))))
+            else:
+                row = learned[task[2]] = next(rows)
             fh.write(row.to_csv() + "\n")
             fh.flush()
     return out_path

@@ -19,7 +19,8 @@ A message is a `Query` to one entity through `LocalTransport.send`, and its
 An `EntityPool` owns the holders' rows and one record per live leaf: its rows'
 32-bit positions in the pool and their cumulative counts, whose k K label
 columns count each holder's rows apart, so a leaf is cut, counted and scored
-once for all k holders. Each `Entity` is the pool's view of one holder: it
+once for all k holders; a candidate set is an array of indices into their
+binnings' one `SplitPlan`. Each `Entity` is the pool's view of one holder: it
 reads only its own rows and label columns of a record, draws noise from its
 own stream and charges its own ledger scope. Counts are exact integers, so
 every answer, draw and charge is what a stateless replay of the holder's shard
@@ -53,6 +54,7 @@ from .tree_learning import (
     Criterion,
     DecisionTree,
     Node,
+    SplitPlan,
     gain_from_counts,
     position_dtype,
     split_count_tables,
@@ -104,7 +106,7 @@ class Query:
     budget: Fraction
     depth: int | None
     leaf_id: int | None
-    splits: tuple | None = None  # the candidates of a "joint_histogram" query
+    candidates: np.ndarray | None = None  # plan indices, for a "joint_histogram" query
     # Worked out once per query (`EntityPool.ask_all`): the Laplace scale of
     # each noised count (None for RNM, whose scale depends on the holder's
     # leaf size) and the budget of each charge an entity records.
@@ -145,7 +147,7 @@ class Entity:
     def label_counts(self, counts) -> np.ndarray:
         """Exact label counts of a leaf whose cumulative counts are `counts`:
         the row that counts every label."""
-        return counts[self.pool.binned.total_row].astype(float)
+        return counts[self.pool.plan.total_row].astype(float)
 
     def gains(self, path) -> np.ndarray:
         """Exact gains of the full splitting class on this holder's rows of
@@ -180,7 +182,7 @@ class Entity:
             return Response({"counts": noisy})
 
         if query.kind == "joint_histogram":
-            tables = split_count_tables(self.pool.binned, rows, query.splits, counts)
+            tables = split_count_tables(self.pool.binned, rows, query.candidates, counts)
             noisy = tables + sample_laplace(query.scale, self.rng, size=tables.shape)
             ledger.charge(self._scope("split", query), query.charge)
             return Response({"cells": noisy})
@@ -190,7 +192,7 @@ class Entity:
                 # Too few rows for the sensitivity bound; answer with a
                 # uniformly random candidate. The branch itself is
                 # data-dependent, so the budget is charged regardless.
-                hid = int(self.rng.integers(0, len(self.pool.splits)))
+                hid = int(self.rng.integers(0, len(self.pool.plan.splits)))
                 ledger.charge(self._scope("split", query), query.charge)
                 return Response({"hid": hid, "fallback": True})
             # Only the winning index is published, the noisy score is dropped.
@@ -216,20 +218,21 @@ class EntityPool:
     """The k data holders of a run, the only owner of their rows, and the
     transport that asks them.
 
-    The binned shards lie end to end in one binning in which holder i's
-    label y is i K + y, so one count of any rows, shape (rows of the stack,
-    k K), holds holder i's counts as the view `reshape(-1, k, K)[:, i]`. One
-    record per live leaf, keyed by its path, holds the leaf's rows (pool
-    positions of `position_dtype`, in holder order), their counts and, once
-    asked for, each holder's bounds in the rows and every holder's gains. A
-    split's children are cut from their evicted parent's record. If its
-    counts say the split sends none or all of its rows left, the full child
-    is that record and the empty child the pool's one read-only empty record,
-    which holds nothing of the parent. Otherwise one code comparison and
-    `np.compress` split the rows, and only the smaller child is counted: the
-    larger one's counts are the parent's minus those. Any other miss replays
-    the path from the root. In the learner's query order the live leaves
-    partition the rows, so the pool holds each row once, in 4 bytes.
+    The binned shards share one plan, checked by identity, and lie end to
+    end in one binning in which holder i's label y is i K + y, so one count
+    of any rows, shape (rows of the stack, k K), holds holder i's counts as
+    the view `reshape(-1, k, K)[:, i]`. One record per live leaf, keyed by
+    its path, holds the leaf's rows (pool positions of `position_dtype`, in
+    holder order), their counts and, once asked for, each holder's bounds in
+    the rows and every holder's gains. A split's children are cut from their
+    evicted parent's record. If its counts say the split sends none or all
+    of its rows left, the full child is that record and the empty child the
+    pool's one read-only empty record, which holds nothing of the parent.
+    Otherwise one code comparison and `np.compress` split the rows, and only
+    the smaller child is counted: the larger one's counts are the parent's
+    minus those. Any other miss replays the path from the root. In the
+    learner's query order the live leaves partition the rows, so the pool
+    holds each row once, in 4 bytes.
 
     Entity i draws from the substream ("entity", i) of `rng`; with `rng`
     None, as on the single machine, whose strategies draw for it, none does.
@@ -239,10 +242,10 @@ class EntityPool:
         if not shards:
             raise InvalidParameterError("need at least one shard")
         first = shards[0]
-        if any(shard.splits != first.splits or shard.n_classes != first.n_classes for shard in shards):
-            raise InvalidParameterError("the shards of one pool must share the splitting class and labels")
-        # Entities answer split ids into this class.
-        self.splits, self.criterion = first.splits, criterion
+        if any(shard.plan is not first.plan or shard.n_classes != first.n_classes for shard in shards):
+            raise InvalidParameterError("the shards of one pool must share the split plan and labels")
+        # Entities answer split ids into this plan's class.
+        self.plan, self.criterion = first.plan, criterion
         self.k, self.n_classes = len(shards), first.n_classes
         if self.k == 1:
             self.binned = first
@@ -262,18 +265,19 @@ class EntityPool:
 
     @classmethod
     def from_shards(cls, shards, rng: RandomSource, splits, criterion: Criterion) -> "EntityPool":
-        """The pool of `LabeledDataset` shards, each binned here against the
-        splitting class `splits`."""
-        return cls([BinnedFeatures(shard, splits) for shard in shards], rng, criterion)
+        """The pool of `LabeledDataset` shards, each binned here against one
+        plan of the splitting class `splits`."""
+        plan = SplitPlan(splits)
+        return cls([plan.bin(shard) for shard in shards], rng, criterion)
 
     def ask_all(self, ledger: PrivacyLedger, kind: str, path, budget, depth, leaf_id,
                 splits=None) -> list[Response]:
         path = tuple(path)
         if not isinstance(budget, Fraction):
             budget = Fraction(budget)
-        # One tuple of candidates per query, which the pool's binning plans
-        # once for every entity (`BinnedFeatures.plan`).
-        query = Query(kind, path, budget, depth, leaf_id, None if splits is None else tuple(splits),
+        # The candidates, plan indices or splits of the class, become one
+        # index array per query, which every entity reads.
+        query = Query(kind, path, budget, depth, leaf_id, None if splits is None else self.plan.index_of(splits),
                       charge=budget)
         if kind == "leaf_count":
             # Count sensitivity 1 at budget alpha_leaf/2 -> Lap(2/alpha_leaf).
@@ -288,7 +292,7 @@ class EntityPool:
             # Per-cell Lap(3|H'|/alpha): cells of one histogram partition the
             # shard (parallel), histograms compose sequentially, so the |H'|
             # histograms cost alpha/3 in total.
-            query.scale, query.charge = noisy_counts_cell_scale(len(query.splits), budget), budget / 3
+            query.scale, query.charge = noisy_counts_cell_scale(len(query.candidates), budget), budget / 3
         return [self.transport.send(entity, query, ledger) for entity in self.entities]
 
     def leaf(self, path: tuple) -> "_Leaf":
@@ -309,7 +313,8 @@ class EntityPool:
     def _cut(self, path: tuple, parent: "_Leaf") -> "_Leaf":
         """The leaf at `path`, cut with its sibling from their evicted parent."""
         split, side = path[-1]
-        left = self.binned.left_size(split, parent.counts)
+        # Rows on side 0: the sum of the split's left stack row.
+        left = int(parent.counts[self.plan.stack_rows[self.plan.index(split), 0]].sum())
         if left in (0, parent.rows.size):
             # The split separates no rows: the full child is the parent.
             children = [parent, self._empty] if left else [self._empty, parent]
@@ -340,7 +345,7 @@ class EntityPool:
         and the end: prefix sums of the holders' row counts, read off the
         stack row that counts every label."""
         if leaf.bounds is None:
-            sizes = leaf.counts[self.binned.total_row].reshape(self.k, self.n_classes).sum(axis=1)
+            sizes = leaf.counts[self.plan.total_row].reshape(self.k, self.n_classes).sum(axis=1)
             leaf.bounds = [0] + np.cumsum(sizes).tolist()
         return leaf.bounds
 
@@ -349,8 +354,8 @@ class EntityPool:
         the leaf, shape (k, |H|), from one gather of every holder's tables
         and one `gain_from_counts` call, worked out once per leaf."""
         if leaf.gains is None:
-            tables = split_count_tables(self.binned, leaf.rows, self.splits, leaf.counts)
-            tables = tables.reshape(len(self.splits), self.k, self.n_classes, 2).transpose(1, 0, 2, 3)
+            tables = split_count_tables(self.binned, leaf.rows, self.plan.indices, leaf.counts)
+            tables = tables.reshape(len(self.plan.indices), self.k, self.n_classes, 2).transpose(1, 0, 2, 3)
             leaf.gains = gain_from_counts(tables, self.criterion)
         return leaf.gains
 
@@ -378,10 +383,12 @@ def noisy_counts_split(pool: EntityPool, leaf: Node, alpha, candidates, ledger: 
     sums them, sanitizes, and picks the split with the largest estimated gain.
 
     Charges at most alpha per entity (alpha/3 under the joint-histogram-only
-    accounting). Ties break to the lowest candidate index.
+    accounting). The candidates are plan indices, or splits of the class;
+    ties break to the first.
     """
     if alpha <= 0:
         raise InvalidParameterError(f"alpha must be positive, got {alpha}")
+    candidates = pool.plan.index_of(candidates)
     if len(candidates) == 0:
         raise InvalidParameterError("candidate split set must be nonempty")
     responses = pool.ask_all(ledger, "joint_histogram", leaf.path, alpha, leaf.budget_depth,
@@ -390,7 +397,7 @@ def noisy_counts_split(pool: EntityPool, leaf: Node, alpha, candidates, ledger: 
     sanitized = np.clip(aggregated, 0.0, None)
     gains = gain_from_counts(sanitized, pool.criterion)
     index = int(np.argmax(gains))
-    return candidates[index], float(gains[index])
+    return pool.plan.splits[candidates[index]], float(gains[index])
 
 
 def local_rnm_split(pool: EntityPool, leaf: Node, alpha, ledger: PrivacyLedger):
@@ -408,7 +415,7 @@ def local_rnm_split(pool: EntityPool, leaf: Node, alpha, ledger: PrivacyLedger):
     half = Fraction(alpha) / 2
     responses = pool.ask_all(ledger, "local_best_split", leaf.path, half, leaf.budget_depth,
                              leaf.node_id)
-    candidates = [pool.splits[resp.payload["hid"]] for resp in responses]
+    candidates = np.array([resp.payload["hid"] for resp in responses], dtype=np.intp)
     return noisy_counts_split(pool, leaf, half, candidates, ledger)
 
 
@@ -430,15 +437,13 @@ class ExactStrategy:
     """
 
     def __init__(self, binned: BinnedFeatures, criterion: Criterion):
-        if len(binned.splits) == 0:
-            raise InvalidParameterError("splitting class must be nonempty")
         self.pool = EntityPool([binned], None, criterion)
         self.entity = self.pool.entities[0]
 
     def split(self, leaf: Node, alpha, ledger: PrivacyLedger):
         gains = self.entity.gains(leaf.path)
         best = int(np.argmax(gains))
-        return self.pool.splits[best], float(gains[best])
+        return self.pool.plan.splits[best], float(gains[best])
 
     def weight(self, leaf: Node, budget, ledger: PrivacyLedger) -> float:
         rows, _ = self.entity.leaf_rows(leaf.path)
@@ -475,7 +480,7 @@ class SingleMachineRNMSplitter:
         rows, _ = self.entity.leaf_rows(leaf.path)
         index, noisy_gain = self.entity.rnm_split(leaf.path, rows.size, alpha, self._split_rng)
         ledger.charge(Scope(GLOBAL_SCOPE, "split", depth=leaf.budget_depth, leaf=leaf.node_id), alpha)
-        return self.pool.splits[index], noisy_gain
+        return self.pool.plan.splits[index], noisy_gain
 
     def weight(self, leaf: Node, budget, ledger: PrivacyLedger) -> float:
         scope = Scope(GLOBAL_SCOPE, "weight", depth=leaf.budget_depth, leaf=leaf.node_id)
@@ -516,7 +521,7 @@ class DistributedStrategy:
 
 class NoisyCountsSplitter(DistributedStrategy):
     def split(self, leaf: Node, alpha, ledger: PrivacyLedger):
-        return noisy_counts_split(self.pool, leaf, alpha, self.pool.splits, ledger)
+        return noisy_counts_split(self.pool, leaf, alpha, self.pool.plan.indices, ledger)
 
 
 class LocalRNMSplitter(DistributedStrategy):
@@ -531,7 +536,7 @@ def train_accuracy(tree: DecisionTree, pool: EntityPool) -> float:
     carry the leaf's label, in the column of that label for every holder.
     It equals `1 - tree_error(tree, train)` bit for bit, `train` being the
     union of the holders' rows."""
-    n, total, n_classes = pool.binned.n, pool.binned.total_row, pool.n_classes
+    n, total, n_classes = pool.binned.n, pool.plan.total_row, pool.n_classes
     correct = sum(
         int(pool.leaf(leaf.path).counts[total, leaf.label::n_classes].sum()) for leaf in tree.leaves()
     )

@@ -1,16 +1,15 @@
-"""Decision tree core shared by every learner: the split gain of whole
-stacks of count tables under the splitting criteria (`gain_from_counts`,
-label-major), datasets binned once against the splitting class with the
-count-table kernel over them (`BinnedFeatures` and `split_count_tables`),
-and the tree itself with its construction, routing
-of float or binned rows, `to_dict` record and error on binned rows
-(`tree_error`). The learner is `dp_topdown`; the non-private baseline is
-that learner run with exact answers (`split_strategies.ExactStrategy`).
+"""Decision tree core shared by every learner: the split gain of whole stacks of
+count tables under the splitting criteria (`gain_from_counts`, label-major),
+the splitting class planned once (`SplitPlan`), datasets binned against that
+plan with the count-table kernel over them (`BinnedFeatures` and
+`split_count_tables`), and the tree itself with its construction, routing of
+float or binned rows, `to_dict` record and error on binned rows
+(`tree_error`). The learner is `dp_topdown`; the non-private baseline is that
+learner run with exact answers (`split_strategies.ExactStrategy`).
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -192,9 +191,6 @@ class SplitFunction:
         """Side (0 or 1) for each row."""
         return (self.column(X, rows) > self.threshold).astype(np.int8)
 
-    def column_key(self):
-        return ("f", self.feature) if self.feature is not None else ("b", self.block)
-
 
 # ---------------------------------------------------------------------------
 # Vectorized per-leaf split scoring
@@ -206,67 +202,96 @@ def position_dtype(n: int) -> np.dtype:
     return np.dtype(np.int32 if n < 2**31 else np.intp)
 
 
-class BinnedFeatures:
-    """A dataset's rows as bin codes: every distinct split column cut once
-    against the sorted distinct thresholds that the splitting class tests on
-    it, and every split of the class planned once as a row of one stacked
-    count array. Labels and the row count come with the codes, so this is
-    all a learner or an evaluation reads of its rows.
+class SplitPlan:
+    """How each split of a splitting class H maps to bins and to rows of one
+    stacked count array, worked out once from H, which is public and fixed
+    before any data is read; every binning against H shares it.
 
-    A value x in a column with sorted thresholds t_0 < ... < t_{T-1} gets the
-    code j = #{t_i < x}, so x <= t_j exactly when code <= j: the left side of
-    the j-th threshold is bins 0..j. Thresholds are public and fixed before
-    any data is read, so a dataset is binned once, when it is prepared, and
-    `subset(rows)` slices out the binning of some of its rows with no
-    search. Codes use the smallest unsigned dtype that holds T.
+    The splits on one column (a feature, or a block's mean) cut it at its
+    grid, their sorted distinct thresholds t_0 < ... < t_{T-1}. A value x
+    gets the code j = #{t_i < x}, so x <= t_j exactly when code <= j. Each
+    column, in the order of first appearance in H, owns a block of T + 1
+    stack rows: row j counts the labels of codes 0..j, the last row all.
+    Split h, its index in H, reads column `column_of[h]` at grid position
+    `position_of[h]`, and `stack_rows[h]` is its (left row, total row). A
+    candidate set is an array of indices. An empty class, or a threshold
+    that is not finite, is refused when the plan is made.
+    """
+
+    def __init__(self, splits):
+        self.splits = tuple(splits)
+        if not self.splits:
+            raise InvalidParameterError("splitting class must be nonempty")
+        by_column: dict = {}
+        for h, split in enumerate(self.splits):
+            by_column.setdefault((split.feature, split.block), []).append(h)
+        self.column_of, self.position_of = np.empty((2, len(self.splits)), dtype=np.intp)
+        self.grids, self.blocks, self._readers = [], [], []  # per column
+        size = 0
+        for column, (key, members) in enumerate(by_column.items()):
+            thresholds = [self.splits[h].threshold for h in members]
+            grid = np.unique(thresholds)
+            if not np.isfinite(grid).all():
+                raise InvalidParameterError(f"split thresholds on column {key} must be finite")
+            self.column_of[members] = column
+            self.position_of[members] = np.searchsorted(grid, thresholds)
+            self.grids.append(grid)
+            self.blocks.append((size, size + grid.size + 1))
+            self._readers.append(self.splits[members[0]])
+            size += grid.size + 1
+        self.size = size
+        starts, stops = np.array(self.blocks).T
+        self.stack_rows = np.stack([starts[self.column_of] + self.position_of, stops[self.column_of] - 1], axis=1)
+        # The stack row that counts every label: the last of the first block.
+        self.total_row = self.blocks[0][1] - 1
+        self.indices = np.arange(len(self.splits))  # the whole class as candidates
+        self._index = {split: h for h, split in enumerate(self.splits)}
+
+    def index(self, split) -> int:
+        """The index of a split of the class; any other split raises
+        InvalidParameterError rather than be counted in the wrong bins."""
+        try:
+            return self._index[split]
+        except KeyError:
+            raise InvalidParameterError(f"split {split} is not in the splitting class") from None
+
+    def index_of(self, splits) -> np.ndarray:
+        """The indices of splits of the class; an index array is returned as
+        it is."""
+        if isinstance(splits, np.ndarray):
+            return splits
+        return np.array([self.index(split) for split in splits], dtype=np.intp)
+
+    def bin(self, dataset: LabeledDataset) -> "BinnedFeatures":
+        """The rows of a dataset as codes against this plan: each column cut
+        once at its grid, in the smallest unsigned dtype that holds it."""
+        codes = [np.searchsorted(grid, reader.column(dataset.features), side="left")
+                 .astype(np.min_scalar_type(grid.size)) for grid, reader in zip(self.grids, self._readers)]
+        labels = dataset.labels.astype(np.min_scalar_type(dataset.n_classes - 1))
+        return BinnedFeatures(self, labels, codes, dataset.n_classes)
+
+
+class BinnedFeatures:
+    """Rows as bin codes against a `SplitPlan`, one code array per column of
+    the plan, with their labels, indices into `n_classes` labels: all that a
+    learner or an evaluation reads of its rows. `subset(rows)` slices out
+    some rows with no search, and `concatenated` joins binnings of one plan,
+    as a pool of data holders (`split_strategies.EntityPool`) joins its
+    shards under new labels to tell its holders apart.
 
     `cumulative(rows)` stacks each column's cumulative label counts over the
-    given rows into one array of shape (sum over columns of (T + 1), K): row j
-    of a column's block counts the labels of codes 0..j, and its last row all
-    of them, which the plan records as each split's left and total rows.
-    Counts are exact integers in the smallest unsigned dtype that holds the
-    row count. Each column is counted with one bincount of its keys (code *
-    K + label), which are made when the binning is first counted.
+    given rows in the plan's layout, shape (`plan.size`, K), as exact
+    integers in the smallest unsigned dtype that holds the row count: one
+    bincount per column of its keys (code * K + label), made when the
+    binning is first counted.
 
     `goes_right` and `cumulative` gather with `take` at `position_dtype` row
     positions: `take` casts int32 ones to intp in one copy, in about half the
-    time of indexing's buffered cast. `concatenated` lays binnings of one
-    class end to end under new labels, which is how a pool of data holders
-    (`split_strategies.EntityPool`) tells its holders apart.
+    time of indexing's buffered cast.
     """
 
-    def __init__(self, dataset: LabeledDataset, splits):
-        k = self.n_classes = dataset.n_classes
-        labels = dataset.labels.astype(np.min_scalar_type(k - 1))
-        by_column: dict = {}
-        for split in splits:
-            by_column.setdefault(split.column_key(), []).append(split)
-        codes = []  # per column, in the order of first appearance in `splits`
-        self._blocks = []  # (first stacked row, end row) per column
-        self._plan: dict = {}  # split -> (column, grid position, left row, total row)
-        size = 0
-        for key, group in by_column.items():
-            grid = np.unique([split.threshold for split in group])
-            if not np.isfinite(grid).all():
-                raise InvalidParameterError(f"split thresholds on column {key} must be finite")
-            column = np.searchsorted(grid, group[0].column(dataset.features), side="left")
-            codes.append(column.astype(np.min_scalar_type(grid.size)))
-            self._blocks.append((size, size + grid.size + 1))
-            positions = np.searchsorted(grid, [split.threshold for split in group]).tolist()
-            for split, pos in zip(group, positions):
-                self._plan[split] = (len(codes) - 1, pos, size + pos, size + grid.size)
-            size += grid.size + 1
-        self._size = size
-        self.splits = tuple(splits)
-        self._class_rows = self._lookup(self.splits)
-        # The last candidate tuple looked up and its rows (`plan`), one list
-        # that every slice of this binning shares.
-        self._memo = [(), self._lookup(())]
-        self._set_rows(labels, codes)
-
-    def _set_rows(self, labels: np.ndarray, codes: list) -> None:
-        self.labels = labels
-        self.codes = codes
+    def __init__(self, plan: SplitPlan, labels: np.ndarray, codes: list, n_classes: int):
+        self.plan, self.labels, self.codes, self.n_classes = plan, labels, codes, n_classes
         self.count_dtype = np.min_scalar_type(labels.size)
         self._keys = None
 
@@ -276,20 +301,16 @@ class BinnedFeatures:
 
     def subset(self, rows) -> "BinnedFeatures":
         """The binning of the given rows, equal to binning those rows of the
-        dataset afresh against the same class. A slice gives views of this
+        dataset afresh against the same plan. A slice gives views of this
         binning's codes and labels, not copies."""
-        out = copy.copy(self)
-        out._set_rows(self.labels[rows], [column[rows] for column in self.codes])
-        return out
+        return BinnedFeatures(self.plan, self.labels[rows], [column[rows] for column in self.codes], self.n_classes)
 
     @staticmethod
     def concatenated(shards, labels: np.ndarray, n_classes: int) -> "BinnedFeatures":
-        """The rows of binnings of one class, shard after shard, as one
+        """The rows of binnings of one plan, shard after shard, as one
         binning whose labels are `labels`, indices into `n_classes` labels."""
-        out = copy.copy(shards[0])
-        out.n_classes = n_classes
-        out._set_rows(labels, [np.concatenate(columns) for columns in zip(*(shard.codes for shard in shards))])
-        return out
+        codes = [np.concatenate(columns) for columns in zip(*(shard.codes for shard in shards))]
+        return BinnedFeatures(shards[0].plan, labels, codes, n_classes)
 
     def _count_keys(self) -> list:
         """Per column, the key (code, label) of every row that one bincount
@@ -297,82 +318,40 @@ class BinnedFeatures:
         if self._keys is None:
             k = self.n_classes
             self._keys = []
-            for column, (start, stop) in zip(self.codes, self._blocks):
+            for column, (start, stop) in zip(self.codes, self.plan.blocks):
                 keys = column.astype(np.min_scalar_type((stop - start) * k - 1))
                 keys *= k
                 keys += self.labels
                 self._keys.append(keys)
         return self._keys
 
-    @property
-    def total_row(self) -> int:
-        """Row of the stacked cumulative counts that counts every label of
-        the counted rows: the last row of the first column's block."""
-        if not self._blocks:
-            raise InvalidParameterError("an empty splitting class stacks no counts")
-        return self._blocks[0][1] - 1
-
-    def plan(self, splits) -> np.ndarray:
-        """(left row, total row) in the stacked counts for each split, shape
-        (len(splits), 2). A split outside the binned class raises
-        InvalidParameterError rather than being counted against the wrong
-        bins.
-
-        The class itself, a tuple, is answered by identity without lookups.
-        So is the tuple last looked up: a tuple cannot change, so k holders
-        asked about one query's candidates resolve them once."""
-        memo = self._memo
-        if splits is memo[0]:
-            return memo[1]
-        if splits is self.splits:
-            return self._class_rows
-        rows = self._lookup(splits)
-        if isinstance(splits, tuple):
-            memo[:] = splits, rows
-        return rows
-
-    def _lookup(self, splits) -> np.ndarray:
-        return np.array([self._planned(split)[2:] for split in splits], dtype=np.intp).reshape(-1, 2)
-
-    def _planned(self, split) -> tuple:
-        try:
-            return self._plan[split]
-        except KeyError:
-            raise InvalidParameterError(f"split {split} is not in the binned class") from None
-
     def cumulative(self, rows) -> np.ndarray:
         """Stacked cumulative label counts of the given rows, shape (rows of
         the stack, K): one bincount over (code, label) keys and one
         cumulative sum per column."""
         k = self.n_classes
-        cum = np.empty((self._size, k), dtype=self.count_dtype)
-        for (start, stop), keys in zip(self._blocks, self._count_keys()):
+        cum = np.empty((self.plan.size, k), dtype=self.count_dtype)
+        for (start, stop), keys in zip(self.plan.blocks, self._count_keys()):
             counts = np.bincount(keys.take(rows), minlength=(stop - start) * k)
             cum[start:stop] = np.cumsum(counts.reshape(stop - start, k), axis=0)
         return cum
-
-    def left_size(self, split, counts) -> int:
-        """Rows on side 0 of a split of the class among the rows whose
-        cumulative counts are `counts`: the sum of the split's left row."""
-        return int(counts[self._planned(split)[2]].sum())
 
     def goes_right(self, split, rows) -> np.ndarray:
         """Mask of the rows on side 1 of a split of the class: code > j is
         value > t_j, so this equals `split.evaluate(X, rows) == 1` on the
         float rows that were binned."""
-        column, pos, _, _ = self._planned(split)
-        return self.codes[column].take(rows) > pos
+        h = self.plan.index(split)
+        # A Python int compares in the codes' own dtype.
+        return self.codes[self.plan.column_of[h]].take(rows) > int(self.plan.position_of[h])
 
 
-def split_count_tables(binned: BinnedFeatures, rows, splits, cumulative=None) -> np.ndarray:
-    """Joint count tables, shape (len(splits), K, 2), over the given rows of
-    a binned dataset: one gather of each split's planned rows from
-    `cumulative`, counts of the stack's layout with K label columns, such as
-    `binned.cumulative(rows)` or a pool's view of one holder's counts.
-    Without it the rows are counted here, in O(len(rows) + T K) per column.
-    A split that is not in the binned class raises InvalidParameterError.
-    """
-    at = binned.plan(splits)
+def split_count_tables(binned: BinnedFeatures, rows, candidates, cumulative=None) -> np.ndarray:
+    """Joint count tables, shape (len(candidates), K, 2), over the given
+    rows of a binned dataset: one gather of the stack rows of each candidate
+    (plan indices, or splits of the class) from `cumulative`, counts in the
+    plan's layout such as `binned.cumulative(rows)` or a pool's view of one
+    holder's counts. Without it the rows are counted here."""
+    at = binned.plan.stack_rows[binned.plan.index_of(candidates)]
     cum = binned.cumulative(rows) if cumulative is None else cumulative
     left = cum[at[:, 0]]
     tables = np.empty(left.shape + (2,))

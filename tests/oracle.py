@@ -37,11 +37,11 @@ from hypothesis import strategies as st
 from dptree.data_io import ContinuousFeature, DataError, _csv_rows
 from dptree.dp_core import InvalidParameterError
 from dptree.tree_learning import (
-    BinnedFeatures,
     Criterion,
     DecisionTree,
     LabeledDataset,
     Node,
+    SplitPlan,
     gain_from_counts as package_gain,
     split_count_tables,
 )
@@ -145,7 +145,7 @@ def topdown_nonprivate(
     exact majority labels.
     """
     X = dataset.features
-    binned = BinnedFeatures(dataset, splits)
+    binned = SplitPlan(splits).bin(dataset)
     tree = DecisionTree()
     members = {tree.root.node_id: np.arange(dataset.n)}
     heap = []  # (-priority, push order, leaf, split)

@@ -2,8 +2,10 @@ import csv
 import functools
 import importlib
 import inspect
+import itertools
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -47,7 +49,7 @@ from dptree.experiments import (
     summarize,
 )
 from dptree.theory import boosting_recurrence
-from dptree.tree_learning import BinnedFeatures, DecisionTree, tree_error
+from dptree.tree_learning import DecisionTree, SplitPlan, tree_error
 from oracle import load_csv_rows, mutate_csv
 
 # Finite JSON numbers, subnormals and the edge of the float range included.
@@ -379,15 +381,18 @@ class TestRunSingle:
     @pytest.mark.parametrize("algorithm", experiments.ALGORITHMS)
     def test_cycles_do_not_bin_again(self, workspace, monkeypatch, algorithm):
         # The splitting class is fixed before any data is read, so the data
-        # is binned once, when prepared, and a cycle only slices its codes.
+        # is planned and binned once, when prepared, and a cycle only slices
+        # its codes.
         _, config, _ = workspace
         cfg = config_from_dict({**config, "algorithm": algorithm, "train_fractions": [1.0, 0.5]})
         experiments._data_cache.clear()
         prepare_data(cfg)
         calls = []
-        binning = BinnedFeatures.__init__
+        planning, binning = SplitPlan.__init__, SplitPlan.bin
         searchsorted = np.searchsorted
-        monkeypatch.setattr(BinnedFeatures, "__init__",
+        monkeypatch.setattr(SplitPlan, "__init__",
+                            lambda *args, **kwargs: calls.append("plan") or planning(*args, **kwargs))
+        monkeypatch.setattr(SplitPlan, "bin",
                             lambda *args, **kwargs: calls.append("bin") or binning(*args, **kwargs))
         monkeypatch.setattr(np, "searchsorted",
                             lambda *args, **kwargs: calls.append("search") or searchsorted(*args, **kwargs))
@@ -396,6 +401,32 @@ class TestRunSingle:
                 row = run_single(cfg, 0, 0, fraction_i, run_i)
                 assert row.train_fraction == cfg.train_fractions[fraction_i]
         assert calls == []
+
+    @pytest.mark.parametrize("files", ["csv", "train-test"])
+    @pytest.mark.parametrize("algorithm", experiments.ALGORITHMS)
+    def test_one_plan_per_prepared_dataset(self, workspace, monkeypatch, algorithm, files):
+        # A cold set-up plans the splitting class once, and every binning of
+        # its data shares that plan: the train and test binnings, a cycle's
+        # subsample, its shards and its pool's binning.
+        _, config, _ = workspace
+        data = config["data"] if files == "csv" else {"train": config["data"]["csv"], "test": config["data"]["csv"]}
+        cfg = config_from_dict({**config, "data": data, "algorithm": algorithm, "train_fractions": [0.5]})
+        made, strategies, shards = [], [], []
+        planning = SplitPlan.__init__
+        monkeypatch.setattr(SplitPlan, "__init__", lambda plan, splits: made.append(plan) or planning(plan, splits))
+        monkeypatch.setattr(experiments, "dp_topdown",
+                            lambda strategy, dp_config: strategies.append(strategy) or dp_topdown(strategy, dp_config))
+        monkeypatch.setattr(experiments, "partition",
+                            lambda train, k, rng: shards.extend([train, *partition(train, k, rng)]) or shards[1:])
+        experiments._data_cache.clear()
+        train, test = prepare_data(cfg)
+        assert len(made) == 1
+        row = run_single(cfg, 0, 0, 0, 0)
+        pool = strategies[0].pool
+        binnings = [train, test, pool.binned] + shards
+        assert len(made) == 1 and all(binned.plan is made[0] for binned in binnings)
+        assert len(shards) == (1 + cfg.entities if algorithm in ("noisy-counts", "local-rnm") else 0)
+        assert pool.binned.n == int(train.n * row.train_fraction)
 
     @pytest.mark.parametrize("noise", [True, False], ids=["noise", "zero-noise"])
     @pytest.mark.parametrize("algorithm", experiments.ALGORITHMS)
@@ -657,6 +688,54 @@ class TestSweep:
         assert outputs[False] != outputs[True]
         runs = [line.split(",") for line in outputs[True][1:]]
         assert len({(r[1], r[6], r[7], r[8], r[9]) for r in runs}) == len(config["alphas"])
+
+    def test_baseline_learns_once_per_whole_train_fraction(self, workspace, monkeypatch):
+        # The baseline draws nothing, so at train fraction 1 every alpha, lpf
+        # and run learns one tree: the sweep learns it once, and its rows are
+        # those of a run per task but for wall_ms, serially, with two
+        # workers and after a resume.
+        tmp_path, config, _ = workspace
+        cfg = config_from_dict({**config, "algorithm": "baseline", "alphas": [1.0, 8.0], "lpfs": [0.25, 0.5],
+                                "runs": 3, "train_fractions": [1.0, 0.5]})
+        tasks = list(itertools.product(range(2), range(2), range(2), range(3)))
+        expected = [CSV_HEADER] + [run_single(cfg, *task).to_csv() for task in tasks]
+        learned = []
+        monkeypatch.setattr(experiments, "dp_topdown",
+                            lambda *args: learned.append(args) or dp_topdown(*args))
+        serial = run_sweep(cfg, tmp_path / "serial.csv").read_text()
+        assert len(learned) == 1 + 2 * 2 * 3
+        assert strip_wall(serial) == strip_wall("\n".join(expected))
+        monkeypatch.setenv("DPTREE_WORKERS", "2")
+        assert strip_wall(run_sweep(cfg, tmp_path / "parallel.csv").read_text()) == strip_wall(serial)
+        monkeypatch.setenv("DPTREE_WORKERS", "1")
+        # Cut after the first fraction-1 rows, so the resumed sweep's first
+        # fraction-1 task is not the grid's first.
+        partial = tmp_path / "partial.csv"
+        partial.write_text("\n".join(serial.splitlines()[:5]) + "\n")
+        learned.clear()
+        assert strip_wall(run_sweep(cfg, partial, resume=True).read_text()) == strip_wall(serial)
+        assert len(learned) == 1 + 2 * 2 * 3 - 1  # one fraction-0.5 row was on disk
+
+
+class TestPaperClaims:
+    def test_private_trees_converge_to_the_baseline_as_alpha_grows(self, tmp_path):
+        # The private learners' mean test accuracy at a large alpha is within
+        # 0.01 of the greedy baseline's. Data, alpha, seeds, runs and margin
+        # were fixed before the result was seen.
+        dataset, _, schema = synthetic_tree_dataset(20_000, RandomSource(97), depth=3, label_noise=0.05,
+                                                    thresholds=31)
+        write_csv(dataset, schema, tmp_path / "data.csv")
+        save_schema(schema, tmp_path / "schema.json")
+        mean_acc = {}
+        for algorithm in experiments.ALGORITHMS:
+            config = ExperimentConfig(str(tmp_path / "schema.json"), csv_path=str(tmp_path / "data.csv"),
+                                      ratio=(9, 1), split_seed=0, algorithm=algorithm, alphas=[512.0], lpfs=[0.5],
+                                      entities=4, max_nodes=16, criterion="entropy", schedule="decay", runs=5,
+                                      seed=7)
+            mean_acc[algorithm] = np.mean([run_single(config, 0, 0, 0, run).test_acc for run in range(5)])
+        experiments._data_cache.clear()
+        for algorithm in ("single-rnm", "noisy-counts", "local-rnm"):
+            assert mean_acc[algorithm] >= mean_acc["baseline"] - 0.01, mean_acc
 
 
 class TestSummarize:
@@ -993,9 +1072,11 @@ class TestCli:
         {"features": [{"name": "x0", "min": 0, "max": 1}, {"name": "x1", "min": 0, "max": 1}],
          "label": {"name": "y", "values": ["0", "1"]},
          "splits": {"per_feature": {"x0": 4, "xx": 50}}},
+        # A schema that declares no feature has no split to learn with.
+        {"features": [], "label": {"name": "y", "values": ["0", "1"]}},
     ], ids=["no-features", "list-document", "non-numeric-min", "empty-range", "nan-range",
             "duplicate-label", "zero-thresholds", "fractional-thresholds", "boolean-min", "string-max",
-            "boolean-and-string-thresholds", "per-feature-not-continuous"])
+            "boolean-and-string-thresholds", "per-feature-not-continuous", "empty-feature-list"])
     def test_bad_schema_exit_code(self, workspace, tmp_path, schema):
         _, config, _ = workspace
         schema_path = tmp_path / "bad-schema.json"
@@ -1087,13 +1168,36 @@ class TestCli:
         assert not out.exists()
 
     def test_console_entry_point(self):
+        # The child finds the package where this process does, with or
+        # without PYTHONPATH set.
         proc = subprocess.run(
             [sys.executable, "-m", "dptree.cli", "theory", "sensitivity",
              "--params", '{"criterion": "gini", "m": 100}'],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == pytest.approx(0.2)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_column(heading: str) -> list[str]:
+    """The first cell of each row of the table under `## heading` in the
+    README, without its backticks."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n")[1].split("\n## ")[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")][2:]  # past the header
+    return [row.split("|")[1].strip().strip("`") for row in rows]
+
+
+class TestReadme:
+    def test_key_table_is_every_config_key(self):
+        keys = readme_column("Configuration")
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(experiments._CONFIG_KEYS) | {f"data.{key}" for key in experiments._DATA_KEYS}
+
+    def test_exit_codes_are_the_clis(self):
+        assert [int(code) for code in readme_column("Exit codes")] == [0] + sorted(cli.EXIT_CODES.values())
 
 
 def boosting_oracle(error, gamma, slowdown):

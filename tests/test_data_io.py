@@ -32,7 +32,7 @@ from dptree.data_io import (
     train_test_split,
     write_csv,
 )
-from dptree.tree_learning import BinnedFeatures, LabeledDataset, tree_error
+from dptree.tree_learning import LabeledDataset, SplitPlan, tree_error
 from oracle import load_csv_rows, mutate_csv
 
 
@@ -92,7 +92,7 @@ class TestLoadCsv:
         ds = read_csv(csv_path, small_schema)
         assert ds.n == 0
         assert ds.features.shape == (0, small_schema.n_encoded)
-        assert load_csv(csv_path, small_schema, build_splitting_class(small_schema)).n == 0
+        assert load_csv(csv_path, small_schema, SplitPlan(build_splitting_class(small_schema))).n == 0
 
     def test_column_order_independent(self, tmp_path, small_schema):
         csv_path = tmp_path / "shuffled.csv"
@@ -276,7 +276,7 @@ class TestLoadCsv:
         real_loadtxt = np.loadtxt
         monkeypatch.setattr(data_io, "open", counting_open, raising=False)
         monkeypatch.setattr(np, "loadtxt", loadtxt)
-        assert load_csv(csv_path, small_schema, build_splitting_class(small_schema)).n == 2
+        assert load_csv(csv_path, small_schema, SplitPlan(build_splitting_class(small_schema))).n == 2
         assert opened == [csv_path]
         assert parsed and all(isinstance(lines, list) and all(isinstance(line, str) for line in lines)
                               for lines in parsed)
@@ -315,17 +315,17 @@ DEFECTS = {
 }
 
 
-def binned_outcome(load, path, schema, splits):
+def binned_outcome(load, path, schema, plan):
     try:
-        binned = load(path, schema, splits)
+        binned = load(path, schema, plan)
     except DataError as exc:
         return str(exc)
     columns = [(column.dtype.str, column.tobytes()) for column in binned.codes]
     return binned.n, binned.n_classes, binned.labels.dtype.str, binned.labels.tobytes(), columns
 
 
-def bin_row_loop(path, schema, splits):
-    return BinnedFeatures(load_csv_rows(path, schema), splits)
+def bin_row_loop(path, schema, plan):
+    return plan.bin(load_csv_rows(path, schema))
 
 
 class TestBlockBoundaries:
@@ -337,14 +337,14 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])
     def test_equals_binning_the_whole_file(self, tmp_path, monkeypatch, small_schema, n, defect):
         monkeypatch.setattr(data_io, "_BLOCK_ROWS", BLOCK)
-        schema, splits = small_schema, build_splitting_class(small_schema)
+        schema, plan = small_schema, SplitPlan(build_splitting_class(small_schema))
         path = tmp_path / "blocks.csv"
         for i, terminator in itertools.product(sorted({0, BLOCK - 1, BLOCK, n - 1} & set(range(n))), LINE_ENDS):
             rows = ["age,color,outcome,note"] + boundary_rows(n)
             DEFECTS[defect](rows, i + 1)
             write_lines(path, rows, terminator)
-            outcome = binned_outcome(load_csv, path, schema, splits)
-            assert outcome == binned_outcome(bin_row_loop, path, schema, splits)
+            outcome = binned_outcome(load_csv, path, schema, plan)
+            assert outcome == binned_outcome(bin_row_loop, path, schema, plan)
             assert isinstance(outcome, str) == (defect != "none")
         if defect == "none":
             assert len(list(data_io.csv_blocks(path, schema))) == -(-n // BLOCK)
@@ -363,9 +363,10 @@ def schemas(draw):
         ContinuousFeature(f"x{j}", *draw(st.sampled_from(RANGES)))
         for j in range(draw(st.integers(0, 2)))
     ]
+    # A schema declares at least one feature.
     features += [
         CategoricalFeature(f"c{j}", tuple(draw(st.lists(DECLARED_TEXT, min_size=1, max_size=3, unique=True))))
-        for j in range(draw(st.integers(0, 2)))
+        for j in range(draw(st.integers(0 if features else 1, 2)))
     ]
     labels = draw(st.lists(DECLARED_TEXT, min_size=2, max_size=3, unique=True))
     return DataSchema(list(draw(st.permutations(features))), "y", tuple(labels))
@@ -419,9 +420,9 @@ class TestLoadCsvProperties:
             path = Path(tmp) / "data.csv"
             write_csv(dataset, schema, path)
             loaded = read_csv(path, schema)
-            splits = build_splitting_class(schema)
-            binned = binned_outcome(load_csv, path, schema, splits)
-        assert binned == binned_outcome(lambda *_: BinnedFeatures(dataset, splits), path, schema, splits)
+            plan = SplitPlan(build_splitting_class(schema))
+            binned = binned_outcome(load_csv, path, schema, plan)
+        assert binned == binned_outcome(lambda *_: plan.bin(dataset), path, schema, plan)
         assert loaded.features.tobytes() == dataset.features.tobytes()
         assert loaded.features.shape == dataset.features.shape
         assert np.array_equal(loaded.labels, dataset.labels)
@@ -528,9 +529,10 @@ class TestSchemaJson:
         {"features": [{"name": "x", "min": 0, "max": 1},
                       {"name": "c", "kind": "categorical", "values": ["a", "b"]}],
          "label": GOOD_LABEL, "splits": {"per_feature": {"xx": 50, "c": 7}}},
+        {"features": [], "label": GOOD_LABEL},
     ], ids=["empty-range", "nan-range", "duplicate-label", "duplicate-category", "empty-block",
             "zero-thresholds", "negative-per-feature", "block-column-past-end", "negative-block-column",
-            "infinite-range", "per-feature-not-continuous"])
+            "infinite-range", "per-feature-not-continuous", "no-features"])
     def test_schema_file_failing_its_checks_raises_data_error(self, tmp_path, doc):
         path = tmp_path / "schema.json"
         path.write_text(json.dumps(doc))
@@ -643,13 +645,13 @@ def test_binned_parts_hold_the_rows_of_the_dataset_parts(n, k, seed):
     splits = build_splitting_class(schema)
     # A last column, which no split reads, names each row.
     ds = LabeledDataset(np.column_stack([ds.features, np.arange(n)]), ds.labels, ds.n_classes)
-    binned = BinnedFeatures(ds, splits)
+    binned = SplitPlan(splits).bin(ds)
     for cut in (lambda d: partition(d, k, RandomSource(seed)),
                 lambda d: train_test_split(d, (k, 1), RandomSource(seed))):
         parts, binned_parts = cut(ds), cut(binned)
         assert np.array_equal(np.sort(np.concatenate([part.features[:, -1] for part in parts])), np.arange(n))
         for part, binned_part in zip(parts, binned_parts, strict=True):
-            fresh = BinnedFeatures(part, splits)
+            fresh = SplitPlan(splits).bin(part)
             assert binned_part.n == fresh.n == part.n
             assert np.array_equal(binned_part.labels, fresh.labels)
             for ours, theirs in zip(binned_part.codes, fresh.codes, strict=True):
@@ -681,11 +683,11 @@ class TestSyntheticData:
     @pytest.mark.parametrize("depth", [2, 3])
     def test_truth_tree_labels_dataset(self, depth):
         ds, truth, schema = synthetic_tree_dataset(5000, RandomSource(14), depth=depth)
-        assert tree_error(truth, BinnedFeatures(ds, build_splitting_class(schema))) == 0.0
+        assert tree_error(truth, SplitPlan(build_splitting_class(schema)).bin(ds)) == 0.0
 
     def test_label_noise_rate(self):
         ds, truth, schema = synthetic_tree_dataset(20000, RandomSource(15), depth=2, label_noise=0.2)
-        assert tree_error(truth, BinnedFeatures(ds, build_splitting_class(schema))) == pytest.approx(
+        assert tree_error(truth, SplitPlan(build_splitting_class(schema)).bin(ds)) == pytest.approx(
             0.2, abs=0.02)
 
     def test_bench_fixture_bytes_are_pinned(self, tmp_path):

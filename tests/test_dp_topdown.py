@@ -35,11 +35,11 @@ from dptree.split_strategies import (
     SingleMachineRNMSplitter,
 )
 from dptree.tree_learning import (
-    BinnedFeatures,
     Criterion,
     DecisionTree,
     LabeledDataset,
     SplitFunction,
+    SplitPlan,
     tree_error,
 )
 from oracle import topdown_nonprivate
@@ -51,7 +51,7 @@ def make_dataset(seed=21, n=4000, depth=2):
 
 
 def single_machine(ds, splits, seed):
-    return SingleMachineRNMSplitter(BinnedFeatures(ds, splits), Criterion.ENTROPY, RandomSource(seed))
+    return SingleMachineRNMSplitter(SplitPlan(splits).bin(ds), Criterion.ENTROPY, RandomSource(seed))
 
 
 def make_pool(ds, k, splits, seed=0):
@@ -206,7 +206,7 @@ class TestDPTopDown:
             ds, splits, 8, Criterion.ENTROPY, min_gain=0.01, min_weight=config.error / 8
         ).to_dict()
         assert len(baseline["nodes"]) > 5
-        exact, ledger, _ = dp_topdown(ExactStrategy(BinnedFeatures(ds, splits), Criterion.ENTROPY), config)
+        exact, ledger, _ = dp_topdown(ExactStrategy(SplitPlan(splits).bin(ds), Criterion.ENTROPY), config)
         assert ledger.entries == []
         with zero_noise():
             single, _, _ = dp_topdown(single_machine(ds, splits, 1), config)
@@ -314,12 +314,12 @@ class TestDPTopDown:
         errors = []
         for run in range(5):
             tree, _, _ = dp_topdown(single_machine(ds, splits, run), config)
-            errors.append(tree_error(tree, BinnedFeatures(ds, splits)))
+            errors.append(tree_error(tree, SplitPlan(splits).bin(ds)))
         assert np.mean(errors) <= 0.02
 
     def test_leaf_paths_cover_all_leaves(self):
         ds, splits = make_dataset(seed=16, n=2000)
-        binned = BinnedFeatures(ds, splits)
+        binned = SplitPlan(splits).bin(ds)
         tree, _, _ = dp_topdown(ExactStrategy(binned, Criterion.ENTROPY),
                                 DPTopDownConfig(alpha=1.0, max_nodes=6))
         assert len(tree.leaves()) == tree.internal_count + 1 >= 4

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -35,12 +36,12 @@ from dptree.split_strategies import (
 )
 from dptree.dp_topdown import DPTopDownConfig, dp_topdown
 from dptree.tree_learning import (
-    BinnedFeatures,
     Criterion,
     DecisionTree,
     LabeledDataset,
     Node,
     SplitFunction,
+    SplitPlan,
     gain_from_counts,
     split_count_tables,
 )
@@ -66,7 +67,7 @@ def shard(dataset, k, seed):
 
 
 def exact_gains(dataset, splits, criterion=Criterion.ENTROPY):
-    tables = split_count_tables(BinnedFeatures(dataset, splits), np.arange(dataset.n), splits)
+    tables = split_count_tables(SplitPlan(splits).bin(dataset), np.arange(dataset.n), splits)
     return gain_from_counts(tables, criterion)
 
 
@@ -75,7 +76,7 @@ ROOT = Node(0, 0)  # charged under depth 1
 
 def rnm_root_split(dataset, alpha, splits, rng, ledger):
     """SingleMachineRNMSplitter at the root."""
-    return SingleMachineRNMSplitter(BinnedFeatures(dataset, splits), Criterion.ENTROPY, rng).split(
+    return SingleMachineRNMSplitter(SplitPlan(splits).bin(dataset), Criterion.ENTROPY, rng).split(
         ROOT, alpha, ledger)
 
 
@@ -86,7 +87,8 @@ def make_pool(dataset, k, splits, seed=0):
 
 class RecordingTransport(LocalTransport):
     """A transport that also keeps `(entity id, query, payload)` for every
-    message it sends, with the payload's arrays as lists."""
+    message it sends, with the payload's arrays and the query's candidate
+    indices as lists, so that records compare with `==`."""
 
     def __init__(self):
         self.sent = []
@@ -94,6 +96,8 @@ class RecordingTransport(LocalTransport):
     def send(self, entity, query, ledger):
         response = super().send(entity, query, ledger)
         payload = {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in response.payload.items()}
+        if query.candidates is not None:
+            query = dataclasses.replace(query, candidates=query.candidates.tolist())
         self.sent.append((entity.entity_id, query, payload))
         return response
 
@@ -157,7 +161,7 @@ class TestSingleMachineRNM:
             SplitFunction(threshold=t, feature=1) for t in (0.2, 0.4, 0.6, 0.8)
         ]
         hits = 0
-        splitter = SingleMachineRNMSplitter(BinnedFeatures(ds, splits), Criterion.ENTROPY, RandomSource(4))
+        splitter = SingleMachineRNMSplitter(SplitPlan(splits).bin(ds), Criterion.ENTROPY, RandomSource(4))
         for _ in range(300):
             chosen, _ = splitter.split(ROOT, 1.0, PrivacyLedger(1.0))
             hits += chosen.feature == 0
@@ -186,7 +190,7 @@ class TestSingleMachineRNM:
         tree.split_leaf(right, splits[0])  # separates no rows: one leaf is empty
         tree.split_leaf(right.right, splits[5])
         leaves, budget = tree.leaves(), Fraction(1, 500)
-        strategy = SingleMachineRNMSplitter(BinnedFeatures(ds, splits), Criterion.ENTROPY, RandomSource(9))
+        strategy = SingleMachineRNMSplitter(SplitPlan(splits).bin(ds), Criterion.ENTROPY, RandomSource(9))
         ledger = PrivacyLedger(1.0)
         with zero_noise(not noise):
             labels = strategy.labels(leaves, budget, ledger)
@@ -236,15 +240,16 @@ class TestNoisyCounts:
         assert ledger.effective_cost() == Fraction(1, 4) <= Fraction(3, 4)
 
     def test_split_over_the_class_looks_up_nothing(self, monkeypatch):
-        # The pool's class is a tuple: a query over it is planned by identity.
+        # The strategy's candidates are the plan's own index array: no
+        # split of the class is looked up again.
         pool = make_pool(planted_dataset(RandomSource(7), n=600), 3, grid_splits())
 
-        def lookup(self, splits):
-            raise AssertionError("the splitting class was planned again")
+        def lookup(self, split):
+            raise AssertionError("a split of the class was looked up again")
 
-        monkeypatch.setattr(BinnedFeatures, "_lookup", lookup)
+        monkeypatch.setattr(SplitPlan, "index", lookup)
         split, _ = NoisyCountsSplitter(pool).split(ROOT, 1.0, PrivacyLedger(1.0))
-        assert split in pool.splits
+        assert split in pool.plan.splits
 
     def test_aggregate_noise_variance(self):
         # k entities each add Lap(3|H|/alpha) per cell; the summed cell noise
@@ -292,14 +297,16 @@ class TestNoisyCounts:
         assert gain == gains[splits.index(chosen)]
 
     def test_pool_entities_must_agree(self):
-        # A pool needs a shard, and its shards one splitting class and one
-        # label set: entities answer split ids into the class, and the pool
-        # tells holders apart by label.
+        # A pool needs a shard, and its shards one split plan, the same
+        # object, and one label set: entities answer split ids into the
+        # plan's class, and the pool tells holders apart by label.
         ds = planted_dataset(RandomSource(14), n=100)
         splits = grid_splits()
-        binned = BinnedFeatures(ds, splits)
-        three_labels = BinnedFeatures(LabeledDataset(ds.features, ds.labels, 3), splits)
-        for shards in ([], [binned, BinnedFeatures(ds, splits[:-1])], [binned, three_labels]):
+        binned = SplitPlan(splits).bin(ds)
+        three_labels = binned.plan.bin(LabeledDataset(ds.features, ds.labels, 3))
+        shards_of = ([], [binned, SplitPlan(splits[:-1]).bin(ds)], [binned, SplitPlan(splits).bin(ds)],
+                     [binned, three_labels])
+        for shards in shards_of:
             with pytest.raises(InvalidParameterError):
                 EntityPool(shards, RandomSource(0), Criterion.ENTROPY)
         assert EntityPool([binned, binned.subset(slice(0, 10))], RandomSource(0), Criterion.ENTROPY).k == 2
@@ -341,7 +348,7 @@ class TestLocalRNM:
             local_rnm_split(pool, ROOT, 1.0, PrivacyLedger(1.0))
         histogram_queries = [query for _, query, _ in pool.transport.sent if query.kind == "joint_histogram"]
         assert len(histogram_queries) == 4
-        assert all(len(query.splits) == 4 for query in histogram_queries)
+        assert all(len(query.candidates) == 4 for query in histogram_queries)
 
     def test_per_entity_charge_within_alpha(self):
         ds = planted_dataset(RandomSource(9), n=1200)
@@ -544,7 +551,7 @@ class TestPaperClaims:
 
             monkeypatch.setattr(split_strategies, "sample_laplace", laplace)
             if name == "noisy-counts":
-                noisy_counts_split(pool, ROOT, 1.0, pool.splits, PrivacyLedger(8.0))
+                noisy_counts_split(pool, ROOT, 1.0, pool.plan.indices, PrivacyLedger(8.0))
             else:
                 local_rnm_split(pool, ROOT, 1.0, PrivacyLedger(8.0))
             made[name] = (pool.transport.sent, scales)
@@ -616,7 +623,7 @@ def pool_rows(pool):
 
 def pool_of_one(ds, splits):
     """The single machine's pool: one holder, whose binning is `ds`'s own."""
-    return EntityPool([BinnedFeatures(ds, splits)], None, Criterion.ENTROPY)
+    return EntityPool([SplitPlan(splits).bin(ds)], None, Criterion.ENTROPY)
 
 
 class TestEntityRowCache:
@@ -640,7 +647,7 @@ class TestEntityRowCache:
             replay = replayed_rows(piece, path)
             # Pool positions: the shard's offset plus positions in the shard.
             assert np.array_equal(rows - offsets[i], replay)
-            assert np.array_equal(counts, BinnedFeatures(piece, splits).cumulative(replay))
+            assert np.array_equal(counts, SplitPlan(splits).bin(piece).cumulative(replay))
             expected = gain_from_counts(fresh_tables(piece, replay, splits), Criterion.ENTROPY)
             assert np.array_equal(entity.gains(path), expected)
 
@@ -772,7 +779,7 @@ class TestEntityRowCache:
             rows, counts = entity.leaf_rows(path)
             replay = replayed_rows(piece, path)
             assert np.array_equal(rows - offsets[i], replay)
-            assert np.array_equal(counts, BinnedFeatures(piece, splits).cumulative(replay))
+            assert np.array_equal(counts, SplitPlan(splits).bin(piece).cumulative(replay))
             assert np.array_equal(entity.label_counts(counts), np.bincount(piece.labels[replay], minlength=12))
             expected = fresh_tables(piece, replay, splits)
             assert np.array_equal(split_count_tables(pool.binned, rows, splits, counts), expected)
@@ -819,7 +826,7 @@ class TestEntityRowCache:
     def test_learner_query_order_caches_each_row_once(self):
         ds, splits = planted_dataset(RandomSource(3), n=3000), grid_splits()
         pool = make_pool(ds, 3, splits, seed=3)
-        single = SingleMachineRNMSplitter(BinnedFeatures(ds, splits), Criterion.ENTROPY, RandomSource(3))
+        single = SingleMachineRNMSplitter(SplitPlan(splits).bin(ds), Criterion.ENTROPY, RandomSource(3))
         config = DPTopDownConfig(alpha=8.0, max_nodes=12)
         for strategy in (LocalRNMSplitter(pool), single):
             tree, _, _ = dp_topdown(strategy, config)
@@ -833,7 +840,7 @@ class TestEntityRowCache:
         # evicted record's array outlives it, and positions are 32-bit.
         ds, splits = planted_dataset(RandomSource(3), n=3000), grid_splits()
         if k == 1:
-            strategy = SingleMachineRNMSplitter(BinnedFeatures(ds, splits), Criterion.ENTROPY, RandomSource(3))
+            strategy = SingleMachineRNMSplitter(SplitPlan(splits).bin(ds), Criterion.ENTROPY, RandomSource(3))
         else:
             strategy = LocalRNMSplitter(make_pool(ds, k, splits, seed=3))
         dp_topdown(strategy, DPTopDownConfig(alpha=8.0, max_nodes=64))
@@ -847,7 +854,7 @@ class TestEntityRowCache:
     def test_learner_run_caches_only_live_leaves(self, maker):
         ds, splits = planted_dataset(RandomSource(7), n=3000), grid_splits()
         if maker is SingleMachineRNMSplitter:
-            strategy = maker(BinnedFeatures(ds, splits), Criterion.ENTROPY, RandomSource(7))
+            strategy = maker(SplitPlan(splits).bin(ds), Criterion.ENTROPY, RandomSource(7))
         else:
             strategy = maker(make_pool(ds, 3, splits, seed=7))
         tree, _, _ = dp_topdown(strategy, DPTopDownConfig(alpha=8.0, max_nodes=12))
@@ -881,7 +888,7 @@ class TestEntityRowCache:
                 # The same holders and noise streams, answering from replays.
                 for i, (entity, piece) in enumerate(zip(pool.entities, pieces)):
                     reference = StatelessEntity(i, pool, entity.rng)
-                    reference.piece, reference.binned = piece, BinnedFeatures(piece, splits)
+                    reference.piece, reference.binned = piece, SplitPlan(splits).bin(piece)
                     pool.entities[i] = reference
             config = DPTopDownConfig(alpha=4.0, max_nodes=16)
             tree, ledger, _ = dp_topdown(maker(pool), config)

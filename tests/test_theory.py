@@ -14,7 +14,7 @@ from dptree.theory import (
     sensitivity_bound,
     theorem_zeta,
 )
-from dptree.tree_learning import BinnedFeatures, Criterion, Node, gain_from_counts, split_count_tables
+from dptree.tree_learning import Criterion, Node, SplitPlan, gain_from_counts, split_count_tables
 from oracle import empirical_sensitivity, worst_neighbor_change
 
 
@@ -152,7 +152,7 @@ class TestSampleBounds:
         ds, _, schema = synthetic_tree_dataset(m, RandomSource(0), depth=3, label_noise=0.05, thresholds=31)
         splits = build_splitting_class(schema)
         assert len(splits) == 93
-        binned = BinnedFeatures(ds, splits)
+        binned = SplitPlan(splits).bin(ds)
         gains = gain_from_counts(split_count_tables(binned, np.arange(m), splits), Criterion.ENTROPY)
         misses = 0
         for seed in range(runs):

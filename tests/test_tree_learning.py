@@ -17,11 +17,11 @@ from dptree.dp_core import InvalidParameterError, RandomSource
 from dptree.dp_topdown import DPTopDownConfig, dp_topdown
 from dptree.split_strategies import ExactStrategy
 from dptree.tree_learning import (
-    BinnedFeatures,
     Criterion,
     DecisionTree,
     LabeledDataset,
     SplitFunction,
+    SplitPlan,
     gain_from_counts,
     position_dtype,
     split_count_tables,
@@ -61,7 +61,7 @@ def grid_splits(d=2, count=7):
 def baseline(ds, splits, max_nodes, criterion, min_gain=0.01):
     """The non-private baseline: `dp_topdown` answered by `ExactStrategy`."""
     config = DPTopDownConfig(alpha=1.0, max_nodes=max_nodes, min_gain=min_gain)
-    return dp_topdown(ExactStrategy(BinnedFeatures(ds, splits), criterion), config)[0]
+    return dp_topdown(ExactStrategy(SplitPlan(splits).bin(ds), criterion), config)[0]
 
 
 class TestCriterion:
@@ -142,7 +142,7 @@ class TestSplitGain:
     def test_from_split_counts(self):
         ds = LabeledDataset(np.array([[0.2], [0.7], [0.1], [0.4], [0.9]]), np.array([0, 0, 1, 1, 1]), 2)
         split = SplitFunction(threshold=0.5, feature=0)
-        tables = split_count_tables(BinnedFeatures(ds, [split]), np.arange(ds.n), [split])
+        tables = split_count_tables(SplitPlan([split]).bin(ds), np.arange(ds.n), [split])
         assert tables[0].tolist() == [[1.0, 1.0], [2.0, 1.0]]
 
 
@@ -191,7 +191,7 @@ class TestSplitTables:
             SplitFunction(threshold=0.4, block=(0, 2)),
             SplitFunction(threshold=0.6, block=(0, 1)),
         ]
-        tables = split_count_tables(BinnedFeatures(ds, splits), np.arange(ds.n), splits)
+        tables = split_count_tables(SplitPlan(splits).bin(ds), np.arange(ds.n), splits)
         for i, split in enumerate(splits):
             sides = split.evaluate(ds.features)
             assert np.array_equal(tables[i], oracle_table(ds.labels, sides, 3))
@@ -200,7 +200,7 @@ class TestSplitTables:
         rng = RandomSource(9)
         ds = random_dataset(rng, n=150)
         splits = grid_splits()
-        tables = split_count_tables(BinnedFeatures(ds, splits), np.arange(ds.n), splits)
+        tables = split_count_tables(SplitPlan(splits).bin(ds), np.arange(ds.n), splits)
         gains = gain_from_counts(tables, Criterion.GINI)
         for i, split in enumerate(splits):
             cells = oracle_table(ds.labels, split.evaluate(ds.features), 2)
@@ -268,7 +268,7 @@ class TestTreeStructure:
         ds = LabeledDataset(features, labels, 2)
         tree = DecisionTree()
         tree.root.label = 1  # majority single leaf on 30%/70% data
-        assert tree_error(tree, BinnedFeatures(ds, [])) == pytest.approx(0.3)
+        assert tree_error(tree, SplitPlan([SplitFunction(threshold=0.5, feature=0)]).bin(ds)) == pytest.approx(0.3)
 
     def test_serialization_roundtrip_bit_exact(self):
         # The node records are plain JSON: thresholds survive a dump and load
@@ -360,13 +360,13 @@ class TestTopDown:
         ds, truth, schema = synthetic_tree_dataset(50_000, RandomSource(21), depth=2)
         splits = build_splitting_class(schema)
         tree = baseline(ds, splits, 8, Criterion.ENTROPY)
-        assert tree_error(tree, BinnedFeatures(ds, splits)) == 0.0
+        assert tree_error(tree, SplitPlan(splits).bin(ds)) == 0.0
 
     def test_single_label_dataset_stays_single_leaf(self):
         ds = LabeledDataset(RandomSource(1).uniform(size=(50, 2)), np.zeros(50, dtype=int), 2)
         tree = baseline(ds, grid_splits(), 8, Criterion.ENTROPY)
         assert tree.internal_count == 0
-        assert tree_error(tree, BinnedFeatures(ds, grid_splits())) == 0.0
+        assert tree_error(tree, SplitPlan(grid_splits()).bin(ds)) == 0.0
 
     def test_xor_needs_two_levels(self):
         rng = RandomSource(2)
@@ -377,7 +377,7 @@ class TestTopDown:
         # no single split has gain: the root must be pushed despite zero gain
         tree = baseline(ds, splits, 3, Criterion.ENTROPY, min_gain=-1.0)
         assert tree.depth == 2
-        assert tree_error(tree, BinnedFeatures(ds, splits)) == 0.0
+        assert tree_error(tree, SplitPlan(splits).bin(ds)) == 0.0
         # with the default gain threshold the zero-gain root is never split
         flat = baseline(ds, splits, 8, Criterion.ENTROPY, min_gain=0.01)
         assert flat.internal_count == 0
@@ -401,9 +401,9 @@ class TestTopDown:
         assert first == second
 
     def test_empty_split_class_rejected(self):
-        ds = random_dataset(RandomSource(5))
+        # The plan refuses it, once, before any learner or binning is made.
         with pytest.raises(InvalidParameterError, match="nonempty"):
-            ExactStrategy(BinnedFeatures(ds, []), Criterion.ENTROPY)
+            SplitPlan([])
 
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -442,7 +442,7 @@ class TestBinnedKernel:
     @given(binned_cases())
     def test_equals_per_split_oracle(self, case):
         ds, splits, candidates, rows = case
-        tables = split_count_tables(BinnedFeatures(ds, splits), rows, candidates)
+        tables = split_count_tables(SplitPlan(splits).bin(ds), rows, candidates)
         assert tables.shape == (len(candidates), ds.n_classes, 2)
         for table, split in zip(tables, candidates):
             sides = split.evaluate(ds.features, rows)
@@ -452,7 +452,7 @@ class TestBinnedKernel:
     @given(binned_cases())
     def test_code_cut_equals_evaluate(self, case):
         ds, splits, _, rows = case
-        binned = BinnedFeatures(ds, splits)
+        binned = SplitPlan(splits).bin(ds)
         for split in splits:
             assert np.array_equal(binned.goes_right(split, rows), split.evaluate(ds.features, rows) == 1)
 
@@ -460,7 +460,7 @@ class TestBinnedKernel:
     @given(binned_cases())
     def test_32_bit_positions_gather_like_intp(self, case):
         ds, splits, _, rows = case
-        binned = BinnedFeatures(ds, splits)
+        binned = SplitPlan(splits).bin(ds)
         narrow = rows.astype(np.int32)
         assert np.array_equal(binned.cumulative(narrow), binned.cumulative(rows))
         for split in splits:
@@ -479,19 +479,19 @@ class TestBinnedKernel:
     @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16), (70000, np.uint32)])
     def test_smallest_count_dtype(self, n, dtype):
         ds = random_dataset(RandomSource(6), n=n)
-        binned = BinnedFeatures(ds, grid_splits())
+        binned = SplitPlan(grid_splits()).bin(ds)
         cum = binned.cumulative(np.arange(n))
         assert cum.dtype == dtype
         assert cum.sum(axis=1).max() == n
         # A slice of a larger binning counts in the dtype of its own size.
-        larger = BinnedFeatures(random_dataset(RandomSource(7), n=70000), grid_splits())
+        larger = SplitPlan(grid_splits()).bin(random_dataset(RandomSource(7), n=70000))
         assert larger.subset(np.arange(n)).cumulative(np.arange(n)).dtype == dtype
 
     def test_smallest_code_dtype(self):
         ds = random_dataset(RandomSource(3), n=50, d=2)
         splits = [SplitFunction(threshold=r / 300, feature=0) for r in range(255)]
         splits += [SplitFunction(threshold=r / 300, feature=1) for r in range(256)]
-        binned = BinnedFeatures(ds, splits)
+        binned = SplitPlan(splits).bin(ds)
         assert binned.codes[0].dtype == np.uint8  # columns in order of first appearance
         assert binned.codes[1].dtype == np.uint16
 
@@ -503,7 +503,7 @@ class TestBinnedKernel:
     def test_split_outside_binned_class_rejected(self, stranger):
         ds = random_dataset(RandomSource(4), n=30, d=3)
         splits = grid_splits(d=2, count=3)
-        binned = BinnedFeatures(ds, splits)
+        binned = SplitPlan(splits).bin(ds)
         for rows in (np.arange(ds.n), np.arange(0)):
             with pytest.raises(InvalidParameterError):
                 split_count_tables(binned, rows, splits[:2] + [stranger])
@@ -512,7 +512,7 @@ class TestBinnedKernel:
     def test_non_finite_threshold_rejected(self):
         ds = random_dataset(RandomSource(5), n=20, d=2)
         with pytest.raises(InvalidParameterError, match="finite"):
-            BinnedFeatures(ds, grid_splits(d=2, count=2) + [SplitFunction(threshold=math.nan, feature=1)])
+            SplitPlan(grid_splits(d=2, count=2) + [SplitFunction(threshold=math.nan, feature=1)]).bin(ds)
 
     @settings(max_examples=120, deadline=None)
     @given(binned_cases(), st.data())
@@ -528,7 +528,7 @@ class TestBinnedKernel:
         for leaf in tree.leaves():
             leaf.label = data.draw(st.integers(0, ds.n_classes - 1))
         for part in (ds.subset(~test_rows), ds.subset(test_rows)):
-            binned = BinnedFeatures(part, splits)
+            binned = SplitPlan(splits).bin(part)
             expected = tree.predict(part.features)
             assert np.array_equal(tree.classify(binned.n, binned.goes_right), expected)
             assert np.array_equal(tree.assign(binned.n, binned.goes_right),
@@ -540,13 +540,13 @@ class TestBinnedKernel:
     @given(binned_cases(), st.integers(1, 4), st.integers(0, 2**32))
     def test_subset_equals_fresh_binning(self, case, k, seed):
         ds, splits, candidates, rows = case
-        full = BinnedFeatures(ds, splits)
+        full = SplitPlan(splits).bin(ds)
         # A subsample's rows, and the shards that partition gives the
         # dataset and its binning for one seed.
         pairs = [(full.subset(rows), ds.subset(rows))]
         pairs += zip(partition(full, k, RandomSource(seed)), partition(ds, k, RandomSource(seed)))
         for sliced, piece in pairs:
-            fresh = BinnedFeatures(piece, splits)
+            fresh = SplitPlan(splits).bin(piece)
             assert sliced.n == fresh.n == piece.n
             assert sliced.labels.dtype == fresh.labels.dtype
             assert np.array_equal(sliced.labels, piece.labels)
