@@ -1,6 +1,6 @@
 """Dataset ingestion and preparation: schema-driven CSV loading with one-hot
 encoding, splitting-class construction from declared (public) feature ranges,
-train/test splitting, and uniform random partitioning across simulated data
+train/test splitting, and dealing rows uniformly at random to simulated data
 holders.
 
 Each input format has one reader, and each fails closed. A JSON object, of a
@@ -41,8 +41,11 @@ class DataError(ValueError):
 
 
 def _declared_values(values, owner: str) -> tuple:
-    """Declared values as text, as cells are matched. Duplicates are refused,
-    and so is a NUL, which numpy strings drop from the end of a cell."""
+    """Declared values as text, as cells are matched. A string, which would
+    declare its characters, is refused, and so are duplicates and a NUL,
+    which numpy strings drop from the end of a cell."""
+    if isinstance(values, str):
+        raise InvalidParameterError(f"{owner}: values must be a sequence, not the string {values!r}")
     values = tuple(str(v) for v in values)
     if len(set(values)) != len(values):
         raise InvalidParameterError(f"{owner}: duplicate values in {values}")
@@ -58,6 +61,8 @@ class ContinuousFeature:
     hi: float
 
     def __post_init__(self):
+        read_object({"min": self.lo, "max": self.hi}, dict.fromkeys(("min", "max"), _number),
+                    f"feature {self.name}", error=InvalidParameterError)
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise InvalidParameterError(f"feature {self.name}: need finite lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -102,6 +107,10 @@ class SplittingSpec:
 
     def __post_init__(self):
         for name, count in [("default_thresholds", self.default_thresholds), *self.per_feature.items()]:
+            try:
+                _int(count)
+            except TypeError as exc:
+                raise InvalidParameterError(f"threshold count of {name!r}: {exc}") from None
             if count <= 0:
                 raise InvalidParameterError(f"threshold count of {name!r} must be positive, got {count}")
 
@@ -315,8 +324,7 @@ def load_csv(path, schema: DataSchema, plan: SplitPlan) -> BinnedFeatures:
     class: each block of `csv_blocks` is binned as it is read and the
     binnings are joined, so no float matrix or parsed table of all rows is
     ever held. Row order is kept; every failure is a DataError."""
-    blocks = [plan.bin(block) for block in csv_blocks(path, schema)]
-    return BinnedFeatures.concatenated(blocks, np.concatenate([b.labels for b in blocks]), schema.n_classes)
+    return BinnedFeatures.concatenated([plan.bin(block) for block in csv_blocks(path, schema)])
 
 
 def csv_blocks(path, schema: DataSchema):
@@ -578,26 +586,21 @@ def build_splitting_class(schema: DataSchema) -> list[SplitFunction]:
 # ---------------------------------------------------------------------------
 
 
-def partition(dataset, k: int, rng: RandomSource) -> list:
-    """Divide the rows among k data holders, each row to a uniformly drawn
-    holder (shard-size variance is intended). The shards are disjoint and
-    their union is the dataset; a shard is empty when no row drew it.
-
-    `dataset` is anything with a row count `n` and `subset(rows)`: a
-    `LabeledDataset`, or its `BinnedFeatures`, whose shards are row slices
-    of the codes. Either way the shard of a row is the same."""
+def partition(n: int, k: int, rng: RandomSource) -> np.ndarray:
+    """The holder of each of n rows among k data holders: one uniform draw
+    per row, so shard sizes vary and a holder may get no row. The holders
+    are in the smallest unsigned dtype that holds k - 1."""
     if k < 1:
         raise InvalidParameterError(f"entity count k must be >= 1, got {k}")
-    assignment = np.asarray(rng.integers(0, k, size=dataset.n))
-    return [dataset.subset(np.flatnonzero(assignment == i)) for i in range(k)]
+    return rng.integers(0, k, size=n).astype(np.min_scalar_type(k - 1))
 
 
 def train_test_split(dataset, ratio: tuple, rng: RandomSource):
     """Seeded shuffle then a prefix cut at n * train / (train + test).
 
-    As for `partition`, `dataset` is anything with a row count `n` and
-    `subset(rows)`: a `LabeledDataset`, or its `BinnedFeatures`. Either way
-    a row lands in the same part."""
+    `dataset` is anything with a row count `n` and `subset(rows)`: a
+    `LabeledDataset`, or its `BinnedFeatures`. Either way a row lands in the
+    same part."""
     train_part, test_part = int(ratio[0]), int(ratio[1])
     if train_part <= 0 or test_part < 0:
         raise InvalidParameterError(f"ratio parts must be positive, got {ratio}")

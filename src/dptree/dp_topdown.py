@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .data_io import _finite, read_object
 from .dp_core import (
     DegenerateLeafError,
     InvalidParameterError,
@@ -105,12 +106,13 @@ class DPTopDownConfig:
 
     def __post_init__(self):
         known_schedule(self.schedule)
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise InvalidParameterError(f"alpha must be positive and finite, got {self.alpha}")
+        numbers = ("alpha", "error", "leaf_privacy_fraction", "min_gain")
+        read_object({name: getattr(self, name) for name in numbers}, dict.fromkeys(numbers, _finite),
+                    "learner config", error=InvalidParameterError)
+        if not self.alpha > 0:
+            raise InvalidParameterError(f"alpha must be positive, got {self.alpha}")
         if not isinstance(self.max_nodes, int) or isinstance(self.max_nodes, bool) or self.max_nodes < 1:
             raise InvalidParameterError(f"max_nodes must be an integer >= 1, got {self.max_nodes!r}")
-        if not math.isfinite(self.min_gain):
-            raise InvalidParameterError(f"min_gain must be finite, got {self.min_gain}")
         if not 0.0 < self.error <= 1.0:
             raise InvalidParameterError(f"error must lie in (0, 1], got {self.error}")
         if not 0.0 < self.leaf_privacy_fraction < 1.0:

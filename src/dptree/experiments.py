@@ -99,6 +99,8 @@ class ExperimentConfig:
             if not isinstance(value, int) or isinstance(value, bool) or (least is not None and value < least):
                 bound = "" if least is None else f" >= {least}"
                 raise InvalidParameterError(f"{name} must be an integer{bound}, got {value!r}")
+        read_object({name: getattr(self, name) for name in _FIELD_CASTS}, _FIELD_CASTS, "config",
+                    error=InvalidParameterError)
         parts = list(self.ratio) if isinstance(self.ratio, (tuple, list)) else [self.ratio]
         if len(parts) != 2 or not all(isinstance(part, int) and not isinstance(part, bool) for part in parts):
             raise InvalidParameterError(f"data.ratio must be two integers, got {parts}")
@@ -155,6 +157,15 @@ _CONFIG_KEYS = {
 _DATA_KEYS = {"train": _text, "test": _text, "csv": _text, "ratio": tuple, "split_seed": _int}
 # Keys whose ExperimentConfig field has another name.
 _FIELD_OF = {"schema": "schema_path", "train": "train_path", "test": "test_path", "csv": "csv_path"}
+# The casts of the fields that neither ExperimentConfig's bounds nor the
+# learner's own config check, so that a config made from Python refuses
+# what a config file's casts refuse.
+_FIELD_CASTS = {
+    "schema_path": _text,
+    **dict.fromkeys(("train_path", "test_path", "csv_path"), lambda path: path if path is None else _text(path)),
+    "train_fractions": lambda fractions: [_finite(fraction) for fraction in fractions],
+    "zero_noise": _flag,
+}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -230,10 +241,11 @@ def prepare_data(config: ExperimentConfig):
 
 def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: int, run_i: int) -> ResultRow:
     """One seeded train/evaluate cycle for one grid cell, on row slices of
-    the prepared binnings. Training accuracy is read from the strategy's
-    pool, which is then released; only the test rows are routed, on their
-    bin codes. The learner runs under zero noise if the config asks for it,
-    and otherwise under the caller's setting."""
+    the prepared binnings; a distributed pool labels each row with its
+    holder (`partition`) and copies no row. Training accuracy is read from
+    the strategy's pool, which is then released; only the test rows are
+    routed, on their bin codes. The learner runs under zero noise if the
+    config asks for it, and otherwise under the caller's setting."""
     train_full, test = prepare_data(config)
     task = _task_key(config, alpha_i, lpf_i, fraction_i, run_i)
     _, _, _, fraction, _, seed = task
@@ -254,11 +266,10 @@ def run_single(config: ExperimentConfig, alpha_i: int, lpf_i: int, fraction_i: i
     elif config.algorithm == "single-rnm":
         strategy = SingleMachineRNMSplitter(train, criterion, source_rng.substream("mechanisms"))
     else:
-        # The pool keeps the shards' rows as one binning of its own.
         maker = NoisyCountsSplitter if config.algorithm == "noisy-counts" else LocalRNMSplitter
-        strategy = maker(EntityPool(
-            partition(train, config.entities, source_rng.substream("partition")),
-            source_rng.substream("entities"), criterion))
+        strategy = maker(EntityPool(train, criterion, config.entities,
+                                    partition(train.n, config.entities, source_rng.substream("partition")),
+                                    source_rng.substream("entities")))
     with zero_noise(config.zero_noise or zero_noise_enabled()):
         tree, _, stats = dp_topdown(strategy, config.learner_configs[alpha_i][lpf_i])
     wall_ms = (time.perf_counter() - started) * 1000.0

@@ -16,17 +16,17 @@ through the transport and share `weight` (summed noisy counts) and `labels`
 A message is a `Query` to one entity through `LocalTransport.send`, and its
 `Response` holds only noisy aggregates.
 
-An `EntityPool` owns the holders' rows and one record per live leaf: its rows'
-32-bit positions in the pool and their cumulative counts, whose k K label
-columns count each holder's rows apart, so a leaf is cut, counted and scored
-once for all k holders; a candidate set is an array of indices into their
-binnings' one `SplitPlan`. Each `Entity` is the pool's view of one holder: it
-reads only its own rows and label columns of a record, draws noise from its
-own stream and charges its own ledger scope. Counts are exact integers, so
-every answer, draw and charge is what a stateless replay of the holder's shard
-would give. The single machine and the baseline are a pool of one holder whose
-binning is the dataset's own. After learning, the final leaves' records give
-the training accuracy without routing a row (`train_accuracy`).
+An `EntityPool` owns one binning of the run's rows, whose labels also name
+each row's holder, and one record per live leaf: its rows' 32-bit positions in
+that binning and their cumulative counts, whose k K label columns count each
+holder's rows apart, so a leaf is cut, counted and scored once for all k
+holders; a candidate set is an array of indices into the binning's `SplitPlan`.
+Each `Entity` is the pool's view of one holder: it reads only its own rows and
+label columns of a record, draws noise from its own stream and charges its own
+ledger scope. Counts are exact integers, so every answer, draw and charge is
+what a stateless replay of the holder's shard would give. The single machine
+and the baseline are a pool of one holder. After learning, the final leaves'
+records give the training accuracy without routing a row (`train_accuracy`).
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .tree_learning import (
     BinnedFeatures,
     Criterion,
     DecisionTree,
+    LabeledDataset,
     Node,
     SplitPlan,
     gain_from_counts,
@@ -218,42 +219,36 @@ class EntityPool:
     """The k data holders of a run, the only owner of their rows, and the
     transport that asks them.
 
-    The binned shards share one plan, checked by identity, and lie end to
-    end in one binning in which holder i's label y is i K + y, so one count
-    of any rows, shape (rows of the stack, k K), holds holder i's counts as
-    the view `reshape(-1, k, K)[:, i]`. One record per live leaf, keyed by
-    its path, holds the leaf's rows (pool positions of `position_dtype`, in
-    holder order), their counts and, once asked for, each holder's bounds in
-    the rows and every holder's gains. A split's children are cut from their
-    evicted parent's record. If its counts say the split sends none or all
-    of its rows left, the full child is that record and the empty child the
-    pool's one read-only empty record, which holds nothing of the parent.
-    Otherwise one code comparison and `np.compress` split the rows, and only
-    the smaller child is counted: the larger one's counts are the parent's
-    minus those. Any other miss replays the path from the root. In the
-    learner's query order the live leaves partition the rows, so the pool
-    holds each row once, in 4 bytes.
+    The pool is one binning and the holder of each of its rows. With k > 1
+    its binning shares the given binning's codes and relabels holder i's
+    label y as i K + y, so one count of any rows, shape (rows of the stack,
+    k K), holds holder i's counts as the view `reshape(-1, k, K)[:, i]`. One
+    record per live leaf, keyed by its path, holds the leaf's rows
+    (positions in the binning, of `position_dtype`, holder by holder and in
+    row order within a holder), their counts and, once asked for, each
+    holder's bounds in the rows and every holder's gains. A split's children
+    are cut from their evicted parent's record. If its counts say the split
+    sends none or all of its rows left, the full child is that record and
+    the empty child the pool's one read-only empty record, which holds
+    nothing of the parent. Otherwise one code comparison and `np.compress`
+    split the rows, and only the smaller child is counted: the larger one's
+    counts are the parent's minus those. Any other miss replays the path
+    from the root. In the learner's query order the live leaves partition
+    the rows, so the pool holds each row once, in 4 bytes.
 
     Entity i draws from the substream ("entity", i) of `rng`; with `rng`
     None, as on the single machine, whose strategies draw for it, none does.
     """
 
-    def __init__(self, shards, rng: RandomSource | None, criterion: Criterion):
-        if not shards:
-            raise InvalidParameterError("need at least one shard")
-        first = shards[0]
-        if any(shard.plan is not first.plan or shard.n_classes != first.n_classes for shard in shards):
-            raise InvalidParameterError("the shards of one pool must share the split plan and labels")
+    def __init__(self, binned: BinnedFeatures, criterion: Criterion, k: int = 1, holders=None,
+                 rng: RandomSource | None = None):
         # Entities answer split ids into this plan's class.
-        self.plan, self.criterion = first.plan, criterion
-        self.k, self.n_classes = len(shards), first.n_classes
-        if self.k == 1:
-            self.binned = first
-        else:
-            dtype = np.min_scalar_type(self.k * self.n_classes - 1)
-            labels = np.concatenate([shard.labels.astype(dtype) + dtype.type(i * self.n_classes)
-                                     for i, shard in enumerate(shards)])
-            self.binned = BinnedFeatures.concatenated(shards, labels, self.k * self.n_classes)
+        self.plan, self.criterion = binned.plan, criterion
+        self.k, self.n_classes = k, binned.n_classes
+        if k > 1:
+            labels = holders.astype(np.min_scalar_type(k * self.n_classes - 1)) * self.n_classes + binned.labels
+            binned = BinnedFeatures(self.plan, labels, binned.codes, k * self.n_classes)
+        self.binned = binned
         self.transport = LocalTransport()
         self.entities = [Entity(i, self, None if rng is None else rng.substream("entity", i))
                          for i in range(self.k)]
@@ -265,10 +260,16 @@ class EntityPool:
 
     @classmethod
     def from_shards(cls, shards, rng: RandomSource, splits, criterion: Criterion) -> "EntityPool":
-        """The pool of `LabeledDataset` shards, each binned here against one
+        """The pool of `LabeledDataset` shards of one label set, shard i
+        held by holder i: the shards are joined and binned once, against a
         plan of the splitting class `splits`."""
-        plan = SplitPlan(splits)
-        return cls([plan.bin(shard) for shard in shards], rng, criterion)
+        n_classes = {shard.n_classes for shard in shards}
+        if len(n_classes) != 1:
+            raise InvalidParameterError("a pool needs shards of one label set")
+        features = np.concatenate([shard.features for shard in shards])
+        joined = LabeledDataset(features, np.concatenate([shard.labels for shard in shards]), *n_classes)
+        holders = np.repeat(np.arange(len(shards)), [shard.n for shard in shards])
+        return cls(SplitPlan(splits).bin(joined), criterion, len(shards), holders, rng)
 
     def ask_all(self, ledger: PrivacyLedger, kind: str, path, budget, depth, leaf_id,
                 splits=None) -> list[Response]:
@@ -333,7 +334,8 @@ class EntityPool:
         return children[side]
 
     def _replay(self, path: tuple) -> "_Leaf":
-        rows = np.arange(self.binned.n, dtype=position_dtype(self.binned.n))
+        holder = self.binned.labels // self.n_classes
+        rows = np.argsort(holder, kind="stable").astype(position_dtype(self.binned.n))
         for split, side in path:
             right = self.binned.goes_right(split, rows)
             rows = np.compress(right if side else ~right, rows)
@@ -437,7 +439,7 @@ class ExactStrategy:
     """
 
     def __init__(self, binned: BinnedFeatures, criterion: Criterion):
-        self.pool = EntityPool([binned], None, criterion)
+        self.pool = EntityPool(binned, criterion)
         self.entity = self.pool.entities[0]
 
     def split(self, leaf: Node, alpha, ledger: PrivacyLedger):
@@ -468,7 +470,7 @@ class SingleMachineRNMSplitter:
     """
 
     def __init__(self, binned: BinnedFeatures, criterion: Criterion, rng: RandomSource):
-        self.pool = EntityPool([binned], None, criterion)
+        self.pool = EntityPool(binned, criterion)
         self.entity = self.pool.entities[0]
         self._split_rng = rng.substream("split")
         self._weight_rng = rng.substream("weight")

@@ -276,8 +276,7 @@ class BinnedFeatures:
     the plan, with their labels, indices into `n_classes` labels: all that a
     learner or an evaluation reads of its rows. `subset(rows)` slices out
     some rows with no search, and `concatenated` joins binnings of one plan,
-    as a pool of data holders (`split_strategies.EntityPool`) joins its
-    shards under new labels to tell its holders apart.
+    as `data_io.load_csv` joins the binnings of its blocks.
 
     `cumulative(rows)` stacks each column's cumulative label counts over the
     given rows in the plan's layout, shape (`plan.size`, K), as exact
@@ -306,11 +305,11 @@ class BinnedFeatures:
         return BinnedFeatures(self.plan, self.labels[rows], [column[rows] for column in self.codes], self.n_classes)
 
     @staticmethod
-    def concatenated(shards, labels: np.ndarray, n_classes: int) -> "BinnedFeatures":
-        """The rows of binnings of one plan, shard after shard, as one
-        binning whose labels are `labels`, indices into `n_classes` labels."""
-        codes = [np.concatenate(columns) for columns in zip(*(shard.codes for shard in shards))]
-        return BinnedFeatures(shards[0].plan, labels, codes, n_classes)
+    def concatenated(parts) -> "BinnedFeatures":
+        """The rows of binnings of one plan and label set, part after part."""
+        codes = [np.concatenate(columns) for columns in zip(*(part.codes for part in parts))]
+        labels = np.concatenate([part.labels for part in parts])
+        return BinnedFeatures(parts[0].plan, labels, codes, parts[0].n_classes)
 
     def _count_keys(self) -> list:
         """Per column, the key (code, label) of every row that one bincount

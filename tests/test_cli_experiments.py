@@ -35,7 +35,7 @@ from dptree.data_io import (
     write_csv,
 )
 from dptree.dp_core import InvalidParameterError, RandomSource, zero_noise
-from dptree.dp_topdown import dp_topdown
+from dptree.dp_topdown import DPTopDownConfig, dp_topdown
 from dptree.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -48,6 +48,7 @@ from dptree.experiments import (
     run_sweep,
     summarize,
 )
+from dptree.split_strategies import EntityPool
 from dptree.theory import boosting_recurrence
 from dptree.tree_learning import DecisionTree, SplitPlan, tree_error
 from oracle import load_csv_rows, mutate_csv
@@ -265,6 +266,23 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match=field):
             ExperimentConfig(config["schema"], csv_path=config["data"]["csv"], **{field: value})
 
+    @pytest.mark.parametrize("made, field, value", [
+        ("config", "error", "0.1"), ("config", "min_gain", "x"), ("config", "alphas", ["8"]),
+        ("config", "lpfs", ["0.5"]), ("config", "train_fractions", ["1"]), ("config", "zero_noise", "yes"),
+        ("config", "schema_path", 5), ("learner", "alpha", "8"), ("learner", "error", "0.1"),
+        ("learner", "leaf_privacy_fraction", "0.5"), ("learner", "min_gain", None),
+    ], ids=lambda part: part if isinstance(part, str) else repr(part))
+    def test_python_api_refuses_a_value_of_the_wrong_type(self, workspace, made, field, value):
+        # A number given as text, text given as a number and a flag that is
+        # not a bool: the config file's casts refuse each, and so must the
+        # configs made from Python, not raise a TypeError or misread it later.
+        _, config, _ = workspace
+        with pytest.raises(InvalidParameterError):
+            if made == "config":
+                ExperimentConfig(**{"schema_path": config["schema"], "csv_path": config["data"]["csv"], field: value})
+            else:
+                DPTopDownConfig(**{"alpha": 8.0, "max_nodes": 4, field: value})
+
     def test_python_api_keeps_good_values_as_given(self, workspace):
         _, config, _ = workspace
         made = ExperimentConfig(config["schema"], csv_path=config["data"]["csv"], alphas=[8], seed=-1, runs=1)
@@ -406,26 +424,25 @@ class TestRunSingle:
     @pytest.mark.parametrize("algorithm", experiments.ALGORITHMS)
     def test_one_plan_per_prepared_dataset(self, workspace, monkeypatch, algorithm, files):
         # A cold set-up plans the splitting class once, and every binning of
-        # its data shares that plan: the train and test binnings, a cycle's
-        # subsample, its shards and its pool's binning.
+        # its data shares that plan: the train and test binnings and a
+        # cycle's pool's binning, its subsample or the subsample's codes
+        # under its holders' labels. A distributed cycle deals its rows once.
         _, config, _ = workspace
         data = config["data"] if files == "csv" else {"train": config["data"]["csv"], "test": config["data"]["csv"]}
         cfg = config_from_dict({**config, "data": data, "algorithm": algorithm, "train_fractions": [0.5]})
-        made, strategies, shards = [], [], []
+        made, strategies, dealt = [], [], []
         planning = SplitPlan.__init__
         monkeypatch.setattr(SplitPlan, "__init__", lambda plan, splits: made.append(plan) or planning(plan, splits))
         monkeypatch.setattr(experiments, "dp_topdown",
                             lambda strategy, dp_config: strategies.append(strategy) or dp_topdown(strategy, dp_config))
-        monkeypatch.setattr(experiments, "partition",
-                            lambda train, k, rng: shards.extend([train, *partition(train, k, rng)]) or shards[1:])
+        monkeypatch.setattr(experiments, "partition", lambda n, k, rng: dealt.append((n, k)) or partition(n, k, rng))
         experiments._data_cache.clear()
         train, test = prepare_data(cfg)
         assert len(made) == 1
         row = run_single(cfg, 0, 0, 0, 0)
         pool = strategies[0].pool
-        binnings = [train, test, pool.binned] + shards
-        assert len(made) == 1 and all(binned.plan is made[0] for binned in binnings)
-        assert len(shards) == (1 + cfg.entities if algorithm in ("noisy-counts", "local-rnm") else 0)
+        assert len(made) == 1 and all(binned.plan is made[0] for binned in (train, test, pool.binned))
+        assert dealt == ([(pool.binned.n, cfg.entities)] if algorithm in ("noisy-counts", "local-rnm") else [])
         assert pool.binned.n == int(train.n * row.train_fraction)
 
     @pytest.mark.parametrize("noise", [True, False], ids=["noise", "zero-noise"])
@@ -442,12 +459,12 @@ class TestRunSingle:
             learned.append((strategy, result[0]))
             return result
 
-        def split_up(train, k, rng):
+        def pool_of(train, *args):
             trains.append(train)
-            return partition(train, k, rng)
+            return EntityPool(train, *args)
 
         monkeypatch.setattr(experiments, "dp_topdown", learn)
-        monkeypatch.setattr(experiments, "partition", split_up)
+        monkeypatch.setattr(experiments, "EntityPool", pool_of)
         for fraction_i in (0, 1):
             with zero_noise(not noise):
                 row = run_single(cfg, 1, 0, fraction_i, 0)
@@ -476,6 +493,49 @@ class TestRunSingle:
             routed.clear()
             run_single(cfg, 0, 0, fraction_i, 0)
             assert 0 < sum(routed) <= test.n
+
+    @pytest.mark.parametrize("algorithm", ["noisy-counts", "local-rnm"])
+    def test_holders_share_the_cycle_binning_codes(self, workspace, monkeypatch, algorithm):
+        # A k-holder pool relabels the cycle's binning by holder: its codes
+        # are the cycle's own arrays, not copies of them.
+        _, config, _ = workspace
+        cfg = config_from_dict({**config, "algorithm": algorithm, "entities": 3})
+        strategies = []
+        monkeypatch.setattr(experiments, "dp_topdown",
+                            lambda strategy, dp_config: strategies.append(strategy) or dp_topdown(strategy, dp_config))
+        train, _ = prepare_data(cfg)
+        run_single(cfg, 0, 0, 0, 0)
+        codes = strategies[0].pool.binned.codes
+        assert len(codes) == len(train.codes) and all(ours is theirs for ours, theirs in zip(codes, train.codes))
+
+    @pytest.mark.parametrize("algorithm", ["noisy-counts", "local-rnm"])
+    def test_more_holders_than_training_rows(self, tmp_path, monkeypatch, algorithm):
+        # 40 holders deal 12 rows, so most holders, the last one included,
+        # get none: k comes from the config, not from the holders dealt.
+        dataset, _, schema = synthetic_tree_dataset(12, RandomSource(5))
+        write_csv(dataset, schema, tmp_path / "data.csv")
+        save_schema(schema, tmp_path / "schema.json")
+        cfg = ExperimentConfig(str(tmp_path / "schema.json"), train_path=str(tmp_path / "data.csv"),
+                               test_path=str(tmp_path / "data.csv"), algorithm=algorithm, alphas=[8.0],
+                               entities=40, max_nodes=4, seed=2)
+        pools = []
+        monkeypatch.setattr(experiments, "dp_topdown",
+                            lambda strategy, dp_config: pools.append(strategy.pool) or dp_topdown(strategy, dp_config))
+        experiments._data_cache.clear()
+        try:
+            row = run_single(cfg, 0, 0, 0, 0)
+            with zero_noise():
+                private = run_single(cfg, 0, 0, 0, 0)
+            baseline = run_single(replace(cfg, algorithm="baseline"), 0, 0, 0, 0)
+        finally:
+            experiments._data_cache.clear()
+        assert row.ledger_cost <= 8.0
+        for pool in pools[:2]:
+            bounds = pool.bounds(pool.leaf(()))
+            assert len(bounds) == 40 + 1 and bounds[-1] == 12
+            assert bounds[-2] == bounds[-1]  # the last holder has no row
+        same = ("train_acc", "test_acc", "depth", "nodes")
+        assert [getattr(private, name) for name in same] == [getattr(baseline, name) for name in same]
 
     def test_cycle_holds_each_training_row_once(self, tmp_path):
         # Pool positions take 4 bytes, an empty leaf pins no evicted parent's

@@ -455,6 +455,20 @@ class TestSchemaJson:
         with pytest.raises(InvalidParameterError, match="duplicate"):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: SplittingSpec(default_thresholds=2.5),
+        lambda: SplittingSpec(default_thresholds=True),
+        lambda: SplittingSpec(per_feature={"x": 1.5}),
+        lambda: ContinuousFeature("x", "0", 1.0),
+        lambda: CategoricalFeature("c", "ab"),
+        lambda: DataSchema([ContinuousFeature("x", 0.0, 1.0)], "y", "01"),
+    ], ids=["float-count", "bool-count", "float-per-feature", "text-bound", "text-values", "text-labels"])
+    def test_python_api_refuses_a_bad_type_when_made(self, build):
+        # A schema file's casts refuse each of these; made from Python, the
+        # schema must refuse them too, not fail or misread them later.
+        with pytest.raises(InvalidParameterError):
+            build()
+
     @pytest.mark.parametrize("doc,key", [
         ({}, "features"),
         ([], "JSON object"),
@@ -606,39 +620,35 @@ class TestSplittingClass:
 
 class TestPartition:
     def test_uniform_disjoint_union(self):
-        ds, _, _ = synthetic_tree_dataset(100, RandomSource(1))
-        shards = partition(ds, 4, RandomSource(2))
-        assignment = RandomSource(2).integers(0, 4, size=100)
-        assert sum(s.n for s in shards) == 100
-        for i, piece in enumerate(shards):
-            rows = np.flatnonzero(assignment == i)
-            assert np.array_equal(piece.features, ds.features[rows])
-            assert np.array_equal(piece.labels, ds.labels[rows])
+        # Each row draws its holder; the holders' rows cover every row once.
+        holders = partition(100, 4, RandomSource(2))
+        assert np.array_equal(holders, RandomSource(2).integers(0, 4, size=100))
+        parts = [np.flatnonzero(holders == i) for i in range(4)]
+        assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(100))
 
     def test_same_seed_same_partition(self):
-        ds, _, _ = synthetic_tree_dataset(200, RandomSource(3))
-        a = partition(ds, 4, RandomSource(7))
-        b = partition(ds, 4, RandomSource(7))
-        for x, y in zip(a, b):
-            assert np.array_equal(x.features, y.features)
-            assert np.array_equal(x.labels, y.labels)
+        assert np.array_equal(partition(200, 4, RandomSource(7)), partition(200, 4, RandomSource(7)))
 
     def test_more_entities_than_rows_allowed(self):
-        ds, _, _ = synthetic_tree_dataset(3, RandomSource(4))
-        shards = partition(ds, 10, RandomSource(5))
-        assert len(shards) == 10
-        assert sum(s.n for s in shards) == 3
+        holders = partition(3, 10, RandomSource(5))
+        assert holders.shape == (3,) and holders.max() < 10
+
+    @pytest.mark.parametrize("k, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_holders_in_the_smallest_dtype(self, k, dtype):
+        # The draw itself is int64, so the holders do not depend on k's dtype.
+        holders = partition(1000, k, RandomSource(6))
+        assert holders.dtype == dtype
+        assert np.array_equal(holders, RandomSource(6).integers(0, k, size=1000))
 
     def test_needs_an_entity(self):
-        ds, _, _ = synthetic_tree_dataset(3, RandomSource(4))
         with pytest.raises(InvalidParameterError):
-            partition(ds, 0, RandomSource(5))
+            partition(3, 0, RandomSource(5))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 300), st.integers(1, 8), st.integers(0, 2**32 - 1))
 def test_binned_parts_hold_the_rows_of_the_dataset_parts(n, k, seed):
-    # The run path partitions and splits the binning, so a row must land in
+    # The run path deals and splits the binning, so a row must land in
     # the same part of it as of the dataset, and the parts must cover the
     # rows once each.
     ds, _, schema = synthetic_tree_dataset(n, RandomSource(seed, ("data",)), thresholds=3)
@@ -646,7 +656,8 @@ def test_binned_parts_hold_the_rows_of_the_dataset_parts(n, k, seed):
     # A last column, which no split reads, names each row.
     ds = LabeledDataset(np.column_stack([ds.features, np.arange(n)]), ds.labels, ds.n_classes)
     binned = SplitPlan(splits).bin(ds)
-    for cut in (lambda d: partition(d, k, RandomSource(seed)),
+    holders = partition(n, k, RandomSource(seed))
+    for cut in (lambda d: [d.subset(np.flatnonzero(holders == i)) for i in range(k)],
                 lambda d: train_test_split(d, (k, 1), RandomSource(seed))):
         parts, binned_parts = cut(ds), cut(binned)
         assert np.array_equal(np.sort(np.concatenate([part.features[:, -1] for part in parts])), np.arange(n))

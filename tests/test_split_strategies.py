@@ -61,9 +61,10 @@ def planted_dataset(rng, n=2000):
     return LabeledDataset(X, y, 2)
 
 
-def shard(dataset, k, seed):
-    assign = np.asarray(RandomSource(seed).integers(0, k, size=dataset.n))
-    return [dataset.subset(np.flatnonzero(assign == i)) for i in range(k)]
+def shard(dataset, k, seed, stream=()):
+    """The k shards of `dataset` that `partition` deals with a seeded source."""
+    holders = partition(dataset.n, k, RandomSource(seed, stream))
+    return [dataset.subset(np.flatnonzero(holders == i)) for i in range(k)]
 
 
 def exact_gains(dataset, splits, criterion=Criterion.ENTROPY):
@@ -297,19 +298,14 @@ class TestNoisyCounts:
         assert gain == gains[splits.index(chosen)]
 
     def test_pool_entities_must_agree(self):
-        # A pool needs a shard, and its shards one split plan, the same
-        # object, and one label set: entities answer split ids into the
-        # plan's class, and the pool tells holders apart by label.
+        # A pool of shards needs a shard, and its shards one label set: the
+        # pool tells holders apart by label.
         ds = planted_dataset(RandomSource(14), n=100)
         splits = grid_splits()
-        binned = SplitPlan(splits).bin(ds)
-        three_labels = binned.plan.bin(LabeledDataset(ds.features, ds.labels, 3))
-        shards_of = ([], [binned, SplitPlan(splits[:-1]).bin(ds)], [binned, SplitPlan(splits).bin(ds)],
-                     [binned, three_labels])
-        for shards in shards_of:
+        for shards in ([], [ds, LabeledDataset(ds.features, ds.labels, 3)]):
             with pytest.raises(InvalidParameterError):
-                EntityPool(shards, RandomSource(0), Criterion.ENTROPY)
-        assert EntityPool([binned, binned.subset(slice(0, 10))], RandomSource(0), Criterion.ENTROPY).k == 2
+                EntityPool.from_shards(shards, RandomSource(0), splits, Criterion.ENTROPY)
+        assert EntityPool.from_shards([ds, ds.subset(slice(0, 10))], RandomSource(0), splits, Criterion.ENTROPY).k == 2
 
 
 class TestLocalRNM:
@@ -535,7 +531,7 @@ class TestPaperClaims:
         ds, _, schema = synthetic_tree_dataset(4000, RandomSource(31), depth=3, label_noise=0.05, thresholds=31)
         splits = build_splitting_class(schema)
         assert (len(splits), ds.n_classes) == (self.H, 2)
-        shards = partition(ds, self.K, RandomSource(32))
+        shards = shard(ds, self.K, 32)
         return recorded(EntityPool.from_shards(shards, RandomSource(33), splits, Criterion.ENTROPY))
 
     def splits_made(self, monkeypatch):
@@ -611,8 +607,7 @@ def random_tree_paths(data, splits):
 def random_pool(data, ds, splits):
     """A pool of a drawn number of shards of `ds`, as `partition` deals
     them (so some may be empty), and the shards."""
-    k = data.draw(st.integers(1, 5))
-    shards = partition(ds, k, RandomSource(data.draw(st.integers(0, 9)), ("shards",)))
+    shards = shard(ds, data.draw(st.integers(1, 5)), data.draw(st.integers(0, 9)), ("shards",))
     return EntityPool.from_shards(shards, RandomSource(0), splits, Criterion.ENTROPY), shards
 
 
@@ -623,7 +618,7 @@ def pool_rows(pool):
 
 def pool_of_one(ds, splits):
     """The single machine's pool: one holder, whose binning is `ds`'s own."""
-    return EntityPool([SplitPlan(splits).bin(ds)], None, Criterion.ENTROPY)
+    return EntityPool(SplitPlan(splits).bin(ds), Criterion.ENTROPY)
 
 
 class TestEntityRowCache:
@@ -650,6 +645,43 @@ class TestEntityRowCache:
             assert np.array_equal(counts, SplitPlan(splits).bin(piece).cumulative(replay))
             expected = gain_from_counts(fresh_tables(piece, replay, splits), Criterion.ENTROPY)
             assert np.array_equal(entity.gains(path), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_pool_of_holders_answers_as_the_pool_of_their_shards(self, data):
+        # A run's pool labels the rows of one binning with their holders and
+        # shares its codes; `from_shards` joins copies of the shards those
+        # holders deal. Every record, bound, answer, draw and charge is the
+        # same; a leaf's positions differ only by the map from each shard's
+        # rows to the binning's.
+        splits = grid_splits(d=2, count=3) + [SplitFunction(threshold=-1.0, feature=0)]
+        n, k = data.draw(st.integers(0, 60)), data.draw(st.integers(1, 5))
+        ds = planted_dataset(RandomSource(data.draw(st.integers(0, 9))), n=n)
+        holders = partition(n, k, RandomSource(data.draw(st.integers(0, 9))))
+        members = [np.flatnonzero(holders == i) for i in range(k)]
+        binned = SplitPlan(splits).bin(ds)
+        dealt = EntityPool(binned, Criterion.ENTROPY, k, holders, RandomSource(3))
+        joined = EntityPool.from_shards([ds.subset(rows) for rows in members], RandomSource(3), splits,
+                                        Criterion.ENTROPY)
+        assert all(ours is theirs for ours, theirs in zip(dealt.binned.codes, binned.codes, strict=True))
+        offsets = np.cumsum([0] + [rows.size for rows in members])
+        ledgers = PrivacyLedger(1000), PrivacyLedger(1000)
+        for path in random_tree_paths(data, splits):
+            leaves = dealt.leaf(path), joined.leaf(path)
+            assert dealt.bounds(leaves[0]) == joined.bounds(leaves[1])
+            assert np.array_equal(dealt.gains(leaves[0]), joined.gains(leaves[1]))
+            for i in range(k):
+                (rows, counts), (theirs, their_counts) = (pool.entities[i].leaf_rows(path) for pool in (dealt, joined))
+                assert np.array_equal(rows, members[i][theirs - offsets[i]])
+                assert np.array_equal(counts, their_counts)
+            for kind, splits_asked in (("leaf_count", None), ("label_counts", None),
+                                       ("joint_histogram", splits[:3]), ("local_best_split", None)):
+                answers = [pool.ask_all(ledger, kind, path, Fraction(1, 4), 1, 0, splits=splits_asked)
+                           for pool, ledger in zip((dealt, joined), ledgers)]
+                for ours, theirs in zip(*answers, strict=True):
+                    assert ours.payload.keys() == theirs.payload.keys()
+                    assert all(np.array_equal(ours.payload[key], theirs.payload[key]) for key in ours.payload)
+        assert ledgers[0].entries == ledgers[1].entries
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_split_that_separates_no_rows_reuses_the_parent(self, monkeypatch, k):
@@ -766,7 +798,7 @@ class TestEntityRowCache:
         y = np.array(data.draw(st.lists(st.integers(0, 11), min_size=n, max_size=n)), dtype=int)
         ds = LabeledDataset(X.reshape(n, 2), y, 12)
         splits = [SplitFunction(threshold=t, feature=j) for j in range(2) for t in grid]
-        shards = partition(ds, 24, RandomSource(data.draw(st.integers(0, 9)), ("shards",)))
+        shards = shard(ds, 24, data.draw(st.integers(0, 9)), ("shards",))
         for i in data.draw(st.sets(st.integers(0, 23), min_size=1, max_size=6)):
             shards[i] = ds.subset(np.arange(0))
         pool = EntityPool.from_shards(shards, RandomSource(0), splits, Criterion.ENTROPY)

@@ -541,10 +541,11 @@ class TestBinnedKernel:
     def test_subset_equals_fresh_binning(self, case, k, seed):
         ds, splits, candidates, rows = case
         full = SplitPlan(splits).bin(ds)
-        # A subsample's rows, and the shards that partition gives the
-        # dataset and its binning for one seed.
-        pairs = [(full.subset(rows), ds.subset(rows))]
-        pairs += zip(partition(full, k, RandomSource(seed)), partition(ds, k, RandomSource(seed)))
+        # A subsample's rows, and the rows of each holder that partition
+        # deals for one seed.
+        holders = partition(ds.n, k, RandomSource(seed))
+        pairs = [(full.subset(part), ds.subset(part))
+                 for part in [rows] + [np.flatnonzero(holders == i) for i in range(k)]]
         for sliced, piece in pairs:
             fresh = SplitPlan(splits).bin(piece)
             assert sliced.n == fresh.n == piece.n
