@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -65,7 +66,8 @@ def train(config_path, exact, seed):
         if exact:
             config.zero_noise = True
         row = run_single(config, 0, 0, 0, 0)
-        click.echo(json.dumps(asdict(row), sort_keys=True))
+        record = {**asdict(row), "test_acc": None if math.isnan(row.test_acc) else row.test_acc}
+        click.echo(json.dumps(record, sort_keys=True, allow_nan=False))
 
     _guarded(body)
 
@@ -95,7 +97,7 @@ def summarize_cmd(in_path, out_path):
         summary = summarize(in_path)
         out = resolve_output_path(out_path)
         with open_output(out) as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         click.echo(str(out))
 
     _guarded(body)

@@ -631,17 +631,15 @@ _TRUTH_LEVELS = ((0.5,), (0.25, 0.75), (0.5, 0.25, 0.75, 0.5))
 def _truth_tree(depth: int) -> DecisionTree:
     """A fixed threshold tree over grid thresholds whose alternating leaf
     labels give every level positive split gain, so greedy learners can
-    recover it."""
+    recover it. Its plan lists one split per inner node, in node id order."""
     if depth not in (2, 3):
         raise InvalidParameterError(f"no built-in truth tree of depth {depth}")
-    tree = DecisionTree()
+    tree = DecisionTree(SplitPlan([SplitFunction(threshold=threshold, feature=feature)
+                                   for feature, thresholds in enumerate(_TRUTH_LEVELS[:depth])
+                                   for threshold in thresholds]))
     level = [tree.root]
-    for feature, thresholds in enumerate(_TRUTH_LEVELS[:depth]):
-        level = [
-            child
-            for node, threshold in zip(level, thresholds)
-            for child in tree.split_leaf(node, SplitFunction(threshold=threshold, feature=feature))
-        ]
+    for _ in range(depth):
+        level = [child for node in level for child in tree.split_leaf(node, node.node_id)]
     for i, leaf in enumerate(level):
         leaf.label = 1 - i % 2
     return tree

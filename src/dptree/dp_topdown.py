@@ -5,19 +5,20 @@ estimation, and RNM labeling of all leaves in one release).
 
 The loop is one code path for every strategy, the non-private baseline
 included. A leaf is its `tree_learning.Node`, which carries only public
-facts: its id, its depth and its (split, side) path from the root. The loop
-asks the strategy each question about a leaf:
+facts: its id, its depth and its (plan index, side) path from the root.
+The loop asks the strategy each question about a leaf:
 
-- `split(leaf, alpha, ledger)`: the chosen split and its released gain,
-  raising DegenerateLeafError when the leaf is too small to score;
+- `split(leaf, alpha, ledger)`: the chosen split's plan index and its
+  released gain, raising DegenerateLeafError when the leaf is too small;
 - `weight(leaf, budget, ledger)`: the noisy fraction of rows in the leaf,
   spending `budget`, half the leaf's allowance alpha_leaf;
 - `labels(leaves, budget, ledger)`: the private majority label of each of
   the final leaves, asked once, after the last split, with each leaf's
   budget;
 - `pool`, an attribute set when the strategy is made: the owner of the
-  holders' rows (`split_strategies.EntityPool`), whose binning's row count
-  `pool.binned.n` is the public |S|.
+  holders' rows (`split_strategies.EntityPool`), whose `plan` the tree's
+  indices name splits of and whose binning's row count `pool.binned.n` is
+  the public |S|.
 
 Strategies read their own rows, draw their own noise and record their own
 charges. `ExactStrategy` answers every query exactly and charges nothing,
@@ -221,8 +222,8 @@ def dp_topdown(strategy, config: DPTopDownConfig):
 
     ledger = PrivacyLedger(config.alpha)
     stats = RunStats()
-    tree = DecisionTree()
-    # Max-priority heap of (-priority, push count, leaf, split). The push
+    tree = DecisionTree(strategy.pool.plan)
+    # Max-priority heap of (-priority, push count, leaf, split index). The push
     # count is unique, so ties pop in push order and no two leaves are compared.
     queue = []
 
@@ -237,9 +238,9 @@ def dp_topdown(strategy, config: DPTopDownConfig):
     # Root: PrivateSplit with the full depth-1 allowance and no weight
     # estimate; its children at depth 1 are funded by the same B(1).
     try:
-        best_split, priority = strategy.split(tree.root, allowance(1)[0], ledger)
+        best, priority = strategy.split(tree.root, allowance(1)[0], ledger)
         if priority > config.min_gain:
-            heapq.heappush(queue, (-priority, 0, tree.root, best_split))
+            heapq.heappush(queue, (-priority, 0, tree.root, best))
             stats.pushed_weights.append(1.0)
     except DegenerateLeafError:
         stats.degenerate_splits += 1
@@ -253,12 +254,12 @@ def dp_topdown(strategy, config: DPTopDownConfig):
             _, half = allowance(child.budget_depth)
             weight = strategy.weight(child, half, ledger)
             try:
-                child_split, child_gain = strategy.split(child, half, ledger)
+                child_best, child_gain = strategy.split(child, half, ledger)
             except DegenerateLeafError:
                 stats.degenerate_splits += 1
                 continue
             if weight >= weight_floor and child_gain > config.min_gain:
-                heapq.heappush(queue, (-weight * child_gain, len(stats.pushed_weights), child, child_split))
+                heapq.heappush(queue, (-weight * child_gain, len(stats.pushed_weights), child, child_best))
                 stats.pushed_weights.append(weight)
 
     label_leaves(tree, strategy, config.leaf_budget, ledger)

@@ -17,6 +17,7 @@ before any row file is touched.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import time
 import typing
@@ -408,8 +409,8 @@ def _result_rows(csv_path):
     """(line number, record) for each row of a sweep CSV, a record mapping
     each column to its value. A file that cannot be read raises DataError,
     and so does a header other than the sweep's, a row with too few or too
-    many cells, a number cell that `parse_number` refuses, or a byte that is
-    not UTF-8, naming its line."""
+    many cells, a number cell that `parse_number` refuses or that is not
+    finite but a test accuracy's NaN, or a non-UTF-8 byte, naming its line."""
     header = list(_COLUMNS)
     try:
         fh = open(csv_path, "r", encoding="utf-8", newline="")
@@ -432,6 +433,9 @@ def _result_rows(csv_path):
                     record[name] = cell if kind is str else parse_number(cell, kind)
                 except ValueError:
                     raise DataError(f"{csv_path}:{line}: cannot parse {cell!r} as a number for {name!r}")
+                no_test_rows = name == "test_acc" and math.isnan(record[name])
+                if kind is float and not (math.isfinite(record[name]) or no_test_rows):
+                    raise DataError(f"{csv_path}:{line}: {name!r} must be a finite number, got {cell!r}")
             yield line, record
 
 
@@ -445,15 +449,16 @@ def summarize(csv_path) -> dict:
         key = (record["algorithm"], record["alpha"], record["lpf"], record["train_fraction"])
         cells.setdefault(key, []).append(record)
 
-    def sem(values) -> float:
-        if len(values) < 2:
-            return 0.0
-        return float(np.std(values, ddof=1) / np.sqrt(len(values)))
+    def mean_sem(values) -> tuple:
+        if math.isnan(sum(values)):
+            return None, None  # the test accuracy of runs with no test rows: JSON null
+        sem = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+        return float(np.mean(values)), sem
 
     summary = []
     for (algorithm, alpha, lpf, fraction), records in sorted(cells.items()):
-        train = [r["train_acc"] for r in records]
-        test = [r["test_acc"] for r in records]
+        train_mean, train_sem = mean_sem([r["train_acc"] for r in records])
+        test_mean, test_sem = mean_sem([r["test_acc"] for r in records])
         summary.append(
             {
                 "algorithm": algorithm,
@@ -461,10 +466,10 @@ def summarize(csv_path) -> dict:
                 "lpf": lpf,
                 "train_fraction": fraction,
                 "runs": len(records),
-                "train_acc_mean": float(np.mean(train)),
-                "train_acc_sem": sem(train),
-                "test_acc_mean": float(np.mean(test)),
-                "test_acc_sem": sem(test),
+                "train_acc_mean": train_mean,
+                "train_acc_sem": train_sem,
+                "test_acc_mean": test_mean,
+                "test_acc_sem": test_sem,
                 "depth_mean": float(np.mean([r["depth"] for r in records])),
                 "nodes_mean": float(np.mean([r["nodes"] for r in records])),
                 "ledger_cost_max": max(r["ledger_cost"] for r in records),

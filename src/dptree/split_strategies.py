@@ -3,14 +3,14 @@ single-machine RNM, distributed NoisyCounts and distributed LocalRNM, plus
 the simulated data holders and the message layer they share.
 
 Each strategy answers the loop's queries about a leaf, its tree node
-(`tree_learning.Node`, whose public (split, side) path locates the leaf's
-rows; see `dp_topdown`): `split` and `weight`, and `labels` of all final
-leaves at once; it sets `pool` when it is made, whose binning's row count
-`pool.binned.n` is the public |S|. `ExactStrategy` answers exactly, with no
-noise and no charges; `SingleMachineRNMSplitter` answers privately: RNM for
-splits, the Laplace weight estimate for weights and one RNM release for the
-labels of every leaf, each from its own substream, all charged under the
-global ledger scope. The two distributed strategies ask the k holders
+(`tree_learning.Node`, whose public (plan index, side) path locates the
+leaf's rows; see `dp_topdown`): `split` and `weight`, and `labels` of all
+final leaves at once; it sets `pool` when it is made, whose binning's row
+count `pool.binned.n` is the public |S|. `ExactStrategy` answers exactly,
+with no noise and no charges; `SingleMachineRNMSplitter` answers privately:
+RNM for splits, the Laplace weight estimate for weights and one RNM release
+for the labels of every leaf, each from its own substream, all charged under
+the global ledger scope. The two distributed strategies ask the k holders
 through the transport and share `weight` (summed noisy counts) and `labels`
 (per leaf, the argmax of summed noisy label counts); they differ in `split`.
 A message is a `Query` to one entity through `LocalTransport.send`, and its
@@ -55,6 +55,7 @@ from .tree_learning import (
     DecisionTree,
     LabeledDataset,
     Node,
+    SplitFunction,
     SplitPlan,
     gain_from_counts,
     position_dtype,
@@ -133,13 +134,13 @@ class Entity:
         self.pool = weakref.proxy(pool)
         self.rng = rng
 
-    def leaf_rows(self, path) -> tuple:
-        """This holder's `(rows, counts)` of the leaf at `path`, a (split,
-        side) sequence of the splitting class: the 32-bit pool positions of
-        its rows that follow the path, and their cumulative counts, shape
-        (rows of the stack, K). Both are views of the pool's record."""
+    def leaf_rows(self, path: tuple) -> tuple:
+        """This holder's `(rows, counts)` of the leaf at `path`, a tuple of
+        (plan index, side) pairs: the 32-bit pool positions of its rows that
+        follow the path, and their cumulative counts, shape (rows of the
+        stack, K). Both are views of the pool's record."""
         pool = self.pool
-        leaf = pool.leaf(tuple(path))
+        leaf = pool.leaf(path)
         if pool.k == 1:  # the whole record, without working out bounds
             return leaf.rows, leaf.counts
         bounds, i = pool.bounds(leaf), self.entity_id
@@ -150,12 +151,12 @@ class Entity:
         the row that counts every label."""
         return counts[self.pool.plan.total_row].astype(float)
 
-    def gains(self, path) -> np.ndarray:
+    def gains(self, path: tuple) -> np.ndarray:
         """Exact gains of the full splitting class on this holder's rows of
         the leaf at `path`: its row of the gains the pool works out once for
         all holders."""
         pool = self.pool
-        return pool.gains(pool.leaf(tuple(path)))[self.entity_id]
+        return pool.gains(pool.leaf(path))[self.entity_id]
 
     def rnm_split(self, path, m: int, budget, rng: RandomSource):
         """Report Noisy Max over `gains(path)` of a leaf of m rows: (index,
@@ -223,8 +224,8 @@ class EntityPool:
     its binning shares the given binning's codes and relabels holder i's
     label y as i K + y, so one count of any rows, shape (rows of the stack,
     k K), holds holder i's counts as the view `reshape(-1, k, K)[:, i]`. One
-    record per live leaf, keyed by its path, holds the leaf's rows
-    (positions in the binning, of `position_dtype`, holder by holder and in
+    record per live leaf, keyed by its (plan index, side) path, holds the
+    leaf's rows (positions in the binning, of `position_dtype`, holder by holder and in
     row order within a holder), their counts and, once asked for, each
     holder's bounds in the rows and every holder's gains. A split's children
     are cut from their evicted parent's record. If its counts say the split
@@ -273,13 +274,18 @@ class EntityPool:
 
     def ask_all(self, ledger: PrivacyLedger, kind: str, path, budget, depth, leaf_id,
                 splits=None) -> list[Response]:
+        """Ask every entity one query about the leaf at `path`. Split objects
+        enter the pool only here: a (split, side) path, or candidates that are
+        splits of the class, are named by their plan indices once per query."""
         path = tuple(path)
+        if any(isinstance(split, SplitFunction) for split, _ in path):
+            on_path, sides = zip(*path)
+            path = tuple(zip(self.plan.index_of(on_path).tolist(), sides))
+        if splits is not None and not isinstance(splits, np.ndarray):
+            splits = self.plan.index_of(splits)
         if not isinstance(budget, Fraction):
             budget = Fraction(budget)
-        # The candidates, plan indices or splits of the class, become one
-        # index array per query, which every entity reads.
-        query = Query(kind, path, budget, depth, leaf_id, None if splits is None else self.plan.index_of(splits),
-                      charge=budget)
+        query = Query(kind, path, budget, depth, leaf_id, splits, charge=budget)
         if kind == "leaf_count":
             # Count sensitivity 1 at budget alpha_leaf/2 -> Lap(2/alpha_leaf).
             query.scale = 1.0 / float(budget)
@@ -297,10 +303,10 @@ class EntityPool:
         return [self.transport.send(entity, query, ledger) for entity in self.entities]
 
     def leaf(self, path: tuple) -> "_Leaf":
-        """The record of the leaf at `path`, a (split, side) tuple of the
-        splitting class. It stays cached until the leaf is cut. The k holders
-        of one query ask with one path object, which is answered without
-        hashing the path again."""
+        """The record of the leaf at `path`, a tuple of (plan index, side)
+        pairs. It stays cached until the leaf is cut. The k holders of one
+        query ask with one path object, which is answered without hashing
+        the path again."""
         last_path, last = self._last
         if path is last_path:
             return last
@@ -313,14 +319,14 @@ class EntityPool:
 
     def _cut(self, path: tuple, parent: "_Leaf") -> "_Leaf":
         """The leaf at `path`, cut with its sibling from their evicted parent."""
-        split, side = path[-1]
+        index, side = path[-1]
         # Rows on side 0: the sum of the split's left stack row.
-        left = int(parent.counts[self.plan.stack_rows[self.plan.index(split), 0]].sum())
+        left = int(parent.counts[self.plan.stack_rows[index, 0]].sum())
         if left in (0, parent.rows.size):
             # The split separates no rows: the full child is the parent.
             children = [parent, self._empty] if left else [self._empty, parent]
         else:
-            right = self.binned.goes_right(split, parent.rows)
+            right = self.binned.goes_right(index, parent.rows)
             children = [_Leaf(np.compress(~right, parent.rows), None),
                         _Leaf(np.compress(right, parent.rows), None)]
             # Count the smaller child; the larger one's counts are the
@@ -330,14 +336,14 @@ class EntityPool:
             parent.counts -= children[small].counts
             children[1 - small].counts = parent.counts
         self._leaves[path] = children[side]
-        self._leaves[path[:-1] + ((split, 1 - side),)] = children[1 - side]
+        self._leaves[path[:-1] + ((index, 1 - side),)] = children[1 - side]
         return children[side]
 
     def _replay(self, path: tuple) -> "_Leaf":
         holder = self.binned.labels // self.n_classes
         rows = np.argsort(holder, kind="stable").astype(position_dtype(self.binned.n))
-        for split, side in path:
-            right = self.binned.goes_right(split, rows)
+        for index, side in path:
+            right = self.binned.goes_right(index, rows)
             rows = np.compress(right if side else ~right, rows)
         leaf = self._leaves[path] = _Leaf(rows, self.binned.cumulative(rows))
         return leaf
@@ -385,12 +391,11 @@ def noisy_counts_split(pool: EntityPool, leaf: Node, alpha, candidates, ledger: 
     sums them, sanitizes, and picks the split with the largest estimated gain.
 
     Charges at most alpha per entity (alpha/3 under the joint-histogram-only
-    accounting). The candidates are plan indices, or splits of the class;
-    ties break to the first.
+    accounting). The candidates are an array of plan indices; the chosen
+    index and its estimated gain are returned, ties breaking to the first.
     """
     if alpha <= 0:
         raise InvalidParameterError(f"alpha must be positive, got {alpha}")
-    candidates = pool.plan.index_of(candidates)
     if len(candidates) == 0:
         raise InvalidParameterError("candidate split set must be nonempty")
     responses = pool.ask_all(ledger, "joint_histogram", leaf.path, alpha, leaf.budget_depth,
@@ -399,7 +404,7 @@ def noisy_counts_split(pool: EntityPool, leaf: Node, alpha, candidates, ledger: 
     sanitized = np.clip(aggregated, 0.0, None)
     gains = gain_from_counts(sanitized, pool.criterion)
     index = int(np.argmax(gains))
-    return pool.plan.splits[candidates[index]], float(gains[index])
+    return int(candidates[index]), float(gains[index])
 
 
 def local_rnm_split(pool: EntityPool, leaf: Node, alpha, ledger: PrivacyLedger):
@@ -431,8 +436,8 @@ class ExactStrategy:
     query is answered exactly from its leaf records, with no noise and no
     charges.
 
-    split() returns the split of largest exact gain (ties to the lowest
-    index) and that gain, weight() the exact fraction of rows in the leaf,
+    split() returns the plan index of largest exact gain (ties to the
+    lowest) and that gain, weight() the exact fraction of rows in the leaf,
     and labels() each leaf's majority label (ties and empty leaves to the
     lowest index). Through `dp_topdown` this is the greedy top-down learner
     with the private learner's node cap, gain threshold and weight filter.
@@ -445,7 +450,7 @@ class ExactStrategy:
     def split(self, leaf: Node, alpha, ledger: PrivacyLedger):
         gains = self.entity.gains(leaf.path)
         best = int(np.argmax(gains))
-        return self.pool.plan.splits[best], float(gains[best])
+        return best, float(gains[best])
 
     def weight(self, leaf: Node, budget, ledger: PrivacyLedger) -> float:
         rows, _ = self.entity.leaf_rows(leaf.path)
@@ -461,7 +466,7 @@ class SingleMachineRNMSplitter:
     global ledger scope.
 
     split() runs Report Noisy Max over the exact gains of the full splitting
-    class, returns (chosen split, its noisy gain) and charges the full alpha;
+    class, returns (its plan index, the noisy gain) and charges the full alpha;
     a leaf with fewer than MIN_LEAF_ROWS rows raises DegenerateLeafError
     without a charge. weight() runs `estimate_weight` on the leaf's exact
     row count, and labels() `rnm_labels` on the exact label counts of all
@@ -482,7 +487,7 @@ class SingleMachineRNMSplitter:
         rows, _ = self.entity.leaf_rows(leaf.path)
         index, noisy_gain = self.entity.rnm_split(leaf.path, rows.size, alpha, self._split_rng)
         ledger.charge(Scope(GLOBAL_SCOPE, "split", depth=leaf.budget_depth, leaf=leaf.node_id), alpha)
-        return self.pool.plan.splits[index], noisy_gain
+        return index, noisy_gain
 
     def weight(self, leaf: Node, budget, ledger: PrivacyLedger) -> float:
         scope = Scope(GLOBAL_SCOPE, "weight", depth=leaf.budget_depth, leaf=leaf.node_id)

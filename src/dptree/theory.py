@@ -155,9 +155,9 @@ def dataset_requirement(
     |H|; entities the number k of data holders (1 = single machine). The
     smallest B(d) over depths 1..M of the named budget schedule, "uniform"
     or "decay" (`dp_topdown.smallest_share`), enters the per-leaf budget.
-    splitter "rnm" is the single-machine analysis, and refuses any k but 1;
-    "noisy-counts" the distributed one, whose weight and leaf terms gain a
-    factor k inside and outside the logs.
+    The weight and leaf terms carry a factor k inside and outside the logs;
+    splitter names the split term's analysis: "rnm" the single machine's,
+    which refuses any k but 1, "noisy-counts" the distributed one.
     """
     known_schedule(schedule)  # refused before the ranges are checked
     if not 0.0 < gamma <= 0.5:
@@ -183,15 +183,14 @@ def dataset_requirement(
         if entities != 1:
             raise InvalidParameterError(f"splitter 'rnm' needs entities 1, got {entities}; "
                                         "the distributed analysis is splitter 'noisy-counts'")
-        weight = math.log(8.0 * m / delta) * 2.0 / weight_scale
-        leaf = math.log(4.0 * (m + 1.0) / delta) * 8.0 * (m + 1.0) / leaf_scale
         n_split = rnm_sample_bound(zeta, alpha_leaf / 2.0, split_delta, h_size)
     elif splitter == "noisy-counts":
-        weight = math.log(8.0 * k * m / delta) * 2.0 * k / weight_scale
-        leaf = math.log(4.0 * k * (m + 1.0) / delta) * 8.0 * k * (m + 1.0) / leaf_scale
         n_split = noisycounts_sample_bound(zeta, alpha_leaf / 2.0, split_delta, k, h_size)
     else:
         raise InvalidParameterError(f"unknown splitter kind {splitter!r}")
+    # At k = 1 each factor of k is an exact multiplication by 1.0.
+    weight = math.log(8.0 * k * m / delta) * 2.0 * k / weight_scale
+    leaf = math.log(4.0 * k * (m + 1.0) / delta) * 8.0 * k * (m + 1.0) / leaf_scale
     terms = {
         "weight_term": _finite_positive(weight, "the weight term"),
         "leaf_term": _finite_positive(leaf, "the leaf term"),

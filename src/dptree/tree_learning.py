@@ -4,8 +4,9 @@ the splitting class planned once (`SplitPlan`), datasets binned against that
 plan with the count-table kernel over them (`BinnedFeatures` and
 `split_count_tables`), and the tree itself with its construction, routing of
 float or binned rows, `to_dict` record and error on binned rows
-(`tree_error`). The learner is `dp_topdown`; the non-private baseline is that
-learner run with exact answers (`split_strategies.ExactStrategy`).
+(`tree_error`), whose paths are tuples of (plan index, side) pairs. The
+learner is `dp_topdown`; the non-private baseline is that learner run with
+exact answers (`split_strategies.ExactStrategy`).
 """
 
 from __future__ import annotations
@@ -156,10 +157,6 @@ class SplitFunction:
     Tests either one feature (threshold split) or the mean of a feature block
     (block-average split). A split's index in the splitting class H is its
     position in the class; the split itself holds only what it tests.
-
-    Splits key the leaf-row caches through (split, side) paths, so the hash
-    is computed once; pickling rebuilds it, since hash(None) varies between
-    processes.
     """
 
     threshold: float
@@ -171,13 +168,6 @@ class SplitFunction:
             raise InvalidParameterError("exactly one of feature/block must be set")
         if self.block is not None and len(self.block) == 0:
             raise InvalidParameterError("block must be nonempty")
-        object.__setattr__(self, "_hash", hash((self.threshold, self.feature, self.block)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return SplitFunction, (self.threshold, self.feature, self.block)
 
     def column(self, X: np.ndarray, rows=None) -> np.ndarray:
         if self.feature is not None:
@@ -247,20 +237,13 @@ class SplitPlan:
         self.indices = np.arange(len(self.splits))  # the whole class as candidates
         self._index = {split: h for h, split in enumerate(self.splits)}
 
-    def index(self, split) -> int:
-        """The index of a split of the class; any other split raises
+    def index_of(self, splits) -> np.ndarray:
+        """The indices of splits of the class; any other split raises
         InvalidParameterError rather than be counted in the wrong bins."""
         try:
-            return self._index[split]
-        except KeyError:
-            raise InvalidParameterError(f"split {split} is not in the splitting class") from None
-
-    def index_of(self, splits) -> np.ndarray:
-        """The indices of splits of the class; an index array is returned as
-        it is."""
-        if isinstance(splits, np.ndarray):
-            return splits
-        return np.array([self.index(split) for split in splits], dtype=np.intp)
+            return np.array([self._index[split] for split in splits], dtype=np.intp)
+        except KeyError as missing:
+            raise InvalidParameterError(f"split {missing.args[0]} is not in the splitting class") from None
 
     def bin(self, dataset: LabeledDataset) -> "BinnedFeatures":
         """The rows of a dataset as codes against this plan: each column cut
@@ -335,22 +318,21 @@ class BinnedFeatures:
             cum[start:stop] = np.cumsum(counts.reshape(stop - start, k), axis=0)
         return cum
 
-    def goes_right(self, split, rows) -> np.ndarray:
-        """Mask of the rows on side 1 of a split of the class: code > j is
-        value > t_j, so this equals `split.evaluate(X, rows) == 1` on the
+    def goes_right(self, index: int, rows) -> np.ndarray:
+        """Mask of the rows on side 1 of the plan's split `index`: code > j
+        is value > t_j, so this equals `split.evaluate(X, rows) == 1` on the
         float rows that were binned."""
-        h = self.plan.index(split)
         # A Python int compares in the codes' own dtype.
-        return self.codes[self.plan.column_of[h]].take(rows) > int(self.plan.position_of[h])
+        return self.codes[self.plan.column_of[index]].take(rows) > int(self.plan.position_of[index])
 
 
 def split_count_tables(binned: BinnedFeatures, rows, candidates, cumulative=None) -> np.ndarray:
     """Joint count tables, shape (len(candidates), K, 2), over the given
-    rows of a binned dataset: one gather of the stack rows of each candidate
-    (plan indices, or splits of the class) from `cumulative`, counts in the
-    plan's layout such as `binned.cumulative(rows)` or a pool's view of one
-    holder's counts. Without it the rows are counted here."""
-    at = binned.plan.stack_rows[binned.plan.index_of(candidates)]
+    rows of a binned dataset: one gather of the stack rows of each candidate,
+    an array of plan indices, from `cumulative`, counts in the plan's layout
+    such as `binned.cumulative(rows)` or a pool's view of one holder's
+    counts. Without it the rows are counted here."""
+    at = binned.plan.stack_rows[candidates]
     cum = binned.cumulative(rows) if cumulative is None else cumulative
     left = cum[at[:, 0]]
     tables = np.empty(left.shape + (2,))
@@ -366,23 +348,24 @@ def split_count_tables(binned: BinnedFeatures, rows, candidates, cumulative=None
 
 class Node:
     """One node of a `DecisionTree`, and the learner's handle on it while it
-    is a leaf: its id, its depth and its (split, side) path from the root are
-    public, and the path is all a strategy needs to find the leaf's rows."""
+    is a leaf: its id, its depth and its (plan index, side) path from the
+    root are public, and the path is all a strategy needs to find the leaf's
+    rows. An inner node holds its split's plan index."""
 
-    __slots__ = ("node_id", "depth", "path", "split", "left", "right", "label")
+    __slots__ = ("node_id", "depth", "path", "split_index", "left", "right", "label")
 
     def __init__(self, node_id: int, depth: int, path: tuple = ()):
         self.node_id = node_id
         self.depth = depth
         self.path = path
-        self.split: SplitFunction | None = None
+        self.split_index: int | None = None
         self.left: Node | None = None
         self.right: Node | None = None
         self.label: int | None = None
 
     @property
     def is_leaf(self) -> bool:
-        return self.split is None
+        return self.split_index is None
 
     @property
     def budget_depth(self) -> int:
@@ -392,7 +375,8 @@ class Node:
 
 
 class DecisionTree:
-    """Binary tree of split functions with labeled leaves.
+    """Binary tree with labeled leaves over the splits of a `SplitPlan`,
+    each named by its plan index; `predict` and `to_dict` read the splits.
 
     The root is at depth 0; children of a node at depth d are at d + 1, so
     the first split's children sit at depth 1 for budgeting purposes. Nodes
@@ -400,17 +384,18 @@ class DecisionTree:
     list in that order, so a node's id is its index.
     """
 
-    def __init__(self):
+    def __init__(self, plan: SplitPlan):
+        self.plan = plan
         self.root = Node(0, 0)
         self._nodes = [self.root]
 
-    def split_leaf(self, leaf: Node, split: SplitFunction) -> tuple[Node, Node]:
+    def split_leaf(self, leaf: Node, index: int) -> tuple[Node, Node]:
         if not leaf.is_leaf:
             raise InvalidParameterError(f"node {leaf.node_id} is already split")
-        leaf.split = split
+        leaf.split_index = index
         leaf.label = None
         for side in (0, 1):
-            self._nodes.append(Node(len(self._nodes), leaf.depth + 1, leaf.path + ((split, side),)))
+            self._nodes.append(Node(len(self._nodes), leaf.depth + 1, leaf.path + ((index, side),)))
         leaf.left, leaf.right = self._nodes[-2:]
         return leaf.left, leaf.right
 
@@ -426,10 +411,10 @@ class DecisionTree:
         return max(node.depth for node in self._nodes)
 
     def assign(self, n: int, goes_right) -> np.ndarray:
-        """Leaf node id for each of n rows. `goes_right(split, rows)` is the
-        mask of the given rows on side 1 of a split of the tree: on float
-        rows `split.evaluate(X, rows) == 1`, on binned rows
-        `BinnedFeatures.goes_right`."""
+        """Leaf node id for each of n rows. `goes_right(index, rows)` is the
+        mask of the given rows on side 1 of the plan's split `index`: on
+        float rows `plan.splits[index].evaluate(X, rows) == 1`, on binned
+        rows `BinnedFeatures.goes_right`."""
         out = np.empty(n, dtype=np.int64)
         stack = [(self.root, np.arange(n, dtype=position_dtype(n)))]
         while stack:
@@ -439,7 +424,7 @@ class DecisionTree:
             if node.is_leaf:
                 out[rows] = node.node_id
                 continue
-            right = goes_right(node.split, rows)
+            right = goes_right(node.split_index, rows)
             stack.append((node.left, np.compress(~right, rows)))
             stack.append((node.right, np.compress(right, rows)))
         return out
@@ -459,7 +444,7 @@ class DecisionTree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Label of each row of the float feature matrix X."""
         X = np.asarray(X, dtype=float)
-        return self.classify(X.shape[0], lambda split, rows: split.evaluate(X, rows) == 1)
+        return self.classify(X.shape[0], lambda index, rows: self.plan.splits[index].evaluate(X, rows) == 1)
 
     def to_dict(self) -> dict:
         """JSON-able node records, in node id order."""
@@ -470,17 +455,18 @@ class DecisionTree:
                     {"id": node.node_id, "kind": "leaf", "depth": node.depth, "label": node.label}
                 )
             else:
+                split = self.plan.splits[node.split_index]
                 record = {
                     "id": node.node_id,
                     "kind": "split",
                     "depth": node.depth,
-                    "threshold": node.split.threshold,
+                    "threshold": split.threshold,
                     "children": [node.left.node_id, node.right.node_id],
                 }
-                if node.split.feature is not None:
-                    record["feature"] = node.split.feature
+                if split.feature is not None:
+                    record["feature"] = split.feature
                 else:
-                    record["block"] = list(node.split.block)
+                    record["block"] = list(split.block)
                 records.append(record)
         return {"root": self.root.node_id, "nodes": records}
 
@@ -490,7 +476,10 @@ def tree_error(tree: DecisionTree, binned: BinnedFeatures) -> float:
 
     Rows are routed on their bin codes (`BinnedFeatures.goes_right`), which
     is exact, so this equals the error of `tree.predict` on the float rows
-    that were binned, for any tree over splits of the binned class."""
+    that were binned. A binning against other splits than the tree's plan is
+    refused, as an index names a split only within its plan."""
     if binned.n == 0:
         raise InvalidParameterError("cannot evaluate error on an empty dataset")
+    if binned.plan.splits != tree.plan.splits:
+        raise InvalidParameterError("the rows are binned against other splits than the tree's plan")
     return float(np.mean(tree.classify(binned.n, binned.goes_right) != binned.labels))

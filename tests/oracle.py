@@ -101,14 +101,14 @@ def route(tree: DecisionTree, x: np.ndarray) -> Node:
     node = tree.root
     x = np.asarray(x, dtype=float).reshape(1, -1)
     while not node.is_leaf:
-        node = node.right if node.split.evaluate(x)[0] else node.left
+        node = node.right if tree.plan.splits[node.split_index].evaluate(x)[0] else node.left
     return node
 
 
-def float_sides(X: np.ndarray):
-    """`DecisionTree.assign`'s side test on the float rows of X: side 1 where
-    the tested value exceeds the threshold."""
-    return lambda split, rows: split.evaluate(X, rows) == 1
+def float_sides(X: np.ndarray, plan: SplitPlan):
+    """`DecisionTree.assign`'s side test on the float rows of X for a tree
+    over `plan`: side 1 where the tested value exceeds the threshold."""
+    return lambda index, rows: plan.splits[index].evaluate(X, rows) == 1
 
 
 def potential(tree: DecisionTree, dataset: LabeledDataset, criterion: Criterion) -> float:
@@ -116,7 +116,7 @@ def potential(tree: DecisionTree, dataset: LabeledDataset, criterion: Criterion)
     error of the majority-labeled tree."""
     if dataset.n == 0:
         raise InvalidParameterError("cannot evaluate potential on an empty dataset")
-    leaf_ids = tree.assign(dataset.n, float_sides(dataset.features))
+    leaf_ids = tree.assign(dataset.n, float_sides(dataset.features, tree.plan))
     value = 0.0
     for leaf in tree.leaves():
         rows = leaf_ids == leaf.node_id
@@ -145,26 +145,27 @@ def topdown_nonprivate(
     exact majority labels.
     """
     X = dataset.features
-    binned = SplitPlan(splits).bin(dataset)
-    tree = DecisionTree()
+    plan = SplitPlan(splits)
+    binned = plan.bin(dataset)
+    tree = DecisionTree(plan)
     members = {tree.root.node_id: np.arange(dataset.n)}
-    heap = []  # (-priority, push order, leaf, split)
+    heap = []  # (-priority, push order, leaf, split index)
     order = itertools.count()
 
     def consider(leaf, rows, weight):
-        gains = gain_from_counts(split_count_tables(binned, rows, splits), criterion)
+        gains = gain_from_counts(split_count_tables(binned, rows, plan.indices), criterion)
         best = int(np.argmax(gains))
         if weight >= min_weight and gains[best] > min_gain:
-            heapq.heappush(heap, (-weight * float(gains[best]), next(order), leaf, splits[best]))
+            heapq.heappush(heap, (-weight * float(gains[best]), next(order), leaf, best))
 
     consider(tree.root, members[tree.root.node_id], 1.0)
     for _ in range(max_nodes):
         if not heap:
             break
-        _, _, leaf, split = heapq.heappop(heap)
+        _, _, leaf, index = heapq.heappop(heap)
         rows = members.pop(leaf.node_id)
-        sides = split.evaluate(X, rows)
-        for child, child_rows in zip(tree.split_leaf(leaf, split), (rows[sides == 0], rows[sides == 1])):
+        sides = splits[index].evaluate(X, rows)
+        for child, child_rows in zip(tree.split_leaf(leaf, index), (rows[sides == 0], rows[sides == 1])):
             members[child.node_id] = child_rows
             consider(child, child_rows, child_rows.size / dataset.n)
 

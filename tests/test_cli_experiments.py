@@ -50,7 +50,7 @@ from dptree.experiments import (
 )
 from dptree.split_strategies import EntityPool
 from dptree.theory import boosting_recurrence
-from dptree.tree_learning import DecisionTree, SplitPlan, tree_error
+from dptree.tree_learning import DecisionTree, SplitFunction, SplitPlan, tree_error
 from oracle import load_csv_rows, mutate_csv
 
 # Finite JSON numbers, subnormals and the edge of the float range included.
@@ -395,6 +395,22 @@ class TestRunSingle:
         cfg = config_from_dict({**config, "train_fractions": [0.2], "algorithm": "baseline"})
         row = run_single(cfg, 0, 0, 0, 0)
         assert row.train_fraction == 0.2
+
+    def test_cycles_hash_no_split(self, workspace, monkeypatch):
+        # A path is (plan index, side) pairs, so once the data is prepared no
+        # split object is hashed: every algorithm, with and without noise,
+        # gives the row it gives with hashing left alone.
+        _, config, _ = workspace
+        cfgs = [config_from_dict({**config, "algorithm": algorithm, "entities": 3, "zero_noise": exact})
+                for algorithm in experiments.ALGORITHMS for exact in (False, True)]
+        prepare_data(cfgs[0])
+        rows = [{**asdict(run_single(cfg, 1, 0, 0, 0)), "wall_ms": None} for cfg in cfgs]
+
+        def refuse(split):
+            raise AssertionError("a split was hashed during a cycle")
+
+        monkeypatch.setattr(SplitFunction, "__hash__", refuse)
+        assert [{**asdict(run_single(cfg, 1, 0, 0, 0)), "wall_ms": None} for cfg in cfgs] == rows
 
     @pytest.mark.parametrize("algorithm", experiments.ALGORITHMS)
     def test_cycles_do_not_bin_again(self, workspace, monkeypatch, algorithm):
@@ -827,7 +843,8 @@ class TestSummarize:
         (b"single-rnm,1.0,0.5,1.0,1,8,0.9", "expected 12 columns, got 7"),
         (ROWS[1].replace("0.7", "seven").encode(), "cannot parse 'seven' as a number for 'test_acc'"),
         (ROWS[1].replace("0.7", "0.\xff7").encode("latin-1") + b"\n", "byte b'\\xff' is not UTF-8"),
-    ], ids=["torn-last-row", "non-numeric", "not-utf8"])
+        (ROWS[1].replace("0.5,1.25", "inf,1.25").encode(), "'ledger_cost' must be a finite number, got 'inf'"),
+    ], ids=["torn-last-row", "non-numeric", "not-utf8", "infinite"])
     def test_bad_sweep_csv_exit_code(self, tmp_path, last, expected):
         bad = tmp_path / "bad.csv"
         bad.write_bytes("\n".join([CSV_HEADER, self.ROWS[0], ""]).encode() + last)
@@ -880,6 +897,38 @@ class TestCli:
         assert noisy_free["depth"] == base["depth"]
         assert noisy_free["nodes"] == base["nodes"]
         assert noisy_free["ledger_cost"] > 0.0 == base["ledger_cost"]
+
+    def test_outputs_are_strict_json_without_test_rows(self, tmp_path):
+        # A ratio of [1, 0] holds out no row, so no test accuracy exists: it
+        # is null in both outputs, neither of which holds NaN, and the sweep
+        # CSV keeps its nan.
+        ds, _, schema = synthetic_tree_dataset(200, RandomSource(7), depth=2, label_noise=0.05)
+        save_schema(schema, tmp_path / "schema.json")
+        write_csv(ds, schema, tmp_path / "data.csv")
+        config = {"schema": str(tmp_path / "schema.json"), "data": {"csv": str(tmp_path / "data.csv"),
+                  "ratio": [1, 0]}, "alphas": [8.0], "max_nodes": 4, "runs": 2, "entities": 2}
+
+        def strict(text):
+            def refuse(constant):
+                raise AssertionError(f"{constant} is not JSON")
+            return json.loads(text, parse_constant=refuse)
+
+        for algorithm in experiments.ALGORITHMS:
+            path = tmp_path / f"{algorithm}.json"
+            path.write_text(json.dumps({**config, "algorithm": algorithm}))
+            result = CliRunner().invoke(main, ["train", "--config", str(path)])
+            assert result.exit_code == 0, result.output
+            row = strict(result.output)
+            assert row["test_acc"] is None and 0.0 < row["train_acc"] <= 1.0
+        rows = tmp_path / "rows.csv"
+        assert CliRunner().invoke(main, ["sweep", "--config", str(tmp_path / "baseline.json"),
+                                         "--out", str(rows)]).exit_code == 0
+        assert [row["test_acc"] for row in read_rows(rows)] == ["nan", "nan"]
+        result = CliRunner().invoke(main, ["summarize", "--in", str(rows), "--out", str(tmp_path / "s.json")])
+        assert result.exit_code == 0, result.output
+        (cell,) = strict((tmp_path / "s.json").read_text())["cells"]
+        assert cell["test_acc_mean"] is None and cell["test_acc_sem"] is None
+        assert cell["train_acc_mean"] > 0.0 and cell["train_acc_sem"] == 0.0
 
     def test_sweep_and_summarize_commands(self, workspace, tmp_path):
         _, _, config_path = workspace

@@ -160,7 +160,7 @@ class TestEstimateWeight:
 class TestLabelLeaves:
     def test_zero_noise_majority(self):
         ds = LabeledDataset(np.zeros((100, 1)), np.array([0] * 70 + [1] * 30), 2)
-        tree = DecisionTree()
+        tree = DecisionTree(SplitPlan(ONE_SPLIT))
         with zero_noise():
             label_leaves(tree, single_machine(ds, ONE_SPLIT, 0), 0.5, PrivacyLedger(1.0))
         assert tree.root.label == 0
@@ -170,7 +170,7 @@ class TestLabelLeaves:
         strategy = single_machine(ds, ONE_SPLIT, 1)
         hits = 0
         for _ in range(10_000):
-            tree = DecisionTree()
+            tree = DecisionTree(strategy.pool.plan)
             label_leaves(tree, strategy, 0.5, PrivacyLedger(1.0))
             hits += tree.root.label == 0
         assert hits >= 9_990  # noise scale 4 against a gap of 1000
@@ -181,7 +181,7 @@ class TestLabelLeaves:
             for _ in range(4)
         ]
         pool = EntityPool.from_shards(shards, RandomSource(3), ONE_SPLIT, Criterion.ENTROPY)
-        tree = DecisionTree()
+        tree = DecisionTree(pool.plan)
         with zero_noise():
             label_leaves(tree, NoisyCountsSplitter(pool), 0.5, PrivacyLedger(1.0))
         assert tree.root.label == 0
@@ -189,8 +189,8 @@ class TestLabelLeaves:
     def test_empty_leaf_gets_lowest_label_in_zero_noise(self):
         ds = LabeledDataset(np.full((10, 1), 0.9), np.ones(10, dtype=int), 3)
         split = SplitFunction(threshold=0.95, feature=0)
-        tree = DecisionTree()
-        tree.split_leaf(tree.root, split)
+        tree = DecisionTree(SplitPlan([split]))
+        tree.split_leaf(tree.root, 0)
         with zero_noise():
             label_leaves(tree, single_machine(ds, [split], 5), 0.5, PrivacyLedger(1.0))
         left, right = tree.root.left, tree.root.right
@@ -325,8 +325,8 @@ class TestDPTopDown:
         assert len(tree.leaves()) == tree.internal_count + 1 >= 4
         for leaf in tree.leaves():
             rows = np.arange(ds.n)
-            for split, side in leaf.path:
-                rows = rows[split.evaluate(ds.features, rows) == side]
+            for index, side in leaf.path:
+                rows = rows[splits[index].evaluate(ds.features, rows) == side]
             assert np.array_equal(np.sort(rows), np.flatnonzero(tree.assign(ds.n, binned.goes_right) == leaf.node_id))
 
 
@@ -336,10 +336,10 @@ class ScriptedStrategy:
 
     def __init__(self, gains, weights):
         self.gains, self.weights = gains, weights
-        self.pool = SimpleNamespace(binned=SimpleNamespace(n=1))
+        self.pool = SimpleNamespace(plan=SplitPlan(ONE_SPLIT), binned=SimpleNamespace(n=1))
 
     def split(self, leaf, alpha, ledger):
-        return ONE_SPLIT[0], self.gains[leaf.node_id]
+        return 0, self.gains[leaf.node_id]
 
     def weight(self, leaf, budget, ledger):
         return self.weights[leaf.node_id]

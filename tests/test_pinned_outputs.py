@@ -109,8 +109,8 @@ def recording_cuts(cuts: list):
 
     def run(pool, path, parent):
         child = cut(pool, path, parent)
-        split, side = path[-1]
-        cuts.append(parent is child or parent is pool._leaves[path[:-1] + ((split, 1 - side),)])
+        index, side = path[-1]
+        cuts.append(parent is child or parent is pool._leaves[path[:-1] + ((index, 1 - side),)])
         return child
     return run
 

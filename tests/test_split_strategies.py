@@ -68,7 +68,8 @@ def shard(dataset, k, seed, stream=()):
 
 
 def exact_gains(dataset, splits, criterion=Criterion.ENTROPY):
-    tables = split_count_tables(SplitPlan(splits).bin(dataset), np.arange(dataset.n), splits)
+    plan = SplitPlan(splits)
+    tables = split_count_tables(plan.bin(dataset), np.arange(dataset.n), plan.indices)
     return gain_from_counts(tables, criterion)
 
 
@@ -147,7 +148,7 @@ class TestSingleMachineRNM:
             chosen, gain = rnm_root_split(ds, 0.5, splits, RandomSource(2), ledger)
         gains = exact_gains(ds, splits)
         best = int(np.argmax(gains))
-        assert chosen == splits[best]
+        assert chosen == best
         assert gain == pytest.approx(float(gains[best]), rel=1e-12)
         assert ledger.effective_cost() == Fraction(1, 2)
         assert [entry.scope for entry in ledger.entries] == [Scope(None, "split", depth=1, leaf=0)]
@@ -165,7 +166,7 @@ class TestSingleMachineRNM:
         splitter = SingleMachineRNMSplitter(SplitPlan(splits).bin(ds), Criterion.ENTROPY, RandomSource(4))
         for _ in range(300):
             chosen, _ = splitter.split(ROOT, 1.0, PrivacyLedger(1.0))
-            hits += chosen.feature == 0
+            hits += splits[chosen].feature == 0
         assert hits == 300  # noise scale ~0.0033 vs gain gap ~1
 
     def test_degenerate_leaf_raises_without_charge(self):
@@ -185,18 +186,18 @@ class TestSingleMachineRNM:
         X = rng.uniform(size=(600, 2))
         ds = LabeledDataset(X, np.asarray(rng.integers(0, 3, size=600)), 3)
         splits = grid_splits(d=2, count=3)
-        tree = DecisionTree()
-        left, right = tree.split_leaf(tree.root, splits[1])
-        tree.split_leaf(left, splits[4])
-        tree.split_leaf(right, splits[0])  # separates no rows: one leaf is empty
-        tree.split_leaf(right.right, splits[5])
+        tree = DecisionTree(SplitPlan(splits))
+        left, right = tree.split_leaf(tree.root, 1)
+        tree.split_leaf(left, 4)
+        tree.split_leaf(right, 0)  # separates no rows: one leaf is empty
+        tree.split_leaf(right.right, 5)
         leaves, budget = tree.leaves(), Fraction(1, 500)
         strategy = SingleMachineRNMSplitter(SplitPlan(splits).bin(ds), Criterion.ENTROPY, RandomSource(9))
         ledger = PrivacyLedger(1.0)
         with zero_noise(not noise):
             labels = strategy.labels(leaves, budget, ledger)
             stream = RandomSource(9).substream("label")
-            exact = [np.bincount(ds.labels[replayed_rows(ds, leaf.path)], minlength=3) for leaf in leaves]
+            exact = [np.bincount(ds.labels[replayed_rows(ds, leaf.path, splits)], minlength=3) for leaf in leaves]
             expected = [report_noisy_max(counts, 1.0, float(budget), stream)[0] for counts in exact]
         assert labels == expected
         assert (labels != [int(np.argmax(counts)) for counts in exact]) == noise
@@ -212,7 +213,7 @@ class TestNoisyCounts:
         pool = make_pool(ds, k, splits, seed=k)
         ledger = PrivacyLedger(1.0)
         with zero_noise():
-            dist_h, dist_j = noisy_counts_split(pool, ROOT, 1.0, splits, ledger)
+            dist_h, dist_j = noisy_counts_split(pool, ROOT, 1.0, pool.plan.indices, ledger)
             single_h, single_j = rnm_root_split(ds, 1.0, splits, RandomSource(0), PrivacyLedger(1.0))
         assert dist_h == single_h
         assert dist_j == pytest.approx(single_j, rel=1e-12)
@@ -224,7 +225,7 @@ class TestNoisyCounts:
         with zero_noise():
             for seed in range(6):
                 pool = make_pool(ds, 4, splits, seed=seed)
-                results.append(noisy_counts_split(pool, ROOT, 1.0, splits, PrivacyLedger(1.0)))
+                results.append(noisy_counts_split(pool, ROOT, 1.0, pool.plan.indices, PrivacyLedger(1.0)))
         assert all(r == results[0] for r in results)
 
     def test_per_entity_charge_is_third_of_alpha(self):
@@ -232,7 +233,7 @@ class TestNoisyCounts:
         splits = grid_splits()
         pool = make_pool(ds, 4, splits)
         ledger = PrivacyLedger(1.0)
-        noisy_counts_split(pool, ROOT, Fraction(3, 4), splits, ledger)
+        noisy_counts_split(pool, ROOT, Fraction(3, 4), pool.plan.indices, ledger)
         per_entity = {}
         for entry in ledger.entries:
             per_entity[entry.scope.entity] = per_entity.get(entry.scope.entity, 0) + entry.budget
@@ -245,12 +246,12 @@ class TestNoisyCounts:
         # split of the class is looked up again.
         pool = make_pool(planted_dataset(RandomSource(7), n=600), 3, grid_splits())
 
-        def lookup(self, split):
+        def lookup(self, splits):
             raise AssertionError("a split of the class was looked up again")
 
-        monkeypatch.setattr(SplitPlan, "index", lookup)
-        split, _ = NoisyCountsSplitter(pool).split(ROOT, 1.0, PrivacyLedger(1.0))
-        assert split in pool.plan.splits
+        monkeypatch.setattr(SplitPlan, "index_of", lookup)
+        index, _ = NoisyCountsSplitter(pool).split(ROOT, 1.0, PrivacyLedger(1.0))
+        assert 0 <= index < len(pool.plan.splits)
 
     def test_aggregate_noise_variance(self):
         # k entities each add Lap(3|H|/alpha) per cell; the summed cell noise
@@ -283,19 +284,19 @@ class TestNoisyCounts:
         hits = 0
         trials = 60
         for _ in range(trials):
-            chosen, _ = noisy_counts_split(pool, ROOT, 4.0, splits, PrivacyLedger(4.0))
-            hits += chosen.feature == 0
+            chosen, _ = noisy_counts_split(pool, ROOT, 4.0, pool.plan.indices, PrivacyLedger(4.0))
+            hits += splits[chosen].feature == 0
         assert hits >= 0.95 * trials
 
     def test_sanitizes_summed_cells_before_gain(self):
         ds = planted_dataset(RandomSource(13), n=300)
         splits = grid_splits()
         pool = recorded(make_pool(ds, 3, splits))
-        chosen, gain = noisy_counts_split(pool, ROOT, 0.1, splits, PrivacyLedger(1.0))
+        chosen, gain = noisy_counts_split(pool, ROOT, 0.1, pool.plan.indices, PrivacyLedger(1.0))
         summed = np.sum([payload["cells"] for _, _, payload in pool.transport.sent], axis=0)
         assert summed.min() < 0.0  # noise at alpha = 0.1 drives cells negative
         gains = gain_from_counts(np.clip(summed, 0.0, None), Criterion.ENTROPY)
-        assert gain == gains[splits.index(chosen)]
+        assert gain == gains[chosen]
 
     def test_pool_entities_must_agree(self):
         # A pool of shards needs a shard, and its shards one label set: the
@@ -333,7 +334,7 @@ class TestLocalRNM:
                 locals_best.append(splits[int(np.argmax(exact_gains(piece, splits)))])
             union_gains = exact_gains(ds, locals_best)
             best = int(np.argmax(union_gains))
-            assert chosen == locals_best[best]
+            assert splits[chosen] == locals_best[best]
             assert gain == pytest.approx(float(union_gains[best]), rel=1e-12)
 
     def test_phase2_candidate_set_has_k_slots(self):
@@ -381,7 +382,7 @@ class TestDistributedQueries:
             features = np.where(np.arange(size) < size // 4, 0.25, 0.75)[:, None]
             shards.append(LabeledDataset(features, np.zeros(size, dtype=int), 2))
         pool = EntityPool.from_shards(shards, RandomSource(5), splits, Criterion.ENTROPY)
-        left = Node(1, 1, ((splits[0], 0),))
+        left = Node(1, 1, ((0, 0),))
         with zero_noise():
             weight = NoisyCountsSplitter(pool).weight(left, 0.5, PrivacyLedger(1.0))
         assert weight == pytest.approx(0.25)
@@ -513,6 +514,28 @@ class TestHolderIsolation:
         assert {(j, "label_counts"), (j, "joint_histogram")} <= changed
 
 
+class TestAskAllBoundary:
+    @pytest.mark.parametrize("kind", ["leaf_count", "label_counts", "joint_histogram", "local_best_split"])
+    def test_split_objects_ask_as_their_plan_indices(self, kind):
+        # `ask_all` is where split objects enter the pool: a (split, side)
+        # path and split candidates ask what the equal (index, side) path and
+        # index candidates ask, with the same payloads, charges and draws.
+        ds, splits = planted_dataset(RandomSource(23), n=900), grid_splits()
+        runs = []
+        for by_split in (True, False):
+            pool, ledger = recorded(make_pool(ds, 3, splits, seed=23)), PrivacyLedger(100.0)
+            for path in ((), ((3, 1),), ((3, 1), (9, 0))):
+                candidates = None
+                if kind == "joint_histogram":
+                    candidates = splits[2:7] if by_split else np.arange(2, 7)
+                if by_split:
+                    path = tuple((splits[index], side) for index, side in path)
+                pool.ask_all(ledger, kind, path, Fraction(1, 2), 1, len(path), splits=candidates)
+            runs.append((pool.transport.sent, ledger.entries, [entity.rng.uniform() for entity in pool.entities]))
+        assert runs[0] == runs[1]
+        assert {query.path for _, query, _ in runs[0][0]} == {(), ((3, 1),), ((3, 1), (9, 0))}
+
+
 def payload_bytes(sent) -> int:
     """Bytes of recorded payloads as the bench counts them: an array's
     float64 cells, and 8 for any other value."""
@@ -578,11 +601,12 @@ class TestPaperClaims:
         assert noisy / local == self.H / (2 * self.K)
 
 
-def replayed_rows(shard, path):
-    """Stateless oracle: follow the path from the root over every shard row."""
+def replayed_rows(shard, path, splits):
+    """Stateless oracle: follow the path, (index into `splits`, side)
+    pairs, from the root over every shard row."""
     rows = np.arange(shard.n)
-    for split, side in path:
-        rows = rows[split.evaluate(shard.features, rows) == side]
+    for index, side in path:
+        rows = rows[splits[index].evaluate(shard.features, rows) == side]
     return rows
 
 
@@ -595,12 +619,13 @@ def fresh_tables(dataset, rows, splits):
 
 
 def random_tree_paths(data, splits):
-    """The path of every node of a random tree; children follow their parent."""
+    """The path of every node of a random tree over `splits`, of (index,
+    side) pairs; children follow their parent."""
     paths = [()]
     for _ in range(data.draw(st.integers(0, 6))):
         parent = data.draw(st.sampled_from(paths))
-        split = data.draw(st.sampled_from(splits))
-        paths += [parent + ((split, 0),), parent + ((split, 1),)]
+        index = data.draw(st.integers(0, len(splits) - 1))
+        paths += [parent + ((index, 0),), parent + ((index, 1),)]
     return paths
 
 
@@ -639,7 +664,7 @@ class TestEntityRowCache:
         for i, path in data.draw(st.lists(asked, max_size=25)):
             entity, piece = pool.entities[i], shards[i]
             rows, counts = entity.leaf_rows(path)
-            replay = replayed_rows(piece, path)
+            replay = replayed_rows(piece, path, splits)
             # Pool positions: the shard's offset plus positions in the shard.
             assert np.array_equal(rows - offsets[i], replay)
             assert np.array_equal(counts, SplitPlan(splits).bin(piece).cumulative(replay))
@@ -691,7 +716,7 @@ class TestEntityRowCache:
         # rows and gains included, and its empty child counts no rows.
         ds, splits = planted_dataset(RandomSource(5), n=500), grid_splits(d=2, count=3)
         pool = pool_of_one(ds, splits) if k == 1 else make_pool(ds, k, splits, seed=5)
-        parents = (((splits[1], 0),), ((splits[1], 1),))
+        parents = (((1, 0),), ((1, 1),))
         records = []
         for path in ((),) + parents:
             for entity in pool.entities:
@@ -703,9 +728,9 @@ class TestEntityRowCache:
 
         monkeypatch.setattr(pool.binned, "goes_right", refuse)
         monkeypatch.setattr(pool.binned, "cumulative", refuse)
-        for parent_path, parent, split, full_side in zip(parents, records[1:], (splits[2], splits[0]), (0, 1)):
+        for parent_path, parent, index, full_side in zip(parents, records[1:], (2, 0), (0, 1)):
             rows, gains = parent.rows, parent.gains
-            full_path, empty_path = parent_path + ((split, full_side),), parent_path + ((split, 1 - full_side),)
+            full_path, empty_path = parent_path + ((index, full_side),), parent_path + ((index, 1 - full_side),)
             for entity in pool.entities:
                 entity.leaf_rows(full_path)
                 entity.leaf_rows(empty_path)
@@ -716,7 +741,7 @@ class TestEntityRowCache:
                 assert np.array_equal(entity.gains(full_path), gains[entity.entity_id])
                 held, counts = entity.leaf_rows(empty_path)
                 assert held.size == 0 and not counts.any()
-                assert replayed_rows(piece, full_path).size == replayed_rows(piece, parent_path).size
+                assert replayed_rows(piece, full_path, splits).size == replayed_rows(piece, parent_path, splits).size
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -737,8 +762,8 @@ class TestEntityRowCache:
         for i, path in data.draw(st.lists(asked, max_size=25)):
             entity, piece = pool.entities[i], shards[i]
             rows, counts = entity.leaf_rows(path)
-            tables = split_count_tables(pool.binned, rows, splits, counts)
-            expected = fresh_tables(piece, replayed_rows(piece, path), splits)
+            tables = split_count_tables(pool.binned, rows, pool.plan.indices, counts)
+            expected = fresh_tables(piece, replayed_rows(piece, path, splits), splits)
             assert np.array_equal(tables, expected)
             # The gains worked out once for all holders are each holder's own.
             assert np.array_equal(entity.gains(path), gain_from_counts(expected, Criterion.ENTROPY))
@@ -751,16 +776,16 @@ class TestEntityRowCache:
         monkeypatch.setattr(pool.binned, "cumulative", lambda rows: counted.append(rows.size) or count(rows))
         # The first cut's smaller child is its left side (x0 <= 0.25), the
         # second cut's its right side (x1 > 0.75).
-        right = ((splits[0], 1),)
-        for path in ((), right, right + ((splits[5], 0),)):
+        right = ((0, 1),)
+        for path in ((), right, right + ((5, 0),)):
             entity.leaf_rows(path)
-        smaller = (((splits[0], 0),), right + ((splits[5], 1),))
-        assert counted == [ds.n] + [replayed_rows(ds, path).size for path in smaller]
+        smaller = (((0, 0),), right + ((5, 1),))
+        assert counted == [ds.n] + [replayed_rows(ds, path, splits).size for path in smaller]
         assert counted[1] < ds.n / 2 and counted[2] < (ds.n - counted[1]) / 2
         for path in pool._leaves:
             rows, counts = entity.leaf_rows(path)
-            tables = split_count_tables(pool.binned, rows, splits, counts)
-            assert np.array_equal(tables, fresh_tables(ds, replayed_rows(ds, path), splits))
+            tables = split_count_tables(pool.binned, rows, pool.plan.indices, counts)
+            assert np.array_equal(tables, fresh_tables(ds, replayed_rows(ds, path, splits), splits))
         assert len(counted) == 3  # serving cached leaves counts nothing again
 
     def test_pool_cut_counts_only_the_pooled_smaller_child(self, monkeypatch):
@@ -771,19 +796,19 @@ class TestEntityRowCache:
         count = pool.binned.cumulative
         monkeypatch.setattr(pool.binned, "cumulative",
                             lambda rows: counted.append(rows.size) or count(rows))
-        right = ((splits[0], 1),)
-        for path in ((), right, right + ((splits[5], 0),)):
+        right = ((0, 1),)
+        for path in ((), right, right + ((5, 0),)):
             for entity in pool.entities:
                 entity.leaf_rows(path)
         # One count per leaf for all three holders: the root, then each
         # cut's smaller child over the pooled rows.
-        smaller = (((splits[0], 0),), right + ((splits[5], 1),))
-        assert counted == [ds.n] + [replayed_rows(ds, path).size for path in smaller]
+        smaller = (((0, 0),), right + ((5, 1),))
+        assert counted == [ds.n] + [replayed_rows(ds, path, splits).size for path in smaller]
         for path in pool._leaves:
             for entity, piece in zip(pool.entities, shards):
                 rows, counts = entity.leaf_rows(path)
-                tables = split_count_tables(pool.binned, rows, splits, counts)
-                assert np.array_equal(tables, fresh_tables(piece, replayed_rows(piece, path), splits))
+                tables = split_count_tables(pool.binned, rows, pool.plan.indices, counts)
+                assert np.array_equal(tables, fresh_tables(piece, replayed_rows(piece, path, splits), splits))
         assert len(counted) == 3
 
     @settings(max_examples=60, deadline=None)
@@ -809,12 +834,12 @@ class TestEntityRowCache:
         for i, path in data.draw(st.lists(asked, min_size=1, max_size=25)):
             entity, piece = pool.entities[i], shards[i]
             rows, counts = entity.leaf_rows(path)
-            replay = replayed_rows(piece, path)
+            replay = replayed_rows(piece, path, splits)
             assert np.array_equal(rows - offsets[i], replay)
             assert np.array_equal(counts, SplitPlan(splits).bin(piece).cumulative(replay))
             assert np.array_equal(entity.label_counts(counts), np.bincount(piece.labels[replay], minlength=12))
             expected = fresh_tables(piece, replay, splits)
-            assert np.array_equal(split_count_tables(pool.binned, rows, splits, counts), expected)
+            assert np.array_equal(split_count_tables(pool.binned, rows, pool.plan.indices, counts), expected)
             assert np.array_equal(entity.gains(path), gain_from_counts(expected, Criterion.ENTROPY))
         assert all(keys.dtype == np.uint16 for keys in pool.binned._count_keys())
 
@@ -836,6 +861,8 @@ class TestEntityRowCache:
                 gc.enable()
 
     def test_out_of_class_candidate_raises_with_cached_counts(self):
+        # Split objects enter the pool only through `ask_all`, which names
+        # them by plan index and refuses one outside the class.
         ds, splits = planted_dataset(RandomSource(6), n=100), grid_splits(d=2, count=3)
         pool = make_pool(ds, 2, splits)
         stranger = SplitFunction(threshold=0.3, feature=0)
@@ -843,17 +870,17 @@ class TestEntityRowCache:
             with pytest.raises(InvalidParameterError):
                 pool.ask_all(PrivacyLedger(8), "joint_histogram", (), Fraction(1), 1, 0, splits=candidates)
         with pytest.raises(InvalidParameterError):
-            pool.entities[0].leaf_rows(((stranger, 0),))
+            pool.ask_all(PrivacyLedger(8), "leaf_count", ((splits[0], 1), (stranger, 0)), Fraction(1), 1, 0)
 
     def test_evicted_parent_requeried(self):
         splits = grid_splits(d=2, count=3)
         ds = planted_dataset(RandomSource(2), n=200)
         pool = pool_of_one(ds, splits)
         entity = pool.entities[0]
-        left, right = ((splits[1], 0),), ((splits[1], 1),)
-        for path in ((), left, (), right, left + ((splits[4], 1),), left, ()):
+        left, right = ((1, 0),), ((1, 1),)
+        for path in ((), left, (), right, left + ((4, 1),), left, ()):
             rows, _ = entity.leaf_rows(path)
-            assert np.array_equal(rows, replayed_rows(ds, path))
+            assert np.array_equal(rows, replayed_rows(ds, path, splits))
 
     def test_learner_query_order_caches_each_row_once(self):
         ds, splits = planted_dataset(RandomSource(3), n=3000), grid_splits()
@@ -903,12 +930,12 @@ class TestEntityRowCache:
             alone."""
 
             def leaf_rows(self, path):
-                rows = replayed_rows(self.piece, path)
+                rows = replayed_rows(self.piece, path, splits)
                 return rows, self.binned.cumulative(rows)
 
             def gains(self, path):
                 rows, counts = self.leaf_rows(path)
-                return gain_from_counts(split_count_tables(self.binned, rows, splits, counts),
+                return gain_from_counts(split_count_tables(self.binned, rows, self.binned.plan.indices, counts),
                                         self.pool.criterion)
 
         ds, splits = planted_dataset(RandomSource(4), n=2500), grid_splits()

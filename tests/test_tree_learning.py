@@ -142,7 +142,7 @@ class TestSplitGain:
     def test_from_split_counts(self):
         ds = LabeledDataset(np.array([[0.2], [0.7], [0.1], [0.4], [0.9]]), np.array([0, 0, 1, 1, 1]), 2)
         split = SplitFunction(threshold=0.5, feature=0)
-        tables = split_count_tables(SplitPlan([split]).bin(ds), np.arange(ds.n), [split])
+        tables = split_count_tables(SplitPlan([split]).bin(ds), np.arange(ds.n), np.array([0]))
         assert tables[0].tolist() == [[1.0, 1.0], [2.0, 1.0]]
 
 
@@ -191,7 +191,8 @@ class TestSplitTables:
             SplitFunction(threshold=0.4, block=(0, 2)),
             SplitFunction(threshold=0.6, block=(0, 1)),
         ]
-        tables = split_count_tables(SplitPlan(splits).bin(ds), np.arange(ds.n), splits)
+        plan = SplitPlan(splits)
+        tables = split_count_tables(plan.bin(ds), np.arange(ds.n), plan.indices)
         for i, split in enumerate(splits):
             sides = split.evaluate(ds.features)
             assert np.array_equal(tables[i], oracle_table(ds.labels, sides, 3))
@@ -200,7 +201,8 @@ class TestSplitTables:
         rng = RandomSource(9)
         ds = random_dataset(rng, n=150)
         splits = grid_splits()
-        tables = split_count_tables(SplitPlan(splits).bin(ds), np.arange(ds.n), splits)
+        plan = SplitPlan(splits)
+        tables = split_count_tables(plan.bin(ds), np.arange(ds.n), plan.indices)
         gains = gain_from_counts(tables, Criterion.GINI)
         for i, split in enumerate(splits):
             cells = oracle_table(ds.labels, split.evaluate(ds.features), 2)
@@ -209,12 +211,12 @@ class TestSplitTables:
 
 class TestTreeStructure:
     def test_single_leaf_routes_to_root(self):
-        tree = DecisionTree()
+        tree = DecisionTree(SplitPlan(grid_splits()))
         assert route(tree, np.array([0.3, 0.4])).node_id == tree.root.node_id
 
     def test_threshold_routing(self):
-        tree = DecisionTree()
-        left, right = tree.split_leaf(tree.root, SplitFunction(threshold=0.5, feature=0))
+        tree = DecisionTree(SplitPlan([SplitFunction(threshold=0.5, feature=0)]))
+        left, right = tree.split_leaf(tree.root, 0)
         assert route(tree, np.array([0.3, 0.9])).node_id == left.node_id
         assert route(tree, np.array([0.7, 0.1])).node_id == right.node_id
 
@@ -222,7 +224,7 @@ class TestTreeStructure:
         rng = RandomSource(10)
         ds = random_dataset(rng, n=1000, d=3)
         tree = baseline(ds, grid_splits(d=3), 7, Criterion.ENTROPY, min_gain=-1.0)
-        leaf_ids = tree.assign(ds.n, float_sides(ds.features))
+        leaf_ids = tree.assign(ds.n, float_sides(ds.features, tree.plan))
         leaves = {leaf.node_id for leaf in tree.leaves()}
         assert set(np.unique(leaf_ids)) <= leaves
         sizes = sum(int(np.sum(leaf_ids == leaf)) for leaf in leaves)
@@ -230,15 +232,15 @@ class TestTreeStructure:
 
     def test_nodes_in_id_order_with_paths(self):
         splits = grid_splits(d=2)
-        tree = DecisionTree()
+        tree = DecisionTree(SplitPlan(splits))
         assert tree.root.path == () and tree.root.budget_depth == 1
         rng = RandomSource(14)
         for _ in range(9):
             leaves = tree.leaves()
             leaf = leaves[int(rng.integers(0, len(leaves)))]
-            split = splits[int(rng.integers(0, len(splits)))]
-            left, right = tree.split_leaf(leaf, split)
-            assert left.path == leaf.path + ((split, 0),) and right.path == leaf.path + ((split, 1),)
+            index = int(rng.integers(0, len(splits)))
+            left, right = tree.split_leaf(leaf, index)
+            assert left.path == leaf.path + ((index, 0),) and right.path == leaf.path + ((index, 1),)
             assert left.budget_depth == right.budget_depth == leaf.depth + 1
         walked, stack = [], [tree.root]
         while stack:
@@ -258,7 +260,7 @@ class TestTreeStructure:
         assert tree.depth == max(len(node.path) for node in nodes)
 
     def test_predict_requires_labels(self):
-        tree = DecisionTree()
+        tree = DecisionTree(SplitPlan(grid_splits()))
         with pytest.raises(InvalidParameterError, match="unlabeled leaf"):
             tree.predict(np.zeros((1, 2)))
 
@@ -266,9 +268,21 @@ class TestTreeStructure:
         features = np.array([[0.1], [0.2], [0.3], [0.4], [0.5], [0.6], [0.7], [0.8], [0.9], [1.0]])
         labels = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1, 1])
         ds = LabeledDataset(features, labels, 2)
-        tree = DecisionTree()
+        plan = SplitPlan([SplitFunction(threshold=0.5, feature=0)])
+        tree = DecisionTree(plan)
         tree.root.label = 1  # majority single leaf on 30%/70% data
-        assert tree_error(tree, SplitPlan([SplitFunction(threshold=0.5, feature=0)]).bin(ds)) == pytest.approx(0.3)
+        assert tree_error(tree, plan.bin(ds)) == pytest.approx(0.3)
+
+    def test_tree_error_refuses_a_binning_of_other_splits(self):
+        # A plan index names a split only within its plan: rows binned
+        # against other splits would be routed on the wrong columns.
+        ds = random_dataset(RandomSource(11), n=50, d=2)
+        tree = baseline(ds, grid_splits(), 4, Criterion.ENTROPY, min_gain=-1.0)
+        assert tree.internal_count > 0
+        assert tree_error(tree, SplitPlan(grid_splits()).bin(ds)) == tree_error(tree, tree.plan.bin(ds))
+        for splits in (grid_splits()[::-1], grid_splits()[:-1], grid_splits(d=2, count=3)):
+            with pytest.raises(InvalidParameterError, match="other splits"):
+                tree_error(tree, SplitPlan(splits).bin(ds))
 
     def test_serialization_roundtrip_bit_exact(self):
         # The node records are plain JSON: thresholds survive a dump and load
@@ -282,8 +296,8 @@ class TestTreeStructure:
         assert all(record["threshold"] in thresholds for record in doc["nodes"] if record["kind"] == "split")
 
     def test_block_split_roundtrip(self):
-        tree = DecisionTree()
-        tree.split_leaf(tree.root, SplitFunction(threshold=0.25, block=(0, 1, 3)))
+        tree = DecisionTree(SplitPlan([SplitFunction(threshold=0.25, block=(0, 1, 3))]))
+        tree.split_leaf(tree.root, 0)
         for leaf in tree.leaves():
             leaf.label = 0
         doc = tree.to_dict()
@@ -308,7 +322,7 @@ class TestSplitHash:
             assert loaded == fresh
             assert hash(loaded) == hash(fresh)
             assert hash(pickle.loads(pickle.dumps(fresh))) == hash(fresh)
-            # Equal splits made apart hash equal, so they key the same cached path.
+            # Equal splits made apart hash equal, so a plan finds the index of either.
             twin = dataclasses.replace(fresh)
             assert twin is not fresh and twin == fresh and hash(twin) == hash(fresh)
             assert {((fresh, 0), (fresh, 1)): "leaf"}[((twin, 0), (twin, 1))] == "leaf"
@@ -317,28 +331,25 @@ class TestSplitHash:
 class TestPotential:
     def test_pure_single_leaf(self):
         ds = LabeledDataset(np.zeros((5, 1)), np.ones(5, dtype=int), 2)
-        assert potential(DecisionTree(), ds, Criterion.ENTROPY) == pytest.approx(0.0)
+        assert potential(DecisionTree(SplitPlan(grid_splits())), ds, Criterion.ENTROPY) == pytest.approx(0.0)
 
     def test_balanced_single_leaf(self):
         ds = LabeledDataset(np.zeros((6, 1)), np.array([0, 1, 0, 1, 0, 1]), 2)
-        assert potential(DecisionTree(), ds, Criterion.ENTROPY) == pytest.approx(1.0)
+        assert potential(DecisionTree(SplitPlan(grid_splits())), ds, Criterion.ENTROPY) == pytest.approx(1.0)
 
     def test_potential_bounds_majority_error(self):
         rng = RandomSource(13)
         for trial in range(100):
             ds = random_dataset(rng, n=120, d=2)
             depth = 1 + trial % 3
-            tree = DecisionTree()
+            # One split per inner node, in the order the nodes are made.
+            splits = [SplitFunction(threshold=float(rng.uniform()), feature=int(rng.integers(0, 2)))
+                      for _ in range(2**depth - 1)]
+            tree = DecisionTree(SplitPlan(splits))
             frontier = [tree.root]
             for _ in range(depth):
-                new_frontier = []
-                for node in frontier:
-                    split = SplitFunction(
-                        threshold=float(rng.uniform()), feature=int(rng.integers(0, 2))
-                    )
-                    new_frontier.extend(tree.split_leaf(node, split))
-                frontier = new_frontier
-            leaf_ids = tree.assign(ds.n, float_sides(ds.features))
+                frontier = [child for node in frontier for child in tree.split_leaf(node, node.node_id)]
+            leaf_ids = tree.assign(ds.n, float_sides(ds.features, tree.plan))
             for leaf in tree.leaves():
                 leaf.label = majority_label(
                     np.bincount(ds.labels[leaf_ids == leaf.node_id], minlength=2)
@@ -350,7 +361,7 @@ class TestPotential:
     def test_empty_dataset_rejected(self):
         empty = LabeledDataset(np.empty((0, 1)), np.empty(0, dtype=int), 2)
         with pytest.raises(InvalidParameterError):
-            potential(DecisionTree(), empty, Criterion.GINI)
+            potential(DecisionTree(SplitPlan(grid_splits())), empty, Criterion.GINI)
 
 
 class TestTopDown:
@@ -411,9 +422,10 @@ GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 @st.composite
 def binned_cases(draw):
-    """A dataset with continuous columns and one 0/1 column, a candidate
-    list drawn with repeats from a splitting class of threshold, one-hot and
-    block-average splits, and a random (possibly empty) row subset."""
+    """A dataset with continuous columns and one 0/1 column, a splitting
+    class of threshold, one-hot and block-average splits, a candidate array
+    of their plan indices drawn with repeats, and a random (possibly empty)
+    row subset."""
     n = draw(st.integers(0, 40))
     n_classes = draw(st.integers(1, 4))
     d = draw(st.integers(1, 3))
@@ -431,7 +443,7 @@ def binned_cases(draw):
                            max_size=2))
     splits += [SplitFunction(threshold=t, block=tuple(block))
                for block in blocks for t in draw(st.lists(thresholds, min_size=1, max_size=3))]
-    candidates = draw(st.lists(st.sampled_from(splits), min_size=1, max_size=12))
+    candidates = np.array(draw(st.lists(st.integers(0, len(splits) - 1), min_size=1, max_size=12)))
     rows = np.array(draw(st.lists(st.integers(0, max(n - 1, 0)), unique=True, max_size=n)),
                     dtype=np.intp)
     return LabeledDataset(X, y, n_classes), splits, candidates, rows
@@ -444,8 +456,8 @@ class TestBinnedKernel:
         ds, splits, candidates, rows = case
         tables = split_count_tables(SplitPlan(splits).bin(ds), rows, candidates)
         assert tables.shape == (len(candidates), ds.n_classes, 2)
-        for table, split in zip(tables, candidates):
-            sides = split.evaluate(ds.features, rows)
+        for table, index in zip(tables, candidates):
+            sides = splits[index].evaluate(ds.features, rows)
             assert np.array_equal(table, oracle_table(ds.labels[rows], sides, ds.n_classes))
 
     @settings(max_examples=300, deadline=None)
@@ -453,8 +465,8 @@ class TestBinnedKernel:
     def test_code_cut_equals_evaluate(self, case):
         ds, splits, _, rows = case
         binned = SplitPlan(splits).bin(ds)
-        for split in splits:
-            assert np.array_equal(binned.goes_right(split, rows), split.evaluate(ds.features, rows) == 1)
+        for index, split in enumerate(splits):
+            assert np.array_equal(binned.goes_right(index, rows), split.evaluate(ds.features, rows) == 1)
 
     @settings(max_examples=200, deadline=None)
     @given(binned_cases())
@@ -463,8 +475,8 @@ class TestBinnedKernel:
         binned = SplitPlan(splits).bin(ds)
         narrow = rows.astype(np.int32)
         assert np.array_equal(binned.cumulative(narrow), binned.cumulative(rows))
-        for split in splits:
-            assert np.array_equal(binned.goes_right(split, narrow), binned.goes_right(split, rows))
+        for index in range(len(splits)):
+            assert np.array_equal(binned.goes_right(index, narrow), binned.goes_right(index, rows))
 
     def test_position_dtype_is_32_bit_below_2_31_rows(self):
         # Only the row count is read: no positions are made.
@@ -501,12 +513,11 @@ class TestBinnedKernel:
         SplitFunction(threshold=0.5, block=(0, 1)),
     ])
     def test_split_outside_binned_class_rejected(self, stranger):
-        ds = random_dataset(RandomSource(4), n=30, d=3)
-        splits = grid_splits(d=2, count=3)
-        binned = SplitPlan(splits).bin(ds)
-        for rows in (np.arange(ds.n), np.arange(0)):
-            with pytest.raises(InvalidParameterError):
-                split_count_tables(binned, rows, splits[:2] + [stranger])
+        # A split has counts only through its index in the binning's plan,
+        # and a split outside the class has none.
+        binned = SplitPlan(grid_splits(d=2, count=3)).bin(random_dataset(RandomSource(4), n=30, d=3))
+        with pytest.raises(InvalidParameterError):
+            binned.plan.index_of(list(binned.plan.splits[:2]) + [stranger])
 
 
     def test_non_finite_threshold_rejected(self):
@@ -522,9 +533,9 @@ class TestBinnedKernel:
         ds, splits, _, rows = case
         test_rows = np.zeros(ds.n, dtype=bool)
         test_rows[rows] = True
-        tree = DecisionTree()
+        tree = DecisionTree(SplitPlan(splits))
         for _ in range(data.draw(st.integers(0, 8))):
-            tree.split_leaf(data.draw(st.sampled_from(tree.leaves())), data.draw(st.sampled_from(splits)))
+            tree.split_leaf(data.draw(st.sampled_from(tree.leaves())), data.draw(st.integers(0, len(splits) - 1)))
         for leaf in tree.leaves():
             leaf.label = data.draw(st.integers(0, ds.n_classes - 1))
         for part in (ds.subset(~test_rows), ds.subset(test_rows)):
@@ -532,7 +543,7 @@ class TestBinnedKernel:
             expected = tree.predict(part.features)
             assert np.array_equal(tree.classify(binned.n, binned.goes_right), expected)
             assert np.array_equal(tree.assign(binned.n, binned.goes_right),
-                                  tree.assign(part.n, float_sides(part.features)))
+                                  tree.assign(part.n, float_sides(part.features, tree.plan)))
             if part.n:
                 assert tree_error(tree, binned) == np.mean(expected != part.labels)
 
@@ -560,8 +571,8 @@ class TestBinnedKernel:
                 assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
             assert np.array_equal(split_count_tables(sliced, some, candidates),
                                   split_count_tables(fresh, some, candidates))
-            for split in splits:
-                assert np.array_equal(sliced.goes_right(split, some), fresh.goes_right(split, some))
+            for index in range(len(splits)):
+                assert np.array_equal(sliced.goes_right(index, some), fresh.goes_right(index, some))
 
 
 class TestLabeledDataset:
