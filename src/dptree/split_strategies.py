@@ -275,16 +275,18 @@ class EntityPool:
     def ask_all(self, ledger: PrivacyLedger, kind: str, path, budget, depth, leaf_id,
                 splits=None) -> list[Response]:
         """Ask every entity one query about the leaf at `path`. Split objects
-        enter the pool only here: a (split, side) path, or candidates that are
-        splits of the class, are named by their plan indices once per query."""
+        enter the pool only here: a (split, side) path or split candidates are
+        named by plan index once per query; an index outside the class raises."""
         path = tuple(path)
         if any(isinstance(split, SplitFunction) for split, _ in path):
             on_path, sides = zip(*path)
             path = tuple(zip(self.plan.index_of(on_path).tolist(), sides))
         if splits is not None and not isinstance(splits, np.ndarray):
             splits = self.plan.index_of(splits)
-        if not isinstance(budget, Fraction):
-            budget = Fraction(budget)
+        named = [h for h, _ in path] + ([] if splits is None else [splits.min(initial=0), splits.max(initial=0)])
+        if not all(0 <= h < len(self.plan.splits) for h in named):
+            raise InvalidParameterError("a path or a candidate names an index outside the splitting class")
+        budget = budget if isinstance(budget, Fraction) else Fraction(budget)
         query = Query(kind, path, budget, depth, leaf_id, splits, charge=budget)
         if kind == "leaf_count":
             # Count sensitivity 1 at budget alpha_leaf/2 -> Lap(2/alpha_leaf).
@@ -420,8 +422,7 @@ def local_rnm_split(pool: EntityPool, leaf: Node, alpha, ledger: PrivacyLedger):
     if alpha <= 0:
         raise InvalidParameterError(f"alpha must be positive, got {alpha}")
     half = Fraction(alpha) / 2
-    responses = pool.ask_all(ledger, "local_best_split", leaf.path, half, leaf.budget_depth,
-                             leaf.node_id)
+    responses = pool.ask_all(ledger, "local_best_split", leaf.path, half, leaf.budget_depth, leaf.node_id)
     candidates = np.array([resp.payload["hid"] for resp in responses], dtype=np.intp)
     return noisy_counts_split(pool, leaf, half, candidates, ledger)
 
@@ -511,8 +512,7 @@ class DistributedStrategy:
     def weight(self, leaf: Node, budget, ledger: PrivacyLedger) -> float:
         """Per-entity noisy counts (`budget` each, half the leaf's allowance,
         parallel across entities), summed and divided by the public |S|."""
-        responses = self.pool.ask_all(ledger, "leaf_count", leaf.path, budget,
-                                      leaf.budget_depth, leaf.node_id)
+        responses = self.pool.ask_all(ledger, "leaf_count", leaf.path, budget, leaf.budget_depth, leaf.node_id)
         return float(sum(resp.payload["count"] for resp in responses)) / self.pool.binned.n
 
     def labels(self, leaves: list, budget, ledger: PrivacyLedger) -> list:

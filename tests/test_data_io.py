@@ -693,11 +693,15 @@ class TestTrainTestSplit:
 class TestSyntheticData:
     @pytest.mark.parametrize("depth", [2, 3])
     def test_truth_tree_labels_dataset(self, depth):
-        ds, truth, _ = synthetic_tree_dataset(5000, RandomSource(14), depth=depth)
+        ds, truth, schema = synthetic_tree_dataset(5000, RandomSource(14), depth=depth)
+        # Every truth split, feature and float threshold alike, is exactly a
+        # split of the class that the learners search.
+        assert set(truth.plan.splits) <= set(build_splitting_class(schema))
         assert tree_error(truth, truth.plan.bin(ds)) == 0.0
 
     def test_label_noise_rate(self):
-        ds, truth, _ = synthetic_tree_dataset(20000, RandomSource(15), depth=2, label_noise=0.2)
+        ds, truth, schema = synthetic_tree_dataset(20000, RandomSource(15), depth=2, label_noise=0.2)
+        assert set(truth.plan.splits) <= set(build_splitting_class(schema))
         assert tree_error(truth, truth.plan.bin(ds)) == pytest.approx(0.2, abs=0.02)
 
     def test_bench_fixture_bytes_are_pinned(self, tmp_path):

@@ -862,15 +862,22 @@ class TestEntityRowCache:
 
     def test_out_of_class_candidate_raises_with_cached_counts(self):
         # Split objects enter the pool only through `ask_all`, which names
-        # them by plan index and refuses one outside the class.
+        # them by plan index and refuses one outside the class, and refuses
+        # an index outside the class rather than wrap or overrun it.
         ds, splits = planted_dataset(RandomSource(6), n=100), grid_splits(d=2, count=3)
         pool = make_pool(ds, 2, splits)
         stranger = SplitFunction(threshold=0.3, feature=0)
-        for candidates in ([stranger], splits[:-1] + [stranger]):
+        outside = (-1, len(splits))
+        for candidates in ([stranger], splits[:-1] + [stranger], *(np.array([0, h]) for h in outside)):
             with pytest.raises(InvalidParameterError):
                 pool.ask_all(PrivacyLedger(8), "joint_histogram", (), Fraction(1), 1, 0, splits=candidates)
-        with pytest.raises(InvalidParameterError):
-            pool.ask_all(PrivacyLedger(8), "leaf_count", ((splits[0], 1), (stranger, 0)), Fraction(1), 1, 0)
+        for path in (((splits[0], 1), (stranger, 0)), *(((0, 1), (h, 0)) for h in outside)):
+            with pytest.raises(InvalidParameterError):
+                pool.ask_all(PrivacyLedger(8), "leaf_count", path, Fraction(1), 1, 0)
+        ledger = PrivacyLedger(8)
+        pool.ask_all(ledger, "joint_histogram", ((len(splits) - 1, 0),), Fraction(1), 1, 0,
+                     splits=np.array([0, len(splits) - 1]))
+        assert ledger.entries
 
     def test_evicted_parent_requeried(self):
         splits = grid_splits(d=2, count=3)
